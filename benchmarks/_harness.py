@@ -1,7 +1,7 @@
 """Shared machinery for the figure-reproduction benchmarks.
 
 Every module in this directory regenerates one table or figure of the paper
-(see DESIGN.md section 3 for the mapping).  The benchmarks print the same
+(each module's docstring names which).  The benchmarks print the same
 rows / series the paper reports -- run ``pytest benchmarks/ --benchmark-only -s``
 to see them -- and assert only the *shape* of each result (who wins, whether
 growth is linear, where distributions are skewed), because absolute numbers

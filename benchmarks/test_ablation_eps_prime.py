@@ -1,7 +1,7 @@
 """Ablation: the reference net's base radius eps'.
 
-DESIGN.md lists eps' as a tunable the paper fixes at 1.  This ablation
-sweeps eps' over two orders of magnitude and reports both the space overhead
+eps' (``MatcherConfig.eps_prime``) is a tunable the paper fixes at 1.  This
+ablation sweeps it over two orders of magnitude and reports both the space overhead
 and the query cost, verifying that (a) correctness never depends on eps'
 (same result sets), and (b) the default of 1 is within a reasonable factor
 of the best setting for the TRAJ workload.

@@ -444,6 +444,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.stats:
         print()
         print(format_query_stats(result.stats, title="query statistics"))
+        cache = service.cache_stats()
+        print(f"distance cache: {cache['entries']} entries, {cache['evictions']} evictions")
     return 0
 
 

@@ -158,6 +158,22 @@ class SearchService:
         """The wrapped backend's most recent ``execute_many`` statistics."""
         return self.backend.last_batch_stats
 
+    def cache_stats(self) -> Optional[dict]:
+        """Size and lifetime evictions of the backend's distance cache(s).
+
+        Summed over the shards of a sharded backend; ``None`` while a
+        path-backed service has not loaded its snapshot (observing this
+        never triggers the load).
+        """
+        backend = self._backend
+        if backend is None:
+            return None
+        caches = [matcher.distance_cache for matcher in getattr(backend, "shards", [backend])]
+        return {
+            "entries": sum(len(cache) for cache in caches),
+            "evictions": sum(cache.evictions for cache in caches),
+        }
+
     def fingerprint(self) -> str:
         """The backend's :func:`config_fingerprint`."""
         return config_fingerprint(self.backend)

@@ -78,7 +78,7 @@ from repro.distances.base import (
     group_batch_operands,
     validate_group_shape,
 )
-from repro.distances.cache import DistanceCache
+from repro.distances.cache import DistanceCache, content_keys, probe_row
 from repro.distances.lower_bounds import combined_batch_bound, combined_bound
 from repro.sequences.packed import resolve_remote_tensor
 from repro.sequences.sequence import Sequence
@@ -125,41 +125,29 @@ class _Overlay:
     ``lookup`` consults the overlay first (it holds the unit's most recent
     knowledge) and falls back to :meth:`DistanceCache.peek` on the base,
     which never mutates the base statistics.  ``store`` only ever writes the
-    overlay.  Entry semantics (exact values vs ``distance > cutoff`` lower
-    bounds, no downgrades) mirror :class:`DistanceCache`.
+    overlay -- itself an unbounded :class:`DistanceCache`, so entry
+    semantics (exact values vs ``distance > cutoff`` lower bounds, no
+    downgrades) are the cache's own.
     """
 
-    __slots__ = ("base", "entries")
+    __slots__ = ("base", "local")
 
     def __init__(self, base: Optional[DistanceCache]) -> None:
         self.base = base
-        self.entries: dict = {}
+        self.local = DistanceCache()
 
     def lookup(
         self, first: Sequence, second: Sequence, cutoff: Optional[float] = None
     ) -> Optional[float]:
-        entry = self.entries.get((first, second))
-        if entry is not None:
-            value, exact = entry
-            if exact:
-                return value
-            if cutoff is not None and value >= cutoff:
-                return _INF
-        if self.base is not None:
-            return self.base.peek(first, second, cutoff=cutoff)
-        return None
+        value = self.local.peek(first, second, cutoff)
+        if value is None and self.base is not None:
+            value = self.base.peek(first, second, cutoff)
+        return value
 
     def store(
         self, first: Sequence, second: Sequence, value: float, cutoff: Optional[float] = None
     ) -> None:
-        key = (first, second)
-        if cutoff is None or value <= cutoff:
-            self.entries[key] = (value, True)
-            return
-        existing = self.entries.get(key)
-        if existing is not None and (existing[1] or existing[0] >= cutoff):
-            return
-        self.entries[key] = (float(cutoff), False)
+        self.local.store(first, second, value, cutoff)
 
 
 class _ProbeColumns:
@@ -278,22 +266,20 @@ class _NullReplayView:
     replay's explicit ``cache is None`` handling.
     """
 
-    __slots__ = ()
+    __slots__ = ("table", "hits", "misses")
 
-    def lookup(self, first, second, cutoff):
+    def __init__(self) -> None:
+        self.table: dict = {}
+        self.hits = self.misses = 0
+
+    def store_key(self, key, value, cutoff) -> None:
         return None
-
-    def store(self, first, second, value, cutoff):
-        return None
-
-
-_NULL_VIEW = _NullReplayView()
 
 
 @contextmanager
 def _replay_view(cache: Optional[DistanceCache]):
     if cache is None:
-        yield _NULL_VIEW
+        yield _NullReplayView()
     else:
         with cache.replay_view() as view:
             yield view
@@ -336,7 +322,7 @@ class RecordingCounting:
             self._columns = None
             self.log = []
         #: Columnar batch stores not yet applied to the overlay, as
-        #: ``(query, items, cutoff, values, group_indexes)``.  A unit's
+        #: ``(query_key, item_keys, cutoff, values, group_indexes)``.  A unit's
         #: *last* batch never needs its overlay stores (nothing reads them
         #: before the unit ends; the replay works from the columns), so the
         #: columnar finish defers materialization until the next overlay
@@ -453,71 +439,30 @@ class RecordingCounting:
         rather than a silent pickle fallback.
         """
         values = np.empty(len(items), dtype=np.float64)
-        hits = [False] * len(items)
         query_array = as_array(query)
-        pending: List[int] = []
-        # The overlay/base lookups are inlined (the classification loop is
-        # the hottest record-side path): overlay entry first, base-cache
-        # entry second, each with the full exact/bound-entry semantics of
-        # ``_Overlay.lookup``.  The base read is the same lock-free
-        # ``dict.get`` that ``DistanceCache.peek`` documents.
+        pending: Optional[List[int]] = None
+        item_keys: Optional[List[Optional[bytes]]] = None
         if isinstance(query, Sequence):
             if self._unapplied:
                 self._flush_overlay()
-            append = pending.append
-            overlay_entries = self._overlay.entries
-            overlay_get = overlay_entries.get
+            item_keys = getattr(packed, "content_keys", content_keys)(items)
+            # The classification is the hottest record-side path, so it is
+            # two bulk row probes -- the overlay (the unit's most recent
+            # knowledge) first, the base snapshot for what is left -- each
+            # the same lock-free read ``DistanceCache.peek`` documents.  An
+            # empty table cannot answer, so a cold unit (nothing recorded
+            # yet, base empty: the common first probe) skips both.
             base = self._overlay.base
-            # An empty base table cannot answer any probe, so skip the
-            # per-item chained get.  The emptiness check is the same
-            # benign race as the lock-free reads themselves: a store that
-            # lands mid-batch is equivalent to every chained get missing.
-            base_get = (
-                base._entries.get if base is not None and base._entries else None
-            )
-            if not overlay_entries and base_get is None:
-                # Cold unit (nothing recorded yet, base empty): every
-                # lookup would miss, so the classification is just "all
-                # pending" -- the common first-probe case.
-                pending = list(range(len(items)))
-                return self._prepare_groups(
-                    query, items, cutoff, values, hits, query_array, pending, packed, remote
-                )
-            has_cutoff = cutoff is not None
-            for index, item in enumerate(items):
-                if isinstance(item, Sequence):
-                    key = (query, item)
-                    cached = None
-                    entry = overlay_get(key)
-                    if entry is not None:
-                        value, exact = entry
-                        if exact:
-                            cached = value
-                        elif has_cutoff and value >= cutoff:
-                            cached = _INF
-                    if cached is None and base_get is not None:
-                        entry = base_get(key)
-                        if entry is not None:
-                            value, exact = entry
-                            if exact:
-                                cached = value
-                            elif has_cutoff and value >= cutoff:
-                                cached = _INF
-                    if cached is not None:
-                        values[index] = cached
-                        hits[index] = True
-                        continue
-                append(index)
-        else:
+            tables = (self._overlay.local._entries, None if base is None else base._entries)
+            for table in tables:
+                if table and (pending is None or pending):
+                    pending, _misses = probe_row(
+                        table, query.content_key, item_keys, cutoff, values, pending
+                    )
+        if pending is None:
             pending = list(range(len(items)))
-        return self._prepare_groups(
-            query, items, cutoff, values, hits, query_array, pending, packed, remote
-        )
 
-    def _prepare_groups(
-        self, query, items, cutoff, values, hits, query_array, pending, packed, remote
-    ) -> "_BatchContext":
-        """Shape-group the pending items and assemble the batch context."""
+        # Shape-group the pending items and assemble the batch context.
         grouped: List[Tuple[List[int], object]] = []
         if packed is None:
             arrays, groups = group_batch_operands(self.inner, query_array, items, pending)
@@ -542,7 +487,7 @@ class RecordingCounting:
             for shape, indexes in shape_groups:
                 validate_group_shape(self.inner, query_array, shape)
                 grouped.append((indexes, gather(indexes)))
-        return _BatchContext(self, query, items, cutoff, values, hits, query_array, grouped)
+        return _BatchContext(self, query, items, item_keys, cutoff, values, query_array, grouped)
 
     def batch_finish(
         self, context: "_BatchContext", computed: List[Tuple[np.ndarray, Optional[np.ndarray]]]
@@ -550,7 +495,7 @@ class RecordingCounting:
         """Fold the computed group values/bounds back in; log the batch."""
         if self._columns is not None:
             return self._batch_finish_columnar(context, computed)
-        values, hits = context.values, context.hits
+        values = context.values
         bounds: List[Optional[float]] = [None] * len(context.items)
         for (indexes, _tensor), (group_values, group_bounds) in zip(context.grouped, computed):
             for position, index in enumerate(indexes):
@@ -563,15 +508,7 @@ class RecordingCounting:
                         context.query, context.items[index], value, cutoff=context.cutoff
                     )
         self.log.append(
-            (
-                _BATCH,
-                context.query,
-                list(context.items),
-                context.cutoff,
-                values.copy(),
-                hits,
-                bounds,
-            )
+            (_BATCH, context.query, list(context.items), context.cutoff, values.copy(), bounds)
         )
         return values
 
@@ -584,8 +521,7 @@ class RecordingCounting:
         list -- is replaced by array scatters.
         """
         values = context.values
-        items = context.items
-        query = context.query
+        item_keys = context.item_keys
         cutoff = context.cutoff
         bounds_array: Optional[np.ndarray] = None
         bound_known: Optional[np.ndarray] = None
@@ -594,51 +530,41 @@ class RecordingCounting:
             values[index_array] = group_values
             if group_bounds is not None:
                 if bounds_array is None:
-                    bounds_array = np.zeros(len(items), dtype=np.float64)
-                    bound_known = np.zeros(len(items), dtype=bool)
+                    bounds_array = np.zeros(len(values), dtype=np.float64)
+                    bound_known = np.zeros(len(values), dtype=bool)
                 bounds_array[index_array] = group_bounds
                 bound_known[index_array] = True
-        if isinstance(query, Sequence):
+        query_key = None if item_keys is None else context.query.content_key
+        if query_key is None:
+            item_keys = [None] * len(values)
+        else:
             # Defer the per-item overlay stores (see ``_unapplied``): the
             # group index lists are all the flush needs, and for the last
             # batch of the unit the stores never happen at all.
             self._unapplied.append(
-                (query, items, cutoff, values, [indexes for indexes, _t in context.grouped])
+                (query_key, item_keys, cutoff, values, [indexes for indexes, _t in context.grouped])
             )
-        self._columns.append_batch((query, items, cutoff, values, bounds_array, bound_known))
+        self._columns.append_batch(
+            (query_key, item_keys, cutoff, values, bounds_array, bound_known)
+        )
         return values
 
     def _flush_overlay(self) -> None:
         """Apply deferred columnar batch stores to the overlay, in order.
 
-        ``_Overlay.store`` inlined against the overlay dict (exact entry
-        vs bound entry, the no-downgrade rule; the overlay never evicts);
-        the store order -- batches in finish order, groups in order,
+        The store order -- batches in finish order, groups in order,
         positions in order -- is exactly the eager order.
         """
         unapplied = self._unapplied
         self._unapplied = []
-        entries = self._overlay.entries
-        get = entries.get
-        for query, items, cutoff, values, groups in unapplied:
-            has_cutoff = cutoff is not None
-            bound_entry = (float(cutoff), False) if has_cutoff else None
-            value_list = values.tolist()
-            for indexes in groups:
-                for index in indexes:
-                    item = items[index]
-                    if isinstance(item, Sequence):
-                        value = value_list[index]
-                        key = (query, item)
-                        if not has_cutoff or value <= cutoff:
-                            entries[key] = (value, True)
-                        else:
-                            existing = get(key)
-                            if existing is not None and (
-                                existing[1] or existing[0] >= cutoff
-                            ):
-                                continue
-                            entries[key] = bound_entry
+        with self._overlay.local.replay_view() as view:
+            store = view.store_key
+            for query_key, item_keys, cutoff, values, groups in unapplied:
+                value_list = values.tolist()
+                for indexes in groups:
+                    for index in indexes:
+                        if item_keys[index] is not None:
+                            store((query_key, item_keys[index]), value_list[index], cutoff)
 
     def replay_into(self, counting) -> None:
         """Replay this unit's log into the live ``CountingDistance``."""
@@ -651,15 +577,20 @@ class RecordingCounting:
 class _BatchContext:
     """State carried between :meth:`RecordingCounting.batch_prepare` and finish."""
 
-    __slots__ = ("owner", "query", "items", "cutoff", "values", "hits", "query_array", "grouped")
+    __slots__ = (
+        "owner", "query", "items", "item_keys", "cutoff", "values", "query_array", "grouped"
+    )
 
-    def __init__(self, owner, query, items, cutoff, values, hits, query_array, grouped) -> None:
+    def __init__(
+        self, owner, query, items, item_keys, cutoff, values, query_array, grouped
+    ) -> None:
         self.owner = owner
         self.query = query
         self.items = list(items)
+        #: Content keys by position; ``None`` when the query is uncacheable.
+        self.item_keys = item_keys
         self.cutoff = cutoff
         self.values = values
-        self.hits = hits
         self.query_array = query_array
         self.grouped = grouped
 
@@ -779,21 +710,15 @@ def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
         pair_rows = columns.pairs[:size].tolist()
         float_rows = columns.floats[:size].tolist()
         batches = iter(columns.batches)
-        # The row loop runs once per recorded request, so the view's
-        # ``lookup``/``store`` are inlined against its raw entry dict
-        # (identical semantics: bound entries, the no-downgrade rule,
-        # insertion-order eviction; a no-downgrade store skips eviction).
-        # The view's own hit/miss tallies are folded in once at the end.
-        # ``entries is None`` is the null view of a cache-less replay:
-        # every lookup misses and every store is a no-op, so both are
-        # skipped outright.  On ``_K_BOUNDED`` rows the cutoff column is
-        # always a real float, which makes ``cutoff is not None`` checks
-        # unnecessary.
-        entries = getattr(view, "entries", None)
+        # The row loop runs once per recorded request, so lookups read the
+        # view's raw table (same answers as ``view.lookup``; the hit/miss
+        # tallies are folded in once at the end) and stores go through
+        # ``view.store_key`` -- the cache's own store rule and eviction.
+        # A cache-less replay runs against the empty null view: every
+        # lookup misses and every store is dropped.  On ``_K_BOUNDED`` rows
+        # the cutoff column is always a real float; plain calls carry none.
+        get, store = view.table.get, view.store_key
         row_hits = row_misses = 0
-        if entries is not None:
-            get = entries.get
-            max_entries = view.max_entries
         for row in range(size):
             kind = kinds[row]
             if kind & _K_BATCH:
@@ -803,74 +728,31 @@ def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
                 pre_evaluated += tallies[2]
                 pre_pruned += tallies[3]
                 continue
-            first, second = pair_rows[row]
             value, cutoff, bound = float_rows[row]
-            if kind & _K_BOUNDED:
-                if kind & _K_CACHEABLE and entries is not None:
-                    entry = get((first, second))
-                    if entry is not None:
-                        entry_value, exact = entry
-                        if exact or entry_value >= cutoff:
-                            row_hits += 1
-                            hits += 1
-                            continue
-                    row_misses += 1
-                if prefilter and kind & _K_HAS_BOUND:
-                    pre_evaluated += 1
-                    if bound > cutoff:
-                        pre_pruned += 1
-                        # store(first, second, inf, cutoff): always the
-                        # bound-entry branch of the store rule.
-                        if kind & _K_CACHEABLE and entries is not None:
-                            key = (first, second)
-                            existing = get(key)
-                            if existing is None or not (
-                                existing[1] or existing[0] >= cutoff
-                            ):
-                                entries[key] = (cutoff, False)
-                                if max_entries is not None:
-                                    while len(entries) > max_entries:
-                                        entries.pop(next(iter(entries)))
-                        continue
-                fresh += 1
-                if kind & _K_CACHEABLE and entries is not None:
-                    key = (first, second)
-                    if value <= cutoff:
-                        entries[key] = (value, True)
-                    else:
-                        existing = get(key)
-                        if existing is not None and (
-                            existing[1] or existing[0] >= cutoff
-                        ):
-                            # No-downgrade early return: skips eviction.
-                            continue
-                        entries[key] = (cutoff, False)
-                    if max_entries is not None:
-                        while len(entries) > max_entries:
-                            entries.pop(next(iter(entries)))
-            elif kind & _K_CACHEABLE:
-                if entries is not None:
-                    key = (first, second)
-                    entry = get(key)
-                    # lookup with no cutoff: only exact entries can hit.
-                    if entry is not None and entry[1]:
-                        row_hits += 1
-                        hits += 1
-                        continue
-                    row_misses += 1
-                    fresh += 1
-                    # store with no cutoff: always an exact entry.
-                    entries[key] = (value, True)
-                    if max_entries is not None:
-                        while len(entries) > max_entries:
-                            entries.pop(next(iter(entries)))
-                else:
-                    fresh += 1
-            else:
-                fresh += 1
-        if entries is not None:
-            view.hits += row_hits
-            view.misses += row_misses
+            if not kind & _K_BOUNDED:
+                cutoff = None
+            key = None
+            if kind & _K_CACHEABLE:
+                first, second = pair_rows[row]
+                key = (first.content_key, second.content_key)
+                entry = get(key)
+                if entry is not None and (entry[1] or (cutoff is not None and entry[0] >= cutoff)):
+                    row_hits += 1
+                    continue
+                row_misses += 1
+            if prefilter and kind & _K_HAS_BOUND:
+                pre_evaluated += 1
+                if bound > cutoff:
+                    pre_pruned += 1
+                    if key is not None:
+                        store(key, _INF, cutoff)
+                    continue
+            fresh += 1
+            if key is not None:
+                store(key, value, cutoff)
+        hits += row_hits
+        view.hits += row_hits
+        view.misses += row_misses
     if fresh:
         counter.increment(fresh)
     if hits:
@@ -884,53 +766,28 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
 
     Two phases, mirroring both the serial ``CountingDistance.batch`` and
     the object-log replay: first every item is classified hit/pending
-    against the real cache, then the pending items apply their prefilter
-    outcomes and stores -- the same request order, so the same eviction
-    order.
+    against the real cache -- one bulk row probe, the single hottest replay
+    path -- then the pending items apply their prefilter outcomes and
+    stores, in the same request order and so the same eviction order.  An
+    uncacheable query (``query_key is None``) classifies everything as
+    pending without any lookups, exactly as per-item ``lookup`` calls would.
     """
-    query, items, cutoff, values, bounds_array, bound_known = record
+    query_key, item_keys, cutoff, values, bounds_array, bound_known = record
     fresh = hits = pre_evaluated = pre_pruned = 0
-    query_cacheable = isinstance(query, Sequence)
-    # The classification loop runs once per window of every batched probe
-    # -- the single hottest replay path -- so the view's ``lookup`` is
-    # inlined against its raw entry dict (semantics identical; the view's
-    # own hit/miss tallies are updated in bulk below).  A null view (no
-    # cache) or an uncacheable query classifies everything as pending
-    # without any lookups, exactly as per-item ``lookup`` calls would.
-    entries = getattr(view, "entries", None)
-    if entries is None or not query_cacheable:
-        pending = list(range(len(items)))
-        pending_keys: Optional[List[Optional[tuple]]] = None
+    if query_key is None:
+        pending = list(range(len(item_keys)))
     else:
-        pending = []
-        # The key tuples survive into the store phase (``None`` marks an
-        # uncacheable item), so each pending item is keyed exactly once.
-        pending_keys = []
-        append = pending.append
-        key_append = pending_keys.append
-        get = entries.get
-        misses = 0
-        for index, item in enumerate(items):
-            if isinstance(item, Sequence):
-                key = (query, item)
-                entry = get(key)
-                if entry is not None:
-                    entry_value, exact = entry
-                    if exact or (cutoff is not None and entry_value >= cutoff):
-                        hits += 1
-                        continue
-                misses += 1
-                append(index)
-                key_append(key)
-            else:
-                append(index)
-                key_append(None)
+        pending, misses = probe_row(
+            view.table, query_key, item_keys, cutoff, np.empty(len(item_keys))
+        )
+        hits = len(item_keys) - len(pending)
         view.hits += hits
         view.misses += misses
     if pending:
         value_list = values.tolist()
-        use_prefilter = prefilter and cutoff is not None and bounds_array is not None
-        if use_prefilter:
+        store = view.store_key
+        code_list = None
+        if prefilter and cutoff is not None and bounds_array is not None:
             # One classification code per item -- 0: no bound evaluated,
             # 1: evaluated but not pruned, 2: evaluated and pruned --
             # built with two vectorized ops instead of two list reads and
@@ -938,80 +795,18 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
             code_list = (
                 bound_known.astype(np.int8) + (bound_known & (bounds_array > cutoff))
             ).tolist()
-        if pending_keys is None:
-            # Null view or uncacheable query: no lookups hit and every
-            # store is a no-op, so only the tallies remain.
-            if use_prefilter:
-                for index in pending:
-                    code = code_list[index]
-                    if code:
-                        pre_evaluated += 1
-                        if code == 2:
-                            pre_pruned += 1
-                            continue
-                    fresh += 1
+        for index in pending:
+            code = 0 if code_list is None else code_list[index]
+            if code:
+                pre_evaluated += 1
+            if code == 2:
+                pre_pruned += 1
+                value = _INF
             else:
-                fresh += len(pending)
-        else:
-            # ``store`` inlined against the raw dict: the no-downgrade
-            # rule and the insertion-order eviction are preserved, and a
-            # no-downgrade early return skips eviction, exactly as
-            # ``_ReplayView.store`` does.
-            get = entries.get
-            max_entries = view.max_entries
-            bound_entry = (float(cutoff), False) if cutoff is not None else None
-            if use_prefilter:
-                for index, key in zip(pending, pending_keys):
-                    code = code_list[index]
-                    if code:
-                        pre_evaluated += 1
-                        if code == 2:
-                            pre_pruned += 1
-                            # store(query, item, inf, cutoff): always the
-                            # bound-entry branch of the store rule.
-                            if key is not None:
-                                existing = get(key)
-                                if existing is None or not (
-                                    existing[1] or existing[0] >= cutoff
-                                ):
-                                    entries[key] = bound_entry
-                                    if max_entries is not None:
-                                        while len(entries) > max_entries:
-                                            entries.pop(next(iter(entries)))
-                            continue
-                    fresh += 1
-                    if key is not None:
-                        value = value_list[index]
-                        if value <= cutoff:
-                            entries[key] = (value, True)
-                        else:
-                            existing = get(key)
-                            if existing is not None and (
-                                existing[1] or existing[0] >= cutoff
-                            ):
-                                continue
-                            entries[key] = bound_entry
-                        if max_entries is not None:
-                            while len(entries) > max_entries:
-                                entries.pop(next(iter(entries)))
-            else:
-                for index, key in zip(pending, pending_keys):
-                    fresh += 1
-                    if key is None:
-                        continue
-                    value = value_list[index]
-                    if cutoff is None or value <= cutoff:
-                        entries[key] = (value, True)
-                    else:
-                        existing = get(key)
-                        if existing is not None and (
-                            existing[1] or existing[0] >= cutoff
-                        ):
-                            continue
-                        entries[key] = bound_entry
-                    if max_entries is not None:
-                        while len(entries) > max_entries:
-                            entries.pop(next(iter(entries)))
+                fresh += 1
+                value = value_list[index]
+            if item_keys[index] is not None:
+                store((query_key, item_keys[index]), value, cutoff)
     return fresh, hits, pre_evaluated, pre_pruned
 
 
@@ -1025,42 +820,23 @@ def _replay_verify_columns(
         flags = columns.flags[:size].tolist()
         pair_rows = columns.pairs[:size].tolist()
         float_rows = columns.floats[:size].tolist()
-        # Same inlining as :func:`_replay_probe_columns`: the view's
-        # ``lookup``/``store`` run against the raw entry dict with
-        # identical semantics, and since nothing mutates ``key`` between
-        # the two, the lookup's entry doubles as the store's no-downgrade
-        # check.  A cache-less replay (null view) classifies every row as
-        # fresh with no stores, exactly as the per-row calls would.
-        entries = getattr(view, "entries", None)
-        if entries is None:
-            fresh = size
-        else:
-            get = entries.get
-            max_entries = view.max_entries
-            for row in range(size):
-                first, second = pair_rows[row]
-                cutoff, value = float_rows[row]
-                has_cutoff = flags[row]
-                key = (first, second)
-                entry = get(key)
-                if entry is not None:
-                    entry_value, exact = entry
-                    if exact or (has_cutoff and entry_value >= cutoff):
-                        hits += 1
-                        continue
-                fresh += 1
-                if not has_cutoff or value <= cutoff:
-                    entries[key] = (value, True)
-                else:
-                    if entry is not None and (entry[1] or entry[0] >= cutoff):
-                        # No-downgrade early return: skips eviction.
-                        continue
-                    entries[key] = (cutoff, False)
-                if max_entries is not None:
-                    while len(entries) > max_entries:
-                        entries.pop(next(iter(entries)))
-            view.hits += hits
-            view.misses += fresh
+        # Same scheme as :func:`_replay_probe_columns`: raw-table lookups,
+        # stores through ``view.store_key``, tallies folded in at the end.
+        get, store = view.table.get, view.store_key
+        for row in range(size):
+            first, second = pair_rows[row]
+            cutoff, value = float_rows[row]
+            if not flags[row]:
+                cutoff = None
+            key = (first.content_key, second.content_key)
+            entry = get(key)
+            if entry is not None and (entry[1] or (cutoff is not None and entry[0] >= cutoff)):
+                hits += 1
+                continue
+            fresh += 1
+            store(key, value, cutoff)
+        view.hits += hits
+        view.misses += fresh
     counter.count += fresh
     counter.cache_hits += hits
 
@@ -1110,7 +886,7 @@ def replay_probe_log(log: List[tuple], counting) -> None:
             if cache is not None and cacheable:
                 cache.store(first, second, value, cutoff=cutoff)
         else:  # _BATCH
-            _tag, query, items, cutoff, values, _hits, bounds = record
+            _tag, query, items, cutoff, values, bounds = record
             pending: List[int] = []
             for index, item in enumerate(items):
                 if cache is not None and DistanceCache.cacheable(query, item):

@@ -172,13 +172,22 @@ class LinearScanIndex(MetricIndex):
         """
         keys = list(self._items.keys())
         items = [self._items[key] for key in keys]
-        groups: dict = {}
+        positions: dict = {}
         for scan_position, item in enumerate(items):
             if self._packed_ok:
                 shape = self._packed.shape_of(keys[scan_position])
             else:
                 shape = as_array(item).shape
-            groups.setdefault(shape, []).append(scan_position)
+            positions.setdefault(shape, []).append(scan_position)
+        # One gather per group, shared by every query's unit: its memoized
+        # content-key row is then built once per probe, not once per unit.
+        groups = []
+        for shape, scan_positions in positions.items():
+            group_keys = [keys[i] for i in scan_positions]
+            group_items = [items[i] for i in scan_positions]
+            groups.append(
+                (shape, scan_positions, group_keys, group_items, self._scan_gather(group_keys))
+            )
 
         units: List[QueryWorkUnit] = []
         for position, query in enumerate(queries):
@@ -186,10 +195,7 @@ class LinearScanIndex(MetricIndex):
                 query_length = len(query)
             except TypeError:
                 query_length = 1
-            for shape, scan_positions in groups.items():
-                group_keys = [keys[i] for i in scan_positions]
-                group_items = [items[i] for i in scan_positions]
-                group_packed = self._scan_gather(group_keys)
+            for shape, scan_positions, group_keys, group_items, group_packed in groups:
                 # Scheduling weight: windows x DP cells (window length x
                 # query length) -- proportional to the group's kernel work.
                 cost = float(len(scan_positions)) * float(shape[0]) * float(query_length)

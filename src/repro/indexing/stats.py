@@ -35,7 +35,7 @@ from repro.distances.base import (
     item_cutoff,
     validate_group_shape,
 )
-from repro.distances.cache import DistanceCache
+from repro.distances.cache import DistanceCache, content_keys
 from repro.distances.lower_bounds import combined_batch_bound, combined_bound
 from repro.sequences.sequence import Sequence
 
@@ -303,10 +303,10 @@ class CountingDistance:
     ) -> np.ndarray:
         """Counted, cached, prefiltered :meth:`Distance.batch`.
 
-        Cache lookups run per pair first; the remaining pairs are grouped by
-        shape, prefiltered (when enabled and a cutoff is given) with one
-        vectorized bound evaluation per group, and the survivors go through
-        the batched kernels in one call per group.  The returned array obeys
+        One bulk cache probe classifies the row first; the remaining pairs
+        are grouped by shape, prefiltered (when enabled and a cutoff is
+        given) with one vectorized bound evaluation per group, and the
+        survivors go through the batched kernels in one call per group.  The returned array obeys
         the same contract as :meth:`Distance.batch`; ``cutoff`` may be one
         scalar or a per-item vector (the top-k scan's heap thresholds).
 
@@ -319,31 +319,19 @@ class CountingDistance:
         """
         values = np.empty(len(items), dtype=np.float64)
         query_array = as_array(query)
-        pending: List[int] = []
         cache = self.cache
         cacheable_query = cache is not None and isinstance(query, Sequence)
+        item_keys: List[Optional[bytes]] = []
         if cacheable_query:
-            # All lookups precede all stores in a batch, so the whole
-            # classification runs under one cache lock
-            # (:meth:`DistanceCache.replay_view`) instead of a lock
-            # round-trip per item; hit/miss statistics and the returned
-            # classifications are identical.
-            hits = 0
-            scalar = cutoff is None or np.ndim(cutoff) == 0
-            with cache.replay_view() as view:
-                lookup = view.lookup
-                for index, item in enumerate(items):
-                    if isinstance(item, Sequence):
-                        cached = lookup(
-                            query, item, cutoff if scalar else item_cutoff(cutoff, index)
-                        )
-                        if cached is not None:
-                            hits += 1
-                            values[index] = cached
-                            continue
-                    pending.append(index)
-            if hits:
-                self.counter.record_cache_hit(hits)
+            # All lookups precede all stores in a batch, so the whole row is
+            # classified by one bulk probe (:meth:`DistanceCache.probe_row`)
+            # over content keys -- the scan's packed layout keeps them beside
+            # its rows -- instead of a cache call per item; the hit/miss
+            # statistics and the classifications are identical.
+            item_keys = getattr(packed, "content_keys", content_keys)(items)
+            pending = cache.probe_row(query.content_key, item_keys, cutoff, values)
+            if len(pending) != len(items):
+                self.counter.record_cache_hit(len(items) - len(pending))
         else:
             pending = list(range(len(items)))
         if not pending:
@@ -384,7 +372,7 @@ class CountingDistance:
                     for position in np.nonzero(pruned_mask)[0]:
                         index = indexes[position]
                         values[index] = _INF
-                        if cacheable_query and isinstance(items[index], Sequence):
+                        if cacheable_query and item_keys[index] is not None:
                             stores.append(
                                 (items[index], _INF, item_cutoff(cutoff, index))
                             )
@@ -401,7 +389,7 @@ class CountingDistance:
             for position, index in enumerate(survivors):
                 value = float(fresh_list[position])
                 values[index] = value
-                if cacheable_query and isinstance(items[index], Sequence):
+                if cacheable_query and item_keys[index] is not None:
                     stores.append((items[index], value, item_cutoff(cutoff, index)))
         if stores:
             with cache.replay_view() as view:

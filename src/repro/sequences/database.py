@@ -37,7 +37,11 @@ class SequenceDatabase:
     # Mutation
     # ------------------------------------------------------------------ #
     def add(self, sequence: Sequence, seq_id: Optional[str] = None) -> str:
-        """Add ``sequence`` under ``seq_id`` (or its own id) and return the id."""
+        """Add ``sequence`` under ``seq_id`` (or its own id) and return the id.
+
+        A sequence with no id at all is named ``<name>-<n>``, ``n`` being
+        the first number from the current size up whose name is not taken.
+        """
         if sequence.kind is not self._kind:
             raise SequenceError(
                 f"database {self.name!r} stores {self._kind.value} sequences, "
@@ -45,7 +49,11 @@ class SequenceDatabase:
             )
         key = seq_id if seq_id is not None else sequence.seq_id
         if key is None:
-            key = f"{self.name}-{len(self._sequences)}"
+            # ``name-<count>`` names a live sequence once a delete has shrunk
+            # the count, so walk on to the first number that is free.
+            number = len(self._sequences)
+            while (key := f"{self.name}-{number}") in self._sequences:
+                number += 1
         if key in self._sequences:
             raise SequenceError(f"sequence id {key!r} already exists in {self.name!r}")
         if sequence.seq_id != key:

@@ -34,6 +34,7 @@ from typing import Dict, Hashable, List, Optional, Sequence as TypingSequence, T
 import numpy as np
 
 from repro.distances.base import as_array
+from repro.distances.cache import content_keys
 from repro.exceptions import IndexError_
 
 try:  # pragma: no cover - stdlib, but absent on exotic platforms
@@ -403,11 +404,23 @@ class StoreGather:
     stack.
     """
 
-    __slots__ = ("store", "keys")
+    __slots__ = ("store", "keys", "_content_keys")
 
     def __init__(self, store: PackedWindowStore, keys: TypingSequence[Hashable]) -> None:
         self.store = store
         self.keys = keys
+        self._content_keys: Optional[List[Optional[bytes]]] = None
+
+    def content_keys(self, items: TypingSequence[object]) -> List[Optional[bytes]]:
+        """Distance-cache keys of ``items``, the positional list this gather backs.
+
+        Memoized: one gather serves every query of a scan, so the key row
+        that rides beside the packed rows is built once per scan and each
+        batch probes the cache without touching the windows again.
+        """
+        if self._content_keys is None:
+            self._content_keys = content_keys(items)
+        return self._content_keys
 
     def shape_of(self, position: int) -> Shape:
         return self.store.shape_of(self.keys[position])

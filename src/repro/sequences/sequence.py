@@ -10,6 +10,7 @@ mirrors that abstraction with a single numpy-backed class.
 from __future__ import annotations
 
 import enum
+from hashlib import blake2b
 from typing import Iterable, Optional, Sequence as TypingSequence, Union
 
 import numpy as np
@@ -28,6 +29,12 @@ class SequenceKind(enum.Enum):
     #: A multi-dimensional time series (e.g. a 2-D trajectory).
     TRAJECTORY = "trajectory"
 
+
+#: Size of :attr:`Sequence.content_key` in bytes.
+CONTENT_KEY_BYTES = 16
+
+#: What each kind contributes to the content key ahead of the element bytes.
+_KIND_TAGS = {kind: f"{kind.value}/".encode("ascii") for kind in SequenceKind}
 
 ArrayLike = Union[np.ndarray, TypingSequence[float], TypingSequence[TypingSequence[float]]]
 
@@ -50,6 +57,20 @@ class Sequence:
         For :attr:`SequenceKind.STRING` sequences, the alphabet used to
         encode them; required to decode the sequence back into text.
 
+    Attributes
+    ----------
+    content_key:
+        A fixed-size fingerprint of the content: a
+        :data:`CONTENT_KEY_BYTES`-byte BLAKE2b digest over the kind, the
+        trailing dimension and the raw element bytes (the kind fixes the
+        dtype), so equal content always yields equal keys whatever object,
+        id or offset it was cut from.  This is what the distance cache keys
+        on -- comparing two keys never touches the arrays -- and it is
+        computed once, here, so reading it is a plain attribute load.
+        Distinct contents collide with probability about ``n**2 / 2**129``
+        over ``n`` distinct sequences (under ``1e-26`` for a million), which
+        the cache treats as identity; ``==`` stays an exact comparison.
+
     Notes
     -----
     The underlying numpy array is kept read-only.  Subsequence extraction
@@ -57,7 +78,7 @@ class Sequence:
     database sequence is cheap.
     """
 
-    __slots__ = ("_values", "_kind", "_seq_id", "_alphabet", "_hash")
+    __slots__ = ("_values", "_kind", "_seq_id", "_alphabet", "content_key")
 
     def __init__(
         self,
@@ -91,7 +112,10 @@ class Sequence:
         self._kind = kind
         self._seq_id = seq_id
         self._alphabet = alphabet
-        self._hash: Optional[int] = None
+        trailing = array.shape[1] if array.ndim == 2 else 0
+        digest = blake2b(_KIND_TAGS[kind] + b"%d/" % trailing, digest_size=CONTENT_KEY_BYTES)
+        digest.update(array)
+        self.content_key: bytes = digest.digest()
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -170,11 +194,7 @@ class Sequence:
         )
 
     def __hash__(self) -> int:
-        # Memoized: sequences are immutable and the distance cache hashes
-        # the same window/segment objects over and over.
-        if self._hash is None:
-            self._hash = hash((self._kind, self._values.tobytes()))
-        return self._hash
+        return hash(self.content_key)
 
     def __repr__(self) -> str:
         ident = f", seq_id={self._seq_id!r}" if self._seq_id else ""

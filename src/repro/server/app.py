@@ -196,6 +196,7 @@ class SearchApp:
     async def _metrics(self, send) -> None:
         payload = self.metrics.snapshot()
         payload["in_flight"] = self._in_flight
+        payload["cache"].update(self.service.cache_stats() or {"entries": None, "evictions": None})
         await _send_json(send, 200, payload)
 
     # ------------------------------------------------------------------ #

@@ -32,7 +32,7 @@ import numpy as np
 from repro.exceptions import StorageError
 from repro.sequences.alphabet import Alphabet
 from repro.sequences.database import SequenceDatabase
-from repro.sequences.sequence import Sequence, SequenceKind
+from repro.sequences.sequence import CONTENT_KEY_BYTES, Sequence, SequenceKind
 from repro.sequences.windows import Window
 
 _FORMAT_VERSION = 1
@@ -177,82 +177,68 @@ def _with_suffix(path: Path) -> Path:
 # --------------------------------------------------------------------- #
 # Matcher snapshots: database + config + built index + distance cache
 # --------------------------------------------------------------------- #
-def _export_cache(cache, kind: SequenceKind, prefix: str = "") -> Tuple[dict, dict]:
+def _export_cache(cache, prefix: str = "") -> Tuple[dict, dict]:
     """Serialize the distance-cache contents into compact npz arrays.
 
-    The cache keys repeat the same windows and segments over and over, so
-    the payloads are deduplicated into a *pool* of unique sequences (flat
-    value data plus per-sequence length/dim) and the entries become three
-    parallel arrays of pool positions, values, and exact flags -- in
-    insertion order, which preserves the eviction order of a bounded cache.
+    The cache is keyed by fixed-size content keys, and the same windows and
+    segments recur in entry after entry, so the keys are deduplicated into
+    a *pool* -- one ``(pool, key bytes)`` array, no operand values -- and
+    the entries become three parallel arrays of pool positions, values, and
+    exact flags, in insertion order, which preserves the eviction order of
+    a bounded cache.
     """
-    pool_positions: Dict[Sequence, int] = {}
-    pool_sequences: List[Sequence] = []
+    pool: Dict[bytes, int] = {}
     firsts: List[int] = []
     seconds: List[int] = []
     values: List[float] = []
     exacts: List[bool] = []
-
-    def pooled(sequence: Sequence) -> int:
-        position = pool_positions.get(sequence)
-        if position is None:
-            position = len(pool_sequences)
-            pool_positions[sequence] = position
-            pool_sequences.append(sequence)
-        return position
-
     for first, second, value, exact in cache.iter_entries():
-        if first.kind is not kind or second.kind is not kind:
-            continue  # defensive: a shared cache could hold foreign entries
-        firsts.append(pooled(first))
-        seconds.append(pooled(second))
+        firsts.append(pool.setdefault(first, len(pool)))
+        seconds.append(pool.setdefault(second, len(pool)))
         values.append(value)
         exacts.append(exact)
-
-    dtype = np.int64 if kind is SequenceKind.STRING else np.float64
-    lengths = np.array([len(sequence) for sequence in pool_sequences], dtype=np.int64)
-    dims = np.array(
-        [sequence.values.shape[1] if sequence.values.ndim == 2 else 0 for sequence in pool_sequences],
-        dtype=np.int64,
-    )
-    if pool_sequences:
-        data = np.concatenate([sequence.values.reshape(-1) for sequence in pool_sequences])
-        data = np.asarray(data, dtype=dtype)
-    else:
-        data = np.empty(0, dtype=dtype)
+    keys = np.frombuffer(b"".join(pool), dtype=np.uint8).reshape(len(pool), CONTENT_KEY_BYTES)
     arrays = {
-        f"{prefix}cache_pool_data": data,
-        f"{prefix}cache_pool_lengths": lengths,
-        f"{prefix}cache_pool_dims": dims,
+        f"{prefix}cache_pool_keys": keys,
         f"{prefix}cache_entry_first": np.array(firsts, dtype=np.int64),
         f"{prefix}cache_entry_second": np.array(seconds, dtype=np.int64),
         f"{prefix}cache_entry_values": np.array(values, dtype=np.float64),
         f"{prefix}cache_entry_exact": np.array(exacts, dtype=np.uint8),
     }
-    meta = {"entries": len(firsts), "pool": len(pool_sequences)}
+    meta = {"entries": len(firsts), "pool": len(pool)}
     return arrays, meta
 
 
 def _restore_cache(archive, kind: SequenceKind, cache, prefix: str = "") -> None:
-    """Seed ``cache`` with the entries exported by :func:`_export_cache`."""
-    data = archive[f"{prefix}cache_pool_data"]
-    lengths = archive[f"{prefix}cache_pool_lengths"]
-    dims = archive[f"{prefix}cache_pool_dims"]
-    pool: List[Sequence] = []
-    offset = 0
-    for length, dim in zip(lengths.tolist(), dims.tolist()):
-        span = length * dim if dim else length
-        values = data[offset : offset + span]
-        offset += span
-        if dim:
-            values = values.reshape(length, dim)
-        pool.append(Sequence(values, kind))
+    """Seed ``cache`` with the entries exported by :func:`_export_cache`.
+
+    Archives written before the cache was keyed by content keys pool the
+    operand *values* (flat data plus per-sequence length/dim) instead; their
+    keys are recomputed from the operands, so they load to the same cache.
+    """
+    if f"{prefix}cache_pool_keys" in archive:
+        pool = [row.tobytes() for row in archive[f"{prefix}cache_pool_keys"]]
+    else:
+        data = archive[f"{prefix}cache_pool_data"]
+        lengths = archive[f"{prefix}cache_pool_lengths"]
+        dims = archive[f"{prefix}cache_pool_dims"]
+        pool = []
+        offset = 0
+        for length, dim in zip(lengths.tolist(), dims.tolist()):
+            span = length * dim if dim else length
+            values = data[offset : offset + span]
+            offset += span
+            if dim:
+                values = values.reshape(length, dim)
+            pool.append(Sequence(values, kind).content_key)
     firsts = archive[f"{prefix}cache_entry_first"].tolist()
     seconds = archive[f"{prefix}cache_entry_second"].tolist()
     values = archive[f"{prefix}cache_entry_values"].tolist()
     exacts = archive[f"{prefix}cache_entry_exact"].tolist()
-    for first, second, value, exact in zip(firsts, seconds, values, exacts):
-        cache.seed(pool[first], pool[second], value, bool(exact))
+    cache.seed_entries(
+        (pool[first], pool[second], value, exact)
+        for first, second, value, exact in zip(firsts, seconds, values, exacts)
+    )
 
 
 def _matcher_payload(matcher, prefix: str = "") -> Tuple[dict, dict]:
@@ -263,9 +249,7 @@ def _matcher_payload(matcher, prefix: str = "") -> Tuple[dict, dict]:
     """
     database = matcher.database
     arrays, db_meta = _database_arrays(database, prefix=f"{prefix}db_seq")
-    cache_arrays, cache_meta = _export_cache(
-        matcher.distance_cache, database.kind, prefix=prefix
-    )
+    cache_arrays, cache_meta = _export_cache(matcher.distance_cache, prefix=prefix)
     arrays.update(cache_arrays)
     metadata = {
         "database": db_meta,

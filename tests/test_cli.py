@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -141,6 +142,7 @@ class TestSearch:
         assert "pruning ratio alpha" in captured.out
         assert "prefilter evaluations" in captured.out
         assert "stage time: probe" in captured.out
+        assert re.search(r"distance cache: \d+ entries, 0 evictions", captured.out)
 
     def test_search_missing_database(self, tmp_path, capsys):
         code = main(

@@ -14,6 +14,8 @@ configuration errors), the fused-dispatch dimensionality guard, the packed
 window-tensor store behind the linear scan, and the streaming ``knn_scan``.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,13 @@ DISTANCES = [
 ]
 
 
+def _case_seed(*parts):
+    """A per-case RNG seed that is the same in every process (``hash`` of a
+    ``str`` is not: it is salted per interpreter, which made these tests draw
+    different data -- and occasionally fail -- from run to run)."""
+    return zlib.crc32(repr(parts).encode("utf-8"))
+
+
 def _random_pair(rng, dim=2, max_len=30):
     n = int(rng.integers(1, max_len))
     m = int(rng.integers(1, max_len))
@@ -97,7 +106,7 @@ def _pair_for(distance, rng):
 @pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
 def test_value_and_bounded_match_numpy_exactly(provider_name, distance):
     _provider_or_skip(provider_name)
-    rng = np.random.default_rng(hash((provider_name, repr(distance))) % (2**32))
+    rng = np.random.default_rng(_case_seed(provider_name, repr(distance)))
     for trial in range(20):
         a, b = _pair_for(distance, rng)
         with kernel_scope("numpy"):
@@ -128,7 +137,7 @@ def test_value_and_bounded_match_numpy_exactly(provider_name, distance):
 @pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
 def test_batch_matches_numpy_exactly(provider_name, distance):
     _provider_or_skip(provider_name)
-    rng = np.random.default_rng(hash((provider_name, repr(distance), 1)) % (2**32))
+    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 1))
     for trial in range(10):
         query, _ = _pair_for(distance, rng)
         k = int(rng.integers(1, 8))
@@ -189,7 +198,7 @@ def test_vector_cutoffs_match_per_row_bounded(provider_name):
 @pytest.mark.parametrize("band", [None, 0, 2, 50])
 def test_warp_value_matches_reference_table(provider_name, use_max, band):
     provider = _provider_or_skip(provider_name)
-    rng = np.random.default_rng(hash((provider_name, use_max, band)) % (2**32))
+    rng = np.random.default_rng(_case_seed(provider_name, use_max, band))
     metric = ElementMetric("euclidean")
     for trial in range(10):
         q, x = _random_pair(rng, dim=2, max_len=20)
@@ -207,7 +216,7 @@ def test_warp_value_matches_reference_table(provider_name, use_max, band):
 @pytest.mark.parametrize("mode", [MODE_LEVENSHTEIN, MODE_ERP, MODE_EDR])
 def test_edit_value_matches_reference_table(provider_name, mode):
     provider = _provider_or_skip(provider_name)
-    rng = np.random.default_rng(hash((provider_name, mode)) % (2**32))
+    rng = np.random.default_rng(_case_seed(provider_name, mode))
     metric = ElementMetric("euclidean")
     eps = 0.4
     for trial in range(10):

@@ -1,0 +1,104 @@
+"""Counter gate: the deterministic work counters of a fixed query set.
+
+``QueryStats`` work counters -- fresh distance computations, cache hits,
+prefilter tallies, segment matches, candidate chains, radius-sweep passes --
+are exact, hardware-independent and identical across executors by contract,
+so any change to them is a behaviour change, never noise.  This gate runs
+four query types x {``linear-scan``, ``reference-net``} on the three paper
+datasets, each followed by a warm repeat through fresh ``Sequence`` objects,
+and compares every counter to ``tests/data/counter_gate.json``.
+
+A PR that moves a counter on purpose re-records the golden file *and says so*::
+
+    PYTHONPATH=src python tests/test_counter_gate.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import (
+    LongestSubsequenceQuery,
+    MatcherConfig,
+    NearestSubsequenceQuery,
+    RangeQuery,
+    Sequence,
+    SubsequenceMatcher,
+    TopKQuery,
+)
+from repro.datasets import (
+    generate_protein_query,
+    generate_song_query,
+    generate_trajectory_query,
+    load_dataset,
+)
+from repro.datasets.loaders import dataset_distance
+
+GOLDEN = Path(__file__).parent / "data" / "counter_gate.json"
+
+#: dataset -> (distance, query generator, radius)
+DATASETS = {
+    "songs": ("frechet", generate_song_query, 2.0),
+    "proteins": ("levenshtein", generate_protein_query, 8.0),
+    "traj": ("erp", generate_trajectory_query, 60.0),
+}
+INDEXES = ("linear-scan", "reference-net")
+
+WORK_COUNTERS = (
+    "segments_extracted",
+    "segment_matches",
+    "candidate_chains",
+    "naive_distance_computations",
+    "index_distance_computations",
+    "verification_distance_computations",
+    "index_cache_hits",
+    "verification_cache_hits",
+    "prefilter_evaluations",
+    "prefilter_pruned",
+)
+
+
+def specs(radius):
+    return {
+        "range": RangeQuery(radius=radius),
+        "longest": LongestSubsequenceQuery(radius=radius),
+        "nearest": NearestSubsequenceQuery(max_radius=2 * radius),
+        "topk": TopKQuery(k=3, max_radius=2 * radius),
+    }
+
+
+def collect(dataset, index):
+    """``{"<round>/<query type>": counters}`` for one dataset x index."""
+    distance_name, generate, radius = DATASETS[dataset]
+    database = load_dataset(dataset, 60, 20, seed=0)
+    config = MatcherConfig(min_length=40, max_shift=1, index=index)
+    matcher = SubsequenceMatcher(database, dataset_distance(dataset, distance_name), config)
+    query, _source, _start = generate(database, length=60, seed=1000)
+    recorded = {}
+    try:
+        for round_name in ("cold", "warm"):
+            for name, spec in specs(radius).items():
+                # A new object per op, as a wire decode makes one.
+                fresh = Sequence(query.values, query.kind, alphabet=query.alphabet)
+                result = matcher.execute(spec.bind(fresh))
+                counters = {field: getattr(result.stats, field) for field in WORK_COUNTERS}
+                counters["passes"] = len(result.stats.passes)
+                counters["matches"] = len(result.matches)
+                recorded[f"{round_name}/{name}"] = counters
+    finally:
+        matcher.close()
+    return recorded
+
+
+@pytest.mark.parametrize("index", INDEXES)
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_work_counters_match_the_golden_file(dataset, index):
+    golden = json.loads(GOLDEN.read_text())[f"{dataset}/{index}"]
+    assert collect(dataset, index) == golden
+
+
+if __name__ == "__main__":
+    record = {f"{d}/{i}": collect(d, i) for d in sorted(DATASETS) for i in INDEXES}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(record)} legs to {GOLDEN}")

@@ -25,6 +25,16 @@ class TestAddAndRemove:
         assert key.startswith("anon-")
         assert database[key].seq_id == key
 
+    def test_generated_id_skips_live_ids_after_a_delete(self):
+        database = SequenceDatabase(SequenceKind.TIME_SERIES, name="anon")
+        keys = [database.add(Sequence.from_values([float(i)])) for i in range(3)]
+        assert keys == ["anon-0", "anon-1", "anon-2"]
+        database.remove("anon-0")
+        # Two sequences are live, and "anon-2" is one of them.
+        assert database.add(Sequence.from_values([3.0])) == "anon-3"
+        assert database.add(Sequence.from_values([4.0])) == "anon-4"
+        assert database.ids() == ["anon-1", "anon-2", "anon-3", "anon-4"]
+
     def test_add_with_explicit_id_overrides(self, db):
         db.add(Sequence.from_values([1.0]), seq_id="explicit")
         assert db["explicit"].seq_id == "explicit"

@@ -1,14 +1,22 @@
 """Tests for the :class:`~repro.distances.cache.DistanceCache`."""
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CountingDistance,
+    DiscreteFrechet,
     DistanceCache,
     Euclidean,
     Levenshtein,
     Sequence,
 )
+from repro.distances.cache import content_keys
+from repro.sequences.packed import PackedWindowStore, StoreGather
 
 
 def _seq(values, seq_id=None):
@@ -89,6 +97,7 @@ class TestCapacity:
         for first, second in pairs:
             cache.store(first, second, 1.0)
         assert len(cache) == 2
+        assert cache.evictions == 1
         assert cache.lookup(*pairs[0]) is None
         assert cache.lookup(*pairs[2]) == 1.0
 
@@ -105,6 +114,179 @@ class TestCapacity:
         assert len(cache) == 0
         assert cache.hits == 0
         assert cache.misses == 0
+
+
+class TestContentKeys:
+    """Probes compare fixed-size digests, never the operands themselves."""
+
+    @pytest.fixture
+    def eq_calls(self, monkeypatch):
+        calls = []
+        original = Sequence.__eq__
+
+        def spy(self, other):
+            calls.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(Sequence, "__eq__", spy)
+        return calls
+
+    def test_fresh_object_hits_without_sequence_eq(self, eq_calls):
+        cache = DistanceCache()
+        cache.store(_seq([1.0, 2.0], "x"), _seq([3.0, 4.0], "y"), 2.5)
+        assert cache.lookup(_seq([1.0, 2.0]), _seq([3.0, 4.0])) == 2.5
+        assert cache.peek(_seq([1.0, 2.0]), _seq([3.0, 4.0])) == 2.5
+        assert cache.hits == 1
+        assert eq_calls == []
+
+    def test_warm_repeat_of_a_fresh_query_object(self, eq_calls):
+        from repro import MatcherConfig, SequenceDatabase, SequenceKind, SubsequenceMatcher
+        from repro import TopKQuery
+
+        rng = np.random.default_rng(3)
+        db = SequenceDatabase(SequenceKind.TIME_SERIES)
+        for i in range(3):
+            db.add(Sequence.from_values(np.cumsum(rng.normal(size=60)), seq_id=f"s{i}"))
+        values = np.asarray(db["s1"].values[10:40]) + 0.01
+        config = MatcherConfig(min_length=12, max_shift=1, index="linear-scan")
+        matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
+        spec = TopKQuery(k=2, max_radius=6.0)
+        cold = matcher.execute(spec.bind(Sequence.from_values(values)))
+        warm = matcher.execute(spec.bind(Sequence.from_values(values)))
+        assert warm.matches == cold.matches
+        assert cold.stats.index_distance_computations > 0
+        assert warm.stats.index_distance_computations == 0
+        assert warm.stats.verification_distance_computations == 0
+        assert eq_calls == []
+
+    def test_key_separates_kind_and_shape(self):
+        flat = Sequence.from_values([1.0, 2.0, 3.0, 4.0])
+        points = Sequence.from_points([[1.0, 2.0], [3.0, 4.0]])
+        column = Sequence.from_points([[1.0], [2.0], [3.0], [4.0]])
+        keys = {flat.content_key, points.content_key, column.content_key}
+        assert len(keys) == 3
+        assert all(len(key) == 16 for key in keys)
+        assert flat.subsequence(1, 3).content_key == _seq([2.0, 3.0]).content_key
+
+
+class _ModelCache:
+    """The cache's contract, spelled out on an ``OrderedDict`` of index pairs."""
+
+    def __init__(self, capacity):
+        self.entries, self.capacity = OrderedDict(), capacity
+        self.hits = self.misses = self.evictions = 0
+
+    def lookup(self, key, cutoff=None):
+        value, exact = self.entries.get(key, (None, False))
+        if exact or (value is not None and cutoff is not None and value >= cutoff):
+            self.hits += 1
+            return value if exact else float("inf")
+        self.misses += 1
+        return None
+
+    def store(self, key, value, cutoff=None):
+        if cutoff is None or value <= cutoff:
+            self.seed(key, value, True)
+            return
+        old, exact = self.entries.get(key, (None, False))
+        if not exact and (old is None or old < cutoff):
+            self.seed(key, cutoff, False)
+
+    def seed(self, key, value, exact):
+        self.entries[key] = (float(value), exact)  # an overwrite keeps its place
+        while self.capacity is not None and len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+
+_POOL = [[float(i), float(i) + 0.5] for i in range(5)]
+#: Nine pairs against capacities of 1-6: overwrites of live keys, re-stores
+#: of evicted ones and evictions all happen within a few operations.
+_pair = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_cutoff = st.one_of(st.none(), st.floats(0.5, 6.0))
+_op = st.one_of(
+    st.tuples(st.just("lookup"), _pair, _cutoff),
+    st.tuples(st.just("store"), _pair, st.floats(0.0, 8.0), _cutoff),
+    st.tuples(st.just("seed"), _pair, st.floats(0.0, 8.0), st.booleans()),
+)
+
+
+class TestAgainstReferenceModel:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_op, max_size=60), capacity=st.one_of(st.none(), st.integers(1, 6)))
+    def test_values_tallies_and_eviction_order(self, ops, capacity):
+        cache, model = DistanceCache(max_entries=capacity), _ModelCache(capacity)
+        for name, (i, j), *arguments in ops:
+            # Fresh operand objects every time: identity can never help.
+            first, second = _seq(_POOL[i]), _seq(_POOL[j])
+            if name == "lookup":
+                assert cache.lookup(first, second, *arguments) == model.lookup((i, j), *arguments)
+            else:
+                getattr(cache, name)(first, second, *arguments)
+                getattr(model, name)((i, j), *arguments)
+        index_of = {_seq(values).content_key: i for i, values in enumerate(_POOL)}
+        assert [
+            ((index_of[first], index_of[second]), (value, exact))
+            for first, second, value, exact in cache.iter_entries()
+        ] == list(model.entries.items())
+        tallies = (cache.hits, cache.misses, cache.evictions)
+        assert tallies == (model.hits, model.misses, model.evictions)
+        assert len(cache) == len(model.entries)
+
+
+class TestRowProbe:
+    """One bulk probe of a row classifies exactly like per-item lookups."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stored=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 8.0), _cutoff), max_size=8),
+        row=st.lists(st.integers(-1, 4), min_size=1, max_size=8),
+        cutoff=st.one_of(_cutoff, st.lists(st.floats(0.5, 6.0), min_size=8, max_size=8)),
+    )
+    def test_matches_per_item_lookup(self, stored, row, cutoff):
+        query = _seq([9.0, 9.5])
+        bulk, single = DistanceCache(), DistanceCache()
+        for j, value, bound in stored:
+            for cache in (bulk, single):
+                cache.store(query, _seq(_POOL[j]), value, bound)
+        # -1 picks a raw array: uncacheable, pending without a lookup.
+        items = [np.array(_POOL[0]) if j < 0 else _seq(_POOL[j]) for j in row]
+        if isinstance(cutoff, list):
+            cutoff = np.array(cutoff[: len(items)])
+        values = np.full(len(items), np.nan)
+        pending = bulk.probe_row(query.content_key, content_keys(items), cutoff, values)
+        expected_pending = []
+        for index, item in enumerate(items):
+            at = cutoff if cutoff is None or np.ndim(cutoff) == 0 else float(cutoff[index])
+            answer = single.lookup(query, item, at) if isinstance(item, Sequence) else None
+            if answer is None:
+                expected_pending.append(index)
+            else:
+                assert values[index] == answer
+        assert pending == expected_pending
+        assert (bulk.hits, bulk.misses) == (single.hits, single.misses)
+
+    def test_batch_with_a_gather_equals_batch_without(self):
+        rng = np.random.default_rng(5)
+        windows = [Sequence.from_values(rng.normal(size=6)) for _ in range(12)]
+        store = PackedWindowStore()
+        for position, window in enumerate(windows):
+            store.add(position, window)
+        outcomes = []
+        for packed in (StoreGather(store, list(range(12))), None):
+            counting = CountingDistance(DiscreteFrechet(), cache=DistanceCache(), prefilter=True)
+            returned = [
+                counting.batch(_seq(values), windows, cutoff=radius, packed=packed).tolist()
+                for values in (windows[0].values, windows[3].values + 0.1)
+                for radius in (0.5, 1.5, 1.0)  # the last pass is answered by the row probe alone
+            ]
+            counter, cache = counting.counter, counting.cache
+            tallies = (counter.total, counter.cache_hits, counter.prefilter_pruned)
+            assert counter.cache_hits > 0
+            outcomes.append(
+                (returned, tallies, cache.hits, cache.misses, list(cache.iter_entries()))
+            )
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMatcherIntegration:

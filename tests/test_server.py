@@ -260,6 +260,8 @@ class TestHealthAndMetrics:
         assert status == 200
         assert payload["loaded"] is False
         assert payload["snapshot"].endswith("matcher.npz")
+        # /metrics reports the cache state without forcing the load either.
+        assert asgi_request(app, "GET", "/metrics")[1]["cache"]["entries"] is None
         assert service._backend is None  # still nothing read from disk
         asgi_request(app, "POST", "/search", search_body(TOPK, pattern_query))
         assert asgi_request(app, "GET", "/health")[1]["loaded"] is True
@@ -287,6 +289,9 @@ class TestHealthAndMetrics:
         # The second identical query hits the warm distance cache.
         assert cache["index_cache_hits"] > 0
         assert 0.0 < cache["index_hit_rate"] <= 1.0
+        # The live cache's own state rides along: size and lifetime evictions.
+        assert cache["entries"] == len(app.service.backend.distance_cache) > 0
+        assert cache["evictions"] == 0
 
     def test_metrics_object_is_shareable(self, planted_db, config):
         metrics = ServerMetrics()
@@ -339,6 +344,20 @@ class TestMutationEndpoints:
         status, payload = asgi_request(app, "POST", "/sequences", body)
         assert status == 409
         assert "grown" in payload["error"]
+
+    def test_unnamed_add_after_delete_gets_a_free_id(self, planted_db, config):
+        app = SearchApp(make_service(planted_db, config, "plain"))
+        body = {"sequence": {"kind": "time_series", "values": [0.5] * 30}}
+        first = asgi_request(app, "POST", "/sequences", body)
+        second = asgi_request(app, "POST", "/sequences", body)
+        assert first[0] == second[0] == 200
+        assert asgi_request(app, "DELETE", f"/sequences/{first[1]['seq_id']}")[0] == 200
+        # The count-based id now names the live second insert; the server
+        # used to answer 409 here.
+        status, payload = asgi_request(app, "POST", "/sequences", body)
+        assert status == 200
+        assert payload["seq_id"] not in (first[1]["seq_id"], second[1]["seq_id"])
+        assert payload["sequences"] == 5
 
     def test_remove_unknown_is_404(self, planted_db, config):
         app = SearchApp(make_service(planted_db, config, "plain"))

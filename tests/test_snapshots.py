@@ -228,3 +228,54 @@ class TestSnapshotErrors:
         # refresh() must not clear a cache the matcher does not own
         loaded.refresh()
         assert len(external) > 0
+
+
+class TestOldCachePoolLayout:
+    """Archives written before the cache was keyed by content keys pooled
+    the operand *values*; they must keep loading, to the same cache."""
+
+    @staticmethod
+    def rewrite_with_value_pool(new_path, old_path, operands):
+        """Re-save ``new_path`` with the cache pool in the old layout.
+
+        ``operands`` maps every content key in the pool back to a sequence
+        with that content (the old writer had the operands at hand).
+        """
+        with np.load(new_path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        pool = [operands[row.tobytes()] for row in arrays.pop("cache_pool_keys")]
+        arrays["cache_pool_data"] = np.concatenate([s.values.reshape(-1) for s in pool])
+        arrays["cache_pool_lengths"] = np.array([len(s) for s in pool], dtype=np.int64)
+        arrays["cache_pool_dims"] = np.array(
+            [s.values.shape[1] if s.values.ndim == 2 else 0 for s in pool], dtype=np.int64
+        )
+        np.savez_compressed(old_path, **arrays)
+
+    @pytest.mark.parametrize("index_name", ["reference-net", "linear-scan"])
+    def test_value_pool_archive_loads_to_the_same_cache(
+        self, planted_db, pattern_query, tmp_path, index_name
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+        original = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        run_all_query_types(original, pattern_query)  # warm: probe + verify entries
+        new_path, old_path = tmp_path / "new.npz", tmp_path / "old.npz"
+        save_matcher(original, new_path)
+        # Every cached operand is a contiguous cut of the query or a database sequence.
+        operands = {}
+        for source in [pattern_query, *planted_db]:
+            for start in range(len(source)):
+                for stop in range(start + 1, len(source) + 1):
+                    cut = source.subsequence(start, stop)
+                    operands[cut.content_key] = cut
+        self.rewrite_with_value_pool(new_path, old_path, operands)
+
+        from_new, from_old = load_matcher(new_path), load_matcher(old_path)
+        assert len(from_old.distance_cache) > 0
+        assert list(from_old.distance_cache.iter_entries()) == list(
+            original.distance_cache.iter_entries()
+        )
+        new_out, new_stats = run_all_query_types(from_new, pattern_query)
+        old_out, old_stats = run_all_query_types(from_old, pattern_query)
+        assert old_out == new_out
+        for first, second in zip(new_stats, old_stats):
+            assert_same_stats(first, second, context=index_name)
