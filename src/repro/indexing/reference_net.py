@@ -30,6 +30,16 @@ time), and the range query uses it for per-child triangle-inequality bounds
 in addition to Lemma 4's level-radius bounds.  This costs no extra distance
 computations, keeps the space linear, and is precisely the kind of pruning
 the paper's Figure 2 motivates for the multi-parent design.
+
+Execution layout: beside its child lists every node keeps one flat
+*routing row list* -- ``(child, link distance, link distance + the child's
+subtree radius, leaf flag)`` per child, in list order -- and the net keeps a
+:class:`~repro.sequences.packed.PackedWindowStore` of the coerced items.
+Both are derived data: Algorithms 1 and 2 refresh the rows of the parents a
+write touches (never the whole net), and a snapshot restore rebuilds them
+without a single distance computation.  The range query reads nothing else:
+it measures one whole level with one batched kernel call served from the
+packed store, then routes over the rows.
 """
 
 from __future__ import annotations
@@ -42,23 +52,35 @@ from repro.distances.cache import DistanceCache
 from repro.exceptions import IndexError_, InvariantViolationError
 from repro.indexing.base import MetricIndex, RangeMatch
 from repro.indexing.stats import DistanceCounter
+from repro.sequences.packed import PackedWindowStore, StoreGather
+from repro.sequences.sequence import Sequence
+
+#: One routing row: ``(child, link, link + child subtree radius, child is a leaf)``.
+_Row = Tuple["_Node", float, float, bool]
 
 
 class _Node:
     """One stored item and its position in the hierarchy."""
 
-    __slots__ = ("key", "item", "home_level", "children", "parent_links")
+    __slots__ = ("key", "item", "home_level", "subtree", "children", "parent_links", "rows")
 
-    def __init__(self, key: Hashable, item: object, home_level: int) -> None:
+    def __init__(self, key: Hashable, item: object, home_level: int, subtree: float) -> None:
         self.key = key
         self.item = item
         #: Highest level at which this node acts as a reference.
         self.home_level = home_level
+        #: Upper bound on the distance to any node derived from this one
+        #: (:meth:`ReferenceNet._subtree_radius` of :attr:`home_level`).
+        self.subtree = subtree
         #: Children lists per level: ``children[i]`` is the list ``L(i, self)``
         #: as ``(child, exact parent-child distance)`` pairs.
         self.children: Dict[int, List[Tuple["_Node", float]]] = {}
         #: ``(level, parent)`` pairs for every list containing this node.
         self.parent_links: List[Tuple[int, "_Node"]] = []
+        #: :attr:`children` flattened in :meth:`iter_children` order, with
+        #: the per-child bounds the range query routes by precomputed.
+        #: Replaced, never edited in place (:meth:`ReferenceNet._refresh_rows`).
+        self.rows: List[_Row] = []
 
     def iter_children(self) -> Iterator[Tuple[int, "_Node", float]]:
         """Yield ``(level, child, distance)`` for every child in every list."""
@@ -66,13 +88,26 @@ class _Node:
             for child, link_distance in kids:
                 yield level, child, link_distance
 
-    @property
-    def is_leaf(self) -> bool:
-        """True when this node has no children in any list."""
-        return not self.children
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_Node(key={self.key!r}, home_level={self.home_level})"
+
+
+def _settle_subtree(node: _Node, decided: set, matches: Optional[List[RangeMatch]]) -> None:
+    """Decide every undecided descendant of ``node`` without measuring it.
+
+    With ``matches`` the descendants are accepted (appended with
+    ``distance=None``); with ``None`` they are rejected.
+    """
+    stack = [node]
+    while stack:
+        for child, _link, _reach, leaf in stack.pop().rows:
+            if child in decided:
+                continue
+            decided.add(child)
+            if matches is not None:
+                matches.append(RangeMatch(child.key, child.item, None))
+            if not leaf:
+                stack.append(child)
 
 
 @dataclass
@@ -155,6 +190,8 @@ class ReferenceNet(MetricIndex):
         self._nodes: Dict[Hashable, _Node] = {}
         self._root: Optional[_Node] = None
         self._max_level = 1
+        #: The coerced items, by key: what a level's batched kernel gathers.
+        self._packed = PackedWindowStore()
 
     # ------------------------------------------------------------------ #
     # Geometry helpers
@@ -189,10 +226,7 @@ class ReferenceNet(MetricIndex):
             raise IndexError_(f"key {key!r} is already present")
 
         if self._root is None:
-            node = _Node(key, item, home_level=self._max_level)
-            self._root = node
-            self._nodes[key] = node
-            self._items[key] = item
+            self._root = self._new_node(key, item, self._max_level)
             return key
 
         root_distance = self._d(item, self._root.item)
@@ -209,18 +243,27 @@ class ReferenceNet(MetricIndex):
             candidates = next_candidates
             level -= 1
 
-        node = _Node(key, item, home_level=level - 1)
-        self._attach(node, candidates, level)
+        self._attach(self._new_node(key, item, level - 1), candidates, level)
+        return key
+
+    def _new_node(self, key: Hashable, item: object, home_level: int) -> _Node:
+        """Create and register the (childless, parentless) node of ``item``."""
+        node = _Node(key, item, home_level, self._subtree_radius(home_level))
+        # Packing coerces the item, so an unusable payload is refused here,
+        # before anything is registered.
+        self._packed.add(key, item)
         self._nodes[key] = node
         self._items[key] = item
-        return key
+        return node
 
     def _ensure_root_covers(self, root_distance: float) -> None:
         """Raise the top level until the root covers the new item."""
         while root_distance > self.radius(self._max_level):
             self._max_level += 1
         if self._root is not None:
+            # No row refers to the root, so only its own radius moves.
             self._root.home_level = self._max_level
+            self._root.subtree = self._subtree_radius(self._max_level)
 
     def _covering_candidates(
         self,
@@ -232,19 +275,23 @@ class ReferenceNet(MetricIndex):
         candidates themselves, which implicitly appear at every lower level)
         that cover ``item`` within ``radius(level)``."""
         threshold = self.radius(level)
-        seen: Dict[Hashable, float] = {}
+        seen: set = set()
         result: List[Tuple[_Node, float]] = []
         for node, known_distance in candidates:
-            if node.key not in seen and known_distance <= threshold:
-                seen[node.key] = known_distance
+            if node not in seen and known_distance <= threshold:
+                seen.add(node)
                 result.append((node, known_distance))
+        # Children in the list at ``level + 1`` have home level ``level``;
+        # the ones not met yet are measured together, like a query's level.
+        unmeasured: List[_Node] = []
         for node, _ in candidates:
-            # Children in the list at ``level + 1`` have home level ``level``.
             for child, _link in node.children.get(level + 1, ()):
-                if child.key in seen:
-                    continue
-                child_distance = self._d(item, child.item)
-                seen[child.key] = child_distance
+                if child not in seen:
+                    seen.add(child)
+                    unmeasured.append(child)
+        if unmeasured:
+            distances = self._measure(item, unmeasured, self._counting)
+            for child, child_distance in zip(unmeasured, distances):
                 if child_distance <= threshold:
                     result.append((child, child_distance))
         return result
@@ -255,8 +302,29 @@ class ReferenceNet(MetricIndex):
         if self.nummax is not None and len(parents) > self.nummax:
             chosen = sorted(parents, key=lambda pair: pair[1])[: self.nummax]
         for parent, link_distance in chosen:
+            was_leaf = not parent.children
             parent.children.setdefault(level, []).append((node, link_distance))
             node.parent_links.append((level, parent))
+            self._refresh_rows(parent, leaf_changed=was_leaf)
+
+    def _refresh_rows(self, node: _Node, leaf_changed: bool = False) -> None:
+        """Rebuild ``node``'s routing rows from its child lists.
+
+        Called for the parents a write touches, and for nobody else: a row
+        depends only on its own child entry (the link distance, the child's
+        fixed home level, whether the child has children).  When the write
+        made ``node`` a leaf or stopped it being one, the rows that *refer*
+        to it -- in its own parents -- carry a stale leaf flag and are
+        rebuilt too.
+        """
+        node.rows = [
+            (child, link_distance, link_distance + child.subtree, not child.children)
+            for kids in node.children.values()
+            for child, link_distance in kids
+        ]
+        if leaf_changed:
+            for _level, parent in node.parent_links:
+                self._refresh_rows(parent)
 
     # ------------------------------------------------------------------ #
     # Deletion (Algorithm 2)
@@ -274,23 +342,28 @@ class ReferenceNet(MetricIndex):
             self._rebuild(remaining)
             return item
 
-        del self._nodes[key]
-        del self._items[key]
+        self._forget(node)
         for level, parent in node.parent_links:
             parent.children[level] = [
                 entry for entry in parent.children[level] if entry[0] is not node
             ]
             if not parent.children[level]:
                 del parent.children[level]
+            self._refresh_rows(parent, leaf_changed=not parent.children)
         node.parent_links = []
 
         orphans = self._dissolve(node)
         for orphan in orphans:
-            del self._nodes[orphan.key]
-            del self._items[orphan.key]
+            self._forget(orphan)
         for orphan in orphans:
             self.add(orphan.item, orphan.key)
         return node.item
+
+    def _forget(self, node: _Node) -> None:
+        """Drop ``node`` from the key tables (its links are the caller's job)."""
+        del self._nodes[node.key]
+        del self._items[node.key]
+        self._packed.remove(node.key)
 
     def _dissolve(self, node: _Node) -> List[_Node]:
         """Detach ``node``'s children; return nodes left without any parent.
@@ -308,12 +381,14 @@ class ReferenceNet(MetricIndex):
                     orphans.append(child)
                     stack.append(child)
             current.children = {}
+            current.rows = []
         return orphans
 
     def _rebuild(self, items: List[Tuple[Hashable, object]]) -> None:
         """Rebuild the structure from scratch (used when the root is removed)."""
         self._nodes = {}
         self._items = {}
+        self._packed = PackedWindowStore()
         self._root = None
         self._max_level = 1
         for key, item in items:
@@ -328,13 +403,25 @@ class ReferenceNet(MetricIndex):
     ) -> List[RangeMatch]:
         """All items within ``radius`` of ``query``.
 
-        Levels are processed from the top down, exactly as in the paper's
+        Levels are processed from the top down, as in the paper's
         Algorithm 3: a reference's distance is computed only if none of the
         lists containing it (nor Lemma 4 applied to an ancestor) already
         decided it.  Items proven to match through the triangle inequality
-        alone are returned with ``distance=None``.  The traversal reads the
-        structure only, so concurrent work units may run it against their
-        own ``counting`` contexts.
+        alone are returned with ``distance=None``.
+
+        The traversal is *level-synchronous*.  A child's home level is
+        strictly below its parent's, so accepting, pruning or routing a
+        level-``i`` node only ever touches nodes of lower levels: when
+        level ``i`` starts, everything that can decide one of its nodes has
+        already happened.  The level's undecided nodes are therefore
+        collected first, measured with one ``counting.batch`` call, and
+        then accepted / pruned / routed in that same order -- the matches,
+        their order and the work counters are those of measuring the nodes
+        one by one.  Within a level all cache lookups precede all stores
+        (the ``batch`` contract), which only shows under eviction: a key an
+        earlier store of the same level would have pushed out still
+        answers.  The traversal reads the structure only, so concurrent
+        work units may run it against their own ``counting`` contexts.
         """
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
@@ -343,27 +430,93 @@ class ReferenceNet(MetricIndex):
 
         matches: List[RangeMatch] = []
         decided: set = set()
-        #: Nodes awaiting a distance computation, grouped by home level.
-        pending: Dict[int, List[_Node]] = {self._root.home_level: [self._root]}
+        #: Nodes awaiting a distance computation, by home level.
+        pending: List[List[_Node]] = [[] for _ in range(self._max_level + 1)]
+        pending[self._root.home_level].append(self._root)
 
         for level in range(self._max_level, -1, -1):
-            for node in pending.pop(level, ()):
-                if node.key in decided:
-                    continue
-                decided.add(node.key)
-                value = counting(query, node.item)
+            frontier: List[_Node] = []
+            for node in pending[level]:
+                if node not in decided:
+                    decided.add(node)
+                    frontier.append(node)
+            if not frontier:
+                continue
+            for node, value in zip(frontier, self._measure(query, frontier, counting)):
                 if value <= radius:
                     matches.append(RangeMatch(node.key, node.item, value))
-                subtree = self._subtree_radius(node.home_level)
-                if value + subtree <= radius:
-                    self._accept_subtree(node, decided, matches)
+                if value + node.subtree <= radius:
+                    _settle_subtree(node, decided, matches)
                     continue
-                if value - subtree > radius:
+                if value - node.subtree > radius:
                     # Lemma 4: every node derived from this reference is out.
-                    self._prune_subtree(node, decided)
+                    _settle_subtree(node, decided, None)
                     continue
-                self._route_children(node, value, radius, decided, matches, pending)
+                # Decide or defer each child: the exact stored link distance
+                # bounds the child itself, ``reach`` (link + the child's
+                # subtree radius, Lemma 4) bounds the child's descendants.
+                for child, link_distance, reach, leaf in node.rows:
+                    if child in decided:
+                        continue
+                    if value + reach <= radius:
+                        decided.add(child)
+                        matches.append(RangeMatch(child.key, child.item, None))
+                        _settle_subtree(child, decided, matches)
+                    elif value - reach > radius:
+                        decided.add(child)
+                        _settle_subtree(child, decided, None)
+                    elif leaf and value + link_distance <= radius:
+                        # No descendants: the link distance alone settles it.
+                        decided.add(child)
+                        matches.append(RangeMatch(child.key, child.item, None))
+                    elif leaf and value - link_distance > radius:
+                        decided.add(child)
+                    else:
+                        pending[child.home_level].append(child)
         return matches
+
+    def _measure(self, query: SequenceLike, frontier: List[_Node], counting) -> List[float]:
+        """``d(query, node)`` for one level's nodes, as one batched request.
+
+        The operands come from the packed store, so the call costs one cache
+        row probe, one kernel sweep and one bulk store whatever the level's
+        size.  Distances are requested in the batch call form
+        (:meth:`~repro.distances.base.Distance.compute_batch`), like the
+        linear scan's.
+
+        Nodes with the same content need care when a cache is in play:
+        measured one by one, the first is computed and the others are cache
+        hits, whereas one batch would miss (and compute) them all.  So only
+        first occurrences go into the batch and the repeats are requested
+        afterwards -- hits with a cache attached, computations without --
+        which keeps the tallies and the store order exact.
+        """
+        items = [node.item for node in frontier]
+        keys = [node.key for node in frontier]
+        gather = StoreGather(self._packed, keys)
+        if len(frontier) > 1 and isinstance(query, Sequence):
+            contents = gather.content_keys(items)
+            if len(set(contents)) < len(contents):
+                seen: set = set()
+                firsts: List[int] = []
+                repeats: List[int] = []
+                for position, content in enumerate(contents):
+                    if content is not None and content in seen:
+                        repeats.append(position)
+                    else:
+                        seen.add(content)
+                        firsts.append(position)
+                values = [0.0] * len(frontier)
+                for part in filter(None, (firsts, repeats)):
+                    distances = counting.batch(
+                        query,
+                        [items[position] for position in part],
+                        packed=StoreGather(self._packed, [keys[position] for position in part]),
+                    )
+                    for position, value in zip(part, distances.tolist()):
+                        values[position] = value
+                return values
+        return counting.batch(query, items, packed=gather).tolist()
 
     def _serial_batch_range_query(
         self, queries: List[SequenceLike], radius: float
@@ -402,68 +555,6 @@ class ReferenceNet(MetricIndex):
             return self._serial_batch_range_query(queries, radius)
         return super().parallel_batch_range_query(queries, radius, executor)
 
-    def _route_children(
-        self,
-        node: _Node,
-        value: float,
-        radius: float,
-        decided: set,
-        matches: List[RangeMatch],
-        pending: Dict[int, List[_Node]],
-    ) -> None:
-        """Decide or defer each child of ``node`` given ``d(query, node)``.
-
-        Uses the exact stored parent-child distance for the child itself and
-        the level-radius bound of Lemma 4 for the child's descendants.
-        """
-        for _level, child, link_distance in node.iter_children():
-            if child.key in decided:
-                continue
-            child_subtree = self._subtree_radius(child.home_level)
-            if value + link_distance + child_subtree <= radius:
-                decided.add(child.key)
-                matches.append(RangeMatch(child.key, child.item, None))
-                self._accept_subtree(child, decided, matches)
-                continue
-            if value - link_distance - child_subtree > radius:
-                decided.add(child.key)
-                self._prune_subtree(child, decided)
-                continue
-            if child.is_leaf:
-                # The child has no descendants, so the exact link distance
-                # alone can settle it without a distance computation.
-                if value + link_distance <= radius:
-                    decided.add(child.key)
-                    matches.append(RangeMatch(child.key, child.item, None))
-                    continue
-                if value - link_distance > radius:
-                    decided.add(child.key)
-                    continue
-            pending.setdefault(child.home_level, []).append(child)
-
-    def _accept_subtree(self, node: _Node, decided: set, matches: List[RangeMatch]) -> None:
-        """Add every undecided descendant of ``node`` to the results."""
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            for _level, child, _link in current.iter_children():
-                if child.key in decided:
-                    continue
-                decided.add(child.key)
-                matches.append(RangeMatch(child.key, child.item, None))
-                stack.append(child)
-
-    def _prune_subtree(self, node: _Node, decided: set) -> None:
-        """Mark every undecided descendant of ``node`` as rejected."""
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            for _level, child, _link in current.iter_children():
-                if child.key in decided:
-                    continue
-                decided.add(child.key)
-                stack.append(child)
-
     # ------------------------------------------------------------------ #
     # Snapshot support
     # ------------------------------------------------------------------ #
@@ -498,11 +589,15 @@ class ReferenceNet(MetricIndex):
         }
 
     def _restore_structure(self, state: dict) -> None:
-        keys = list(self._items.keys())
         records = state["nodes"]
+        # The derived layout -- packed items here, routing rows below -- is
+        # not in the snapshot: it follows from the links, at no distance
+        # computation.
+        self._nodes = {}
+        self._packed = PackedWindowStore()
         nodes = [
-            _Node(key, self._items[key], home_level=int(record["home_level"]))
-            for key, record in zip(keys, records)
+            self._new_node(key, item, int(record["home_level"]))
+            for (key, item), record in zip(list(self._items.items()), records)
         ]
         for record, node in zip(records, nodes):
             for level, entries in record["children"]:
@@ -514,7 +609,8 @@ class ReferenceNet(MetricIndex):
                 (int(level), nodes[int(parent_position)])
                 for level, parent_position in record["parent_links"]
             ]
-        self._nodes = {node.key: node for node in nodes}
+        for node in nodes:
+            self._refresh_rows(node)
         self._max_level = int(state["max_level"])
         root_position = state["root_position"]
         self._root = None if root_position is None else nodes[int(root_position)]
@@ -548,9 +644,17 @@ class ReferenceNet(MetricIndex):
         Checked: (a) every non-root node has at least one parent (the
         inclusive property), (b) parent/child links are mutually consistent,
         (c) every child lies within the covering radius of its list's level
-        and the stored link distance is exact, and (d) every node is
-        reachable from the root.
+        and the stored link distance is exact, (d) every node is reachable
+        from the root, and (e) the derived layout is current: each node's
+        routing rows mirror its child entries one to one and in order, with
+        ``reach == link + radius(child home level + 1)`` and the child's
+        present leaf status, its subtree radius matches its home level, and
+        the packed store holds exactly the stored keys.
         """
+        if len(self._packed) != len(self._items) or any(
+            key not in self._packed for key in self._items
+        ):
+            raise InvariantViolationError("packed store keys differ from the stored keys")
         if self._root is None:
             if self._nodes:
                 raise InvariantViolationError("nodes present but no root")
@@ -584,6 +688,7 @@ class ReferenceNet(MetricIndex):
                     reachable.add(child.key)
                     stack.append(child)
         for key, node in self._nodes.items():
+            self._check_rows(node)
             if node is not self._root and not node.parent_links:
                 raise InvariantViolationError(f"node {key!r} has no parent")
             if key not in reachable:
@@ -593,6 +698,30 @@ class ReferenceNet(MetricIndex):
                     f"node {key!r} has {len(node.parent_links)} parents, exceeding "
                     f"nummax={self.nummax}"
                 )
+
+    def _check_rows(self, node: _Node) -> None:
+        """Part (e) of :meth:`check_invariants` for one node."""
+        if node.subtree != self._subtree_radius(node.home_level):
+            raise InvariantViolationError(
+                f"node {node.key!r} carries subtree radius {node.subtree}, but its home "
+                f"level {node.home_level} gives {self._subtree_radius(node.home_level)}"
+            )
+        expected = [
+            (
+                child,
+                link_distance,
+                link_distance + self.radius(child.home_level + 1),
+                not child.children,
+            )
+            for _level, child, link_distance in node.iter_children()
+        ]
+        if len(node.rows) != len(expected) or any(
+            row[0] is not entry[0] or row[1:] != entry[1:]
+            for row, entry in zip(node.rows, expected)
+        ):
+            raise InvariantViolationError(
+                f"routing rows of node {node.key!r} do not match its child entries"
+            )
 
     def exclusivity_violations(self) -> int:
         """Count pairs of same-home-level nodes closer than the level radius.

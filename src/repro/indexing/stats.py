@@ -22,6 +22,7 @@ counts comparable with the paper's definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence as TypingSequence
 
 import numpy as np
@@ -32,7 +33,6 @@ from repro.distances.base import (
     as_array,
     group_batch_operands,
     group_cutoff,
-    item_cutoff,
     validate_group_shape,
 )
 from repro.distances.cache import DistanceCache, content_keys
@@ -306,9 +306,11 @@ class CountingDistance:
         One bulk cache probe classifies the row first; the remaining pairs
         are grouped by shape, prefiltered (when enabled and a cutoff is
         given) with one vectorized bound evaluation per group, and the
-        survivors go through the batched kernels in one call per group.  The returned array obeys
-        the same contract as :meth:`Distance.batch`; ``cutoff`` may be one
-        scalar or a per-item vector (the top-k scan's heap thresholds).
+        survivors go through the batched kernels in one call per group.  The
+        returned array obeys the same contract as :meth:`Distance.batch`;
+        ``cutoff`` may be one scalar or a per-item vector (the top-k scan's
+        heap thresholds).  All of a call's cache lookups precede all of its
+        stores, and the stores happen in item order.
 
         ``packed`` optionally supplies the operand arrays from a packed
         window layout (:mod:`repro.sequences.packed`): position ``i`` of
@@ -351,11 +353,6 @@ class CountingDistance:
                 shape_groups = list(groups.items())
             for shape, _indexes in shape_groups:
                 validate_group_shape(self.inner, query_array, shape)
-        #: Deferred cache stores as ``(item, value, cutoff)``, flushed under
-        #: a single lock after all groups -- the store order (group order,
-        #: pruned before survivors within a group) matches the inline
-        #: stores exactly, so the cache content and eviction order do too.
-        stores: List[tuple] = []
         for _shape, indexes in shape_groups:
             if packed is None:
                 tensor = np.stack([arrays[i] for i in indexes])
@@ -369,33 +366,33 @@ class CountingDistance:
                 pruned_count = int(np.count_nonzero(pruned_mask))
                 self.counter.record_prefilter(len(indexes), pruned_count)
                 if pruned_count:
-                    for position in np.nonzero(pruned_mask)[0]:
-                        index = indexes[position]
-                        values[index] = _INF
-                        if cacheable_query and item_keys[index] is not None:
-                            stores.append(
-                                (items[index], _INF, item_cutoff(cutoff, index))
-                            )
+                    index_array = np.asarray(indexes, dtype=np.intp)
+                    values[index_array[pruned_mask]] = _INF
                     keep = np.nonzero(~pruned_mask)[0]
-                    survivors = [indexes[position] for position in keep]
+                    survivors = index_array[keep]
                     tensor = tensor[keep]
                     if np.ndim(thresholds) != 0:
                         thresholds = thresholds[keep]
-            if not survivors:
+            if not len(survivors):
                 continue
-            fresh = self.inner.compute_batch(query_array, tensor, thresholds)
+            values[survivors] = self.inner.compute_batch(query_array, tensor, thresholds)
             self.counter.increment(len(survivors))
-            fresh_list = fresh.tolist() if hasattr(fresh, "tolist") else list(fresh)
-            for position, index in enumerate(survivors):
-                value = float(fresh_list[position])
-                values[index] = value
-                if cacheable_query and item_keys[index] is not None:
-                    stores.append((items[index], value, item_cutoff(cutoff, index)))
-        if stores:
+        if cacheable_query:
+            # One bulk store under a single lock, in item order -- the order
+            # both unit-log replays store in (:mod:`repro.distances.recording`),
+            # so the cache's insertion order, which eviction makes visible,
+            # is the same under every executor.  A pruned pair's ``inf``
+            # becomes the lower bound ``distance > cutoff``.
+            value_list = values.tolist()
+            if np.ndim(cutoff) == 0:
+                cutoffs = repeat(None if cutoff is None else float(cutoff), len(pending))
+            else:
+                cutoffs = [float(cutoff[index]) for index in pending]
             with cache.replay_view() as view:
                 store = view.store
-                for item, value, item_bound in stores:
-                    store(query, item, value, item_bound)
+                for index, item_bound in zip(pending, cutoffs):
+                    if item_keys[index] is not None:
+                        store(query, items[index], value_list[index], item_bound)
         return values
 
     def __repr__(self) -> str:

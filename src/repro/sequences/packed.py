@@ -61,7 +61,7 @@ _ATTACH_CAPACITY = 8
 class _ShapeGroup:
     """One ``(length, dim)`` bucket: member arrays plus a cached stack."""
 
-    __slots__ = ("keys", "arrays", "rows", "tensor")
+    __slots__ = ("keys", "arrays", "rows", "tensor", "buffer")
 
     def __init__(self) -> None:
         self.keys: List[Hashable] = []
@@ -69,6 +69,11 @@ class _ShapeGroup:
         #: key -> row position inside :attr:`tensor` / :attr:`arrays`.
         self.rows: Dict[Hashable, int] = {}
         self.tensor: Optional[np.ndarray] = None
+        #: What :attr:`tensor` is a prefix view of: rows past the members are
+        #: spare capacity, so an ``add`` writes one row instead of restacking
+        #: the group (an index that measures while it inserts -- the
+        #: reference net -- would otherwise restack once per insertion).
+        self.buffer: Optional[np.ndarray] = None
 
 
 class SharedRows:
@@ -267,10 +272,11 @@ class PackedWindowStore:
 
     Insertion order is preserved within each group, and groups remember
     their first-insertion order, so a scan that walks the store in the
-    caller's key order sees exactly the arrays it inserted.  Mutations
-    invalidate only the affected group's cached tensor; ``remove`` is
-    O(group size) (it compacts the row table), which is fine for the
-    query-dominated workloads the store exists for.
+    caller's key order sees exactly the arrays it inserted.  ``add`` appends
+    to its group's cached tensor in place (amortized O(1)); ``remove``
+    invalidates only the affected group's tensor and is O(group size) (it
+    compacts the row table), which is fine for the query-dominated
+    workloads the store exists for.
     """
 
     def __init__(self) -> None:
@@ -296,10 +302,19 @@ class PackedWindowStore:
         group = self._groups.get(shape)
         if group is None:
             group = self._groups[shape] = _ShapeGroup()
-        group.rows[key] = len(group.keys)
+        count = len(group.keys)
+        group.rows[key] = count
         group.keys.append(key)
         group.arrays.append(array)
-        group.tensor = None
+        if group.tensor is not None:
+            # Append in place; tensors handed out earlier are shorter views
+            # (or views of an outgrown buffer), so they never see the write.
+            if count == group.buffer.shape[0]:
+                grown = np.empty((2 * count,) + shape, dtype=np.float64)
+                grown[:count] = group.tensor
+                group.buffer = grown
+            group.buffer[count] = array
+            group.tensor = group.buffer[: count + 1]
         self._shapes[key] = shape
         self._bump_epoch()
 
@@ -315,7 +330,7 @@ class PackedWindowStore:
         del group.arrays[row]
         for later in group.keys[row:]:
             group.rows[later] -= 1
-        group.tensor = None
+        group.tensor = group.buffer = None
         if not group.keys:
             del self._groups[shape]
         self._bump_epoch()
@@ -381,7 +396,7 @@ class PackedWindowStore:
         """The group's packed ``(k, length, dim)`` tensor (cached stack)."""
         group = self._groups[shape]
         if group.tensor is None:
-            group.tensor = np.stack(group.arrays)
+            group.tensor = group.buffer = np.stack(group.arrays)
         return group.tensor
 
     def row_of(self, key: Hashable) -> int:
@@ -446,15 +461,19 @@ class StoreGather:
             grouped.setdefault(shapes[keys[position]], []).append(position)
         return list(grouped.items())
 
+    def _group_rows(self, shape: Shape, positions: TypingSequence[int]) -> np.ndarray:
+        """Rows of ``positions`` (which share ``shape``) inside the group tensor."""
+        return np.fromiter(
+            map(self.store._groups[shape].rows.__getitem__, map(self.keys.__getitem__, positions)),
+            dtype=np.intp,
+            count=len(positions),
+        )
+
     def gather(self, positions: TypingSequence[int]) -> np.ndarray:
         """Stack the windows at ``positions`` (which share one shape)."""
         shape = self.store.shape_of(self.keys[positions[0]])
         tensor = self.store.group_tensor(shape)
-        rows = np.fromiter(
-            (self.store.row_of(self.keys[position]) for position in positions),
-            dtype=np.intp,
-            count=len(positions),
-        )
+        rows = self._group_rows(shape, positions)
         if rows.shape[0] == tensor.shape[0] and np.array_equal(
             rows, np.arange(tensor.shape[0])
         ):
@@ -479,11 +498,7 @@ class StoreGather:
                 )
             return self.gather(positions)
         shape = self.store.shape_of(self.keys[positions[0]])
-        rows = np.fromiter(
-            (self.store.row_of(self.keys[position]) for position in positions),
-            dtype=np.intp,
-            count=len(positions),
-        )
+        rows = self._group_rows(shape, positions)
         count = export.layout[shape][1]
         if rows.shape[0] == count and np.array_equal(rows, np.arange(count)):
             return export.rows(shape, None)

@@ -322,6 +322,11 @@ def save_matcher(matcher, path: PathLike) -> None:
     the distance-cache contents.  :func:`load_matcher` therefore answers
     queries immediately, with the same results *and the same work counters*
     as the matcher that was saved -- no ``refresh()``, no re-measured pairs.
+    Execution layouts derived from that structure (the packed window
+    tensors of the scan and the net, the net's routing rows) are not
+    persisted: each index rebuilds its own in
+    :meth:`~repro.indexing.base.MetricIndex.restore_structure`, from the
+    links alone, so the snapshot layout is unchanged by them.
 
     A :class:`~repro.core.sharded.ShardedMatcher` round-trips too: its
     snapshot (layout version 2) carries one single-matcher payload per

@@ -118,6 +118,67 @@ class TestBatchAgainstSingle:
         assert values.shape == (0,)
 
 
+def _providers():
+    """``numpy`` plus every compiled provider usable on this machine."""
+    from repro.distances.compiled import make_provider
+
+    names = ["numpy", "pyloop"]
+    for name in ("cc", "numba"):
+        try:
+            make_provider(name)
+        except Exception:
+            continue
+        names.append(name)
+    return names
+
+
+class TestCallForm:
+    """Which distances give the batch row and the single call the same bits.
+
+    The reference net measures a whole level with one ``batch`` call where
+    it used to make single calls, so whether the two forms agree *exactly*
+    decides whether its probe distances moved.
+    """
+
+    @pytest.mark.parametrize("provider", _providers())
+    def test_max_and_integer_recurrences_are_bit_identical(self, provider):
+        from repro.distances.backend import kernel_scope
+
+        def symbols():
+            return RNG.integers(0, 4, size=20)
+
+        with kernel_scope(provider):
+            for distance, draw in (
+                (DiscreteFrechet(), lambda: _series(20)),
+                (DiscreteFrechet(), lambda: RNG.normal(size=(20, 2))),
+                (Levenshtein(), symbols),
+                (Hamming(), symbols),
+            ):
+                query = draw()
+                items = [draw() for _ in range(60)]
+                row = distance.batch(query, items)
+                singles = [distance(query, item) for item in items]
+                assert row.tolist() == singles, distance
+
+    @pytest.mark.parametrize("provider", _providers())
+    def test_erp_forms_agree_to_rounding_only(self, provider):
+        # ERP sums costs.  The batch kernel always runs the reduced-coordinate
+        # sweep; the single call runs the plain small-table DP below 1024
+        # cells.  Same recurrence, another association order: most random
+        # 20x20 pairs differ in the last bits (so ``==`` cannot be asserted
+        # here), none by more than 1e-9.  So a
+        # net probe's ERP distance may move by ulps against a single call;
+        # match sets and verified distances (always single calls) do not.
+        from repro.distances.backend import kernel_scope
+
+        with kernel_scope(provider):
+            query = _series(20)
+            items = [_series(20) for _ in range(60)]
+            row = ERP().batch(query, items)
+            singles = np.array([ERP()(query, item) for item in items])
+        assert np.abs(row - singles).max() <= 1e-9
+
+
 class TestBatchCutoffSemantics:
     def test_all_items_beyond_cutoff(self):
         query = np.zeros(12)

@@ -396,6 +396,25 @@ class TestPackedWindowStore:
         assert np.array_equal(store.group_tensor((2, 1)), np.zeros((1, 2, 1)))
         assert store.group_tensor((3, 1)) is first  # untouched group stays cached
 
+    def test_add_appends_to_a_stacked_group_in_place(self):
+        rng = np.random.default_rng(8)
+        store = PackedWindowStore()
+        arrays = [rng.normal(size=(3, 2)) for _ in range(40)]
+        handed_out = []
+        for key, array in enumerate(arrays):
+            store.add(key, array)
+            tensor = store.group_tensor((3, 2))  # measure-while-inserting
+            assert tensor.flags["C_CONTIGUOUS"]
+            assert np.array_equal(tensor, np.stack(arrays[: key + 1]))
+            handed_out.append((tensor, key + 1))
+        # Tensors handed out earlier still show exactly what they showed.
+        for tensor, count in handed_out:
+            assert np.array_equal(tensor, np.stack(arrays[:count]))
+        store.remove(7)
+        store.add("late", arrays[7])
+        expected = arrays[:7] + arrays[8:] + [arrays[7]]
+        assert np.array_equal(store.group_tensor((3, 2)), np.stack(expected))
+
     def test_store_gather_preserves_positional_order(self):
         rng = np.random.default_rng(5)
         store = PackedWindowStore()

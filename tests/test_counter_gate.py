@@ -6,7 +6,11 @@ are exact, hardware-independent and identical across executors by contract,
 so any change to them is a behaviour change, never noise.  This gate runs
 four query types x {``linear-scan``, ``reference-net``} on the three paper
 datasets, each followed by a warm repeat through fresh ``Sequence`` objects,
-and compares every counter to ``tests/data/counter_gate.json``.
+and compares every counter to ``tests/data/counter_gate.json``.  The
+``<dataset>+repeats/reference-net`` legs run the same queries over a database
+whose first two sequences are stored twice, so same-content windows meet in
+one level of the net -- where measuring a level in one batch must still count
+"computed once, then cache hits".
 
 A PR that moves a counter on purpose re-records the golden file *and says so*::
 
@@ -68,10 +72,13 @@ def specs(radius):
     }
 
 
-def collect(dataset, index):
+def collect(dataset, index, repeats=False):
     """``{"<round>/<query type>": counters}`` for one dataset x index."""
     distance_name, generate, radius = DATASETS[dataset]
     database = load_dataset(dataset, 60, 20, seed=0)
+    if repeats:
+        for seq_id in database.ids()[:2]:
+            database.add(database[seq_id], seq_id=f"{seq_id}-again")
     config = MatcherConfig(min_length=40, max_shift=1, index=index)
     matcher = SubsequenceMatcher(database, dataset_distance(dataset, distance_name), config)
     query, _source, _start = generate(database, length=60, seed=1000)
@@ -98,7 +105,16 @@ def test_work_counters_match_the_golden_file(dataset, index):
     assert collect(dataset, index) == golden
 
 
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_work_counters_with_repeated_windows_match_the_golden_file(dataset):
+    golden = json.loads(GOLDEN.read_text())[f"{dataset}+repeats/reference-net"]
+    assert collect(dataset, "reference-net", repeats=True) == golden
+
+
 if __name__ == "__main__":
     record = {f"{d}/{i}": collect(d, i) for d in sorted(DATASETS) for i in INDEXES}
+    record.update(
+        {f"{d}+repeats/reference-net": collect(d, "reference-net", True) for d in sorted(DATASETS)}
+    )
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(record)} legs to {GOLDEN}")

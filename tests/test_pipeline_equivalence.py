@@ -521,6 +521,35 @@ class TestExecutorEquivalence:
                 == serial_index.counter.prefilter_evaluations
             )
 
+    def test_bounded_cache_insertion_order_matches_serial(self):
+        """Eviction makes the cache's insertion order visible: it must not
+        depend on the executor, pruned and surviving pairs interleaved."""
+        from repro.core.executor import make_executor
+        from repro.distances.cache import DistanceCache
+
+        generator = np.random.default_rng(5)
+        items = [
+            Sequence.from_values(generator.normal(size=8), seq_id=f"w{i}")
+            for i in range(40)
+        ]
+        queries = [
+            Sequence.from_values(generator.normal(size=8), seq_id=f"q{i}")
+            for i in range(6)
+        ]
+        caches = []
+        for executor in (None, make_executor("thread", 4)):
+            cache = DistanceCache(max_entries=100)
+            index = LinearScanIndex(DiscreteFrechet(), prefilter=True, cache=cache)
+            for position, item in enumerate(items):
+                index.add(item, key=position)
+            index.batch_range_query(queries, 1.0, executor=executor)
+            # The interesting case: some pairs pruned by a bound, some not.
+            assert 0 < index.counter.prefilter_pruned < index.counter.prefilter_evaluations
+            assert cache.evictions > 0
+            caches.append(cache)
+        serial_cache, parallel_cache = caches
+        assert list(parallel_cache.iter_entries()) == list(serial_cache.iter_entries())
+
     @pytest.mark.parametrize("log_format", ["columnar", "object"])
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_log_formats_match_serial(self, planted, executor, log_format):

@@ -74,8 +74,12 @@ class TestStructuralInvariants:
     @settings(max_examples=30, deadline=None)
     @given(points=points_strategy)
     def test_invariants_after_insertion(self, points):
-        net, _ = _build_pair(points)
-        net.check_invariants()
+        # After *every* insertion, not just the last: the routing rows and
+        # the packed store are maintained write by write.
+        net = ReferenceNet(Euclidean())
+        for position, point in enumerate(points):
+            net.add(np.array(point), key=position)
+            net.check_invariants()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -90,6 +94,7 @@ class TestStructuralInvariants:
             if key in remaining and len(remaining) > 1:
                 net.remove(key)
                 del remaining[key]
+                net.check_invariants()
         net.check_invariants()
         assert len(net) == len(remaining)
         scan = LinearScanIndex(Euclidean())
