@@ -550,6 +550,9 @@ def _cmd_compare_indexes(args: argparse.Namespace) -> int:
 
     indexes = {
         "RN": ReferenceNet(distance),
+        # The net with bound-first routing: lower bounds settle its routing
+        # before the kernels (equal to RN for a distance without a bound table).
+        "RN+LB": ReferenceNet(distance, prefilter=True),
         "CT": CoverTree(distance),
         "MV-5": ReferenceIndex(distance, num_references=5),
         # Linear scan with lower-bound prefilters: the baseline every figure

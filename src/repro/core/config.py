@@ -76,9 +76,18 @@ class MatcherConfig:
     prefilter:
         Whether the matcher's step-4 distance evaluations may run the
         registered lower bounds of :mod:`repro.distances.lower_bounds` in
-        front of the DP kernels.  Only effective with the ``"linear-scan"``
-        index (the tree indexes need exact values for their routing);
-        admissible bounds never change results, so this is on by default.
+        front of the DP kernels.  Two indexes consult them.  The
+        ``"linear-scan"`` index does for every distance that has a bound,
+        pair by pair and *after* the cache (cache -> bound -> DP; a pruned
+        pair is cached as ``distance > radius``).  The ``"reference-net"``
+        index does for the distances whose bounds have a table form (the
+        discrete Frechet distance today), *before* the cache (table ->
+        cache -> DP): one table per query settles most of its routing, a
+        node whose bound exceeds the radius is never measured, and skipping
+        an internal node is safe because its bound still routes its
+        children -- ``d(q, c) >= d(q, n) - link >= lb - link``.  For any
+        other (index, distance) pair the flag changes nothing.  Admissible
+        bounds never change results, so this is on by default.
     cache_max_entries:
         Capacity of the matcher's distance cache.  Any single query (and
         in particular Type III's whole radius sweep) needs at most

@@ -79,6 +79,7 @@ def build_index(config: MatcherConfig, distance: Distance, cache: DistanceCache)
             eps_prime=config.eps_prime,
             nummax=config.nummax,
             cache=cache,
+            prefilter=config.prefilter,
         )
     if name == "cover-tree":
         return CoverTree(distance, eps_prime=config.eps_prime, cache=cache)

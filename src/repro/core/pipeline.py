@@ -12,9 +12,13 @@ decomposed into the same named stages
     Type III radius sweep extracts them once;
 ``prefilter``
     cheap lower bounds in front of the DP kernels (see
-    :mod:`repro.distances.lower_bounds`) -- executed inside the batched
-    probe's kernel dispatch and accounted through the
-    :class:`~repro.indexing.stats.DistanceCounter` prefilter tallies;
+    :mod:`repro.distances.lower_bounds`), accounted through the
+    :class:`~repro.indexing.stats.DistanceCounter` prefilter tallies.  The
+    linear scan evaluates them inside the batched probe's kernel dispatch,
+    pair by pair after the cache; the reference net gets one table for all
+    the segments of the query (:meth:`QueryPipeline.bound_table_for`, memoized
+    like the segments, so a radius sweep builds it once) and classifies its
+    nodes from it before cache and kernel;
 ``probe``
     the step-4 range search over every segment.  Under the serial executor
     this is one :meth:`~repro.indexing.base.MetricIndex.batch_range_query`
@@ -73,7 +77,12 @@ from repro.distances.backend import active_kernel_name, kernel_scope
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import RecordingVerifyCache
-from repro.indexing.base import MetricIndex, chunk_positions, run_query_work_units
+from repro.indexing.base import (
+    BoundTable,
+    MetricIndex,
+    chunk_positions,
+    run_query_work_units,
+)
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 from repro.sequences.windows import Window
@@ -92,10 +101,11 @@ class ProbeResult:
 class QueryPipeline:
     """Executes the framework's online steps as explicit, accounted stages.
 
-    The pipeline is stateless between queries apart from a one-slot segment
-    memo: the most recent query object's extracted segments are kept so that
-    repeated passes over the same query (Type III's binary search and radius
-    sweep) skip re-extraction.  All distance-level sharing goes through the
+    The pipeline is stateless between queries apart from two one-slot memos:
+    the most recent query object's extracted segments, and the index's bound
+    table for them (dropped by any index write), are kept so that repeated
+    passes over the same query (Type III's binary search and radius sweep)
+    neither re-extract nor re-bound.  All distance-level sharing goes through the
     matcher's :class:`~repro.distances.cache.DistanceCache`, which the
     pipeline only observes through the index counter.
 
@@ -126,6 +136,7 @@ class QueryPipeline:
             else make_executor(config.executor, config.workers)
         )
         self._segment_memo: Optional[Tuple[Sequence, List[Window]]] = None
+        self._bound_memo: Optional[Tuple[Sequence, Optional[BoundTable]]] = None
         # Monotonic insertion stamps backing the canonical probe order.
         # Maintained incrementally through note_window_added/removed so the
         # hot path never pays an O(windows) rebuild; relative order is all
@@ -137,10 +148,12 @@ class QueryPipeline:
         """Record a window appended by the matcher's incremental update path."""
         self._window_order[key] = self._next_window_stamp
         self._next_window_stamp += 1
+        self._bound_memo = None
 
     def note_window_removed(self, key) -> None:
         """Forget a window deleted by the matcher's incremental update path."""
         del self._window_order[key]
+        self._bound_memo = None
 
     @property
     def window_count(self) -> int:
@@ -173,6 +186,22 @@ class QueryPipeline:
         self._segment_memo = (query, segments)
         return segments
 
+    def bound_table_for(self, query: Sequence) -> Optional[BoundTable]:
+        """Build (or recall) the index's bound table for ``query``'s segments.
+
+        ``None`` for an index that consults no table.  A table is a function
+        of (query, stored windows) alone, so it serves every pass of a radius
+        sweep; :meth:`note_window_added` / :meth:`note_window_removed` drop it.
+        """
+        memo = self._bound_memo
+        if memo is not None and memo[0] is query:
+            return memo[1]
+        table = self.index.bound_table(
+            query, [(segment.start, segment.length) for segment in self.segments_for(query)]
+        )
+        self._bound_memo = (query, table)
+        return table
+
     # ------------------------------------------------------------------ #
     # Stages: segment -> prefilter -> probe (steps 3-4)
     # ------------------------------------------------------------------ #
@@ -203,8 +232,9 @@ class QueryPipeline:
         started = time.perf_counter()
         cpu_started = time.thread_time()
         sequences = [segment.sequence for segment in segments]
+        bounds = self.bound_table_for(query)
         if self.executor.is_parallel:
-            units = self.index.query_work_units(sequences, radius)
+            units = self.index.query_work_units(sequences, radius, bounds)
             per_segment, worker_cpu = run_query_work_units(
                 self.index,
                 units,
@@ -214,7 +244,7 @@ class QueryPipeline:
                 transport=self.config.transport,
             )
         else:
-            per_segment = self.index.batch_range_query(sequences, radius)
+            per_segment = self.index.batch_range_query(sequences, radius, bounds=bounds)
             worker_cpu = 0.0
         # Canonical match order: hits within a segment are sorted by window
         # insertion order, so the (segment, window) pairs -- and everything

@@ -375,18 +375,27 @@ class QueryStats:
         the ratio against ``index_distance_computations`` is the paper's
         pruning ratio ``alpha``.
     prefilter_evaluations:
-        Lower-bound evaluations performed in front of the step-4 kernels
-        (see :mod:`repro.distances.lower_bounds`); 0 unless the backing
-        index prefilters (the matcher's linear scan does by default).
+        Lower bounds consulted in front of the step-4 kernels (see
+        :mod:`repro.distances.lower_bounds`); 0 unless the backing index
+        prefilters.  By default the matcher's linear scan does (one per
+        pair that missed the cache), and so does its reference net for a
+        distance with a bound table (one per node its traversal classifies,
+        before the cache is asked) -- see
+        :attr:`~repro.core.config.MatcherConfig.prefilter`.
     prefilter_pruned:
-        Prefilter evaluations that proved the pair outside the radius, i.e.
-        kernel executions skipped for the cost of an O(n) bound.
+        Evaluations that settled the pair without a kernel execution: the
+        bound proved it outside the radius.  On the scan the pair is then
+        cached as ``distance > radius``; on the net it is a node rejected
+        with its subtree or skipped (routed by its bound, which is safe:
+        ``d(q, child) >= d(q, node) - link >= bound - link``), and nothing
+        is cached -- the table entry is free to recompute.
     stage_timings:
         Wall-clock seconds per pipeline stage (``segment``, ``probe``,
         ``chain``, ``verify``), as measured by the query-execution pipeline.
-        Prefilter time is part of ``probe`` (the bounds run inside the
-        batched kernel dispatch); its effect is visible through the
-        prefilter counters instead.
+        Prefilter time is part of ``probe`` (the scan's bounds run inside
+        the batched kernel dispatch, the net's table is built at the start
+        of the stage); its effect is visible through the prefilter counters
+        instead.
     cpu_stage_timings:
         CPU seconds per pipeline stage: the orchestrating thread's CPU time
         plus the summed per-worker CPU time of every parallel work unit.

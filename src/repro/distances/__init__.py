@@ -35,6 +35,8 @@ from repro.distances.lower_bounds import (
     bounds_for,
     combined_bound,
     combined_batch_bound,
+    combined_bound_table,
+    has_bound_table,
     register_lower_bound,
     registered_lower_bounds,
 )
@@ -47,6 +49,8 @@ __all__ = [
     "bounds_for",
     "combined_bound",
     "combined_batch_bound",
+    "combined_bound_table",
+    "has_bound_table",
     "register_lower_bound",
     "registered_lower_bounds",
     "ElementMetric",

@@ -36,12 +36,25 @@ over a ``(k, m, dim)`` stack of same-shape items, which is what the batched
 linear scan uses; :func:`combined_bound` / :func:`combined_batch_bound` take
 the maximum over every applicable bound (0 when none applies, which prunes
 nothing).
+
+A bound may also offer a ``table`` form: the bounds from *every segment of
+one query* to *every window of one shape group* at once, as an ``S x k``
+matrix, read off per-window summaries (first element, last element, bounding
+box) instead of the windows.  It works on element-level matrices -- one
+ground distance per (query element, window), computed once however many
+segments share the element -- and aggregates them over each segment's
+element range.  Today ``kim`` and ``keogh`` have one for the discrete
+Frechet distance only: its aggregate is a maximum, which is associative, so
+the table equals :func:`combined_batch_bound` row for row, *bit for bit*.
+The sum-aggregated distances (DTW, ERP) would re-associate floating-point
+additions in a sliding sum and need an admissible-to-the-last-bit argument
+first; :func:`combined_bound_table` returns ``None`` for them.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -56,13 +69,18 @@ from repro.exceptions import DistanceError
 
 
 def _point_distances(metric: ElementMetric, points: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Ground distance from every row of ``points`` (``(k, dim)``) to ``point``."""
-    diff = points - point.reshape(1, -1)
+    """Ground distance between ``points`` and ``point``, over the last axis.
+
+    The operands broadcast: ``(k, dim)`` against ``(dim,)`` gives the ``k``
+    distances to one point, ``(1, k, dim)`` against ``(n, 1, dim)`` the
+    ``n x k`` matrix between two point sets.
+    """
+    diff = points - point
     if metric.kind == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return np.sqrt(np.sum(diff * diff, axis=-1))
     if metric.kind == "manhattan":
-        return np.sum(np.abs(diff), axis=1)
-    return (np.any(diff != 0.0, axis=1)).astype(np.float64)
+        return np.sum(np.abs(diff), axis=-1)
+    return (np.any(diff != 0.0, axis=-1)).astype(np.float64)
 
 
 def _box_deficit(metric_kind: str, query: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -77,6 +95,31 @@ def _box_deficit(metric_kind: str, query: np.ndarray, low: np.ndarray, high: np.
     if metric_kind == "euclidean":
         return np.sqrt(np.sum(deficit * deficit, axis=-1))
     return np.sum(deficit, axis=-1)
+
+
+def _sliding_max(matrix: np.ndarray, length: int) -> np.ndarray:
+    """Row ``i`` of the result is the maximum of rows ``i .. i+length-1``.
+
+    Doubling: ``log2(length)`` element-wise maxima of two shifted views
+    build the maximum over a power-of-two run, one more covers ``length``
+    with two overlapping runs.  A maximum is exact and associative, so
+    every entry equals ``matrix[i:i + length].max(axis=0)`` bit for bit
+    (NaN included: it propagates through both).
+    """
+    out = matrix
+    span = 1
+    while 2 * span <= length:
+        out = np.maximum(out[:-span], out[span:])
+        span *= 2
+    if span < length:
+        out = np.maximum(out[: span - length], out[length - span :])
+    return out
+
+
+#: What a ``table`` form reads of one shape group: ``(first element, last
+#: element, box low, box high)`` per window, each ``(k, dim)`` -- see
+#: :meth:`repro.sequences.packed.PackedWindowStore.group_summary`.
+Summary = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class LowerBound(abc.ABC):
@@ -100,6 +143,26 @@ class LowerBound(abc.ABC):
             dtype=np.float64,
             count=items.shape[0],
         )
+
+    def has_table(self, distance: Distance) -> bool:
+        """Whether :meth:`table` is implemented for ``distance``."""
+        return False
+
+    def table(
+        self,
+        distance: Distance,
+        query: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        summary: Summary,
+    ) -> np.ndarray:
+        """Bounds from ``S`` segments of ``query`` to ``k`` summarized windows.
+
+        Segment ``s`` is ``query[starts[s] : starts[s] + lengths[s]]``.  Row
+        ``s`` of the ``(S, k)`` result must equal :meth:`batch` of that
+        segment against the summarized windows, bit for bit.
+        """
+        raise NotImplementedError(f"{self.name!r} has no table form for {distance.name!r}")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -141,6 +204,17 @@ class KimEndpointBound(LowerBound):
         ):
             return np.maximum(start, end)
         return start + end
+
+    def has_table(self, distance: Distance) -> bool:
+        return isinstance(distance, DiscreteFrechet)
+
+    def table(self, distance, query, starts, lengths, summary) -> np.ndarray:
+        first, last, _low, _high = summary
+        metric = distance.element_metric
+        elements = query[:, None, :]
+        start = _point_distances(metric, first[None, :, :], elements)
+        end = _point_distances(metric, last[None, :, :], elements)
+        return np.maximum(start[starts], end[starts + lengths - 1])
 
 
 class KeoghEnvelopeBound(LowerBound):
@@ -185,6 +259,20 @@ class KeoghEnvelopeBound(LowerBound):
         if isinstance(distance, DiscreteFrechet):
             return np.max(deficits, axis=1)
         return np.sum(deficits, axis=1)
+
+    def has_table(self, distance: Distance) -> bool:
+        return isinstance(distance, DiscreteFrechet)
+
+    def table(self, distance, query, starts, lengths, summary) -> np.ndarray:
+        _first, _last, low, high = summary
+        deficits = _box_deficit(
+            distance.element_metric.kind, query[:, None, :], low[None, :, :], high[None, :, :]
+        )
+        values = np.empty((len(starts), low.shape[0]), dtype=np.float64)
+        for length in np.unique(lengths).tolist():
+            members = np.nonzero(lengths == length)[0]
+            values[members] = _sliding_max(deficits, length)[starts[members]]
+        return values
 
 
 class ErpGapBound(LowerBound):
@@ -288,6 +376,39 @@ def combined_batch_bound(distance: Distance, query: np.ndarray, items: np.ndarra
     values = np.zeros(items.shape[0], dtype=np.float64)
     for bound in applicable:
         np.maximum(values, bound.batch(distance, query, items), out=values)
+    return values
+
+
+def has_bound_table(distance: Distance) -> bool:
+    """Whether :func:`combined_bound_table` exists for ``distance``.
+
+    It does when at least one bound applies and every one that does has a
+    table form -- a partial table would prune less than the per-call bounds
+    it stands for.
+    """
+    applicable = bounds_for(distance)
+    return bool(applicable) and all(bound.has_table(distance) for bound in applicable)
+
+
+def combined_bound_table(
+    distance: Distance,
+    query: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    summary: Summary,
+) -> Optional[np.ndarray]:
+    """:func:`combined_batch_bound` for ``S`` segments of one query at once.
+
+    Row ``s`` of the ``(S, k)`` result is bit-identical to
+    ``combined_batch_bound(distance, query[starts[s]:starts[s] + lengths[s]],
+    windows)`` for the ``k`` windows ``summary`` describes.  ``None`` unless
+    :func:`has_bound_table`.
+    """
+    if not has_bound_table(distance):
+        return None
+    values = np.zeros((len(starts), summary[0].shape[0]), dtype=np.float64)
+    for bound in bounds_for(distance):
+        np.maximum(values, bound.table(distance, query, starts, lengths, summary), out=values)
     return values
 
 

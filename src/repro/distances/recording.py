@@ -330,6 +330,12 @@ class RecordingCounting:
         #: so the overlay state observable at any read is identical to
         #: eager stores.
         self._unapplied: List[tuple] = []
+        #: Bounds the traversal consulted itself (:meth:`record_prefilter`).
+        #: They depend on (query, stored items) only, never on cache state,
+        #: so they need no log entry in either format: two sums, added to
+        #: the live counter at replay.
+        self._table_evaluated = 0
+        self._table_pruned = 0
 
     @property
     def name(self) -> str:
@@ -406,6 +412,11 @@ class RecordingCounting:
         else:
             self.log.append((_BOUNDED, first, second, cutoff, value, False, cacheable, bound))
         return value
+
+    def record_prefilter(self, evaluated: int, pruned: int) -> None:
+        """Recorded analogue of :meth:`CountingDistance.record_prefilter`."""
+        self._table_evaluated += evaluated
+        self._table_pruned += pruned
 
     def batch(
         self,
@@ -572,6 +583,8 @@ class RecordingCounting:
             _replay_probe_columns(self._columns, counting)
         else:
             replay_probe_log(self.log, counting)
+        if self._table_evaluated:
+            counting.record_prefilter(self._table_evaluated, self._table_pruned)
 
 
 class _BatchContext:

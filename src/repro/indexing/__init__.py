@@ -19,7 +19,7 @@ and count every distance evaluation through a
 paper's Figures 8-11 report.
 """
 
-from repro.indexing.base import MetricIndex, RangeMatch
+from repro.indexing.base import BoundTable, MetricIndex, RangeMatch
 from repro.indexing.stats import DistanceCounter, CountingDistance, IndexStats
 from repro.indexing.linear_scan import LinearScanIndex
 from repro.indexing.reference_net import ReferenceNet
@@ -28,6 +28,7 @@ from repro.indexing.reference_based import ReferenceIndex, select_max_variance, 
 from repro.indexing.vp_tree import VPTree
 
 __all__ = [
+    "BoundTable",
     "MetricIndex",
     "RangeMatch",
     "DistanceCounter",

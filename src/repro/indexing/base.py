@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,52 @@ class RangeMatch:
     key: Hashable
     item: object
     distance: Optional[float]
+
+
+class BoundRow(NamedTuple):
+    """One query's row of a :class:`BoundTable`, as ``_range_search`` takes it."""
+
+    #: Store epoch the table was built at; the index refuses a stale row.
+    epoch: int
+    #: Index-defined handle of a stored item -> position in :attr:`values`.
+    column: dict
+    #: ``values[c] <= d(query, item at column c)``; may hold NaN (= unknown).
+    values: List[float]
+
+
+class BoundTable:
+    """Admissible lower bounds from every query of one batch to every item.
+
+    Built by :meth:`MetricIndex.bound_table` for all the segments of one
+    query at once and handed back, whole, to :meth:`MetricIndex.batch_range_query`
+    / :meth:`MetricIndex.query_work_units`; row ``i`` belongs to the ``i``-th
+    query of the batch.  A row is a pure function of (query, stored items)
+    -- never of cache state -- so consulting it is identical under every
+    executor, and a table stays valid for any radius until the index is
+    written to.
+    """
+
+    __slots__ = ("epoch", "column", "rows")
+
+    def __init__(self, epoch: int, column: dict, rows: List[List[float]]) -> None:
+        self.epoch = epoch
+        self.column = column
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row(self, position: int) -> BoundRow:
+        return BoundRow(self.epoch, self.column, self.rows[position])
+
+
+def _bound_rows(bounds: Optional[BoundTable], count: int) -> List[Optional[BoundRow]]:
+    """Per-query rows of ``bounds`` (all ``None`` without a table)."""
+    if bounds is None:
+        return [None] * count
+    if len(bounds) != count:
+        raise IndexError_(f"bound table has {len(bounds)} rows for {count} queries")
+    return [bounds.row(position) for position in range(count)]
 
 
 @dataclass
@@ -279,10 +325,11 @@ class MetricIndex(abc.ABC):
         When true, the cutoff-carrying distance paths evaluate the
         registered lower bounds of :mod:`repro.distances.lower_bounds`
         before running a kernel (see
-        :class:`~repro.indexing.stats.CountingDistance`).  Only meaningful
-        for indexes that decide membership with a bounded distance -- the
-        linear scan -- because the tree indexes need exact values for their
-        triangle-inequality routing.
+        :class:`~repro.indexing.stats.CountingDistance`).  That per-call
+        form only serves an index that decides membership with a bounded
+        distance -- the linear scan; an index that routes by exact values
+        consults bounds through a per-query :class:`BoundTable` instead
+        (the reference net's own ``prefilter`` argument).
     """
 
     #: Human-readable index name used in reports and benchmarks.
@@ -394,9 +441,17 @@ class MetricIndex(abc.ABC):
 
     @abc.abstractmethod
     def _range_search(
-        self, query: SequenceLike, radius: float, counting
+        self,
+        query: SequenceLike,
+        radius: float,
+        counting,
+        bounds: Optional[BoundRow] = None,
     ) -> List[RangeMatch]:
         """Range query against an explicit counting context.
+
+        ``bounds`` is this query's row of the table :meth:`bound_table`
+        built, if the caller holds one; only an index that builds tables
+        ever receives (or reads) it.
 
         ``counting`` supplies every distance evaluation (``counting(a, b)``,
         ``counting.bounded``, ``counting.batch``); implementations must not
@@ -406,10 +461,25 @@ class MetricIndex(abc.ABC):
         read-only -- lazy rebuilds belong in :meth:`prepare_queries`.
         """
 
-    def range_query(self, query: SequenceLike, radius: float) -> List[RangeMatch]:
+    def range_query(
+        self, query: SequenceLike, radius: float, bounds: Optional[BoundRow] = None
+    ) -> List[RangeMatch]:
         """Return every stored item within ``radius`` of ``query``."""
         self.prepare_queries()
-        return self._range_search(query, radius, self._counting)
+        return self._range_search(query, radius, self._counting, bounds)
+
+    def bound_table(
+        self, query: SequenceLike, spans: List[Tuple[int, int]]
+    ) -> Optional[BoundTable]:
+        """Lower bounds from ``query[start:start + length]``, per span, to every item.
+
+        ``None`` (the default) means this index consults no table: the
+        linear scan evaluates its bounds per call, after the cache; the
+        reference net overrides this.  The caller may keep the table for
+        further queries over the same segments at any radius, until the
+        next write to the index.
+        """
+        return None
 
     def prepare_queries(self) -> None:
         """Bring the structure up to date before (possibly parallel) queries.
@@ -431,9 +501,16 @@ class MetricIndex(abc.ABC):
         """
 
     def batch_range_query(
-        self, queries: Iterable[SequenceLike], radius: float, executor=None
+        self,
+        queries: Iterable[SequenceLike],
+        radius: float,
+        executor=None,
+        bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Answer many range queries at once; one result list per query.
+
+        ``bounds`` optionally hands back the table :meth:`bound_table` built
+        for exactly these queries (row ``i`` for query ``i``).
 
         Without an ``executor`` (or with the serial one), execution follows
         the index's serial batch path -- :meth:`range_query` per query by
@@ -447,27 +524,40 @@ class MetricIndex(abc.ABC):
         """
         queries = list(queries)
         if executor is not None and executor.is_parallel:
-            return self.parallel_batch_range_query(queries, radius, executor)
-        return self._serial_batch_range_query(queries, radius)
+            return self.parallel_batch_range_query(queries, radius, executor, bounds)
+        return self._serial_batch_range_query(queries, radius, bounds)
 
     def _serial_batch_range_query(
-        self, queries: List[SequenceLike], radius: float
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Serial batched execution (subclass hook; default per-query)."""
-        return [self.range_query(query, radius) for query in queries]
+        return [
+            self.range_query(query, radius, row)
+            for query, row in zip(queries, _bound_rows(bounds, len(queries)))
+        ]
 
     def parallel_batch_range_query(
-        self, queries: List[SequenceLike], radius: float, executor
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        executor,
+        bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Executor-driven batched execution over :meth:`query_work_units`."""
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
-        units = self.query_work_units(queries, radius)
+        units = self.query_work_units(queries, radius, bounds)
         per_query, _cpu = run_query_work_units(self, units, len(queries), executor)
         return per_query
 
     def query_work_units(
-        self, queries: List[SequenceLike], radius: float
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        bounds: Optional[BoundTable] = None,
     ) -> List[QueryWorkUnit]:
         """Split a batched range query into independent work units.
 
@@ -476,15 +566,17 @@ class MetricIndex(abc.ABC):
         many-segment probes.  Indexes whose probes decompose further
         override this (the linear scan splits every query into one unit
         per same-shape group of stored items, each a single batched kernel
-        sweep that can also ship to a process pool).  Calling this method
-        also performs :meth:`prepare_queries`.
+        sweep that can also ship to a process pool).  Each unit carries its
+        own row of ``bounds``.  Calling this method also performs
+        :meth:`prepare_queries`.
         """
         self.prepare_queries()
         units: List[QueryWorkUnit] = []
+        rows = _bound_rows(bounds, len(queries))
         for position, query in enumerate(queries):
 
-            def search(counting, query=query):
-                matches = self._range_search(query, radius, counting)
+            def search(counting, query=query, row=rows[position]):
+                matches = self._range_search(query, radius, counting, row)
                 return list(enumerate(matches))
 
             units.append(

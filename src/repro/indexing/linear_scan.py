@@ -120,7 +120,7 @@ class LinearScanIndex(MetricIndex):
         return StoreGather(self._packed, keys)
 
     def _range_search(
-        self, query: SequenceLike, radius: float, counting
+        self, query: SequenceLike, radius: float, counting, bounds=None
     ) -> List[RangeMatch]:
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
@@ -132,7 +132,7 @@ class LinearScanIndex(MetricIndex):
         return matches
 
     def _serial_batch_range_query(
-        self, queries: List[SequenceLike], radius: float
+        self, queries: List[SequenceLike], radius: float, bounds=None
     ) -> List[List[RangeMatch]]:
         """One grouped kernel sweep per query instead of per-pair calls.
 
@@ -159,7 +159,7 @@ class LinearScanIndex(MetricIndex):
         return results
 
     def query_work_units(
-        self, queries: List[SequenceLike], radius: float
+        self, queries: List[SequenceLike], radius: float, bounds=None
     ) -> List[QueryWorkUnit]:
         """One work unit per ``(query, shape group)``: a single kernel sweep.
 

@@ -311,7 +311,7 @@ class ReferenceIndex(MetricIndex):
             self.build()
 
     def _range_search(
-        self, query: SequenceLike, radius: float, counting
+        self, query: SequenceLike, radius: float, counting, bounds=None
     ) -> List[RangeMatch]:
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")

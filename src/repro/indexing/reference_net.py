@@ -40,6 +40,15 @@ write touches (never the whole net), and a snapshot restore rebuilds them
 without a single distance computation.  The range query reads nothing else:
 it measures one whole level with one batched kernel call served from the
 packed store, then routes over the rows.
+
+Bound-first routing (``prefilter=True``): before a level's nodes are
+measured, each is classified from one entry of a per-query *bound table* --
+admissible lower bounds ``lb <= d(query, node)`` for every stored window,
+built once per query for all of its segments from the packed store's
+per-window summaries (:meth:`ReferenceNet.bound_table`).  Only nodes whose
+bound does not already exceed the radius reach the cache and the kernel; see
+:meth:`ReferenceNet._range_search` for the three classes and why each is
+safe.
 """
 
 from __future__ import annotations
@@ -47,10 +56,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-from repro.distances.base import Distance, SequenceLike
+import numpy as np
+
+from repro.distances.base import Distance, SequenceLike, as_array
 from repro.distances.cache import DistanceCache
+from repro.distances.lower_bounds import combined_bound_table, has_bound_table
 from repro.exceptions import IndexError_, InvariantViolationError
-from repro.indexing.base import MetricIndex, RangeMatch
+from repro.indexing.base import BoundRow, BoundTable, MetricIndex, RangeMatch
 from repro.indexing.stats import DistanceCounter
 from repro.sequences.packed import PackedWindowStore, StoreGather
 from repro.sequences.sequence import Sequence
@@ -150,6 +162,15 @@ class ReferenceNet(MetricIndex):
         (``None`` = unconstrained; 5 reproduces the paper's DFD-5 / RN-5).
     counter:
         Optional shared distance counter.
+    prefilter:
+        Classify every frontier node from its bound-table entry before the
+        cache and the kernel see it (see :meth:`_range_search`).  Takes
+        effect for the distances whose lower bounds have a table form
+        (:func:`~repro.distances.lower_bounds.has_bound_table`: the discrete
+        Frechet distance today); for any other distance the traversal is the
+        same with the flag on or off.  Off by default, like a bare
+        :class:`~repro.indexing.linear_scan.LinearScanIndex`; the matcher
+        passes :attr:`~repro.core.config.MatcherConfig.prefilter`.
     node_overhead_bytes / link_overhead_bytes:
         Constants used by :meth:`stats` to estimate the index footprint.
         They only matter for the space-overhead figures and have sane
@@ -177,8 +198,12 @@ class ReferenceNet(MetricIndex):
         node_overhead_bytes: int = 112,
         link_overhead_bytes: int = 24,
         cache: Optional[DistanceCache] = None,
+        prefilter: bool = False,
     ) -> None:
+        # The counting wrapper's own per-call prefilter stays off: the net
+        # never asks for a bounded distance, it reads the table itself.
         super().__init__(distance, counter, require_metric=True, cache=cache)
+        self.prefilter = bool(prefilter)
         if eps_prime <= 0:
             raise IndexError_(f"eps_prime must be positive, got {eps_prime}")
         if nummax is not None and nummax < 1:
@@ -388,7 +413,9 @@ class ReferenceNet(MetricIndex):
         """Rebuild the structure from scratch (used when the root is removed)."""
         self._nodes = {}
         self._items = {}
-        self._packed = PackedWindowStore()
+        # Cleared, not replaced: the store's epoch keeps counting, so a
+        # bound table of the old structure can never pass for a current one.
+        self._packed.clear()
         self._root = None
         self._max_level = 1
         for key, item in items:
@@ -398,8 +425,53 @@ class ReferenceNet(MetricIndex):
     # ------------------------------------------------------------------ #
     # Range query (Algorithm 3)
     # ------------------------------------------------------------------ #
+    def bound_table(
+        self, query: SequenceLike, spans: List[Tuple[int, int]]
+    ) -> Optional[BoundTable]:
+        """The ``S x W`` lower-bound table of one query's ``S`` segments.
+
+        Entry ``(s, w)`` equals the linear scan's per-call prefilter bound
+        (:func:`~repro.distances.lower_bounds.combined_batch_bound`) from
+        segment ``query[start_s : start_s + length_s]`` to stored window
+        ``w``, bit for bit, but the whole table is read off the packed
+        store's per-window summaries in a handful of array operations: one
+        block per window shape group, side by side.  A group the distance
+        cannot compare with the query (another element dimensionality)
+        contributes zeros, which settle nothing.  Columns follow the store's
+        rows *now*; the table carries the store's epoch and
+        :meth:`_range_search` refuses it after any write.
+
+        ``None`` when bound-first routing is off, the net is empty, or the
+        distance's bounds have no table form.
+        """
+        if not self.prefilter or self._root is None or not has_bound_table(self.distance):
+            return None
+        array = as_array(query)
+        starts = np.fromiter((start for start, _length in spans), np.intp, len(spans))
+        lengths = np.fromiter((length for _start, length in spans), np.intp, len(spans))
+        column: Dict[_Node, int] = {}
+        blocks: List[np.ndarray] = []
+        for shape in self._packed.group_shapes():
+            keys = self._packed.group_keys(shape)
+            if shape[1] == array.shape[1]:
+                blocks.append(
+                    combined_bound_table(
+                        self.distance, array, starts, lengths, self._packed.group_summary(shape)
+                    )
+                )
+            else:
+                blocks.append(np.zeros((len(spans), len(keys)), dtype=np.float64))
+            for key in keys:
+                column[self._nodes[key]] = len(column)
+        matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        return BoundTable(self._packed.epoch, column, matrix.tolist())
+
     def _range_search(
-        self, query: SequenceLike, radius: float, counting
+        self,
+        query: SequenceLike,
+        radius: float,
+        counting,
+        bounds: Optional[BoundRow] = None,
     ) -> List[RangeMatch]:
         """All items within ``radius`` of ``query``.
 
@@ -422,11 +494,44 @@ class ReferenceNet(MetricIndex):
         earlier store of the same level would have pushed out still
         answers.  The traversal reads the structure only, so concurrent
         work units may run it against their own ``counting`` contexts.
+
+        With ``bounds`` -- this query's row of :meth:`bound_table`, built
+        here when bound-first routing is on and the caller holds none --
+        every collected node ``n`` is first classified from its entry
+        ``lb <= d(query, n)``, before any cache probe or kernel call:
+
+        * ``lb - subtree(n) > radius`` **rejects** ``n`` and its subtree:
+          every descendant ``c`` has ``d(n, c) <= subtree(n)``, so
+          ``d(query, c) >= d(query, n) - d(n, c) >= lb - subtree(n)``.
+        * otherwise ``lb > radius`` **skips** ``n``: it is not an answer, so
+          its distance is never computed, and its children are routed with
+          ``lb`` standing in for the distance on the reject side only --
+          ``d(query, c) >= d(query, n) - link(n, c) >= lb - link(n, c)``, so
+          ``lb - link > radius`` rejects a leaf child and ``lb - reach >
+          radius`` a child's whole subtree; any other child is deferred to
+          its own level and its own entry.  (A leaf is simply dropped.)
+        * ``lb <= radius`` -- or NaN, which compares false against every
+          threshold -- **measures** ``n``: it joins the level's one batch,
+          and its exact distance routes as without a table.
+
+        Nothing is accepted on a bound, so the answers are those of the
+        plain traversal; only ``distance=None``-ness may differ (a skipped
+        parent triangle-accepts nobody, its matching children get measured
+        instead).  Rejected and skipped nodes never reach the cache -- their
+        entry is free to recompute -- and every distance is spent on a pair
+        with ``lb <= radius``, which the linear scan's prefilter would have
+        had to compute as well.  Classified and settled-without-a-distance
+        nodes are tallied through ``counting.record_prefilter``.
         """
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
         if self._root is None:
             return []
+        if bounds is None and self.prefilter:
+            table = self.bound_table(query, [(0, len(as_array(query)))])
+            bounds = None if table is None else table.row(0)
+        if bounds is not None and bounds.epoch != self._packed.epoch:
+            raise IndexError_("bound table predates a write to the index; build a new one")
 
         matches: List[RangeMatch] = []
         decided: set = set()
@@ -440,6 +545,8 @@ class ReferenceNet(MetricIndex):
                 if node not in decided:
                     decided.add(node)
                     frontier.append(node)
+            if bounds is not None and frontier:
+                frontier = self._classify(frontier, bounds, radius, decided, pending, counting)
             if not frontier:
                 continue
             for node, value in zip(frontier, self._measure(query, frontier, counting)):
@@ -474,6 +581,41 @@ class ReferenceNet(MetricIndex):
                     else:
                         pending[child.home_level].append(child)
         return matches
+
+    @staticmethod
+    def _classify(
+        frontier: List[_Node],
+        bounds: BoundRow,
+        radius: float,
+        decided: set,
+        pending: List[List[_Node]],
+        counting,
+    ) -> List[_Node]:
+        """Settle what the bound table can of one level; return the rest.
+
+        The reject / skip / measure rules of :meth:`_range_search`.
+        """
+        column, values = bounds.column, bounds.values
+        survivors: List[_Node] = []
+        for node in frontier:
+            lower = values[column[node]]
+            if not lower > radius:
+                survivors.append(node)
+            elif lower - node.subtree > radius:
+                _settle_subtree(node, decided, None)
+            else:
+                for child, link_distance, reach, leaf in node.rows:
+                    if child in decided:
+                        continue
+                    if lower - reach > radius:
+                        decided.add(child)
+                        _settle_subtree(child, decided, None)
+                    elif leaf and lower - link_distance > radius:
+                        decided.add(child)
+                    else:
+                        pending[child.home_level].append(child)
+        counting.record_prefilter(len(frontier), len(frontier) - len(survivors))
+        return survivors
 
     def _measure(self, query: SequenceLike, frontier: List[_Node], counting) -> List[float]:
         """``d(query, node)`` for one level's nodes, as one batched request.
@@ -519,7 +661,10 @@ class ReferenceNet(MetricIndex):
         return counting.batch(query, items, packed=gather).tolist()
 
     def _serial_batch_range_query(
-        self, queries: List[SequenceLike], radius: float
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Range queries with reference-distance reuse across the batch.
 
@@ -535,13 +680,17 @@ class ReferenceNet(MetricIndex):
         if self._counting.cache is None:
             self._counting.cache = DistanceCache()
             try:
-                return [self.range_query(query, radius) for query in queries]
+                return super()._serial_batch_range_query(queries, radius, bounds)
             finally:
                 self._counting.cache = None
-        return [self.range_query(query, radius) for query in queries]
+        return super()._serial_batch_range_query(queries, radius, bounds)
 
     def parallel_batch_range_query(
-        self, queries: List[SequenceLike], radius: float, executor
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        executor,
+        bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Executor fan-out over per-query traversal units.
 
@@ -552,8 +701,8 @@ class ReferenceNet(MetricIndex):
         silently recomputing every repeated reference distance per unit.
         """
         if self._counting.cache is None:
-            return self._serial_batch_range_query(queries, radius)
-        return super().parallel_batch_range_query(queries, radius, executor)
+            return self._serial_batch_range_query(queries, radius, bounds)
+        return super().parallel_batch_range_query(queries, radius, executor, bounds)
 
     # ------------------------------------------------------------------ #
     # Snapshot support
@@ -594,7 +743,7 @@ class ReferenceNet(MetricIndex):
         # not in the snapshot: it follows from the links, at no distance
         # computation.
         self._nodes = {}
-        self._packed = PackedWindowStore()
+        self._packed.clear()
         nodes = [
             self._new_node(key, item, int(record["home_level"]))
             for (key, item), record in zip(list(self._items.items()), records)

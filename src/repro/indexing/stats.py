@@ -17,6 +17,18 @@ they are O(n) rather than O(nm) and are counted on their own tallies
 (:attr:`DistanceCounter.prefilter_evaluations` /
 :attr:`DistanceCounter.prefilter_pruned`), again keeping the computation
 counts comparable with the paper's definition.
+
+Who consults bounds, and when, differs by index.  The **linear scan**
+consults them per call, *after* the cache (cache -> bound -> DP): a pair is
+``evaluated`` when it missed the cache, ``pruned`` when its bound exceeded
+the cutoff, and a pruned pair is remembered in the cache as
+``distance > cutoff``.  The **reference net** consults its per-query bound
+table *first* (table -> cache -> DP; a table entry is free to recompute, so
+settled pairs are neither probed nor stored): a frontier node is
+``evaluated`` when the traversal classifies it from its table entry, and
+``pruned`` when that settles it without a distance -- rejected with its
+subtree, or skipped and routed by the bound (see
+:meth:`repro.indexing.reference_net.ReferenceNet._range_search`).
 """
 
 from __future__ import annotations
@@ -293,6 +305,15 @@ class CountingDistance:
         if cacheable:
             self.cache.store(first, second, value, cutoff=cutoff)
         return value
+
+    def record_prefilter(self, evaluated: int, pruned: int) -> None:
+        """Tally bounds an index consulted itself (a bound-table traversal).
+
+        Part of the counting protocol, so a traversal reports through
+        whichever context it was handed; here it goes straight to the
+        counter.
+        """
+        self.counter.record_prefilter(evaluated, pruned)
 
     def batch(
         self,

@@ -61,7 +61,7 @@ _ATTACH_CAPACITY = 8
 class _ShapeGroup:
     """One ``(length, dim)`` bucket: member arrays plus a cached stack."""
 
-    __slots__ = ("keys", "arrays", "rows", "tensor", "buffer")
+    __slots__ = ("keys", "arrays", "rows", "tensor", "buffer", "summary")
 
     def __init__(self) -> None:
         self.keys: List[Hashable] = []
@@ -74,6 +74,8 @@ class _ShapeGroup:
         #: the group (an index that measures while it inserts -- the
         #: reference net -- would otherwise restack once per insertion).
         self.buffer: Optional[np.ndarray] = None
+        #: Cached :meth:`PackedWindowStore.group_summary`; any write drops it.
+        self.summary: Optional[Tuple[np.ndarray, ...]] = None
 
 
 class SharedRows:
@@ -315,6 +317,7 @@ class PackedWindowStore:
                 group.buffer = grown
             group.buffer[count] = array
             group.tensor = group.buffer[: count + 1]
+        group.summary = None
         self._shapes[key] = shape
         self._bump_epoch()
 
@@ -330,7 +333,7 @@ class PackedWindowStore:
         del group.arrays[row]
         for later in group.keys[row:]:
             group.rows[later] -= 1
-        group.tensor = group.buffer = None
+        group.tensor = group.buffer = group.summary = None
         if not group.keys:
             del self._groups[shape]
         self._bump_epoch()
@@ -398,6 +401,31 @@ class PackedWindowStore:
         if group.tensor is None:
             group.tensor = group.buffer = np.stack(group.arrays)
         return group.tensor
+
+    def group_summary(self, shape: Shape) -> Tuple[np.ndarray, ...]:
+        """``(first element, last element, box low, box high)`` of every member.
+
+        Four ``(k, dim)`` arrays in tensor-row order: what the lower-bound
+        tables of :mod:`repro.distances.lower_bounds` read instead of the
+        windows themselves.  Derived data with the group tensor's lifecycle:
+        dropped by any write to the group, rebuilt from the tensor on the
+        next request.
+        """
+        group = self._groups[shape]
+        if group.summary is None:
+            tensor = self.group_tensor(shape)
+            group.summary = (
+                tensor[:, 0, :],
+                tensor[:, -1, :],
+                tensor.min(axis=1),
+                tensor.max(axis=1),
+            )
+        return group.summary
+
+    @property
+    def epoch(self) -> int:
+        """Mutation counter: equal epochs mean unchanged keys, rows and summaries."""
+        return self._epoch
 
     def row_of(self, key: Hashable) -> int:
         """Row of ``key`` inside its group's tensor."""

@@ -422,9 +422,25 @@ class TestCompareIndexes:
         )
         captured = capsys.readouterr()
         assert code == 0
-        for label in ("RN", "CT", "MV-5"):
+        for label in ("RN", "RN+LB", "CT", "MV-5", "LS+LB"):
             assert label in captured.out
         assert "% of naive" in captured.out
+
+    def test_bound_first_net_computes_no_more_than_net_or_scan(self, capsys):
+        code = main(
+            ["compare-indexes", "songs", "--windows", "80", "--queries", "4", "--radii", "1", "3"]
+        )
+        assert code == 0
+        # index, radius, distance computations, % of naive, prefilter evals, pruned, ...
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        rows = [row for row in rows if row and row[0] in ("RN", "RN+LB", "LS+LB")]
+        cost = {(row[0], row[1]): float(row[2]) for row in rows}
+        pruned = {(row[0], row[1]): float(row[5]) for row in rows}
+        radii = sorted({radius for _label, radius in cost})
+        assert len(radii) == 2
+        for radius in radii:
+            assert cost["RN+LB", radius] <= min(cost["RN", radius], cost["LS+LB", radius])
+            assert pruned["RN+LB", radius] > 0 == pruned["RN", radius]
 
 
 class TestParser:

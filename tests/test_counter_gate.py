@@ -12,12 +12,18 @@ whose first two sequences are stored twice, so same-content windows meet in
 one level of the net -- where measuring a level in one batch must still count
 "computed once, then cache hits".
 
-A PR that moves a counter on purpose re-records the golden file *and says so*::
+A PR that moves a counter on purpose re-records the golden file *and says so*
+-- only the legs it means to move, so the untouched legs keep proving that
+nothing else did::
 
-    PYTHONPATH=src python tests/test_counter_gate.py
+    PYTHONPATH=src python tests/test_counter_gate.py --diff          # what moved, no write
+    PYTHONPATH=src python tests/test_counter_gate.py songs/reference-net ...   # re-record these
+    PYTHONPATH=src python tests/test_counter_gate.py                 # re-record every leg
 """
 
+import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,10 +117,52 @@ def test_work_counters_with_repeated_windows_match_the_golden_file(dataset):
     assert collect(dataset, "reference-net", repeats=True) == golden
 
 
+def test_the_net_computes_no_more_distances_than_the_prefiltered_scan():
+    """Bound-first routing spends a distance only on a pair whose lower bound
+    is within the radius -- a pair the scan's prefilter computes as well."""
+    net = collect("songs", "reference-net")["cold/range"]
+    scan = collect("songs", "linear-scan")["cold/range"]
+    assert net["matches"] == scan["matches"]
+    assert 0 < net["index_distance_computations"] <= scan["index_distance_computations"]
+
+
+def collect_leg(leg):
+    dataset, index = leg.split("/")
+    return collect(dataset.replace("+repeats", ""), index, repeats=dataset.endswith("+repeats"))
+
+
+def print_diff(golden, legs):
+    """Leg by leg, every counter that differs from the golden file; no write."""
+    moved = 0
+    for leg in legs:
+        current = collect_leg(leg)
+        lines = []
+        for op in sorted(set(current) | set(golden.get(leg, {}))):
+            was, now = golden.get(leg, {}).get(op, {}), current.get(op, {})
+            for counter in sorted(set(was) | set(now)):
+                before, after = was.get(counter), now.get(counter)
+                if before != after:
+                    delta = "" if None in (before, after) else f"  ({after - before:+d})"
+                    lines.append(f"  {op:14s} {counter:36s} {before} -> {after}{delta}")
+        print(f"{leg}: " + (f"{len(lines)} counters differ" if lines else "identical"))
+        print("\n".join(lines), end="\n" if lines else "")
+        moved += len(lines)
+    return moved
+
+
 if __name__ == "__main__":
-    record = {f"{d}/{i}": collect(d, i) for d in sorted(DATASETS) for i in INDEXES}
-    record.update(
-        {f"{d}+repeats/reference-net": collect(d, "reference-net", True) for d in sorted(DATASETS)}
-    )
+    all_legs = [f"{d}/{i}" for d in sorted(DATASETS) for i in INDEXES]
+    all_legs += [f"{d}+repeats/reference-net" for d in sorted(DATASETS)]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("legs", nargs="*", help=f"default: every leg of {', '.join(all_legs)}")
+    parser.add_argument("--diff", action="store_true", help="print what differs; write nothing")
+    arguments = parser.parse_args()
+    legs = arguments.legs or all_legs
+    if set(legs) - set(all_legs):
+        parser.error(f"unknown legs: {sorted(set(legs) - set(all_legs))}")
+    record = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if arguments.diff:
+        sys.exit(1 if print_diff(record, legs) else 0)
+    record.update({leg: collect_leg(leg) for leg in legs})
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(record)} legs to {GOLDEN}")
+    print(f"recorded {len(legs)} of {len(record)} legs to {GOLDEN}")

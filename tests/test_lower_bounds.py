@@ -2,21 +2,40 @@
 
 Every bound in :mod:`repro.distances.lower_bounds` must never exceed the
 exact distance it applies to -- that is what makes prefilter pruning safe --
-and the batched form must agree with the scalar form.
+and the batched form must agree with the scalar form.  The table form (every
+segment of a query against every stored window, read off the packed store's
+summaries) must equal the batched form bit for bit, whatever the store has
+been through.
 """
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import DTW, EDR, ERP, DiscreteFrechet, Euclidean, Hamming, Levenshtein
+from repro import (
+    DTW,
+    EDR,
+    ERP,
+    DiscreteFrechet,
+    Euclidean,
+    Hamming,
+    Levenshtein,
+    ReferenceNet,
+    Sequence,
+    SequenceKind,
+)
 from repro.distances import (
     WeightedLevenshtein,
     bounds_for,
     combined_batch_bound,
     combined_bound,
+    has_bound_table,
     registered_lower_bounds,
 )
 from repro.distances.base import ElementMetric, as_array
+from repro.distances.lower_bounds import _sliding_max
 
 RNG = np.random.default_rng(99)
 
@@ -179,3 +198,153 @@ class TestNoBoundsCases:
         items = np.stack([RNG.normal(size=(8, 1)) for _ in range(4)])
         values = combined_batch_bound(Hamming(), as_array(RNG.normal(size=8)), items)
         assert np.all(values == 0.0)
+
+
+# --------------------------------------------------------------------- #
+# The table form: one S x W matrix per query, from per-window summaries
+# --------------------------------------------------------------------- #
+#: Elements mostly on a coarse grid, so equal windows, equal bounds and
+#: bounds that sit exactly on a box edge are the rule rather than the
+#: exception -- with arbitrary floats mixed in, so that square roots round.
+grid = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(lambda step: step / 4.0),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@st.composite
+def table_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    half = draw(st.integers(min_value=2, max_value=4))  # lambda / 2
+    shift = draw(st.integers(min_value=0, max_value=min(2, half - 1)))  # lambda0
+
+    def windows(length, **sizes):
+        element = st.lists(grid, min_size=dim, max_size=dim)
+        return st.lists(st.lists(element, min_size=length, max_size=length), **sizes)
+
+    # Two window lengths -> two shape groups; a small pool picked with
+    # repetition -> planted duplicate windows.
+    pool = draw(windows(half, min_size=1, max_size=5)) + draw(windows(half + 1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=14))
+    writes = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.integers(0, len(pool) - 1)),
+                st.tuples(st.just("remove"), st.integers(0, 10**6)),
+                st.tuples(st.just("remove-extreme"), st.just(0)),
+            ),
+            max_size=8,
+        )
+    )
+    length = draw(st.integers(min_value=half + shift, max_value=half + shift + 5))
+    query = draw(windows(length, min_size=1, max_size=1))[0]
+    return {
+        "metric": draw(st.sampled_from(["euclidean", "manhattan"])),
+        "kind": SequenceKind.TIME_SERIES if dim == 1 else SequenceKind.TRAJECTORY,
+        "pool": pool,
+        "picks": picks,
+        "writes": writes,
+        "query": query,
+        "spans": [
+            (start, span)
+            for span in range(half - shift, half + shift + 1)
+            for start in range(length - span + 1)
+        ],
+    }
+
+
+def as_sequence(content, kind):
+    values = np.asarray(content, dtype=float)
+    return Sequence(values[:, 0] if kind is SequenceKind.TIME_SERIES else values, kind)
+
+
+def check_table(net, query, spans):
+    """``net.bound_table`` against the per-call bounds and the exact distance.
+
+    Returns the table as one ``{window key: bound}`` dict per segment.
+    """
+    table = net.bound_table(query, spans)
+    assert len(table) == len(spans) and len(table.column) == len(net)
+    assert table.epoch == net._packed.epoch
+    array = as_array(query)
+    for row, (start, span) in zip(table.rows, spans):
+        segment = array[start : start + span]
+        for key, item in net.items():
+            entry = row[table.column[net._nodes[key]]]
+            window = as_array(item)
+            assert entry == combined_batch_bound(net.distance, segment, window[None])[0]
+            assert entry <= net.distance(segment, window) + 1e-9
+    return [{node.key: row[column] for node, column in table.column.items()} for row in table.rows]
+
+
+class TestBoundTable:
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases())
+    def test_table_equals_per_call_bounds_through_writes_and_restore(self, case):
+        kind = case["kind"]
+        distance = DiscreteFrechet(element_metric=ElementMetric(case["metric"]))
+        net = ReferenceNet(distance, prefilter=True)
+        for key, pick in enumerate(case["picks"]):
+            net.insert(as_sequence(case["pool"][pick], kind), key=key)
+        query = as_sequence(case["query"], kind)
+        check_table(net, query, case["spans"])
+
+        # Writes drop the summaries and shift the rows; a table built
+        # afterwards must follow.  "remove-extreme" takes out the window
+        # holding the store's largest element -- the one an aggregated
+        # (store-level) box would have been defined by.
+        next_key = len(case["picks"])
+        for kind_of_write, argument in case["writes"]:
+            if kind_of_write == "add":
+                net.insert(as_sequence(case["pool"][argument], kind), key=next_key)
+                next_key += 1
+            elif len(net) > 1:
+                keys = net.keys()
+                if kind_of_write == "remove-extreme":
+                    victim = max(keys, key=lambda key: as_array(net.get(key)).max())
+                else:
+                    victim = keys[argument % len(keys)]
+                net.delete(victim)
+            check_table(net, query, case["spans"])
+
+        before = check_table(net, query, case["spans"])
+        state = json.loads(json.dumps(net.export_structure()))
+        restored = ReferenceNet(distance, prefilter=True)
+        restored.restore_structure(state, dict(net.items()))
+        after = check_table(restored, query, case["spans"])
+        assert restored.counter.total == 0 and restored.counter.cache_hits == 0
+        assert after == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.lists(grid, min_size=2, max_size=2), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_sliding_max_is_the_windowed_maximum(self, rows, data):
+        matrix = np.asarray(rows)
+        length = data.draw(st.integers(min_value=1, max_value=len(rows)))
+        expected = np.stack(
+            [matrix[i : i + length].max(axis=0) for i in range(len(rows) - length + 1)]
+        )
+        assert np.array_equal(_sliding_max(matrix, length), expected)
+
+    def test_a_group_of_another_dimensionality_bounds_nothing(self):
+        net = ReferenceNet(DiscreteFrechet(), prefilter=True)
+        net.add(as_sequence([[0.0], [1.0], [2.0]], SequenceKind.TIME_SERIES), key="series")
+        trajectory = as_sequence([[5.0, 5.0], [6.0, 6.0]], SequenceKind.TRAJECTORY)
+        table = net.bound_table(trajectory, [(0, 2)])
+        assert table.rows == [[0.0]]
+
+    def test_which_distances_have_a_table(self):
+        assert has_bound_table(DiscreteFrechet())
+        assert has_bound_table(DiscreteFrechet(element_metric=ElementMetric("manhattan")))
+        # Sum-aggregated bounds have no table form yet; no bounds, no table.
+        for distance in (DTW(), ERP(), Levenshtein(), Euclidean(), Hamming()):
+            assert not has_bound_table(distance)
+        for distance in (ERP(), Levenshtein()):
+            net = ReferenceNet(distance, prefilter=True)
+            net.add(RNG.integers(0, 3, size=5).astype(float), key=0)
+            assert net.bound_table(RNG.integers(0, 3, size=5).astype(float), [(0, 5)]) is None
+        off = ReferenceNet(DiscreteFrechet())
+        off.add(RNG.normal(size=5), key=0)
+        assert off.bound_table(RNG.normal(size=5), [(0, 5)]) is None

@@ -242,6 +242,40 @@ class TestPipelineMatchesLegacyOrchestration:
         assert with_pf.last_query_stats.prefilter_evaluations > 0
         assert without_pf.last_query_stats.prefilter_evaluations == 0
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_prefilter_on_the_reference_net(self, planted, executor):
+        # ``MatcherConfig.prefilter`` reaches the paper's index too: same
+        # answers, a distance only where the scan's prefilter computes one.
+        db, query = planted
+        stats = {}
+        answers = {}
+        for index, prefilter in (
+            ("reference-net", True),
+            ("reference-net", False),
+            ("linear-scan", True),
+        ):
+            config = MatcherConfig(
+                min_length=12, max_shift=1, index=index, prefilter=prefilter, executor=executor
+            )
+            matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
+            try:
+                result = matcher.execute(RangeQuery(radius=0.5).bind(query))
+            finally:
+                matcher.close()
+            answers[index, prefilter] = sorted(map(_full_match_key, result.matches))
+            stats[index, prefilter] = result.stats
+        assert len(set(map(tuple, answers.values()))) == 1 and answers["reference-net", True]
+        bounded, plain = stats["reference-net", True], stats["reference-net", False]
+        scan = stats["linear-scan", True]
+        assert plain.prefilter_evaluations == 0
+        assert bounded.prefilter_pruned > 0
+        assert (
+            bounded.index_distance_computations
+            <= bounded.prefilter_evaluations - bounded.prefilter_pruned
+            <= scan.index_distance_computations
+            < plain.index_distance_computations
+        )
+
 
 class TestQueryStatsPipeline:
     def test_stage_timings_recorded(self, planted):
@@ -283,6 +317,38 @@ class TestQueryStatsPipeline:
         first = pipeline.segments_for(query)
         second = pipeline.segments_for(query)
         assert first is second
+
+    def test_bound_table_built_once_per_sweep_and_dropped_by_writes(self, planted, monkeypatch):
+        db, query = planted
+        database = SequenceDatabase(db.kind)
+        for seq_id in db.ids():
+            database.add(db[seq_id], seq_id=seq_id)
+        matcher = SubsequenceMatcher(
+            database, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
+        )
+        built = []
+        build = matcher.index.bound_table
+        monkeypatch.setattr(
+            matcher.index, "bound_table", lambda *args: built.append(args) or build(*args)
+        )
+        spec = NearestSubsequenceQuery(max_radius=10.0).bind(query)
+        swept = matcher.execute(spec)
+        assert len(swept.stats.passes) > 1 and len(built) == 1
+        assert matcher.pipeline.bound_table_for(query) is not None
+        assert len(built) == 1
+
+        # A write drops the table with the rows it was aligned to; the next
+        # query builds one over the new windows and answers like a rebuild.
+        added = matcher.add_sequence(Sequence.from_values(query.values + 0.01), seq_id="near")
+        after_add = matcher.execute(spec)
+        assert len(built) == 2 and after_add.matches[0].source_id == added
+        matcher.remove_sequence(added)
+        after_remove = matcher.execute(spec)
+        assert len(built) == 3
+        assert list(map(_full_match_key, after_remove.matches)) == list(
+            map(_full_match_key, swept.matches)
+        )
+        matcher.check_incremental_invariants([query], RangeQuery(radius=0.5))
 
 
 class TestBatchQueryAndSharedCache:

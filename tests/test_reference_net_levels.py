@@ -12,6 +12,12 @@ under the serial and the thread executor.
 The distance is the discrete Fréchet distance, whose batched kernel is
 bit-identical to its single call (``tests/test_batch_distances.py`` pins
 that), so cache *values* can be compared exactly too.
+
+Bound-first routing (``prefilter=True``) is held to the same oracle, by a
+weaker statement -- it computes fewer distances, so fewer matches come back
+with one: the same match *keys*, every reported distance exact, no distance
+spent on a window whose lower bound already exceeds the radius, and all of
+it identical under every executor.
 """
 
 import json
@@ -23,7 +29,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro import DiscreteFrechet, ReferenceNet, Sequence, SequenceKind
 from repro.core.executor import make_executor
 from repro.distances.cache import DistanceCache
-from repro.exceptions import InvariantViolationError
+from repro.distances.lower_bounds import combined_bound
+from repro.exceptions import IndexError_, InvariantViolationError
 from repro.indexing.base import RangeMatch
 from repro.indexing.stats import CountingDistance, DistanceCounter
 
@@ -130,9 +137,15 @@ REPEATS_IN_ONE_LEVEL = {
 }
 
 
-def build_net(case, cache):
+def build_net(case, cache, prefilter=False):
     """Build the case's net through its writes; check the layout after each."""
-    net = ReferenceNet(DISTANCE, eps_prime=case["eps_prime"], nummax=case["nummax"], cache=cache)
+    net = ReferenceNet(
+        DISTANCE,
+        eps_prime=case["eps_prime"],
+        nummax=case["nummax"],
+        cache=cache,
+        prefilter=prefilter,
+    )
     next_key = 0
     pool = case["pool"]
     for pick in case["picks"]:
@@ -148,7 +161,11 @@ def build_net(case, cache):
     if case["round_trip"]:
         state = json.loads(json.dumps(net.export_structure()))
         restored = ReferenceNet(
-            DISTANCE, eps_prime=case["eps_prime"], nummax=case["nummax"], cache=cache
+            DISTANCE,
+            eps_prime=case["eps_prime"],
+            nummax=case["nummax"],
+            cache=cache,
+            prefilter=prefilter,
         )
         restored.restore_structure(state, dict(net.items()))
         assert restored.counter.total == 0 and restored.counter.cache_hits == 0
@@ -217,6 +234,136 @@ def test_level_synchronous_equals_per_pair_thread_executor(case, cached):
         assert net.cache.hits - before[2] == oracle_cache.hits
         assert net.cache.misses - before[3] == oracle_cache.misses
         assert list(net.cache.iter_entries()) == list(oracle_cache.iter_entries())
+
+
+# --------------------------------------------------------------------- #
+# Bound-first routing: same answers, distances only where the bound allows
+# --------------------------------------------------------------------- #
+def prefilter_tallies(counter):
+    return (counter.prefilter_evaluations, counter.prefilter_pruned)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=net_cases, cached=st.booleans())
+@example(case=REPEATS_IN_ONE_LEVEL, cached=True)
+def test_bound_first_answers_equal_per_pair_answers(case, cached):
+    net = build_net(case, cache=None, prefilter=True)
+    bounded = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache() if cached else None)
+    per_pair = CountingDistance(DISTANCE, DistanceCounter(), None)
+    radius = case["radius"]
+    for content in case["queries"]:
+        query = window(content)
+        requested = bounded.counter.total + bounded.counter.cache_hits
+        classified = prefilter_tallies(bounded.counter)
+        found = net._range_search(query, radius, bounded)
+        expected = reference_range_search(net, query, radius, per_pair)
+        assert sorted(match.key for match in found) == sorted(match.key for match in expected)
+        assert len({match.key for match in found}) == len(found)
+        for match in found:
+            assert match.distance is None or match.distance == DISTANCE(query, match.item)
+        # By construction: a distance is requested only for a window whose
+        # bound is within the radius -- the pairs the scan's prefilter keeps.
+        requested = bounded.counter.total + bounded.counter.cache_hits - requested
+        within = sum(combined_bound(DISTANCE, query, item) <= radius for _key, item in net.items())
+        assert requested <= within
+        evaluated, pruned = np.subtract(prefilter_tallies(bounded.counter), classified)
+        assert evaluated - pruned == requested and evaluated <= len(net)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=net_cases, cached=st.booleans())
+@example(case=REPEATS_IN_ONE_LEVEL, cached=True)
+def test_bound_first_is_identical_under_every_executor(case, cached):
+    # One query whose segments are the case's queries, so one table serves
+    # the batch, as the pipeline's does.
+    joined = window([value for content in case["queries"] for value in content])
+    spans, start = [], 0
+    for content in case["queries"]:
+        spans.append((start, len(content)))
+        start += len(content)
+    segments = [joined.subsequence(start, start + length) for start, length in spans]
+
+    def run(executor):
+        net = build_net(case, cache=DistanceCache() if cached else None, prefilter=True)
+        table = net.bound_table(joined, spans)
+        found = net.batch_range_query(segments, case["radius"], executor=executor, bounds=table)
+        # The same again without handing the table in: built per query.
+        assert [outcome(matches) for matches in found] == [
+            outcome(net.range_query(segment, case["radius"])) for segment in segments
+        ]
+        return (
+            [outcome(matches) for matches in found],
+            tallies(net._counting),
+            prefilter_tallies(net.counter),
+        )
+
+    serial = run(None)
+    assert run(make_executor("thread", 3)) == serial
+    assert run(make_executor("process", 2)) == serial
+    plain = build_net(case, cache=None)
+    for found, segment in zip(serial[0], segments):
+        expected = reference_range_search(
+            plain, segment, case["radius"], CountingDistance(DISTANCE, DistanceCounter(), None)
+        )
+        assert sorted(key for key, _distance in found) == sorted(m.key for m in expected)
+
+
+@pytest.mark.parametrize("eps_prime, nummax", [(1.0, None), (0.5, 2), (1.7, 5)])
+def test_bound_first_finds_every_brute_force_answer_in_a_deep_net(eps_prime, nummax):
+    # Nets deep enough (6-7 levels) that a skipped node's descendants are
+    # several levels away: dropping a non-leaf child on its link bound alone
+    # would lose them, which the small random nets above rarely show.
+    generator = np.random.default_rng(5)
+    net = ReferenceNet(DISTANCE, eps_prime=eps_prime, nummax=nummax, prefilter=True)
+    for key in range(200):
+        centre, spread = generator.integers(0, 6) * 10.0, generator.choice([0.3, 1.0, 3.0])
+        net.add(window(centre + generator.normal(size=4) * spread), key=key)
+    assert net.max_level >= 5
+    for _ in range(40):
+        query = window(generator.integers(0, 6) * 10.0 + generator.normal(size=4) * 2.0)
+        for radius in (0.5, 1.5, 3.0, 6.0, 12.0):
+            before = net.counter.total
+            found = sorted(match.key for match in net.range_query(query, radius))
+            exact = {key: DISTANCE(query, item) for key, item in net.items()}
+            assert found == sorted(key for key, value in exact.items() if value <= radius)
+            within = sum(combined_bound(DISTANCE, query, item) <= radius for _k, item in net.items())
+            assert net.counter.total - before <= within
+
+
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_nan_in_the_query_falls_through_to_the_distance(position):
+    # A NaN table entry compares false against every threshold, so the node
+    # is measured and routed exactly as without a table.
+    net, generator = clustered_net(60)
+    content = 10.0 + generator.normal(size=4)
+    content[position] = np.nan
+    query = window(content)
+    bounded = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache())
+    plain = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache())
+    net.prefilter = True
+    assert np.isnan(net.bound_table(query, [(0, 4)]).rows[0]).all()
+    found = net._range_search(query, 3.0, bounded)
+    net.prefilter = False
+    expected = net._range_search(query, 3.0, plain)
+    assert repr(outcome(found)) == repr(outcome(expected))
+    assert repr(tallies(bounded)) == repr(tallies(plain))
+    assert prefilter_tallies(bounded.counter) == (bounded.counter.total, 0)
+
+
+def test_a_stale_bound_table_is_refused():
+    net, generator = clustered_net(30)
+    net.prefilter = True
+    query = window(generator.normal(size=4))
+    table = net.bound_table(query, [(0, 4)])
+    net.range_query(query, 2.0, table.row(0))
+    net.insert(window(generator.normal(size=4)), key="new")
+    with pytest.raises(IndexError_, match="bound table"):
+        net.range_query(query, 2.0, table.row(0))
+    net.delete(net.root_key)  # rebuilds; the epoch must keep counting
+    with pytest.raises(IndexError_, match="bound table"):
+        net.batch_range_query([query], 2.0, bounds=table)
+    with pytest.raises(IndexError_, match="rows"):
+        net.batch_range_query([query, query], 2.0, bounds=net.bound_table(query, [(0, 4)]))
 
 
 # --------------------------------------------------------------------- #
