@@ -56,8 +56,9 @@ def format_query_stats(stats: "QueryStats", title: Optional[str] = None) -> str:
     count, shard fan-out), and the pipeline's per-stage wall-clock and CPU
     timings -- for parallel runs the CPU sum shows the work that several
     workers burned simultaneously, which wall-clock alone would hide.
-    Queries that ran several step-3/4/5 passes (Type III) add a per-pass
-    summary line.
+    Queries that ran several step-3/4/5 passes (Type III) add per-pass
+    summary lines: the segment matches of each pass and how many of its
+    segments the sweep's probe table answered instead of the index.
     """
     rows: List[List[object]] = [
         ["executor", f"{stats.executor} ({stats.workers} workers)"],
@@ -89,6 +90,9 @@ def format_query_stats(stats: "QueryStats", title: Optional[str] = None) -> str:
         rows.append(["passes (radius sweep)", len(stats.passes)])
         per_pass = ", ".join(str(p.segment_matches) for p in stats.passes)
         rows.append(["segment matches per pass", per_pass])
+        rows.append(["segments answered from the sweep table", stats.table_segments])
+        per_pass = ", ".join(str(p.table_segments) for p in stats.passes)
+        rows.append(["table-answered segments per pass", per_pass])
     return format_table(["quantity", "value"], rows, title=title)
 
 

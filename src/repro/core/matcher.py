@@ -24,16 +24,17 @@ Typical use::
 
 The online steps (3-5) are executed by the staged
 :class:`~repro.core.pipeline.QueryPipeline`; the matcher owns the offline
-steps (1-2), the Type III / top-k radius-sweep orchestration
-(:meth:`SubsequenceMatcher._radius_sweep`), and the multi-query
-:meth:`execute_many` entry point.
+steps (1-2); the Type III / top-k radius sweep and the multi-query
+:meth:`execute_many` entry point come from
+:class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the sharded
+matcher.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import singledispatchmethod
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.candidates import chain_segment_matches
 from repro.core.config import MatcherConfig
@@ -47,7 +48,6 @@ from repro.core.queries import (
     RangeQuery,
     SegmentMatch,
     SubsequenceMatch,
-    TopKCandidates,
     TopKQuery,
 )
 from repro.core.query_api import QueryInterfaceMixin, QuerySpec
@@ -132,10 +132,12 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         The :class:`~repro.distances.cache.DistanceCache` shared between
         the index and the verification step.  Every (segment, window) and
         (query subsequence, database subsequence) distance is computed at
-        most once per matcher lifetime; Type III's growing-radius
-        re-queries and repeated chain verifications are answered from the
-        cache, which is what keeps the index's *fresh* computation count
-        below the naive scan's even across the whole radius sweep.
+        most once per matcher lifetime: repeated chain verifications and
+        the *next* query over the same content are answered from the cache
+        (within one Type III radius sweep the later passes do not even ask
+        -- see :meth:`~repro.core.pipeline.QueryPipeline.sweep`), which is
+        what keeps the index's *fresh* computation count below the naive
+        scan's even across the whole radius sweep.
     pipeline:
         The :class:`~repro.core.pipeline.QueryPipeline` executing steps 3-5.
     """
@@ -447,71 +449,25 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         matches, stats = self._radius_sweep(spec, k=spec.k)
         return QueryResult.build(spec, matches, stats)
 
-    def _radius_sweep(
-        self, spec: Union[NearestSubsequenceQuery, TopKQuery], k: int
+    # The sweep itself is :meth:`QueryInterfaceMixin._radius_sweep`; a plain
+    # matcher's pass is one pipeline call.
+    def _sweep_pipelines(self) -> List[QueryPipeline]:
+        return [self.pipeline]
+
+    def _probe_all(self, query: Sequence, radius: float) -> Tuple[bool, QueryStats]:
+        probe = self.pipeline.probe(query, radius)
+        return bool(probe.matches), probe.stats
+
+    def _scored_pass_all(
+        self, query: Sequence, radius: float
     ) -> Tuple[List[SubsequenceMatch], QueryStats]:
-        """The Type III / top-k radius sweep over a k-bounded candidate heap.
+        return self.pipeline.run_scored_pass(query, radius)
 
-        As the paper describes for Type III: binary-search the smallest
-        radius at which step 4 produces at least one segment match, then
-        verify at that radius and enlarge it by ``radius_increment`` until
-        enough pairs verify.  Every verified (locally-maximal) match of
-        every pass feeds a :class:`~repro.core.queries.TopKCandidates` heap
-        bounded to ``k``; the sweep stops as soon as the heap is full, so
-        ``k=1`` performs *exactly* the passes the classic nearest query
-        performs -- same radii, same distance work, same statistics.
-        :attr:`last_query_stats` aggregates the whole sweep (work counters
-        summed, shape counters from the final pass) and keeps the per-pass
-        history in :attr:`~repro.core.queries.QueryStats.passes`.
-        """
-        query = spec.bound_query()
-        if not self._windows:
-            self.last_query_stats = QueryStats()
-            return [], self.last_query_stats
+    def _finish_sweep(self, stats: QueryStats) -> QueryStats:
+        self.last_query_stats = stats
+        return stats
 
-        pipeline = self.pipeline
-        passes: List[QueryStats] = []
-
-        # Binary search for the minimal radius producing segment matches.
-        # Its step-3/4 work is part of answering the query, so every pass is
-        # recorded; thanks to the distance cache the probes after the first
-        # one mostly re-use already-measured pairs.
-        low, high = 0.0, spec.max_radius
-        probe = pipeline.probe(query, high)
-        passes.append(probe.stats)
-        if not probe.matches:
-            self.last_query_stats = QueryStats.merged(passes)
-            raise QueryError(
-                f"no segment matches even at max_radius={spec.max_radius}; "
-                "increase max_radius"
-            )
-        while high - low > spec.tolerance:
-            mid = (low + high) / 2.0
-            probe = pipeline.probe(query, mid)
-            passes.append(probe.stats)
-            if probe.matches:
-                high = mid
-            else:
-                low = mid
-
-        increment = spec.radius_increment
-        if increment is None:
-            increment = max(spec.tolerance, 0.05 * spec.max_radius)
-
-        candidates = TopKCandidates(k)
-        radius = high
-        while radius <= spec.max_radius + 1e-12:
-            matches, stats = pipeline.run_scored_pass(query, radius)
-            passes.append(stats)
-            for match in matches:
-                candidates.add(match)
-            if candidates.full:
-                break
-            radius += increment
-        self.last_query_stats = QueryStats.merged(passes)
-        return candidates.ranked(), self.last_query_stats
-
-    # ``execute_many`` and the legacy per-sequence wrappers
+    # ``_radius_sweep``, ``execute_many`` and the legacy per-sequence wrappers
     # (``range_search`` / ``longest_similar`` / ``nearest_subsequence`` /
     # ``topk_subsequences`` / ``batch_query``) come from
     # :class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the

@@ -8,22 +8,27 @@ each of the matcher's query methods as a per-segment Python loop.
 decomposed into the same named stages
 
 ``segment``
-    extract the query segments (step 3), memoized per query object so a
-    Type III radius sweep extracts them once;
+    extract the query segments (step 3), kept on the per-query
+    :class:`QueryScratch` so a Type III radius sweep extracts them once;
 ``prefilter``
     cheap lower bounds in front of the DP kernels (see
     :mod:`repro.distances.lower_bounds`), accounted through the
     :class:`~repro.indexing.stats.DistanceCounter` prefilter tallies.  The
     linear scan evaluates them inside the batched probe's kernel dispatch,
     pair by pair after the cache; the reference net gets one table for all
-    the segments of the query (:meth:`QueryPipeline.bound_table_for`, memoized
-    like the segments, so a radius sweep builds it once) and classifies its
-    nodes from it before cache and kernel;
+    the segments of the query (:meth:`QueryScratch.bounds`, kept on the
+    scratch like the segments, so a radius sweep builds it once) and
+    classifies its nodes from it before cache and kernel;
 ``probe``
-    the step-4 range search over every segment.  Under the serial executor
-    this is one :meth:`~repro.indexing.base.MetricIndex.batch_range_query`
-    call; under a parallel executor the index splits the batch into
-    independent work units
+    the step-4 range search over every segment.  Inside a radius sweep
+    (:meth:`QueryPipeline.sweep`) the widest probe run so far is kept as a
+    :class:`ProbeTable`, and a later probe of the sweep at a radius it covers
+    answers every fully measured segment with one ``distance <= radius``
+    filter over it; only the remaining segments reach the index.  Under the
+    serial executor the index part is one
+    :meth:`~repro.indexing.base.MetricIndex.batch_range_query` call; under
+    a parallel executor the index splits the batch into independent work
+    units
     (:meth:`~repro.indexing.base.MetricIndex.query_work_units` -- per
     segment for the tree indexes, per segment x shape group for the linear
     scan) which fan out over the configured
@@ -58,8 +63,11 @@ orchestration again.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.candidates import CandidateChain, chain_segment_matches
 from repro.core.config import MatcherConfig
@@ -98,16 +106,131 @@ class ProbeResult:
     stats: QueryStats
 
 
+class ProbeTable:
+    """The widest probe of one radius sweep, as flat arrays.
+
+    Row ``i`` says "``windows[i]`` is within ``distance[i]`` of the segment
+    at position ``segment[i]``", rows in the canonical (segment, window
+    insertion) order :meth:`QueryPipeline._probe` produces.  A hit the index
+    proved by the triangle inequality without measuring it
+    (``RangeMatch.distance is None``) says nothing about a smaller radius, so
+    its whole segment is *incomplete* -- it keeps going to the index, exactly
+    as without a table -- and its rows read NaN.  Every other segment is
+    complete: a range search is monotone in the radius, so its hits at any
+    ``r <= radius`` are exactly its rows with ``distance <= r`` and no index
+    work could learn more.
+    """
+
+    __slots__ = ("radius", "segment", "windows", "distance", "incomplete")
+
+    def __init__(self) -> None:
+        #: Radius of the recorded probe; ``-inf`` (covers nothing, so no other
+        #: field is read) until :meth:`record` fills the table.
+        self.radius = float("-inf")
+
+    def covers(self, radius: float) -> bool:
+        """Whether a probe at ``radius`` is a sub-probe of the recorded one.
+
+        False for NaN and for a negative radius, which must reach the index
+        (and its error) untouched.
+        """
+        return 0 <= radius <= self.radius
+
+    def record(self, radius: float, counts: List[int], matches: List[SegmentMatch]) -> None:
+        """Replace the table by a probe that asked the index about every segment.
+
+        ``counts[p]`` is the number of ``matches`` that belong to segment ``p``.
+        """
+        self.radius = radius
+        self.segment = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        self.windows = [match.window for match in matches]
+        # float64 conversion turns an unmeasured hit's ``None`` into NaN.
+        self.distance = np.array([match.distance for match in matches], dtype=np.float64)
+        self.incomplete = np.unique(self.segment[np.isnan(self.distance)])
+        if len(self.incomplete):
+            self.distance[np.isin(self.segment, self.incomplete)] = np.nan
+
+    def rows_within(self, radius: float) -> np.ndarray:
+        """Rows of complete segments within ``radius``, in canonical order."""
+        return np.flatnonzero(self.distance <= radius)
+
+    def matches(self, segments: List[Window], rows: np.ndarray) -> List[SegmentMatch]:
+        """``rows`` as the segment matches the index would have returned."""
+        windows = self.windows
+        found = []
+        for row, position, distance in zip(
+            rows.tolist(), self.segment[rows].tolist(), self.distance[rows].tolist()
+        ):
+            segment = segments[position]
+            found.append(SegmentMatch(segment.start, segment.length, windows[row], distance))
+        return found
+
+
+_UNBUILT = object()
+
+
+class QueryScratch:
+    """Everything the pipeline derives from one query object and the index.
+
+    One home, one lifetime: the pipeline keeps the scratch of the most recent
+    query *object* (:meth:`QueryPipeline.scratch_for`) and drops it on any
+    index write, so nothing here can outlive the windows it was derived
+    from.  It holds the extracted segments, the index's bound table for them
+    (built on first use), the subsequences verification has cut so far, and
+    -- only inside :meth:`QueryPipeline.sweep` -- the sweep's
+    :class:`ProbeTable`.
+    """
+
+    __slots__ = ("query", "segments", "table", "_index", "_bounds", "_spans")
+
+    def __init__(self, query: Sequence, segments: List[Window], index: MetricIndex) -> None:
+        self.query = query
+        self.segments = segments
+        #: The running radius sweep's probe table; ``None`` outside a sweep.
+        self.table: Optional[ProbeTable] = None
+        self._index = index
+        self._bounds: object = _UNBUILT
+        self._spans: Dict[tuple, Sequence] = {}
+
+    def bounds(self) -> Optional[BoundTable]:
+        """The index's bound table for the segments (``None``: it consults none).
+
+        A table is a function of (query, stored windows) alone, so it serves
+        every pass of a radius sweep.
+        """
+        if self._bounds is _UNBUILT:
+            self._bounds = self._index.bound_table(
+                self.query, [(segment.start, segment.length) for segment in self.segments]
+            )
+        return self._bounds
+
+    def span(self, owner: Optional[str], sequence: Sequence, start: int, stop: int) -> Sequence:
+        """``sequence[start:stop]``, cut once per ``(owner, start, stop)``.
+
+        ``owner`` is the database id of ``sequence``, or ``None`` for the
+        query.  Verification requests the same few spans over and over (every
+        pass of a sweep re-verifies the same chains); each costs a dtype
+        check and a content hash to build.  Thread-executor verification
+        units share the memo as is -- a lost race only cuts a span twice.
+        """
+        key = (owner, start, stop)
+        found = self._spans.get(key)
+        if found is None:
+            found = self._spans[key] = sequence.subsequence(start, stop)
+        return found
+
+
 class QueryPipeline:
     """Executes the framework's online steps as explicit, accounted stages.
 
-    The pipeline is stateless between queries apart from two one-slot memos:
-    the most recent query object's extracted segments, and the index's bound
-    table for them (dropped by any index write), are kept so that repeated
-    passes over the same query (Type III's binary search and radius sweep)
-    neither re-extract nor re-bound.  All distance-level sharing goes through the
-    matcher's :class:`~repro.distances.cache.DistanceCache`, which the
-    pipeline only observes through the index counter.
+    The pipeline is stateless between queries apart from one
+    :class:`QueryScratch`: what it derived from the most recent query object
+    is kept so that repeated passes over the same query (Type III's binary
+    search and radius sweep) neither re-extract, re-bound nor re-cut, and --
+    inside :meth:`sweep` -- do not ask the index what an earlier, wider pass
+    already answered.  All distance-level sharing *between* queries goes
+    through the matcher's :class:`~repro.distances.cache.DistanceCache`,
+    which the pipeline only observes through the index counter.
 
     The execution substrate is owned here: the pipeline builds (or is
     handed) an :class:`~repro.core.executor.Executor` from the matcher
@@ -135,8 +258,7 @@ class QueryPipeline:
             if executor is not None
             else make_executor(config.executor, config.workers)
         )
-        self._segment_memo: Optional[Tuple[Sequence, List[Window]]] = None
-        self._bound_memo: Optional[Tuple[Sequence, Optional[BoundTable]]] = None
+        self._scratch: Optional[QueryScratch] = None
         # Monotonic insertion stamps backing the canonical probe order.
         # Maintained incrementally through note_window_added/removed so the
         # hot path never pays an O(windows) rebuild; relative order is all
@@ -148,12 +270,12 @@ class QueryPipeline:
         """Record a window appended by the matcher's incremental update path."""
         self._window_order[key] = self._next_window_stamp
         self._next_window_stamp += 1
-        self._bound_memo = None
+        self._scratch = None
 
     def note_window_removed(self, key) -> None:
         """Forget a window deleted by the matcher's incremental update path."""
         del self._window_order[key]
-        self._bound_memo = None
+        self._scratch = None
 
     @property
     def window_count(self) -> int:
@@ -175,32 +297,38 @@ class QueryPipeline:
         )
 
     # ------------------------------------------------------------------ #
-    # Stage: segment (step 3)
+    # Stage: segment (step 3) -- and the rest of the per-query scratch
     # ------------------------------------------------------------------ #
-    def segments_for(self, query: Sequence) -> List[Window]:
-        """Extract (or recall) the query segments of every admissible length."""
-        memo = self._segment_memo
-        if memo is not None and memo[0] is query:
-            return memo[1]
-        segments = extract_query_segments(query, self.config)
-        self._segment_memo = (query, segments)
-        return segments
+    def scratch_for(self, query: Sequence) -> QueryScratch:
+        """The scratch of ``query`` (keyed by object identity), made on demand.
 
-    def bound_table_for(self, query: Sequence) -> Optional[BoundTable]:
-        """Build (or recall) the index's bound table for ``query``'s segments.
-
-        ``None`` for an index that consults no table.  A table is a function
-        of (query, stored windows) alone, so it serves every pass of a radius
-        sweep; :meth:`note_window_added` / :meth:`note_window_removed` drop it.
+        Making it extracts the query segments of every admissible length;
+        :meth:`note_window_added` / :meth:`note_window_removed` drop it.
         """
-        memo = self._bound_memo
-        if memo is not None and memo[0] is query:
-            return memo[1]
-        table = self.index.bound_table(
-            query, [(segment.start, segment.length) for segment in self.segments_for(query)]
-        )
-        self._bound_memo = (query, table)
-        return table
+        scratch = self._scratch
+        if scratch is None or scratch.query is not query:
+            scratch = self._scratch = QueryScratch(
+                query, extract_query_segments(query, self.config), self.index
+            )
+        return scratch
+
+    @contextmanager
+    def sweep(self, query: Sequence) -> Iterator[None]:
+        """Scope of one radius sweep: probes of ``query`` inside share a table.
+
+        Within the block the widest probe so far is recorded as the scratch's
+        :class:`ProbeTable` and later probes at a radius it covers are
+        answered from it, segment by segment, where it is complete.  The
+        table is gone when the block exits, however it exits: outside a
+        sweep nothing is recorded or consulted, so two executions of the same
+        query object do -- and count -- the same index work.
+        """
+        scratch = self.scratch_for(query)
+        scratch.table = ProbeTable()
+        try:
+            yield
+        finally:
+            scratch.table = None
 
     # ------------------------------------------------------------------ #
     # Stages: segment -> prefilter -> probe (steps 3-4)
@@ -221,7 +349,8 @@ class QueryPipeline:
         stats = self._new_stats()
         started = time.perf_counter()
         cpu_started = time.thread_time()
-        segments = self.segments_for(query)
+        scratch = self.scratch_for(query)
+        segments = scratch.segments
         stats.stage_timings["segment"] = time.perf_counter() - started
         stats.cpu_stage_timings["segment"] = time.thread_time() - cpu_started
         stats.segments_extracted = len(segments)
@@ -231,43 +360,60 @@ class QueryPipeline:
         counter.checkpoint()
         started = time.perf_counter()
         cpu_started = time.thread_time()
-        sequences = [segment.sequence for segment in segments]
-        bounds = self.bound_table_for(query)
-        if self.executor.is_parallel:
-            units = self.index.query_work_units(sequences, radius, bounds)
-            per_segment, worker_cpu = run_query_work_units(
-                self.index,
-                units,
-                len(sequences),
-                self.executor,
-                log_format=self.config.log_format,
-                transport=self.config.transport,
-            )
-        else:
-            per_segment = self.index.batch_range_query(sequences, radius, bounds=bounds)
-            worker_cpu = 0.0
+        # Inside a sweep, a probe the table covers asks the index about the
+        # table's incomplete segments only; any other probe asks about all.
+        table = scratch.table
+        answered = table is not None and table.covers(radius)
+        positions = table.incomplete.tolist() if answered else range(len(segments))
+        per_segment: List[list] = []
+        worker_cpu = 0.0
+        if positions:
+            sequences = [segments[position].sequence for position in positions]
+            bounds = scratch.bounds()
+            if answered and bounds is not None:
+                bounds = BoundTable(
+                    bounds.epoch, bounds.column, [bounds.rows[position] for position in positions]
+                )
+            if self.executor.is_parallel:
+                units = self.index.query_work_units(sequences, radius, bounds)
+                per_segment, worker_cpu = run_query_work_units(
+                    self.index,
+                    units,
+                    len(sequences),
+                    self.executor,
+                    log_format=self.config.log_format,
+                    transport=self.config.transport,
+                )
+            else:
+                per_segment = self.index.batch_range_query(sequences, radius, bounds=bounds)
         # Canonical match order: hits within a segment are sorted by window
         # insertion order, so the (segment, window) pairs -- and everything
         # chaining and verification derive from them -- are identical no
         # matter which index class produced them, how its internal topology
-        # evolved through incremental updates, or which executor ran the
-        # probe.  This is the invariant the incremental-vs-rebuild,
-        # snapshot, and parallel-equivalence guarantees rest on; for the
-        # linear scan and the reference index it is a no-op (they already
-        # enumerate items in insertion order).
-        window_order = self._window_order
+        # evolved through incremental updates, which executor ran the probe,
+        # or whether a sweep's table answered for the index.  This is the
+        # invariant the incremental-vs-rebuild, snapshot, and
+        # parallel-equivalence guarantees rest on; for the linear scan and
+        # the reference index the sort is a no-op (they already enumerate
+        # items in insertion order).
         matches: List[SegmentMatch] = []
-        for segment, hits in zip(segments, per_segment):
-            for hit in sorted(hits, key=lambda hit: window_order[hit.key]):
-                window = self._windows_by_key[hit.key]
-                matches.append(
-                    SegmentMatch(
-                        query_start=segment.start,
-                        query_length=segment.length,
-                        window=window,
-                        distance=hit.distance,
-                    )
-                )
+        if not answered:
+            for segment, hits in zip(segments, per_segment):
+                matches.extend(self._in_window_order(segment, hits))
+            if table is not None and radius > table.radius:
+                table.record(radius, [len(hits) for hits in per_segment], matches)
+        else:
+            # Table rows and index-answered segments are both in segment
+            # order; the cuts say where each of the latter slots in.
+            rows = table.rows_within(radius)
+            cuts = np.searchsorted(table.segment[rows], positions).tolist()
+            stats.table_segments = len(segments) - len(positions)
+            done = 0
+            for position, hits, cut in zip(positions, per_segment, cuts):
+                matches.extend(table.matches(segments, rows[done:cut]))
+                matches.extend(self._in_window_order(segments[position], hits))
+                done = cut
+            matches.extend(table.matches(segments, rows[done:]))
         stats.stage_timings["probe"] = time.perf_counter() - started
         stats.cpu_stage_timings["probe"] = (
             time.thread_time() - cpu_started
@@ -278,6 +424,20 @@ class QueryPipeline:
         stats.prefilter_pruned = counter.prefilter_pruned_since_checkpoint()
         stats.segment_matches = len(matches)
         return ProbeResult(matches, stats)
+
+    def _in_window_order(self, segment: Window, hits: list) -> List[SegmentMatch]:
+        """One segment's index hits as segment matches, in window insertion order."""
+        window_order = self._window_order
+        windows = self._windows_by_key
+        return [
+            SegmentMatch(
+                query_start=segment.start,
+                query_length=segment.length,
+                window=windows[hit.key],
+                distance=hit.distance,
+            )
+            for hit in sorted(hits, key=lambda hit: window_order[hit.key])
+        ]
 
     # ------------------------------------------------------------------ #
     # Stage: chain (step 5a)
@@ -327,6 +487,7 @@ class QueryPipeline:
             self.config,
             counter,
             cache=cache,
+            spans=self.scratch_for(query),
         )
         if verified is not None or chain.window_count == 1:
             return verified
@@ -460,6 +621,7 @@ class QueryPipeline:
                     chain_counter,
                     max_results=spec.max_results,
                     cache=cache,
+                    spans=self.scratch_for(query),
                 )
             verified = self.verify_with_fallback(
                 chain, query, spec.radius, chain_counter, cache=cache

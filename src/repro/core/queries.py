@@ -361,7 +361,20 @@ class QueryStats:
     index_cache_hits:
         Step-4 distance requests answered by the matcher's distance cache
         (no kernel was run); counted separately so the computation counts
-        keep matching the paper's definition.
+        keep matching the paper's definition.  Only requests that reached
+        the index count: the later passes of a radius sweep are answered
+        from the sweep's probe table where it is complete (see
+        ``table_segments``), so a warm sweep over a linear scan reads one
+        probe's worth of hits (segments x windows), not one per pass.
+    table_segments:
+        Segments of this pass whose step-4 hits came from the running radius
+        sweep's probe table (:class:`~repro.core.pipeline.ProbeTable`)
+        instead of the index: an earlier, wider pass of the same sweep had
+        measured every hit of the segment, so a ``distance <= radius``
+        filter over its rows is the index's answer.  0 outside a sweep and
+        on a sweep's first pass; summed over passes (and shards) in merged
+        statistics, where ``table_segments / (segments_extracted x passes)``
+        is the share of per-segment index probes the sweep never made.
     verification_distance_computations:
         Fresh distance evaluations spent verifying candidates during step 5.
     verification_cache_hits:
@@ -442,6 +455,7 @@ class QueryStats:
     verification_cache_hits: int = 0
     prefilter_evaluations: int = 0
     prefilter_pruned: int = 0
+    table_segments: int = 0
     stage_timings: Dict[str, float] = field(default_factory=dict)
     cpu_stage_timings: Dict[str, float] = field(default_factory=dict)
     executor: str = "serial"
@@ -481,7 +495,8 @@ class QueryStats:
         """Aggregate the stats of repeated step-3/4/5 passes (Type III).
 
         Work counters (distance computations, cache hits, prefilter
-        evaluations, wall-clock and CPU stage timings) are summed across
+        evaluations, table-answered segments, wall-clock and CPU stage
+        timings) are summed across
         the passes -- that is what answering the query actually cost --
         while the shape counters (``segments_extracted``,
         ``segment_matches``, ``candidate_chains``,
@@ -505,6 +520,7 @@ class QueryStats:
             verification_cache_hits=sum(p.verification_cache_hits for p in passes),
             prefilter_evaluations=sum(p.prefilter_evaluations for p in passes),
             prefilter_pruned=sum(p.prefilter_pruned for p in passes),
+            table_segments=sum(p.table_segments for p in passes),
             executor=final.executor,
             workers=final.workers,
             kernel_backend=final.kernel_backend,
@@ -552,6 +568,7 @@ class QueryStats:
             verification_cache_hits=sum(s.verification_cache_hits for s in shard_stats),
             prefilter_evaluations=sum(s.prefilter_evaluations for s in shard_stats),
             prefilter_pruned=sum(s.prefilter_pruned for s in shard_stats),
+            table_segments=sum(s.table_segments for s in shard_stats),
             executor=first.executor,
             workers=first.workers,
             kernel_backend=first.kernel_backend,

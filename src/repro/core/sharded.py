@@ -26,8 +26,9 @@ Per query type:
   single matcher's, whose own order follows its global chain order.
 * **Type II** takes the best shard result by ``(length desc, distance
   asc)``, shard order breaking exact ties.
-* **Type III and top-k** replicate the single matcher's radius sweep
-  *globally*: the binary search asks every shard for segment matches per
+* **Type III and top-k** run the single matcher's radius sweep -- the same
+  function, :meth:`~repro.core.query_api.QueryInterfaceMixin._radius_sweep`
+  -- *globally*: the binary search asks every shard for segment matches per
   probe, and each verification pass runs on every shard at the same
   radius, feeding one global k-bounded candidate heap ordered by the
   deterministic :func:`~repro.core.queries.match_ranking_key` -- so the
@@ -46,11 +47,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import singledispatchmethod
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MatcherConfig
 from repro.core.executor import Executor, WorkTask, make_executor
 from repro.core.matcher import SubsequenceMatcher
+from repro.core.pipeline import QueryPipeline
 from repro.core.queries import (
     LongestSubsequenceQuery,
     NearestSubsequenceQuery,
@@ -58,7 +60,6 @@ from repro.core.queries import (
     QueryStats,
     RangeQuery,
     SubsequenceMatch,
-    TopKCandidates,
     TopKQuery,
 )
 from repro.core.query_api import QueryInterfaceMixin
@@ -222,6 +223,8 @@ class ShardedMatcher(QueryInterfaceMixin):
         self.last_query_stats = stats
         return stats
 
+    _finish_sweep = _finalize_stats
+
     # ------------------------------------------------------------------ #
     # Incremental updates
     # ------------------------------------------------------------------ #
@@ -320,70 +323,28 @@ class ShardedMatcher(QueryInterfaceMixin):
         matches, stats = self._radius_sweep(spec, k=spec.k)
         return QueryResult.build(spec, matches, stats)
 
-    def _radius_sweep(
-        self, spec: Union[NearestSubsequenceQuery, TopKQuery], k: int
+    # The sweep itself is :meth:`QueryInterfaceMixin._radius_sweep`; a
+    # sharded pass fans out over every shard's pipeline at the same radius.
+    def _sweep_pipelines(self) -> List[QueryPipeline]:
+        return [shard.pipeline for shard in self.shards]
+
+    def _probe_all(self, query: Sequence, radius: float) -> Tuple[bool, QueryStats]:
+        probes = self._fan_out(lambda shard: shard.pipeline.probe(query, radius))
+        return (
+            any(probe.matches for probe in probes),
+            QueryStats.across_shards([probe.stats for probe in probes]),
+        )
+
+    def _scored_pass_all(
+        self, query: Sequence, radius: float
     ) -> Tuple[List[SubsequenceMatch], QueryStats]:
-        """Type III / top-k with the single matcher's *global* radius sweep.
+        outcomes = self._fan_out(lambda shard: shard.pipeline.run_scored_pass(query, radius))
+        return (
+            [match for matches, _stats in outcomes for match in matches],
+            QueryStats.across_shards([stats for _matches, stats in outcomes]),
+        )
 
-        The binary search over the minimal radius producing segment matches
-        and the subsequent increment sweep both treat the shard set as one
-        database: a probe succeeds when *any* shard has a segment match,
-        and each verification pass runs on *every* shard at the same
-        radius.  Every shard's verified matches feed one *global* k-bounded
-        candidate heap ordered by the deterministic
-        :func:`~repro.core.queries.match_ranking_key`; candidate chains
-        never span shards, so each pass contributes exactly the match set
-        an unsharded pass would, the sweep stops at the same radius, and
-        the ranked result -- ties included -- is identical to the
-        unsharded matcher's.
-        """
-        query = spec.bound_query()
-        if not any(shard.windows for shard in self.shards):
-            self.last_query_stats = QueryStats()
-            return [], self.last_query_stats
-
-        passes: List[QueryStats] = []
-
-        def probe_all(radius: float) -> bool:
-            probes = self._fan_out(lambda shard: shard.pipeline.probe(query, radius))
-            passes.append(QueryStats.across_shards([probe.stats for probe in probes]))
-            return any(probe.matches for probe in probes)
-
-        low, high = 0.0, spec.max_radius
-        if not probe_all(high):
-            self._finalize_stats(QueryStats.merged(passes))
-            raise QueryError(
-                f"no segment matches even at max_radius={spec.max_radius}; "
-                "increase max_radius"
-            )
-        while high - low > spec.tolerance:
-            mid = (low + high) / 2.0
-            if probe_all(mid):
-                high = mid
-            else:
-                low = mid
-
-        increment = spec.radius_increment
-        if increment is None:
-            increment = max(spec.tolerance, 0.05 * spec.max_radius)
-
-        candidates = TopKCandidates(k)
-        radius = high
-        while radius <= spec.max_radius + 1e-12:
-            outcomes: List[Tuple[List[SubsequenceMatch], QueryStats]] = self._fan_out(
-                lambda shard: shard.pipeline.run_scored_pass(query, radius)
-            )
-            passes.append(QueryStats.across_shards([stats for _, stats in outcomes]))
-            for matches, _stats in outcomes:
-                for match in matches:
-                    candidates.add(match)
-            if candidates.full:
-                break
-            radius += increment
-        stats = self._finalize_stats(QueryStats.merged(passes))
-        return candidates.ranked(), stats
-
-    # ``execute_many`` and the legacy per-sequence wrappers come from
+    # ``_radius_sweep``, ``execute_many`` and the legacy wrappers come from
     # :class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the
     # plain matcher.
 

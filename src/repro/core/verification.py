@@ -117,6 +117,31 @@ def _measure(
     return value
 
 
+def _cut_pair(
+    spans,
+    chain: CandidateChain,
+    query: Sequence,
+    db_sequence: Sequence,
+    q_start: int,
+    q_stop: int,
+    x_start: int,
+    x_stop: int,
+) -> Tuple[Sequence, Sequence]:
+    """The two operands of one distance request.
+
+    ``spans`` is the caller's span memo (the pipeline's per-query
+    :class:`~repro.core.pipeline.QueryScratch`), or ``None`` to cut both
+    subsequences afresh.  Only the ``Sequence`` objects are shared; the
+    request itself -- cache lookup, kernel, store, counters -- is unchanged.
+    """
+    if spans is None:
+        return query.subsequence(q_start, q_stop), db_sequence.subsequence(x_start, x_stop)
+    return (
+        spans.span(None, query, q_start, q_stop),
+        spans.span(chain.source_id, db_sequence, x_start, x_stop),
+    )
+
+
 def verify_chain(
     chain: CandidateChain,
     query: Sequence,
@@ -126,6 +151,7 @@ def verify_chain(
     config: MatcherConfig,
     counter: Optional[_VerificationCounter] = None,
     cache: Optional[DistanceCache] = None,
+    spans=None,
 ) -> Optional[SubsequenceMatch]:
     """Verify ``chain`` and greedily extend it into the longest passing match.
 
@@ -133,7 +159,9 @@ def verify_chain(
     chain's span, checks it, and then repeatedly tries to extend either end
     of either subsequence by one element, keeping any extension that stays
     within ``radius``.  The result is a locally-maximal match; ``None`` means
-    not even the minimal admissible pair is within ``radius``.
+    not even the minimal admissible pair is within ``radius``.  ``spans``
+    optionally memoizes the subsequences cut along the way (see
+    :func:`_cut_pair`).
     """
     counter = counter if counter is not None else _VerificationCounter()
     query_length = len(query)
@@ -167,8 +195,7 @@ def verify_chain(
             continue
         value = _measure(
             distance,
-            query.subsequence(q_start, q_stop),
-            db_sequence.subsequence(x_start, x_stop),
+            *_cut_pair(spans, chain, query, db_sequence, q_start, q_stop, x_start, x_stop),
             radius,
             counter,
             cache,
@@ -215,8 +242,7 @@ def verify_chain(
                 continue
             value = _measure(
                 distance,
-                query.subsequence(q0, q1),
-                db_sequence.subsequence(x0, x1),
+                *_cut_pair(spans, chain, query, db_sequence, q0, q1, x0, x1),
                 radius,
                 counter,
                 cache,
@@ -304,6 +330,7 @@ def enumerate_matches(
     counter: Optional[_VerificationCounter] = None,
     max_results: Optional[int] = None,
     cache: Optional[DistanceCache] = None,
+    spans=None,
 ) -> List[SubsequenceMatch]:
     """Exhaustively verify every admissible endpoint combination for ``chain``.
 
@@ -311,7 +338,8 @@ def enumerate_matches(
     semantics within one candidate region.  The number of combinations grows
     with ``(lambda/2 + lambda0)^2 * (lambda/2)^2``, so the matcher only uses
     it when explicitly asked (``RangeQuery(exhaustive=True)``) or on small
-    inputs; the test-suite uses it as an oracle.
+    inputs; the test-suite uses it as an oracle.  ``spans`` is as for
+    :func:`verify_chain`.
     """
     counter = counter if counter is not None else _VerificationCounter()
     equal_only = not distance.supports_unequal_lengths
@@ -327,8 +355,9 @@ def enumerate_matches(
                         continue
                     value = _measure(
                         distance,
-                        query.subsequence(q_start, q_stop),
-                        db_sequence.subsequence(x_start, x_stop),
+                        *_cut_pair(
+                            spans, chain, query, db_sequence, q_start, q_stop, x_start, x_stop
+                        ),
                         radius,
                         counter,
                         cache,

@@ -269,6 +269,7 @@ def stats_to_wire(stats: QueryStats, include_timings: bool = True) -> Dict[str, 
         "verification_cache_hits": stats.verification_cache_hits,
         "prefilter_evaluations": stats.prefilter_evaluations,
         "prefilter_pruned": stats.prefilter_pruned,
+        "table_segments": stats.table_segments,
         "naive_distance_computations": stats.naive_distance_computations,
         "pruning_ratio": stats.pruning_ratio,
         "passes": len(stats.passes),

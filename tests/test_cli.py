@@ -167,11 +167,15 @@ class TestSearchTypesAndJson:
 
     def test_search_type_topk(self, generated_db, capsys):
         code = main(
-            ["search", str(generated_db), *self.BASE, "--type", "topk", "--k", "2"]
+            ["search", str(generated_db), *self.BASE, "--type", "topk", "--k", "2", "--stats"]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.count("SubsequenceMatch") == 2
+        # The sweep's history: per pass, the segment matches and how many
+        # segments its probe table answered (none on the first pass).
+        assert re.search(r"segments answered from the sweep table\s+[1-9]\d*", captured.out)
+        assert re.search(r"table-answered segments per pass\s+0, \d+", captured.out)
 
     def test_search_type_nearest(self, generated_db, capsys):
         code = main(["search", str(generated_db), *self.BASE, "--type", "nearest"])
@@ -215,6 +219,9 @@ class TestSearchTypesAndJson:
                 "length",
             }
         stats = payload["stats"]
+        # A sweep: every pass after the first is answered, at least in part,
+        # from its probe table.
+        assert 0 < stats["table_segments"] <= stats["segments_extracted"] * (stats["passes"] - 1)
         for counter in (
             "segments_extracted",
             "index_distance_computations",

@@ -17,6 +17,7 @@ A PR that moves a counter on purpose re-records the golden file *and says so*
 nothing else did::
 
     PYTHONPATH=src python tests/test_counter_gate.py --diff          # what moved, no write
+    PYTHONPATH=src python tests/test_counter_gate.py --diff --no-increase   # fail only if one rose
     PYTHONPATH=src python tests/test_counter_gate.py songs/reference-net ...   # re-record these
     PYTHONPATH=src python tests/test_counter_gate.py                 # re-record every leg
 """
@@ -126,14 +127,29 @@ def test_the_net_computes_no_more_distances_than_the_prefiltered_scan():
     assert 0 < net["index_distance_computations"] <= scan["index_distance_computations"]
 
 
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_a_warm_sweep_over_the_scan_touches_each_pair_once(dataset):
+    """Only a sweep's first pass asks the index; the probe table answers the
+    rest.  Warm, that pass is all cache hits: one per (segment, window) pair
+    (123 x 60 here), not one per pair *per pass*."""
+    golden = json.loads(GOLDEN.read_text())[f"{dataset}/linear-scan"]
+    for op in ("warm/topk", "warm/nearest"):
+        assert golden[op]["passes"] > 1
+        assert golden[op]["index_distance_computations"] == 0
+        assert golden[op]["index_cache_hits"] == golden[op]["naive_distance_computations"]
+
+
 def collect_leg(leg):
     dataset, index = leg.split("/")
     return collect(dataset.replace("+repeats", ""), index, repeats=dataset.endswith("+repeats"))
 
 
 def print_diff(golden, legs):
-    """Leg by leg, every counter that differs from the golden file; no write."""
-    moved = 0
+    """Leg by leg, every counter that differs from the golden file; no write.
+
+    Returns how many counters moved and how many of those rose.
+    """
+    moved = rose = 0
     for leg in legs:
         current = collect_leg(leg)
         lines = []
@@ -142,12 +158,14 @@ def print_diff(golden, legs):
             for counter in sorted(set(was) | set(now)):
                 before, after = was.get(counter), now.get(counter)
                 if before != after:
-                    delta = "" if None in (before, after) else f"  ({after - before:+d})"
+                    known = None not in (before, after)
+                    delta = f"  ({after - before:+d})" if known else ""
                     lines.append(f"  {op:14s} {counter:36s} {before} -> {after}{delta}")
+                    rose += known and after > before
         print(f"{leg}: " + (f"{len(lines)} counters differ" if lines else "identical"))
         print("\n".join(lines), end="\n" if lines else "")
         moved += len(lines)
-    return moved
+    return moved, rose
 
 
 if __name__ == "__main__":
@@ -156,13 +174,20 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("legs", nargs="*", help=f"default: every leg of {', '.join(all_legs)}")
     parser.add_argument("--diff", action="store_true", help="print what differs; write nothing")
+    parser.add_argument("--no-increase", action="store_true",
+                        help="with --diff: exit non-zero only if some counter rose")  # fmt: skip
     arguments = parser.parse_args()
+    if arguments.no_increase and not arguments.diff:
+        parser.error("--no-increase goes with --diff")
     legs = arguments.legs or all_legs
     if set(legs) - set(all_legs):
         parser.error(f"unknown legs: {sorted(set(legs) - set(all_legs))}")
     record = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     if arguments.diff:
-        sys.exit(1 if print_diff(record, legs) else 0)
+        moved, rose = print_diff(record, legs)
+        if arguments.no_increase:
+            print(f"{moved} counters moved, {rose} of them rose")
+        sys.exit(1 if (rose if arguments.no_increase else moved) else 0)
     record.update({leg: collect_leg(leg) for leg in legs})
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(legs)} of {len(record)} legs to {GOLDEN}")

@@ -308,15 +308,18 @@ class TestQueryStatsPipeline:
         # Aggregated work must cover at least the final pass's work.
         assert stats.index_distance_computations >= final.index_distance_computations
 
-    def test_segment_memo_reused_across_passes(self, planted):
+    def test_scratch_reused_across_passes(self, planted):
         db, query = planted
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
         pipeline = matcher.pipeline
-        first = pipeline.segments_for(query)
-        second = pipeline.segments_for(query)
-        assert first is second
+        first = pipeline.scratch_for(query)
+        assert pipeline.scratch_for(query) is first
+        assert first.segments == extract_query_segments(query, matcher.config)
+        # Keyed by object identity: equal content in a new object starts over.
+        twin = Sequence(query.values, query.kind)
+        assert pipeline.scratch_for(twin) is not first
 
     def test_bound_table_built_once_per_sweep_and_dropped_by_writes(self, planted, monkeypatch):
         db, query = planted
@@ -334,7 +337,7 @@ class TestQueryStatsPipeline:
         spec = NearestSubsequenceQuery(max_radius=10.0).bind(query)
         swept = matcher.execute(spec)
         assert len(swept.stats.passes) > 1 and len(built) == 1
-        assert matcher.pipeline.bound_table_for(query) is not None
+        assert matcher.pipeline.scratch_for(query).bounds() is not None
         assert len(built) == 1
 
         # A write drops the table with the rows it was aligned to; the next

@@ -2,15 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import DiscreteFrechet, Euclidean, MatcherConfig, SegmentMatch, Sequence, Window
+from repro import (
+    DiscreteFrechet,
+    Euclidean,
+    MatcherConfig,
+    RangeQuery,
+    SegmentMatch,
+    Sequence,
+    SequenceDatabase,
+    SequenceKind,
+    SubsequenceMatcher,
+    TopKQuery,
+    Window,
+)
 from repro.core.candidates import CandidateChain
+from repro.core.pipeline import QueryScratch
+from repro.core.queries import match_identity
 from repro.core.verification import (
     _VerificationCounter,
     chain_bounds,
     enumerate_matches,
     verify_chain,
 )
+from repro.distances.cache import DistanceCache
 
 
 @pytest.fixture
@@ -156,3 +173,116 @@ class TestEnumerateMatches:
         target = Sequence.from_values(np.full(30, 50.0), seq_id="db")
         chain = make_chain(target, query_start=0, db_start=5, length=5)
         assert enumerate_matches(chain, query, target, Euclidean(), 1.0, config) == []
+
+
+class TestSpanMemo:
+    """``spans=`` shares the subsequences cut for verification requests; the
+    requests themselves -- lookups, stores, both counters -- stay per request."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        windows=st.integers(1, 3),
+        lockstep=st.booleans(),
+        exhaustive=st.booleans(),
+        cached=st.booleans(),
+        radius=st.floats(0.05, 3.0),
+    )
+    def test_same_matches_counters_and_cache_order(
+        self, seed, windows, lockstep, exhaustive, cached, radius
+    ):
+        generator = np.random.default_rng(seed)
+        config = MatcherConfig(min_length=10, max_shift=1)
+        target = Sequence.from_values(np.cumsum(generator.normal(size=40)), seq_id="db")
+        db_start = 5 * int(generator.integers(0, 8 - windows))
+        query_start = int(generator.integers(0, 6))
+        planted = target.values[db_start : db_start + 5 * windows]
+        query = Sequence.from_values(
+            np.concatenate(
+                [
+                    generator.normal(size=query_start),
+                    planted + generator.normal(scale=0.05, size=len(planted)),
+                    generator.normal(size=int(generator.integers(6, 12))),
+                ]
+            )
+        )
+        chain = CandidateChain(
+            "db",
+            tuple(
+                make_chain(target, query_start + 5 * w, db_start + 5 * w, 5).matches[0]
+                for w in range(windows)
+            ),
+        )
+        distance = Euclidean() if lockstep else DiscreteFrechet()
+        run = enumerate_matches if exhaustive else verify_chain
+
+        def trace(spans):
+            cache = DistanceCache() if cached else None
+            counter = _VerificationCounter()
+            found = []
+            for _pass in range(2):  # the second pass repeats every request
+                result = run(
+                    chain, query, target, distance, radius, config, counter, cache=cache,
+                    spans=spans,
+                )  # fmt: skip
+                for match in result if exhaustive else [result]:
+                    found.append(match and (match_identity(match), match.distance))
+                found.append((counter.count, counter.cache_hits))
+            return found, list(cache.iter_entries()) if cached else None
+
+        assert trace(QueryScratch(query, [], None)) == trace(None)
+
+    def test_one_sequence_per_distinct_span_and_none_on_a_repeat_pass(
+        self, series_database, monkeypatch
+    ):
+        # Serial: racing thread-executor units may each cut a span once.
+        matcher = SubsequenceMatcher(
+            series_database,
+            DiscreteFrechet(),
+            MatcherConfig(min_length=10, max_shift=1, executor="serial"),
+        )
+        query = Sequence.from_values(np.asarray(series_database["t1"].values[12:40]) + 0.01)
+        pipeline = matcher.pipeline
+        scratch = pipeline.scratch_for(query)  # cuts the segments, before the spy
+        built = []
+        construct = Sequence.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sequence, "__init__", spy)
+        with pipeline.sweep(query):
+            first, stats = pipeline.run_scored_pass(query, 1.0)
+            requests = stats.verification_distance_computations + stats.verification_cache_hits
+            assert 0 < len(built) == len(scratch._spans) < 2 * requests
+            del built[:]
+            again, stats = pipeline.run_scored_pass(query, 1.0)
+            assert built == [] and stats.verification_cache_hits == requests
+        assert again == first and first
+
+    def test_reused_query_object_never_sees_a_replaced_sequence(self):
+        """Remove + re-add under the same id with other content: the scratch (and
+        with it every cut span) is dropped by the write."""
+        generator = np.random.default_rng(5)
+        pattern = np.cumsum(generator.normal(size=30))
+        database = SequenceDatabase(SequenceKind.TIME_SERIES)
+        database.add(Sequence.from_values(np.concatenate([pattern, pattern[::-1]]), seq_id="x"))
+        database.add(Sequence.from_values(generator.uniform(50, 60, size=40), seq_id="far"))
+        config = MatcherConfig(min_length=10, max_shift=1)
+        matcher = SubsequenceMatcher(database, DiscreteFrechet(), config)
+        query = Sequence.from_values(pattern[3:27] + 0.01)
+        specs = [RangeQuery(radius=0.6).bind(query), TopKQuery(k=2, max_radius=5.0).bind(query)]
+        before = [matcher.execute(spec).matches for spec in specs]
+
+        matcher.remove_sequence("x")
+        matcher.add_sequence(
+            Sequence.from_values(np.concatenate([pattern + 0.25, pattern[::-1]])), seq_id="x"
+        )
+        fresh = SubsequenceMatcher(database, DiscreteFrechet(), config)
+        for spec, old in zip(specs, before):
+            got, want = matcher.execute(spec).matches, fresh.execute(spec).matches
+            assert [(match_identity(m), m.distance) for m in got] == [
+                (match_identity(m), m.distance) for m in want
+            ]
+            assert got and [m.distance for m in got] != [m.distance for m in old]
