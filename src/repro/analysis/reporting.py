@@ -69,6 +69,7 @@ def format_query_stats(stats: "QueryStats", title: Optional[str] = None) -> str:
         ["segment matches (step 4)", stats.segment_matches],
         ["candidate chains (step 5)", stats.candidate_chains],
         ["index distance computations", stats.index_distance_computations],
+        ["index kernel calls", stats.index_kernel_calls],
         ["naive step-4 computations", stats.naive_distance_computations],
         ["pruning ratio alpha", f"{stats.pruning_ratio:.2%}"],
         ["verification computations", stats.verification_distance_computations],

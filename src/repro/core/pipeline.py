@@ -24,15 +24,17 @@ decomposed into the same named stages
     (:meth:`QueryPipeline.sweep`) the widest probe run so far is kept as a
     :class:`ProbeTable`, and a later probe of the sweep at a radius it covers
     answers every fully measured segment with one ``distance <= radius``
-    filter over it; only the remaining segments reach the index.  Under the
-    serial executor the index part is one
-    :meth:`~repro.indexing.base.MetricIndex.batch_range_query` call; under
-    a parallel executor the index splits the batch into independent work
-    units
+    filter over it; only the remaining segments reach the index, through
+    one call for every index and executor
+    (:meth:`~repro.indexing.base.MetricIndex.probe_batch`).  Under the
+    serial executor that is a
+    :meth:`~repro.indexing.base.MetricIndex.batch_range_query`; under a
+    parallel one the index's independent work units
     (:meth:`~repro.indexing.base.MetricIndex.query_work_units` -- per
     segment for the tree indexes, per segment x shape group for the linear
-    scan) which fan out over the configured
-    :class:`~repro.core.executor.Executor`;
+    scan) fan out over the configured
+    :class:`~repro.core.executor.Executor`; the reference net issues none
+    and answers the whole batch in one traversal on the calling thread;
 ``chain``
     concatenate consecutive window matches into candidate chains (step 5a);
 ``verify``
@@ -45,7 +47,8 @@ decomposed into the same named stages
 Whatever the executor, a query returns **byte-identical results and
 identical work counters** to the serial path: parallel units run against
 recorded overlays and their logs are replayed serially afterwards (see
-:mod:`repro.distances.recording` for the argument why this is exact).
+:mod:`repro.distances.recording` for the argument why this is exact); the
+reference net's probe *is* the serial traversal under every executor.
 
 Each stage records wall-clock time into
 :attr:`~repro.core.queries.QueryStats.stage_timings` and CPU time (the
@@ -85,12 +88,7 @@ from repro.distances.backend import active_kernel_name, kernel_scope
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import RecordingVerifyCache
-from repro.indexing.base import (
-    BoundTable,
-    MetricIndex,
-    chunk_positions,
-    run_query_work_units,
-)
+from repro.indexing.base import BoundTable, MetricIndex, chunk_positions
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 from repro.sequences.windows import Window
@@ -371,21 +369,15 @@ class QueryPipeline:
             sequences = [segments[position].sequence for position in positions]
             bounds = scratch.bounds()
             if answered and bounds is not None:
-                bounds = BoundTable(
-                    bounds.epoch, bounds.column, [bounds.rows[position] for position in positions]
-                )
-            if self.executor.is_parallel:
-                units = self.index.query_work_units(sequences, radius, bounds)
-                per_segment, worker_cpu = run_query_work_units(
-                    self.index,
-                    units,
-                    len(sequences),
-                    self.executor,
-                    log_format=self.config.log_format,
-                    transport=self.config.transport,
-                )
-            else:
-                per_segment = self.index.batch_range_query(sequences, radius, bounds=bounds)
+                bounds = bounds.take(positions)
+            per_segment, worker_cpu = self.index.probe_batch(
+                sequences,
+                radius,
+                bounds,
+                self.executor,
+                log_format=self.config.log_format,
+                transport=self.config.transport,
+            )
         # Canonical match order: hits within a segment are sorted by window
         # insertion order, so the (segment, window) pairs -- and everything
         # chaining and verification derive from them -- are identical no
@@ -422,6 +414,7 @@ class QueryPipeline:
         stats.index_cache_hits = counter.cache_hits_since_checkpoint()
         stats.prefilter_evaluations = counter.prefilter_since_checkpoint()
         stats.prefilter_pruned = counter.prefilter_pruned_since_checkpoint()
+        stats.index_kernel_calls = counter.kernel_calls_since_checkpoint()
         stats.segment_matches = len(matches)
         return ProbeResult(matches, stats)
 

@@ -375,6 +375,17 @@ class QueryStats:
         on a sweep's first pass; summed over passes (and shards) in merged
         statistics, where ``table_segments / (segments_extracted x passes)``
         is the share of per-segment index probes the sweep never made.
+    index_kernel_calls:
+        Kernel invocations the step-4 probe issued through the index's
+        counting wrapper: one per single, batched or pair-batched request,
+        however many pairs it carried (see
+        :attr:`~repro.indexing.stats.DistanceCounter.kernel_calls`).  The
+        reference net's whole-query frontier keeps it near
+        ``levels x shape groups``, whatever the number of segments.  Not part
+        of the executor-invariance contract -- work units that a parallel
+        executor records and replays (the linear scan's) compute outside
+        the counting wrapper and are not tallied here -- so it is a
+        diagnostic (``repro search --stats``) and is not on the wire.
     verification_distance_computations:
         Fresh distance evaluations spent verifying candidates during step 5.
     verification_cache_hits:
@@ -456,6 +467,7 @@ class QueryStats:
     prefilter_evaluations: int = 0
     prefilter_pruned: int = 0
     table_segments: int = 0
+    index_kernel_calls: int = 0
     stage_timings: Dict[str, float] = field(default_factory=dict)
     cpu_stage_timings: Dict[str, float] = field(default_factory=dict)
     executor: str = "serial"
@@ -521,6 +533,7 @@ class QueryStats:
             prefilter_evaluations=sum(p.prefilter_evaluations for p in passes),
             prefilter_pruned=sum(p.prefilter_pruned for p in passes),
             table_segments=sum(p.table_segments for p in passes),
+            index_kernel_calls=sum(p.index_kernel_calls for p in passes),
             executor=final.executor,
             workers=final.workers,
             kernel_backend=final.kernel_backend,
@@ -569,6 +582,7 @@ class QueryStats:
             prefilter_evaluations=sum(s.prefilter_evaluations for s in shard_stats),
             prefilter_pruned=sum(s.prefilter_pruned for s in shard_stats),
             table_segments=sum(s.table_segments for s in shard_stats),
+            index_kernel_calls=sum(s.index_kernel_calls for s in shard_stats),
             executor=first.executor,
             workers=first.workers,
             kernel_backend=first.kernel_backend,

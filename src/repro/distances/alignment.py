@@ -671,12 +671,14 @@ def batch_edit_distance_value(
     """:func:`edit_distance_value` for a batch of same-shape pairs.
 
     ``substitution`` has shape ``(k, n, m)``; ``deletion`` is the length-``n``
-    gap-cost vector of the (shared) first operand and ``insertion`` the
-    ``(k, m)`` gap costs of the second operands.  The reduced-coordinate
-    recurrence of :func:`edit_distance_value` runs unchanged over an extra
-    batch axis; abandoned pairs (row minimum beyond their cutoff -- one
-    scalar or a per-row ``(k,)`` vector) yield ``inf`` and the sweep stops
-    early once every pair has abandoned.
+    gap-cost vector of a first operand the whole batch shares, or a ``(k, n)``
+    matrix with one row per pair (the pair call form -- the same element-wise
+    operations, so a pair's value does not depend on which form computed
+    it), and ``insertion`` the ``(k, m)`` gap costs of the second operands.
+    The reduced-coordinate recurrence of :func:`edit_distance_value` runs
+    unchanged over an extra batch axis; abandoned pairs (row minimum beyond
+    their cutoff -- one scalar or a per-row ``(k,)`` vector) yield ``inf`` and
+    the sweep stops early once every pair has abandoned.
     """
     _validate_cost_tensor(substitution)
     substitution = np.asarray(substitution, dtype=np.float64)
@@ -684,22 +686,22 @@ def batch_edit_distance_value(
     cutoff = _normalise_batch_cutoff(cutoff, k)
     deletion = np.asarray(deletion, dtype=np.float64)
     insertion = np.asarray(insertion, dtype=np.float64)
-    if deletion.shape != (n,) or insertion.shape != (k, m):
+    if deletion.shape not in ((n,), (k, n)) or insertion.shape != (k, m):
         raise DistanceError("batched gap cost arrays do not match the substitution tensor")
+    deletion = np.broadcast_to(deletion, (k, n))
     insertion_prefix = np.zeros((k, m + 1))
     np.cumsum(insertion, axis=1, out=insertion_prefix[:, 1:])
     reduced_substitution = substitution - insertion[:, None, :]
-    deletion_costs = deletion.tolist()
     reduced = np.zeros((k, m + 1))
     buf = np.empty((k, m + 1))
     scratch = np.empty((k, m + 1))
     abandoned = np.zeros(k, dtype=bool)
     for i in range(n):
-        delete_cost = deletion_costs[i]
+        delete_cost = deletion[:, i : i + 1]
         np.add(reduced[:, :-1], reduced_substitution[:, i, :], out=buf[:, 1:])
         np.add(reduced[:, 1:], delete_cost, out=scratch[:, 1:])
         np.minimum(buf[:, 1:], scratch[:, 1:], out=buf[:, 1:])
-        buf[:, 0] = reduced[:, 0] + delete_cost
+        np.add(reduced[:, :1], delete_cost, out=buf[:, :1])
         np.minimum.accumulate(buf, axis=1, out=buf)
         reduced, buf = buf, reduced
         if cutoff is not None:

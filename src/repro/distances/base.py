@@ -105,11 +105,14 @@ class ElementMetric:
     def matrix_batch(self, first: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Cost tensor ``T[k, i, j] = d(first[i], items[k, j])``.
 
-        ``first`` is one ``(n, dim)`` operand shared by the whole batch and
-        ``items`` a ``(k, m, dim)`` stack of second operands; the result backs
-        the batched elastic-distance kernels.
+        ``first`` is one ``(n, dim)`` operand shared by the whole batch, or a
+        ``(k, n, dim)`` stack with one first operand per item (the pair call
+        form: ``T[k, i, j] = d(first[k, i], items[k, j])``); ``items`` is a
+        ``(k, m, dim)`` stack of second operands.  Either way every cell is
+        the same element-wise expression, so the two forms agree bit for bit;
+        the result backs the batched elastic-distance kernels.
         """
-        diff = first[None, :, None, :] - items[:, None, :, :]
+        diff = first[..., :, None, :] - items[:, None, :, :]
         if self.kind == "euclidean":
             return np.sqrt(np.sum(diff * diff, axis=3))
         if self.kind == "manhattan":
@@ -174,12 +177,17 @@ def validate_group_shape(distance: "Distance", query: np.ndarray, shape: tuple) 
 
 
 def group_cutoff(cutoff, indexes) -> "Union[None, float, np.ndarray]":
-    """Slice a batch cutoff (``None``/scalar/vector) down to one shape group."""
+    """Cut a batch cutoff (``None``/scalar/vector) down to ``indexes``.
+
+    ``indexes`` is a list of positions (one shape group) or a slice.
+    """
     if cutoff is None:
         return None
     if np.ndim(cutoff) == 0:
         return float(cutoff)
-    return np.asarray(cutoff, dtype=np.float64)[np.asarray(indexes, dtype=np.intp)]
+    if not isinstance(indexes, slice):
+        indexes = np.asarray(indexes, dtype=np.intp)
+    return np.asarray(cutoff, dtype=np.float64)[indexes]
 
 
 def item_cutoff(cutoff, index: int) -> Optional[float]:
@@ -189,6 +197,34 @@ def item_cutoff(cutoff, index: int) -> Optional[float]:
     if np.ndim(cutoff) == 0:
         return float(cutoff)
     return float(cutoff[index])
+
+
+#: DP cells (``pairs x n x m x dim``) one stacked NumPy pair call may
+#: materialise: 2 MB per float64 temporary, whatever the level's size.
+PAIR_CHUNK_CELLS = 1 << 18
+
+
+def stacked_pairs(kernel, queries, query_rows, items, item_rows, cutoff) -> np.ndarray:
+    """The pair call form on the NumPy tier: ``kernel`` over stacked operands.
+
+    ``kernel(firsts, seconds, cutoff)`` is a batched NumPy kernel that takes
+    one first operand per second operand (``(k, n, dim)`` against
+    ``(k, m, dim)``).  Pairs are independent rows of such a call, so they
+    are gathered and swept in chunks of bounded size; chunking cannot change
+    a value.
+    """
+    count = len(query_rows)
+    values = np.empty(count, dtype=np.float64)
+    cells = queries.shape[1] * items.shape[1] * queries.shape[2]
+    step = max(1, PAIR_CHUNK_CELLS // cells)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        values[start:stop] = kernel(
+            queries[query_rows[start:stop]],
+            items[item_rows[start:stop]],
+            group_cutoff(cutoff, slice(start, stop)),
+        )
+    return values
 
 
 def group_batch_operands(
@@ -332,6 +368,43 @@ class Distance(abc.ABC):
                 values[index] = self.compute(query, items[index])
             else:
                 values[index] = self.compute_bounded(query, items[index], threshold)
+        return values
+
+    def compute_pairs(
+        self,
+        queries: np.ndarray,
+        query_rows: np.ndarray,
+        items: np.ndarray,
+        item_rows: np.ndarray,
+        cutoff=None,
+    ) -> np.ndarray:
+        """Distances of the pairs ``(queries[query_rows[i]], items[item_rows[i]])``.
+
+        The *pair call form*: ``queries`` is a ``(Q, n, dim)`` stack, ``items``
+        a ``(X, m, dim)`` stack, and the two equal-length index vectors name
+        one operand of each per pair -- how a whole level of an index
+        traversal (many queries, each against its own few items) becomes one
+        kernel call.  ``cutoff`` is ``None``, one scalar, or one value per
+        pair.  Every value equals, bit for bit, what :meth:`compute_batch`
+        returns for that pair (the *batch* call form), so an index may mix
+        the two freely.
+
+        The default cuts the pairs into runs of one query row -- traversals
+        emit them grouped by query -- and hands each run to
+        :meth:`compute_batch`; the elastic measures override it with one
+        compiled or stacked sweep over all the pairs.
+        """
+        values = np.empty(len(query_rows), dtype=np.float64)
+        cuts = (np.flatnonzero(np.diff(query_rows)) + 1).tolist()
+        start = 0
+        for stop in cuts + [len(query_rows)]:
+            if stop > start:
+                values[start:stop] = self.compute_batch(
+                    queries[query_rows[start]],
+                    items[item_rows[start:stop]],
+                    group_cutoff(cutoff, slice(start, stop)),
+                )
+            start = stop
         return values
 
     # ------------------------------------------------------------------ #

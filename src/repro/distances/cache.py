@@ -371,6 +371,52 @@ class DistanceCache:
             self._misses += misses
         return pending
 
+    def probe_pairs(
+        self, pair_keys: List[PairKey], repeats: int = 0
+    ) -> List[Optional[float]]:
+        """The exact cached distance (or ``None``) of each ready key, in bulk.
+
+        What :meth:`lookup` without a cutoff answers, key by key -- only an
+        exact entry does -- as one C-level ``map`` over the table, with the
+        hits and misses tallied in one update.  ``repeats`` adds that many
+        hits: requests for a pair that occurs earlier in the same bulk, which
+        the caller answers from that occurrence instead of asking again.
+        Lock-free read, like :meth:`probe_row`.
+        """
+        found = [
+            entry[0] if entry is not None and entry[1] else None
+            for entry in map(self._entries.get, pair_keys)
+        ]
+        misses = found.count(None)
+        with self._lock:
+            self._hits += len(found) - misses + repeats
+            self._misses += misses
+        return found
+
+    def store_many(self, pair_keys: List[PairKey], values: List[float]) -> None:
+        """Record exact distances under ready keys: one lock, one bulk write.
+
+        Leaves the table, its insertion order and :attr:`evictions` exactly
+        as storing the pairs one by one, in order, would.  The keys that fit
+        under the capacity whatever else happens -- all of them in a cache
+        that is unbounded or far from full -- are one ``dict.update``; only
+        the rest go through the per-key write-and-evict path.
+        """
+        with self._lock:
+            entries = self._entries
+            room = len(pair_keys)
+            if self.max_entries is not None:
+                room = min(room, self.max_entries - len(entries))
+            if room:
+                head = pair_keys[:room]
+                if self._order is not None:
+                    self._order.extend(
+                        key for key in dict.fromkeys(head) if key not in entries
+                    )
+                entries.update(zip(head, zip(values[:room], repeat(True))))
+            for key, value in zip(pair_keys[room:], values[room:]):
+                self._insert(key, (value, True))
+
     # ------------------------------------------------------------------ #
     # Snapshot support
     # ------------------------------------------------------------------ #

@@ -37,18 +37,24 @@ Element costs are accumulated sequentially over the element axis, which
 matches NumPy's reduction order only below NumPy's pairwise-summation
 threshold (8 addends); :func:`fusable_dim` gates dispatch accordingly.
 
-Every provider exposes the same four entry points::
+Every provider exposes the same six entry points::
 
     warp_value(query, item, kind, use_max, band, cutoff) -> float
     warp_batch(query, items, kind, use_max, band, cutoffs) -> ndarray
+    warp_pairs(queries, query_rows, items, item_rows, kind, use_max, band, cutoffs) -> ndarray
     edit_value(query, item, mode, kind, gap, eps, cutoff) -> float
     edit_batch(query, items, mode, kind, gap, eps, cutoffs) -> ndarray
+    edit_pairs(queries, query_rows, items, item_rows, mode, kind, gap, eps, cutoffs) -> ndarray
 
 with ``kind`` an element-metric code (0 euclidean, 1 manhattan,
 2 discrete), ``mode`` an edit-recurrence code (0 Levenshtein, 1 ERP,
 2 EDR), ``band`` ``None`` or a Sakoe-Chiba half-width, ``cutoff`` ``None``
 or a float, and ``cutoffs`` ``None``, a float, or a per-row ``(k,)``
-threshold vector.
+threshold vector.  The ``*_pairs`` forms compute
+``d(queries[query_rows[i]], items[item_rows[i]])`` for every ``i`` over two
+operand stacks -- one call for many queries, each against its own items --
+and run the *batch* form's recurrence per pair, so a pair's value is
+bit-identical to what ``*_batch`` returns for it.
 """
 
 from __future__ import annotations
@@ -349,6 +355,20 @@ def _warp_batch_impl(q, xs, kind, use_max, band, cutoffs, out):
             )
 
 
+def _warp_pairs_impl(qs, q_rows, xs, x_rows, kind, use_max, band, cutoffs, out):
+    m = xs.shape[1]
+    scratch = np.empty(3 * m)
+    for p in range(q_rows.shape[0]):
+        q = qs[q_rows[p]]
+        x = xs[x_rows[p]]
+        if use_max:
+            out[p] = _warp_max_pair(q, x, kind, band, cutoffs[p], scratch[:m], scratch[m : 2 * m])
+        else:
+            out[p] = _warp_sum_pair(
+                q, x, kind, band, cutoffs[p], scratch[:m], scratch[m : 2 * m], scratch[2 * m :]
+            )
+
+
 def _fill_ins(x, mode, kind, gap, ins, insp):
     m = x.shape[0]
     d = x.shape[1]
@@ -408,6 +428,29 @@ def _edit_batch_impl(q, xs, mode, kind, gap, eps, cutoffs, out):
         )
 
 
+def _edit_pairs_impl(qs, q_rows, xs, x_rows, mode, kind, gap, eps, cutoffs, out):
+    n = qs.shape[1]
+    m = xs.shape[1]
+    ins = np.empty(m)
+    insp = np.empty(m + 1)
+    del_costs = np.empty(n)
+    work0 = np.empty(m + 1)
+    work1 = np.empty(m + 1)
+    filled = -1
+    for p in range(q_rows.shape[0]):
+        q_row = q_rows[p]
+        if q_row != filled:
+            # deletion costs belong to the query: once per run of one query row
+            _fill_del(qs[q_row], mode, kind, gap, del_costs)
+            filled = q_row
+        x = xs[x_rows[p]]
+        _fill_ins(x, mode, kind, gap, ins, insp)
+        # the batch form's recurrence: always the reduced-coordinate sweep
+        out[p] = _edit_pair_reduced(
+            qs[q_row], x, mode, kind, eps, del_costs, ins, insp, cutoffs[p], work0, work1
+        )
+
+
 # --------------------------------------------------------------------- #
 # Provider front-ends
 # --------------------------------------------------------------------- #
@@ -439,6 +482,29 @@ def _norm_cutoffs(cutoffs: Union[None, float, np.ndarray], k: int) -> np.ndarray
     return vector
 
 
+def _pair_rows(rows: np.ndarray, limit: int) -> np.ndarray:
+    """Pair operand rows as contiguous int64, checked against the stack size."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.ndim != 1:
+        raise ValueError(f"pair rows must be one-dimensional, got shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= limit):
+        raise IndexError(f"pair rows out of range for a stack of {limit} operands")
+    return rows
+
+
+def _pair_operands(queries, query_rows, items, item_rows):
+    """Validated ``(qs, q_rows, xs, x_rows)`` of a pair call."""
+    qs = _contiguous(queries)
+    xs = _contiguous(items)
+    if qs.ndim != 3 or xs.ndim != 3 or qs.shape[2] != xs.shape[2]:
+        raise ValueError(f"pair operand stacks have shapes {qs.shape} and {xs.shape}")
+    q_rows = _pair_rows(query_rows, qs.shape[0])
+    x_rows = _pair_rows(item_rows, xs.shape[0])
+    if q_rows.shape != x_rows.shape:
+        raise ValueError(f"pair rows differ in length: {q_rows.shape} vs {x_rows.shape}")
+    return qs, q_rows, xs, x_rows
+
+
 class KernelProvider:
     """Base class: shared argument normalisation, per-provider raw calls."""
 
@@ -461,6 +527,17 @@ class KernelProvider:
         )
         return out
 
+    def warp_pairs(
+        self, queries, query_rows, items, item_rows, kind, use_max, band, cutoffs
+    ) -> np.ndarray:
+        qs, q_rows, xs, x_rows = _pair_operands(queries, query_rows, items, item_rows)
+        out = np.empty(q_rows.shape[0], dtype=np.float64)
+        self._warp_pairs(
+            qs, q_rows, xs, x_rows, int(kind), bool(use_max), _norm_band(band),
+            _norm_cutoffs(cutoffs, q_rows.shape[0]), out,
+        )
+        return out
+
     def edit_value(self, query, item, mode, kind, gap, eps, cutoff) -> float:
         q = _contiguous(query)
         x = _contiguous(item)
@@ -480,18 +557,33 @@ class KernelProvider:
         )
         return out
 
+    def edit_pairs(
+        self, queries, query_rows, items, item_rows, mode, kind, gap, eps, cutoffs
+    ) -> np.ndarray:
+        qs, q_rows, xs, x_rows = _pair_operands(queries, query_rows, items, item_rows)
+        g = _contiguous(np.asarray(gap, dtype=np.float64))
+        out = np.empty(q_rows.shape[0], dtype=np.float64)
+        self._edit_pairs(
+            qs, q_rows, xs, x_rows, int(mode), int(kind), g, float(eps),
+            _norm_cutoffs(cutoffs, q_rows.shape[0]), out,
+        )
+        return out
+
     def warm(self) -> None:
         """Run every kernel once on tiny inputs (JIT warm-up / .so load)."""
         q = np.zeros((2, 1))
         x = np.ones((2, 1))
         xs = np.ones((1, 2, 1))
+        rows = np.zeros(1, dtype=np.int64)
         gap = np.zeros(1)
         for use_max in (False, True):
             self.warp_value(q, x, 0, use_max, None, None)
             self.warp_batch(q, xs, 0, use_max, None, 1.5)
+            self.warp_pairs(xs, rows, xs, rows, 0, use_max, None, 1.5)
         for mode in (MODE_LEVENSHTEIN, MODE_ERP, MODE_EDR):
             self.edit_value(q, x, mode, 0, gap, 0.5, None)
             self.edit_batch(q, xs, mode, 0, gap, 0.5, None)
+            self.edit_pairs(xs, rows, xs, rows, mode, 0, gap, 0.5, None)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -503,8 +595,10 @@ class PyLoopProvider(KernelProvider):
     name = "pyloop"
     _warp_value = staticmethod(_warp_value_impl)
     _warp_batch = staticmethod(_warp_batch_impl)
+    _warp_pairs = staticmethod(_warp_pairs_impl)
     _edit_value = staticmethod(_edit_value_impl)
     _edit_batch = staticmethod(_edit_batch_impl)
+    _edit_pairs = staticmethod(_edit_pairs_impl)
 
 
 class NumbaProvider(KernelProvider):
@@ -543,8 +637,10 @@ class NumbaProvider(KernelProvider):
         ns["_fill_del"] = fill_del
         self._warp_value = jit(_rebind(_warp_value_impl, ns))
         self._warp_batch = jit(_rebind(_warp_batch_impl, ns))
+        self._warp_pairs = jit(_rebind(_warp_pairs_impl, ns))
         self._edit_value = jit(_rebind(_edit_value_impl, ns))
         self._edit_batch = jit(_rebind(_edit_batch_impl, ns))
+        self._edit_pairs = jit(_rebind(_edit_pairs_impl, ns))
 
 
 def _rebind(func, namespace: dict):
@@ -577,6 +673,10 @@ class CcProvider(KernelProvider):
         lib.repro_warp_batch.argtypes = [
             ptr, i64, ptr, i64, i64, i64, i64, i64, i64, ptr, ptr,
         ]
+        lib.repro_warp_pairs.restype = ctypes.c_int
+        lib.repro_warp_pairs.argtypes = [
+            ptr, i64, ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, ptr, ptr,
+        ]
         lib.repro_edit_value.restype = ctypes.c_int
         lib.repro_edit_value.argtypes = [
             ptr, i64, ptr, i64, i64, i64, i64, ptr, f64, f64, ptr,
@@ -584,6 +684,10 @@ class CcProvider(KernelProvider):
         lib.repro_edit_batch.restype = ctypes.c_int
         lib.repro_edit_batch.argtypes = [
             ptr, i64, ptr, i64, i64, i64, i64, i64, ptr, f64, ptr, ptr,
+        ]
+        lib.repro_edit_pairs.restype = ctypes.c_int
+        lib.repro_edit_pairs.argtypes = [
+            ptr, i64, ptr, ptr, i64, ptr, i64, i64, i64, i64, ptr, f64, ptr, ptr,
         ]
         self._lib = lib
         self.library_path = library_path
@@ -612,6 +716,15 @@ class CcProvider(KernelProvider):
             )
         )
 
+    def _warp_pairs(self, qs, q_rows, xs, x_rows, kind, use_max, band, cutoffs, out):
+        self._check(
+            self._lib.repro_warp_pairs(
+                qs.ctypes.data, qs.shape[1], q_rows.ctypes.data, xs.ctypes.data,
+                xs.shape[1], x_rows.ctypes.data, q_rows.shape[0], qs.shape[2], kind,
+                int(use_max), band, cutoffs.ctypes.data, out.ctypes.data,
+            )
+        )
+
     def _edit_value(self, q, x, mode, kind, gap, eps, cutoff):
         out = ctypes.c_double()
         self._check(
@@ -628,6 +741,15 @@ class CcProvider(KernelProvider):
                 q.ctypes.data, q.shape[0], xs.ctypes.data, xs.shape[0], xs.shape[1],
                 xs.shape[2], mode, kind, gap.ctypes.data, eps, cutoffs.ctypes.data,
                 out.ctypes.data,
+            )
+        )
+
+    def _edit_pairs(self, qs, q_rows, xs, x_rows, mode, kind, gap, eps, cutoffs, out):
+        self._check(
+            self._lib.repro_edit_pairs(
+                qs.ctypes.data, qs.shape[1], q_rows.ctypes.data, xs.ctypes.data,
+                xs.shape[1], x_rows.ctypes.data, q_rows.shape[0], qs.shape[2], mode,
+                kind, gap.ctypes.data, eps, cutoffs.ctypes.data, out.ctypes.data,
             )
         )
 

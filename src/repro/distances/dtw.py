@@ -23,7 +23,13 @@ from repro.distances.alignment import (
     warping_traceback,
 )
 from repro.distances.backend import fused_provider
-from repro.distances.base import Distance, ElementMetric, as_array, check_same_dim
+from repro.distances.base import (
+    Distance,
+    ElementMetric,
+    as_array,
+    check_same_dim,
+    stacked_pairs,
+)
 from repro.distances.compiled import METRIC_KIND_CODES
 from repro.exceptions import DistanceError
 
@@ -92,14 +98,33 @@ class DTW(Distance):
             kind = METRIC_KIND_CODES[self.element_metric.kind]
             values = kernels.warp_batch(query, items, kind, False, self.band, cutoff)
         else:
-            cost = self.element_metric.matrix_batch(query, items)
-            values = batch_warping_distance(cost, aggregate="sum", band=self.band, cutoff=cutoff)
+            values = self._stacked(query, items, cutoff)
+        return self._checked_feasible(values, cutoff)
+
+    def _stacked(self, queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
+        """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
+        cost = self.element_metric.matrix_batch(queries, items)
+        return batch_warping_distance(cost, aggregate="sum", band=self.band, cutoff=cutoff)
+
+    def _checked_feasible(self, values: np.ndarray, cutoff) -> np.ndarray:
         if cutoff is None and self.band is not None and np.isinf(values).any():
             raise DistanceError(
                 "no warping path fits within the Sakoe-Chiba band; "
                 "widen the band or use unconstrained DTW"
             )
         return values
+
+    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
+        """Pair-form DTW: the batch kernel per pair, one call for all of them."""
+        kernels = fused_provider(queries.shape[2])
+        if kernels is not None:
+            kind = METRIC_KIND_CODES[self.element_metric.kind]
+            values = kernels.warp_pairs(
+                queries, query_rows, items, item_rows, kind, False, self.band, cutoff
+            )
+        else:
+            values = stacked_pairs(self._stacked, queries, query_rows, items, item_rows, cutoff)
+        return self._checked_feasible(values, cutoff)
 
     def alignment(self, first, second) -> Alignment:
         """Return the optimal warping alignment (the coupling sequence C)."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.distances.alignment import batch_edit_distance_value, edit_distance_value
 from repro.distances.backend import fused_provider
-from repro.distances.base import Distance, ElementMetric
+from repro.distances.base import Distance, ElementMetric, stacked_pairs
 from repro.distances.compiled import METRIC_KIND_CODES, MODE_EDR, NO_GAP
 from repro.exceptions import DistanceError
 
@@ -77,11 +77,25 @@ class EDR(Distance):
             return kernels.edit_batch(
                 query, items, MODE_EDR, kind, NO_GAP, self.epsilon, cutoff
             )
-        ground = self.element_metric.matrix_batch(query, items)
+        return self._stacked(query, items, cutoff)
+
+    def _stacked(self, queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
+        """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
+        ground = self.element_metric.matrix_batch(queries, items)
         substitution = (ground > self.epsilon).astype(np.float64)
-        deletion = np.ones(query.shape[0], dtype=np.float64)
+        deletion = np.ones(queries.shape[-2], dtype=np.float64)
         insertion = np.ones((items.shape[0], items.shape[1]), dtype=np.float64)
         return batch_edit_distance_value(substitution, deletion, insertion, cutoff=cutoff)
+
+    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
+        """Pair-form EDR: the batch kernel per pair, one call for all of them."""
+        kernels = fused_provider(queries.shape[2])
+        if kernels is not None:
+            kind = METRIC_KIND_CODES[self.element_metric.kind]
+            return kernels.edit_pairs(
+                queries, query_rows, items, item_rows, MODE_EDR, kind, NO_GAP, self.epsilon, cutoff
+            )
+        return stacked_pairs(self._stacked, queries, query_rows, items, item_rows, cutoff)
 
     def __repr__(self) -> str:
         return f"EDR(epsilon={self.epsilon}, element_metric={self.element_metric!r})"

@@ -22,7 +22,13 @@ from repro.distances.alignment import (
     edit_traceback,
 )
 from repro.distances.backend import fused_provider
-from repro.distances.base import Distance, ElementMetric, as_array, check_same_dim
+from repro.distances.base import (
+    Distance,
+    ElementMetric,
+    as_array,
+    check_same_dim,
+    stacked_pairs,
+)
 from repro.distances.compiled import METRIC_KIND_CODES, MODE_ERP
 from repro.exceptions import DistanceError
 
@@ -83,15 +89,34 @@ class ERP(Distance):
 
     def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
         """Batched ERP: shared query-side gap costs, per-item insertion costs."""
-        gap = self._gap_vector(query.shape[1])
         kernels = fused_provider(query.shape[1])
         if kernels is not None:
             kind = METRIC_KIND_CODES[self.element_metric.kind]
+            gap = self._gap_vector(query.shape[1])
             return kernels.edit_batch(query, items, MODE_ERP, kind, gap, 0.0, cutoff)
-        substitution = self.element_metric.matrix_batch(query, items)
-        deletion = self.element_metric.to_origin(query, gap)
+        return self._stacked(query, items, cutoff)
+
+    def _stacked(self, queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
+        """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
+        gap = self._gap_vector(items.shape[2])
+        substitution = self.element_metric.matrix_batch(queries, items)
+        if queries.ndim == 2:
+            deletion = self.element_metric.to_origin(queries, gap)
+        else:
+            deletion = self.element_metric.to_origin_batch(queries, gap)
         insertion = self.element_metric.to_origin_batch(items, gap)
         return batch_edit_distance_value(substitution, deletion, insertion, cutoff=cutoff)
+
+    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
+        """Pair-form ERP: the batch kernel per pair, one call for all of them."""
+        kernels = fused_provider(queries.shape[2])
+        if kernels is not None:
+            kind = METRIC_KIND_CODES[self.element_metric.kind]
+            gap = self._gap_vector(queries.shape[2])
+            return kernels.edit_pairs(
+                queries, query_rows, items, item_rows, MODE_ERP, kind, gap, 0.0, cutoff
+            )
+        return stacked_pairs(self._stacked, queries, query_rows, items, item_rows, cutoff)
 
     def alignment(self, first, second) -> Alignment:
         """Return one optimal ERP alignment (gap operations excluded)."""

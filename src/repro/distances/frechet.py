@@ -22,7 +22,13 @@ from repro.distances.alignment import (
     warping_traceback,
 )
 from repro.distances.backend import fused_provider
-from repro.distances.base import Distance, ElementMetric, as_array, check_same_dim
+from repro.distances.base import (
+    Distance,
+    ElementMetric,
+    as_array,
+    check_same_dim,
+    stacked_pairs,
+)
 from repro.distances.compiled import METRIC_KIND_CODES
 
 
@@ -65,8 +71,22 @@ class DiscreteFrechet(Distance):
         if kernels is not None:
             kind = METRIC_KIND_CODES[self.element_metric.kind]
             return kernels.warp_batch(query, items, kind, True, None, cutoff)
-        cost = self.element_metric.matrix_batch(query, items)
+        return self._stacked(query, items, cutoff)
+
+    def _stacked(self, queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
+        """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
+        cost = self.element_metric.matrix_batch(queries, items)
         return batch_warping_distance(cost, aggregate="max", cutoff=cutoff)
+
+    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
+        """Pair-form DFD: the batch kernel per pair, one call for all of them."""
+        kernels = fused_provider(queries.shape[2])
+        if kernels is not None:
+            kind = METRIC_KIND_CODES[self.element_metric.kind]
+            return kernels.warp_pairs(
+                queries, query_rows, items, item_rows, kind, True, None, cutoff
+            )
+        return stacked_pairs(self._stacked, queries, query_rows, items, item_rows, cutoff)
 
     def alignment(self, first, second) -> Alignment:
         """Return the optimal bottleneck alignment."""

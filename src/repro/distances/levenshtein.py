@@ -26,7 +26,7 @@ from repro.distances.alignment import (
     edit_traceback,
 )
 from repro.distances.backend import fused_provider
-from repro.distances.base import Distance
+from repro.distances.base import Distance, stacked_pairs
 from repro.distances.compiled import MODE_LEVENSHTEIN, NO_GAP
 from repro.exceptions import DistanceError
 
@@ -69,12 +69,26 @@ class Levenshtein(Distance):
             return kernels.edit_batch(
                 query, items, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, cutoff
             )
+        return self._stacked(query, items, cutoff)
+
+    @staticmethod
+    def _stacked(queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
+        """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
         substitution = (
-            np.any(query[None, :, None, :] != items[:, None, :, :], axis=3)
+            np.any(queries[..., :, None, :] != items[:, None, :, :], axis=3)
         ).astype(np.float64)
-        deletion = np.ones(query.shape[0], dtype=np.float64)
+        deletion = np.ones(queries.shape[-2], dtype=np.float64)
         insertion = np.ones((items.shape[0], items.shape[1]), dtype=np.float64)
         return batch_edit_distance_value(substitution, deletion, insertion, cutoff=cutoff)
+
+    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
+        """Pair-form edit distance: the batch kernel per pair, one call for all."""
+        kernels = fused_provider(queries.shape[2])
+        if kernels is not None:
+            return kernels.edit_pairs(
+                queries, query_rows, items, item_rows, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, cutoff
+            )
+        return stacked_pairs(self._stacked, queries, query_rows, items, item_rows, cutoff)
 
     def alignment(self, first, second) -> Alignment:
         """Return one optimal alignment (couplings of matched positions)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,50 +52,33 @@ class RangeMatch:
     distance: Optional[float]
 
 
-class BoundRow(NamedTuple):
-    """One query's row of a :class:`BoundTable`, as ``_range_search`` takes it."""
-
-    #: Store epoch the table was built at; the index refuses a stale row.
-    epoch: int
-    #: Index-defined handle of a stored item -> position in :attr:`values`.
-    column: dict
-    #: ``values[c] <= d(query, item at column c)``; may hold NaN (= unknown).
-    values: List[float]
-
-
 class BoundTable:
     """Admissible lower bounds from every query of one batch to every item.
 
     Built by :meth:`MetricIndex.bound_table` for all the segments of one
     query at once and handed back, whole, to :meth:`MetricIndex.batch_range_query`
-    / :meth:`MetricIndex.query_work_units`; row ``i`` belongs to the ``i``-th
-    query of the batch.  A row is a pure function of (query, stored items)
+    / :meth:`MetricIndex.probe_batch`; row ``i`` of :attr:`matrix` belongs to
+    the ``i``-th query of the batch, and its columns follow the building
+    index's own item order at :attr:`epoch` (the index refuses the table
+    after any write).  ``matrix[i, c] <= d(query i, item c)``; an entry may
+    be NaN (= unknown).  A row is a pure function of (query, stored items)
     -- never of cache state -- so consulting it is identical under every
     executor, and a table stays valid for any radius until the index is
     written to.
     """
 
-    __slots__ = ("epoch", "column", "rows")
+    __slots__ = ("epoch", "matrix")
 
-    def __init__(self, epoch: int, column: dict, rows: List[List[float]]) -> None:
+    def __init__(self, epoch: int, matrix: np.ndarray) -> None:
         self.epoch = epoch
-        self.column = column
-        self.rows = rows
+        self.matrix = matrix
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.matrix)
 
-    def row(self, position: int) -> BoundRow:
-        return BoundRow(self.epoch, self.column, self.rows[position])
-
-
-def _bound_rows(bounds: Optional[BoundTable], count: int) -> List[Optional[BoundRow]]:
-    """Per-query rows of ``bounds`` (all ``None`` without a table)."""
-    if bounds is None:
-        return [None] * count
-    if len(bounds) != count:
-        raise IndexError_(f"bound table has {len(bounds)} rows for {count} queries")
-    return [bounds.row(position) for position in range(count)]
+    def take(self, positions: List[int]) -> "BoundTable":
+        """The table of the sub-batch made of the queries at ``positions``."""
+        return BoundTable(self.epoch, self.matrix[positions])
 
 
 @dataclass
@@ -439,19 +422,14 @@ class MetricIndex(abc.ABC):
     def remove(self, key: Hashable) -> object:
         """Remove and return the item stored under ``key``."""
 
-    @abc.abstractmethod
-    def _range_search(
-        self,
-        query: SequenceLike,
-        radius: float,
-        counting,
-        bounds: Optional[BoundRow] = None,
-    ) -> List[RangeMatch]:
+    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
         """Range query against an explicit counting context.
 
-        ``bounds`` is this query's row of the table :meth:`bound_table`
-        built, if the caller holds one; only an index that builds tables
-        ever receives (or reads) it.
+        The hook of an index that answers one query at a time: the default
+        :meth:`range_query`, :meth:`_serial_batch_range_query` and
+        :meth:`query_work_units` are built on it.  An index that answers a
+        whole batch natively (the reference net) overrides those instead and
+        has no per-query traversal.
 
         ``counting`` supplies every distance evaluation (``counting(a, b)``,
         ``counting.bounded``, ``counting.batch``); implementations must not
@@ -460,13 +438,12 @@ class MetricIndex(abc.ABC):
         recording context.  Traversals must treat the structure as
         read-only -- lazy rebuilds belong in :meth:`prepare_queries`.
         """
+        raise NotImplementedError(f"{type(self).__name__} has no per-query traversal")
 
-    def range_query(
-        self, query: SequenceLike, radius: float, bounds: Optional[BoundRow] = None
-    ) -> List[RangeMatch]:
+    def range_query(self, query: SequenceLike, radius: float) -> List[RangeMatch]:
         """Return every stored item within ``radius`` of ``query``."""
         self.prepare_queries()
-        return self._range_search(query, radius, self._counting, bounds)
+        return self._range_search(query, radius, self._counting)
 
     def bound_table(
         self, query: SequenceLike, spans: List[Tuple[int, int]]
@@ -510,22 +487,52 @@ class MetricIndex(abc.ABC):
         """Answer many range queries at once; one result list per query.
 
         ``bounds`` optionally hands back the table :meth:`bound_table` built
-        for exactly these queries (row ``i`` for query ``i``).
+        for exactly these queries (row ``i`` for query ``i``); an index
+        whose :meth:`bound_table` is ``None`` never sees one.
 
         Without an ``executor`` (or with the serial one), execution follows
         the index's serial batch path -- :meth:`range_query` per query by
         default; implementations with a genuinely batched execution (the
         linear scan's grouped kernel sweeps, the reference index's batched
-        reference distances) override :meth:`_serial_batch_range_query`.
-        With a parallel executor, the query set is split into the work
-        units of :meth:`query_work_units` and fanned out; results *and*
-        work counters are identical to the serial path either way (see
-        :func:`run_query_work_units`).
+        reference distances, the reference net's whole-batch frontier)
+        override :meth:`_serial_batch_range_query`.  With a parallel
+        executor, the query set is split into the work units of
+        :meth:`query_work_units`, if the index issues any, and fanned out;
+        results *and* work counters are identical to the serial path either
+        way (see :func:`run_query_work_units`).
         """
         queries = list(queries)
         if executor is not None and executor.is_parallel:
             return self.parallel_batch_range_query(queries, radius, executor, bounds)
         return self._serial_batch_range_query(queries, radius, bounds)
+
+    def probe_batch(
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        bounds: Optional[BoundTable] = None,
+        executor=None,
+        log_format: Optional[str] = None,
+        transport: Optional[str] = None,
+    ) -> Tuple[List[List[RangeMatch]], float]:
+        """:meth:`batch_range_query` as the query pipeline asks it.
+
+        One entry for every index and executor: returns the per-query match
+        lists plus the CPU seconds burned off the calling thread.  Under a
+        parallel executor the index's :meth:`query_work_units` fan out
+        through :func:`run_query_work_units` with the pipeline's
+        record/replay settings (``log_format``, ``transport``); an index
+        that issues no units answers on the calling thread, like the serial
+        path.
+        """
+        units = None
+        if executor is not None and executor.is_parallel:
+            units = self.query_work_units(queries, radius)
+        if units is None:
+            return self.batch_range_query(queries, radius, bounds=bounds), 0.0
+        return run_query_work_units(
+            self, units, len(queries), executor, log_format=log_format, transport=transport
+        )
 
     def _serial_batch_range_query(
         self,
@@ -533,11 +540,8 @@ class MetricIndex(abc.ABC):
         radius: float,
         bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
-        """Serial batched execution (subclass hook; default per-query)."""
-        return [
-            self.range_query(query, radius, row)
-            for query, row in zip(queries, _bound_rows(bounds, len(queries)))
-        ]
+        """Serial batched execution (subclass hook; default per-query, table-less)."""
+        return [self.range_query(query, radius) for query in queries]
 
     def parallel_batch_range_query(
         self,
@@ -546,19 +550,14 @@ class MetricIndex(abc.ABC):
         executor,
         bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
-        """Executor-driven batched execution over :meth:`query_work_units`."""
+        """Executor-driven batched execution: :meth:`probe_batch`'s matches."""
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
-        units = self.query_work_units(queries, radius, bounds)
-        per_query, _cpu = run_query_work_units(self, units, len(queries), executor)
-        return per_query
+        return self.probe_batch(queries, radius, bounds, executor)[0]
 
     def query_work_units(
-        self,
-        queries: List[SequenceLike],
-        radius: float,
-        bounds: Optional[BoundTable] = None,
-    ) -> List[QueryWorkUnit]:
+        self, queries: List[SequenceLike], radius: float
+    ) -> Optional[List[QueryWorkUnit]]:
         """Split a batched range query into independent work units.
 
         The default yields one unit per query, each running the full
@@ -566,17 +565,16 @@ class MetricIndex(abc.ABC):
         many-segment probes.  Indexes whose probes decompose further
         override this (the linear scan splits every query into one unit
         per same-shape group of stored items, each a single batched kernel
-        sweep that can also ship to a process pool).  Each unit carries its
-        own row of ``bounds``.  Calling this method also performs
-        :meth:`prepare_queries`.
+        sweep that can also ship to a process pool); an index that answers
+        a batch in one traversal (the reference net) returns ``None`` and is
+        run whole.  Calling this method also performs :meth:`prepare_queries`.
         """
         self.prepare_queries()
         units: List[QueryWorkUnit] = []
-        rows = _bound_rows(bounds, len(queries))
         for position, query in enumerate(queries):
 
-            def search(counting, query=query, row=rows[position]):
-                matches = self._range_search(query, radius, counting, row)
+            def search(counting, query=query):
+                matches = self._range_search(query, radius, counting)
                 return list(enumerate(matches))
 
             units.append(

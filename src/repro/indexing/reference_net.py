@@ -31,24 +31,29 @@ in addition to Lemma 4's level-radius bounds.  This costs no extra distance
 computations, keeps the space linear, and is precisely the kind of pruning
 the paper's Figure 2 motivates for the multi-parent design.
 
-Execution layout: beside its child lists every node keeps one flat
-*routing row list* -- ``(child, link distance, link distance + the child's
-subtree radius, leaf flag)`` per child, in list order -- and the net keeps a
-:class:`~repro.sequences.packed.PackedWindowStore` of the coerced items.
-Both are derived data: Algorithms 1 and 2 refresh the rows of the parents a
-write touches (never the whole net), and a snapshot restore rebuilds them
-without a single distance computation.  The range query reads nothing else:
-it measures one whole level with one batched kernel call served from the
-packed store, then routes over the rows.
+Execution layout, write side: the node objects with their child lists are
+what Algorithms 1 and 2 update; beside them the net keeps a
+:class:`~repro.sequences.packed.PackedWindowStore` of the coerced items,
+which a snapshot restore refills without a single distance computation.
 
-Bound-first routing (``prefilter=True``): before a level's nodes are
+Execution layout, read side: range queries never walk the node objects.
+They run on a *flat layout* (:class:`_FlatLayout`) derived from the child
+lists -- one integer id per node in packed-store order, CSR child ranges with
+one routing margin per link, nodes per home level, content keys -- built
+lazily on the first probe after a write (it is keyed by the store's epoch; it
+is never maintained incrementally and never snapshotted).  One traversal
+serves every query of a batch at once (:meth:`ReferenceNet._frontier`): per
+level, the pending ``(query, node)`` pairs of *all* queries are classified
+from the bound table, measured by one cache probe and one pair-batch kernel
+call per shape group, and routed with array operations over the CSR rows.
+
+Bound-first routing (``prefilter=True``): before a level's pairs are
 measured, each is classified from one entry of a per-query *bound table* --
 admissible lower bounds ``lb <= d(query, node)`` for every stored window,
 built once per query for all of its segments from the packed store's
-per-window summaries (:meth:`ReferenceNet.bound_table`).  Only nodes whose
+per-window summaries (:meth:`ReferenceNet.bound_table`).  Only pairs whose
 bound does not already exceed the radius reach the cache and the kernel; see
-:meth:`ReferenceNet._range_search` for the three classes and why each is
-safe.
+:meth:`ReferenceNet._frontier` for the three classes and why each is safe.
 """
 
 from __future__ import annotations
@@ -58,23 +63,19 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.distances.base import Distance, SequenceLike, as_array
-from repro.distances.cache import DistanceCache
+from repro.distances.base import Distance, SequenceLike, as_array, validate_group_shape
+from repro.distances.cache import DistanceCache, content_keys
 from repro.distances.lower_bounds import combined_bound_table, has_bound_table
 from repro.exceptions import IndexError_, InvariantViolationError
-from repro.indexing.base import BoundRow, BoundTable, MetricIndex, RangeMatch
-from repro.indexing.stats import DistanceCounter
+from repro.indexing.base import BoundTable, MetricIndex, RangeMatch
+from repro.indexing.stats import CountingDistance, DistanceCounter, first_occurrences
 from repro.sequences.packed import PackedWindowStore, StoreGather
 from repro.sequences.sequence import Sequence
-
-#: One routing row: ``(child, link, link + child subtree radius, child is a leaf)``.
-_Row = Tuple["_Node", float, float, bool]
-
 
 class _Node:
     """One stored item and its position in the hierarchy."""
 
-    __slots__ = ("key", "item", "home_level", "subtree", "children", "parent_links", "rows")
+    __slots__ = ("key", "item", "home_level", "subtree", "children", "parent_links")
 
     def __init__(self, key: Hashable, item: object, home_level: int, subtree: float) -> None:
         self.key = key
@@ -89,10 +90,6 @@ class _Node:
         self.children: Dict[int, List[Tuple["_Node", float]]] = {}
         #: ``(level, parent)`` pairs for every list containing this node.
         self.parent_links: List[Tuple[int, "_Node"]] = []
-        #: :attr:`children` flattened in :meth:`iter_children` order, with
-        #: the per-child bounds the range query routes by precomputed.
-        #: Replaced, never edited in place (:meth:`ReferenceNet._refresh_rows`).
-        self.rows: List[_Row] = []
 
     def iter_children(self) -> Iterator[Tuple[int, "_Node", float]]:
         """Yield ``(level, child, distance)`` for every child in every list."""
@@ -104,22 +101,96 @@ class _Node:
         return f"_Node(key={self.key!r}, home_level={self.home_level})"
 
 
-def _settle_subtree(node: _Node, decided: set, matches: Optional[List[RangeMatch]]) -> None:
-    """Decide every undecided descendant of ``node`` without measuring it.
+class _FlatLayout:
+    """The net as arrays: what a range query reads instead of the nodes.
 
-    With ``matches`` the descendants are accepted (appended with
-    ``distance=None``); with ``None`` they are rejected.
+    Node ``i`` is the ``i``-th window of the packed store (group by group,
+    row by row) -- also column ``i`` of a :class:`~repro.indexing.base.BoundTable`.
+    Derived from the child lists by :meth:`ReferenceNet._layout`; valid for
+    the store epoch it was built at.
     """
-    stack = [node]
-    while stack:
-        for child, _link, _reach, leaf in stack.pop().rows:
-            if child in decided:
-                continue
-            decided.add(child)
-            if matches is not None:
-                matches.append(RangeMatch(child.key, child.item, None))
-            if not leaf:
-                stack.append(child)
+
+    __slots__ = (
+        "epoch", "root", "keys", "items", "content", "all_keyed", "level", "subtree",
+        "by_level", "child_start", "child_count", "child", "margin", "group", "first",
+        "tensors", "shapes",
+    )  # fmt: skip
+
+    #: Store epoch the layout mirrors.
+    epoch: int
+    #: Id of the root node.
+    root: int
+    #: Key / item / content key per node (object arrays, so a fancy index
+    #: gathers them at C speed); ``all_keyed`` says no content key is ``None``.
+    keys: np.ndarray
+    items: np.ndarray
+    content: np.ndarray
+    all_keyed: bool
+    #: Home level and subtree radius per node; node ids per home level.
+    level: np.ndarray
+    subtree: np.ndarray
+    by_level: List[np.ndarray]
+    #: CSR child rows: node ``i`` owns rows ``child_start[i] : child_start[i + 1]``
+    #: (``child_count[i]`` of them, in :meth:`_Node.iter_children` order).
+    #: ``margin`` is what a parent distance
+    #: ``v`` must clear to settle the row's child without measuring it: the
+    #: link distance for a leaf child, ``reach`` (link + the child's subtree
+    #: radius, which settles the child's descendants with it) otherwise --
+    #: ``v + margin <= r`` accepts, ``v - margin > r`` rejects.
+    child_start: np.ndarray
+    child_count: np.ndarray
+    child: np.ndarray
+    margin: np.ndarray
+    #: Packed-store shape group per node, the id of each group's first node
+    #: (a node's tensor row is its id minus that), and the group tensors.
+    group: np.ndarray
+    first: np.ndarray
+    tensors: List[np.ndarray]
+    shapes: List[Tuple[int, int]]
+
+
+def _object_array(values: list) -> np.ndarray:
+    """``values`` as a 1-D object array (elements may be sequences themselves)."""
+    array = np.empty(len(values), dtype=object)
+    for position, value in enumerate(values):
+        array[position] = value
+    return array
+
+
+#: Per-(query, node) traversal state.  Below ``_ACCEPTED`` a pair is *open*:
+#: untouched, or deferred by a parent to be measured when its level comes.
+#: From ``_ACCEPTED`` up it is *decided*: accepted or rejected without a
+#: distance (either way its descendants inherit the verdict, level by level),
+#: or ``_DONE`` -- it had its turn at its own level.
+_NEW, _PENDING, _ACCEPTED, _REJECTED, _DONE = range(5)
+
+#: Child rows expanded at a time: bounds the routing temporaries (a few
+#: index and float vectors of this length) whatever the level's size.
+_CHUNK_ROWS = 8192
+
+
+class _QueryOperands:
+    """One batch's queries as pair-kernel operands: stacked by shape, keyed."""
+
+    __slots__ = ("tensors", "group", "row", "content", "all_keyed")
+
+    def __init__(self, queries: List[SequenceLike], arrays: List[np.ndarray]) -> None:
+        members: Dict[Tuple[int, int], List[int]] = {}
+        for position, array in enumerate(arrays):
+            members.setdefault(array.shape, []).append(position)
+        #: Shape group and row inside that group's tensor, per query.
+        self.group = np.empty(len(arrays), dtype=np.int32)
+        self.row = np.empty(len(arrays), dtype=np.int32)
+        #: One ``(members, length, dim)`` tensor per query shape.
+        self.tensors: List[np.ndarray] = []
+        for positions in members.values():
+            self.group[positions] = len(self.tensors)
+            self.row[positions] = np.arange(len(positions))
+            self.tensors.append(np.stack([arrays[position] for position in positions]))
+        contents = content_keys(queries)
+        #: Content key per query; ``None`` for a query the cache cannot key.
+        self.content = _object_array(contents)
+        self.all_keyed = None not in contents
 
 
 @dataclass
@@ -163,8 +234,8 @@ class ReferenceNet(MetricIndex):
     counter:
         Optional shared distance counter.
     prefilter:
-        Classify every frontier node from its bound-table entry before the
-        cache and the kernel see it (see :meth:`_range_search`).  Takes
+        Classify every frontier pair from its bound-table entry before the
+        cache and the kernel see it (see :meth:`_frontier`).  Takes
         effect for the distances whose lower bounds have a table form
         (:func:`~repro.distances.lower_bounds.has_bound_table`: the discrete
         Frechet distance today); for any other distance the traversal is the
@@ -217,6 +288,8 @@ class ReferenceNet(MetricIndex):
         self._max_level = 1
         #: The coerced items, by key: what a level's batched kernel gathers.
         self._packed = PackedWindowStore()
+        #: The read-side replica (:meth:`_layout`); ``None`` until a probe.
+        self._flat: Optional[_FlatLayout] = None
 
     # ------------------------------------------------------------------ #
     # Geometry helpers
@@ -321,35 +394,51 @@ class ReferenceNet(MetricIndex):
                     result.append((child, child_distance))
         return result
 
+    def _measure(self, query: SequenceLike, frontier: List[_Node], counting) -> List[float]:
+        """``d(query, node)`` for one level of Algorithm 1's descent, as one
+        batched request (range queries measure through :meth:`_measure_pairs`).
+
+        The operands come from the packed store, so the call costs one cache
+        row probe, one kernel sweep and one bulk store whatever the level's
+        size.  Distances are requested in the batch call form
+        (:meth:`~repro.distances.base.Distance.compute_batch`), like the
+        linear scan's.
+
+        Nodes with the same content need care when a cache is in play:
+        measured one by one, the first is computed and the others are cache
+        hits, whereas one batch would miss (and compute) them all.  So only
+        first occurrences go into the batch and the repeats are requested
+        afterwards -- hits with a cache attached, computations without --
+        which keeps the tallies and the store order exact (the split is
+        :func:`~repro.indexing.stats.first_occurrences`, the one
+        :meth:`~repro.indexing.stats.CountingDistance.pairs` settles by).
+        """
+        items = [node.item for node in frontier]
+        keys = [node.key for node in frontier]
+        gather = StoreGather(self._packed, keys)
+        if len(frontier) > 1 and isinstance(query, Sequence):
+            probed, unkeyed, repeats, _origins = first_occurrences(gather.content_keys(items))
+            if repeats:
+                values = [0.0] * len(frontier)
+                for part in (sorted(probed + unkeyed), repeats):
+                    distances = counting.batch(
+                        query,
+                        [items[position] for position in part],
+                        packed=StoreGather(self._packed, [keys[position] for position in part]),
+                    )
+                    for position, value in zip(part, distances.tolist()):
+                        values[position] = value
+                return values
+        return counting.batch(query, items, packed=gather).tolist()
+
     def _attach(self, node: _Node, parents: List[Tuple[_Node, float]], level: int) -> None:
         """Insert ``node`` into the lists ``L(level, parent)`` of ``parents``."""
         chosen = parents
         if self.nummax is not None and len(parents) > self.nummax:
             chosen = sorted(parents, key=lambda pair: pair[1])[: self.nummax]
         for parent, link_distance in chosen:
-            was_leaf = not parent.children
             parent.children.setdefault(level, []).append((node, link_distance))
             node.parent_links.append((level, parent))
-            self._refresh_rows(parent, leaf_changed=was_leaf)
-
-    def _refresh_rows(self, node: _Node, leaf_changed: bool = False) -> None:
-        """Rebuild ``node``'s routing rows from its child lists.
-
-        Called for the parents a write touches, and for nobody else: a row
-        depends only on its own child entry (the link distance, the child's
-        fixed home level, whether the child has children).  When the write
-        made ``node`` a leaf or stopped it being one, the rows that *refer*
-        to it -- in its own parents -- carry a stale leaf flag and are
-        rebuilt too.
-        """
-        node.rows = [
-            (child, link_distance, link_distance + child.subtree, not child.children)
-            for kids in node.children.values()
-            for child, link_distance in kids
-        ]
-        if leaf_changed:
-            for _level, parent in node.parent_links:
-                self._refresh_rows(parent)
 
     # ------------------------------------------------------------------ #
     # Deletion (Algorithm 2)
@@ -374,7 +463,6 @@ class ReferenceNet(MetricIndex):
             ]
             if not parent.children[level]:
                 del parent.children[level]
-            self._refresh_rows(parent, leaf_changed=not parent.children)
         node.parent_links = []
 
         orphans = self._dissolve(node)
@@ -406,7 +494,6 @@ class ReferenceNet(MetricIndex):
                     orphans.append(child)
                     stack.append(child)
             current.children = {}
-            current.rows = []
         return orphans
 
     def _rebuild(self, items: List[Tuple[Hashable, object]]) -> None:
@@ -438,21 +525,24 @@ class ReferenceNet(MetricIndex):
         block per window shape group, side by side.  A group the distance
         cannot compare with the query (another element dimensionality)
         contributes zeros, which settle nothing.  Columns follow the store's
-        rows *now*; the table carries the store's epoch and
-        :meth:`_range_search` refuses it after any write.
+        rows *now* -- the node ids of the flat layout; the table carries the
+        store's epoch and the traversal refuses it after any write.
 
         ``None`` when bound-first routing is off, the net is empty, or the
         distance's bounds have no table form.
         """
         if not self.prefilter or self._root is None or not has_bound_table(self.distance):
             return None
-        array = as_array(query)
         starts = np.fromiter((start for start, _length in spans), np.intp, len(spans))
         lengths = np.fromiter((length for _start, length in spans), np.intp, len(spans))
-        column: Dict[_Node, int] = {}
+        return BoundTable(self._packed.epoch, self._bound_matrix(as_array(query), starts, lengths))
+
+    def _bound_matrix(
+        self, array: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """The matrix of :meth:`bound_table` for a coerced query."""
         blocks: List[np.ndarray] = []
         for shape in self._packed.group_shapes():
-            keys = self._packed.group_keys(shape)
             if shape[1] == array.shape[1]:
                 blocks.append(
                     combined_bound_table(
@@ -460,205 +550,79 @@ class ReferenceNet(MetricIndex):
                     )
                 )
             else:
-                blocks.append(np.zeros((len(spans), len(keys)), dtype=np.float64))
-            for key in keys:
-                column[self._nodes[key]] = len(column)
-        matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        return BoundTable(self._packed.epoch, column, matrix.tolist())
+                count = len(self._packed.group_tensor(shape))
+                blocks.append(np.zeros((len(starts), count), dtype=np.float64))
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
-    def _range_search(
-        self,
-        query: SequenceLike,
-        radius: float,
-        counting,
-        bounds: Optional[BoundRow] = None,
-    ) -> List[RangeMatch]:
-        """All items within ``radius`` of ``query``.
+    def _layout(self) -> _FlatLayout:
+        """The flat layout of the current structure, rebuilt after any write.
 
-        Levels are processed from the top down, as in the paper's
-        Algorithm 3: a reference's distance is computed only if none of the
-        lists containing it (nor Lemma 4 applied to an ancestor) already
-        decided it.  Items proven to match through the triangle inequality
-        alone are returned with ``distance=None``.
-
-        The traversal is *level-synchronous*.  A child's home level is
-        strictly below its parent's, so accepting, pruning or routing a
-        level-``i`` node only ever touches nodes of lower levels: when
-        level ``i`` starts, everything that can decide one of its nodes has
-        already happened.  The level's undecided nodes are therefore
-        collected first, measured with one ``counting.batch`` call, and
-        then accepted / pruned / routed in that same order -- the matches,
-        their order and the work counters are those of measuring the nodes
-        one by one.  Within a level all cache lookups precede all stores
-        (the ``batch`` contract), which only shows under eviction: a key an
-        earlier store of the same level would have pushed out still
-        answers.  The traversal reads the structure only, so concurrent
-        work units may run it against their own ``counting`` contexts.
-
-        With ``bounds`` -- this query's row of :meth:`bound_table`, built
-        here when bound-first routing is on and the caller holds none --
-        every collected node ``n`` is first classified from its entry
-        ``lb <= d(query, n)``, before any cache probe or kernel call:
-
-        * ``lb - subtree(n) > radius`` **rejects** ``n`` and its subtree:
-          every descendant ``c`` has ``d(n, c) <= subtree(n)``, so
-          ``d(query, c) >= d(query, n) - d(n, c) >= lb - subtree(n)``.
-        * otherwise ``lb > radius`` **skips** ``n``: it is not an answer, so
-          its distance is never computed, and its children are routed with
-          ``lb`` standing in for the distance on the reject side only --
-          ``d(query, c) >= d(query, n) - link(n, c) >= lb - link(n, c)``, so
-          ``lb - link > radius`` rejects a leaf child and ``lb - reach >
-          radius`` a child's whole subtree; any other child is deferred to
-          its own level and its own entry.  (A leaf is simply dropped.)
-        * ``lb <= radius`` -- or NaN, which compares false against every
-          threshold -- **measures** ``n``: it joins the level's one batch,
-          and its exact distance routes as without a table.
-
-        Nothing is accepted on a bound, so the answers are those of the
-        plain traversal; only ``distance=None``-ness may differ (a skipped
-        parent triangle-accepts nobody, its matching children get measured
-        instead).  Rejected and skipped nodes never reach the cache -- their
-        entry is free to recompute -- and every distance is spent on a pair
-        with ``lb <= radius``, which the linear scan's prefilter would have
-        had to compute as well.  Classified and settled-without-a-distance
-        nodes are tallied through ``counting.record_prefilter``.
+        Every write to the net writes to the packed store, so the store's
+        epoch says whether the cached layout still mirrors the nodes.  The
+        rebuild is one pass over the child lists -- no distance
+        computation -- and is deliberately never done incrementally.
         """
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
-        if self._root is None:
-            return []
-        if bounds is None and self.prefilter:
-            table = self.bound_table(query, [(0, len(as_array(query)))])
-            bounds = None if table is None else table.row(0)
-        if bounds is not None and bounds.epoch != self._packed.epoch:
-            raise IndexError_("bound table predates a write to the index; build a new one")
-
-        matches: List[RangeMatch] = []
-        decided: set = set()
-        #: Nodes awaiting a distance computation, by home level.
-        pending: List[List[_Node]] = [[] for _ in range(self._max_level + 1)]
-        pending[self._root.home_level].append(self._root)
-
-        for level in range(self._max_level, -1, -1):
-            frontier: List[_Node] = []
-            for node in pending[level]:
-                if node not in decided:
-                    decided.add(node)
-                    frontier.append(node)
-            if bounds is not None and frontier:
-                frontier = self._classify(frontier, bounds, radius, decided, pending, counting)
-            if not frontier:
-                continue
-            for node, value in zip(frontier, self._measure(query, frontier, counting)):
-                if value <= radius:
-                    matches.append(RangeMatch(node.key, node.item, value))
-                if value + node.subtree <= radius:
-                    _settle_subtree(node, decided, matches)
-                    continue
-                if value - node.subtree > radius:
-                    # Lemma 4: every node derived from this reference is out.
-                    _settle_subtree(node, decided, None)
-                    continue
-                # Decide or defer each child: the exact stored link distance
-                # bounds the child itself, ``reach`` (link + the child's
-                # subtree radius, Lemma 4) bounds the child's descendants.
-                for child, link_distance, reach, leaf in node.rows:
-                    if child in decided:
-                        continue
-                    if value + reach <= radius:
-                        decided.add(child)
-                        matches.append(RangeMatch(child.key, child.item, None))
-                        _settle_subtree(child, decided, matches)
-                    elif value - reach > radius:
-                        decided.add(child)
-                        _settle_subtree(child, decided, None)
-                    elif leaf and value + link_distance <= radius:
-                        # No descendants: the link distance alone settles it.
-                        decided.add(child)
-                        matches.append(RangeMatch(child.key, child.item, None))
-                    elif leaf and value - link_distance > radius:
-                        decided.add(child)
-                    else:
-                        pending[child.home_level].append(child)
-        return matches
+        flat = self._flat
+        if flat is not None and flat.epoch == self._packed.epoch:
+            return flat
+        store = self._packed
+        flat = _FlatLayout()
+        flat.epoch = store.epoch
+        flat.shapes = store.group_shapes()
+        flat.tensors = [store.group_tensor(shape) for shape in flat.shapes]
+        sizes = [len(tensor) for tensor in flat.tensors]
+        flat.first = np.cumsum([0] + sizes[:-1]).astype(np.int32)
+        flat.group = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        keys = [key for shape in flat.shapes for key in store.group_keys(shape)]
+        position = {key: index for index, key in enumerate(keys)}
+        nodes = [self._nodes[key] for key in keys]
+        count = len(nodes)
+        items = [node.item for node in nodes]
+        contents = content_keys(items)
+        flat.keys = _object_array(keys)
+        flat.items = _object_array(items)
+        flat.content = _object_array(contents)
+        flat.all_keyed = None not in contents
+        flat.root = position[self._root.key]
+        flat.level = np.fromiter((node.home_level for node in nodes), np.int32, count)
+        flat.subtree = np.fromiter((node.subtree for node in nodes), np.float64, count)
+        flat.by_level = [
+            np.flatnonzero(flat.level == level).astype(np.int32)
+            for level in range(self._max_level + 1)
+        ]
+        rows = [list(self._child_rows(node)) for node in nodes]
+        flat.child_count = np.fromiter(map(len, rows), np.int32, count)
+        flat.child_start = np.zeros(count + 1, dtype=np.int32)
+        np.cumsum(flat.child_count, out=flat.child_start[1:])
+        flat.child = np.fromiter(
+            (position[child.key] for kids in rows for child, _margin in kids), np.int32
+        )
+        flat.margin = np.fromiter(
+            (margin for kids in rows for _child, margin in kids), np.float64
+        )
+        self._flat = flat
+        return flat
 
     @staticmethod
-    def _classify(
-        frontier: List[_Node],
-        bounds: BoundRow,
-        radius: float,
-        decided: set,
-        pending: List[List[_Node]],
-        counting,
-    ) -> List[_Node]:
-        """Settle what the bound table can of one level; return the rest.
+    def _child_rows(node: _Node) -> Iterator[Tuple[_Node, float]]:
+        """``(child, routing margin)`` per child link of ``node``, in list order.
 
-        The reject / skip / measure rules of :meth:`_range_search`.
+        The margin (see :class:`_FlatLayout`) is the link distance for a
+        leaf child and ``link + child.subtree`` -- the reach, which covers
+        the child's descendants too -- for any other.
         """
-        column, values = bounds.column, bounds.values
-        survivors: List[_Node] = []
-        for node in frontier:
-            lower = values[column[node]]
-            if not lower > radius:
-                survivors.append(node)
-            elif lower - node.subtree > radius:
-                _settle_subtree(node, decided, None)
-            else:
-                for child, link_distance, reach, leaf in node.rows:
-                    if child in decided:
-                        continue
-                    if lower - reach > radius:
-                        decided.add(child)
-                        _settle_subtree(child, decided, None)
-                    elif leaf and lower - link_distance > radius:
-                        decided.add(child)
-                    else:
-                        pending[child.home_level].append(child)
-        counting.record_prefilter(len(frontier), len(frontier) - len(survivors))
-        return survivors
+        for _level, child, link_distance in node.iter_children():
+            yield child, (link_distance + child.subtree if child.children else link_distance)
 
-    def _measure(self, query: SequenceLike, frontier: List[_Node], counting) -> List[float]:
-        """``d(query, node)`` for one level's nodes, as one batched request.
+    def range_query(
+        self, query: SequenceLike, radius: float, bounds: Optional[BoundTable] = None
+    ) -> List[RangeMatch]:
+        """Every stored item within ``radius`` of ``query``: a batch of one.
 
-        The operands come from the packed store, so the call costs one cache
-        row probe, one kernel sweep and one bulk store whatever the level's
-        size.  Distances are requested in the batch call form
-        (:meth:`~repro.distances.base.Distance.compute_batch`), like the
-        linear scan's.
-
-        Nodes with the same content need care when a cache is in play:
-        measured one by one, the first is computed and the others are cache
-        hits, whereas one batch would miss (and compute) them all.  So only
-        first occurrences go into the batch and the repeats are requested
-        afterwards -- hits with a cache attached, computations without --
-        which keeps the tallies and the store order exact.
+        ``bounds`` optionally hands back the one-row table
+        :meth:`bound_table` built for this query.
         """
-        items = [node.item for node in frontier]
-        keys = [node.key for node in frontier]
-        gather = StoreGather(self._packed, keys)
-        if len(frontier) > 1 and isinstance(query, Sequence):
-            contents = gather.content_keys(items)
-            if len(set(contents)) < len(contents):
-                seen: set = set()
-                firsts: List[int] = []
-                repeats: List[int] = []
-                for position, content in enumerate(contents):
-                    if content is not None and content in seen:
-                        repeats.append(position)
-                    else:
-                        seen.add(content)
-                        firsts.append(position)
-                values = [0.0] * len(frontier)
-                for part in filter(None, (firsts, repeats)):
-                    distances = counting.batch(
-                        query,
-                        [items[position] for position in part],
-                        packed=StoreGather(self._packed, [keys[position] for position in part]),
-                    )
-                    for position, value in zip(part, distances.tolist()):
-                        values[position] = value
-                return values
-        return counting.batch(query, items, packed=gather).tolist()
+        return self._frontier([query], radius, bounds)[0]
 
     def _serial_batch_range_query(
         self,
@@ -666,43 +630,316 @@ class ReferenceNet(MetricIndex):
         radius: float,
         bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
-        """Range queries with reference-distance reuse across the batch.
+        return self._frontier(queries, radius, bounds)
 
-        The net's traversal needs exact distances for its routing, so the
-        queries still descend the hierarchy one at a time -- but a batch
-        frequently probes overlapping query segments against the same
-        references (the matcher's step 4 does exactly that), and those
-        repeated (query, reference) pairs need only be measured once.  When
-        no cache is attached, a batch-local
-        :class:`~repro.distances.cache.DistanceCache` provides that reuse;
-        with an attached cache the sharing already happens there.
+    def query_work_units(self, queries: List[SequenceLike], radius: float) -> None:
+        """No units: one traversal answers the batch, on the calling thread.
+
+        So the net's probe is the serial run under every executor -- same
+        results, counters and cache order, with nothing to record and replay.
+        (Slicing each level's pair batch over a pool was measured and moved
+        the probe by less than its run-to-run spread; see the README.)
         """
-        if self._counting.cache is None:
-            self._counting.cache = DistanceCache()
-            try:
-                return super()._serial_batch_range_query(queries, radius, bounds)
-            finally:
-                self._counting.cache = None
-        return super()._serial_batch_range_query(queries, radius, bounds)
+        return None
 
-    def parallel_batch_range_query(
+    def _frontier(
         self,
         queries: List[SequenceLike],
         radius: float,
-        executor,
-        bounds: Optional[BoundTable] = None,
+        bounds: Optional[BoundTable],
     ) -> List[List[RangeMatch]]:
-        """Executor fan-out over per-query traversal units.
+        """All items within ``radius`` of each query: the one traversal.
 
-        Cross-query reference-distance reuse flows through the attached
-        cache; without one there is no shared state for the units to reuse
-        (the serial path fakes it with a batch-local cache), so the
-        cache-less net falls back to serial batch execution rather than
-        silently recomputing every repeated reference distance per unit.
+        Levels are processed from the top down, as in the paper's
+        Algorithm 3: a reference's distance is computed only if none of the
+        lists containing it (nor Lemma 4 applied to an ancestor) already
+        decided it.  Items proven to match through the triangle inequality
+        alone are returned with ``distance=None``.  Each query's matches
+        come back in node-id (packed-store) order.
+
+        The traversal is *level-synchronous over the whole batch*.  A child's
+        home level is strictly below its parent's, so whatever can decide a
+        level-``i`` node for a query has happened by the time level ``i``
+        starts; and a rule that decides a non-leaf settles its whole subtree
+        with it.  The set of decided ``(query, node)`` pairs after a level is
+        therefore the union of what each parent's rule decides -- it does
+        not depend on the order parents are visited in, nor on the order of
+        the queries -- and so are the measured pairs and every match's
+        ``distance is None``-ness.  That is what lets one pass serve all the
+        queries: per level, the pending pairs of every query are collected
+        from one ``queries x nodes`` state plane, measured together
+        (:meth:`_measure_pairs`: one cache probe, one pair-batch kernel call
+        per shape group, one bulk store -- so cache entries are inserted
+        level by level, within a level by query position, then node id) and
+        routed by array operations over the flat layout's CSR rows
+        (:meth:`_route`).  A subtree verdict is not pushed to the descendants
+        at once: the children are marked, and pass the mark on when their
+        own level comes -- always before the level of any node it can reach.
+
+        With ``bounds`` -- the batch's :meth:`bound_table`, built here when
+        bound-first routing is on and the caller holds none -- every pending
+        pair ``(q, n)`` is first classified from its entry ``lb <= d(q, n)``,
+        before any cache probe or kernel call:
+
+        * ``lb - subtree(n) > radius`` **rejects** ``n`` and its subtree:
+          every descendant ``c`` has ``d(n, c) <= subtree(n)``, so
+          ``d(q, c) >= d(q, n) - d(n, c) >= lb - subtree(n)``.
+        * otherwise ``lb > radius`` **skips** ``n``: it is not an answer, so
+          its distance is never computed, and its children are routed with
+          ``lb`` standing in for the distance on the reject side only --
+          ``d(q, c) >= d(q, n) - link(n, c) >= lb - link(n, c)``, so
+          ``lb - link > radius`` rejects a leaf child and ``lb - reach >
+          radius`` a child's whole subtree; any other child is deferred to
+          its own level and its own entry.
+        * ``lb <= radius`` -- or NaN, which compares false against every
+          threshold -- **measures** ``n``: it joins the level's pair batch,
+          and its exact distance routes as without a table.
+
+        Nothing is accepted on a bound, so the answers are those of the
+        plain traversal; only ``distance=None``-ness may differ (a skipped
+        parent triangle-accepts nobody, its matching children get measured
+        instead).  Rejected and skipped pairs never reach the cache -- their
+        entry is free to recompute -- and every distance is spent on a pair
+        with ``lb <= radius``, which the linear scan's prefilter would have
+        had to compute as well.  Classified and settled-without-a-distance
+        pairs are tallied on the counter's prefilter tallies.
+
+        Memory: the state plane is one byte per ``(query, node)``; everything
+        else is pair vectors no longer than a level's pending set, and child
+        rows are expanded :data:`_CHUNK_ROWS` at a time.
         """
-        if self._counting.cache is None:
-            return self._serial_batch_range_query(queries, radius, bounds)
-        return super().parallel_batch_range_query(queries, radius, executor, bounds)
+        if radius < 0:
+            raise IndexError_(f"radius must be non-negative, got {radius}")
+        if self._root is None:
+            return [[] for _query in queries]
+        count = len(queries)
+        arrays = [as_array(query) for query in queries]
+        if bounds is None and self.prefilter and has_bound_table(self.distance):
+            origin = np.zeros(1, dtype=np.intp)
+            bounds = BoundTable(
+                self._packed.epoch,
+                np.concatenate(
+                    [self._bound_matrix(array, origin, np.array([len(array)])) for array in arrays]
+                ),
+            )
+        if bounds is not None:
+            if bounds.epoch != self._packed.epoch:
+                raise IndexError_("bound table predates a write to the index; build a new one")
+            if len(bounds) != count:
+                raise IndexError_(f"bound table has {len(bounds)} rows for {count} queries")
+        flat = self._layout()
+        # Cross-query reuse of (content, reference) distances flows through
+        # the attached cache; a cache-less net gets one for the batch.
+        counting = self._counting
+        if counting.cache is None:
+            counting = CountingDistance(self.distance, self.counter, DistanceCache())
+        operands = _QueryOperands(queries, arrays)
+
+        state = np.zeros((count, len(flat.level)), dtype=np.uint8)
+        state[:, flat.root] = _PENDING
+        found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for level in range(self._max_level, -1, -1):
+            nodes = flat.by_level[level]
+            if not len(nodes):
+                continue
+            block = state[:, nodes]
+            # Verdicts inherited from above move one level down.
+            for verdict in (_ACCEPTED, _REJECTED):
+                query, column = np.nonzero(block == verdict)
+                self._settle(flat, state, query, nodes[column], verdict)
+            query, column = np.nonzero(block == _PENDING)
+            if not len(query):
+                continue
+            node = nodes[column]
+            state[query, node] = _DONE
+            if bounds is not None:
+                lower = bounds.matrix[query, node]
+                skipped = lower > radius
+                counting.record_prefilter(len(lower), int(np.count_nonzero(skipped)))
+                if skipped.any():
+                    skip_query, skip_node, lower = query[skipped], node[skipped], lower[skipped]
+                    beyond = lower - flat.subtree[skip_node] > radius
+                    self._settle(flat, state, skip_query[beyond], skip_node[beyond], _REJECTED)
+                    near = ~beyond
+                    self._route(
+                        flat, state, radius, skip_query[near], skip_node[near], lower[near], False
+                    )
+                    query, node = query[~skipped], node[~skipped]
+                    if not len(query):
+                        continue
+            values = self._measure_pairs(flat, operands, query, node, counting)
+            within = values <= radius
+            if within.any():
+                found.append((query[within], node[within], values[within]))
+            # Lemma 4 on the node itself: its whole subtree is in, or out.
+            subtree = flat.subtree[node]
+            inside = values + subtree <= radius
+            beyond = values - subtree > radius
+            self._settle(flat, state, query[inside], node[inside], _ACCEPTED)
+            self._settle(flat, state, query[beyond], node[beyond], _REJECTED)
+            routed = ~(inside | beyond)
+            self._route(flat, state, radius, query[routed], node[routed], values[routed], True)
+        return self._collect(flat, state, found)
+
+    def _measure_pairs(
+        self,
+        flat: _FlatLayout,
+        operands: _QueryOperands,
+        query: np.ndarray,
+        node: np.ndarray,
+        counting: CountingDistance,
+    ) -> np.ndarray:
+        """``d(queries[query[i]], node[i])`` for one level's pairs, all queries.
+
+        Counted and cached by :meth:`~repro.indexing.stats.CountingDistance.pairs`
+        under the pair's ``(query content, node content)`` key: the same
+        content measured twice -- two stored windows, or two queries, with
+        equal content -- is computed once and counted as cache hits after.
+        What the cache does not answer is computed in the batch call form,
+        one :meth:`~repro.distances.base.Distance.compute_pairs` call per
+        (query shape, window shape) group, straight from the group tensors.
+        """
+        query_keys = operands.content[query].tolist()
+        node_keys = flat.content[node].tolist()
+        if operands.all_keyed and flat.all_keyed:
+            keys = list(zip(query_keys, node_keys))
+        else:
+            keys = [
+                None if first is None or second is None else (first, second)
+                for first, second in zip(query_keys, node_keys)
+            ]
+
+        def compute(positions: np.ndarray) -> Tuple[np.ndarray, int]:
+            pair_query, pair_node = query[positions], node[positions]
+            if len(operands.tensors) == len(flat.tensors) == 1:
+                groups = [(0, 0, slice(None))]
+            else:
+                code = operands.group[pair_query] * len(flat.tensors) + flat.group[pair_node]
+                groups = [
+                    (*divmod(group_code, len(flat.tensors)), np.flatnonzero(code == group_code))
+                    for group_code in np.unique(code).tolist()
+                ]
+            values = np.empty(len(positions), dtype=np.float64)
+            for query_group, node_group, members in groups:
+                queries = operands.tensors[query_group]
+                validate_group_shape(self.distance, queries[0], flat.shapes[node_group])
+                values[members] = self.distance.compute_pairs(
+                    queries,
+                    operands.row[pair_query[members]],
+                    flat.tensors[node_group],
+                    pair_node[members] - flat.first[node_group],
+                )
+            return values, len(groups)
+
+        return counting.pairs(keys, compute)
+
+    @staticmethod
+    def _open_children(
+        flat: _FlatLayout, state: np.ndarray, query: np.ndarray, node: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The still-open children of the pairs ``(query[i], node[i])``, in chunks.
+
+        Yields ``(pair, child query, child node, child row)`` vectors: entry
+        ``j`` says child row ``row[j]`` of the flat layout hangs off pair
+        ``pair[j]`` and leads to the open pair ``(child query[j], child
+        node[j])``.  At most about :data:`_CHUNK_ROWS` rows are expanded at
+        a time (one pair's children are never split).
+        """
+        parents = np.flatnonzero(flat.child_count[node]).astype(np.int32)
+        query, node = query[parents], node[parents]
+        counts = flat.child_count[node]
+        ends = np.cumsum(counts, dtype=np.int64)
+        start = 0
+        while start < len(node):
+            done = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")))
+            repeats = counts[start:stop]
+            # CSR expansion: each pair's child rows, pair by pair.
+            position = np.repeat(np.arange(start, stop, dtype=np.int32), repeats)
+            run_start = np.cumsum(repeats, dtype=np.int32) - repeats
+            row = np.arange(len(position), dtype=np.int32) + np.repeat(
+                flat.child_start[node[start:stop]] - run_start, repeats
+            )
+            child_query, child = query[position], flat.child[row]
+            still_open = np.flatnonzero(state[child_query, child] < _ACCEPTED)
+            yield (
+                parents[position[still_open]],
+                child_query[still_open],
+                child[still_open],
+                row[still_open],
+            )
+            start = stop
+
+    @classmethod
+    def _settle(
+        cls, flat: _FlatLayout, state: np.ndarray, query: np.ndarray, node: np.ndarray, verdict: int
+    ) -> None:
+        """Hand a subtree verdict one level down: every open child takes it.
+
+        The children pass it on when their own level comes -- which is above
+        the level of anything below them, so a verdict always arrives before
+        the pair it decides could be measured.
+        """
+        for _pair, child_query, child, _row in cls._open_children(flat, state, query, node):
+            state[child_query, child] = verdict
+
+    @classmethod
+    def _route(
+        cls,
+        flat: _FlatLayout,
+        state: np.ndarray,
+        radius: float,
+        query: np.ndarray,
+        node: np.ndarray,
+        value: np.ndarray,
+        exact: bool,
+    ) -> None:
+        """Decide or defer the open children of the pairs ``(query[i], node[i])``.
+
+        ``value[i]`` is what is known of ``d(query, node)``: the distance
+        itself (``exact``) for a measured node, a lower bound -- its table
+        entry -- for one skipped on that bound.  A child row with margin
+        ``m`` (see :class:`_FlatLayout`) is rejected when ``value - m >
+        radius``, accepted when ``value + m <= radius`` -- on an exact value
+        only -- and deferred to its own level otherwise.  Children some
+        other parent already decided are left alone; where two rows of one
+        call disagree about a child, a verdict beats a deferral.
+        """
+        for pair, child_query, child, row in cls._open_children(flat, state, query, node):
+            known, margin = value[pair], flat.margin[row]
+            state[child_query, child] = _PENDING
+            rejected = known - margin > radius
+            state[child_query[rejected], child[rejected]] = _REJECTED
+            if exact:
+                accepted = known + margin <= radius
+                state[child_query[accepted], child[accepted]] = _ACCEPTED
+
+    @staticmethod
+    def _collect(
+        flat: _FlatLayout,
+        state: np.ndarray,
+        found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> List[List[RangeMatch]]:
+        """Per-query match lists, in node order: measured hits and accepted pairs."""
+        accepted_query, accepted_node = np.nonzero(state == _ACCEPTED)
+        query = np.concatenate([part[0] for part in found] + [accepted_query])
+        node = np.concatenate([part[1] for part in found] + [accepted_node])
+        distance = np.empty(len(query), dtype=object)  # None where not measured
+        measured = len(query) - len(accepted_query)
+        if measured:
+            distance[:measured] = np.concatenate([part[2] for part in found]).tolist()
+        order = np.argsort(query.astype(np.int64) * state.shape[1] + node, kind="stable")
+        node = node[order]
+        matches = list(
+            map(
+                RangeMatch,
+                flat.keys[node].tolist(),
+                flat.items[node].tolist(),
+                distance[order].tolist(),
+            )
+        )
+        cuts = np.searchsorted(query[order], np.arange(len(state) + 1)).tolist()
+        return [matches[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
     # ------------------------------------------------------------------ #
     # Snapshot support
@@ -739,9 +976,8 @@ class ReferenceNet(MetricIndex):
 
     def _restore_structure(self, state: dict) -> None:
         records = state["nodes"]
-        # The derived layout -- packed items here, routing rows below -- is
-        # not in the snapshot: it follows from the links, at no distance
-        # computation.
+        # The packed items are not in the snapshot: ``_new_node`` refills the
+        # store, at no distance computation.
         self._nodes = {}
         self._packed.clear()
         nodes = [
@@ -758,8 +994,6 @@ class ReferenceNet(MetricIndex):
                 (int(level), nodes[int(parent_position)])
                 for level, parent_position in record["parent_links"]
             ]
-        for node in nodes:
-            self._refresh_rows(node)
         self._max_level = int(state["max_level"])
         root_position = state["root_position"]
         self._root = None if root_position is None else nodes[int(root_position)]
@@ -794,11 +1028,12 @@ class ReferenceNet(MetricIndex):
         inclusive property), (b) parent/child links are mutually consistent,
         (c) every child lies within the covering radius of its list's level
         and the stored link distance is exact, (d) every node is reachable
-        from the root, and (e) the derived layout is current: each node's
-        routing rows mirror its child entries one to one and in order, with
-        ``reach == link + radius(child home level + 1)`` and the child's
-        present leaf status, its subtree radius matches its home level, and
-        the packed store holds exactly the stored keys.
+        from the root, (e) every node's subtree radius matches its home
+        level and the packed store holds exactly the stored keys, and (f)
+        the flat layout the next range query will read mirrors all of that
+        -- node ids follow the store's rows, levels and subtree radii the
+        nodes', the CSR child rows the child lists in order, each margin its
+        link and its child's present leaf status.
         """
         if len(self._packed) != len(self._items) or any(
             key not in self._packed for key in self._items
@@ -837,7 +1072,11 @@ class ReferenceNet(MetricIndex):
                     reachable.add(child.key)
                     stack.append(child)
         for key, node in self._nodes.items():
-            self._check_rows(node)
+            if node.subtree != self._subtree_radius(node.home_level):
+                raise InvariantViolationError(
+                    f"node {key!r} carries subtree radius {node.subtree}, but its home "
+                    f"level {node.home_level} gives {self._subtree_radius(node.home_level)}"
+                )
             if node is not self._root and not node.parent_links:
                 raise InvariantViolationError(f"node {key!r} has no parent")
             if key not in reachable:
@@ -847,30 +1086,39 @@ class ReferenceNet(MetricIndex):
                     f"node {key!r} has {len(node.parent_links)} parents, exceeding "
                     f"nummax={self.nummax}"
                 )
+        self._check_flat_layout()
 
-    def _check_rows(self, node: _Node) -> None:
-        """Part (e) of :meth:`check_invariants` for one node."""
-        if node.subtree != self._subtree_radius(node.home_level):
-            raise InvariantViolationError(
-                f"node {node.key!r} carries subtree radius {node.subtree}, but its home "
-                f"level {node.home_level} gives {self._subtree_radius(node.home_level)}"
+    def _check_flat_layout(self) -> None:
+        """Part (f) of :meth:`check_invariants`: the flat layout, as cached or as built."""
+        flat = self._layout()
+        store = self._packed
+        ids = {key: position for position, key in enumerate(flat.keys.tolist())}
+        consistent = (
+            len(ids) == len(self._nodes) == len(flat.level)
+            and flat.root == ids.get(self._root.key)
+            and flat.shapes == store.group_shapes()
+            and len(flat.by_level) == self._max_level + 1
+        )
+        for key, position in ids.items() if consistent else ():
+            node = self._nodes[key]
+            group = int(flat.group[position])
+            rows = slice(flat.child_start[position], flat.child_start[position + 1])
+            expected = list(self._child_rows(node))
+            consistent = (
+                store.shape_of(key) == flat.shapes[group]
+                and store.row_of(key) == position - flat.first[group]
+                and flat.items[position] is node.item
+                and flat.level[position] == node.home_level
+                and flat.subtree[position] == node.subtree
+                and position in flat.by_level[node.home_level]
+                and flat.child_count[position] == len(expected)
+                and flat.child[rows].tolist() == [ids[child.key] for child, _margin in expected]
+                and flat.margin[rows].tolist() == [margin for _child, margin in expected]
             )
-        expected = [
-            (
-                child,
-                link_distance,
-                link_distance + self.radius(child.home_level + 1),
-                not child.children,
-            )
-            for _level, child, link_distance in node.iter_children()
-        ]
-        if len(node.rows) != len(expected) or any(
-            row[0] is not entry[0] or row[1:] != entry[1:]
-            for row, entry in zip(node.rows, expected)
-        ):
-            raise InvariantViolationError(
-                f"routing rows of node {node.key!r} do not match its child entries"
-            )
+            if not consistent:
+                break
+        if not consistent:
+            raise InvariantViolationError("the flat layout does not mirror the nodes")
 
     def exclusivity_violations(self) -> int:
         """Count pairs of same-home-level nodes closer than the level radius.

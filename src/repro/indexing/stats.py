@@ -24,18 +24,23 @@ consults them per call, *after* the cache (cache -> bound -> DP): a pair is
 the cutoff, and a pruned pair is remembered in the cache as
 ``distance > cutoff``.  The **reference net** consults its per-query bound
 table *first* (table -> cache -> DP; a table entry is free to recompute, so
-settled pairs are neither probed nor stored): a frontier node is
+settled pairs are neither probed nor stored): a frontier pair is
 ``evaluated`` when the traversal classifies it from its table entry, and
 ``pruned`` when that settles it without a distance -- rejected with its
 subtree, or skipped and routed by the bound (see
-:meth:`repro.indexing.reference_net.ReferenceNet._range_search`).
+:meth:`repro.indexing.reference_net.ReferenceNet._frontier`).
+
+Kernel *invocations* are a fourth tally (:attr:`DistanceCounter.kernel_calls`):
+one per single, batched or pair-batched kernel request the counting wrapper
+issues, however many pairs it carries -- the number that tells a traversal
+that computes few distances from one that computes them in few calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence as TypingSequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence as TypingSequence, Tuple
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from repro.distances.base import (
     group_cutoff,
     validate_group_shape,
 )
-from repro.distances.cache import DistanceCache, content_keys
+from repro.distances.cache import DistanceCache, PairKey, content_keys
 from repro.distances.lower_bounds import combined_batch_bound, combined_bound
 from repro.sequences.sequence import Sequence
 
@@ -136,19 +141,12 @@ class DistanceCounter:
     Fresh kernel executions (:attr:`total`), cache hits
     (:attr:`cache_hits`), and lower-bound prefilter evaluations
     (:attr:`prefilter_evaluations`, of which :attr:`prefilter_pruned`
-    skipped the kernel) are counted separately; checkpoints snapshot all of
-    them.
+    skipped the kernel) are counted separately, and so are kernel
+    invocations (:attr:`kernel_calls`); checkpoints snapshot all of them.
     """
 
     def __init__(self) -> None:
-        self._total = 0
-        self._checkpoint = 0
-        self._cache_hits = 0
-        self._cache_hits_checkpoint = 0
-        self._prefilter = 0
-        self._prefilter_checkpoint = 0
-        self._prefilter_pruned = 0
-        self._prefilter_pruned_checkpoint = 0
+        self.reset()
 
     @property
     def total(self) -> int:
@@ -170,9 +168,18 @@ class DistanceCounter:
         """Prefilter evaluations that proved the pair outside the radius."""
         return self._prefilter_pruned
 
+    @property
+    def kernel_calls(self) -> int:
+        """Kernel invocations issued: one per single, batch or pair-batch call."""
+        return self._kernel_calls
+
     def increment(self, amount: int = 1) -> None:
         """Record ``amount`` additional distance evaluations."""
         self._total += amount
+
+    def record_kernel_calls(self, amount: int = 1) -> None:
+        """Record ``amount`` kernel invocations (each may carry many pairs)."""
+        self._kernel_calls += amount
 
     def record_cache_hit(self, amount: int = 1) -> None:
         """Record ``amount`` distance requests served from the cache."""
@@ -193,6 +200,8 @@ class DistanceCounter:
         self._prefilter_checkpoint = 0
         self._prefilter_pruned = 0
         self._prefilter_pruned_checkpoint = 0
+        self._kernel_calls = 0
+        self._kernel_calls_checkpoint = 0
 
     def checkpoint(self) -> None:
         """Remember the current totals; see :meth:`since_checkpoint`."""
@@ -200,6 +209,7 @@ class DistanceCounter:
         self._cache_hits_checkpoint = self._cache_hits
         self._prefilter_checkpoint = self._prefilter
         self._prefilter_pruned_checkpoint = self._prefilter_pruned
+        self._kernel_calls_checkpoint = self._kernel_calls
 
     def since_checkpoint(self) -> int:
         """Fresh evaluations since the last :meth:`checkpoint` call."""
@@ -217,11 +227,49 @@ class DistanceCounter:
         """Prefilter prunes since the last :meth:`checkpoint` call."""
         return self._prefilter_pruned - self._prefilter_pruned_checkpoint
 
+    def kernel_calls_since_checkpoint(self) -> int:
+        """Kernel invocations since the last :meth:`checkpoint` call."""
+        return self._kernel_calls - self._kernel_calls_checkpoint
+
     def __repr__(self) -> str:
         return (
             f"DistanceCounter(total={self._total}, cache_hits={self._cache_hits}, "
-            f"prefilter={self._prefilter}/{self._prefilter_pruned} pruned)"
+            f"prefilter={self._prefilter}/{self._prefilter_pruned} pruned, "
+            f"kernel_calls={self._kernel_calls})"
         )
+
+
+def first_occurrences(
+    keys: TypingSequence[Optional[Hashable]],
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Positions of ``keys`` as ``(probed, unkeyed, repeats, origins)``.
+
+    The one statement of "same content, one computation": whoever measures
+    many pairs in one request (:meth:`CountingDistance.pairs`, the reference
+    net's build) computes the first occurrence of a key and answers the
+    later ones from it.  ``probed`` holds the first occurrence of every distinct key, ``unkeyed``
+    the ``None`` entries, ``repeats`` every later occurrence of a key and
+    ``origins`` -- parallel to it -- where that key occurred first.
+    """
+    count = len(keys)
+    if None not in keys and len(set(keys)) == count:
+        return list(range(count)), [], [], []
+    first: Dict[Hashable, int] = {}
+    probed: List[int] = []
+    unkeyed: List[int] = []
+    repeats: List[int] = []
+    origins: List[int] = []
+    for position, key in enumerate(keys):
+        if key is None:
+            unkeyed.append(position)
+            continue
+        origin = first.setdefault(key, position)
+        if origin == position:
+            probed.append(position)
+        else:
+            repeats.append(position)
+            origins.append(origin)
+    return probed, unkeyed, repeats, origins
 
 
 class CountingDistance:
@@ -273,11 +321,16 @@ class CountingDistance:
                 self.counter.record_cache_hit()
                 return cached
             value = self.inner(first, second)
-            self.counter.increment()
+            self._count_single()
             self.cache.store(first, second, value)
             return value
-        self.counter.increment()
+        self._count_single()
         return self.inner(first, second)
+
+    def _count_single(self) -> None:
+        """One pair computed by one kernel call."""
+        self.counter.increment()
+        self.counter.record_kernel_calls()
 
     def bounded(self, first: SequenceLike, second: SequenceLike, cutoff: float) -> float:
         """Early-abandoning variant; see :meth:`Distance.bounded`.
@@ -301,7 +354,7 @@ class CountingDistance:
                     self.cache.store(first, second, _INF, cutoff=cutoff)
                 return _INF
         value = self.inner.bounded(first, second, cutoff)
-        self.counter.increment()
+        self._count_single()
         if cacheable:
             self.cache.store(first, second, value, cutoff=cutoff)
         return value
@@ -398,7 +451,15 @@ class CountingDistance:
                 continue
             values[survivors] = self.inner.compute_batch(query_array, tensor, thresholds)
             self.counter.increment(len(survivors))
-        if cacheable_query:
+            self.counter.record_kernel_calls()
+        if cacheable_query and cutoff is None:
+            # Exact values only: one bulk write, in item order.
+            stored = [index for index in pending if item_keys[index] is not None]
+            cache.store_many(
+                list(zip(repeat(query.content_key), map(item_keys.__getitem__, stored))),
+                values[stored].tolist(),
+            )
+        elif cacheable_query:
             # One bulk store under a single lock, in item order -- the order
             # both unit-log replays store in (:mod:`repro.distances.recording`),
             # so the cache's insertion order, which eviction makes visible,
@@ -406,7 +467,7 @@ class CountingDistance:
             # becomes the lower bound ``distance > cutoff``.
             value_list = values.tolist()
             if np.ndim(cutoff) == 0:
-                cutoffs = repeat(None if cutoff is None else float(cutoff), len(pending))
+                cutoffs = repeat(float(cutoff), len(pending))
             else:
                 cutoffs = [float(cutoff[index]) for index in pending]
             with cache.replay_view() as view:
@@ -414,6 +475,62 @@ class CountingDistance:
                 for index, item_bound in zip(pending, cutoffs):
                     if item_keys[index] is not None:
                         store(query, items[index], value_list[index], item_bound)
+        return values
+
+    def pairs(
+        self,
+        keys: TypingSequence[Optional[PairKey]],
+        compute: Callable[[np.ndarray], Tuple[np.ndarray, int]],
+    ) -> np.ndarray:
+        """Counted, cached distances of many unrelated pairs at once.
+
+        The pair-batch counterpart of :meth:`batch`, for a traversal that
+        measures a whole level of many queries in one go: ``keys[i]`` is pair
+        ``i``'s cache key (``None`` when either operand is uncacheable) and
+        ``compute(positions)`` returns the batch-form distances of the named
+        pairs plus the number of kernel calls it took -- the caller owns the
+        operands and their shape groups, and must touch neither the cache
+        nor the counter.
+
+        Pairs are settled in position order, as requesting them one by one
+        would: the first occurrence of a key is looked up and, on a miss,
+        computed and stored; a later occurrence of the same key is a cache
+        hit that takes the first one's value.  Keyless pairs are computed,
+        never looked up or stored, and without a cache every pair is.  All
+        lookups precede all stores, and the stores happen in position order.
+        """
+        count = len(keys)
+        values = np.empty(count, dtype=np.float64)
+        cache = self.cache
+        stored: List[int] = []
+        repeats: List[int] = []
+        if cache is None:
+            computed = list(range(count))
+        else:
+            probed, unkeyed, repeats, origins = first_occurrences(keys)
+            found = cache.probe_pairs(
+                keys if len(probed) == count else [keys[position] for position in probed],
+                len(repeats),
+            )
+            if found.count(None) == len(found):
+                stored = probed
+            else:
+                for position, value in zip(probed, found):
+                    if value is None:
+                        stored.append(position)
+                    else:
+                        values[position] = value
+            self.counter.record_cache_hit(len(probed) - len(stored) + len(repeats))
+            computed = sorted(stored + unkeyed) if unkeyed else stored
+        if computed:
+            positions = np.asarray(computed, dtype=np.intp)
+            values[positions], kernel_calls = compute(positions)
+            self.counter.increment(len(computed))
+            self.counter.record_kernel_calls(kernel_calls)
+        if stored:
+            cache.store_many([keys[position] for position in stored], values[stored].tolist())
+        if repeats:
+            values[repeats] = values[origins]
         return values
 
     def __repr__(self) -> str:

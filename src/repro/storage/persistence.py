@@ -323,10 +323,10 @@ def save_matcher(matcher, path: PathLike) -> None:
     queries immediately, with the same results *and the same work counters*
     as the matcher that was saved -- no ``refresh()``, no re-measured pairs.
     Execution layouts derived from that structure (the packed window
-    tensors of the scan and the net, the net's routing rows) are not
-    persisted: each index rebuilds its own in
-    :meth:`~repro.indexing.base.MetricIndex.restore_structure`, from the
-    links alone, so the snapshot layout is unchanged by them.
+    tensors of the scan and the net, the net's flat layout) are not
+    persisted: each index rebuilds its own from the links alone -- in
+    :meth:`~repro.indexing.base.MetricIndex.restore_structure`, or on the
+    first probe after it -- so the snapshot layout is unchanged by them.
 
     A :class:`~repro.core.sharded.ShardedMatcher` round-trips too: its
     snapshot (layout version 2) carries one single-matcher payload per

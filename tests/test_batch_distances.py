@@ -179,6 +179,43 @@ class TestCallForm:
         assert np.abs(row - singles).max() <= 1e-9
 
 
+    @pytest.mark.parametrize("provider", _providers())
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_pair_form_is_the_batch_form_row_by_row(self, provider, dim):
+        # The reference net measures a whole level of *many* queries with one
+        # ``compute_pairs`` call where it used to make one ``compute_batch``
+        # call per query: bit-identical rows are what keep its probe
+        # distances, and through them every counter, where they were.  dim 8
+        # is past the compiled tier's fused-cost limit: there the pair form,
+        # too, must take the NumPy sweep.
+        from repro.distances.backend import kernel_scope
+
+        def stacks(distance, count, length):
+            if isinstance(distance, Levenshtein):
+                return RNG.integers(0, 3, size=(count, length, dim)).astype(np.float64)
+            return RNG.normal(size=(count, length, dim))
+
+        distances = [DTW(), DTW(band=4), ERP(), ERP(gap=1.0), DiscreteFrechet(), Levenshtein(),
+                     EDR(epsilon=0.4), Euclidean()]  # fmt: skip
+        query_rows = np.array([0, 0, 0, 2, 2, 3, 3, 3, 1, 0])
+        item_rows = np.array([4, 1, 6, 6, 0, 5, 5, 2, 3, 4])
+        with kernel_scope(provider):
+            for distance in distances:
+                for n, m in ((9, 9), (7, 10)):
+                    if not distance.supports_unequal_lengths and n != m:
+                        continue
+                    queries, items = stacks(distance, 4, n), stacks(distance, 7, m)
+                    vector = RNG.uniform(0.5, 6.0, size=len(query_rows))
+                    for cutoff in (None, 2.5, vector):
+                        pairs = distance.compute_pairs(
+                            queries, query_rows, items, item_rows, cutoff
+                        )
+                        for at, (q, x) in enumerate(zip(query_rows, item_rows)):
+                            row_cutoff = cutoff if np.ndim(cutoff) == 0 else cutoff[at : at + 1]
+                            row = distance.compute_batch(queries[q], items[x : x + 1], row_cutoff)
+                            assert repr(pairs[at]) == repr(row[0]), (distance, n, m, cutoff)
+
+
 class TestBatchCutoffSemantics:
     def test_all_items_beyond_cutoff(self):
         query = np.zeros(12)

@@ -141,6 +141,7 @@ class TestSearch:
         assert "query statistics" in captured.out
         assert "pruning ratio alpha" in captured.out
         assert "prefilter evaluations" in captured.out
+        assert re.search(r"index kernel calls\s+\|?\s*[1-9]", captured.out)
         assert "stage time: probe" in captured.out
         assert re.search(r"distance cache: \d+ entries, 0 evictions", captured.out)
 
@@ -222,6 +223,8 @@ class TestSearchTypesAndJson:
         # A sweep: every pass after the first is answered, at least in part,
         # from its probe table.
         assert 0 < stats["table_segments"] <= stats["segments_extracted"] * (stats["passes"] - 1)
+        # Executor-dependent for replayed work units, so a --stats row only.
+        assert "index_kernel_calls" not in stats
         for counter in (
             "segments_extracted",
             "index_distance_computations",

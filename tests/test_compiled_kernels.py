@@ -166,6 +166,67 @@ def test_batch_matches_numpy_exactly(provider_name, distance):
 
 
 @pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
+@pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
+def test_pairs_match_numpy_batch_rows_exactly(provider_name, distance):
+    """The pair call form is the batch form per pair, on every provider.
+
+    Small tables on purpose: below 1024 cells a *single* edit-distance value
+    takes the direct recurrence, but a pair must run the reduced-coordinate
+    sweep like a batch row -- and refill the deletion costs whenever the
+    query row changes.
+    """
+    _provider_or_skip(provider_name)
+    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 2))
+    for trial in range(8):
+        n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        if isinstance(distance, Levenshtein):
+            queries = rng.integers(0, 4, size=(5, n, 1)).astype(np.float64)
+            items = rng.integers(0, 4, size=(6, m, 1)).astype(np.float64)
+        else:
+            queries, items = rng.normal(size=(5, n, 2)), rng.normal(size=(6, m, 2))
+        count = int(rng.integers(1, 20))
+        query_rows = np.sort(rng.integers(0, 5, size=count))
+        item_rows = rng.integers(0, 6, size=count)
+        for cutoff in (None, 1.0, rng.uniform(0.5, 4.0, size=count)):
+            expected = np.empty(count)
+            failed = False
+            with kernel_scope("numpy"):
+                for position, (q, x) in enumerate(zip(query_rows, item_rows)):
+                    row_cutoff = cutoff if np.ndim(cutoff) == 0 else cutoff[position : position + 1]
+                    try:
+                        expected[position] = distance.compute_batch(
+                            queries[q], items[x : x + 1], row_cutoff
+                        )[0]
+                    except DistanceError:
+                        failed = True  # band infeasible
+            for name in (provider_name, "numpy"):
+                with kernel_scope(name):
+                    if failed:
+                        with pytest.raises(DistanceError):
+                            distance.compute_pairs(queries, query_rows, items, item_rows, cutoff)
+                        continue
+                    got = distance.compute_pairs(queries, query_rows, items, item_rows, cutoff)
+                assert np.array_equal(got, expected), (name, trial, cutoff)
+
+
+@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
+def test_pair_rows_are_validated_before_the_kernel_sees_them(provider_name):
+    provider = _provider_or_skip(provider_name)
+    stack = np.zeros((3, 4, 1))
+    rows = np.array([0, 1, 2])
+    for bad in (np.array([0, 1, 3]), np.array([-1, 0, 1])):
+        with pytest.raises(IndexError):
+            provider.warp_pairs(stack, bad, stack, rows, 0, True, None, None)
+        with pytest.raises(IndexError):
+            provider.edit_pairs(stack, rows, stack, bad, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, None)
+    with pytest.raises(ValueError):
+        provider.warp_pairs(stack, rows, stack, rows[:2], 0, True, None, None)
+    with pytest.raises(ValueError):
+        provider.warp_pairs(stack, rows, np.zeros((3, 4, 2)), rows, 0, True, None, None)
+    assert provider.warp_pairs(stack, rows[:0], stack, rows[:0], 0, True, None, None).shape == (0,)
+
+
+@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
 def test_vector_cutoffs_match_per_row_bounded(provider_name):
     """A per-row cutoff vector must behave as k independent bounded calls."""
     _provider_or_skip(provider_name)

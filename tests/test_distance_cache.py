@@ -289,6 +289,102 @@ class TestRowProbe:
         assert outcomes[0] == outcomes[1]
 
 
+class TestBulkPairs:
+    """Ready-key bulk probes and stores equal the per-key calls they replace."""
+
+    @staticmethod
+    def _state(cache):
+        return (list(cache.iter_entries()), cache.evictions, cache._order and list(cache._order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(_op, max_size=25),
+        batch=st.lists(st.tuples(_pair, st.floats(0.0, 8.0)), max_size=14),
+        capacity=st.one_of(st.none(), st.integers(1, 8)),
+    )
+    def test_store_many_equals_the_per_key_store_loop(self, before, batch, capacity):
+        # Any earlier history (bounds, overwrites, a cache already evicting or
+        # not yet), then one bulk of exact values in which keys repeat, hit
+        # live keys -- exact ones and bounds -- and may cross the capacity.
+        bulk, loop = DistanceCache(max_entries=capacity), DistanceCache(max_entries=capacity)
+        for name, (i, j), *arguments in before:
+            for cache in (bulk, loop):
+                result = getattr(cache, name)(_seq(_POOL[i]), _seq(_POOL[j]), *arguments)
+                assert name != "store" or result is None
+        keys = [(_seq(_POOL[i]).content_key, _seq(_POOL[j]).content_key) for (i, j), _v in batch]
+        values = [value for _pair, value in batch]
+        bulk.store_many(keys, values)
+        with loop._lock:
+            for key, value in zip(keys, values):
+                loop._store(key, value, None)
+        assert self._state(bulk) == self._state(loop)
+        # ... and they keep behaving alike afterwards.
+        for cache in (bulk, loop):
+            cache.store(_seq([7.0]), _seq([8.0]), 1.0)
+        assert self._state(bulk) == self._state(loop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stored=st.lists(st.tuples(_pair, st.floats(0.0, 8.0), _cutoff), max_size=8),
+        asked=st.lists(_pair, max_size=10),
+        repeats=st.integers(0, 3),
+    )
+    def test_probe_pairs_equals_lookups_without_a_cutoff(self, stored, asked, repeats):
+        bulk, single = DistanceCache(), DistanceCache()
+        for (i, j), value, bound in stored:
+            for cache in (bulk, single):
+                cache.store(_seq(_POOL[i]), _seq(_POOL[j]), value, bound)
+        keys = [(_seq(_POOL[i]).content_key, _seq(_POOL[j]).content_key) for i, j in asked]
+        # A bound entry says nothing without a cutoff: only exact ones answer.
+        assert bulk.probe_pairs(keys, repeats) == [
+            single.lookup(_seq(_POOL[i]), _seq(_POOL[j])) for i, j in asked
+        ]
+        assert (bulk.hits, bulk.misses) == (single.hits + repeats, single.misses)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        warm=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
+        asked=st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=12),
+    )
+    def test_counting_pairs_equals_one_request_at_a_time(self, warm, asked):
+        # -1 is an operand without a key: computed, never looked up or stored.
+        # A keyed pair seen earlier in the same bulk is a hit, as it is when
+        # the pairs are requested one by one.
+        distance = Euclidean()
+        bulk = CountingDistance(distance, cache=DistanceCache())
+        single = CountingDistance(distance, cache=DistanceCache())
+        for i, j in warm:
+            for counting in (bulk, single):
+                counting(_seq(_POOL[i]), _seq(_POOL[j]))
+        operands = [
+            tuple(np.array(_POOL[0]) if side < 0 else _seq(_POOL[side]) for side in pair)
+            for pair in asked
+        ]
+        keys = [
+            (first.content_key, second.content_key)
+            if isinstance(first, Sequence) and isinstance(second, Sequence)
+            else None
+            for first, second in operands
+        ]
+        calls = []
+
+        def compute(positions):
+            calls.append(positions.tolist())
+            return np.array([distance(*operands[position]) for position in positions]), 1
+
+        kernel_calls = bulk.counter.kernel_calls
+        assert bulk.pairs(keys, compute).tolist() == [single(*pair) for pair in operands]
+        assert len(calls) <= 1 and all(call == sorted(set(call)) for call in calls)
+        assert bulk.counter.kernel_calls == kernel_calls + len(calls)
+
+        def tallies(counting):
+            counter, cache = counting.counter, counting.cache
+            return (counter.total, counter.cache_hits, cache.hits, cache.misses)
+
+        assert tallies(bulk) == tallies(single)
+        assert list(bulk.cache.iter_entries()) == list(single.cache.iter_entries())
+
+
 class TestMatcherIntegration:
     def test_matcher_cache_respects_configured_bound(self):
         import numpy as np

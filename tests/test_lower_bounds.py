@@ -264,17 +264,22 @@ def check_table(net, query, spans):
     Returns the table as one ``{window key: bound}`` dict per segment.
     """
     table = net.bound_table(query, spans)
-    assert len(table) == len(spans) and len(table.column) == len(net)
+    assert table.matrix.shape == (len(spans), len(net)) and len(table) == len(spans)
     assert table.epoch == net._packed.epoch
+    # Columns are the flat layout's node ids: the packed store's order.
+    column = {key: position for position, key in enumerate(net._layout().keys.tolist())}
     array = as_array(query)
-    for row, (start, span) in zip(table.rows, spans):
+    for row, (start, span) in zip(table.matrix.tolist(), spans):
         segment = array[start : start + span]
         for key, item in net.items():
-            entry = row[table.column[net._nodes[key]]]
+            entry = row[column[key]]
             window = as_array(item)
             assert entry == combined_batch_bound(net.distance, segment, window[None])[0]
             assert entry <= net.distance(segment, window) + 1e-9
-    return [{node.key: row[column] for node, column in table.column.items()} for row in table.rows]
+    return [
+        {key: row[position] for key, position in column.items()}
+        for row in table.matrix.tolist()
+    ]
 
 
 class TestBoundTable:
@@ -333,7 +338,7 @@ class TestBoundTable:
         net.add(as_sequence([[0.0], [1.0], [2.0]], SequenceKind.TIME_SERIES), key="series")
         trajectory = as_sequence([[5.0, 5.0], [6.0, 6.0]], SequenceKind.TRAJECTORY)
         table = net.bound_table(trajectory, [(0, 2)])
-        assert table.rows == [[0.0]]
+        assert table.matrix.tolist() == [[0.0]]
 
     def test_which_distances_have_a_table(self):
         assert has_bound_table(DiscreteFrechet())

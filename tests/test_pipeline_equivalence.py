@@ -249,6 +249,7 @@ class TestPipelineMatchesLegacyOrchestration:
         db, query = planted
         stats = {}
         answers = {}
+        levels = {}
         for index, prefilter in (
             ("reference-net", True),
             ("reference-net", False),
@@ -260,6 +261,7 @@ class TestPipelineMatchesLegacyOrchestration:
             matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
             try:
                 result = matcher.execute(RangeQuery(radius=0.5).bind(query))
+                levels[index, prefilter] = getattr(matcher.index, "max_level", 0) + 1
             finally:
                 matcher.close()
             answers[index, prefilter] = sorted(map(_full_match_key, result.matches))
@@ -275,6 +277,12 @@ class TestPipelineMatchesLegacyOrchestration:
             <= scan.index_distance_computations
             < plain.index_distance_computations
         )
+        # The whole-query frontier: one kernel call per level and (segment
+        # shape, window shape) pair -- three segment lengths, one window
+        # length -- however many segments the query has, under every executor.
+        assert bounded.segments_extracted > 3 * levels["reference-net", True]
+        for key in (("reference-net", True), ("reference-net", False)):
+            assert 0 < stats[key].index_kernel_calls <= 3 * levels[key]
 
 
 class TestQueryStatsPipeline:

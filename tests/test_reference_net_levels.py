@@ -1,37 +1,49 @@
-"""The level-synchronous reference-net traversal against its per-pair oracle.
+"""The reference net's whole-query frontier against its three oracles.
 
-``ReferenceNet._range_search`` measures one whole level per batched kernel
-call and routes over precomputed rows.  :func:`reference_range_search` below
-is the traversal it replaced -- one ``counting(query, item)`` call per node,
-walking the ``children`` lists -- kept here as the executable statement of
-what "the same answer" means: the same matches in the same order, the same
-``distance is None``-ness, the same counter tallies, the same cache
-statistics and the same cache insertion order, with or without a cache,
-under the serial and the thread executor.
+``ReferenceNet._frontier`` answers every query of a batch in one
+level-synchronous pass over a flat layout: per level one bound-table gather,
+one cache probe, one pair-batch kernel call per shape group, array routing.
+The traversals it replaced live here, as the executable statement of what
+"the same answer" means:
 
-The distance is the discrete Fréchet distance, whose batched kernel is
-bit-identical to its single call (``tests/test_batch_distances.py`` pins
-that), so cache *values* can be compared exactly too.
+:func:`reference_range_search`
+    Algorithm 3 with one ``counting(query, item)`` call per node, walking
+    the ``children`` lists -- the original.
+:func:`per_segment_range_search`
+    The level-synchronous walk *per query* that ``src/`` ran until the
+    frontier: one ``counting.batch`` per level, per-node classification from
+    the bound table, subtrees settled eagerly.  The frontier must return the
+    same matches per query (as sets, with the same ``distance is None``-ness)
+    and spend the same work: computations, cache hits, prefilter tallies,
+    and -- while nothing is evicted -- the same cache statistics.
+:func:`level_walk`
+    The frontier's own contract, spelled out node by node with one cache
+    call per pair: levels top-down across the *whole batch*, within a level
+    by query position and then node id, all of a level's lookups before its
+    stores, a repeated ``(query content, node content)`` pair computed once
+    and counted as hits after.  This is the order the cache sees, which
+    eviction and ``iter_entries()`` make visible, so against it everything
+    is compared exactly -- under the serial, thread and process executors.
 
-Bound-first routing (``prefilter=True``) is held to the same oracle, by a
-weaker statement -- it computes fewer distances, so fewer matches come back
-with one: the same match *keys*, every reported distance exact, no distance
-spent on a window whose lower bound already exceeds the radius, and all of
-it identical under every executor.
+The distance is the discrete Fréchet distance, whose batched and pair-batched
+kernels are bit-identical to its single call (``tests/test_batch_distances.py``
+pins that), so cache *values* can be compared exactly too.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import DiscreteFrechet, ReferenceNet, Sequence, SequenceKind
+from repro import DiscreteFrechet, Levenshtein, ReferenceNet, Sequence, SequenceKind
 from repro.core.executor import make_executor
 from repro.distances.cache import DistanceCache
 from repro.distances.lower_bounds import combined_bound
 from repro.exceptions import IndexError_, InvariantViolationError
-from repro.indexing.base import RangeMatch
+from repro.indexing import reference_net
+from repro.indexing.base import BoundTable, RangeMatch
 from repro.indexing.stats import CountingDistance, DistanceCounter
 
 DISTANCE = DiscreteFrechet()
@@ -40,8 +52,7 @@ DISTANCE = DiscreteFrechet()
 def reference_range_search(net, query, radius, counting):
     """Algorithm 3, one distance call per node (the pre-batching traversal).
 
-    Reads the node links only (never the routing rows); the per-child bounds
-    are the rows' bounds computed from the links.
+    Reads the node links only; the per-child bounds are computed from them.
     """
     if net._root is None:
         return []
@@ -90,6 +101,214 @@ def reference_range_search(net, query, radius, counting):
     return matches
 
 
+def node_ids(net):
+    """Key -> node id: the packed store's order, a bound table's columns."""
+    keys = [key for shape in net._packed.group_shapes() for key in net._packed.group_keys(shape)]
+    return {key: position for position, key in enumerate(keys)}
+
+
+def routing_rows(node):
+    """``(child, link, reach, leaf)`` per child: what the per-segment walk routed by."""
+    return [
+        (child, link, link + child.subtree, not child.children)
+        for _level, child, link in node.iter_children()
+    ]
+
+
+def per_segment_range_search(net, query, radius, counting, lower=None):
+    """The per-query level-synchronous traversal ``src/`` ran before the frontier.
+
+    ``lower`` is this query's row of the bound table (indexed by node id).
+    Routes by :func:`routing_rows` (``src/`` kept them per node then);
+    measures a level through ``net._measure`` -- the batched request the
+    net's build still uses.
+    """
+    if net._root is None:
+        return []
+    ids = node_ids(net)
+    matches, decided = [], set()
+    pending = [[] for _ in range(net.max_level + 1)]
+    pending[net._root.home_level].append(net._root)
+
+    def settle_subtree(node, accept):
+        stack = [node]
+        while stack:
+            for child, _link, _reach, leaf in routing_rows(stack.pop()):
+                if child in decided:
+                    continue
+                decided.add(child)
+                if accept:
+                    matches.append(RangeMatch(child.key, child.item, None))
+                if not leaf:
+                    stack.append(child)
+
+    def classify(frontier):
+        survivors = []
+        for node in frontier:
+            bound = lower[ids[node.key]]
+            if not bound > radius:
+                survivors.append(node)
+            elif bound - node.subtree > radius:
+                settle_subtree(node, accept=False)
+            else:
+                for child, link_distance, reach, leaf in routing_rows(node):
+                    if child in decided:
+                        continue
+                    if bound - reach > radius:
+                        decided.add(child)
+                        settle_subtree(child, accept=False)
+                    elif leaf and bound - link_distance > radius:
+                        decided.add(child)
+                    else:
+                        pending[child.home_level].append(child)
+        counting.record_prefilter(len(frontier), len(frontier) - len(survivors))
+        return survivors
+
+    for level in range(net.max_level, -1, -1):
+        frontier = []
+        for node in pending[level]:
+            if node not in decided:
+                decided.add(node)
+                frontier.append(node)
+        if lower is not None and frontier:
+            frontier = classify(frontier)
+        if not frontier:
+            continue
+        for node, value in zip(frontier, net._measure(query, frontier, counting)):
+            if value <= radius:
+                matches.append(RangeMatch(node.key, node.item, value))
+            if value + node.subtree <= radius:
+                settle_subtree(node, accept=True)
+                continue
+            if value - node.subtree > radius:
+                settle_subtree(node, accept=False)
+                continue
+            for child, link_distance, reach, leaf in routing_rows(node):
+                if child in decided:
+                    continue
+                if value + reach <= radius:
+                    decided.add(child)
+                    matches.append(RangeMatch(child.key, child.item, None))
+                    settle_subtree(child, accept=True)
+                elif value - reach > radius:
+                    decided.add(child)
+                    settle_subtree(child, accept=False)
+                elif leaf and value + link_distance <= radius:
+                    decided.add(child)
+                    matches.append(RangeMatch(child.key, child.item, None))
+                elif leaf and value - link_distance > radius:
+                    decided.add(child)
+                else:
+                    pending[child.home_level].append(child)
+    return matches
+
+
+def level_walk(net, queries, radius, cache, counter, table=None):
+    """The whole-batch level walk: the frontier's contract, one pair at a time.
+
+    Works on the node links with per-node Python, settles subtrees eagerly
+    and talks to ``cache`` through ``lookup`` / ``store`` only.  Returns the
+    per-query ``(key, distance)`` lists in node-id order plus the number of
+    repeated pairs -- cache hits that never reach ``cache.lookup``.
+    """
+    if net._root is None:
+        return [[] for _ in queries], 0
+    ids = node_ids(net)
+    matches = [[] for _ in queries]
+    decided = [set() for _ in queries]
+    pending = [{net._root.home_level: [net._root]} for _ in queries]
+    repeated = 0
+
+    def settle(position, node, accept):
+        stack = [node]
+        while stack:
+            for _level, child, _link in stack.pop().iter_children():
+                if child.key not in decided[position]:
+                    decided[position].add(child.key)
+                    if accept:
+                        matches[position].append((child.key, None))
+                    stack.append(child)
+
+    def route(position, node, low, high):
+        """Children of a node whose distance lies in ``[low, high]`` (``None``: unknown)."""
+        for _level, child, link in node.iter_children():
+            if child.key in decided[position]:
+                continue
+            reach = link + net.radius(child.home_level + 1)
+            leaf = not child.children
+            if high is not None and high + reach <= radius:
+                decided[position].add(child.key)
+                matches[position].append((child.key, None))
+                settle(position, child, accept=True)
+            elif low - reach > radius:
+                decided[position].add(child.key)
+                settle(position, child, accept=False)
+            elif leaf and high is not None and high + link <= radius:
+                decided[position].add(child.key)
+                matches[position].append((child.key, None))
+            elif leaf and low - link > radius:
+                decided[position].add(child.key)
+            else:
+                pending[position].setdefault(child.home_level, []).append(child)
+
+    for level in range(net.max_level, -1, -1):
+        survivors = []
+        for position in range(len(queries)):
+            frontier = {
+                node.key: node
+                for node in pending[position].pop(level, ())
+                if node.key not in decided[position]
+            }
+            frontier = sorted(frontier.values(), key=lambda node: ids[node.key])
+            decided[position].update(node.key for node in frontier)
+            if table is not None and frontier:
+                kept = []
+                for node in frontier:
+                    bound = table.matrix[position, ids[node.key]]
+                    if not bound > radius:
+                        kept.append(node)
+                    elif bound - net.radius(node.home_level + 1) > radius:
+                        settle(position, node, accept=False)
+                    else:
+                        route(position, node, bound, None)
+                counter.record_prefilter(len(frontier), len(frontier) - len(kept))
+                frontier = kept
+            survivors.extend((position, node) for node in frontier)
+        # The level's pairs: every lookup, then every store.
+        by_content, stores, measured = {}, [], []
+        for position, node in survivors:
+            query, item = queries[position], node.item
+            if not DistanceCache.cacheable(query, item):
+                counter.increment()
+                measured.append((position, node, DISTANCE(query, item)))
+                continue
+            content = (query.content_key, item.content_key)
+            if content in by_content:
+                repeated += 1
+                counter.record_cache_hit()
+            else:
+                value = cache.lookup(query, item)
+                if value is None:
+                    value = DISTANCE(query, item)
+                    counter.increment()
+                    stores.append((query, item, value))
+                else:
+                    counter.record_cache_hit()
+                by_content[content] = value
+            measured.append((position, node, by_content[content]))
+        for query, item, value in stores:
+            cache.store(query, item, value)
+        for position, node, value in measured:
+            if value <= radius:
+                matches[position].append((node.key, value))
+            subtree = net.radius(node.home_level + 1)
+            if value + subtree <= radius or value - subtree > radius:
+                settle(position, node, accept=value + subtree <= radius)
+            else:
+                route(position, node, value, value)
+    return [sorted(found, key=lambda match: ids[match[0]]) for found in matches], repeated
+
+
 # --------------------------------------------------------------------- #
 # Random nets: few distinct contents (so duplicates are the rule), two
 # lengths (so a level spans two shape groups), writes in any order.
@@ -117,6 +336,8 @@ net_cases = st.fixed_dictionaries(
         "nummax": st.sampled_from([None, 2, 5]),
         "operations": operations,
         "round_trip": st.booleans(),
+        # Few distinct contents here too: content-identical segments in one
+        # batch are the rule, as overlapping segments of a repetitive query.
         "queries": st.lists(contents, min_size=1, max_size=5),
         "radius": st.sampled_from([0.0, 1.0, 2.0, 3.5, 6.0, 20.0]),
     }
@@ -135,6 +356,9 @@ REPEATS_IN_ONE_LEVEL = {
     "queries": [(0, 0, 0)],
     "radius": 0.0,
 }
+
+#: The same query twice in one batch: the second one's pairs are all repeats.
+REPEATED_SEGMENT = dict(REPEATS_IN_ONE_LEVEL, queries=[(0, 0, 1), (0, 0, 1)], radius=1.0)
 
 
 def build_net(case, cache, prefilter=False):
@@ -178,62 +402,150 @@ def outcome(matches):
     return [(match.key, match.distance) for match in matches]
 
 
-def tallies(counting):
-    cache = counting.cache
+def as_set(matches):
+    found = outcome(matches)
+    assert len({key for key, _distance in found}) == len(found)
+    return set(found)
+
+
+def work(counter):
     return (
-        counting.counter.total,
-        counting.counter.cache_hits,
-        None if cache is None else (cache.hits, cache.misses, list(cache.iter_entries())),
+        counter.total,
+        counter.cache_hits,
+        counter.prefilter_evaluations,
+        counter.prefilter_pruned,
     )
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=net_cases, cached=st.booleans())
-@example(case=REPEATS_IN_ONE_LEVEL, cached=True)
-def test_level_synchronous_equals_per_pair_serial(case, cached):
-    net = build_net(case, cache=None)
-    # The traversal only reads the structure, so both run on the same net,
-    # each against its own counting context; the queries run back to back,
-    # so later ones meet what earlier ones cached.
-    batched = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache() if cached else None)
-    per_pair = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache() if cached else None)
-    for content in case["queries"]:
-        query = window(content)
-        found = net._range_search(query, case["radius"], batched)
-        expected = reference_range_search(net, query, case["radius"], per_pair)
-        assert outcome(found) == outcome(expected)
-        assert tallies(batched) == tallies(per_pair)
+def lookups(cache):
+    return (cache.hits, cache.misses)
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=net_cases, cached=st.booleans())
-@example(case=REPEATS_IN_ONE_LEVEL, cached=True)
-def test_level_synchronous_equals_per_pair_thread_executor(case, cached):
-    net = build_net(case, cache=DistanceCache() if cached else None)
+def cache_state(cache, extra_hits=0):
+    return (cache.hits + extra_hits, cache.misses, cache.evictions, list(cache.iter_entries()))
+
+
+CACHES = st.sampled_from(["none", "unbounded", 4, 11, 40])
+EXECUTORS = {
+    "serial": None,
+    "thread": make_executor("thread", 3),
+    "process": make_executor("process", 2),
+}
+
+
+def make_cache(mode):
+    return None if mode == "none" else DistanceCache(None if mode == "unbounded" else mode)
+
+
+# --------------------------------------------------------------------- #
+# The frontier == the whole-batch level walk, to the cache entry
+# --------------------------------------------------------------------- #
+@settings(max_examples=100, deadline=None)
+@given(case=net_cases, prefilter=st.booleans(), cache_mode=CACHES)
+@example(case=REPEATS_IN_ONE_LEVEL, prefilter=False, cache_mode="unbounded")
+@example(case=REPEATS_IN_ONE_LEVEL, prefilter=True, cache_mode="none")
+@example(case=REPEATED_SEGMENT, prefilter=False, cache_mode=4)
+@example(case=REPEATED_SEGMENT, prefilter=True, cache_mode="unbounded")
+def test_frontier_equals_the_level_walk_under_every_executor(case, prefilter, cache_mode):
     queries = [window(content) for content in case["queries"]]
-    # The oracle starts from what the build left behind: its cache entries
-    # (item-to-item link distances) and a zeroed counter.
-    if cached:
-        oracle_cache = DistanceCache()
-        oracle_cache.seed_entries(net.cache.iter_entries())
-        before = (net.counter.total, net.counter.cache_hits, net.cache.hits, net.cache.misses)
-    else:
-        # A cache-less net shares reference distances through a cache that
-        # lives for the batch, under every executor.
-        oracle_cache = DistanceCache()
-        before = (net.counter.total, net.counter.cache_hits)
-    per_pair = CountingDistance(DISTANCE, DistanceCounter(), oracle_cache)
+    radius = case["radius"]
+
+    # The oracle: same net, same starting cache (the build's link distances).
+    oracle_net = build_net(case, make_cache(cache_mode), prefilter)
+    oracle_cache = oracle_net.cache if oracle_net.cache is not None else DistanceCache()
+    table = None
+    if prefilter:
+        table = BoundTable(
+            oracle_net._packed.epoch,
+            np.concatenate([oracle_net.bound_table(q, [(0, len(q))]).matrix for q in queries]),
+        )
+    expected, repeated = level_walk(
+        oracle_net, queries, radius, oracle_cache, oracle_net.counter, table
+    )
+    for name, executor in EXECUTORS.items():
+        net = build_net(case, make_cache(cache_mode), prefilter)
+        found = net.batch_range_query(queries, radius, executor=executor)
+        assert [outcome(matches) for matches in found] == expected, name
+        assert work(net.counter) == work(oracle_net.counter), name
+        if net.cache is not None:
+            assert cache_state(net.cache) == cache_state(oracle_cache, repeated), name
+
+
+def test_a_query_without_a_key_is_computed_never_cached():
+    case = dict(REPEATS_IN_ONE_LEVEL, queries=[(0, 0, 1)] * 3, radius=1.0)
+    keyed = window((0, 0, 1))
+    queries = [keyed, np.array([0.0, 0.0, 1.0]), window((0, 0, 1))]
+    net = build_net(case, DistanceCache())
+    oracle_net = build_net(case, DistanceCache())
+    expected, repeated = level_walk(
+        oracle_net, queries, 1.0, oracle_net.cache, oracle_net.counter
+    )
+    assert [outcome(matches) for matches in net.batch_range_query(queries, 1.0)] == expected
+    assert work(net.counter) == work(oracle_net.counter)
+    assert cache_state(net.cache) == cache_state(oracle_net.cache, repeated)
+    assert repeated > 0 and expected[0] == expected[1] == expected[2]
+
+
+# --------------------------------------------------------------------- #
+# The frontier == the per-segment walk it replaced == the per-pair original
+# --------------------------------------------------------------------- #
+@settings(max_examples=100, deadline=None)
+@given(case=net_cases, prefilter=st.booleans(), cached=st.booleans())
+@example(case=REPEATS_IN_ONE_LEVEL, prefilter=False, cached=True)
+@example(case=REPEATED_SEGMENT, prefilter=True, cached=False)
+def test_frontier_equals_the_per_segment_walk(case, prefilter, cached):
+    queries = [window(content) for content in case["queries"]]
+    radius = case["radius"]
+    net = build_net(case, DistanceCache() if cached else None, prefilter)
+    oracle_net = build_net(case, DistanceCache() if cached else None, prefilter)
+    # A cache-less net shares reference distances through a cache that lives
+    # for the batch; the oracle's queries run back to back against one too.
+    per_segment = CountingDistance(
+        DISTANCE, oracle_net.counter, oracle_net.cache if cached else DistanceCache()
+    )
     expected = [
-        reference_range_search(net, query, case["radius"], per_pair) for query in queries
+        per_segment_range_search(
+            oracle_net,
+            query,
+            radius,
+            per_segment,
+            oracle_net.bound_table(query, [(0, len(query))]).matrix[0] if prefilter else None,
+        )
+        for query in queries
     ]
-    found = net.batch_range_query(queries, case["radius"], executor=make_executor("thread", 3))
-    assert [outcome(matches) for matches in found] == [outcome(matches) for matches in expected]
-    assert net.counter.total - before[0] == per_pair.counter.total
-    assert net.counter.cache_hits - before[1] == per_pair.counter.cache_hits
+    found = net.batch_range_query(queries, radius)
+    assert [as_set(matches) for matches in found] == [as_set(matches) for matches in expected]
+    assert work(net.counter) == work(oracle_net.counter)
     if cached:
-        assert net.cache.hits - before[2] == oracle_cache.hits
-        assert net.cache.misses - before[3] == oracle_cache.misses
-        assert list(net.cache.iter_entries()) == list(oracle_cache.iter_entries())
+        # Nothing is evicted, so only the insertion order may differ.
+        assert lookups(net.cache) == lookups(oracle_net.cache)
+        assert sorted(net.cache.iter_entries()) == sorted(oracle_net.cache.iter_entries())
+    # One query at a time is a batch of one.
+    again = build_net(case, DistanceCache() if cached else None, prefilter)
+    assert [outcome(again.range_query(query, radius)) for query in queries] == [
+        outcome(matches) for matches in found
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=net_cases, cached=st.booleans())
+@example(case=REPEATS_IN_ONE_LEVEL, cached=True)
+def test_frontier_equals_the_per_pair_original(case, cached):
+    net = build_net(case, DistanceCache() if cached else None)
+    oracle_net = build_net(case, DistanceCache() if cached else None)
+    per_pair = CountingDistance(
+        DISTANCE, oracle_net.counter, oracle_net.cache if cached else DistanceCache()
+    )
+    queries = [window(content) for content in case["queries"]]
+    expected = [
+        reference_range_search(oracle_net, query, case["radius"], per_pair) for query in queries
+    ]
+    found = net.batch_range_query(queries, case["radius"])
+    assert [as_set(matches) for matches in found] == [as_set(matches) for matches in expected]
+    assert work(net.counter) == work(oracle_net.counter)
+    if cached:
+        assert lookups(net.cache) == lookups(oracle_net.cache)
+        assert sorted(net.cache.iter_entries()) == sorted(oracle_net.cache.iter_entries())
 
 
 # --------------------------------------------------------------------- #
@@ -247,33 +559,34 @@ def prefilter_tallies(counter):
 @given(case=net_cases, cached=st.booleans())
 @example(case=REPEATS_IN_ONE_LEVEL, cached=True)
 def test_bound_first_answers_equal_per_pair_answers(case, cached):
-    net = build_net(case, cache=None, prefilter=True)
-    bounded = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache() if cached else None)
+    net = build_net(case, cache=DistanceCache() if cached else None, prefilter=True)
+    plain = build_net(case, cache=None)
     per_pair = CountingDistance(DISTANCE, DistanceCounter(), None)
+    counter = net.counter
     radius = case["radius"]
     for content in case["queries"]:
         query = window(content)
-        requested = bounded.counter.total + bounded.counter.cache_hits
-        classified = prefilter_tallies(bounded.counter)
-        found = net._range_search(query, radius, bounded)
-        expected = reference_range_search(net, query, radius, per_pair)
+        requested = counter.total + counter.cache_hits
+        classified = prefilter_tallies(counter)
+        found = net.range_query(query, radius)
+        expected = reference_range_search(plain, query, radius, per_pair)
         assert sorted(match.key for match in found) == sorted(match.key for match in expected)
         assert len({match.key for match in found}) == len(found)
         for match in found:
             assert match.distance is None or match.distance == DISTANCE(query, match.item)
         # By construction: a distance is requested only for a window whose
         # bound is within the radius -- the pairs the scan's prefilter keeps.
-        requested = bounded.counter.total + bounded.counter.cache_hits - requested
+        requested = counter.total + counter.cache_hits - requested
         within = sum(combined_bound(DISTANCE, query, item) <= radius for _key, item in net.items())
         assert requested <= within
-        evaluated, pruned = np.subtract(prefilter_tallies(bounded.counter), classified)
+        evaluated, pruned = np.subtract(prefilter_tallies(counter), classified)
         assert evaluated - pruned == requested and evaluated <= len(net)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=net_cases, cached=st.booleans())
 @example(case=REPEATS_IN_ONE_LEVEL, cached=True)
-def test_bound_first_is_identical_under_every_executor(case, cached):
+def test_a_batch_builds_the_table_the_pipeline_would_pass(case, cached):
     # One query whose segments are the case's queries, so one table serves
     # the batch, as the pipeline's does.
     joined = window([value for content in case["queries"] for value in content])
@@ -283,25 +596,20 @@ def test_bound_first_is_identical_under_every_executor(case, cached):
         start += len(content)
     segments = [joined.subsequence(start, start + length) for start, length in spans]
 
-    def run(executor):
+    def run(hand_in):
         net = build_net(case, cache=DistanceCache() if cached else None, prefilter=True)
-        table = net.bound_table(joined, spans)
-        found = net.batch_range_query(segments, case["radius"], executor=executor, bounds=table)
-        # The same again without handing the table in: built per query.
-        assert [outcome(matches) for matches in found] == [
-            outcome(net.range_query(segment, case["radius"])) for segment in segments
-        ]
+        table = net.bound_table(joined, spans) if hand_in else None
+        found = net.batch_range_query(segments, case["radius"], bounds=table)
         return (
             [outcome(matches) for matches in found],
-            tallies(net._counting),
-            prefilter_tallies(net.counter),
+            work(net.counter),
+            None if net.cache is None else cache_state(net.cache),
         )
 
-    serial = run(None)
-    assert run(make_executor("thread", 3)) == serial
-    assert run(make_executor("process", 2)) == serial
+    # Without ``bounds`` the batch builds its own table: same pruning, same work.
+    assert run(hand_in=False) == run(hand_in=True)
     plain = build_net(case, cache=None)
-    for found, segment in zip(serial[0], segments):
+    for found, segment in zip(run(hand_in=True)[0], segments):
         expected = reference_range_search(
             plain, segment, case["radius"], CountingDistance(DISTANCE, DistanceCounter(), None)
         )
@@ -326,7 +634,9 @@ def test_bound_first_finds_every_brute_force_answer_in_a_deep_net(eps_prime, num
             found = sorted(match.key for match in net.range_query(query, radius))
             exact = {key: DISTANCE(query, item) for key, item in net.items()}
             assert found == sorted(key for key, value in exact.items() if value <= radius)
-            within = sum(combined_bound(DISTANCE, query, item) <= radius for _k, item in net.items())
+            within = sum(
+                combined_bound(DISTANCE, query, item) <= radius for _key, item in net.items()
+            )
             assert net.counter.total - before <= within
 
 
@@ -334,40 +644,41 @@ def test_bound_first_finds_every_brute_force_answer_in_a_deep_net(eps_prime, num
 def test_nan_in_the_query_falls_through_to_the_distance(position):
     # A NaN table entry compares false against every threshold, so the node
     # is measured and routed exactly as without a table.
-    net, generator = clustered_net(60)
+    bounded, generator = clustered_net(60, cache=DistanceCache(), prefilter=True)
+    plain, _ = clustered_net(60, cache=DistanceCache())
     content = 10.0 + generator.normal(size=4)
     content[position] = np.nan
     query = window(content)
-    bounded = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache())
-    plain = CountingDistance(DISTANCE, DistanceCounter(), DistanceCache())
-    net.prefilter = True
-    assert np.isnan(net.bound_table(query, [(0, 4)]).rows[0]).all()
-    found = net._range_search(query, 3.0, bounded)
-    net.prefilter = False
-    expected = net._range_search(query, 3.0, plain)
+    assert np.isnan(bounded.bound_table(query, [(0, 4)]).matrix).all()
+    built = bounded.counter.total
+    found = bounded.range_query(query, 3.0)
+    expected = plain.range_query(query, 3.0)
     assert repr(outcome(found)) == repr(outcome(expected))
-    assert repr(tallies(bounded)) == repr(tallies(plain))
-    assert prefilter_tallies(bounded.counter) == (bounded.counter.total, 0)
+    assert work(bounded.counter)[:2] == work(plain.counter)[:2]
+    assert repr(cache_state(bounded.cache)) == repr(cache_state(plain.cache))
+    assert prefilter_tallies(bounded.counter) == (bounded.counter.total - built, 0)
 
 
-def test_a_stale_bound_table_is_refused():
-    net, generator = clustered_net(30)
-    net.prefilter = True
+def test_a_stale_or_short_bound_table_is_refused():
+    net, generator = clustered_net(30, prefilter=True)
     query = window(generator.normal(size=4))
     table = net.bound_table(query, [(0, 4)])
-    net.range_query(query, 2.0, table.row(0))
+    net.range_query(query, 2.0, table)
     net.insert(window(generator.normal(size=4)), key="new")
     with pytest.raises(IndexError_, match="bound table"):
-        net.range_query(query, 2.0, table.row(0))
+        net.range_query(query, 2.0, table)
     net.delete(net.root_key)  # rebuilds; the epoch must keep counting
     with pytest.raises(IndexError_, match="bound table"):
         net.batch_range_query([query], 2.0, bounds=table)
     with pytest.raises(IndexError_, match="rows"):
         net.batch_range_query([query, query], 2.0, bounds=net.bound_table(query, [(0, 4)]))
+    with pytest.raises(IndexError_, match="radius"):
+        net.batch_range_query([query], -1.0)
+    assert ReferenceNet(DISTANCE, prefilter=True).batch_range_query([query, query], 2.0) == [[], []]
 
 
 # --------------------------------------------------------------------- #
-# One kernel sweep per level, for queries and for Algorithm 1's descent
+# One kernel call per level and shape group, whatever the batch size
 # --------------------------------------------------------------------- #
 class SpiedFrechet(DiscreteFrechet):
     """Counts the kernel entry points a net actually uses."""
@@ -376,6 +687,7 @@ class SpiedFrechet(DiscreteFrechet):
         super().__init__()
         self.single_calls = 0
         self.batch_sizes = []
+        self.pair_sizes = []
 
     def compute(self, first, second):
         self.single_calls += 1
@@ -385,8 +697,12 @@ class SpiedFrechet(DiscreteFrechet):
         self.batch_sizes.append(len(items))
         return super().compute_batch(query, items, cutoff)
 
+    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None):
+        self.pair_sizes.append(len(query_rows))
+        return super().compute_pairs(queries, query_rows, items, item_rows, cutoff)
 
-def test_one_batched_kernel_call_per_level():
+
+def test_one_pair_batch_kernel_call_per_level():
     distance = SpiedFrechet()
     generator = np.random.default_rng(9)
     net = ReferenceNet(distance)
@@ -398,88 +714,168 @@ def test_one_batched_kernel_call_per_level():
     assert distance.single_calls == len(net) - 1
     assert sum(distance.batch_sizes) + distance.single_calls == net.counter.total
     assert len(distance.batch_sizes) <= (net.max_level + 1) * len(net)
+    assert net.counter.kernel_calls == distance.single_calls + len(distance.batch_sizes)
 
-    distance.single_calls, distance.batch_sizes = 0, []
-    before = net.counter.total
-    net.range_query(window(8.0 + generator.normal(size=5)), 3.0)
-    assert distance.single_calls == 0
-    assert 1 <= len(distance.batch_sizes) <= net.max_level + 1
-    assert sum(distance.batch_sizes) == net.counter.total - before
+    # Querying: one pair-batch call per level, for 1 query or for 40.
+    for batch in (1, 40):
+        distance.single_calls, distance.batch_sizes, distance.pair_sizes = 0, [], []
+        before = (net.counter.total, net.counter.kernel_calls)
+        net.batch_range_query(
+            [window(8.0 + generator.normal(size=5)) for _ in range(batch)], 3.0
+        )
+        assert distance.single_calls == 0 and distance.batch_sizes == []
+        assert 1 <= len(distance.pair_sizes) <= net.max_level + 1
+        assert sum(distance.pair_sizes) == net.counter.total - before[0]
+        assert len(distance.pair_sizes) == net.counter.kernel_calls - before[1]
+
+
+def test_kernel_calls_are_bounded_by_levels_times_shape_groups():
+    generator = np.random.default_rng(11)
+    net = ReferenceNet(Levenshtein(), cache=DistanceCache())
+    for key in range(120):
+        length = (6, 7, 8)[key % 3]
+        net.add(window(generator.integers(0, 4, size=length)), key=key)
+    queries = [window(generator.integers(0, 4, size=6 + position % 2)) for position in range(25)]
+    net.counter.checkpoint()
+    found = net.batch_range_query(queries, 2.0)
+    assert any(found)
+    window_shapes, query_shapes = 3, 2
+    assert (
+        0
+        < net.counter.kernel_calls_since_checkpoint()
+        <= (net.max_level + 1) * window_shapes * query_shapes
+    )
+    for query, matches in zip(queries, found):
+        exact = {key: net.distance(query, item) for key, item in net.items()}
+        assert sorted(m.key for m in matches) == sorted(k for k, v in exact.items() if v <= 2.0)
 
 
 # --------------------------------------------------------------------- #
-# The layout is maintained write by write, for the touched parents only
+# The flat layout: derived, invalidated by every write, bounded in memory
 # --------------------------------------------------------------------- #
-def clustered_net(count=120):
+def clustered_net(count=120, **kwargs):
     generator = np.random.default_rng(3)
-    net = ReferenceNet(DISTANCE)
+    net = ReferenceNet(DISTANCE, **kwargs)
     for key in range(count):
         centre = generator.integers(0, 6) * 10.0
         net.add(window(centre + generator.normal(size=4)), key=key)
     return net, generator
 
 
-def rebuilt_rows(net, write):
-    """Keys of the surviving nodes whose row list ``write`` replaced."""
-    before = {key: node.rows for key, node in net._nodes.items()}
-    write()
-    return {
-        key
-        for key, node in net._nodes.items()
-        if key in before and node.rows is not before[key]
-    }
+def test_every_write_invalidates_the_flat_layout():
+    net, generator = clustered_net(80)
+    queries = [window(generator.integers(0, 6) * 10.0 + generator.normal(size=4)) for _ in range(6)]
+
+    def fresh_answers():
+        # A net restored from the structure has never built a layout.
+        fresh = ReferenceNet(DISTANCE)
+        fresh.restore_structure(json.loads(json.dumps(net.export_structure())), dict(net.items()))
+        return [outcome(matches) for matches in fresh.batch_range_query(queries, 3.0)]
+
+    def answers():
+        net.check_invariants()
+        return [outcome(matches) for matches in net.batch_range_query(queries, 3.0)]
+
+    assert net._flat is None  # built on the first probe, not by the build
+    assert answers() == fresh_answers()
+    layout = net._flat
+    assert answers() == fresh_answers() and net._flat is layout  # reads reuse it
+    net.insert(window(20.0 + generator.normal(size=4)), key="new")
+    assert answers() == fresh_answers() and net._flat is not layout
+    net.delete(next(key for key, node in net._nodes.items() if not node.children))
+    assert answers() == fresh_answers()
+    net.delete(net.root_key)
+    assert answers() == fresh_answers()
+    net.insert(window([500.0] * 4), key="far")  # raises the root's level
+    assert answers() == fresh_answers()
 
 
-def test_insert_rebuilds_rows_of_touched_parents_only():
-    net, generator = clustered_net()
-    rebuilt = rebuilt_rows(
-        net, lambda: net.insert(window(20.0 + generator.normal(size=4)), key="new")
-    )
-    new = net._nodes["new"]
-    parents = {parent.key for _level, parent in new.parent_links}
-    grandparents = {
-        grand.key
-        for _level, parent in new.parent_links
-        for _l, grand in parent.parent_links
-    }
-    assert parents <= rebuilt <= parents | grandparents
-    assert len(rebuilt) < len(net) // 4
+def test_check_invariants_catches_a_stale_flat_layout():
+    net, generator = clustered_net(40)
+    net.range_query(window(generator.normal(size=4)), 3.0)
     net.check_invariants()
-
-
-def test_delete_rebuilds_rows_of_touched_parents_only():
-    net, _ = clustered_net()
-    leaf_key = next(
-        key for key, node in net._nodes.items() if not node.children and node is not net._root
-    )
-    victim = net._nodes[leaf_key]
-    parents = {parent.key for _level, parent in victim.parent_links}
-    grandparents = {
-        grand.key for _level, parent in victim.parent_links for _l, grand in parent.parent_links
-    }
-    rebuilt = rebuilt_rows(net, lambda: net.delete(leaf_key))
-    assert parents <= rebuilt <= parents | grandparents
-    assert len(rebuilt) < len(net) // 4
-    net.check_invariants()
-
-
-def test_check_invariants_catches_a_stale_layout():
-    net, _ = clustered_net(40)
-    parent = next(node for node in net._nodes.values() if node.rows)
-    child, link, reach, leaf = parent.rows[0]
-    good = parent.rows
-    for stale in (
-        [(child, link, reach, not leaf)] + good[1:],
-        [(child, link, reach + 1.0, leaf)] + good[1:],
-        good[1:],
-        good[::-1] if len(good) > 1 else good + good,
+    flat = net._flat
+    parent = int(np.flatnonzero(flat.child_count)[0])
+    for name, position, value in (
+        ("margin", flat.child_start[parent], flat.margin[flat.child_start[parent]] + 1.0),
+        ("child", flat.child_start[parent], (flat.child[flat.child_start[parent]] + 1) % len(net)),
+        ("level", parent, flat.level[parent] + 1),
+        ("subtree", parent, flat.subtree[parent] * 2),
     ):
-        parent.rows = stale
-        with pytest.raises(InvariantViolationError, match="routing rows"):
+        array = getattr(flat, name)
+        good = array[position]
+        array[position] = value
+        with pytest.raises(InvariantViolationError, match="flat layout"):
             net.check_invariants()
-    parent.rows = good
+        array[position] = good
     net.check_invariants()
-    net._packed.remove(child.key)
+
+
+@pytest.mark.parametrize("prefilter", [False, True])
+def test_the_frontier_holds_no_dense_float_plane(prefilter):
+    # 183 segments x 300 windows, as the ledger's fresh-range.  A spy looks
+    # at every array a traversal frame holds, line by line: the state plane
+    # (one byte per pair) and the bound table are the only S x W arrays;
+    # everything else is pair vectors shorter than that, and child rows come
+    # a chunk at a time.
+    generator = np.random.default_rng(21)
+    net = ReferenceNet(DISTANCE, cache=DistanceCache(), prefilter=prefilter)
+    series = generator.normal(size=300 * 20).cumsum()
+    for key in range(300):
+        net.add(window(series[key * 20 : key * 20 + 20]), key=key)
+    start = int(generator.integers(0, len(series) - 60))
+    query = series[start : start + 60] + generator.normal(size=60) * 0.05
+    segments = [
+        window(query[offset : offset + length])
+        for length in (19, 20, 21)
+        for offset in range(60 - length + 1)
+    ]
+    segments += segments[:60]
+    plane = len(segments) * len(net)
+    assert (len(segments), len(net)) == (183, 300)
+
+    held = {}  # (function, local name) -> (largest size seen, dtype kind)
+
+    def spy(frame, _event, _arg):
+        if frame.f_code.co_filename != reference_net.__file__:
+            return None
+        for name, value in frame.f_locals.items():
+            if isinstance(value, np.ndarray):
+                if value.size > held.get((frame.f_code.co_name, name), (0, ""))[0]:
+                    held[frame.f_code.co_name, name] = (value.size, value.dtype.kind)
+        return spy
+
+    previous = sys.gettrace()
+    sys.settrace(spy)
+    try:
+        found = net.batch_range_query(segments, 2.0)
+    finally:
+        sys.settrace(previous)
+    assert any(found) and ("_frontier", "state") in held and ("_open_children", "row") in held
+    chunk = reference_net._CHUNK_ROWS + int(net._layout().child_count.max())
+    per_row = {"position", "row", "child", "child_query", "still_open", "margin", "rejected"}
+    assert all(("_open_children", name) in held for name in per_row - {"margin", "rejected"})
+    for (function, name), (size, kind) in held.items():
+        if name == "state":
+            assert (size, kind) == (plane, "u")
+        else:
+            assert size < plane, (function, name)
+            if function in ("_open_children", "_route", "_settle") and name in per_row:
+                assert size <= chunk, (function, name)
+
+
+# --------------------------------------------------------------------- #
+# The write side: nothing derived is kept per node
+# --------------------------------------------------------------------- #
+def test_check_invariants_catches_a_wrong_subtree_radius_and_a_missing_packed_key():
+    net, _ = clustered_net(40)
+    node = next(node for node in net._nodes.values() if node.children)
+    node.subtree *= 2
+    with pytest.raises(InvariantViolationError, match="subtree radius"):
+        net.check_invariants()
+    node.subtree /= 2
+    net.check_invariants()
+    net._packed.remove(node.key)
     with pytest.raises(InvariantViolationError, match="packed store"):
         net.check_invariants()
 

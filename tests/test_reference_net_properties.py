@@ -74,8 +74,8 @@ class TestStructuralInvariants:
     @settings(max_examples=30, deadline=None)
     @given(points=points_strategy)
     def test_invariants_after_insertion(self, points):
-        # After *every* insertion, not just the last: the routing rows and
-        # the packed store are maintained write by write.
+        # After *every* insertion, not just the last: the packed store is
+        # maintained write by write and the flat layout rebuilt after each.
         net = ReferenceNet(Euclidean())
         for position, point in enumerate(points):
             net.add(np.array(point), key=position)

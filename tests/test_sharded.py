@@ -396,6 +396,7 @@ class TestShardedStats:
             naive_distance_computations=50,
             segment_matches=3,
             table_segments=4,
+            index_kernel_calls=6,
         )
         second = QueryStats(
             segments_extracted=5,
@@ -403,11 +404,13 @@ class TestShardedStats:
             naive_distance_computations=25,
             segment_matches=2,
             table_segments=5,
+            index_kernel_calls=8,
         )
         merged = QueryStats.across_shards([first, second])
         assert merged.segments_extracted == 5
         assert merged.index_distance_computations == 17
         assert merged.table_segments == 9
+        assert merged.index_kernel_calls == 14
         assert merged.naive_distance_computations == 75
         assert merged.segment_matches == 5
         assert merged.shards == 2
