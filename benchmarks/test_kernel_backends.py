@@ -2,9 +2,9 @@
 
 One leg per (distance, backend): the same grouped batch sweep a linear-scan
 probe performs -- one query against a packed window tensor -- timed under
-``kernel_scope``.  The compiled legs are skipped wherever no provider is
-available (no Numba, no C compiler), so the benchmark job never fails on
-environment; the regression gate tracks whichever legs run.
+``kernel_scope``.  The ``cc`` legs are skipped wherever no C compiler is
+available, so the benchmark job never fails on environment; the regression
+gate tracks whichever legs run.
 """
 
 import numpy as np
@@ -19,14 +19,11 @@ pytestmark = pytest.mark.benchmark
 
 
 def _available_backends():
-    names = ["numpy"]
-    for name in ("numba", "cc"):
-        try:
-            make_provider(name)
-        except Exception:
-            continue
-        names.append(name)
-    return names
+    try:
+        make_provider("cc")
+    except Exception:
+        return ["numpy"]
+    return ["numpy", "cc"]
 
 
 DISTANCES = {
@@ -61,6 +58,6 @@ def test_batch_sweep(benchmark, distance_name, backend):
         with kernel_scope(backend):
             return distance.batch(query, item_list, cutoff)
 
-    baseline = run()  # warm (JIT compile / .so load) outside the timer
+    baseline = run()  # warm (.so load) outside the timer
     values = benchmark(run)
     assert np.array_equal(values, baseline)

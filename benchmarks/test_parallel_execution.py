@@ -43,19 +43,18 @@ pytestmark = pytest.mark.benchmark
 RADIUS = 2.0
 MAX_RADIUS = 8.0
 
-#: (benchmark leg, executor, shards, transport)
+#: (benchmark leg, executor, shards)
 LEGS = [
-    ("serial", "serial", 1, "auto"),
-    ("thread", "thread", 1, "auto"),
-    ("sharded-thread", "thread", 4, "auto"),
-    ("process", "process", 1, "pickle"),
-    ("process-shared", "process", 1, "shared"),
+    ("serial", "serial", 1),
+    ("thread", "thread", 1),
+    ("sharded-thread", "thread", 4),
+    ("process", "process", 1),
 ]
 
 _EXPECTED = {}
 
 
-def _build(executor: str, shards: int, transport: str = "auto"):
+def _build(executor: str, shards: int):
     database = load_dataset("songs", num_windows=scaled(200), seed=0)
     distance = dataset_distance("songs", "frechet")
     config = MatcherConfig(
@@ -64,7 +63,6 @@ def _build(executor: str, shards: int, transport: str = "auto"):
         index="linear-scan",
         executor=executor,
         shards=shards,
-        transport=transport,
     )
     query, _, _ = generate_song_query(database, length=80, seed=13)
     if shards > 1:
@@ -72,14 +70,9 @@ def _build(executor: str, shards: int, transport: str = "auto"):
     return SubsequenceMatcher(database, distance, config), query
 
 
-@pytest.mark.parametrize("leg, executor, shards, transport", LEGS)
-def test_end_to_end_parallel_songs(benchmark, leg, executor, shards, transport):
-    if transport == "shared":
-        from repro.sequences import packed as packed_module
-
-        if packed_module.shared_memory is None:
-            pytest.skip("multiprocessing.shared_memory unavailable")
-    matcher, query = _build(executor, shards, transport)
+@pytest.mark.parametrize("leg, executor, shards", LEGS)
+def test_end_to_end_parallel_songs(benchmark, leg, executor, shards):
+    matcher, query = _build(executor, shards)
 
     def run():
         outcome = {}
@@ -98,11 +91,8 @@ def test_end_to_end_parallel_songs(benchmark, leg, executor, shards, transport):
         outcome["nearest"] = round(nearest.distance, 9)
         return outcome
 
-    try:
-        outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-        stats = matcher.last_query_stats
-    finally:
-        matcher.close()
+    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
+    stats = matcher.last_query_stats
 
     print()
     print(
@@ -139,12 +129,11 @@ def test_end_to_end_parallel_songs(benchmark, leg, executor, shards, transport):
 # the record/replay bookkeeping: logging every distance request during the
 # unit and re-applying the log to the real cache and counters afterwards.
 # This microbenchmark isolates that cost on a fixed stream of 10k batched
-# requests (20 query units x 500 packed windows, prefiltered Frechet): each
+# requests (20 query units x 500 packed windows, prefiltered Frechet): the
 # leg records the 20 units cold and replays them in unit order, exactly the
 # thread-executor life cycle.  The *bookkeeping overhead* is the leg's time
-# minus the no-cache compute floor (same kernels, no logging, no cache), and
-# the columnar format must hold a healthy multiple over the object-log
-# reference -- that multiple is what pays for fan-out at high worker counts.
+# minus the no-cache compute floor (same kernels, no logging, no cache); the
+# replayed cache and counters must equal the serial path's.
 
 MICRO_QUERIES = 20
 MICRO_WINDOWS = 500
@@ -190,8 +179,7 @@ def _micro_floor() -> float:
     return _MICRO["floor"]
 
 
-@pytest.mark.parametrize("log_format", ["object", "columnar"])
-def test_record_replay_bookkeeping(benchmark, log_format):
+def test_record_replay_bookkeeping(benchmark):
     items, gather, queries = _micro_workload()
 
     def run():
@@ -199,9 +187,7 @@ def test_record_replay_bookkeeping(benchmark, log_format):
         counting = CountingDistance(DiscreteFrechet(), cache=cache, prefilter=True)
         recordings = []
         for query in queries:
-            recording = RecordingCounting(
-                DiscreteFrechet(), cache, prefilter=True, log_format=log_format
-            )
+            recording = RecordingCounting(DiscreteFrechet(), cache, prefilter=True)
             recording.batch(query, items, cutoff=MICRO_CUTOFF, packed=gather)
             recordings.append(recording)
         for recording in recordings:
@@ -213,32 +199,28 @@ def test_record_replay_bookkeeping(benchmark, log_format):
     floor = _micro_floor()
     requests = MICRO_QUERIES * MICRO_WINDOWS
     overhead = best - floor
-    _MICRO[log_format] = overhead
     fingerprint = (len(cache._entries), cache.hits, cache.misses, counting.counter.total)
     benchmark.extra_info["requests"] = requests
     benchmark.extra_info["floor_ms"] = round(floor * 1e3, 3)
     benchmark.extra_info["overhead_ms_per_10k_requests"] = round(overhead * 1e3 * 1e4 / requests, 3)
 
     rows = [
-        ["log format", log_format],
         ["requests", requests],
         ["record+replay (ms)", f"{best * 1e3:.2f}"],
         ["compute floor (ms)", f"{floor * 1e3:.2f}"],
         ["bookkeeping overhead (ms / 10k requests)", f"{overhead * 1e3 * 1e4 / requests:.2f}"],
     ]
-    if log_format == "columnar" and "object" in _MICRO:
-        ratio = _MICRO["object"] / overhead
-        benchmark.extra_info["overhead_ratio_vs_object"] = round(ratio, 2)
-        rows.append(["overhead ratio (object / columnar)", f"{ratio:.2f}x"])
     print()
     print(format_table(["quantity", "value"], rows, title="Record/replay bookkeeping"))
 
-    # Both formats replay to the same cache state and counters.
-    if "fingerprint" not in _MICRO:
-        _MICRO["fingerprint"] = fingerprint
-    else:
-        assert fingerprint == _MICRO["fingerprint"]
-    if log_format == "columnar" and "object" in _MICRO:
-        # ~3.6-3.9x on the reference runner (see BENCH_6.json); 3x is the
-        # regression floor for the nightly gate.
-        assert _MICRO["object"] / overhead >= 3.0
+    # The replay leaves what the serial path leaves.
+    serial_cache = DistanceCache()
+    serial = CountingDistance(DiscreteFrechet(), cache=serial_cache, prefilter=True)
+    for query in queries:
+        serial.batch(query, items, cutoff=MICRO_CUTOFF, packed=gather)
+    assert fingerprint == (
+        len(serial_cache._entries),
+        serial_cache.hits,
+        serial_cache.misses,
+        serial.counter.total,
+    )

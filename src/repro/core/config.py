@@ -26,20 +26,10 @@ def _default_kernel() -> str:
     """The configured default kernel backend (the ``REPRO_KERNEL`` env var).
 
     Same pattern (and same rationale) as :func:`_default_executor`: the CI
-    compiled-kernel leg exports ``REPRO_KERNEL=compiled`` and reruns the
-    whole suite, relying on every backend returning identical values.
+    NumPy-kernel leg exports ``REPRO_KERNEL=numpy`` and reruns the whole
+    suite, relying on every backend returning identical values.
     """
     return os.environ.get("REPRO_KERNEL", "auto")
-
-
-def _default_transport() -> str:
-    """The configured payload transport (the ``REPRO_TRANSPORT`` env var)."""
-    return os.environ.get("REPRO_TRANSPORT", "auto")
-
-
-def _default_log_format() -> str:
-    """The configured recording log format (``REPRO_LOG_FORMAT`` env var)."""
-    return os.environ.get("REPRO_LOG_FORMAT", "columnar")
 
 
 @dataclass(frozen=True)
@@ -109,34 +99,16 @@ class MatcherConfig:
         one per CPU.  Ignored by the serial executor.
     kernel:
         Which distance-kernel tier serves the pipeline's DP sweeps:
-        ``"auto"`` (the default; first working compiled provider, else the
-        NumPy sweeps), ``"numpy"``, ``"compiled"`` (like auto but warns
-        when it has to fall back), or a concrete provider --
-        ``"numba"``/``"cc"``/``"pyloop"`` -- see
-        :mod:`repro.distances.backend`.  Every tier is value-exact against
-        the NumPy oracle, so results and work counters never depend on
-        this knob.  The default honours the ``REPRO_KERNEL`` environment
-        variable.
+        ``"auto"`` (the default; the C kernels when a compiler is found,
+        else the NumPy sweeps), ``"numpy"``, or ``"cc"`` (the C kernels or
+        a configuration error) -- see :mod:`repro.distances.backend`.  Both
+        tiers are value-exact against each other, so results and work
+        counters never depend on this knob.  The default honours the
+        ``REPRO_KERNEL`` environment variable.
     shards:
         Number of :class:`~repro.core.sharded.ShardedMatcher` partitions.
         A plain :class:`~repro.core.matcher.SubsequenceMatcher` ignores
         this; the CLI and the sharded constructor read it.
-    transport:
-        How the process executor ships window tensors to its workers:
-        ``"auto"`` (the default; a shared-memory segment when the index's
-        packed store can export one, pickled arrays otherwise),
-        ``"pickle"`` (always pickle), or ``"shared"`` (require shared
-        memory; queries raise if no export is available).  Ignored by the
-        serial and thread executors, which never serialize payloads.
-        Results and counters never depend on this knob.  The default
-        honours the ``REPRO_TRANSPORT`` environment variable.
-    log_format:
-        Storage format for the parallel executors' record/replay logs:
-        ``"columnar"`` (the default; preallocated numpy columns, replayed
-        by a vectorized classifier) or ``"object"`` (the original
-        per-request tuple log, kept as the reference implementation).
-        Both formats replay to byte-identical results and counters.  The
-        default honours the ``REPRO_LOG_FORMAT`` environment variable.
     """
 
     min_length: int
@@ -152,8 +124,6 @@ class MatcherConfig:
     workers: Optional[int] = None
     kernel: str = field(default_factory=_default_kernel)
     shards: int = 1
-    transport: str = field(default_factory=_default_transport)
-    log_format: str = field(default_factory=_default_log_format)
 
     _KNOWN_INDEXES = (
         "reference-net",
@@ -164,8 +134,6 @@ class MatcherConfig:
     )
 
     _KNOWN_EXECUTORS = ("serial", "thread", "process")
-
-    _KNOWN_TRANSPORTS = ("auto", "pickle", "shared")
 
     def __post_init__(self) -> None:
         if self.min_length < 2:
@@ -209,22 +177,10 @@ class MatcherConfig:
         if self.kernel not in _KNOWN_KERNELS:
             raise ConfigurationError(
                 f"unknown kernel backend {self.kernel!r}; "
-                f"expected one of {_KNOWN_KERNELS}"
+                f"expected one of {', '.join(_KNOWN_KERNELS)}"
             )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.transport not in self._KNOWN_TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}; "
-                f"expected one of {self._KNOWN_TRANSPORTS}"
-            )
-        from repro.distances.recording import LOG_FORMATS as _LOG_FORMATS
-
-        if self.log_format not in _LOG_FORMATS:
-            raise ConfigurationError(
-                f"unknown log format {self.log_format!r}; "
-                f"expected one of {_LOG_FORMATS}"
-            )
         if self.window_length < 1:
             raise ConfigurationError(
                 f"min_length={self.min_length} yields an empty window; use a larger lambda"

@@ -142,22 +142,12 @@ def _shared_pool(kind: str, workers: int):
 
 @atexit.register
 def shutdown_pools() -> None:
-    """Shut down every shared pool (registered atexit; callable from tests).
-
-    Also sweeps the shared-memory window exports: once the worker processes
-    are gone nothing can attach to the segments, and tearing them down here
-    means a plain interpreter exit (or a server SIGTERM, which funnels into
-    the same path) never leaks ``/dev/shm`` segments or trips the
-    ``resource_tracker`` leak warnings.
-    """
+    """Shut down every shared pool (registered atexit; callable from tests)."""
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
         pool.shutdown(wait=True)
-    from repro.sequences.packed import release_all_shared_exports
-
-    release_all_shared_exports()
 
 
 def default_workers() -> int:

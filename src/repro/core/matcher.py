@@ -17,10 +17,8 @@ Typical use::
     result = matcher.execute(TopKQuery(k=5, max_radius=10).bind(query))  # top-k
     result.matches, result.stats, result.query  # the uniform envelope
 
-    # Legacy convenience wrappers (thin shims over execute()):
-    best = matcher.longest_similar(query, radius=1.5)
-    nearest = matcher.nearest_subsequence(query, max_radius=10)
-    all_pairs = matcher.range_search(query, radius=1.5)
+    # Many bound specs, of any mix of query types, in one call:
+    results = matcher.execute_many([RangeQuery(radius=1.5).bind(q) for q in queries])
 
 The online steps (3-5) are executed by the staged
 :class:`~repro.core.pipeline.QueryPipeline`; the matcher owns the offline
@@ -49,6 +47,7 @@ from repro.core.queries import (
     SegmentMatch,
     SubsequenceMatch,
     TopKQuery,
+    as_query_spec,
 )
 from repro.core.query_api import QueryInterfaceMixin, QuerySpec
 from repro.core.segmentation import partition_database
@@ -127,7 +126,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         timings and prefilter accounting.
     last_batch_stats:
         One :class:`~repro.core.queries.QueryStats` per query of the most
-        recent :meth:`batch_query` call.
+        recent :meth:`execute_many` call.
     distance_cache:
         The :class:`~repro.distances.cache.DistanceCache` shared between
         the index and the verification step.  Every (segment, window) and
@@ -314,22 +313,16 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         classes and update interleavings.
         """
         def identity(result):
-            if result is None:
-                return None
-            if isinstance(result, SubsequenceMatch):
-                return (
-                    result.distance,
-                    result.source_id,
-                    result.query_start,
-                    result.query_stop,
-                    result.db_start,
-                    result.db_stop,
-                )
-            return [identity(match) for match in result]
+            return result.error, [
+                (m.distance, m.source_id, m.query_start, m.query_stop, m.db_start, m.db_stop)
+                for m in result.matches
+            ]
 
+        spec = as_query_spec(spec)
+        specs = [spec.bind(query) for query in queries]
         rebuilt = SubsequenceMatcher(self.database, self.distance, self.config)
-        mine = [identity(result) for result in self.batch_query(queries, spec)]
-        theirs = [identity(result) for result in rebuilt.batch_query(queries, spec)]
+        mine = [identity(result) for result in self.execute_many(specs)]
+        theirs = [identity(result) for result in rebuilt.execute_many(specs)]
         if mine != theirs:
             raise QueryError(
                 "incremental matcher diverged from a fresh rebuild: "
@@ -364,18 +357,6 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         """
         self.config = dataclasses.replace(self.config, kernel=name)
         self.pipeline.config = self.config
-
-    def close(self) -> None:
-        """Release OS-level resources (shared-memory exports); idempotent.
-
-        The matcher stays fully usable afterwards -- the next process-pool
-        query simply re-creates whatever was released.  Long-lived callers
-        (the HTTP server, tests that build many matchers) call this so
-        shared-memory segments are reclaimed as soon as a matcher is
-        retired rather than at interpreter exit.
-        """
-        if self._index is not None:
-            self._index.close()
 
     @property
     def index(self) -> MetricIndex:
@@ -418,9 +399,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         ``spec`` is one of the :mod:`repro.core.queries` dataclasses with a
         query sequence attached via
         :meth:`~repro.core.queries.BaseQuery.bind`; dispatch over the spec
-        type selects the pipeline strategy.  Every query -- including each
-        legacy convenience method, which is now a one-line wrapper around
-        this -- returns the uniform
+        type selects the pipeline strategy.  Every query returns the uniform
         :class:`~repro.core.queries.QueryResult` envelope (paged matches,
         :class:`~repro.core.queries.QueryStats`, spec echo) and installs
         its statistics in :attr:`last_query_stats`.
@@ -467,9 +446,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         self.last_query_stats = stats
         return stats
 
-    # ``_radius_sweep``, ``execute_many`` and the legacy per-sequence wrappers
-    # (``range_search`` / ``longest_similar`` / ``nearest_subsequence`` /
-    # ``topk_subsequences`` / ``batch_query``) come from
+    # ``_radius_sweep``, ``execute_many`` and ``close`` come from
     # :class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the
     # sharded matcher.
 

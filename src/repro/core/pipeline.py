@@ -291,7 +291,6 @@ class QueryPipeline:
             executor=self.executor.name,
             workers=self.executor.workers,
             kernel_backend=active_kernel_name(),
-            transport=self.config.transport,
         )
 
     # ------------------------------------------------------------------ #
@@ -371,12 +370,7 @@ class QueryPipeline:
             if answered and bounds is not None:
                 bounds = bounds.take(positions)
             per_segment, worker_cpu = self.index.probe_batch(
-                sequences,
-                radius,
-                bounds,
-                self.executor,
-                log_format=self.config.log_format,
-                transport=self.config.transport,
+                sequences, radius, bounds, self.executor
             )
         # Canonical match order: hits within a segment are sorted by window
         # insertion order, so the (segment, window) pairs -- and everything
@@ -527,10 +521,7 @@ class QueryPipeline:
             # by one in the parent) gains nothing from the recording
             # bookkeeping -- run the plain serial loop.
             return [runner(chain, self.cache, counter) for chain in chains], 0.0
-        recordings: List[RecordingVerifyCache] = [
-            RecordingVerifyCache(self.cache, log_format=self.config.log_format)
-            for _chain in chains
-        ]
+        recordings = [RecordingVerifyCache(self.cache) for _chain in chains]
         # Contiguous chunks of chains per task: candidate chains number in
         # the thousands and most verify in microseconds, so per-chain
         # futures would cost more than the verification itself.  Chunks are

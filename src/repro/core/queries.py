@@ -34,8 +34,8 @@ class BaseQuery:
     Every concrete spec is a frozen dataclass whose trailing fields are the
     uniform envelope controls -- result paging (``limit``/``offset``) and an
     optional bound ``query`` sequence.  A spec without a bound sequence is a
-    reusable template (the legacy per-sequence methods and
-    ``execute_many([spec.bind(q) for q in ...])`` both rely on that);
+    reusable template (``execute_many([spec.bind(q) for q in ...])``
+    relies on that);
     :meth:`bind` attaches the sequence without mutating the template.
     """
 
@@ -433,17 +433,10 @@ class QueryStats:
         (see :mod:`repro.core.executor`).
     kernel_backend:
         The distance-kernel tier that served the query's DP sweeps --
-        ``"numpy"`` for the vectorized row sweeps, or a compiled provider
-        name (``"numba"``/``"cc"``/``"pyloop"``); see
-        :mod:`repro.distances.backend`.  Every tier returns identical
-        values, so this label never explains a result difference -- only a
-        speed difference.
-    transport:
-        The configured payload transport for process-pool work units:
-        ``"auto"``, ``"pickle"``, or ``"shared"`` (see
-        :attr:`~repro.core.config.MatcherConfig.transport`).  Like the
-        kernel backend, this label never explains a result difference --
-        only how window tensors reached the workers.
+        ``"numpy"`` for the vectorized row sweeps or ``"cc"`` for the C
+        kernels; see :mod:`repro.distances.backend`.  Both tiers return
+        identical values, so this label never explains a result difference
+        -- only a speed difference.
     shards:
         Number of matcher shards that contributed to these statistics (1
         for a plain matcher; see
@@ -473,7 +466,6 @@ class QueryStats:
     executor: str = "serial"
     workers: int = 1
     kernel_backend: str = "numpy"
-    transport: str = "auto"
     shards: int = 1
     passes: List["QueryStats"] = field(default_factory=list)
 
@@ -537,7 +529,6 @@ class QueryStats:
             executor=final.executor,
             workers=final.workers,
             kernel_backend=final.kernel_backend,
-            transport=final.transport,
             shards=final.shards,
         )
         for stats in passes:
@@ -586,7 +577,6 @@ class QueryStats:
             executor=first.executor,
             workers=first.workers,
             kernel_backend=first.kernel_backend,
-            transport=first.transport,
             shards=len(shard_stats),
         )
         for stats in shard_stats:

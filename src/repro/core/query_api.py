@@ -4,8 +4,8 @@
 :class:`~repro.core.matcher.SubsequenceMatcher` and the
 :class:`~repro.core.sharded.ShardedMatcher` expose identically on top of
 their per-class ``execute(spec)`` dispatch: the heterogeneous
-:meth:`~QueryInterfaceMixin.execute_many` batch entry point and the legacy
-per-sequence convenience wrappers.  Keeping them here -- written once --
+:meth:`~QueryInterfaceMixin.execute_many` batch entry point and
+:meth:`~QueryInterfaceMixin.close`.  Keeping them here -- written once --
 is what guarantees the two backends' public query APIs cannot drift.
 
 The Type III / top-k radius sweep (:meth:`QueryInterfaceMixin._radius_sweep`)
@@ -20,9 +20,8 @@ hooks documented on :meth:`QueryInterfaceMixin._radius_sweep`.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import ExitStack
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.core.queries import (
     BaseQuery,
@@ -34,26 +33,24 @@ from repro.core.queries import (
     SubsequenceMatch,
     TopKCandidates,
     TopKQuery,
-    as_query_spec,
 )
 from repro.exceptions import QueryError
-from repro.sequences.sequence import Sequence
 
-#: A query specification accepted by :meth:`QueryInterfaceMixin.batch_query`.
+#: A query specification (a bare float is a Type I radius; see
+#: :func:`~repro.core.queries.as_query_spec`).
 QuerySpec = Union[
     RangeQuery, LongestSubsequenceQuery, NearestSubsequenceQuery, TopKQuery, float
 ]
 
 
 class QueryInterfaceMixin:
-    """``execute_many`` and the legacy wrappers, shared by every backend."""
+    """``execute_many``, the radius sweep and ``close``, shared by every backend."""
 
     def execute_many(self, specs: List) -> List[QueryResult]:
         """Answer many bound specs -- of any mix of query types -- in order.
 
-        The heterogeneous successor of the legacy :meth:`batch_query`: each
-        spec carries its own query sequence and parameters, so one batch
-        can mix range, longest, nearest, and top-k queries.  A query that
+        Each spec carries its own query sequence and parameters, so one
+        batch can mix range, longest, nearest, and top-k queries.  A query that
         raises :class:`~repro.exceptions.QueryError` (a Type III/top-k
         query with no segment match at ``max_radius``, or an unbound spec)
         contributes an envelope with
@@ -177,97 +174,11 @@ class QueryInterfaceMixin:
                 radius += increment
         return candidates.ranked(), self._finish_sweep(QueryStats.merged(passes))
 
-    # ------------------------------------------------------------------ #
-    # Legacy convenience methods: thin wrappers over execute()
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _warn_legacy(method: str, spec_class: str) -> None:
-        warnings.warn(
-            f"{method}() is deprecated; build a {spec_class} spec and call "
-            "execute(spec.bind(query)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
+    def close(self) -> None:
+        """Retire the backend; idempotent.
 
-    def range_search(
-        self, query: Sequence, spec: Union[RangeQuery, float]
-    ) -> List[SubsequenceMatch]:
-        """Type I: pairs of similar subsequences within the given radius.
-
-        Thin wrapper over ``execute``; prefer building a
-        :class:`~repro.core.queries.RangeQuery` and executing it.  With the
-        default (non-exhaustive) verification, one locally-maximal match is
-        reported per candidate chain; pass ``RangeQuery(radius,
-        exhaustive=True)`` -- practical on small inputs only -- to
-        enumerate every admissible pair in every candidate region.
+        A matcher holds no OS-level resources -- worker pools are shared
+        process-wide and shut down at interpreter exit -- so there is nothing
+        to release.  Services and servers call this on every backend they
+        retire, and the backend stays usable afterwards.
         """
-        self._warn_legacy("range_search", "RangeQuery")
-        if not isinstance(spec, RangeQuery):
-            spec = RangeQuery(radius=float(spec))
-        return list(self.execute(spec.bind(query)).matches)
-
-    def longest_similar(
-        self, query: Sequence, spec: Union[LongestSubsequenceQuery, float]
-    ) -> Optional[SubsequenceMatch]:
-        """Type II: the longest pair of similar subsequences within the radius.
-
-        Thin wrapper over ``execute``.  Following Section 7, candidate
-        chains are examined longest first: a chain of ``k`` concatenated
-        windows can support a match of length up to ``(k + 2) * lambda /
-        2``, so once a chain verifies, shorter chains that cannot possibly
-        beat the verified length are skipped.
-        """
-        self._warn_legacy("longest_similar", "LongestSubsequenceQuery")
-        if not isinstance(spec, LongestSubsequenceQuery):
-            spec = LongestSubsequenceQuery(radius=float(spec))
-        return self.execute(spec.bind(query)).best
-
-    def nearest_subsequence(
-        self, query: Sequence, spec: Union[NearestSubsequenceQuery, float]
-    ) -> Optional[SubsequenceMatch]:
-        """Type III: the pair of subsequences with the smallest distance.
-
-        Thin wrapper over ``execute``; equivalent to a
-        :class:`~repro.core.queries.TopKQuery` with ``k=1`` (both run the
-        backend's ``_radius_sweep``).
-        """
-        self._warn_legacy("nearest_subsequence", "NearestSubsequenceQuery")
-        if not isinstance(spec, NearestSubsequenceQuery):
-            spec = NearestSubsequenceQuery(max_radius=float(spec))
-        return self.execute(spec.bind(query)).best
-
-    def topk_subsequences(
-        self, query: Sequence, spec: Union[TopKQuery, int], max_radius: Optional[float] = None
-    ) -> List[SubsequenceMatch]:
-        """The ``k`` nearest subsequence pairs, best first.
-
-        Thin wrapper over ``execute``; ``topk_subsequences(q, k,
-        max_radius)`` builds the :class:`~repro.core.queries.TopKQuery`
-        for you.
-        """
-        if not isinstance(spec, TopKQuery):
-            if max_radius is None:
-                raise QueryError("topk_subsequences needs max_radius when spec is a bare k")
-            spec = TopKQuery(k=int(spec), max_radius=float(max_radius))
-        return list(self.execute(spec.bind(query)).matches)
-
-    def batch_query(
-        self, queries: List[Sequence], spec: QuerySpec
-    ) -> List[Union[List[SubsequenceMatch], Optional[SubsequenceMatch]]]:
-        """Answer many queries of the same type through one backend.
-
-        Legacy wrapper over :meth:`execute_many`: ``spec`` selects the
-        query type exactly as in the single-query methods (a bare float is
-        a Type I radius) and is bound to each query sequence in turn.
-        Returns one result per query, of the type the corresponding
-        single-query method returns; a query that fails with
-        :class:`~repro.exceptions.QueryError` contributes ``None``.
-        """
-        spec = as_query_spec(spec)
-        outcomes = self.execute_many([spec.bind(query) for query in queries])
-        if isinstance(spec, (RangeQuery, TopKQuery)):
-            return [
-                list(outcome.matches) if outcome.error is None else None
-                for outcome in outcomes
-            ]
-        return [outcome.best for outcome in outcomes]

@@ -179,11 +179,11 @@ class SearchService:
         return config_fingerprint(self.backend)
 
     def close(self) -> None:
-        """Release the backend's OS-level resources; idempotent.
+        """Retire the backend (see ``close`` on the matchers); idempotent.
 
         Never triggers the lazy snapshot load: a service that was never
         queried has nothing to release.  The service remains usable after
-        closing (resources are re-created on demand).
+        closing.
         """
         with self._lock:
             backend = self._backend

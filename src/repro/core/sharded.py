@@ -185,11 +185,6 @@ class ShardedMatcher(QueryInterfaceMixin):
         for shard in self.shards:
             shard.set_kernel(name)
 
-    def close(self) -> None:
-        """Release OS-level resources on every shard; idempotent."""
-        for shard in self.shards:
-            shard.close()
-
     @property
     def windows(self) -> List[Window]:
         """All database windows, shard by shard."""
@@ -344,7 +339,7 @@ class ShardedMatcher(QueryInterfaceMixin):
             QueryStats.across_shards([stats for _matches, stats in outcomes]),
         )
 
-    # ``_radius_sweep``, ``execute_many`` and the legacy wrappers come from
+    # ``_radius_sweep``, ``execute_many`` and ``close`` come from
     # :class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the
     # plain matcher.
 

@@ -276,7 +276,6 @@ def stats_to_wire(stats: QueryStats, include_timings: bool = True) -> Dict[str, 
         "executor": stats.executor,
         "workers": stats.workers,
         "kernel_backend": stats.kernel_backend,
-        "transport": stats.transport,
         "shards": stats.shards,
         "stage_seconds": dict(stats.stage_timings) if include_timings else {},
         "cpu_stage_seconds": dict(stats.cpu_stage_timings) if include_timings else {},

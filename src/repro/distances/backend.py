@@ -2,64 +2,54 @@
 
 Two tiers of kernels exist: the NumPy row sweeps in
 :mod:`repro.distances.alignment` (always available, always tested -- the
-oracle, alongside the scalar :mod:`repro.distances.reference`) and the
-compiled providers of :mod:`repro.distances.compiled` (Numba JIT, a
-ctypes-loaded C library, or the interpreted ``pyloop`` debugging variant).
-Every provider is value-exact against the NumPy tier (see the contract in
-:mod:`repro.distances.compiled`), so switching backends never changes
-results, work counters, or cache interactions -- only speed.
+oracle, alongside the scalar :mod:`repro.distances.reference`) and the C
+kernels of :mod:`repro.distances.compiled` (``_kernels.c``, built on first
+use and loaded through ctypes).  The C tier is value-exact against the
+NumPy tier (see the contract in :mod:`repro.distances.compiled`), so
+switching backends never changes results, work counters, or cache
+interactions -- only speed.
 
 Selection: the ``REPRO_KERNEL`` environment variable (or the
 ``MatcherConfig.kernel`` knob, which defaults to it) names a backend:
 
 ``auto`` (default)
-    Detection order ``numba`` -> ``cc`` -> ``numpy``: the first provider
-    that actually works wins, silently.
+    The C kernels when a C compiler is found (or their library is already
+    cached), else the NumPy tier, silently.
 ``numpy``
     Force the NumPy tier (compiled dispatch disabled).
-``compiled``
-    Like ``auto`` but *asks* for a compiled tier: when neither Numba nor a
-    C compiler is available a one-time warning announces the NumPy
-    fallback.
-``numba`` / ``cc`` / ``pyloop``
-    Force one specific provider; raises
-    :class:`~repro.exceptions.ConfigurationError` when it is unavailable.
+``cc``
+    Force the C kernels; raises
+    :class:`~repro.exceptions.ConfigurationError` when they are unavailable.
 
-Resolution is lazy and cached per provider; the active backend is a
-process-wide default plus a scope override
-(:func:`kernel_scope`) that the query pipeline uses to honour a per-matcher
-``MatcherConfig.kernel``.  The override is deliberately a plain global
-rather than thread-local state: parallel executors run kernel calls on
-worker threads, which must see the scope the coordinating pipeline opened.
-Because every backend returns identical values, two matchers with
-different ``kernel`` settings racing on one process can at worst briefly
-run each other's (equally exact) tier.
+Resolution is lazy and cached; the active backend is a process-wide
+default plus a scope override (:func:`kernel_scope`) that the query
+pipeline uses to honour a per-matcher ``MatcherConfig.kernel``.  The
+override is deliberately a plain global rather than thread-local state:
+parallel executors run kernel calls on worker threads, which must see the
+scope the coordinating pipeline opened.  Because every backend returns
+identical values, two matchers with different ``kernel`` settings racing on
+one process can at worst briefly run each other's (equally exact) tier.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-from repro.distances.compiled import KernelProvider, fusable_dim, make_provider
+from repro.distances.compiled import CcProvider, fusable_dim, make_provider
 from repro.exceptions import ConfigurationError
 
 #: Accepted values of ``REPRO_KERNEL`` / ``MatcherConfig.kernel``.
-KNOWN_KERNELS = ("auto", "numpy", "compiled", "numba", "cc", "pyloop")
+KNOWN_KERNELS = ("auto", "numpy", "cc")
 
-#: ``auto``/``compiled`` try these concrete providers in order.
-DETECTION_ORDER = ("numba", "cc")
-
-_provider_cache: Dict[str, Optional[KernelProvider]] = {}
+_provider_cache: Dict[str, Optional[CcProvider]] = {}
 _provider_lock = threading.Lock()
-_default_provider: Optional[KernelProvider] = None
+_default_provider: Optional[CcProvider] = None
 _default_resolved = False
-_scope_provider: Optional[KernelProvider] = None
+_scope_provider: Optional[CcProvider] = None
 _scope_depth = 0
-_warned_fallback = False
 
 
 def default_kernel() -> str:
@@ -67,7 +57,7 @@ def default_kernel() -> str:
     return os.environ.get("REPRO_KERNEL", "auto")
 
 
-def _try_provider(name: str) -> Optional[KernelProvider]:
+def _try_provider(name: str) -> Optional[CcProvider]:
     """Instantiate (and cache) one concrete provider; ``None`` when broken.
 
     The fast path is a lock-free dict read -- safe on GIL builds and on
@@ -82,50 +72,34 @@ def _try_provider(name: str) -> Optional[KernelProvider]:
     except KeyError:
         pass
     try:
-        provider: Optional[KernelProvider] = make_provider(name)
+        provider: Optional[CcProvider] = make_provider(name)
     except Exception:
         provider = None
     with _provider_lock:
         return _provider_cache.setdefault(name, provider)
 
 
-def resolve_kernel(name: str) -> Optional[KernelProvider]:
+def resolve_kernel(name: str) -> Optional[CcProvider]:
     """Resolve a backend name to a provider (``None`` = the NumPy tier).
 
-    ``auto`` falls back silently, ``compiled`` with a one-time warning;
-    naming a concrete unavailable provider is a configuration error.
+    ``auto`` falls back to NumPy silently; ``cc`` without a working C
+    compiler is a configuration error.
     """
-    global _warned_fallback
     if name not in KNOWN_KERNELS:
         raise ConfigurationError(
-            f"unknown kernel backend {name!r}; expected one of {KNOWN_KERNELS}"
+            f"unknown kernel backend {name!r}; expected one of {', '.join(KNOWN_KERNELS)}"
         )
     if name == "numpy":
         return None
-    if name in ("auto", "compiled"):
-        for candidate in DETECTION_ORDER:
-            provider = _try_provider(candidate)
-            if provider is not None:
-                return provider
-        if name == "compiled" and not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                "REPRO_KERNEL=compiled requested but neither Numba nor a C "
-                "compiler is available; falling back to the NumPy kernels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return None
-    provider = _try_provider(name)
-    if provider is None:
+    provider = _try_provider("cc")
+    if provider is None and name == "cc":
         raise ConfigurationError(
-            f"kernel backend {name!r} is unavailable on this system "
-            "(is the dependency installed / is a C compiler on PATH?)"
+            "kernel backend 'cc' is unavailable on this system (is a C compiler on PATH?)"
         )
     return provider
 
 
-def active_kernels() -> Optional[KernelProvider]:
+def active_kernels() -> Optional[CcProvider]:
     """The provider the distance kernels should dispatch to right now.
 
     ``None`` means "use the NumPy sweeps".  Honours an open
@@ -140,7 +114,7 @@ def active_kernels() -> Optional[KernelProvider]:
     return _default_provider
 
 
-def fused_provider(dim: int) -> Optional[KernelProvider]:
+def fused_provider(dim: int) -> Optional[CcProvider]:
     """The active provider when fused dispatch is exact for ``dim``.
 
     Compiled kernels accumulate element costs sequentially, which matches
@@ -155,15 +129,15 @@ def fused_provider(dim: int) -> Optional[KernelProvider]:
 def active_kernel_name() -> str:
     """Name of the backend :func:`active_kernels` currently serves.
 
-    This is the label reported in ``QueryStats.kernel_backend`` -- the
-    concrete provider (``numba``/``cc``/``pyloop``) or ``numpy``.
+    This is the label reported in ``QueryStats.kernel_backend``: ``cc``
+    or ``numpy``.
     """
     provider = active_kernels()
     return "numpy" if provider is None else provider.name
 
 
 @contextmanager
-def kernel_scope(name: str) -> Iterator[Optional[KernelProvider]]:
+def kernel_scope(name: str) -> Iterator[Optional[CcProvider]]:
     """Run a block under the backend ``name`` (see module docstring).
 
     Used by the query pipeline to honour ``MatcherConfig.kernel`` around
@@ -183,8 +157,7 @@ def kernel_scope(name: str) -> Iterator[Optional[KernelProvider]]:
 
 def reset_backend_state() -> None:
     """Forget every cached resolution (tests poke env vars and compilers)."""
-    global _default_provider, _default_resolved, _warned_fallback
+    global _default_provider, _default_resolved
     _provider_cache.clear()
     _default_provider = None
     _default_resolved = False
-    _warned_fallback = False

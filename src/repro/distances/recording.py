@@ -32,28 +32,17 @@ the query pipeline:
 * :class:`RecordingVerifyCache` duck-types :class:`DistanceCache` for the
   verification step's ``_measure`` helper.
 
-Logs come in two formats, selected per recorder (``log_format``; the
-process default is ``REPRO_LOG_FORMAT``, falling back to ``columnar``):
-
-* ``"columnar"`` (default): preallocated NumPy columns -- request-kind
-  codes, pair references, a ``(value, cutoff, bound)`` float block --
-  appended with array writes and replayed in bulk.  The replay converts
-  whole columns to Python scalars once, classifies under a single cache
-  lock (:meth:`DistanceCache.replay_view`), and applies counter tallies in
-  one batched update per log instead of three method calls per request.
-  Batched probes log one O(1) descriptor per batch, not one record per
-  window.
-* ``"object"``: the original one-Python-tuple-per-request log, replayed by
-  :func:`replay_probe_log` / :func:`replay_verify_log` one request at a
-  time through the public cache methods.  Kept as the executable reference
-  semantics -- the equivalence suite drives random request streams through
-  both formats and asserts identical counters, cache content, and eviction
-  order.
-
-Both replays re-derive the same classification; the columnar path just
-pays far less bookkeeping per request, which is what lets the parallel
-executors keep their byte-identical promise without losing their speedup
-to logging overhead.
+Logs are columnar: preallocated NumPy columns -- request-kind codes, pair
+references, a ``(value, cutoff, bound)`` float block -- appended with array
+writes and replayed in bulk.  The replay converts whole columns to Python
+scalars once, classifies under a single cache lock
+(:meth:`DistanceCache.replay_view`), and applies counter tallies in one
+batched update per log.  Batched probes log one O(1) descriptor per batch,
+not one record per window.  The reference semantics of a replay is the
+serial path itself: the same request stream through a live
+:class:`~repro.indexing.stats.CountingDistance` (or, for verification, a
+plain cache plus the verification counter) must leave identical values,
+counters, cache content and eviction order.
 
 One documented inexactness remains: if the shared cache evicts entries
 *mid-stage* (capacity reached while a query is executing), a unit may have
@@ -66,7 +55,6 @@ this unreachable in practice.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import List, Optional, Sequence as TypingSequence, Tuple
 
@@ -80,44 +68,16 @@ from repro.distances.base import (
 )
 from repro.distances.cache import DistanceCache, content_keys, probe_row
 from repro.distances.lower_bounds import combined_batch_bound, combined_bound
-from repro.sequences.packed import resolve_remote_tensor
 from repro.sequences.sequence import Sequence
 
 _INF = float("inf")
 _NAN = float("nan")
 
-#: Log record tags of the object format (first tuple element of a record).
-_CALL = "call"
-_BOUNDED = "bounded"
-_BATCH = "batch"
-
-#: Request-kind bit flags of the columnar format.
+#: Request-kind bit flags of the probe log.
 _K_CACHEABLE = 1  # pair is a valid cache key
 _K_BOUNDED = 2  # bounded request (cutoff column is set); unset: plain call
 _K_HAS_BOUND = 4  # the prefilter evaluated a lower bound (bound column set)
 _K_BATCH = 8  # placeholder row for the next entry of ``batches``
-
-#: Supported request-log formats.
-LOG_FORMATS = ("columnar", "object")
-
-
-def default_log_format() -> str:
-    """The process-wide log format: ``REPRO_LOG_FORMAT`` or ``columnar``."""
-    fmt = os.environ.get("REPRO_LOG_FORMAT", "columnar").strip().lower()
-    if fmt not in LOG_FORMATS:
-        raise ValueError(
-            f"REPRO_LOG_FORMAT must be one of {', '.join(LOG_FORMATS)}; got {fmt!r}"
-        )
-    return fmt
-
-
-def _resolve_log_format(log_format: Optional[str]) -> str:
-    if log_format is None:
-        return default_log_format()
-    if log_format not in LOG_FORMATS:
-        raise ValueError(f"log_format must be one of {', '.join(LOG_FORMATS)}; got {log_format!r}")
-    return log_format
-
 
 class _Overlay:
     """A unit-private write layer over a read-only base cache snapshot.
@@ -261,9 +221,8 @@ class _VerifyColumns:
 class _NullReplayView:
     """Replay view over "no cache": every lookup misses, stores are dropped.
 
-    Lets the replay loops stay branch-free on ``cache is None`` -- the
-    counter outcomes (everything classifies as fresh) match the object-log
-    replay's explicit ``cache is None`` handling.
+    Lets the replay loops stay branch-free on ``cache is None``: everything
+    classifies as fresh, as it does on the serial path without a cache.
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -298,44 +257,23 @@ class RecordingCounting:
     ``CountingDistance`` would evaluate them -- on cache misses only -- and
     their outcomes ride along in the log so the replay can reconstruct the
     prefilter tallies without recomputing anything.
-
-    ``log_format`` picks the request-log encoding (see the module
-    docstring); :meth:`replay_into` replays whichever log was kept.
     """
 
     def __init__(
-        self,
-        inner: Distance,
-        base: Optional[DistanceCache],
-        prefilter: bool = False,
-        log_format: Optional[str] = None,
+        self, inner: Distance, base: Optional[DistanceCache], prefilter: bool = False
     ) -> None:
         self.inner = inner
         self.prefilter = bool(prefilter)
         self._overlay = _Overlay(base)
-        self.log_format = _resolve_log_format(log_format)
-        if self.log_format == "columnar":
-            self._columns: Optional[_ProbeColumns] = _ProbeColumns()
-            #: Object-format request log (``None`` under the columnar format).
-            self.log: Optional[List[tuple]] = None
-        else:
-            self._columns = None
-            self.log = []
-        #: Columnar batch stores not yet applied to the overlay, as
+        self._columns = _ProbeColumns()
+        #: Batch stores not yet applied to the overlay, as
         #: ``(query_key, item_keys, cutoff, values, group_indexes)``.  A unit's
         #: *last* batch never needs its overlay stores (nothing reads them
         #: before the unit ends; the replay works from the columns), so the
-        #: columnar finish defers materialization until the next overlay
-        #: read (:meth:`_flush_overlay`).  Every read path flushes first,
-        #: so the overlay state observable at any read is identical to
-        #: eager stores.
+        #: batch finish defers materialization until the next overlay read
+        #: (:meth:`_flush_overlay`).  Every read path flushes first, so the
+        #: overlay state observable at any read is identical to eager stores.
         self._unapplied: List[tuple] = []
-        #: Bounds the traversal consulted itself (:meth:`record_prefilter`).
-        #: They depend on (query, stored items) only, never on cache state,
-        #: so they need no log entry in either format: two sums, added to
-        #: the live counter at replay.
-        self._table_evaluated = 0
-        self._table_pruned = 0
 
     @property
     def name(self) -> str:
@@ -354,26 +292,17 @@ class RecordingCounting:
         columns = self._columns
         if not DistanceCache.cacheable(first, second):
             value = self.inner(first, second)
-            if columns is not None:
-                columns.append(0, first, second, value, _NAN, _NAN)
-            else:
-                self.log.append((_CALL, first, second, value, False, False))
+            columns.append(0, first, second, value, _NAN, _NAN)
             return value
         if self._unapplied:
             self._flush_overlay()
         cached = self._overlay.lookup(first, second)
         if cached is not None:
-            if columns is not None:
-                columns.append(_K_CACHEABLE, first, second, cached, _NAN, _NAN)
-            else:
-                self.log.append((_CALL, first, second, cached, True, True))
+            columns.append(_K_CACHEABLE, first, second, cached, _NAN, _NAN)
             return cached
         value = self.inner(first, second)
         self._overlay.store(first, second, value)
-        if columns is not None:
-            columns.append(_K_CACHEABLE, first, second, value, _NAN, _NAN)
-        else:
-            self.log.append((_CALL, first, second, value, False, True))
+        columns.append(_K_CACHEABLE, first, second, value, _NAN, _NAN)
         return value
 
     def bounded(self, first, second, cutoff: float) -> float:
@@ -385,38 +314,22 @@ class RecordingCounting:
                 self._flush_overlay()
             cached = self._overlay.lookup(first, second, cutoff=cutoff)
             if cached is not None:
-                if columns is not None:
-                    columns.append(kind, first, second, cached, cutoff, _NAN)
-                else:
-                    self.log.append((_BOUNDED, first, second, cutoff, cached, True, True, None))
+                columns.append(kind, first, second, cached, cutoff, _NAN)
                 return cached
-        bound = None
+        bound = _NAN
         if self.prefilter:
             bound = combined_bound(self.inner, first, second)
             kind |= _K_HAS_BOUND
             if bound > cutoff:
                 if cacheable:
                     self._overlay.store(first, second, _INF, cutoff=cutoff)
-                if columns is not None:
-                    columns.append(kind, first, second, _INF, cutoff, bound)
-                else:
-                    self.log.append(
-                        (_BOUNDED, first, second, cutoff, _INF, False, cacheable, bound)
-                    )
+                columns.append(kind, first, second, _INF, cutoff, bound)
                 return _INF
         value = self.inner.bounded(first, second, cutoff)
         if cacheable:
             self._overlay.store(first, second, value, cutoff=cutoff)
-        if columns is not None:
-            columns.append(kind, first, second, value, cutoff, _NAN if bound is None else bound)
-        else:
-            self.log.append((_BOUNDED, first, second, cutoff, value, False, cacheable, bound))
+        columns.append(kind, first, second, value, cutoff, bound)
         return value
-
-    def record_prefilter(self, evaluated: int, pruned: int) -> None:
-        """Recorded analogue of :meth:`CountingDistance.record_prefilter`."""
-        self._table_evaluated += evaluated
-        self._table_pruned += pruned
 
     def batch(
         self,
@@ -436,18 +349,12 @@ class RecordingCounting:
         computed = compute_batch_groups(context.payload())
         return self.batch_finish(context, computed)
 
-    def batch_prepare(self, query, items, cutoff, packed=None, remote=False) -> "_BatchContext":
+    def batch_prepare(self, query, items, cutoff, packed=None) -> "_BatchContext":
         """Cache lookups + shape grouping; returns the pure-compute payload.
 
         ``packed`` optionally serves the operand tensors from a packed
         window layout (see :meth:`CountingDistance.batch`); the payload the
-        remote phase receives is value-identical either way.  With
-        ``remote`` set (``"auto"`` or ``"shared"``) a packed layout may
-        hand out shared-memory row references instead of materialized
-        tensors (see :meth:`~repro.sequences.packed.StoreGather.remote_payload`),
-        which is what keeps process-pool chunk payloads O(metadata) instead
-        of O(windows); ``"shared"`` makes an unexportable store an error
-        rather than a silent pickle fallback.
+        remote phase receives is value-identical either way.
         """
         values = np.empty(len(items), dtype=np.float64)
         query_array = as_array(query)
@@ -456,7 +363,7 @@ class RecordingCounting:
         if isinstance(query, Sequence):
             if self._unapplied:
                 self._flush_overlay()
-            item_keys = getattr(packed, "content_keys", content_keys)(items)
+            item_keys = content_keys(items) if packed is None else packed.content_keys(items)
             # The classification is the hottest record-side path, so it is
             # two bulk row probes -- the overlay (the unit's most recent
             # knowledge) first, the base snapshot for what is left -- each
@@ -480,56 +387,19 @@ class RecordingCounting:
             for indexes in groups.values():
                 grouped.append((indexes, np.stack([arrays[i] for i in indexes])))
         else:
-            group_positions = getattr(packed, "group_positions", None)
-            if group_positions is not None:
-                shape_groups = group_positions(pending)
-            else:
-                groups = {}
-                for index in pending:
-                    groups.setdefault(packed.shape_of(index), []).append(index)
-                shape_groups = list(groups.items())
-            if remote:
-                require = remote == "shared"
-
-                def gather(indexes, _packed=packed, _require=require):
-                    return _packed.remote_payload(indexes, require=_require)
-            else:
-                gather = packed.gather
-            for shape, indexes in shape_groups:
+            for shape, indexes in packed.group_positions(pending):
                 validate_group_shape(self.inner, query_array, shape)
-                grouped.append((indexes, gather(indexes)))
-        return _BatchContext(self, query, items, item_keys, cutoff, values, query_array, grouped)
+                grouped.append((indexes, packed.gather(indexes)))
+        return _BatchContext(self, query, item_keys, cutoff, values, query_array, grouped)
 
     def batch_finish(
         self, context: "_BatchContext", computed: List[Tuple[np.ndarray, Optional[np.ndarray]]]
     ) -> np.ndarray:
-        """Fold the computed group values/bounds back in; log the batch."""
-        if self._columns is not None:
-            return self._batch_finish_columnar(context, computed)
-        values = context.values
-        bounds: List[Optional[float]] = [None] * len(context.items)
-        for (indexes, _tensor), (group_values, group_bounds) in zip(context.grouped, computed):
-            for position, index in enumerate(indexes):
-                value = float(group_values[position])
-                values[index] = value
-                if group_bounds is not None:
-                    bounds[index] = float(group_bounds[position])
-                if DistanceCache.cacheable(context.query, context.items[index]):
-                    self._overlay.store(
-                        context.query, context.items[index], value, cutoff=context.cutoff
-                    )
-        self.log.append(
-            (_BATCH, context.query, list(context.items), context.cutoff, values.copy(), bounds)
-        )
-        return values
+        """Fold the computed group values/bounds back in; log the batch.
 
-    def _batch_finish_columnar(self, context, computed) -> np.ndarray:
-        """Columnar finish: vectorized scatter, one O(1) batch descriptor.
-
-        The descriptor keeps the result array *by reference* (callers treat
-        batch results as read-only, which every index does); the per-item
-        Python work of the object path -- float boxing, per-item bound
-        list -- is replaced by array scatters.
+        Vectorized scatters and one O(1) batch descriptor, which keeps the
+        result array *by reference* (callers treat batch results as
+        read-only, which every index does).
         """
         values = context.values
         item_keys = context.item_keys
@@ -561,7 +431,7 @@ class RecordingCounting:
         return values
 
     def _flush_overlay(self) -> None:
-        """Apply deferred columnar batch stores to the overlay, in order.
+        """Apply deferred batch stores to the overlay, in order.
 
         The store order -- batches in finish order, groups in order,
         positions in order -- is exactly the eager order.
@@ -579,27 +449,17 @@ class RecordingCounting:
 
     def replay_into(self, counting) -> None:
         """Replay this unit's log into the live ``CountingDistance``."""
-        if self._columns is not None:
-            _replay_probe_columns(self._columns, counting)
-        else:
-            replay_probe_log(self.log, counting)
-        if self._table_evaluated:
-            counting.record_prefilter(self._table_evaluated, self._table_pruned)
+        _replay_probe_columns(self._columns, counting)
 
 
 class _BatchContext:
     """State carried between :meth:`RecordingCounting.batch_prepare` and finish."""
 
-    __slots__ = (
-        "owner", "query", "items", "item_keys", "cutoff", "values", "query_array", "grouped"
-    )
+    __slots__ = ("owner", "query", "item_keys", "cutoff", "values", "query_array", "grouped")
 
-    def __init__(
-        self, owner, query, items, item_keys, cutoff, values, query_array, grouped
-    ) -> None:
+    def __init__(self, owner, query, item_keys, cutoff, values, query_array, grouped) -> None:
         self.owner = owner
         self.query = query
-        self.items = list(items)
         #: Content keys by position; ``None`` when the query is uncacheable.
         self.item_keys = item_keys
         self.cutoff = cutoff
@@ -625,19 +485,15 @@ def compute_batch_groups(
 
     ``payload`` is ``(distance, query_array, tensors, cutoff, prefilter)``
     -- everything picklable, no cache, no counters -- so this function can
-    run in a process-pool child exactly as it runs inline.  A "tensor" is
-    either a materialized ``(rows, length, dim)`` array or a shared-memory
-    row reference (:class:`~repro.sequences.packed.SharedRows`), resolved
-    here so the child attaches to the exported segment instead of
-    unpickling the windows.  Returns one ``(values, bounds)`` pair per
-    tensor; ``bounds`` is ``None`` when the prefilter did not run.  Pairs
-    pruned by a bound get ``inf`` values, the same early-abandon contract
-    as :meth:`Distance.batch`.
+    run in a process-pool child exactly as it runs inline.  Each tensor is a
+    ``(rows, length, dim)`` array.  Returns one ``(values, bounds)`` pair
+    per tensor; ``bounds`` is ``None`` when the prefilter did not run.
+    Pairs pruned by a bound get ``inf`` values, the same early-abandon
+    contract as :meth:`Distance.batch`.
     """
     distance, query_array, tensors, cutoff, prefilter = payload
     results: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
     for tensor in tensors:
-        tensor = resolve_remote_tensor(tensor)
         bounds: Optional[np.ndarray] = None
         values = np.empty(tensor.shape[0], dtype=np.float64)
         survivors = np.arange(tensor.shape[0])
@@ -664,56 +520,48 @@ class RecordingVerifyCache:
     operations -- ``lookup(first, second, cutoff)`` then, on a miss,
     ``store(first, second, value, cutoff)`` -- and counts hits and fresh
     kernels itself.  This duck-type routes both through the unit overlay
-    and logs the requests for :meth:`replay_into` (columnar format) or
-    :func:`replay_verify_log` (object format).
+    and logs the requests for :meth:`replay_into`.
     """
 
-    def __init__(self, base: Optional[DistanceCache], log_format: Optional[str] = None) -> None:
+    def __init__(self, base: Optional[DistanceCache]) -> None:
         self._overlay = _Overlay(base)
-        self.log_format = _resolve_log_format(log_format)
-        if self.log_format == "columnar":
-            self._columns: Optional[_VerifyColumns] = _VerifyColumns()
-            self.log: Optional[List[tuple]] = None
-        else:
-            self._columns = None
-            self.log = []
+        self._columns = _VerifyColumns()
 
     def lookup(
         self, first: Sequence, second: Sequence, cutoff: Optional[float] = None
     ) -> Optional[float]:
         value = self._overlay.lookup(first, second, cutoff=cutoff)
         if value is not None:
-            if self._columns is not None:
-                self._columns.append(first, second, cutoff, value)
-            else:
-                self.log.append((first, second, cutoff, value, True))
+            self._columns.append(first, second, cutoff, value)
         return value
 
     def store(
         self, first: Sequence, second: Sequence, value: float, cutoff: Optional[float] = None
     ) -> None:
         self._overlay.store(first, second, value, cutoff=cutoff)
-        if self._columns is not None:
-            self._columns.append(first, second, cutoff, value)
-        else:
-            self.log.append((first, second, cutoff, value, False))
+        self._columns.append(first, second, cutoff, value)
 
     def replay_into(self, cache: Optional[DistanceCache], counter) -> None:
-        """Replay this unit's log into the real cache + verification counter."""
-        if self._columns is not None:
-            _replay_verify_columns(self._columns, cache, counter)
-        else:
-            replay_verify_log(self.log, cache, counter)
+        """Replay this unit's log into the real cache + verification counter.
+
+        ``counter`` follows the verification counter protocol (``count`` /
+        ``cache_hits`` attributes).
+        """
+        _replay_verify_columns(self._columns, cache, counter)
 
 
 def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
-    """Columnar analogue of :func:`replay_probe_log`.
+    """Re-run a probe unit's request stream against the real cache/counter.
 
-    Classification is identical; the bookkeeping is not: whole columns are
+    ``counting`` is the index's live
+    :class:`~repro.indexing.stats.CountingDistance`.  For every logged
+    request the replay decides hit vs fresh vs prefilter-pruned exactly as
+    the serial path would have -- using the *real* cache state, which at
+    this point includes the stores of every earlier unit -- and applies the
+    stores in serial order.  No kernels run here.  Whole columns are
     converted to Python scalars up front, all cache traffic of the log runs
     under one lock acquisition (:meth:`DistanceCache.replay_view`), and the
-    counter receives one batched update per tally instead of a method call
-    per request.
+    counter receives one batched update per tally.
     """
     cache, counter, prefilter = counting.cache, counting.counter, counting.prefilter
     size = columns.size
@@ -777,13 +625,13 @@ def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
 def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int, int, int]:
     """Replay one batch descriptor; returns (fresh, hits, evaluated, pruned).
 
-    Two phases, mirroring both the serial ``CountingDistance.batch`` and
-    the object-log replay: first every item is classified hit/pending
-    against the real cache -- one bulk row probe, the single hottest replay
-    path -- then the pending items apply their prefilter outcomes and
-    stores, in the same request order and so the same eviction order.  An
-    uncacheable query (``query_key is None``) classifies everything as
-    pending without any lookups, exactly as per-item ``lookup`` calls would.
+    Two phases, mirroring the serial ``CountingDistance.batch``: first
+    every item is classified hit/pending against the real cache -- one bulk
+    row probe, the single hottest replay path -- then the pending items
+    apply their prefilter outcomes and stores, in the same request order and
+    so the same eviction order.  An uncacheable query (``query_key is
+    None``) classifies everything as pending without any lookups, exactly as
+    per-item ``lookup`` calls would.
     """
     query_key, item_keys, cutoff, values, bounds_array, bound_known = record
     fresh = hits = pre_evaluated = pre_pruned = 0
@@ -826,7 +674,7 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
 def _replay_verify_columns(
     columns: _VerifyColumns, cache: Optional[DistanceCache], counter
 ) -> None:
-    """Columnar analogue of :func:`replay_verify_log`."""
+    """Re-run a verification unit's request stream; see :func:`_replay_probe_columns`."""
     size = columns.size
     fresh = hits = 0
     with _replay_view(cache) as view:
@@ -852,91 +700,3 @@ def _replay_verify_columns(
         view.misses += fresh
     counter.count += fresh
     counter.cache_hits += hits
-
-
-def replay_probe_log(log: List[tuple], counting) -> None:
-    """Re-run a probe unit's request stream against the real cache/counter.
-
-    ``counting`` is the index's live
-    :class:`~repro.indexing.stats.CountingDistance`.  For every logged
-    request the replay decides hit vs fresh vs prefilter-pruned exactly as
-    the serial path would have -- using the *real* cache state, which at
-    this point includes the stores of every earlier unit -- and applies the
-    stores in serial order.  No kernels run here.
-
-    This is the object-format reference replay; the columnar format goes
-    through :meth:`RecordingCounting.replay_into`.
-    """
-    cache, counter, prefilter = counting.cache, counting.counter, counting.prefilter
-    for record in log:
-        tag = record[0]
-        if tag == _CALL:
-            _tag, first, second, value, _hit, cacheable = record
-            if cache is not None and cacheable:
-                cached = cache.lookup(first, second)
-                if cached is not None:
-                    counter.record_cache_hit()
-                    continue
-                counter.increment()
-                cache.store(first, second, value)
-            else:
-                counter.increment()
-        elif tag == _BOUNDED:
-            _tag, first, second, cutoff, value, _hit, cacheable, bound = record
-            if cache is not None and cacheable:
-                cached = cache.lookup(first, second, cutoff=cutoff)
-                if cached is not None:
-                    counter.record_cache_hit()
-                    continue
-            if prefilter and bound is not None:
-                pruned = bound > cutoff
-                counter.record_prefilter(1, 1 if pruned else 0)
-                if pruned:
-                    if cache is not None and cacheable:
-                        cache.store(first, second, _INF, cutoff=cutoff)
-                    continue
-            counter.increment()
-            if cache is not None and cacheable:
-                cache.store(first, second, value, cutoff=cutoff)
-        else:  # _BATCH
-            _tag, query, items, cutoff, values, bounds = record
-            pending: List[int] = []
-            for index, item in enumerate(items):
-                if cache is not None and DistanceCache.cacheable(query, item):
-                    cached = cache.lookup(query, item, cutoff=cutoff)
-                    if cached is not None:
-                        counter.record_cache_hit()
-                        continue
-                pending.append(index)
-            for index in pending:
-                item = items[index]
-                bound = bounds[index]
-                if prefilter and cutoff is not None and bound is not None:
-                    pruned = bound > cutoff
-                    counter.record_prefilter(1, 1 if pruned else 0)
-                    if pruned:
-                        if cache is not None and DistanceCache.cacheable(query, item):
-                            cache.store(query, item, _INF, cutoff=cutoff)
-                        continue
-                counter.increment()
-                if cache is not None and DistanceCache.cacheable(query, item):
-                    cache.store(query, item, float(values[index]), cutoff=cutoff)
-
-
-def replay_verify_log(log: List[tuple], cache: Optional[DistanceCache], counter) -> None:
-    """Re-run a verification unit's request stream; see :func:`replay_probe_log`.
-
-    ``counter`` follows the verification counter protocol (``count`` /
-    ``cache_hits`` attributes).  Object-format reference replay; the
-    columnar format goes through :meth:`RecordingVerifyCache.replay_into`.
-    """
-    for first, second, cutoff, value, _hit in log:
-        if cache is not None:
-            cached = cache.lookup(first, second, cutoff=cutoff)
-            if cached is not None:
-                counter.cache_hits += 1
-                continue
-            counter.count += 1
-            cache.store(first, second, value, cutoff=cutoff)
-        else:
-            counter.count += 1

@@ -97,10 +97,9 @@ class QueryWorkUnit:
 
     Units that can ship their kernel phase to a process pool also provide
     ``prepare`` (parent-side: cache lookups + payload construction --
-    called as ``prepare(recording, transport)`` where ``transport`` names
-    the payload transport, see ``MatcherConfig.transport``), ``remote`` (a
-    picklable module-level function), and ``finish`` (parent-side: fold
-    the child's values into matches).
+    called as ``prepare(recording)``; the payload is pickled to the pool),
+    ``remote`` (a picklable module-level function), and ``finish``
+    (parent-side: fold the child's values into matches).
 
     ``cost`` is the unit's scheduling weight -- an estimate proportional
     to its kernel work (e.g. windows x DP cells for a scan group).  The
@@ -111,7 +110,7 @@ class QueryWorkUnit:
 
     position: int
     search: Callable[[Any], List[Tuple[int, RangeMatch]]]
-    prepare: Optional[Callable[[Any, Optional[str]], Tuple[Any, Any]]] = None
+    prepare: Optional[Callable[[Any], Tuple[Any, Any]]] = None
     remote: Optional[Callable[[Any], Any]] = None
     finish: Optional[Callable[[Any, Any, Any], List[Tuple[int, RangeMatch]]]] = None
     #: Display label for diagnostics (index name + split description).
@@ -176,27 +175,22 @@ def run_query_work_units(
     units: List[QueryWorkUnit],
     query_count: int,
     executor,
-    log_format: Optional[str] = None,
-    transport: Optional[str] = None,
 ) -> Tuple[List[List[RangeMatch]], float]:
     """Execute ``units`` on ``executor`` with serial-equivalent accounting.
 
     Each unit gets a private
     :class:`~repro.distances.recording.RecordingCounting` over the index's
-    cache (``log_format`` selects its request-log encoding); after the
-    executor drains, the unit logs are replayed *in unit order* into the
-    index's live counter and cache, so the counters, the cache content,
-    and the eviction order come out exactly as a serial run would have
-    left them.  Returns one merged match list per query position plus the
+    cache; after the executor drains, the unit logs are replayed *in unit
+    order* into the index's live counter and cache, so the counters, the
+    cache content, and the eviction order come out exactly as a serial run
+    would have left them.  Returns one merged match list per query position plus the
     summed per-worker CPU seconds.
 
     Scheduling granularity: the process executor receives one task per
     unit (its pool already chunks the picklable payloads by cost); every
     other executor receives contiguous cost-weighted *chunks* of units per
     task, which amortises the future/scheduling overhead that thousands of
-    small probe units would otherwise pay.  ``transport`` is forwarded to
-    remote-capable units' ``prepare`` so their payloads can ride shared
-    memory instead of pickling (see ``MatcherConfig.transport``).
+    small probe units would otherwise pay.
     """
     # Imported lazily: the executor layer lives in ``repro.core`` which
     # imports this module at package-init time.
@@ -222,9 +216,7 @@ def run_query_work_units(
         return per_query_serial, 0.0
 
     recordings: List[RecordingCounting] = [
-        RecordingCounting(
-            counting.inner, counting.cache, counting.prefilter, log_format=log_format
-        )
+        RecordingCounting(counting.inner, counting.cache, counting.prefilter)
         for _unit in units
     ]
     tasks: List[WorkTask] = []
@@ -238,7 +230,7 @@ def run_query_work_units(
                 context_box: dict = {}
 
                 def prepare(unit=unit, recording=recording, box=context_box):
-                    context, payload = unit.prepare(recording, transport)
+                    context, payload = unit.prepare(recording)
                     box["context"] = context
                     return payload
 
@@ -468,15 +460,6 @@ class MetricIndex(abc.ABC):
         The default does nothing.
         """
 
-    def close(self) -> None:
-        """Release OS-level resources the index holds (idempotent).
-
-        The default does nothing; the linear scan overrides this to tear
-        down its shared-memory window export.  Closing never touches the
-        stored items -- a closed index keeps answering queries, it just
-        re-creates any released resources on demand.
-        """
-
     def batch_range_query(
         self,
         queries: Iterable[SequenceLike],
@@ -512,27 +495,21 @@ class MetricIndex(abc.ABC):
         radius: float,
         bounds: Optional[BoundTable] = None,
         executor=None,
-        log_format: Optional[str] = None,
-        transport: Optional[str] = None,
     ) -> Tuple[List[List[RangeMatch]], float]:
         """:meth:`batch_range_query` as the query pipeline asks it.
 
         One entry for every index and executor: returns the per-query match
         lists plus the CPU seconds burned off the calling thread.  Under a
         parallel executor the index's :meth:`query_work_units` fan out
-        through :func:`run_query_work_units` with the pipeline's
-        record/replay settings (``log_format``, ``transport``); an index
-        that issues no units answers on the calling thread, like the serial
-        path.
+        through :func:`run_query_work_units`; an index that issues no units
+        answers on the calling thread, like the serial path.
         """
         units = None
         if executor is not None and executor.is_parallel:
             units = self.query_work_units(queries, radius)
         if units is None:
             return self.batch_range_query(queries, radius, bounds=bounds), 0.0
-        return run_query_work_units(
-            self, units, len(queries), executor, log_format=log_format, transport=transport
-        )
+        return run_query_work_units(self, units, len(queries), executor)
 
     def _serial_batch_range_query(
         self,

@@ -183,9 +183,7 @@ class CoverTree(MetricIndex):
     # ------------------------------------------------------------------ #
     # Range query
     # ------------------------------------------------------------------ #
-    def _range_search(
-        self, query: SequenceLike, radius: float, counting, bounds=None
-    ) -> List[RangeMatch]:
+    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
         if self._root is None:

@@ -109,19 +109,13 @@ class LinearScanIndex(MetricIndex):
                 self._packed.clear()
                 break
 
-    def close(self) -> None:
-        """Release the shared-memory window export (if one was created)."""
-        self._packed.release_shared()
-
     def _scan_gather(self, keys: List[Hashable]) -> Optional[StoreGather]:
         """A packed gather over ``keys``, or ``None`` when packing is off."""
         if not self._packed_ok:
             return None
         return StoreGather(self._packed, keys)
 
-    def _range_search(
-        self, query: SequenceLike, radius: float, counting, bounds=None
-    ) -> List[RangeMatch]:
+    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
         matches: List[RangeMatch] = []
@@ -159,7 +153,7 @@ class LinearScanIndex(MetricIndex):
         return results
 
     def query_work_units(
-        self, queries: List[SequenceLike], radius: float, bounds=None
+        self, queries: List[SequenceLike], radius: float
     ) -> List[QueryWorkUnit]:
         """One work unit per ``(query, shape group)``: a single kernel sweep.
 
@@ -217,16 +211,10 @@ class LinearScanIndex(MetricIndex):
                     )
                     return matches_from(values)
 
-                def prepare(counting, transport, query=query, group_items=group_items,
+                def prepare(counting, query=query, group_items=group_items,
                             group_packed=group_packed):
-                    if group_packed is None or transport == "pickle":
-                        remote = False
-                    elif transport == "shared":
-                        remote = "shared"
-                    else:  # "auto" (or unspecified): shared when exportable
-                        remote = "auto"
                     context = counting.batch_prepare(
-                        query, group_items, radius, packed=group_packed, remote=remote
+                        query, group_items, radius, packed=group_packed
                     )
                     return context, context.payload()
 

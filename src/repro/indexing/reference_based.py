@@ -310,9 +310,7 @@ class ReferenceIndex(MetricIndex):
         if self._items and self._dirty:
             self.build()
 
-    def _range_search(
-        self, query: SequenceLike, radius: float, counting, bounds=None
-    ) -> List[RangeMatch]:
+    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
         if radius < 0:
             raise IndexError_(f"radius must be non-negative, got {radius}")
         if not self._items:

@@ -360,12 +360,7 @@ class CountingDistance:
         return value
 
     def record_prefilter(self, evaluated: int, pruned: int) -> None:
-        """Tally bounds an index consulted itself (a bound-table traversal).
-
-        Part of the counting protocol, so a traversal reports through
-        whichever context it was handed; here it goes straight to the
-        counter.
-        """
+        """Tally bounds an index consulted itself (a bound-table traversal)."""
         self.counter.record_prefilter(evaluated, pruned)
 
     def batch(
@@ -387,11 +382,11 @@ class CountingDistance:
         stores, and the stores happen in item order.
 
         ``packed`` optionally supplies the operand arrays from a packed
-        window layout (:mod:`repro.sequences.packed`): position ``i`` of
-        ``items`` must be backed by position ``i`` of the gather.  The
-        gathered tensors hold the exact bytes the un-packed path would
-        stack, so results, counters, and cache traffic are unchanged --
-        only the per-call coercion and stacking disappear.
+        window layout (a :class:`~repro.sequences.packed.StoreGather`):
+        position ``i`` of ``items`` must be backed by position ``i`` of the
+        gather.  The gathered tensors hold the exact bytes the un-packed
+        path would stack, so results, counters, and cache traffic are
+        unchanged -- only the per-call coercion and stacking disappear.
         """
         values = np.empty(len(items), dtype=np.float64)
         query_array = as_array(query)
@@ -404,7 +399,7 @@ class CountingDistance:
             # over content keys -- the scan's packed layout keeps them beside
             # its rows -- instead of a cache call per item; the hit/miss
             # statistics and the classifications are identical.
-            item_keys = getattr(packed, "content_keys", content_keys)(items)
+            item_keys = content_keys(items) if packed is None else packed.content_keys(items)
             pending = cache.probe_row(query.content_key, item_keys, cutoff, values)
             if len(pending) != len(items):
                 self.counter.record_cache_hit(len(items) - len(pending))
@@ -417,14 +412,7 @@ class CountingDistance:
             arrays, groups = group_batch_operands(self.inner, query_array, items, pending)
             shape_groups = [(None, indexes) for indexes in groups.values()]
         else:
-            group_positions = getattr(packed, "group_positions", None)
-            if group_positions is not None:
-                shape_groups = group_positions(pending)
-            else:
-                groups = {}
-                for index in pending:
-                    groups.setdefault(packed.shape_of(index), []).append(index)
-                shape_groups = list(groups.items())
+            shape_groups = packed.group_positions(pending)
             for shape, _indexes in shape_groups:
                 validate_group_shape(self.inner, query_array, shape)
         for _shape, indexes in shape_groups:
@@ -461,7 +449,7 @@ class CountingDistance:
             )
         elif cacheable_query:
             # One bulk store under a single lock, in item order -- the order
-            # both unit-log replays store in (:mod:`repro.distances.recording`),
+            # the unit-log replay stores in (:mod:`repro.distances.recording`),
             # so the cache's insertion order, which eviction makes visible,
             # is the same under every executor.  A pruned pair's ``inf``
             # becomes the lower bound ``distance > cutoff``.

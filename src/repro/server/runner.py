@@ -124,9 +124,6 @@ def serve(
             service.save_snapshot()
             if not quiet:
                 print(f"wrote snapshot back to {service.snapshot_path}")
-        # Tear down shared-memory window exports before the process exits:
-        # the SIGTERM path must not rely on interpreter-exit hooks firing
-        # in a particular order to avoid /dev/shm leaks.
         service.close()
 
 

@@ -23,7 +23,7 @@ misinterpreting it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
@@ -265,17 +265,36 @@ def _matcher_payload(matcher, prefix: str = "") -> Tuple[dict, dict]:
     return arrays, metadata
 
 
+def _config_from(saved: dict):
+    """The :class:`~repro.core.config.MatcherConfig` a snapshot was saved with.
+
+    Snapshots of older builds may carry execution options that no longer
+    exist (how the process pool shipped its payloads, the replay-log
+    encoding) or a kernel name that is no longer offered.  Execution options
+    never change answers, so the former are dropped and the latter reads as
+    ``auto``: every snapshot loads into the matcher it described, minus the
+    retired speed knobs.
+    """
+    from repro.core.config import MatcherConfig
+    from repro.distances.backend import KNOWN_KERNELS
+
+    known = {field.name for field in fields(MatcherConfig)}
+    saved = {key: value for key, value in saved.items() if key in known}
+    if saved.get("kernel", "auto") not in KNOWN_KERNELS:
+        saved["kernel"] = "auto"
+    return MatcherConfig(**saved)
+
+
 def _matcher_from_payload(archive, metadata: dict, prefix: str, distance, cache):
     """Restore one matcher from a payload written by :func:`_matcher_payload`."""
     # Imported here: the core layer must stay importable without storage.
-    from repro.core.config import MatcherConfig
     from repro.core.matcher import SubsequenceMatcher, build_index
     from repro.core.segmentation import partition_database
     from repro.distances.cache import DistanceCache
     from repro.distances.registry import get_distance
 
     database = _database_from(archive, metadata["database"], prefix=f"{prefix}db_seq")
-    config = MatcherConfig(**metadata["config"])
+    config = _config_from(metadata["config"])
     saved_name = metadata["distance"]
     if distance is None:
         distance = get_distance(saved_name)
@@ -401,10 +420,8 @@ def load_matcher(path: PathLike, distance=None, cache=None):
         :class:`~repro.core.service.SearchService` accepts a snapshot path
         directly and defers this load to the first query.
     """
-    from repro.core.config import MatcherConfig
     from repro.core.sharded import ShardedMatcher
     from repro.distances.registry import get_distance
-    from repro.sequences.database import SequenceDatabase
 
     path = Path(path)
     try:
@@ -419,7 +436,7 @@ def load_matcher(path: PathLike, distance=None, cache=None):
                         "sharded matcher snapshots cannot load into an external "
                         "cache; each shard owns a private one"
                     )
-                config = MatcherConfig(**metadata["config"])
+                config = _config_from(metadata["config"])
                 saved_name = metadata["distance"]
                 if distance is None:
                     distance = get_distance(saved_name)

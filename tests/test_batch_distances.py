@@ -119,17 +119,14 @@ class TestBatchAgainstSingle:
 
 
 def _providers():
-    """``numpy`` plus every compiled provider usable on this machine."""
+    """``numpy`` plus the C kernels where a compiler is available."""
     from repro.distances.compiled import make_provider
 
-    names = ["numpy", "pyloop"]
-    for name in ("cc", "numba"):
-        try:
-            make_provider(name)
-        except Exception:
-            continue
-        names.append(name)
-    return names
+    try:
+        make_provider("cc")
+    except Exception:
+        return ["numpy"]
+    return ["numpy", "cc"]
 
 
 class TestCallForm:

@@ -1,8 +1,8 @@
 """The compiled kernel tier must be value-exact against the NumPy oracle.
 
-Every provider (``pyloop`` always; ``cc`` wherever a C compiler exists;
-``numba`` wherever Numba is importable) is compared against the NumPy tier
--- and, through it, against the retained cell-by-cell references of
+The C kernels (``cc``, wherever a C compiler exists) are compared against
+the NumPy tier -- and, through it, against the retained cell-by-cell
+references of
 :mod:`repro.distances.reference` -- for every elastic distance and every
 call form (unbounded value, bounded value, batch with scalar and per-row
 cutoff vectors).  Equality is exact (``==``), not approximate: identical
@@ -48,7 +48,7 @@ from repro.exceptions import (
     IndexError_,
 )
 from repro.indexing.linear_scan import LinearScanIndex
-from repro.sequences.packed import PackedWindowStore, StoreGather, TensorGather
+from repro.sequences.packed import PackedWindowStore, StoreGather
 
 
 def _provider_or_skip(name):
@@ -58,7 +58,20 @@ def _provider_or_skip(name):
         pytest.skip(f"provider {name!r} unavailable: {error!r}")
 
 
-PROVIDER_NAMES = ["pyloop", "cc", "numba"]
+def _cc_available():
+    try:
+        make_provider("cc")
+    except Exception:
+        return False
+    return True
+
+
+PROVIDER_NAMES = ["cc"]
+
+#: The tiers this machine runs: NumPy always, the C kernels given a compiler.
+KERNELS = ["numpy", "cc"] if _cc_available() else ["numpy"]
+
+requires_cc = pytest.mark.skipif(not _cc_available(), reason="no C compiler available")
 
 # One representative configuration per distance family: additive warping,
 # banded warping, bottleneck warping, and each edit-recurrence mode.
@@ -72,6 +85,11 @@ DISTANCES = [
     Levenshtein(),
 ]
 
+# Point widths the fused element costs cover: a single coordinate, the
+# planar case, an odd width, and the widest point the C kernels still take
+# (``MAX_FUSED_DIM``: one more and NumPy's pairwise summation starts).
+POINT_DIMS = [1, 2, 3, MAX_FUSED_DIM]
+
 
 def _case_seed(*parts):
     """A per-case RNG seed that is the same in every process (``hash`` of a
@@ -80,21 +98,23 @@ def _case_seed(*parts):
     return zlib.crc32(repr(parts).encode("utf-8"))
 
 
-def _random_pair(rng, dim=2, max_len=30):
+def _operands_for(distance, rng, shape):
+    """Random operands of ``shape``: alphabet-style integers for the edit
+    measure that compares elements for identity, real points otherwise."""
+    if isinstance(distance, Levenshtein):
+        return rng.integers(0, 4, size=shape).astype(np.float64)
+    return rng.normal(size=shape)
+
+
+def _pair_for(distance, rng, dim=2, max_len=30):
     n = int(rng.integers(1, max_len))
     m = int(rng.integers(1, max_len))
-    if dim == 0:  # alphabet-style integer sequences for the edit measures
-        return (
-            rng.integers(0, 4, size=(n, 1)).astype(np.float64),
-            rng.integers(0, 4, size=(m, 1)).astype(np.float64),
-        )
-    return rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    return _operands_for(distance, rng, (n, dim)), _operands_for(distance, rng, (m, dim))
 
 
-def _pair_for(distance, rng):
-    if isinstance(distance, Levenshtein):
-        return _random_pair(rng, dim=0)
-    return _random_pair(rng, dim=2)
+def _random_pair(rng, dim=2, max_len=30):
+    """Two real-valued point sequences of random lengths."""
+    return _pair_for(None, rng, dim, max_len)
 
 
 # --------------------------------------------------------------------- #
@@ -102,13 +122,14 @@ def _pair_for(distance, rng):
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("dim", POINT_DIMS)
 @pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
 @pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
-def test_value_and_bounded_match_numpy_exactly(provider_name, distance):
+def test_value_and_bounded_match_numpy_exactly(provider_name, distance, dim):
     _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, repr(distance)))
+    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), dim))
     for trial in range(20):
-        a, b = _pair_for(distance, rng)
+        a, b = _pair_for(distance, rng, dim)
         with kernel_scope("numpy"):
             try:
                 expected = distance(a, b)
@@ -133,23 +154,21 @@ def test_value_and_bounded_match_numpy_exactly(provider_name, distance):
                 assert below > expected * 0.5
 
 
+@pytest.mark.parametrize("dim", POINT_DIMS)
 @pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
 @pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
-def test_batch_matches_numpy_exactly(provider_name, distance):
+def test_batch_matches_numpy_exactly(provider_name, distance, dim):
     _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 1))
+    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 1, dim))
     for trial in range(10):
-        query, _ = _pair_for(distance, rng)
+        query, _ = _pair_for(distance, rng, dim)
         k = int(rng.integers(1, 8))
         length = int(rng.integers(1, 25))
         if distance.supports_unequal_lengths:
             pass
         else:
             length = query.shape[0]
-        if isinstance(distance, Levenshtein):
-            items = rng.integers(0, 4, size=(k, length, 1)).astype(np.float64)
-        else:
-            items = rng.normal(size=(k, length, query.shape[1]))
+        items = _operands_for(distance, rng, (k, length, dim))
         for cutoff in (None, 1.0, rng.uniform(0.5, 4.0, size=k)):
             with kernel_scope("numpy"):
                 try:
@@ -165,9 +184,10 @@ def test_batch_matches_numpy_exactly(provider_name, distance):
             assert np.array_equal(got, expected), (trial, cutoff)
 
 
+@pytest.mark.parametrize("dim", POINT_DIMS)
 @pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
 @pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
-def test_pairs_match_numpy_batch_rows_exactly(provider_name, distance):
+def test_pairs_match_numpy_batch_rows_exactly(provider_name, distance, dim):
     """The pair call form is the batch form per pair, on every provider.
 
     Small tables on purpose: below 1024 cells a *single* edit-distance value
@@ -176,14 +196,11 @@ def test_pairs_match_numpy_batch_rows_exactly(provider_name, distance):
     query row changes.
     """
     _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 2))
+    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 2, dim))
     for trial in range(8):
         n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
-        if isinstance(distance, Levenshtein):
-            queries = rng.integers(0, 4, size=(5, n, 1)).astype(np.float64)
-            items = rng.integers(0, 4, size=(6, m, 1)).astype(np.float64)
-        else:
-            queries, items = rng.normal(size=(5, n, 2)), rng.normal(size=(6, m, 2))
+        queries = _operands_for(distance, rng, (5, n, dim))
+        items = _operands_for(distance, rng, (6, m, dim))
         count = int(rng.integers(1, 20))
         query_rows = np.sort(rng.integers(0, 5, size=count))
         item_rows = rng.integers(0, 6, size=count)
@@ -254,31 +271,37 @@ def test_vector_cutoffs_match_per_row_bounded(provider_name):
 # --------------------------------------------------------------------- #
 
 
+#: The element metrics whose costs the C kernels compute themselves.
+POINT_METRICS = ["euclidean", "manhattan"]
+
+
+@pytest.mark.parametrize("kind", POINT_METRICS)
 @pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
 @pytest.mark.parametrize("use_max", [False, True])
 @pytest.mark.parametrize("band", [None, 0, 2, 50])
-def test_warp_value_matches_reference_table(provider_name, use_max, band):
+def test_warp_value_matches_reference_table(provider_name, use_max, band, kind):
     provider = _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, use_max, band))
-    metric = ElementMetric("euclidean")
+    rng = np.random.default_rng(_case_seed(provider_name, use_max, band, kind))
+    metric = ElementMetric(kind)
     for trial in range(10):
         q, x = _random_pair(rng, dim=2, max_len=20)
         cost = metric.matrix(q, x)
         aggregate = "max" if use_max else "sum"
         expected = reference_warping_table(cost, aggregate, band)[-1, -1]
-        got = provider.warp_value(q, x, METRIC_KIND_CODES["euclidean"], use_max, band, None)
+        got = provider.warp_value(q, x, METRIC_KIND_CODES[kind], use_max, band, None)
         if np.isinf(expected):
             assert np.isinf(got)
         else:
             assert got == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", POINT_METRICS)
 @pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
 @pytest.mark.parametrize("mode", [MODE_LEVENSHTEIN, MODE_ERP, MODE_EDR])
-def test_edit_value_matches_reference_table(provider_name, mode):
+def test_edit_value_matches_reference_table(provider_name, mode, kind):
     provider = _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, mode))
-    metric = ElementMetric("euclidean")
+    rng = np.random.default_rng(_case_seed(provider_name, mode, kind))
+    metric = ElementMetric(kind)
     eps = 0.4
     for trial in range(10):
         q, x = _random_pair(rng, dim=2, max_len=20)
@@ -298,16 +321,8 @@ def test_edit_value_matches_reference_table(provider_name, mode):
             insertion = np.ones(len(x))
             gap = NO_GAP
         expected = reference_edit_table(sub, deletion, insertion)[-1, -1]
-        got = provider.edit_value(
-            q, x, mode, METRIC_KIND_CODES["euclidean"], gap, eps, None
-        )
+        got = provider.edit_value(q, x, mode, METRIC_KIND_CODES[kind], gap, eps, None)
         assert got == pytest.approx(expected, abs=1e-9)
-
-
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-def test_warm_runs_every_kernel(provider_name):
-    provider = _provider_or_skip(provider_name)
-    provider.warm()  # must not raise
 
 
 # --------------------------------------------------------------------- #
@@ -321,23 +336,27 @@ class TestBackendSelection:
             assert fused_provider(2) is None
             assert active_kernel_name() == "numpy"
 
-    def test_pyloop_scope_reports_its_name(self):
-        with kernel_scope("pyloop"):
-            assert active_kernel_name() == "pyloop"
+    @requires_cc
+    def test_cc_scope_reports_its_name(self):
+        with kernel_scope("cc"):
+            assert active_kernel_name() == "cc"
             assert fused_provider(2) is not None
 
+    @requires_cc
     def test_scopes_nest_innermost_wins(self):
-        with kernel_scope("pyloop"):
+        with kernel_scope("cc"):
             with kernel_scope("numpy"):
                 assert active_kernel_name() == "numpy"
-            assert active_kernel_name() == "pyloop"
+            assert active_kernel_name() == "cc"
 
+    @requires_cc
     def test_dimension_guard(self):
         assert fusable_dim(MAX_FUSED_DIM)
         assert not fusable_dim(MAX_FUSED_DIM + 1)
-        with kernel_scope("pyloop"):
+        with kernel_scope("cc"):
             assert fused_provider(MAX_FUSED_DIM + 1) is None
 
+    @requires_cc
     def test_wide_points_fall_back_but_stay_exact(self):
         rng = np.random.default_rng(11)
         dim = MAX_FUSED_DIM + 3
@@ -345,7 +364,7 @@ class TestBackendSelection:
         distance = DTW()
         with kernel_scope("numpy"):
             expected = distance(a, b)
-        with kernel_scope("pyloop"):
+        with kernel_scope("cc"):
             assert distance(a, b) == expected
 
     def test_unknown_name_rejected(self):
@@ -355,21 +374,13 @@ class TestBackendSelection:
     def test_auto_never_raises(self):
         resolve_kernel("auto")  # any outcome but an exception is fine
 
-    def test_concrete_unavailable_provider_raises(self, monkeypatch):
-        monkeypatch.setitem(backend_module._provider_cache, "numba", None)
+    def test_unavailable_cc_raises(self, monkeypatch):
+        monkeypatch.setitem(backend_module._provider_cache, "cc", None)
         with pytest.raises(ConfigurationError):
-            resolve_kernel("numba")
-
-    def test_compiled_warns_once_when_nothing_available(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "DETECTION_ORDER", ())
-        monkeypatch.setattr(backend_module, "_warned_fallback", False)
-        with pytest.warns(RuntimeWarning):
-            assert resolve_kernel("compiled") is None
-        # second resolution is silent
-        assert resolve_kernel("compiled") is None
+            resolve_kernel("cc")
 
     def test_auto_falls_back_silently(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "DETECTION_ORDER", ())
+        monkeypatch.setitem(backend_module._provider_cache, "cc", None)
         assert resolve_kernel("auto") is None
 
     def test_config_validates_kernel_names(self):
@@ -390,7 +401,7 @@ class TestBackendSelection:
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "pyloop"])
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestErrorsAcrossBackends:
     def test_empty_sequences_rejected(self, kernel):
         with kernel_scope(kernel):
@@ -487,13 +498,6 @@ class TestPackedWindowStore:
         tensor = gather.gather([0, 1, 2])
         assert np.array_equal(tensor, np.stack([arrays[4], arrays[1], arrays[3]]))
 
-    def test_tensor_gather_identity_fast_path(self):
-        tensor = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        gather = TensorGather(tensor)
-        assert gather.gather([0, 1]) is tensor
-        subset = gather.gather([1])
-        assert np.array_equal(subset, tensor[[1]])
-
 
 class TestLinearScanPacking:
     def _index(self, rng, kernel="numpy"):
@@ -510,7 +514,7 @@ class TestLinearScanPacking:
         unpacked = self._index(rng)
         unpacked._packed_ok = False
         query = np.random.default_rng(10).normal(size=(9, 2))
-        for kernel in ("numpy", "pyloop"):
+        for kernel in KERNELS:
             with kernel_scope(kernel):
                 a = packed.batch_range_query([query], 3.0)[0]
                 b = unpacked.batch_range_query([query], 3.0)[0]
@@ -520,7 +524,7 @@ class TestLinearScanPacking:
         rng = np.random.default_rng(13)
         index = self._index(rng)
         query = np.random.default_rng(14).normal(size=(9, 2))
-        for kernel in ("numpy", "pyloop"):
+        for kernel in KERNELS:
             with kernel_scope(kernel):
                 for k in (1, 3, 7):
                     scan = index.knn_scan(query, k, chunk_size=8)

@@ -13,6 +13,8 @@ from repro import (
     DistanceCache,
     Euclidean,
     Levenshtein,
+    LongestSubsequenceQuery,
+    RangeQuery,
     Sequence,
 )
 from repro.distances.cache import content_keys
@@ -404,7 +406,7 @@ class TestMatcherIntegration:
         config = MatcherConfig(min_length=10, max_shift=1, cache_max_entries=50)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         query = Sequence.from_values(rng.normal(size=20), seq_id="q")
-        matcher.range_search(query, 5.0)
+        matcher.execute(RangeQuery(radius=5.0).bind(query))
         assert matcher.distance_cache.max_entries == 50
         assert len(matcher.distance_cache) <= 50
 
@@ -551,12 +553,13 @@ class TestThreadSafety:
             SubsequenceMatcher(database, DiscreteFrechet(), config, cache=cache)
             for _ in range(2)
         ]
+        spec = LongestSubsequenceQuery(radius=0.5)
         results = [None, None]
         errors = []
 
         def run(position):
             try:
-                results[position] = matchers[position].longest_similar(query, 0.5)
+                results[position] = matchers[position].execute(spec.bind(query)).best
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 

@@ -8,10 +8,16 @@ configuration plumbing.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.executor import (
     EXECUTOR_NAMES,
@@ -139,6 +145,48 @@ class TestProcessPoolExecutor:
                 tasks.append(WorkTask(local=lambda i=i: i * 2))
         results = ProcessPoolExecutor(2).run(tasks)
         assert [result.value for result in results] == [2 * i for i in range(6)]
+
+
+    def test_sequential_process_matchers_exit_cleanly(self):
+        """Two process-executor matchers in a row leave stderr empty at exit.
+
+        Pool children are forked and share the parent's resource tracker,
+        so anything a child registers or unregisters there lands on the
+        parent's books; an interpreter that exits with a ``resource_tracker``
+        traceback has let a child drop one of the parent's registrations.
+        """
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro import (
+                DiscreteFrechet, MatcherConfig, RangeQuery, Sequence,
+                SequenceDatabase, SequenceKind, SubsequenceMatcher,
+            )
+
+            generator = np.random.default_rng(3)
+            db = SequenceDatabase(SequenceKind.TIME_SERIES)
+            for position in range(3):
+                db.add(Sequence.from_values(
+                    generator.normal(size=60).cumsum(), seq_id=f"s{position}"
+                ))
+            query = Sequence.from_values(db["s0"].values[10:34] + 0.01)
+            config = MatcherConfig(
+                min_length=12, max_shift=1, index="linear-scan",
+                executor="process", workers=2,
+            )
+            for _ in range(2):
+                matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
+                matcher.execute(RangeQuery(radius=0.5).bind(query))
+                matcher.close()
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestMakeExecutor:

@@ -17,6 +17,7 @@ from repro import (
     LongestSubsequenceQuery,
     MatcherConfig,
     NearestSubsequenceQuery,
+    RangeQuery,
     Sequence,
     SequenceDatabase,
     SequenceKind,
@@ -249,7 +250,7 @@ class TestMatcherIncrementalUpdates:
         assert len(matcher.windows) > before
         assert len(matcher.index) == len(matcher.windows)
         query = Sequence(pattern + 0.01, SequenceKind.TIME_SERIES, "q")
-        results = matcher.range_search(query, 0.5)
+        results = matcher.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert any(match.source_id == "clone" for match in results)
 
     def test_naive_count_tracks_live_window_count(self, planted_db, pattern_query):
@@ -267,18 +268,15 @@ class TestMatcherIncrementalUpdates:
     def test_remove_then_readd_roundtrips(self, planted_db, pattern_query):
         config = MatcherConfig(min_length=12, max_shift=1)
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        reference = [
-            match_identity(m) for m in matcher.range_search(pattern_query, 0.5)
-        ]
+        spec = RangeQuery(radius=0.5).bind(pattern_query)
+        reference = [match_identity(m) for m in matcher.execute(spec).matches]
         sequence = matcher.remove_sequence("with-pattern-1")
         matcher.add_sequence(sequence)
         # The re-added sequence lands at the end of the database, exactly
         # where a fresh build would put it, so results must still agree
         # with a rebuild (content identical, order canonical).
         matcher.check_incremental_invariants([pattern_query], 0.5)
-        roundtrip = [
-            match_identity(m) for m in matcher.range_search(pattern_query, 0.5)
-        ]
+        roundtrip = [match_identity(m) for m in matcher.execute(spec).matches]
         assert sorted(roundtrip) == sorted(reference)
 
 

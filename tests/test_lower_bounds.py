@@ -152,7 +152,7 @@ class TestAdmissibility:
                 min_length=2, max_shift=0, index="linear-scan", prefilter=prefilter
             )
             matcher = SubsequenceMatcher(db, DTW(), config)
-            found = matcher.range_search(query, spec)
+            found = matcher.execute(spec.bind(query)).matches
             results[prefilter] = sorted(
                 (m.source_id, m.query_start, m.query_stop, m.db_start, m.db_stop)
                 for m in found

@@ -83,7 +83,7 @@ class TestConstruction:
     def test_every_index_backend_works(self, planted_db, pattern_query, index_name):
         config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        best = matcher.longest_similar(pattern_query, 0.5)
+        best = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(pattern_query)).best
         assert best is not None
         assert best.source_id.startswith("with-pattern")
 
@@ -117,7 +117,7 @@ class TestSegmentMatches:
 class TestTypeII:
     def test_finds_planted_pattern(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        best = matcher.longest_similar(pattern_query, 0.5)
+        best = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(pattern_query)).best
         assert best is not None
         assert best.source_id.startswith("with-pattern")
         assert best.length >= config.min_length
@@ -125,7 +125,7 @@ class TestTypeII:
 
     def test_match_overlaps_planted_region(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        best = matcher.longest_similar(pattern_query, 0.5)
+        best = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(pattern_query)).best
         if best.source_id == "with-pattern-1":
             planted = range(8, 32)
         else:
@@ -135,7 +135,7 @@ class TestTypeII:
 
     def test_length_close_to_brute_force_optimum(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        fast = matcher.longest_similar(pattern_query, 0.5)
+        fast = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(pattern_query)).best
         exact = brute_force_longest(pattern_query, planted_db, DiscreteFrechet(), 0.5, config)
         assert exact is not None and fast is not None
         assert fast.length >= exact.length * 0.7
@@ -143,16 +143,11 @@ class TestTypeII:
     def test_none_when_radius_too_small(self, planted_db, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         alien = Sequence.from_values(np.full(20, 500.0), seq_id="alien")
-        assert matcher.longest_similar(alien, 0.5) is None
-
-    def test_accepts_spec_object(self, planted_db, pattern_query, config):
-        matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        best = matcher.longest_similar(pattern_query, LongestSubsequenceQuery(radius=0.5))
-        assert best is not None
+        assert matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(alien)).best is None
 
     def test_erp_distance(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, ERP(), config)
-        best = matcher.longest_similar(pattern_query, 5.0)
+        best = matcher.execute(LongestSubsequenceQuery(radius=5.0).bind(pattern_query)).best
         assert best is not None
         assert best.source_id.startswith("with-pattern")
 
@@ -160,7 +155,7 @@ class TestTypeII:
 class TestTypeI:
     def test_all_results_verified(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        results = matcher.range_search(pattern_query, 0.5)
+        results = matcher.execute(RangeQuery(radius=0.5).bind(pattern_query)).matches
         assert results
         for match in results:
             assert match.distance <= 0.5
@@ -168,23 +163,25 @@ class TestTypeI:
 
     def test_max_results_cap(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        results = matcher.range_search(pattern_query, RangeQuery(radius=0.5, max_results=1))
+        results = matcher.execute(RangeQuery(radius=0.5, max_results=1).bind(pattern_query)).matches
         assert len(results) == 1
 
     def test_exhaustive_returns_superset(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        concise = matcher.range_search(pattern_query, RangeQuery(radius=0.3))
-        exhaustive = matcher.range_search(pattern_query, RangeQuery(radius=0.3, exhaustive=True))
+        concise = matcher.execute(RangeQuery(radius=0.3).bind(pattern_query)).matches
+        exhaustive = matcher.execute(
+            RangeQuery(radius=0.3, exhaustive=True).bind(pattern_query)
+        ).matches
         assert len(exhaustive) >= len(concise)
 
     def test_empty_for_alien_query(self, planted_db, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         alien = Sequence.from_values(np.full(20, 500.0), seq_id="alien")
-        assert matcher.range_search(alien, 1.0) == []
+        assert matcher.execute(RangeQuery(radius=1.0).bind(alien)).matches == []
 
     def test_results_deduplicated(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        results = matcher.range_search(pattern_query, 0.5)
+        results = matcher.execute(RangeQuery(radius=0.5).bind(pattern_query)).matches
         spans = [(m.source_id, m.query_start, m.query_stop, m.db_start, m.db_stop) for m in results]
         assert len(spans) == len(set(spans))
 
@@ -192,25 +189,20 @@ class TestTypeI:
 class TestTypeIII:
     def test_finds_near_zero_distance(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        best = matcher.nearest_subsequence(pattern_query, NearestSubsequenceQuery(max_radius=10.0))
+        best = matcher.execute(NearestSubsequenceQuery(max_radius=10.0).bind(pattern_query)).best
         assert best is not None
         assert best.distance <= 0.5
         assert best.source_id.startswith("with-pattern")
-
-    def test_accepts_bare_float(self, planted_db, pattern_query, config):
-        matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        best = matcher.nearest_subsequence(pattern_query, 10.0)
-        assert best is not None
 
     def test_raises_when_max_radius_too_small(self, planted_db, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         alien = Sequence.from_values(np.full(20, 500.0), seq_id="alien")
         with pytest.raises(QueryError):
-            matcher.nearest_subsequence(alien, NearestSubsequenceQuery(max_radius=1.0))
+            matcher.execute(NearestSubsequenceQuery(max_radius=1.0).bind(alien))
 
     def test_stats_accumulate_over_radius_search(self, planted_db, pattern_query, config):
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        matcher.nearest_subsequence(pattern_query, NearestSubsequenceQuery(max_radius=10.0))
+        matcher.execute(NearestSubsequenceQuery(max_radius=10.0).bind(pattern_query))
         assert matcher.last_query_stats.index_distance_computations > 0
 
 
@@ -221,7 +213,7 @@ class TestStringMatching:
         query = Sequence.from_string(
             "ACDEFGHIKL", string_database["s1"].alphabet
         )
-        best = matcher.longest_similar(query, 2.0)
+        best = matcher.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert best is not None
         assert best.source_id in {"s1", "s2"}
         # The planted motif sits at offset 10 in both s1 and s2.

@@ -205,7 +205,7 @@ class TestPipelineMatchesLegacyOrchestration:
         config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         expected = _legacy_query(matcher, query, 0.5, "range")
-        actual = matcher.range_search(query, RangeQuery(radius=0.5))
+        actual = matcher.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert sorted(map(_match_key, actual)) == sorted(map(_match_key, expected))
 
     @pytest.mark.parametrize("index_name", ALL_INDEXES)
@@ -214,7 +214,7 @@ class TestPipelineMatchesLegacyOrchestration:
         config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         expected = _legacy_query(matcher, query, 0.5, "longest")
-        actual = matcher.longest_similar(query, 0.5)
+        actual = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert (actual is None) == (expected is None)
         if actual is not None:
             assert _match_key(actual) == _match_key(expected)
@@ -224,7 +224,7 @@ class TestPipelineMatchesLegacyOrchestration:
         matcher = SubsequenceMatcher(string_database, Levenshtein(), config)
         query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
         expected = _legacy_query(matcher, query, 2.0, "longest")
-        actual = matcher.longest_similar(query, 2.0)
+        actual = matcher.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert _match_key(actual) == _match_key(expected)
 
     def test_prefilter_does_not_change_matcher_results(self, planted):
@@ -236,8 +236,8 @@ class TestPipelineMatchesLegacyOrchestration:
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, index="linear-scan", prefilter=False),
         )
-        got = with_pf.range_search(query, 0.5)
-        want = without_pf.range_search(query, 0.5)
+        got = with_pf.execute(RangeQuery(radius=0.5).bind(query)).matches
+        want = without_pf.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert sorted(map(_match_key, got)) == sorted(map(_match_key, want))
         assert with_pf.last_query_stats.prefilter_evaluations > 0
         assert without_pf.last_query_stats.prefilter_evaluations == 0
@@ -291,7 +291,7 @@ class TestQueryStatsPipeline:
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
-        matcher.range_search(query, 0.5)
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         stats = matcher.last_query_stats
         for stage in ("segment", "probe", "chain", "verify"):
             assert stage in stats.stage_timings
@@ -302,7 +302,7 @@ class TestQueryStatsPipeline:
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
-        best = matcher.nearest_subsequence(query, NearestSubsequenceQuery(max_radius=10.0))
+        best = matcher.execute(NearestSubsequenceQuery(max_radius=10.0).bind(query)).best
         assert best is not None
         stats = matcher.last_query_stats
         assert len(stats.passes) > 1
@@ -362,66 +362,43 @@ class TestQueryStatsPipeline:
         matcher.check_incremental_invariants([query], RangeQuery(radius=0.5))
 
 
-class TestBatchQueryAndSharedCache:
-    def test_batch_query_matches_individual_queries(self, planted):
+class TestExecuteManyAndSharedCache:
+    def test_execute_many_matches_individual_queries(self, planted):
         db, query = planted
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
         other = Sequence.from_values(np.asarray(db["p2"].values[14:38]) + 0.01, seq_id="q2")
-        spec = LongestSubsequenceQuery(radius=0.5)
-        batch_results = matcher.batch_query([query, other], spec)
+        specs = [LongestSubsequenceQuery(radius=0.5).bind(q) for q in (query, other)]
+        batch_results = matcher.execute_many(specs)
         assert len(batch_results) == 2
         assert len(matcher.last_batch_stats) == 2
-        individual = [matcher.longest_similar(query, spec), matcher.longest_similar(other, spec)]
-        for got, want in zip(batch_results, individual):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert _match_key(got) == _match_key(want)
-
-    def test_batch_query_survives_per_query_failure(self, planted):
-        db, query = planted
-        matcher = SubsequenceMatcher(
-            db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
-        )
-        alien = Sequence.from_values(np.full(20, 500.0), seq_id="alien")
-        results = matcher.batch_query(
-            [query, alien], NearestSubsequenceQuery(max_radius=1.0)
-        )
-        # The alien query has no segment match at max_radius (QueryError in
-        # the single-query method); the batch keeps going and reports None.
-        assert len(results) == 2
-        assert results[1] is None
-        assert len(matcher.last_batch_stats) == 2
-
-    def test_batch_query_range_spec_from_float(self, planted):
-        db, query = planted
-        matcher = SubsequenceMatcher(
-            db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
-        )
-        results = matcher.batch_query([query], 0.5)
-        assert isinstance(results[0], list)
+        for got, spec in zip(batch_results, specs):
+            want = matcher.execute(spec).best
+            assert (got.best is None) == (want is None)
+            if want is not None:
+                assert _match_key(got.best) == _match_key(want)
 
     def test_shared_cache_across_matchers(self, planted):
         db, query = planted
         cache = shared_cache("test-frechet-equivalence")
         config = MatcherConfig(min_length=12, max_shift=1)
         first = SubsequenceMatcher(db, DiscreteFrechet(), config, cache=cache)
-        first.longest_similar(query, 0.5)
+        first.execute(LongestSubsequenceQuery(radius=0.5).bind(query))
         entries_after_first = len(cache)
         assert entries_after_first > 0
         second = SubsequenceMatcher(db, DiscreteFrechet(), config, cache=cache)
         # The shared cache survives the second matcher's construction...
         assert len(cache) >= entries_after_first
-        second.longest_similar(query, 0.5)
+        second.execute(LongestSubsequenceQuery(radius=0.5).bind(query))
         # ...and answers its probes: the second matcher computes fewer
         # fresh distances than the first did.
         assert (
             second.last_query_stats.total_cache_hits
             >= first.last_query_stats.total_cache_hits
         )
-        result_first = first.longest_similar(query, 0.5)
-        result_second = second.longest_similar(query, 0.5)
+        result_first = first.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        result_second = second.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert _match_key(result_first) == _match_key(result_second)
 
     def test_refresh_preserves_shared_cache(self, planted):
@@ -497,8 +474,8 @@ class TestExecutorEquivalence:
         assert parallel.pipeline.executor.name == executor
 
         # Type I: identical match lists, in the same order.
-        serial_range = serial.range_search(query, RangeQuery(radius=0.5))
-        parallel_range = parallel.range_search(query, RangeQuery(radius=0.5))
+        serial_range = serial.execute(RangeQuery(radius=0.5).bind(query)).matches
+        parallel_range = parallel.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert list(map(_full_match_key, parallel_range)) == list(
             map(_full_match_key, serial_range)
         )
@@ -507,8 +484,8 @@ class TestExecutorEquivalence:
         )
 
         # Type II.
-        serial_longest = serial.longest_similar(query, 0.5)
-        parallel_longest = parallel.longest_similar(query, 0.5)
+        serial_longest = serial.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        parallel_longest = parallel.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert _full_match_key(parallel_longest) == _full_match_key(serial_longest)
         assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
             serial.last_query_stats
@@ -516,8 +493,8 @@ class TestExecutorEquivalence:
 
         # Type III: the whole radius sweep, pass history included.
         spec = NearestSubsequenceQuery(max_radius=10.0)
-        serial_nearest = serial.nearest_subsequence(query, spec)
-        parallel_nearest = parallel.nearest_subsequence(query, spec)
+        serial_nearest = serial.execute(spec.bind(query)).best
+        parallel_nearest = parallel.execute(spec.bind(query)).best
         assert _full_match_key(parallel_nearest) == _full_match_key(serial_nearest)
         assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
             serial.last_query_stats
@@ -543,8 +520,8 @@ class TestExecutorEquivalence:
             MatcherConfig(executor=executor, workers=4, **config),
         )
         query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
-        serial_result = serial.longest_similar(query, 2.0)
-        parallel_result = parallel.longest_similar(query, 2.0)
+        serial_result = serial.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
+        parallel_result = parallel.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert _full_match_key(parallel_result) == _full_match_key(serial_result)
         assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
             serial.last_query_stats
@@ -627,74 +604,6 @@ class TestExecutorEquivalence:
         serial_cache, parallel_cache = caches
         assert list(parallel_cache.iter_entries()) == list(serial_cache.iter_entries())
 
-    @pytest.mark.parametrize("log_format", ["columnar", "object"])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_log_formats_match_serial(self, planted, executor, log_format):
-        """Both record/replay encodings reproduce the serial accounting."""
-        db, query = planted
-        serial = SubsequenceMatcher(
-            db,
-            DiscreteFrechet(),
-            MatcherConfig(
-                min_length=12, max_shift=1, index="linear-scan", executor="serial"
-            ),
-        )
-        parallel = SubsequenceMatcher(
-            db,
-            DiscreteFrechet(),
-            MatcherConfig(
-                min_length=12,
-                max_shift=1,
-                index="linear-scan",
-                executor=executor,
-                workers=4,
-                log_format=log_format,
-            ),
-        )
-        serial_range = serial.range_search(query, RangeQuery(radius=0.5))
-        parallel_range = parallel.range_search(query, RangeQuery(radius=0.5))
-        assert list(map(_full_match_key, parallel_range)) == list(
-            map(_full_match_key, serial_range)
-        )
-        assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
-            serial.last_query_stats
-        )
-
-    @pytest.mark.parametrize("transport", ["pickle", "auto", "shared"])
-    def test_process_transports_match_serial(self, planted, transport):
-        """The payload transport never leaks into results or counters."""
-        db, query = planted
-        serial = SubsequenceMatcher(
-            db,
-            DiscreteFrechet(),
-            MatcherConfig(
-                min_length=12, max_shift=1, index="linear-scan", executor="serial"
-            ),
-        )
-        parallel = SubsequenceMatcher(
-            db,
-            DiscreteFrechet(),
-            MatcherConfig(
-                min_length=12,
-                max_shift=1,
-                index="linear-scan",
-                executor="process",
-                workers=4,
-                transport=transport,
-            ),
-        )
-        try:
-            serial_range = serial.range_search(query, RangeQuery(radius=0.5))
-            parallel_range = parallel.range_search(query, RangeQuery(radius=0.5))
-            assert list(map(_full_match_key, parallel_range)) == list(
-                map(_full_match_key, serial_range)
-            )
-            assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
-                serial.last_query_stats
-            )
-        finally:
-            parallel.close()
-
     def test_executor_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
         assert MatcherConfig(min_length=12).executor == "thread"
@@ -708,7 +617,7 @@ class TestExecutorEquivalence:
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, executor="thread", workers=2),
         )
-        matcher.range_search(query, 0.5)
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         stats = matcher.last_query_stats
         assert stats.executor == "thread"
         assert stats.workers == 2
@@ -724,30 +633,28 @@ class TestExecutorEquivalence:
 
 
 def _available_compiled_kernels():
-    """Concrete compiled providers usable on this machine (pyloop always)."""
+    """The C kernels, where a compiler is available."""
     from repro.distances.compiled import make_provider
 
-    names = ["pyloop"]
-    for name in ("cc", "numba"):
-        try:
-            make_provider(name)
-        except Exception:
-            continue
-        names.append(name)
-    return names
+    try:
+        make_provider("cc")
+    except Exception:
+        return []
+    return ["cc"]
 
 
 class TestKernelBackendEquivalence:
     """Compiled kernels must be *undetectable* from results and counters.
 
     The same contract the executors honour, along the other axis: for every
-    available compiled provider and for both the serial and the thread
-    executor, matches AND work counters must be identical to the NumPy
-    matcher -- the kernel knob may only change speed (and the
-    ``kernel_backend`` label on the stats).
+    available compiled provider and for every executor (the process pool's
+    workers must run the kernel the matcher was configured with), matches
+    AND work counters must be identical to the NumPy matcher -- the kernel
+    knob may only change speed (and the ``kernel_backend`` label on the
+    stats).
     """
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("kernel", _available_compiled_kernels())
     def test_all_query_types_match_numpy(self, planted, kernel, executor):
         db, query = planted
@@ -767,8 +674,8 @@ class TestKernelBackendEquivalence:
         oracle = make("numpy", "serial")
         subject = make(kernel, executor)
 
-        serial_range = oracle.range_search(query, RangeQuery(radius=0.5))
-        subject_range = subject.range_search(query, RangeQuery(radius=0.5))
+        serial_range = oracle.execute(RangeQuery(radius=0.5).bind(query)).matches
+        subject_range = subject.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert list(map(_full_match_key, subject_range)) == list(
             map(_full_match_key, serial_range)
         )
@@ -778,16 +685,16 @@ class TestKernelBackendEquivalence:
         assert subject.last_query_stats.kernel_backend == kernel
         assert oracle.last_query_stats.kernel_backend == "numpy"
 
-        serial_longest = oracle.longest_similar(query, 0.5)
-        subject_longest = subject.longest_similar(query, 0.5)
+        serial_longest = oracle.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        subject_longest = subject.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert _full_match_key(subject_longest) == _full_match_key(serial_longest)
         assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
             oracle.last_query_stats
         )
 
         spec = NearestSubsequenceQuery(max_radius=10.0)
-        serial_nearest = oracle.nearest_subsequence(query, spec)
-        subject_nearest = subject.nearest_subsequence(query, spec)
+        serial_nearest = oracle.execute(spec.bind(query)).best
+        subject_nearest = subject.execute(spec.bind(query)).best
         assert _full_match_key(subject_nearest) == _full_match_key(serial_nearest)
         assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
             oracle.last_query_stats
@@ -808,23 +715,24 @@ class TestKernelBackendEquivalence:
             string_database, Levenshtein(), MatcherConfig(kernel=kernel, **config)
         )
         query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
-        oracle_result = oracle.longest_similar(query, 2.0)
-        subject_result = subject.longest_similar(query, 2.0)
+        oracle_result = oracle.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
+        subject_result = subject.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert _full_match_key(subject_result) == _full_match_key(oracle_result)
         assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
             oracle.last_query_stats
         )
         assert subject.last_query_stats.prefilter_evaluations > 0
 
-    def test_set_kernel_switches_live_matcher(self, planted):
+    @pytest.mark.parametrize("kernel", _available_compiled_kernels())
+    def test_set_kernel_switches_live_matcher(self, planted, kernel):
         db, query = planted
         matcher = SubsequenceMatcher(
             db,
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, index="linear-scan", kernel="numpy"),
         )
-        matcher.range_search(query, RangeQuery(radius=0.5))
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         assert matcher.last_query_stats.kernel_backend == "numpy"
-        matcher.set_kernel("pyloop")
-        matcher.range_search(query, RangeQuery(radius=0.5))
-        assert matcher.last_query_stats.kernel_backend == "pyloop"
+        matcher.set_kernel(kernel)
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
+        assert matcher.last_query_stats.kernel_backend == kernel

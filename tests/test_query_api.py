@@ -2,8 +2,7 @@
 
 The redesign's contract: the query spec dataclasses are the single source
 of truth for what a query means, ``execute(spec)`` is the one entry point
-every backend serves, the legacy methods are thin wrappers that route
-through specs, and ``execute_many`` accepts heterogeneous query types.
+every backend serves, and ``execute_many`` accepts heterogeneous query types.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro import (
     SubsequenceMatcher,
     TopKQuery,
 )
-from repro.core.queries import BaseQuery, QueryStats, match_ranking_key
+from repro.core.queries import QueryStats, match_ranking_key
 
 
 @pytest.fixture
@@ -108,81 +107,6 @@ class TestSpecBinding:
         assert description["k"] == 3
         assert description["max_radius"] == 5.0
         assert "query" not in description
-
-
-class TestExecuteMatchesLegacy:
-    """execute() and the legacy wrappers are the same query, same accounting."""
-
-    def test_range(self, planted_db, pattern_query, config):
-        legacy = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        declarative = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        via_method = legacy.range_search(pattern_query, 0.5)
-        result = declarative.execute(RangeQuery(radius=0.5).bind(pattern_query))
-        assert match_identities(result.matches) == match_identities(via_method)
-        assert work_counters(result.stats) == work_counters(legacy.last_query_stats)
-
-    def test_longest(self, planted_db, pattern_query, config):
-        legacy = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        declarative = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        via_method = legacy.longest_similar(pattern_query, 0.5)
-        result = declarative.execute(LongestSubsequenceQuery(radius=0.5).bind(pattern_query))
-        assert match_identities(result.matches) == match_identities([via_method])
-        assert work_counters(result.stats) == work_counters(legacy.last_query_stats)
-
-    def test_nearest(self, planted_db, pattern_query, config):
-        legacy = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        declarative = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        via_method = legacy.nearest_subsequence(pattern_query, 10.0)
-        result = declarative.execute(
-            NearestSubsequenceQuery(max_radius=10.0).bind(pattern_query)
-        )
-        assert match_identities(result.matches) == match_identities([via_method])
-        assert work_counters(result.stats) == work_counters(legacy.last_query_stats)
-
-    def test_sharded_backends_serve_the_same_specs(self, planted_db, pattern_query, config):
-        sharded = ShardedMatcher(planted_db, DiscreteFrechet(), config, shards=2)
-        via_method = sharded.range_search(pattern_query, 0.5)
-        result = sharded.execute(RangeQuery(radius=0.5).bind(pattern_query))
-        assert match_identities(result.matches) == match_identities(via_method)
-
-
-class TestLegacyEntryPointsRouteThroughSpecs:
-    """Every public query entry point round-trips through a spec object."""
-
-    @pytest.fixture
-    def bind_spy(self, monkeypatch):
-        seen = []
-        original = BaseQuery.bind
-
-        def spy(self, query):
-            seen.append(type(self))
-            return original(self, query)
-
-        monkeypatch.setattr(BaseQuery, "bind", spy)
-        return seen
-
-    def test_plain_matcher_wrappers(self, matcher, pattern_query, bind_spy):
-        matcher.range_search(pattern_query, 0.5)
-        matcher.longest_similar(pattern_query, 0.5)
-        matcher.nearest_subsequence(pattern_query, 10.0)
-        matcher.topk_subsequences(pattern_query, 2, max_radius=10.0)
-        matcher.batch_query([pattern_query], 0.5)
-        assert bind_spy == [
-            RangeQuery,
-            LongestSubsequenceQuery,
-            NearestSubsequenceQuery,
-            TopKQuery,
-            RangeQuery,
-        ]
-
-    def test_sharded_matcher_wrappers(self, planted_db, pattern_query, config, bind_spy):
-        sharded = ShardedMatcher(planted_db, DiscreteFrechet(), config, shards=2)
-        bind_spy.clear()  # construction does not query
-        sharded.longest_similar(pattern_query, 0.5)
-        assert LongestSubsequenceQuery in bind_spy
-        bind_spy.clear()
-        sharded.nearest_subsequence(pattern_query, 10.0)
-        assert NearestSubsequenceQuery in bind_spy
 
 
 class TestQueryResultEnvelope:
@@ -282,18 +206,6 @@ class TestExecuteMany:
         assert results[0].matches == []
         assert results[1].error is None and results[1].best is not None
 
-    def test_batch_query_wrapper_matches_execute_many(self, planted_db, pattern_query, config):
-        legacy = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        declarative = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        queries = [pattern_query, Sequence.from_values(np.full(20, 500.0), seq_id="alien")]
-        via_batch = legacy.batch_query(queries, LongestSubsequenceQuery(radius=0.5))
-        via_many = declarative.execute_many(
-            [LongestSubsequenceQuery(radius=0.5).bind(query) for query in queries]
-        )
-        assert [m and match_identities([m]) for m in via_batch] == [
-            match_identities(r.matches) if r.matches else None for r in via_many
-        ]
-
 
 class TestRankingKey:
     def test_total_order_breaks_distance_ties(self):
@@ -311,27 +223,3 @@ class TestRankingKey:
         near = SubsequenceMatch(0.5, "z", 0, 12, 0, 12)
         far = SubsequenceMatch(2.0, "a", 0, 40, 0, 40)
         assert match_ranking_key(near) < match_ranking_key(far)
-
-
-class TestLegacyDeprecation:
-    """The per-type wrappers still work but steer callers to execute()."""
-
-    def test_range_search_warns(self, matcher, pattern_query):
-        with pytest.warns(DeprecationWarning, match="range_search"):
-            matcher.range_search(pattern_query, 0.5)
-
-    def test_longest_similar_warns(self, matcher, pattern_query):
-        with pytest.warns(DeprecationWarning, match="longest_similar"):
-            matcher.longest_similar(pattern_query, 0.5)
-
-    def test_nearest_subsequence_warns(self, matcher, pattern_query):
-        with pytest.warns(DeprecationWarning, match="nearest_subsequence"):
-            matcher.nearest_subsequence(pattern_query, 5.0)
-
-    def test_execute_does_not_warn(self, matcher, pattern_query):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            matcher.execute(RangeQuery(radius=0.5).bind(pattern_query))
-            matcher.execute(TopKQuery(k=1, max_radius=10.0).bind(pattern_query))

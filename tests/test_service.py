@@ -91,6 +91,11 @@ class TestBackends:
         with pytest.raises(StorageError):
             service.execute(TOPK.bind(pattern_query))
 
+    def test_unqueried_service_close_does_not_load(self, tmp_path):
+        service = SearchService(tmp_path / "missing-snapshot.json")
+        service.close()
+        assert not service.loaded
+
     def test_execute_many_delegates(self, planted_db, pattern_query, config):
         service = SearchService(SubsequenceMatcher(planted_db, DiscreteFrechet(), config))
         results = service.execute_many(

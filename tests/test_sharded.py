@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import (
     DiscreteFrechet,
+    LongestSubsequenceQuery,
     MatcherConfig,
     NearestSubsequenceQuery,
     QueryStats,
@@ -97,8 +98,8 @@ class TestShardedVersusSingle:
         assert sharded.shard_count == shards
 
         # Type I: identical match sets.
-        single_range = single.range_search(planted_query, RangeQuery(radius=0.5))
-        sharded_range = sharded.range_search(planted_query, RangeQuery(radius=0.5))
+        single_range = single.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
+        sharded_range = sharded.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
         assert sorted(map(_match_key, sharded_range)) == sorted(
             map(_match_key, single_range)
         )
@@ -110,8 +111,9 @@ class TestShardedVersusSingle:
         assert sharded.last_query_stats.shards == shards
 
         # Type II: same length and distance.
-        single_longest = single.longest_similar(planted_query, 0.5)
-        sharded_longest = sharded.longest_similar(planted_query, 0.5)
+        longest = LongestSubsequenceQuery(radius=0.5).bind(planted_query)
+        single_longest = single.execute(longest).best
+        sharded_longest = sharded.execute(longest).best
         assert (single_longest is None) == (sharded_longest is None)
         if single_longest is not None:
             assert sharded_longest.length == single_longest.length
@@ -122,8 +124,8 @@ class TestShardedVersusSingle:
         # Type III: the global radius sweep visits the same radii, so the
         # pass count and the answer's distance both line up.
         spec = NearestSubsequenceQuery(max_radius=10.0)
-        single_nearest = single.nearest_subsequence(planted_query, spec)
-        sharded_nearest = sharded.nearest_subsequence(planted_query, spec)
+        single_nearest = single.execute(spec.bind(planted_query)).best
+        sharded_nearest = sharded.execute(spec.bind(planted_query)).best
         assert (single_nearest is None) == (sharded_nearest is None)
         if single_nearest is not None:
             assert sharded_nearest.distance == pytest.approx(
@@ -154,25 +156,24 @@ class TestShardedVersusSingle:
                     min_length=12, max_shift=1, executor=executor, workers=4, shards=3
                 ),
             )
-            results = sharded.range_search(planted_query, 0.5)
+            results = sharded.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
             outcomes[executor] = (
                 list(map(_match_key, results)),
                 {name: getattr(sharded.last_query_stats, name) for name in counters},
             )
         assert outcomes["serial"] == outcomes["thread"]
 
-    def test_batch_query_and_failure_isolation(self, planted_db, planted_query):
+    def test_execute_many_and_failure_isolation(self, planted_db, planted_query):
         sharded = ShardedMatcher(
             _copy_database(planted_db),
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, shards=2),
         )
         alien = Sequence.from_values(np.full(20, 5000.0), seq_id="alien")
-        results = sharded.batch_query(
-            [planted_query, alien], NearestSubsequenceQuery(max_radius=1.0)
-        )
+        spec = NearestSubsequenceQuery(max_radius=1.0)
+        results = sharded.execute_many([spec.bind(planted_query), spec.bind(alien)])
         assert len(results) == 2
-        assert results[1] is None
+        assert results[1].error is not None and not results[1].matches
         assert len(sharded.last_batch_stats) == 2
 
 
@@ -198,8 +199,8 @@ class TestShardedUpdates:
         single.remove_sequence("s1")
         sharded.remove_sequence("s1")
 
-        single_range = single.range_search(planted_query, 0.5)
-        sharded_range = sharded.range_search(planted_query, 0.5)
+        single_range = single.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
+        sharded_range = sharded.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
         assert sorted(map(_match_key, sharded_range)) == sorted(
             map(_match_key, single_range)
         )
@@ -298,13 +299,13 @@ class TestShardedUpdates:
             sharded.add_sequence(sequence, seq_id=f"extra-{added}")
             added += 1
 
-        single_range = single.range_search(query, 0.5)
-        sharded_range = sharded.range_search(query, 0.5)
+        single_range = single.execute(RangeQuery(radius=0.5).bind(query)).matches
+        sharded_range = sharded.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert sorted(map(_match_key, sharded_range)) == sorted(
             map(_match_key, single_range)
         )
-        single_longest = single.longest_similar(query, 0.5)
-        sharded_longest = sharded.longest_similar(query, 0.5)
+        single_longest = single.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        sharded_longest = sharded.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert (single_longest is None) == (sharded_longest is None)
         if single_longest is not None:
             assert sharded_longest.length == single_longest.length
@@ -320,17 +321,17 @@ class TestShardedSnapshots:
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, shards=3),
         )
-        before = sharded.range_search(planted_query, 0.5)
+        before = sharded.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
         path = tmp_path / "sharded.npz"
         save_matcher(sharded, path)
         loaded = load_matcher(path)
         assert isinstance(loaded, ShardedMatcher)
         assert loaded.shard_count == 3
-        after = loaded.range_search(planted_query, 0.5)
+        after = loaded.execute(RangeQuery(radius=0.5).bind(planted_query)).matches
         assert list(map(_match_key, after)) == list(map(_match_key, before))
         # Zero rebuild on load: the loaded matcher answers from the
         # persisted caches exactly like the (now warm) saved matcher does.
-        sharded.range_search(planted_query, 0.5)
+        sharded.execute(RangeQuery(radius=0.5).bind(planted_query))
         assert (
             loaded.last_query_stats.index_distance_computations
             == sharded.last_query_stats.index_distance_computations

@@ -8,21 +8,27 @@ work counters, which only holds because the snapshot persists the built
 index structure *and* the distance-cache contents.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import (
+    ConfigurationError,
     DiscreteFrechet,
     Levenshtein,
     LongestSubsequenceQuery,
     MatcherConfig,
     NearestSubsequenceQuery,
     PROTEIN_ALPHABET,
+    RangeQuery,
     Sequence,
     SequenceDatabase,
     SequenceKind,
+    ShardedMatcher,
     StorageError,
     SubsequenceMatcher,
+    TopKQuery,
     load_matcher,
     save_database,
     save_matcher,
@@ -53,12 +59,12 @@ def run_all_query_types(matcher, query):
     """Run Type I, II, and III; return (results repr, stats list)."""
     outputs = []
     stats = []
-    outputs.append(repr(matcher.range_search(query, 0.5)))
+    outputs.append(repr(matcher.execute(RangeQuery(radius=0.5).bind(query)).matches))
     stats.append(matcher.last_query_stats)
-    outputs.append(repr(matcher.longest_similar(query, LongestSubsequenceQuery(radius=0.5))))
+    outputs.append(repr(matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best))
     stats.append(matcher.last_query_stats)
     outputs.append(
-        repr(matcher.nearest_subsequence(query, NearestSubsequenceQuery(max_radius=10.0)))
+        repr(matcher.execute(NearestSubsequenceQuery(max_radius=10.0).bind(query)).best)
     )
     stats.append(matcher.last_query_stats)
     return outputs, stats
@@ -143,7 +149,7 @@ class TestSnapshotRoundtrip:
         and exporting it crashed with a raw KeyError."""
         config = MatcherConfig(min_length=12, max_shift=1, index="reference-based")
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        matcher.range_search(pattern_query, 0.5)  # elect references
+        matcher.execute(RangeQuery(radius=0.5).bind(pattern_query))  # elect references
         reference_source = matcher.index._reference_keys[0][0]
         matcher.remove_sequence(reference_source)
         assert matcher.index.is_stale
@@ -151,9 +157,8 @@ class TestSnapshotRoundtrip:
         save_matcher(matcher, path)
         loaded = load_matcher(path)
         assert loaded.index.is_stale  # staleness persisted faithfully
-        assert repr(loaded.range_search(pattern_query, 0.5)) == repr(
-            matcher.range_search(pattern_query, 0.5)
-        )
+        spec = RangeQuery(radius=0.5).bind(pattern_query)
+        assert repr(loaded.execute(spec).matches) == repr(matcher.execute(spec).matches)
 
     def test_string_database_snapshot(self, string_database, tmp_path):
         config = MatcherConfig(min_length=8, max_shift=1)
@@ -162,9 +167,8 @@ class TestSnapshotRoundtrip:
         save_matcher(original, path)
         loaded = load_matcher(path)
         query = Sequence.from_string("ACDEFGHIKL", PROTEIN_ALPHABET)
-        assert repr(loaded.longest_similar(query, 2.0)) == repr(
-            original.longest_similar(query, 2.0)
-        )
+        spec = LongestSubsequenceQuery(radius=2.0).bind(query)
+        assert repr(loaded.execute(spec).best) == repr(original.execute(spec).best)
         assert_same_stats(original.last_query_stats, loaded.last_query_stats)
 
     def test_trajectory_database_snapshot(self, tmp_path):
@@ -179,9 +183,8 @@ class TestSnapshotRoundtrip:
         save_matcher(original, path)
         loaded = load_matcher(path)
         query = Sequence.from_points(pattern[5:25] + 0.01, seq_id="q")
-        assert repr(loaded.range_search(query, 0.5)) == repr(
-            original.range_search(query, 0.5)
-        )
+        spec = RangeQuery(radius=0.5).bind(query)
+        assert repr(loaded.execute(spec).matches) == repr(original.execute(spec).matches)
         assert_same_stats(original.last_query_stats, loaded.last_query_stats)
 
 
@@ -279,3 +282,95 @@ class TestOldCachePoolLayout:
         assert old_out == new_out
         for first, second in zip(new_stats, old_stats):
             assert_same_stats(first, second, context=index_name)
+
+
+class TestRetiredExecutionOptions:
+    """Snapshots written when ``MatcherConfig`` still carried a payload
+    transport, a replay-log format and more kernel names keep loading."""
+
+    @staticmethod
+    def rewrite_config(path, **options):
+        """Add ``options`` to every config block of the snapshot at ``path``."""
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+        for block in [metadata, *metadata.get("shards", [])]:
+            block["config"].update(options)
+        arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("kernel", ["compiled", "numba", "pyloop"])
+    def test_old_config_loads_and_answers_like_a_fresh_matcher(
+        self, planted_db, pattern_query, tmp_path, kernel, shards
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, shards=shards)
+        build = SubsequenceMatcher if shards == 1 else ShardedMatcher
+        path = tmp_path / "old.npz"
+        save_matcher(build(planted_db, DiscreteFrechet(), config), path)
+        self.rewrite_config(path, transport="shared", log_format="object", kernel=kernel)
+
+        loaded = load_matcher(path)
+        fresh = build(planted_db, DiscreteFrechet(), config)
+        assert loaded.config.kernel == "auto"
+        assert not hasattr(loaded.config, "transport")
+        for spec in (
+            RangeQuery(radius=0.5),
+            LongestSubsequenceQuery(radius=0.5),
+            NearestSubsequenceQuery(max_radius=10.0),
+            TopKQuery(k=3, max_radius=10.0),
+        ):
+            got, want = loaded.execute(spec.bind(pattern_query)), fresh.execute(
+                spec.bind(pattern_query)
+            )
+            assert got.matches and repr(got.matches) == repr(want.matches)
+            assert_same_stats(got.stats, want.stats, context=spec.kind)
+
+    def test_retired_options_are_rejected_by_the_constructor(self, monkeypatch):
+        with pytest.raises(TypeError):
+            MatcherConfig(min_length=12, transport="pickle")
+        monkeypatch.setenv("REPRO_KERNEL", "pyloop")
+        with pytest.raises(ConfigurationError, match="auto, numpy, cc"):
+            MatcherConfig(min_length=12)
+
+    @pytest.mark.parametrize("option", [{"transport": "pickle"}, {"log_format": "columnar"}])
+    def test_each_retired_option_is_a_type_error(self, option):
+        # Only a snapshot's saved config is forgiven; a caller is told.
+        with pytest.raises(TypeError):
+            MatcherConfig(min_length=12, **option)
+
+    @pytest.mark.parametrize("kernel", ["compiled", "numba", "pyloop"])
+    def test_retired_kernel_names_are_configuration_errors(self, monkeypatch, kernel):
+        with pytest.raises(ConfigurationError, match="auto, numpy, cc"):
+            MatcherConfig(min_length=12, kernel=kernel)
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        with pytest.raises(ConfigurationError, match="auto, numpy, cc"):
+            MatcherConfig(min_length=12)
+
+    @pytest.mark.parametrize("variable", ["REPRO_TRANSPORT", "REPRO_LOG_FORMAT"])
+    def test_retired_environment_variables_are_ignored(
+        self, planted_db, pattern_query, monkeypatch, variable
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, index="linear-scan")
+        want = SubsequenceMatcher(planted_db, DiscreteFrechet(), config).execute(
+            RangeQuery(radius=0.5).bind(pattern_query)
+        )
+        monkeypatch.setenv(variable, "no-such-value")
+        config = MatcherConfig(min_length=12, max_shift=1, index="linear-scan")
+        got = SubsequenceMatcher(planted_db, DiscreteFrechet(), config).execute(
+            RangeQuery(radius=0.5).bind(pattern_query)
+        )
+        assert got.matches and repr(got.matches) == repr(want.matches)
+        assert_same_stats(got.stats, want.stats, context=variable)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
+    def test_offered_kernel_names_survive_loading(
+        self, planted_db, pattern_query, tmp_path, kernel, shards
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, shards=shards, kernel=kernel)
+        build = SubsequenceMatcher if shards == 1 else ShardedMatcher
+        path = tmp_path / "current.npz"
+        save_matcher(build(planted_db, DiscreteFrechet(), config), path)
+        loaded = load_matcher(path)
+        assert loaded.config == config

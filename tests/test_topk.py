@@ -62,6 +62,7 @@ def config():
 
 
 SPEC = TopKQuery(k=3, max_radius=10.0)
+NEAREST = NearestSubsequenceQuery(max_radius=10.0)
 
 
 class TestTopKQueryValidation:
@@ -152,20 +153,18 @@ class TestTopKOracle:
         topk = SubsequenceMatcher(planted_db, DISTANCE(), config)
         nearest = SubsequenceMatcher(planted_db, DISTANCE(), config)
         via_topk = topk.execute(TopKQuery(k=5, max_radius=10.0).bind(pattern_query))
-        via_nearest = nearest.nearest_subsequence(pattern_query, 10.0)
+        via_nearest = nearest.execute(NEAREST.bind(pattern_query)).best
         assert match_identities(via_topk.matches[:1]) == match_identities([via_nearest])
 
 
 class TestK1NearestParity:
-    """TopKQuery(k=1) is byte-identical to nearest_subsequence."""
+    """TopKQuery(k=1) is byte-identical to NearestSubsequenceQuery."""
 
     def test_results_and_stats_identical(self, planted_db, pattern_query, config):
         distance = DISTANCE()
         via_nearest = SubsequenceMatcher(planted_db, distance, config)
         via_topk = SubsequenceMatcher(planted_db, DISTANCE(), config)
-        best = via_nearest.nearest_subsequence(
-            pattern_query, NearestSubsequenceQuery(max_radius=10.0)
-        )
+        best = via_nearest.execute(NEAREST.bind(pattern_query)).best
         result = via_topk.execute(TopKQuery(k=1, max_radius=10.0).bind(pattern_query))
         assert match_identities(result.matches) == match_identities([best])
         assert work_counters(result.stats) == work_counters(via_nearest.last_query_stats)
@@ -175,7 +174,7 @@ class TestK1NearestParity:
         via_nearest = SubsequenceMatcher(planted_db, DISTANCE(), config)
         via_topk = SubsequenceMatcher(planted_db, DISTANCE(), config)
         with pytest.raises(QueryError):
-            via_nearest.nearest_subsequence(alien, NearestSubsequenceQuery(max_radius=0.01))
+            via_nearest.execute(NearestSubsequenceQuery(max_radius=0.01).bind(alien))
         with pytest.raises(QueryError):
             via_topk.execute(TopKQuery(k=1, max_radius=0.01).bind(alien))
         assert work_counters(via_topk.last_query_stats) == work_counters(
@@ -185,7 +184,7 @@ class TestK1NearestParity:
     def test_sharded_parity(self, planted_db, pattern_query, config):
         via_nearest = ShardedMatcher(planted_db, DISTANCE(), config, shards=2)
         via_topk = ShardedMatcher(planted_db, DISTANCE(), config, shards=2)
-        best = via_nearest.nearest_subsequence(pattern_query, 10.0)
+        best = via_nearest.execute(NEAREST.bind(pattern_query)).best
         result = via_topk.execute(TopKQuery(k=1, max_radius=10.0).bind(pattern_query))
         assert match_identities(result.matches) == match_identities([best])
         assert work_counters(result.stats) == work_counters(via_nearest.last_query_stats)
