@@ -18,13 +18,12 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Sequence as TypingSequence
 
+from _baselines import CoverTree, ReferenceIndex
 from repro.analysis.pruning import PruningResult, compare_indexes
 from repro.analysis.reporting import format_table
 from repro.datasets.loaders import dataset_distance, dataset_windows
 from repro.distances.base import Distance
 from repro.indexing.base import MetricIndex
-from repro.indexing.cover_tree import CoverTree
-from repro.indexing.reference_based import ReferenceIndex
 from repro.indexing.reference_net import ReferenceNet
 from repro.sequences.windows import Window
 

@@ -6,11 +6,10 @@ observes that (a) the index cost tracks the distance CDF and (b) RN and CT
 behave similarly here, both much better than MV-20 at larger ranges.
 """
 
+from _baselines import CoverTree, ReferenceIndex
 from _harness import average_fraction, load_windows, paper_distance, run_query_figure, scaled
 from repro.analysis.distributions import distance_distribution
 from repro.analysis.reporting import format_table
-from repro.indexing.cover_tree import CoverTree
-from repro.indexing.reference_based import ReferenceIndex
 from repro.indexing.reference_net import ReferenceNet
 
 import pytest

@@ -5,10 +5,9 @@ reports "similar results", i.e. RN comparable to CT and both better than the
 larger-space MV configuration at non-trivial ranges.
 """
 
+from _baselines import CoverTree, ReferenceIndex
 from _harness import average_fraction, load_windows, paper_distance, run_query_figure, scaled
 from repro.analysis.distributions import distance_distribution
-from repro.indexing.cover_tree import CoverTree
-from repro.indexing.reference_based import ReferenceIndex
 from repro.indexing.reference_net import ReferenceNet
 
 import pytest

@@ -6,10 +6,10 @@ size less than twice the size of a cover tree.  The same comparison is made
 here, including the cover-tree baseline for the size ratio claim.
 """
 
+from _baselines import CoverTree
 from _harness import load_windows, paper_distance, scaled
 from repro.analysis.reporting import format_table
 from repro.analysis.space import space_overhead_curve
-from repro.indexing.cover_tree import CoverTree
 from repro.indexing.reference_net import ReferenceNet
 
 import pytest

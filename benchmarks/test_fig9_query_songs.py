@@ -6,9 +6,8 @@ The paper's claims checked here: RN-5 performs about as well as the
 unconstrained RN, and both beat the cover tree.
 """
 
+from _baselines import CoverTree, ReferenceIndex
 from _harness import average_fraction, load_windows, paper_distance, run_query_figure
-from repro.indexing.cover_tree import CoverTree
-from repro.indexing.reference_based import ReferenceIndex
 from repro.indexing.reference_net import ReferenceNet
 
 import pytest

@@ -6,7 +6,7 @@ Efficient and Effective Subsequence Retrieval"* (PVLDB 5(11), 2012):
 * a family of sequence distances with explicit *metricity* and *consistency*
   flags (:mod:`repro.distances`);
 * the **reference net**, a linear-space, multi-parent metric index optimised
-  for range queries, plus cover-tree / reference-based / vp-tree baselines
+  for range queries, and the linear scan every figure normalises against
   (:mod:`repro.indexing`);
 * the window-segmentation subsequence-matching framework with the paper's
   three query types (:mod:`repro.core`);
@@ -83,9 +83,6 @@ from repro.indexing import (
     IndexStats,
     LinearScanIndex,
     ReferenceNet,
-    CoverTree,
-    ReferenceIndex,
-    VPTree,
 )
 from repro.storage import (
     save_database,
@@ -182,9 +179,6 @@ __all__ = [
     "IndexStats",
     "LinearScanIndex",
     "ReferenceNet",
-    "CoverTree",
-    "ReferenceIndex",
-    "VPTree",
     # core framework
     "MatcherConfig",
     "QueryResult",

@@ -100,9 +100,8 @@ def format_index_stats(index: "MetricIndex", title: Optional[str] = None) -> str
     """Render an index's incremental-update accounting as a table.
 
     This is what the CLI's ``repro add`` and ``repro snapshot`` commands
-    print: the index's size, its documented staleness/rebuild policy, the
-    :class:`~repro.indexing.stats.IndexStats` counters, and whether the
-    structure is currently stale (i.e. the next query will rebuild first).
+    print: the index's size, its documented update policy and the
+    :class:`~repro.indexing.stats.IndexStats` counters.
     """
     stats = index.update_stats
     rows: List[List[object]] = [
@@ -111,9 +110,7 @@ def format_index_stats(index: "MetricIndex", title: Optional[str] = None) -> str
         ["incremental inserts", stats.inserts],
         ["incremental deletes", stats.deletes],
         ["bulk rebuilds", stats.rebuilds],
-        ["pending updates since build", stats.pending_updates],
         ["last rebuild reason", stats.last_rebuild_reason or "-"],
-        ["stale (rebuilds on next query)", "yes" if index.is_stale else "no"],
         ["staleness policy", index.staleness_policy],
     ]
     return format_table(["quantity", "value"], rows, title=title)

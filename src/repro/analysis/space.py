@@ -4,7 +4,9 @@ The paper grows each dataset from a few thousand windows to its full size
 and records, at each step, the number of index nodes, the average number of
 parents per node, and the index size in megabytes.  :func:`space_overhead_curve`
 reproduces that sweep for any index factory that exposes a ``stats()``
-method (the reference net and the cover tree both do).
+method: the reference net's :class:`ReferenceNetStats`, or a plain dict of
+``node_count`` / ``parent_link_count`` / ``average_parents`` /
+``estimated_size_bytes`` (the figure benchmarks' baselines).
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ Commands
     Print the pairwise window distance distribution of a dataset
     (the paper's Figure 4 for one dataset/distance pairing).
 ``compare-indexes``
-    Print the query-cost comparison of reference net / cover tree /
-    reference-based indexing at several ranges (Figures 8-11 style).
+    Print the query-cost comparison of the reference net (with and without
+    bound-first routing) and the prefiltered linear scan at several ranges
+    (Figures 8-11 style).
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ from repro.datasets.proteins import generate_protein_query
 from repro.datasets.songs import generate_song_query
 from repro.datasets.trajectories import generate_trajectory_query
 from repro.exceptions import ReproError
-from repro.indexing.cover_tree import CoverTree
 from repro.indexing.linear_scan import LinearScanIndex
-from repro.indexing.reference_based import ReferenceIndex
 from repro.indexing.reference_net import ReferenceNet
 from repro.storage.persistence import (
     load_database,
@@ -216,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--max-shift", type=int, default=2)
     snapshot.add_argument(
         "--index",
-        choices=["reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"],
+        choices=["reference-net", "linear-scan"],
         default="reference-net",
     )
     _add_execution_flags(snapshot)
@@ -553,8 +552,6 @@ def _cmd_compare_indexes(args: argparse.Namespace) -> int:
         # The net with bound-first routing: lower bounds settle its routing
         # before the kernels (equal to RN for a distance without a bound table).
         "RN+LB": ReferenceNet(distance, prefilter=True),
-        "CT": CoverTree(distance),
-        "MV-5": ReferenceIndex(distance, num_references=5),
         # Linear scan with lower-bound prefilters: the baseline every figure
         # normalises against, now with the cheap-bounds-before-kernels stage.
         "LS+LB": LinearScanIndex(distance, prefilter=True),

@@ -54,11 +54,10 @@ class MatcherConfig:
     nummax:
         Optional cap on the number of parents per reference-net node.
     index:
-        Which index backs the segment range queries: ``"reference-net"``,
-        ``"cover-tree"``, ``"reference-based"``, ``"vp-tree"``, or
-        ``"linear-scan"``.
-    num_references:
-        Number of references for the ``"reference-based"`` index.
+        Which index backs the segment range queries: ``"reference-net"``
+        (the paper's index; needs a metric distance) or ``"linear-scan"``
+        (any consistent distance).  The paper's comparison baselines are
+        count-only classes beside the figure benchmarks, not choices here.
     query_segment_step:
         Step between consecutive query segment start positions (1 = every
         position, exactly as in the paper; larger values trade recall for
@@ -66,7 +65,7 @@ class MatcherConfig:
     prefilter:
         Whether the matcher's step-4 distance evaluations may run the
         registered lower bounds of :mod:`repro.distances.lower_bounds` in
-        front of the DP kernels.  Two indexes consult them.  The
+        front of the DP kernels.  Both indexes consult them.  The
         ``"linear-scan"`` index does for every distance that has a bound,
         pair by pair and *after* the cache (cache -> bound -> DP; a pruned
         pair is cached as ``distance > radius``).  The ``"reference-net"``
@@ -116,7 +115,6 @@ class MatcherConfig:
     eps_prime: float = 1.0
     nummax: Optional[int] = None
     index: str = "reference-net"
-    num_references: int = 5
     query_segment_step: int = 1
     prefilter: bool = True
     cache_max_entries: Optional[int] = 262_144
@@ -125,13 +123,7 @@ class MatcherConfig:
     kernel: str = field(default_factory=_default_kernel)
     shards: int = 1
 
-    _KNOWN_INDEXES = (
-        "reference-net",
-        "cover-tree",
-        "reference-based",
-        "vp-tree",
-        "linear-scan",
-    )
+    _KNOWN_INDEXES = ("reference-net", "linear-scan")
 
     _KNOWN_EXECUTORS = ("serial", "thread", "process")
 
@@ -153,10 +145,6 @@ class MatcherConfig:
         if self.index not in self._KNOWN_INDEXES:
             raise ConfigurationError(
                 f"unknown index {self.index!r}; expected one of {self._KNOWN_INDEXES}"
-            )
-        if self.num_references < 1:
-            raise ConfigurationError(
-                f"num_references must be >= 1, got {self.num_references}"
             )
         if self.query_segment_step < 1:
             raise ConfigurationError(

@@ -55,11 +55,8 @@ from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
 from repro.exceptions import ConfigurationError, QueryError
 from repro.indexing.base import MetricIndex
-from repro.indexing.cover_tree import CoverTree
 from repro.indexing.linear_scan import LinearScanIndex
-from repro.indexing.reference_based import ReferenceIndex
 from repro.indexing.reference_net import ReferenceNet
-from repro.indexing.vp_tree import VPTree
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 from repro.sequences.windows import Window, tumbling_windows
@@ -80,12 +77,6 @@ def build_index(config: MatcherConfig, distance: Distance, cache: DistanceCache)
             cache=cache,
             prefilter=config.prefilter,
         )
-    if name == "cover-tree":
-        return CoverTree(distance, eps_prime=config.eps_prime, cache=cache)
-    if name == "reference-based":
-        return ReferenceIndex(distance, num_references=config.num_references, cache=cache)
-    if name == "vp-tree":
-        return VPTree(distance, cache=cache)
     if name == "linear-scan":
         return LinearScanIndex(distance, cache=cache, prefilter=config.prefilter)
     raise ConfigurationError(f"unknown index {name!r}")  # pragma: no cover
@@ -242,8 +233,6 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         index = self._build_index()
         for window in windows:
             index.add(window.sequence, key=window.key)
-        if isinstance(index, (ReferenceIndex, VPTree)):
-            index.build()
         self._adopt(windows, index)
 
     def _build_index(self) -> MetricIndex:
@@ -262,7 +251,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         so the cost is proportional to the new windows, not the database.
         Queries issued afterwards return exactly what a freshly rebuilt
         matcher would return (the pipeline's canonical probe order makes
-        this hold for every index class, whatever its staleness policy).
+        this hold for both index classes).
 
         Returns the id the database assigned to the sequence.
         """

@@ -31,8 +31,7 @@ decomposed into the same named stages
     :meth:`~repro.indexing.base.MetricIndex.batch_range_query`; under a
     parallel one the index's independent work units
     (:meth:`~repro.indexing.base.MetricIndex.query_work_units` -- per
-    segment for the tree indexes, per segment x shape group for the linear
-    scan) fan out over the configured
+    segment x shape group for the linear scan) fan out over the configured
     :class:`~repro.core.executor.Executor`; the reference net issues none
     and answers the whole batch in one traversal on the calling thread;
 ``chain``

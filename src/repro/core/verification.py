@@ -43,15 +43,19 @@ def chain_bounds(
     subsequence may start up to ``lambda/2 + lambda0`` before the matched
     region and end up to ``lambda/2 + lambda0`` after it, while the
     database-side subsequence may extend by up to ``lambda/2`` before its
-    first window and after its last one.  Ranges are clipped to the actual
-    sequence lengths.
+    first window and after its last one.  Inward, a subsequence may start
+    as late as the chain's last window (segment) starts and stop as early
+    as its first one stops: any admissible subsequence that contains one
+    whole window of the chain is offered, not only those containing all of
+    them.  Ranges are clipped to the actual sequence lengths.
     """
     reach_q = config.window_length + config.max_shift
     reach_x = config.window_length
-    q_starts = range(_clip(chain.query_start - reach_q, 0, query_length), chain.query_start + 1)
-    q_stops = range(chain.query_stop, _clip(chain.query_stop + reach_q, 0, query_length) + 1)
-    x_starts = range(_clip(chain.db_start - reach_x, 0, db_length), chain.db_start + 1)
-    x_stops = range(chain.db_stop, _clip(chain.db_stop + reach_x, 0, db_length) + 1)
+    first, last = chain.matches[0], chain.matches[-1]
+    q_starts = range(_clip(chain.query_start - reach_q, 0, query_length), last.query_start + 1)
+    q_stops = range(first.query_stop, _clip(chain.query_stop + reach_q, 0, query_length) + 1)
+    x_starts = range(_clip(chain.db_start - reach_x, 0, db_length), last.window.start + 1)
+    x_stops = range(first.window.stop, _clip(chain.db_stop + reach_x, 0, db_length) + 1)
     return q_starts, q_stops, x_starts, x_stops
 
 

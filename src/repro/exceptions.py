@@ -48,9 +48,9 @@ class ItemNotFoundError(IndexError_):
 class InvariantViolationError(IndexError_):
     """Raised when a structural invariant of an index is violated.
 
-    The reference net and the cover tree expose ``check_invariants``
-    methods used by the test-suite; a violation means the structure was
-    corrupted by a bug, never by user input.
+    The reference net exposes a ``check_invariants`` method used by the
+    test-suite; a violation means the structure was corrupted by a bug,
+    never by user input.
     """
 
 
@@ -63,4 +63,9 @@ class QueryError(ReproError):
 
 
 class StorageError(ReproError):
-    """Raised when persisting or loading library objects fails."""
+    """Raised when persisting or loading library objects fails.
+
+    That includes a matcher snapshot built with an index this build no
+    longer offers: it must be rebuilt as ``reference-net`` or
+    ``linear-scan``.
+    """

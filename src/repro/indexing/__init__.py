@@ -6,14 +6,14 @@ metric index.  This subpackage provides:
 * :class:`~repro.indexing.reference_net.ReferenceNet` -- the paper's
   contribution: a linear-space, multi-parent hierarchy optimised for range
   queries (Section 6 and Appendix A).
-* :class:`~repro.indexing.cover_tree.CoverTree` -- the main baseline.
-* :class:`~repro.indexing.reference_based.ReferenceIndex` -- reference-based
-  indexing with Maximum-Variance or Maximum-Pruning reference selection.
-* :class:`~repro.indexing.vp_tree.VPTree` -- an additional classic baseline.
 * :class:`~repro.indexing.linear_scan.LinearScanIndex` -- the naive lower
-  bound every figure normalises against.
+  bound every figure normalises against, and the one index that accepts a
+  non-metric distance.
 
-All indexes share the :class:`~repro.indexing.base.MetricIndex` interface
+The paper's comparison baselines are count-only classes beside the figure
+benchmarks (``benchmarks/_baselines.py``), not matcher indexes.
+
+Both indexes share the :class:`~repro.indexing.base.MetricIndex` interface
 and count every distance evaluation through a
 :class:`~repro.indexing.stats.DistanceCounter`, which is the quantity the
 paper's Figures 8-11 report.
@@ -23,9 +23,6 @@ from repro.indexing.base import BoundTable, MetricIndex, RangeMatch
 from repro.indexing.stats import DistanceCounter, CountingDistance, IndexStats
 from repro.indexing.linear_scan import LinearScanIndex
 from repro.indexing.reference_net import ReferenceNet
-from repro.indexing.cover_tree import CoverTree
-from repro.indexing.reference_based import ReferenceIndex, select_max_variance, select_max_pruning
-from repro.indexing.vp_tree import VPTree
 
 __all__ = [
     "BoundTable",
@@ -36,9 +33,4 @@ __all__ = [
     "IndexStats",
     "LinearScanIndex",
     "ReferenceNet",
-    "CoverTree",
-    "ReferenceIndex",
-    "select_max_variance",
-    "select_max_pruning",
-    "VPTree",
 ]

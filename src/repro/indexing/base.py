@@ -198,23 +198,6 @@ def run_query_work_units(
 
     counting = index._counting
     use_remote = executor.name == "process"
-    if use_remote and not any(
-        unit.remote is not None and unit.prepare is not None for unit in units
-    ):
-        # Nothing to ship to the pool and local tasks run one by one in
-        # the parent anyway: execute the units directly against the live
-        # counting context -- plain serial semantics, zero bookkeeping.
-        merged_serial: List[List[Tuple[int, RangeMatch]]] = [
-            [] for _ in range(query_count)
-        ]
-        for unit in units:
-            merged_serial[unit.position].extend(unit.search(counting))
-        per_query_serial: List[List[RangeMatch]] = []
-        for keyed in merged_serial:
-            keyed.sort(key=lambda pair: pair[0])
-            per_query_serial.append([match for _key, match in keyed])
-        return per_query_serial, 0.0
-
     recordings: List[RecordingCounting] = [
         RecordingCounting(counting.inner, counting.cache, counting.prefilter)
         for _unit in units
@@ -410,31 +393,25 @@ class MetricIndex(abc.ABC):
     def add(self, item: object, key: Optional[Hashable] = None) -> Hashable:
         """Insert ``item`` under ``key`` (auto-generated when omitted)."""
 
-    @abc.abstractmethod
     def remove(self, key: Hashable) -> object:
         """Remove and return the item stored under ``key``."""
+        raise NotImplementedError(f"{type(self).__name__} does not support removal")
 
     def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
         """Range query against an explicit counting context.
 
         The hook of an index that answers one query at a time: the default
-        :meth:`range_query`, :meth:`_serial_batch_range_query` and
-        :meth:`query_work_units` are built on it.  An index that answers a
-        whole batch natively (the reference net) overrides those instead and
-        has no per-query traversal.
+        :meth:`range_query` and :meth:`_serial_batch_range_query` are built
+        on it.  An index that answers a whole batch natively (the reference
+        net) overrides those instead and has no per-query traversal.
 
         ``counting`` supplies every distance evaluation (``counting(a, b)``,
-        ``counting.bounded``, ``counting.batch``); implementations must not
-        touch ``self._counting`` directly, which is what lets one built
-        structure serve concurrent work units that each carry their own
-        recording context.  Traversals must treat the structure as
-        read-only -- lazy rebuilds belong in :meth:`prepare_queries`.
+        ``counting.bounded``, ``counting.batch``).
         """
         raise NotImplementedError(f"{type(self).__name__} has no per-query traversal")
 
     def range_query(self, query: SequenceLike, radius: float) -> List[RangeMatch]:
         """Return every stored item within ``radius`` of ``query``."""
-        self.prepare_queries()
         return self._range_search(query, radius, self._counting)
 
     def bound_table(
@@ -449,16 +426,6 @@ class MetricIndex(abc.ABC):
         next write to the index.
         """
         return None
-
-    def prepare_queries(self) -> None:
-        """Bring the structure up to date before (possibly parallel) queries.
-
-        Indexes with a lazy-rebuild staleness policy (the vp-tree's
-        re-balance, the reference index's re-election) override this to
-        perform the rebuild *before* work units fan out, because the
-        rebuild mutates the structure that concurrent traversals read.
-        The default does nothing.
-        """
 
     def batch_range_query(
         self,
@@ -476,9 +443,8 @@ class MetricIndex(abc.ABC):
         Without an ``executor`` (or with the serial one), execution follows
         the index's serial batch path -- :meth:`range_query` per query by
         default; implementations with a genuinely batched execution (the
-        linear scan's grouped kernel sweeps, the reference index's batched
-        reference distances, the reference net's whole-batch frontier)
-        override :meth:`_serial_batch_range_query`.  With a parallel
+        linear scan's grouped kernel sweeps, the reference net's whole-batch
+        frontier) override :meth:`_serial_batch_range_query`.  With a parallel
         executor, the query set is split into the work units of
         :meth:`query_work_units`, if the index issues any, and fanned out;
         results *and* work counters are identical to the serial path either
@@ -502,8 +468,12 @@ class MetricIndex(abc.ABC):
         lists plus the CPU seconds burned off the calling thread.  Under a
         parallel executor the index's :meth:`query_work_units` fan out
         through :func:`run_query_work_units`; an index that issues no units
-        answers on the calling thread, like the serial path.
+        answers on the calling thread, like the serial path.  A negative
+        radius raises :class:`~repro.exceptions.IndexError_` under every
+        executor.
         """
+        if radius < 0:
+            raise IndexError_(f"radius must be non-negative, got {radius}")
         units = None
         if executor is not None and executor.is_parallel:
             units = self.query_work_units(queries, radius)
@@ -528,8 +498,6 @@ class MetricIndex(abc.ABC):
         bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Executor-driven batched execution: :meth:`probe_batch`'s matches."""
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
         return self.probe_batch(queries, radius, bounds, executor)[0]
 
     def query_work_units(
@@ -537,89 +505,35 @@ class MetricIndex(abc.ABC):
     ) -> Optional[List[QueryWorkUnit]]:
         """Split a batched range query into independent work units.
 
-        The default yields one unit per query, each running the full
-        :meth:`_range_search` -- enough parallelism for the matcher's
-        many-segment probes.  Indexes whose probes decompose further
-        override this (the linear scan splits every query into one unit
-        per same-shape group of stored items, each a single batched kernel
-        sweep that can also ship to a process pool); an index that answers
-        a batch in one traversal (the reference net) returns ``None`` and is
-        run whole.  Calling this method also performs :meth:`prepare_queries`.
+        The default issues none: one traversal answers the batch, on the
+        calling thread, so the probe is the serial run under every executor
+        -- same results, counters and cache order, with nothing to record
+        and replay.  That is the reference net (slicing each level's pair
+        batch over a pool was measured and moved the probe by less than its
+        run-to-run spread; see the README).  The linear scan overrides this
+        with one unit per same-shape group of stored items, each a single
+        batched kernel sweep that can also ship to a process pool.
         """
-        self.prepare_queries()
-        units: List[QueryWorkUnit] = []
-        for position, query in enumerate(queries):
-
-            def search(counting, query=query):
-                matches = self._range_search(query, radius, counting)
-                return list(enumerate(matches))
-
-            units.append(
-                QueryWorkUnit(position=position, search=search, label=self.index_name)
-            )
-        return units
+        return None
 
     # ------------------------------------------------------------------ #
-    # Incremental updates (insert / delete, with a staleness policy)
+    # Incremental updates
     # ------------------------------------------------------------------ #
-    @property
-    def is_stale(self) -> bool:
-        """Whether the structure needs a rebuild before the next query.
-
-        A stale index still answers queries correctly -- the implementations
-        rebuild lazily on the next query -- but a snapshot of a stale index
-        cannot promise the "zero rebuild on load" property.  Indexes without
-        a bulk build step are never stale.
-        """
-        return False
-
     def insert(self, item: object, key: Optional[Hashable] = None) -> Hashable:
-        """Insert ``item`` *incrementally*: extend the built structure in place.
+        """Insert ``item`` into the live index, recorded in :attr:`update_stats`.
 
-        Unlike :meth:`add` (the bulk-load primitive, which some indexes
-        merely buffer until the next :meth:`build`), ``insert`` keeps the
-        index queryable without a full rebuild, recording the operation in
-        :attr:`update_stats` and applying the index's documented
-        ``staleness_policy`` (e.g. "tolerate N pending updates, then
-        rebuild on the next query").
+        Both indexes' :meth:`add` is already incremental (the net runs
+        Algorithm 1 in place), so this is :meth:`add` plus the accounting.
         """
-        rebuilds_before = self.update_stats.rebuilds
-        key = self._insert_incremental(item, key)
+        key = self.add(item, key)
         self.update_stats.record_insert()
-        if self.update_stats.rebuilds > rebuilds_before:
-            # The operation itself triggered an eager rebuild, which already
-            # absorbed this update -- do not leave it counted as pending.
-            self.update_stats.pending_updates = 0
-        self._apply_staleness_policy()
         return key
 
     def delete(self, key: Hashable) -> object:
-        """Remove the item under ``key`` incrementally; see :meth:`insert`."""
-        rebuilds_before = self.update_stats.rebuilds
-        item = self._delete_incremental(key)
+        """Remove the item under ``key`` from the live index; see :meth:`insert`."""
+        item = self.remove(key)
         self.update_stats.record_delete()
-        if self.update_stats.rebuilds > rebuilds_before:
-            # An eager rebuild (e.g. a root deletion) absorbed this update.
-            self.update_stats.pending_updates = 0
-        self._apply_staleness_policy()
         return item
-
-    def _insert_incremental(self, item: object, key: Optional[Hashable]) -> Hashable:
-        """Subclass hook: genuinely incremental insertion.
-
-        The default delegates to :meth:`add`, which is already incremental
-        for the linear scan, the reference net, and the cover tree; indexes
-        whose :meth:`add` defers to a bulk rebuild (the vp-tree) override
-        this.
-        """
-        return self.add(item, key)
-
-    def _delete_incremental(self, key: Hashable) -> object:
-        """Subclass hook: genuinely incremental deletion (default: :meth:`remove`)."""
-        return self.remove(key)
-
-    def _apply_staleness_policy(self) -> None:
-        """Subclass hook: decide, after an update, whether to go stale."""
 
     # ------------------------------------------------------------------ #
     # Snapshot support (structure export / restore without recomputation)
@@ -631,7 +545,7 @@ class MetricIndex(abc.ABC):
         iteration order -- which *is* semantically meaningful: probe results
         and therefore downstream accounting depend on it) and the
         :class:`~repro.indexing.stats.IndexStats` counters; subclasses add
-        their built state (reference vectors, tree topology, ...) through
+        their built state (the net's topology and link distances) through
         :meth:`_export_structure`, referencing items by their position in
         ``keys``.  Payloads themselves are *not* included -- the caller
         (:func:`repro.storage.persistence.save_matcher`) persists them once
@@ -648,10 +562,9 @@ class MetricIndex(abc.ABC):
         """Rebuild the in-memory structure from :meth:`export_structure` output.
 
         ``payloads`` maps every key in ``state["keys"]`` to its stored item.
-        Restoration performs **no distance computations**: reference
-        vectors, link distances, and tree thresholds all come back from the
-        snapshot, which is what lets a loaded matcher answer queries
-        immediately.
+        Restoration performs **no distance computations**: the topology and
+        the link distances come back from the snapshot, which is what lets a
+        loaded matcher answer queries immediately.
         """
         try:
             self._items = {key: payloads[key] for key in state["keys"]}

@@ -258,7 +258,6 @@ class LinearScanIndex(MetricIndex):
             raise IndexError_(f"chunk_size must be >= 1, got {chunk_size}")
         if not self._items:
             return []
-        self.prepare_queries()
         keys = list(self._items.keys())
         items = [self._items[key] for key in keys]
         wanted = min(k, len(items))

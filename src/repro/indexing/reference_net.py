@@ -9,7 +9,7 @@ The reference net is a hierarchical structure over a metric space:
   reference;
 * a reference ``R(i, j)`` at level ``i`` keeps a list ``L(i, j)`` of
   references from level ``i-1`` within distance ``eps_i`` -- and, unlike a
-  cover tree, an item may appear in the lists of **several** parents, which
+  single-parent tree, an item may appear in the lists of **several** parents, which
   is what lets a single reference distance prune or accept more of the
   database (Lemma 4, Figure 2);
 * the *inclusive* property guarantees every reference of level ``i-1`` has
@@ -631,16 +631,6 @@ class ReferenceNet(MetricIndex):
         bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         return self._frontier(queries, radius, bounds)
-
-    def query_work_units(self, queries: List[SequenceLike], radius: float) -> None:
-        """No units: one traversal answers the batch, on the calling thread.
-
-        So the net's probe is the serial run under every executor -- same
-        results, counters and cache order, with nothing to record and replay.
-        (Slicing each level's pair batch over a pool was measured and moved
-        the probe by less than its run-to-run spread; see the README.)
-        """
-        return None
 
     def _frontier(
         self,

@@ -61,55 +61,40 @@ _INF = float("inf")
 
 @dataclass
 class IndexStats:
-    """Accounting for incremental index updates and the staleness policy.
+    """Accounting for incremental index updates.
 
     Every :class:`~repro.indexing.base.MetricIndex` carries one of these as
-    ``update_stats``.  The incremental entry points
+    ``update_stats``; the incremental entry points
     (:meth:`~repro.indexing.base.MetricIndex.insert` /
-    :meth:`~repro.indexing.base.MetricIndex.delete`) record here, and the
-    indexes with a bulk-(re)build step (:class:`ReferenceIndex`,
-    :class:`VPTree`) consult :attr:`pending_updates` to decide when the
-    accumulated updates have degraded the structure enough to warrant a
-    rebuild -- the "tolerate N updates, then re-elect / re-balance" policy
-    each index documents as its ``staleness_policy``.
+    :meth:`~repro.indexing.base.MetricIndex.delete`) record here.
 
     Attributes
     ----------
     inserts / deletes:
         Incremental operations applied over the index lifetime.
     rebuilds:
-        Bulk (re)builds performed, including the initial one for indexes
-        that have a build step.
-    pending_updates:
-        Incremental updates absorbed since the last rebuild; reset by
-        :meth:`record_rebuild`.  Indexes without a rebuild step keep
-        accumulating it, which is harmless (their policy never reads it).
+        Bulk rebuilds performed (the reference net rebuilds when its root
+        is deleted).
     last_rebuild_reason:
-        Why the most recent rebuild happened (``"build"`` for explicit bulk
-        builds, or the policy trigger, e.g. ``"reference re-election after
-        17 pending updates"``).
+        Why the most recent rebuild happened (e.g. ``"root deletion"``).
     """
 
     inserts: int = 0
     deletes: int = 0
     rebuilds: int = 0
-    pending_updates: int = 0
     last_rebuild_reason: Optional[str] = None
 
     def record_insert(self, amount: int = 1) -> None:
         """Record ``amount`` incremental insertions."""
         self.inserts += amount
-        self.pending_updates += amount
 
     def record_delete(self, amount: int = 1) -> None:
         """Record ``amount`` incremental deletions."""
         self.deletes += amount
-        self.pending_updates += amount
 
     def record_rebuild(self, reason: str = "build") -> None:
-        """Record a bulk (re)build and reset the pending-update count."""
+        """Record a bulk rebuild."""
         self.rebuilds += 1
-        self.pending_updates = 0
         self.last_rebuild_reason = reason
 
     def as_dict(self) -> Dict[str, object]:
@@ -118,18 +103,19 @@ class IndexStats:
             "inserts": self.inserts,
             "deletes": self.deletes,
             "rebuilds": self.rebuilds,
-            "pending_updates": self.pending_updates,
             "last_rebuild_reason": self.last_rebuild_reason,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "IndexStats":
-        """Inverse of :meth:`as_dict` (used by snapshot restore)."""
+        """Inverse of :meth:`as_dict` (used by snapshot restore).
+
+        Older snapshots also carry a ``pending_updates`` count; it is ignored.
+        """
         stats = cls()
         stats.inserts = int(payload.get("inserts", 0))
         stats.deletes = int(payload.get("deletes", 0))
         stats.rebuilds = int(payload.get("rebuilds", 0))
-        stats.pending_updates = int(payload.get("pending_updates", 0))
         reason = payload.get("last_rebuild_reason")
         stats.last_rebuild_reason = None if reason is None else str(reason)
         return stats

@@ -7,8 +7,8 @@ plus a JSON metadata blob stored inside it.  Two tiers exist:
   cheap, stable, and sufficient when rebuilding the index on load is
   acceptable;
 * :func:`save_matcher` / :func:`load_matcher` additionally persist the
-  *built* index state -- reference distance vectors, tree topology, link
-  distances, the staleness counters, and the distance-cache contents -- so
+  *built* index state -- the reference net's topology and link distances,
+  the update counters, and the distance-cache contents -- so
   a loaded :class:`~repro.core.matcher.SubsequenceMatcher` answers queries
   immediately, with zero rebuild work and byte-identical results (including
   the :class:`~repro.core.queries.QueryStats` work counters) to the matcher
@@ -268,16 +268,24 @@ def _matcher_payload(matcher, prefix: str = "") -> Tuple[dict, dict]:
 def _config_from(saved: dict):
     """The :class:`~repro.core.config.MatcherConfig` a snapshot was saved with.
 
-    Snapshots of older builds may carry execution options that no longer
-    exist (how the process pool shipped its payloads, the replay-log
-    encoding) or a kernel name that is no longer offered.  Execution options
-    never change answers, so the former are dropped and the latter reads as
-    ``auto``: every snapshot loads into the matcher it described, minus the
-    retired speed knobs.
+    Snapshots of older builds may carry options that no longer exist (how
+    the process pool shipped its payloads, the replay-log encoding, the
+    reference count of a retired index) or a kernel name that is no longer
+    offered.  None of them changes answers, so the former are dropped and
+    the latter reads as ``auto``: every snapshot loads into the matcher it
+    described, minus the retired knobs.  A snapshot of an index this build
+    no longer offers cannot: its saved structure is that index's, so it
+    raises :class:`~repro.exceptions.StorageError` and must be rebuilt.
     """
     from repro.core.config import MatcherConfig
     from repro.distances.backend import KNOWN_KERNELS
 
+    index = saved.get("index", "reference-net")
+    if index not in MatcherConfig._KNOWN_INDEXES:
+        raise StorageError(
+            f"snapshot was built with the {index!r} index, which this build no "
+            "longer offers; rebuild it with index 'reference-net' or 'linear-scan'"
+        )
     known = {field.name for field in fields(MatcherConfig)}
     saved = {key: value for key, value in saved.items() if key in known}
     if saved.get("kernel", "auto") not in KNOWN_KERNELS:
@@ -336,8 +344,8 @@ def save_matcher(matcher, path: PathLike) -> None:
     registry on load -- pass an explicitly configured instance to
     :func:`load_matcher` for non-default parameters), the built index
     structure as exported by
-    :meth:`~repro.indexing.base.MetricIndex.export_structure` (reference
-    vectors, tree topology, exact link distances, staleness counters), and
+    :meth:`~repro.indexing.base.MetricIndex.export_structure` (the net's
+    topology and exact link distances, the update counters), and
     the distance-cache contents.  :func:`load_matcher` therefore answers
     queries immediately, with the same results *and the same work counters*
     as the matcher that was saved -- no ``refresh()``, no re-measured pairs.

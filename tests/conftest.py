@@ -125,3 +125,20 @@ def frechet():
 def random_vectors(rng):
     """A list of small random vectors for index tests."""
     return [rng.normal(size=4) for _ in range(120)]
+
+
+#: The index configurations the matcher-level equivalence matrices run: both
+#: indexes, each also in its other setting -- the net capped at two parents
+#: per node (the paper's ``nummax``), the scan without lower-bound prefilters.
+INDEX_VARIANTS = {
+    "reference-net": {"index": "reference-net"},
+    "reference-net-nummax2": {"index": "reference-net", "nummax": 2},
+    "linear-scan": {"index": "linear-scan"},
+    "linear-scan-raw": {"index": "linear-scan", "prefilter": False},
+}
+
+
+@pytest.fixture(params=list(INDEX_VARIANTS.values()), ids=list(INDEX_VARIANTS))
+def index_options(request):
+    """``MatcherConfig`` keyword arguments selecting one index configuration."""
+    return dict(request.param)

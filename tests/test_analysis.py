@@ -123,14 +123,6 @@ class TestSpaceCurve:
         with pytest.raises(ConfigurationError):
             space_overhead_curve(lambda: ReferenceNet(Euclidean()), windows, checkpoints=[100])
 
-    def test_works_with_cover_tree_stats_dict(self, windows):
-        from repro import CoverTree
-
-        points = space_overhead_curve(
-            lambda: CoverTree(Euclidean()), windows, checkpoints=[20, 50]
-        )
-        assert points[-1].average_parents == pytest.approx(1.0)
-
 
 class TestReporting:
     def test_format_table_alignment(self):

@@ -31,17 +31,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MatcherConfig(min_length=10, index="b-tree")
 
-    def test_invalid_num_references(self):
-        with pytest.raises(ConfigurationError):
-            MatcherConfig(min_length=10, num_references=0)
+    def test_num_references_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            MatcherConfig(min_length=10, num_references=5)
 
     def test_invalid_segment_step(self):
         with pytest.raises(ConfigurationError):
             MatcherConfig(min_length=10, query_segment_step=0)
 
     def test_all_known_indexes_accepted(self):
-        for name in ("reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"):
+        for name in ("reference-net", "linear-scan"):
             assert MatcherConfig(min_length=10, index=name).index == name
+
+    @pytest.mark.parametrize("name", ["cover-tree", "reference-based", "vp-tree"])
+    def test_retired_indexes_rejected(self, name):
+        with pytest.raises(ConfigurationError):
+            MatcherConfig(min_length=10, index=name)
 
     def test_frozen(self):
         config = MatcherConfig(min_length=10)

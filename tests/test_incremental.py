@@ -3,8 +3,7 @@
 The contract under test is the incremental-vs-rebuild equivalence: any
 interleaving of inserts and deletes followed by queries must return exactly
 what a matcher freshly built (``refresh()``) over the final database would
-return, for every index class -- whatever each index's staleness policy did
-in between.
+return, for both index classes.
 """
 
 import numpy as np
@@ -23,22 +22,15 @@ from repro import (
     SequenceKind,
     SubsequenceMatcher,
 )
-from repro.indexing import (
-    CoverTree,
-    LinearScanIndex,
-    ReferenceIndex,
-    ReferenceNet,
-    VPTree,
-)
+from repro.indexing import LinearScanIndex, ReferenceNet
 
-INDEX_NAMES = ["reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"]
+INDEX_NAMES = ["reference-net", "linear-scan"]
 
 INDEX_FACTORIES = {
     "linear-scan": lambda d: LinearScanIndex(d),
+    "linear-scan+prefilter": lambda d: LinearScanIndex(d, prefilter=True),
     "reference-net": lambda d: ReferenceNet(d),
-    "cover-tree": lambda d: CoverTree(d),
-    "reference-based": lambda d: ReferenceIndex(d),
-    "vp-tree": lambda d: VPTree(d),
+    "reference-net-nummax2": lambda d: ReferenceNet(d, nummax=2),
 }
 
 
@@ -89,15 +81,13 @@ def pattern_query(planted_db):
 class TestIndexInsertDelete:
     """Index-level: insert/delete vs a fresh linear-scan oracle."""
 
-    @pytest.mark.parametrize("index_name", INDEX_NAMES)
+    @pytest.mark.parametrize("index_name", INDEX_FACTORIES)
     def test_interleaved_updates_match_oracle(self, index_name):
         distance = DiscreteFrechet()
         index = INDEX_FACTORIES[index_name](distance)
         initial = make_items(30, seed=0)
         for position, item in enumerate(initial):
             index.add(item, key=("init", position))
-        if isinstance(index, (ReferenceIndex, VPTree)):
-            index.build()
 
         extra = make_items(12, seed=1)
         for position, item in enumerate(extra):
@@ -115,102 +105,41 @@ class TestIndexInsertDelete:
                 oracle.range_query(query, radius)
             )
 
-    @pytest.mark.parametrize("index_name", INDEX_NAMES)
+    @pytest.mark.parametrize("index_name", INDEX_FACTORIES)
     def test_update_stats_recorded(self, index_name):
         index = INDEX_FACTORIES[index_name](DiscreteFrechet())
         for position, item in enumerate(make_items(10, seed=3)):
             index.add(item, key=position)
-        if isinstance(index, (ReferenceIndex, VPTree)):
-            index.build()
         index.insert(make_items(1, seed=4)[0], key="new")
         index.delete(5)
         assert index.update_stats.inserts == 1
         assert index.update_stats.deletes == 1
 
-    def test_reference_index_reelects_after_threshold(self):
-        index = ReferenceIndex(DiscreteFrechet(), num_references=3, reelect_after=4)
-        for position, item in enumerate(make_items(20, seed=5)):
-            index.add(item, key=position)
-        index.build()
-        builds_before = index.update_stats.rebuilds
-        for position, item in enumerate(make_items(5, seed=6)):
-            index.insert(item, key=("new", position))
-        assert index.is_stale  # 5 pending updates > reelect_after=4
-        query = make_items(1, seed=7)[0]
-        index.range_query(query, 1.0)  # triggers the lazy re-election
-        assert not index.is_stale
-        assert index.update_stats.rebuilds == builds_before + 1
-        assert "re-election" in index.update_stats.last_rebuild_reason
-
-    def test_reference_index_insert_below_threshold_stays_fresh(self):
-        index = ReferenceIndex(DiscreteFrechet(), num_references=3, reelect_after=10)
-        for position, item in enumerate(make_items(20, seed=5)):
-            index.add(item, key=position)
-        index.build()
-        index.insert(make_items(1, seed=8)[0], key="new")
-        assert not index.is_stale
-
-    def test_vp_tree_rebuilds_after_threshold(self):
-        tree = VPTree(DiscreteFrechet(), rebuild_after=3)
-        for position, item in enumerate(make_items(15, seed=9)):
-            tree.add(item, key=position)
-        tree.build()
-        for position, item in enumerate(make_items(4, seed=10)):
-            tree.insert(item, key=("new", position))
-        assert tree.is_stale  # 4 pending updates > rebuild_after=3
-        query = make_items(1, seed=11)[0]
-        tree.range_query(query, 1.0)
-        assert not tree.is_stale
-        assert "re-balance" in tree.update_stats.last_rebuild_reason
-
-    def test_vp_tree_root_delete_schedules_rebuild(self):
-        tree = VPTree(DiscreteFrechet(), rebuild_after=100)
-        items = make_items(10, seed=12)
-        for position, item in enumerate(items):
-            tree.add(item, key=position)
-        tree.build()
-        root_key = tree._root.key
-        tree.delete(root_key)
-        assert tree.is_stale
-        query = make_items(1, seed=13)[0]
-        oracle = LinearScanIndex(DiscreteFrechet())
-        for key, item in tree.items():
-            oracle.add(item, key=key)
-        assert result_keys(tree.range_query(query, 3.0)) == result_keys(
-            oracle.range_query(query, 3.0)
-        )
-
-    @pytest.mark.parametrize("index_name", ["reference-net", "cover-tree"])
-    def test_root_delete_rebuild_leaves_no_pending_updates(self, index_name):
-        """Regression: the eager root-deletion rebuild absorbed the delete,
-        yet the accounting still reported one pending update."""
-        index = INDEX_FACTORIES[index_name](DiscreteFrechet())
+    def test_root_delete_records_one_rebuild(self):
+        index = ReferenceNet(DiscreteFrechet())
         items = make_items(10, seed=16)
         for position, item in enumerate(items):
             index.add(item, key=position)
-        root_key = index.root_key if index_name == "reference-net" else index._root.key
-        index.delete(root_key)
+        index.delete(index.root_key)
         assert index.update_stats.deletes == 1
         assert index.update_stats.rebuilds == 1
-        assert index.update_stats.pending_updates == 0
         assert index.update_stats.last_rebuild_reason == "root deletion"
 
-    def test_insert_rejects_duplicate_key(self):
-        tree = VPTree(DiscreteFrechet())
-        tree.add(make_items(1, seed=14)[0], key="k")
-        tree.build()
+    @pytest.mark.parametrize("index_name", INDEX_FACTORIES)
+    def test_insert_rejects_duplicate_key(self, index_name):
+        index = INDEX_FACTORIES[index_name](DiscreteFrechet())
+        index.add(make_items(1, seed=14)[0], key="k")
         from repro.exceptions import IndexError_
 
         with pytest.raises(IndexError_):
-            tree.insert(make_items(1, seed=15)[0], key="k")
+            index.insert(make_items(1, seed=15)[0], key="k")
 
 
 class TestMatcherIncrementalUpdates:
     """Matcher-level: add_sequence / remove_sequence vs a fresh rebuild."""
 
-    @pytest.mark.parametrize("index_name", INDEX_NAMES)
-    def test_add_sequence_equals_rebuild(self, planted_db, pattern_query, index_name):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+    def test_add_sequence_equals_rebuild(self, planted_db, pattern_query, index_options):
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         generator = np.random.default_rng(21)
         matcher.add_sequence(
@@ -228,9 +157,8 @@ class TestMatcherIncrementalUpdates:
             [pattern_query], NearestSubsequenceQuery(max_radius=10.0)
         )
 
-    @pytest.mark.parametrize("index_name", INDEX_NAMES)
-    def test_remove_sequence_equals_rebuild(self, planted_db, pattern_query, index_name):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+    def test_remove_sequence_equals_rebuild(self, planted_db, pattern_query, index_options):
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         removed = matcher.remove_sequence("with-pattern-2")
         assert removed.seq_id == "with-pattern-2"

@@ -1,34 +1,28 @@
 """Cross-index integration tests: every index answers range queries identically.
 
-The same windows, the same distances the paper uses, the same queries -- all
-five index structures must return exactly the same result sets, differing
-only in how many distance computations they spend.
+The same windows, the same distances the paper uses, the same queries -- the
+reference net (plain and ``nummax``-capped) must return exactly the linear
+scan's result sets, differing only in how many distance computations it
+spends.
 """
 
 import pytest
 
-from repro import (
-    CoverTree,
-    DiscreteFrechet,
-    ERP,
-    Levenshtein,
-    LinearScanIndex,
-    ReferenceIndex,
-    ReferenceNet,
-    VPTree,
-)
+from repro import DiscreteFrechet, ERP, Levenshtein, LinearScanIndex, ReferenceNet
 from repro.datasets.loaders import dataset_windows
 
 
-def _all_indexes(distance):
-    return {
-        "linear": LinearScanIndex(distance),
-        "reference-net": ReferenceNet(distance),
-        "reference-net-5": ReferenceNet(distance, nummax=5),
-        "cover-tree": CoverTree(distance),
-        "reference-based": ReferenceIndex(distance, num_references=3),
-        "vp-tree": VPTree(distance),
-    }
+INDEXES = {
+    "linear": LinearScanIndex,
+    "linear+prefilter": lambda distance: LinearScanIndex(distance, prefilter=True),
+    "reference-net": ReferenceNet,
+    "reference-net+prefilter": lambda distance: ReferenceNet(distance, prefilter=True),
+    "reference-net-5": lambda distance: ReferenceNet(distance, nummax=5),
+}
+
+
+def _all_indexes(distance, names=INDEXES):
+    return {name: INDEXES[name](distance) for name in names}
 
 
 def _load(indexes, windows):
@@ -37,6 +31,7 @@ def _load(indexes, windows):
             index.add(window.sequence, key=window.key)
 
 
+@pytest.mark.parametrize("name", [name for name in INDEXES if name != "linear"])
 @pytest.mark.parametrize(
     "dataset, distance, radii",
     [
@@ -45,19 +40,16 @@ def _load(indexes, windows):
         ("traj", ERP(), [10.0, 80.0]),
     ],
 )
-def test_all_indexes_agree(dataset, distance, radii):
+def test_all_indexes_agree(dataset, distance, radii, name):
     windows = dataset_windows(dataset, 120, seed=3)
-    indexes = _all_indexes(distance)
+    indexes = _all_indexes(distance, ("linear", name))
     _load(indexes, windows)
     queries = [windows[0].sequence, windows[37].sequence]
     for radius in radii:
         for query in queries:
             reference = sorted(match.key for match in indexes["linear"].range_query(query, radius))
-            for name, index in indexes.items():
-                if name == "linear":
-                    continue
-                result = sorted(match.key for match in index.range_query(query, radius))
-                assert result == reference, f"{name} disagreed at radius {radius}"
+            result = sorted(match.key for match in indexes[name].range_query(query, radius))
+            assert result == reference, f"{name} disagreed at radius {radius}"
 
 
 def test_metric_indexes_do_not_exceed_scan_cost_much():
@@ -72,31 +64,7 @@ def test_metric_indexes_do_not_exceed_scan_cost_much():
         index.range_query(query, 30.0)
         costs[name] = index.counter.since_checkpoint()
     assert costs["linear"] == len(windows)
-    # Tree/net structures never need more distance computations than the
-    # scan; the reference-based index may additionally probe its references.
-    for name in ("reference-net", "reference-net-5", "cover-tree", "vp-tree"):
+    # The net never needs more distance computations than the scan.
+    for name in ("reference-net", "reference-net+prefilter", "reference-net-5"):
         assert costs[name] <= costs["linear"]
-    assert costs["reference-based"] <= costs["linear"] + 3
 
-
-def test_reference_net_not_worse_than_cover_tree_on_clustered_data():
-    windows = dataset_windows("traj", 200, seed=5)
-    distance = DiscreteFrechet()
-    net = ReferenceNet(distance)
-    tree = CoverTree(distance)
-    for window in windows:
-        net.add(window.sequence, key=window.key)
-        tree.add(window.sequence, key=window.key)
-    queries = [windows[i].sequence for i in (0, 50, 120)]
-    net_cost = tree_cost = 0
-    for query in queries:
-        net.counter.checkpoint()
-        net.range_query(query, 5.0)
-        net_cost += net.counter.since_checkpoint()
-        tree.counter.checkpoint()
-        tree.range_query(query, 5.0)
-        tree_cost += tree.counter.since_checkpoint()
-    # The paper's headline claim (Figures 8-11): for comparable space the
-    # reference net prunes at least as well as the cover tree.  A small
-    # tolerance keeps the test robust to dataset randomness.
-    assert net_cost <= tree_cost * 1.1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import CoverTree, Euclidean, IndexError_, LinearScanIndex, ReferenceNet, VPTree
+from repro import Euclidean, IndexError_, LinearScanIndex, ReferenceNet
 
 
 @pytest.fixture
@@ -27,10 +27,11 @@ def _exact_knn(points, query, k):
     "factory",
     [
         lambda: LinearScanIndex(Euclidean()),
+        lambda: LinearScanIndex(Euclidean(), prefilter=True),
         lambda: ReferenceNet(Euclidean()),
-        lambda: CoverTree(Euclidean()),
-        lambda: VPTree(Euclidean()),
+        lambda: ReferenceNet(Euclidean(), nummax=2),
     ],
+    ids=["linear-scan", "linear-scan+prefilter", "reference-net", "reference-net-nummax2"],
 )
 class TestKnnAcrossIndexes:
     def test_matches_exact_knn(self, factory, points):

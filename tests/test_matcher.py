@@ -77,11 +77,8 @@ class TestConstruction:
         matcher.refresh()
         assert len(matcher.windows) > before
 
-    @pytest.mark.parametrize(
-        "index_name", ["reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"]
-    )
-    def test_every_index_backend_works(self, planted_db, pattern_query, index_name):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+    def test_every_index_backend_works(self, planted_db, pattern_query, index_options):
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         best = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(pattern_query)).best
         assert best is not None

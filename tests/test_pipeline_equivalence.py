@@ -32,15 +32,8 @@ from repro.core.queries import SegmentMatch
 from repro.core.segmentation import extract_query_segments
 from repro.core.verification import _VerificationCounter, verify_chain
 from repro.distances import shared_cache
-from repro.indexing import (
-    CoverTree,
-    LinearScanIndex,
-    ReferenceIndex,
-    ReferenceNet,
-    VPTree,
-)
-
-ALL_INDEXES = ["reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"]
+from repro.exceptions import IndexError_
+from repro.indexing import LinearScanIndex, ReferenceNet
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +143,12 @@ class TestBatchRangeQueryEquivalence:
         [
             lambda d: LinearScanIndex(d),
             lambda d: LinearScanIndex(d, prefilter=True),
-            lambda d: ReferenceIndex(d, num_references=4),
             lambda d: ReferenceNet(d),
-            lambda d: CoverTree(d),
-            lambda d: VPTree(d),
+            lambda d: ReferenceNet(d, prefilter=True),
+            lambda d: ReferenceNet(d, nummax=2),
         ],
-        ids=["linear-scan", "linear-scan+prefilter", "reference-based", "reference-net",
-             "cover-tree", "vp-tree"],
+        ids=["linear-scan", "linear-scan+prefilter", "reference-net", "reference-net+prefilter",
+             "reference-net-nummax2"],
     )
     @pytest.mark.parametrize("distance", [DiscreteFrechet(), ERP()], ids=lambda d: d.name)
     def test_batch_equals_per_query(self, make_index, distance):
@@ -167,8 +159,6 @@ class TestBatchRangeQueryEquivalence:
         ]
         for position, item in enumerate(items):
             index.add(item, key=position)
-        if isinstance(index, (ReferenceIndex, VPTree)):
-            index.build()
         queries = [
             Sequence.from_values(generator.normal(size=8), seq_id=f"q{i}") for i in range(5)
         ]
@@ -199,19 +189,17 @@ class TestBatchRangeQueryEquivalence:
 
 
 class TestPipelineMatchesLegacyOrchestration:
-    @pytest.mark.parametrize("index_name", ALL_INDEXES)
-    def test_range_search(self, planted, index_name):
+    def test_range_search(self, planted, index_options):
         db, query = planted
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         expected = _legacy_query(matcher, query, 0.5, "range")
         actual = matcher.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert sorted(map(_match_key, actual)) == sorted(map(_match_key, expected))
 
-    @pytest.mark.parametrize("index_name", ALL_INDEXES)
-    def test_longest_similar(self, planted, index_name):
+    def test_longest_similar(self, planted, index_options):
         db, query = planted
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         expected = _legacy_query(matcher, query, 0.5, "longest")
         actual = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
@@ -452,13 +440,12 @@ class TestExecutorEquivalence:
     """
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    @pytest.mark.parametrize("index_name", ALL_INDEXES)
-    def test_all_query_types_match_serial(self, planted, index_name, executor):
+    def test_all_query_types_match_serial(self, planted, index_options, executor):
         db, query = planted
         serial = SubsequenceMatcher(
             db,
             DiscreteFrechet(),
-            MatcherConfig(min_length=12, max_shift=1, index=index_name, executor="serial"),
+            MatcherConfig(min_length=12, max_shift=1, **index_options, executor="serial"),
         )
         parallel = SubsequenceMatcher(
             db,
@@ -466,7 +453,7 @@ class TestExecutorEquivalence:
             MatcherConfig(
                 min_length=12,
                 max_shift=1,
-                index=index_name,
+                **index_options,
                 executor=executor,
                 workers=4,
             ),
@@ -548,18 +535,12 @@ class TestExecutorEquivalence:
         for make_index in (
             lambda d: LinearScanIndex(d, prefilter=True, cache=DistanceCache()),
             lambda d: ReferenceNet(d, cache=DistanceCache()),
-            lambda d: CoverTree(d),
-            lambda d: VPTree(d),
-            lambda d: ReferenceIndex(d, num_references=4),
         ):
             serial_index = make_index(DiscreteFrechet())
             parallel_index = make_index(DiscreteFrechet())
             for position, item in enumerate(items):
                 serial_index.add(item, key=position)
                 parallel_index.add(item, key=position)
-            if isinstance(serial_index, (ReferenceIndex, VPTree)):
-                serial_index.build()
-                parallel_index.build()
             serial_results = serial_index.batch_range_query(queries, 1.5)
             parallel_results = parallel_index.batch_range_query(
                 queries, 1.5, executor=executor
@@ -574,6 +555,23 @@ class TestExecutorEquivalence:
                 parallel_index.counter.prefilter_evaluations
                 == serial_index.counter.prefilter_evaluations
             )
+
+    @pytest.mark.parametrize("executor_name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("make_index", [LinearScanIndex, ReferenceNet], ids=["scan", "net"])
+    def test_negative_radius_probe_raises_under_every_executor(self, make_index, executor_name):
+        """A negative radius is refused before any executor is consulted,
+        so a parallel probe cannot come back with an empty answer instead."""
+        from repro.core.executor import make_executor
+
+        index = make_index(DiscreteFrechet())
+        for position in range(6):
+            index.add(Sequence.from_values(np.arange(8.0) + position), key=position)
+        query = Sequence.from_values(np.arange(8.0))
+        executor = make_executor(executor_name, 2)
+        with pytest.raises(IndexError_, match="non-negative"):
+            index.probe_batch([query], -1.0, None, executor)
+        with pytest.raises(IndexError_, match="non-negative"):
+            index.batch_range_query([query], -1.0, executor=executor)
 
     def test_bounded_cache_insertion_order_matches_serial(self):
         """Eviction makes the cache's insertion order visible: it must not

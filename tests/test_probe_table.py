@@ -44,11 +44,11 @@ from repro.core.verification import _VerificationCounter
 from test_query_api import match_identities, work_counters
 from test_topk import config, pattern_query, planted_db  # noqa: F401  (fixtures)
 
-ALL_INDEXES = ["reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"]
-#: Indexes that accept whole subtrees unmeasured: on the planted database (two
+ALL_INDEXES = ["reference-net", "linear-scan"]
+#: The net accepts whole subtrees unmeasured: on the planted database (two
 #: copies of one pattern, so twin windows at link distance 0) every matching
 #: segment holds such a hit and stays on the index.
-SUBTREE_ACCEPTING = ("reference-net", "cover-tree")
+SUBTREE_ACCEPTING = "reference-net"
 #: The scan measures every hit, so its table is always complete.
 SCAN = MatcherConfig(min_length=12, max_shift=1, index="linear-scan")
 
@@ -326,14 +326,15 @@ class TestSweepsMatchTableLessSweeps:
              "naive_distance_computations", "verification_distance_computations",
              "verification_cache_hits")  # fmt: skip
 
-    @pytest.mark.parametrize("index", ALL_INDEXES)
     @pytest.mark.parametrize(
         "spec",
         [NearestSubsequenceQuery(max_radius=10.0)] + [TopKQuery(k=k, max_radius=10.0) for k in (1, 3, 10)],
         ids=["nearest", "top1", "top3", "top10"],
     )
-    def test_on_the_topk_oracle_set(self, planted_db, pattern_query, index, spec, monkeypatch):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index)
+    def test_on_the_topk_oracle_set(
+        self, planted_db, pattern_query, index_options, spec, monkeypatch
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         swept = SubsequenceMatcher(planted_db, DiscreteFrechet(), config).execute(
             spec.bind(pattern_query)
         )
@@ -347,7 +348,7 @@ class TestSweepsMatchTableLessSweeps:
             spec.bind(pattern_query)
         )
         assert plain.stats.table_segments == 0
-        assert (swept.stats.table_segments > 0) == (index not in SUBTREE_ACCEPTING)
+        assert (swept.stats.table_segments > 0) == (config.index != SUBTREE_ACCEPTING)
         assert match_identities(swept.matches) == match_identities(plain.matches)
         assert len(swept.stats.passes) == len(plain.stats.passes)
         for got, want in zip(swept.stats.passes, plain.stats.passes):

@@ -34,8 +34,6 @@ from repro import (
     save_matcher,
 )
 
-INDEX_NAMES = ["reference-net", "cover-tree", "reference-based", "vp-tree", "linear-scan"]
-
 WORK_COUNTERS = (
     "segments_extracted",
     "segment_matches",
@@ -90,17 +88,15 @@ def pattern_query(planted_db):
 
 
 class TestSnapshotRoundtrip:
-    @pytest.mark.parametrize("index_name", INDEX_NAMES)
     def test_loaded_matcher_is_byte_identical(
-        self, planted_db, pattern_query, tmp_path, index_name
+        self, planted_db, pattern_query, tmp_path, index_options
     ):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         original = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         path = tmp_path / "matcher.npz"
         save_matcher(original, path)
 
         loaded = load_matcher(path)
-        assert not loaded.index.is_stale
         assert loaded.config == original.config
         assert len(loaded.windows) == len(original.windows)
         assert len(loaded.distance_cache) == len(original.distance_cache)
@@ -111,13 +107,12 @@ class TestSnapshotRoundtrip:
         for first, second, label in zip(
             original_stats, loaded_stats, ("type-I", "type-II", "type-III")
         ):
-            assert_same_stats(first, second, context=f"{index_name}/{label}")
+            assert_same_stats(first, second, context=f"{index_options}/{label}")
 
-    @pytest.mark.parametrize("index_name", INDEX_NAMES)
     def test_interleaved_add_sequence_stays_identical(
-        self, planted_db, pattern_query, tmp_path, index_name
+        self, planted_db, pattern_query, tmp_path, index_options
     ):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         original = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         path = tmp_path / "matcher.npz"
         save_matcher(original, path)
@@ -131,34 +126,16 @@ class TestSnapshotRoundtrip:
         loaded_out, loaded_stats = run_all_query_types(loaded, pattern_query)
         assert loaded_out == original_out
         for first, second in zip(original_stats, loaded_stats):
-            assert_same_stats(first, second, context=index_name)
+            assert_same_stats(first, second, context=str(index_options))
 
         # Re-snapshot the incrementally-updated matcher and load it again:
-        # the update history (stats, staleness counters) must survive too.
+        # the update history (the update counters) must survive too.
         second_path = tmp_path / "matcher-2.npz"
         save_matcher(loaded, second_path)
         reloaded = load_matcher(second_path)
         assert reloaded.index.update_stats.inserts == loaded.index.update_stats.inserts
         reloaded_out, _ = run_all_query_types(reloaded, pattern_query)
         assert reloaded_out == loaded_out
-
-    def test_snapshot_after_deleting_a_reference_window(
-        self, planted_db, pattern_query, tmp_path
-    ):
-        """Regression: a deleted reference left stale election state behind,
-        and exporting it crashed with a raw KeyError."""
-        config = MatcherConfig(min_length=12, max_shift=1, index="reference-based")
-        matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        matcher.execute(RangeQuery(radius=0.5).bind(pattern_query))  # elect references
-        reference_source = matcher.index._reference_keys[0][0]
-        matcher.remove_sequence(reference_source)
-        assert matcher.index.is_stale
-        path = tmp_path / "stale.npz"
-        save_matcher(matcher, path)
-        loaded = load_matcher(path)
-        assert loaded.index.is_stale  # staleness persisted faithfully
-        spec = RangeQuery(radius=0.5).bind(pattern_query)
-        assert repr(loaded.execute(spec).matches) == repr(matcher.execute(spec).matches)
 
     def test_string_database_snapshot(self, string_database, tmp_path):
         config = MatcherConfig(min_length=8, max_shift=1)
@@ -254,11 +231,10 @@ class TestOldCachePoolLayout:
         )
         np.savez_compressed(old_path, **arrays)
 
-    @pytest.mark.parametrize("index_name", ["reference-net", "linear-scan"])
     def test_value_pool_archive_loads_to_the_same_cache(
-        self, planted_db, pattern_query, tmp_path, index_name
+        self, planted_db, pattern_query, tmp_path, index_options
     ):
-        config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
         original = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         run_all_query_types(original, pattern_query)  # warm: probe + verify entries
         new_path, old_path = tmp_path / "new.npz", tmp_path / "old.npz"
@@ -281,7 +257,7 @@ class TestOldCachePoolLayout:
         old_out, old_stats = run_all_query_types(from_old, pattern_query)
         assert old_out == new_out
         for first, second in zip(new_stats, old_stats):
-            assert_same_stats(first, second, context=index_name)
+            assert_same_stats(first, second, context=str(index_options))
 
 
 class TestRetiredExecutionOptions:
@@ -374,3 +350,51 @@ class TestRetiredExecutionOptions:
         save_matcher(build(planted_db, DiscreteFrechet(), config), path)
         loaded = load_matcher(path)
         assert loaded.config == config
+
+
+class TestRetiredIndexes:
+    """Snapshots of the indexes earlier builds offered beside the net and
+    the scan: their saved structure is unusable, so loading names the index
+    and says what to rebuild with; their leftover config keys are harmless."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("index_name", ["cover-tree", "reference-based", "vp-tree"])
+    def test_retired_index_snapshot_raises_storage_error(
+        self, planted_db, tmp_path, index_name, shards
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, shards=shards)
+        build = SubsequenceMatcher if shards == 1 else ShardedMatcher
+        path = tmp_path / "retired.npz"
+        save_matcher(build(planted_db, DiscreteFrechet(), config), path)
+        TestRetiredExecutionOptions.rewrite_config(path, index=index_name, num_references=5)
+        with pytest.raises(StorageError, match=f"'{index_name}'") as error:
+            load_matcher(path)
+        assert "reference-net" in str(error.value) and "linear-scan" in str(error.value)
+
+    def test_config_with_num_references_loads(
+        self, planted_db, pattern_query, tmp_path, index_options
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, **index_options)
+        original = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        original.add_sequence(Sequence.from_values(np.arange(30.0), seq_id="late"))
+        path = tmp_path / "old.npz"
+        save_matcher(original, path)
+        # An older build also wrote a pending-update count into the index's
+        # update counters.
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+        metadata["config"]["num_references"] = 7
+        metadata["index"]["structure"]["update_stats"]["pending_updates"] = 1
+        arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+
+        loaded = load_matcher(path)
+        assert loaded.config == config
+        assert loaded.index.update_stats.inserts == original.index.update_stats.inserts
+        got, want = run_all_query_types(loaded, pattern_query), run_all_query_types(
+            original, pattern_query
+        )
+        assert got[0] == want[0]
+        for first, second in zip(got[1], want[1]):
+            assert_same_stats(first, second, context=str(index_options))

@@ -78,6 +78,33 @@ class TestChainBounds:
         assert 5 in q_starts and 10 in q_stops
         assert 10 in x_starts and 15 in x_stops
 
+    @pytest.mark.parametrize("max_shift", [0, 1, 2])
+    @pytest.mark.parametrize("windows", [1, 2, 3])
+    def test_bounds_reach_inside_the_chain(self, aligned_pair, windows, max_shift):
+        """Starts run up to the last window's (segment's) start and stops down
+        to the first one's stop, so a subsequence holding any one whole
+        window of the chain is offered; outward reach is unchanged."""
+        query, target = aligned_pair
+        config = MatcherConfig(min_length=10, max_shift=max_shift)
+        length = config.window_length
+        matches = []
+        for position in range(windows):
+            window = Window(
+                sequence=target.subsequence(10 + position * length, 10 + (position + 1) * length),
+                source_id=target.seq_id,
+                start=10 + position * length,
+                ordinal=2 + position,
+            )
+            matches.append(SegmentMatch(5 + position * length, length, window, None))
+        chain = CandidateChain(target.seq_id, tuple(matches))
+        q_starts, q_stops, x_starts, x_stops = chain_bounds(chain, len(query), len(target), config)
+        reach_q = length + max_shift
+        first, last = matches[0], matches[-1]
+        assert q_starts == range(max(0, 5 - reach_q), last.query_start + 1)
+        assert q_stops == range(first.query_stop, min(len(query), chain.query_stop + reach_q) + 1)
+        assert x_starts == range(10 - length, last.window.start + 1)
+        assert x_stops == range(first.window.stop, chain.db_stop + length + 1)
+
 
 class TestVerifyChain:
     def test_finds_planted_match(self, aligned_pair, config):
