@@ -6,8 +6,9 @@ These classes reproduce exactly those counts for the figure benchmarks: they
 insert (:meth:`add`), answer range queries, and report space statistics
 (``stats()``).  They subclass :class:`~repro.indexing.base.MetricIndex` for
 its distance counter and its ``range_query`` / ``batch_range_query``
-entry points only -- no removal, snapshot, cache or executor support; the
-matcher's indexes are the reference net and the linear scan.
+entry points only, implementing its one search hook one query at a time --
+no removal, snapshot, cache or executor support; the matcher's indexes are
+the reference net and the linear scan.
 
 Imported by the figure benchmarks the same way as ``_harness``.
 """
@@ -22,6 +23,7 @@ from repro.distances.base import Distance, SequenceLike
 from repro.exceptions import IndexError_
 from repro.indexing.base import MetricIndex, RangeMatch
 from repro.indexing.stats import DistanceCounter
+from repro.sequences.packed import PackedWindowStore, StoreGather
 
 
 # --------------------------------------------------------------------- #
@@ -123,16 +125,17 @@ class CoverTree(MetricIndex):
         self._items[key] = item
         return key
 
-    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
+    def _batch_range_query(self, queries, radius: float, bounds=None) -> List[List[RangeMatch]]:
+        return [self._search(query, radius) for query in queries]
+
+    def _search(self, query: SequenceLike, radius: float) -> List[RangeMatch]:
         if self._root is None:
             return []
         matches: List[RangeMatch] = []
         stack: List[Tuple[_TreeNode, int]] = [(self._root, self._max_level)]
         while stack:
             node, level = stack.pop()
-            value = counting(query, node.item)
+            value = self._d(query, node.item)
             if value <= radius:
                 matches.append(RangeMatch(node.key, node.item, value))
             subtree = self.radius(level + 1)
@@ -308,6 +311,8 @@ class ReferenceIndex(MetricIndex):
         self._rng = rng or np.random.default_rng(0)
         self._reference_keys: List[Hashable] = []
         self._reference_items: List[object] = []
+        #: The references, packed for the query's one batched request.
+        self._references = PackedWindowStore()
         #: key -> vector of distances to the current references.
         self._item_vectors: Dict[Hashable, np.ndarray] = {}
         self._dirty = True
@@ -339,20 +344,28 @@ class ReferenceIndex(MetricIndex):
             raise IndexError_(f"unknown reference selector {self.selector!r}")
         self._reference_keys = [keys[index] for index in chosen]
         self._reference_items = [items[index] for index in chosen]
+        self._references = PackedWindowStore()
+        for key, item in zip(self._reference_keys, self._reference_items):
+            self._references.add(key, item)
         self._item_vectors = {
             key: np.array([self.distance(item, reference) for reference in self._reference_items])
             for key, item in zip(keys, items)
         }
         self._dirty = False
 
-    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
+    def _batch_range_query(self, queries, radius: float, bounds=None) -> List[List[RangeMatch]]:
+        return [self._search(query, radius) for query in queries]
+
+    def _search(self, query: SequenceLike, radius: float) -> List[RangeMatch]:
         if not self._items:
             return []
         if self._dirty:
             self.build()
-        query_vector = counting.batch(query, self._reference_items)
+        query_vector = self._counting.batch(
+            query,
+            self._reference_items,
+            packed=StoreGather(self._references, self._reference_keys),
+        )
         reference_values = dict(zip(self._reference_keys, query_vector.tolist()))
         matches: List[RangeMatch] = []
         for key, item in self._items.items():
@@ -367,7 +380,7 @@ class ReferenceIndex(MetricIndex):
             if float(np.min(query_vector + vector)) <= radius:
                 matches.append(RangeMatch(key, item, None))
                 continue
-            value = counting(query, item)
+            value = self._d(query, item)
             if value <= radius:
                 matches.append(RangeMatch(key, item, value))
         return matches

@@ -56,20 +56,19 @@ def measure_pruning(
 ) -> PruningResult:
     """Average query cost of ``index`` over ``queries`` at one radius.
 
-    Queries go through :meth:`~repro.indexing.base.MetricIndex.batch_range_query`
-    (identical results to one-at-a-time queries, batched execution where the
-    index supports it); the per-stage accounting -- cache hits and
-    lower-bound prefilter work -- is read off the index counter alongside
-    the fresh computation count the paper's figures report.  An optional
-    :class:`~repro.core.executor.Executor` fans the batch out as parallel
-    work units; the measured counters are identical either way (that is the
-    executor contract), only the wall-clock changes.
+    Queries go through :meth:`~repro.indexing.base.MetricIndex.probe_batch`,
+    the query pipeline's entry (one batched search on the calling thread,
+    or the index's work units under a parallel executor); the per-stage
+    accounting -- cache hits and lower-bound prefilter work -- is read off
+    the index counter alongside the fresh computation count the paper's
+    figures report.  The measured counters are identical under every
+    executor (that is the executor contract), only the wall-clock changes.
     """
     if not queries:
         raise ConfigurationError("need at least one query to measure pruning")
     counter = index.counter
     counter.checkpoint()
-    per_query = index.batch_range_query(queries, radius, executor=executor)
+    per_query, _worker_cpu = index.probe_batch(list(queries), radius, executor=executor)
     total_computations = counter.since_checkpoint()
     total_cache_hits = counter.cache_hits_since_checkpoint()
     total_prefilter = counter.prefilter_since_checkpoint()

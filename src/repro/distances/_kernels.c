@@ -1,7 +1,6 @@
 /* Fused elastic-distance kernels (compiled tier).
  *
- * Compiled on demand by repro.distances.compiled and loaded through ctypes;
- * the same recurrences also exist as Numba-compilable Python in that module.
+ * Compiled on demand by repro.distances.compiled and loaded through ctypes.
  * Every function replicates the floating-point *operation order* of the
  * NumPy kernels in repro/distances/alignment.py exactly, per call form:
  *
@@ -26,15 +25,16 @@
  *
  * Early abandoning follows the Distance.bounded contract: a returned value
  * is exact whenever it is <= cutoff; any value > cutoff (typically inf)
- * may be returned otherwise.  Batch entry points take a per-row cutoff
- * vector (NULL = unbounded), which is how the top-k scan tightens the
- * abandon threshold as its heap fills.
+ * may be returned otherwise.  The *_pairs entry points take a per-pair
+ * cutoff vector (NULL = unbounded).
  *
- * The *_pairs entry points are the batch forms over two operand stacks:
- * pair p is (qs[q_rows[p]], xs[x_rows[p]]), so one call serves many queries,
- * each against its own items.  They run the batch form's recurrence per pair
- * (for edit distances always the reduced-coordinate sweep, never the
- * small-table path), hence bit-identical values.
+ * Each recurrence has one per-pair loop, the *_pairs entry point, over two
+ * operand stacks: pair p is (qs[q_rows[p]], xs[x_rows[p]]), so one call
+ * serves many queries, each against its own items.  NULL row vectors mean
+ * query row 0 and item row p -- the batch call form, one query against a
+ * stack of items.  Both forms run the same recurrence per pair (for edit
+ * distances always the reduced-coordinate sweep, never the small-table
+ * path), hence bit-identical values.
  *
  * Conventions: band < 0 means "no band"; cutoff = +inf means "no cutoff";
  * all arrays are C-contiguous float64.  Return code 0 = success, 1 = out
@@ -355,27 +355,6 @@ int repro_warp_value(const double *q, int64_t n, const double *x, int64_t m, int
     return 0;
 }
 
-int repro_warp_batch(const double *q, int64_t n, const double *xs, int64_t k, int64_t m,
-                     int64_t d, int64_t kind, int64_t use_max, int64_t band,
-                     const double *cutoffs, double *out) {
-    int64_t p;
-    double *scratch = (double *)malloc((size_t)(3 * m) * sizeof(double));
-    if (scratch == NULL)
-        return 1;
-    for (p = 0; p < k; p++) {
-        const double *x = xs + p * m * d;
-        double cutoff = cutoffs != NULL ? cutoffs[p] : INFINITY;
-        if (use_max)
-            out[p] = warp_max_pair(q, n, x, m, d, kind, band, cutoff, scratch,
-                                   scratch + m);
-        else
-            out[p] = warp_sum_pair(q, n, x, m, d, kind, band, cutoff, scratch,
-                                   scratch + m, scratch + 2 * m);
-    }
-    free(scratch);
-    return 0;
-}
-
 int repro_warp_pairs(const double *qs, int64_t n, const int64_t *q_rows, const double *xs,
                      int64_t m, const int64_t *x_rows, int64_t k, int64_t d, int64_t kind,
                      int64_t use_max, int64_t band, const double *cutoffs, double *out) {
@@ -384,8 +363,8 @@ int repro_warp_pairs(const double *qs, int64_t n, const int64_t *q_rows, const d
     if (scratch == NULL)
         return 1;
     for (p = 0; p < k; p++) {
-        const double *q = qs + q_rows[p] * n * d;
-        const double *x = xs + x_rows[p] * m * d;
+        const double *q = qs + (q_rows != NULL ? q_rows[p] : 0) * n * d;
+        const double *x = xs + (x_rows != NULL ? x_rows[p] : p) * m * d;
         double cutoff = cutoffs != NULL ? cutoffs[p] : INFINITY;
         if (use_max)
             out[p] = warp_max_pair(q, n, x, m, d, kind, band, cutoff, scratch,
@@ -423,32 +402,6 @@ int repro_edit_value(const double *q, int64_t n, const double *x, int64_t m, int
     return 0;
 }
 
-int repro_edit_batch(const double *q, int64_t n, const double *xs, int64_t k, int64_t m,
-                     int64_t d, int64_t mode, int64_t kind, const double *gap, double eps,
-                     const double *cutoffs, double *out) {
-    int64_t p;
-    double *mem = (double *)malloc((size_t)(m + (m + 1) + n + 2 * (m + 1)) * sizeof(double));
-    double *ins, *insp, *del_costs, *work0, *work1;
-    if (mem == NULL)
-        return 1;
-    ins = mem;
-    insp = ins + m;
-    del_costs = insp + m + 1;
-    work0 = del_costs + n;
-    work1 = work0 + m + 1;
-    fill_del(q, n, d, mode, kind, gap, del_costs);
-    for (p = 0; p < k; p++) {
-        const double *x = xs + p * m * d;
-        double cutoff = cutoffs != NULL ? cutoffs[p] : INFINITY;
-        fill_ins(x, m, d, mode, kind, gap, ins, insp);
-        /* the NumPy batch kernel always runs the reduced-coordinate sweep */
-        out[p] = edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp,
-                                   cutoff, work0, work1);
-    }
-    free(mem);
-    return 0;
-}
-
 int repro_edit_pairs(const double *qs, int64_t n, const int64_t *q_rows, const double *xs,
                      int64_t m, const int64_t *x_rows, int64_t k, int64_t d, int64_t mode,
                      int64_t kind, const double *gap, double eps, const double *cutoffs,
@@ -464,13 +417,14 @@ int repro_edit_pairs(const double *qs, int64_t n, const int64_t *q_rows, const d
     work0 = del_costs + n;
     work1 = work0 + m + 1;
     for (p = 0; p < k; p++) {
-        const double *q = qs + q_rows[p] * n * d;
-        const double *x = xs + x_rows[p] * m * d;
+        int64_t q_row = q_rows != NULL ? q_rows[p] : 0;
+        const double *q = qs + q_row * n * d;
+        const double *x = xs + (x_rows != NULL ? x_rows[p] : p) * m * d;
         double cutoff = cutoffs != NULL ? cutoffs[p] : INFINITY;
-        if (q_rows[p] != filled) {
+        if (q_row != filled) {
             /* deletion costs belong to the query: once per run of one query row */
             fill_del(q, n, d, mode, kind, gap, del_costs);
-            filled = q_rows[p];
+            filled = q_row;
         }
         fill_ins(x, m, d, mode, kind, gap, ins, insp);
         /* the batch form's recurrence: always the reduced-coordinate sweep */

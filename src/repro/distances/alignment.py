@@ -50,7 +50,7 @@ Coupling = Tuple[int, int]
 _INF = float("inf")
 
 #: A batch abandon threshold: ``None``, one scalar for the whole batch, or a
-#: per-row ``(k,)`` vector (the top-k scan tightens rows as its heap fills).
+#: per-row ``(k,)`` vector.
 BatchCutoff = Union[None, float, np.ndarray]
 
 

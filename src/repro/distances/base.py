@@ -163,7 +163,7 @@ def validate_group_shape(distance: "Distance", query: np.ndarray, shape: tuple) 
     Callers holding a :class:`~repro.sequences.packed.PackedWindowStore`
     already know every member of a shape group is a valid ``(length, dim)``
     array, so only the query-relative checks remain; the error messages
-    match the un-packed path exactly.
+    match :func:`group_batch_operands` exactly.
     """
     if shape[1] != query.shape[1]:
         raise IncompatibleSequencesError(
@@ -231,26 +231,22 @@ def group_batch_operands(
     distance: "Distance",
     query: np.ndarray,
     items: "List[SequenceLike]",
-    indexes: Optional[Iterable[int]] = None,
 ) -> "tuple[dict, dict]":
     """Validate batch operands against ``query`` and group them by shape.
 
-    Shared by :meth:`Distance.batch` and the counting/caching wrapper in
-    :mod:`repro.indexing.stats`, so the coercion rules (dimensionality check,
-    lockstep length requirement) and the shape-grouping policy live in one
-    place.  ``indexes`` restricts the work to a subset of ``items`` (the
-    wrapper skips cache hits); the default covers every item.
+    The coercion rules of :meth:`Distance.batch` (dimensionality check,
+    lockstep length requirement) and its shape-grouping policy; the indexes
+    pack their items instead and check a group with
+    :func:`validate_group_shape`.
 
     Returns ``(arrays, groups)``: ``arrays`` maps item index to its coerced
     ``(m, dim)`` array, ``groups`` maps each array shape to the list of item
     indexes with that shape.
     """
-    if indexes is None:
-        indexes = range(len(items))
     arrays: "dict[int, np.ndarray]" = {}
     groups: "dict[tuple, list]" = {}
-    for index in indexes:
-        arr = as_array(items[index])
+    for index, item in enumerate(items):
+        arr = as_array(item)
         check_same_dim(query, arr)
         if not distance.supports_unequal_lengths and arr.shape[0] != query.shape[0]:
             raise IncompatibleSequencesError(

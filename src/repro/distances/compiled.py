@@ -40,7 +40,9 @@ threshold vector.  The ``*_pairs`` forms compute
 ``d(queries[query_rows[i]], items[item_rows[i]])`` for every ``i`` over two
 operand stacks -- one call for many queries, each against its own items --
 and run the *batch* form's recurrence per pair, so a pair's value is
-bit-identical to what ``*_batch`` returns for it.
+bit-identical to what ``*_batch`` returns for it.  Both forms call the one C
+pair entry point per recurrence; ``*_batch`` passes null row vectors, which
+mean query row 0 and item row ``i``.
 """
 
 from __future__ import annotations
@@ -154,10 +156,6 @@ class CcProvider:
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         lib.repro_warp_value.restype = ctypes.c_int
         lib.repro_warp_value.argtypes = [ptr, i64, ptr, i64, i64, i64, i64, i64, f64, ptr]
-        lib.repro_warp_batch.restype = ctypes.c_int
-        lib.repro_warp_batch.argtypes = [
-            ptr, i64, ptr, i64, i64, i64, i64, i64, i64, ptr, ptr,
-        ]
         lib.repro_warp_pairs.restype = ctypes.c_int
         lib.repro_warp_pairs.argtypes = [
             ptr, i64, ptr, ptr, i64, ptr, i64, i64, i64, i64, i64, ptr, ptr,
@@ -165,10 +163,6 @@ class CcProvider:
         lib.repro_edit_value.restype = ctypes.c_int
         lib.repro_edit_value.argtypes = [
             ptr, i64, ptr, i64, i64, i64, i64, ptr, f64, f64, ptr,
-        ]
-        lib.repro_edit_batch.restype = ctypes.c_int
-        lib.repro_edit_batch.argtypes = [
-            ptr, i64, ptr, i64, i64, i64, i64, i64, ptr, f64, ptr, ptr,
         ]
         lib.repro_edit_pairs.restype = ctypes.c_int
         lib.repro_edit_pairs.argtypes = [
@@ -201,9 +195,9 @@ class CcProvider:
         out = np.empty(xs.shape[0], dtype=np.float64)
         thresholds = _norm_cutoffs(cutoffs, xs.shape[0])
         self._check(
-            self._lib.repro_warp_batch(
-                q.ctypes.data, q.shape[0], xs.ctypes.data, xs.shape[0], xs.shape[1],
-                xs.shape[2], int(kind), int(bool(use_max)), _norm_band(band),
+            self._lib.repro_warp_pairs(
+                q.ctypes.data, q.shape[0], None, xs.ctypes.data, xs.shape[1], None,
+                xs.shape[0], xs.shape[2], int(kind), int(bool(use_max)), _norm_band(band),
                 thresholds.ctypes.data, out.ctypes.data,
             )
         )
@@ -246,9 +240,9 @@ class CcProvider:
         out = np.empty(xs.shape[0], dtype=np.float64)
         thresholds = _norm_cutoffs(cutoffs, xs.shape[0])
         self._check(
-            self._lib.repro_edit_batch(
-                q.ctypes.data, q.shape[0], xs.ctypes.data, xs.shape[0], xs.shape[1],
-                xs.shape[2], int(mode), int(kind), g.ctypes.data, float(eps),
+            self._lib.repro_edit_pairs(
+                q.ctypes.data, q.shape[0], None, xs.ctypes.data, xs.shape[1], None,
+                xs.shape[0], xs.shape[2], int(mode), int(kind), g.ctypes.data, float(eps),
                 thresholds.ctypes.data, out.ctypes.data,
             )
         )

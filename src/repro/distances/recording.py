@@ -15,34 +15,32 @@ The resolution rests on one observation: the *request stream* of a work
 unit -- which pairs it measures, with which cutoffs, in which order -- is a
 pure function of the distance values, never of the cache state (a hit and a
 fresh computation return the same number).  So each unit runs against a
-**private overlay** over a read-only snapshot of the shared cache and keeps
-a **log** of its requests; when the executor is done, the logs are replayed
-serially, in unit order, against the real cache and counters.  The replay
-performs no kernels -- every value is in the log -- it only re-derives the
-hit/fresh/prefilter classification each request *would* have received under
-serial execution, and applies the stores in serial order (which also
-reproduces the serial cache content and eviction order).
+read-only snapshot of the shared cache (plus, for a verification unit, a
+**private overlay** of its own stores) and keeps a **log** of its requests;
+when the executor is done, the logs are replayed serially, in unit order,
+against the real cache and counters.  The replay performs no kernels --
+every value is in the log -- it only re-derives the hit/fresh/prefilter
+classification each request *would* have received under serial execution,
+and applies the stores in serial order (which also reproduces the serial
+cache content and eviction order).
 
-Two recording front-ends exist, matching the two distance entry points of
-the query pipeline:
+Two recording front-ends exist, matching the two kinds of work unit:
 
-* :class:`RecordingCounting` duck-types the index layer's
-  :class:`~repro.indexing.stats.CountingDistance` (``__call__`` /
-  ``bounded`` / ``batch``) for probe work units;
+* :class:`RecordingCounting` stands in for the index layer's
+  :class:`~repro.indexing.stats.CountingDistance` in a probe unit -- the
+  linear scan's ``(query, shape group)`` sweep, which issues exactly one
+  ``batch`` request.  Its log is that one batch record: O(1) descriptors
+  plus the value row, replayed with one bulk cache probe.
 * :class:`RecordingVerifyCache` duck-types :class:`DistanceCache` for the
-  verification step's ``_measure`` helper.
+  verification step's ``_measure`` helper; its log is columnar --
+  preallocated NumPy columns appended with array writes, converted to
+  Python scalars once and replayed under a single cache lock
+  (:meth:`DistanceCache.replay_view`).
 
-Logs are columnar: preallocated NumPy columns -- request-kind codes, pair
-references, a ``(value, cutoff, bound)`` float block -- appended with array
-writes and replayed in bulk.  The replay converts whole columns to Python
-scalars once, classifies under a single cache lock
-(:meth:`DistanceCache.replay_view`), and applies counter tallies in one
-batched update per log.  Batched probes log one O(1) descriptor per batch,
-not one record per window.  The reference semantics of a replay is the
-serial path itself: the same request stream through a live
-:class:`~repro.indexing.stats.CountingDistance` (or, for verification, a
-plain cache plus the verification counter) must leave identical values,
-counters, cache content and eviction order.
+The reference semantics of a replay is the serial path itself: the same
+request through a live :class:`~repro.indexing.stats.CountingDistance` (or,
+for verification, a plain cache plus the verification counter) must leave
+identical values, counters, cache content and eviction order.
 
 One documented inexactness remains: if the shared cache evicts entries
 *mid-stage* (capacity reached while a query is executing), a unit may have
@@ -60,27 +58,17 @@ from typing import List, Optional, Sequence as TypingSequence, Tuple
 
 import numpy as np
 
-from repro.distances.base import (
-    Distance,
-    as_array,
-    group_batch_operands,
-    validate_group_shape,
-)
-from repro.distances.cache import DistanceCache, content_keys, probe_row
-from repro.distances.lower_bounds import combined_batch_bound, combined_bound
+from repro.distances.base import Distance, as_array, validate_group_shape
+from repro.distances.cache import DistanceCache, probe_row
+from repro.distances.lower_bounds import combined_batch_bound
 from repro.sequences.sequence import Sequence
 
 _INF = float("inf")
 _NAN = float("nan")
 
-#: Request-kind bit flags of the probe log.
-_K_CACHEABLE = 1  # pair is a valid cache key
-_K_BOUNDED = 2  # bounded request (cutoff column is set); unset: plain call
-_K_HAS_BOUND = 4  # the prefilter evaluated a lower bound (bound column set)
-_K_BATCH = 8  # placeholder row for the next entry of ``batches``
 
 class _Overlay:
-    """A unit-private write layer over a read-only base cache snapshot.
+    """A verification unit's private write layer over a read-only base cache.
 
     ``lookup`` consults the overlay first (it holds the unit's most recent
     knowledge) and falls back to :meth:`DistanceCache.peek` on the base,
@@ -108,66 +96,6 @@ class _Overlay:
         self, first: Sequence, second: Sequence, value: float, cutoff: Optional[float] = None
     ) -> None:
         self.local.store(first, second, value, cutoff)
-
-
-class _ProbeColumns:
-    """Preallocated columnar storage for a probe unit's request stream.
-
-    One row per scalar request: a kind byte, the two pair references, and a
-    ``(value, cutoff, bound)`` float triple (``nan`` where a field does not
-    apply -- the kind flags, not the ``nan``, decide what is meaningful).
-    Batched probes append one ``_K_BATCH`` placeholder row plus an O(1)
-    descriptor on :attr:`batches`; the replay walks rows in order and pulls
-    the next descriptor whenever it meets a placeholder, so the serial
-    request order is preserved exactly.
-    """
-
-    __slots__ = ("kinds", "pairs", "floats", "size", "batches")
-
-    _INITIAL = 128
-
-    def __init__(self) -> None:
-        self.kinds = np.zeros(self._INITIAL, dtype=np.uint8)
-        self.pairs = np.empty((self._INITIAL, 2), dtype=object)
-        self.floats = np.zeros((self._INITIAL, 3), dtype=np.float64)
-        self.size = 0
-        self.batches: List[tuple] = []
-
-    def _grow(self) -> None:
-        capacity = len(self.kinds) * 2
-        size = self.size
-        kinds = np.zeros(capacity, dtype=np.uint8)
-        kinds[:size] = self.kinds[:size]
-        self.kinds = kinds
-        pairs = np.empty((capacity, 2), dtype=object)
-        pairs[:size] = self.pairs[:size]
-        self.pairs = pairs
-        floats = np.zeros((capacity, 3), dtype=np.float64)
-        floats[:size] = self.floats[:size]
-        self.floats = floats
-
-    def append(
-        self, kind: int, first, second, value: float, cutoff: float, bound: float
-    ) -> None:
-        row = self.size
-        if row == len(self.kinds):
-            self._grow()
-        self.kinds[row] = kind
-        self.pairs[row, 0] = first
-        self.pairs[row, 1] = second
-        floats = self.floats[row]
-        floats[0] = value
-        floats[1] = cutoff
-        floats[2] = bound
-        self.size = row + 1
-
-    def append_batch(self, record: tuple) -> None:
-        row = self.size
-        if row == len(self.kinds):
-            self._grow()
-        self.kinds[row] = _K_BATCH
-        self.size = row + 1
-        self.batches.append(record)
 
 
 class _VerifyColumns:
@@ -245,18 +173,15 @@ def _replay_view(cache: Optional[DistanceCache]):
 
 
 class RecordingCounting:
-    """A per-unit stand-in for :class:`~repro.indexing.stats.CountingDistance`.
+    """A probe unit's stand-in for :class:`~repro.indexing.stats.CountingDistance`.
 
-    Index ``_range_search`` implementations receive one of these when they
-    execute inside a parallel work unit: same call surface (``__call__``,
-    ``bounded``, ``batch``, plus the ``inner``/``name``/``is_metric``
-    attributes the indexes read), but all cache traffic goes through a
-    private overlay and every request is logged for the serial replay.
-
-    The prefilter bounds are evaluated exactly where the serial
-    ``CountingDistance`` would evaluate them -- on cache misses only -- and
-    their outcomes ride along in the log so the replay can reconstruct the
-    prefilter tallies without recomputing anything.
+    A probe work unit issues exactly one ``batch`` request, and this records
+    exactly that one; a second request raises :class:`RuntimeError`.  The
+    request is classified against a read-only snapshot of the base cache,
+    its prefilter bounds are evaluated where the serial ``CountingDistance``
+    would evaluate them -- on cache misses only -- and the outcome is kept as
+    one record for :meth:`replay_into`.  Nothing reads the unit's own stores
+    (there is no later request), so none are made before the replay.
     """
 
     def __init__(
@@ -264,80 +189,12 @@ class RecordingCounting:
     ) -> None:
         self.inner = inner
         self.prefilter = bool(prefilter)
-        self._overlay = _Overlay(base)
-        self._columns = _ProbeColumns()
-        #: Batch stores not yet applied to the overlay, as
-        #: ``(query_key, item_keys, cutoff, values, group_indexes)``.  A unit's
-        #: *last* batch never needs its overlay stores (nothing reads them
-        #: before the unit ends; the replay works from the columns), so the
-        #: batch finish defers materialization until the next overlay read
-        #: (:meth:`_flush_overlay`).  Every read path flushes first, so the
-        #: overlay state observable at any read is identical to eager stores.
-        self._unapplied: List[tuple] = []
+        #: The base cache, read-only until the replay.
+        self.cache = base
+        self._requested = False
+        self._record: Optional[tuple] = None
 
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def is_metric(self) -> bool:
-        return self.inner.is_metric
-
-    @property
-    def cache(self) -> Optional[DistanceCache]:
-        """The base cache the overlay snapshots (read-only during the unit)."""
-        return self._overlay.base
-
-    def __call__(self, first, second) -> float:
-        columns = self._columns
-        if not DistanceCache.cacheable(first, second):
-            value = self.inner(first, second)
-            columns.append(0, first, second, value, _NAN, _NAN)
-            return value
-        if self._unapplied:
-            self._flush_overlay()
-        cached = self._overlay.lookup(first, second)
-        if cached is not None:
-            columns.append(_K_CACHEABLE, first, second, cached, _NAN, _NAN)
-            return cached
-        value = self.inner(first, second)
-        self._overlay.store(first, second, value)
-        columns.append(_K_CACHEABLE, first, second, value, _NAN, _NAN)
-        return value
-
-    def bounded(self, first, second, cutoff: float) -> float:
-        columns = self._columns
-        cacheable = DistanceCache.cacheable(first, second)
-        kind = _K_BOUNDED | (_K_CACHEABLE if cacheable else 0)
-        if cacheable:
-            if self._unapplied:
-                self._flush_overlay()
-            cached = self._overlay.lookup(first, second, cutoff=cutoff)
-            if cached is not None:
-                columns.append(kind, first, second, cached, cutoff, _NAN)
-                return cached
-        bound = _NAN
-        if self.prefilter:
-            bound = combined_bound(self.inner, first, second)
-            kind |= _K_HAS_BOUND
-            if bound > cutoff:
-                if cacheable:
-                    self._overlay.store(first, second, _INF, cutoff=cutoff)
-                columns.append(kind, first, second, _INF, cutoff, bound)
-                return _INF
-        value = self.inner.bounded(first, second, cutoff)
-        if cacheable:
-            self._overlay.store(first, second, value, cutoff=cutoff)
-        columns.append(kind, first, second, value, cutoff, bound)
-        return value
-
-    def batch(
-        self,
-        query,
-        items: TypingSequence,
-        cutoff: Optional[float] = None,
-        packed=None,
-    ) -> np.ndarray:
+    def batch(self, query, items: TypingSequence, cutoff: Optional[float] = None, *, packed):
         """Recorded analogue of :meth:`CountingDistance.batch`.
 
         Structured as prepare / compute / finish so a process-pool work
@@ -349,61 +206,48 @@ class RecordingCounting:
         computed = compute_batch_groups(context.payload())
         return self.batch_finish(context, computed)
 
-    def batch_prepare(self, query, items, cutoff, packed=None) -> "_BatchContext":
+    def batch_prepare(self, query, items, cutoff, *, packed) -> "_BatchContext":
         """Cache lookups + shape grouping; returns the pure-compute payload.
 
-        ``packed`` optionally serves the operand tensors from a packed
-        window layout (see :meth:`CountingDistance.batch`); the payload the
-        remote phase receives is value-identical either way.
+        ``packed`` serves the operand tensors from a packed window layout,
+        as in :meth:`CountingDistance.batch`.
         """
+        if self._requested:
+            raise RuntimeError("a RecordingCounting records exactly one batch request")
+        self._requested = True
         values = np.empty(len(items), dtype=np.float64)
         query_array = as_array(query)
         pending: Optional[List[int]] = None
         item_keys: Optional[List[Optional[bytes]]] = None
         if isinstance(query, Sequence):
-            if self._unapplied:
-                self._flush_overlay()
-            item_keys = content_keys(items) if packed is None else packed.content_keys(items)
-            # The classification is the hottest record-side path, so it is
-            # two bulk row probes -- the overlay (the unit's most recent
-            # knowledge) first, the base snapshot for what is left -- each
-            # the same lock-free read ``DistanceCache.peek`` documents.  An
-            # empty table cannot answer, so a cold unit (nothing recorded
-            # yet, base empty: the common first probe) skips both.
-            base = self._overlay.base
-            tables = (self._overlay.local._entries, None if base is None else base._entries)
-            for table in tables:
-                if table and (pending is None or pending):
-                    pending, _misses = probe_row(
-                        table, query.content_key, item_keys, cutoff, values, pending
-                    )
+            item_keys = packed.content_keys(items)
+            # One bulk row probe, the same lock-free read
+            # ``DistanceCache.peek`` documents; an empty base (the common
+            # cold probe) cannot answer and is skipped.
+            base = self.cache
+            if base is not None and base._entries:
+                pending, _misses = probe_row(
+                    base._entries, query.content_key, item_keys, cutoff, values
+                )
         if pending is None:
             pending = list(range(len(items)))
-
-        # Shape-group the pending items and assemble the batch context.
         grouped: List[Tuple[List[int], object]] = []
-        if packed is None:
-            arrays, groups = group_batch_operands(self.inner, query_array, items, pending)
-            for indexes in groups.values():
-                grouped.append((indexes, np.stack([arrays[i] for i in indexes])))
-        else:
-            for shape, indexes in packed.group_positions(pending):
-                validate_group_shape(self.inner, query_array, shape)
-                grouped.append((indexes, packed.gather(indexes)))
+        for shape, indexes in packed.group_positions(pending):
+            validate_group_shape(self.inner, query_array, shape)
+            grouped.append((indexes, packed.gather(indexes)))
         return _BatchContext(self, query, item_keys, cutoff, values, query_array, grouped)
 
     def batch_finish(
         self, context: "_BatchContext", computed: List[Tuple[np.ndarray, Optional[np.ndarray]]]
     ) -> np.ndarray:
-        """Fold the computed group values/bounds back in; log the batch.
+        """Fold the computed group values/bounds back in; keep the record.
 
-        Vectorized scatters and one O(1) batch descriptor, which keeps the
-        result array *by reference* (callers treat batch results as
-        read-only, which every index does).
+        Vectorized scatters and one O(1) record, which keeps the result
+        array *by reference* (callers treat batch results as read-only,
+        which every index does).
         """
         values = context.values
         item_keys = context.item_keys
-        cutoff = context.cutoff
         bounds_array: Optional[np.ndarray] = None
         bound_known: Optional[np.ndarray] = None
         for (indexes, _tensor), (group_values, group_bounds) in zip(context.grouped, computed):
@@ -418,38 +262,30 @@ class RecordingCounting:
         query_key = None if item_keys is None else context.query.content_key
         if query_key is None:
             item_keys = [None] * len(values)
-        else:
-            # Defer the per-item overlay stores (see ``_unapplied``): the
-            # group index lists are all the flush needs, and for the last
-            # batch of the unit the stores never happen at all.
-            self._unapplied.append(
-                (query_key, item_keys, cutoff, values, [indexes for indexes, _t in context.grouped])
-            )
-        self._columns.append_batch(
-            (query_key, item_keys, cutoff, values, bounds_array, bound_known)
-        )
+        self._record = (query_key, item_keys, context.cutoff, values, bounds_array, bound_known)
         return values
 
-    def _flush_overlay(self) -> None:
-        """Apply deferred batch stores to the overlay, in order.
-
-        The store order -- batches in finish order, groups in order,
-        positions in order -- is exactly the eager order.
-        """
-        unapplied = self._unapplied
-        self._unapplied = []
-        with self._overlay.local.replay_view() as view:
-            store = view.store_key
-            for query_key, item_keys, cutoff, values, groups in unapplied:
-                value_list = values.tolist()
-                for indexes in groups:
-                    for index in indexes:
-                        if item_keys[index] is not None:
-                            store((query_key, item_keys[index]), value_list[index], cutoff)
-
     def replay_into(self, counting) -> None:
-        """Replay this unit's log into the live ``CountingDistance``."""
-        _replay_probe_columns(self._columns, counting)
+        """Replay the recorded batch into the live ``CountingDistance``.
+
+        Decides hit vs fresh vs prefilter-pruned exactly as the serial path
+        would have -- against the *real* cache, which now includes the
+        stores of every earlier unit -- and applies the stores in serial
+        order under one lock acquisition.  No kernels run here.
+        """
+        if self._record is None:
+            return
+        with _replay_view(counting.cache) as view:
+            fresh, hits, evaluated, pruned = _replay_batch_record(
+                self._record, view, counting.prefilter
+            )
+        counter = counting.counter
+        if fresh:
+            counter.increment(fresh)
+        if hits:
+            counter.record_cache_hit(hits)
+        if evaluated:
+            counter.record_prefilter(evaluated, pruned)
 
 
 class _BatchContext:
@@ -550,80 +386,8 @@ class RecordingVerifyCache:
         _replay_verify_columns(self._columns, cache, counter)
 
 
-def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
-    """Re-run a probe unit's request stream against the real cache/counter.
-
-    ``counting`` is the index's live
-    :class:`~repro.indexing.stats.CountingDistance`.  For every logged
-    request the replay decides hit vs fresh vs prefilter-pruned exactly as
-    the serial path would have -- using the *real* cache state, which at
-    this point includes the stores of every earlier unit -- and applies the
-    stores in serial order.  No kernels run here.  Whole columns are
-    converted to Python scalars up front, all cache traffic of the log runs
-    under one lock acquisition (:meth:`DistanceCache.replay_view`), and the
-    counter receives one batched update per tally.
-    """
-    cache, counter, prefilter = counting.cache, counting.counter, counting.prefilter
-    size = columns.size
-    fresh = hits = pre_evaluated = pre_pruned = 0
-    with _replay_view(cache) as view:
-        kinds = columns.kinds[:size].tolist()
-        pair_rows = columns.pairs[:size].tolist()
-        float_rows = columns.floats[:size].tolist()
-        batches = iter(columns.batches)
-        # The row loop runs once per recorded request, so lookups read the
-        # view's raw table (same answers as ``view.lookup``; the hit/miss
-        # tallies are folded in once at the end) and stores go through
-        # ``view.store_key`` -- the cache's own store rule and eviction.
-        # A cache-less replay runs against the empty null view: every
-        # lookup misses and every store is dropped.  On ``_K_BOUNDED`` rows
-        # the cutoff column is always a real float; plain calls carry none.
-        get, store = view.table.get, view.store_key
-        row_hits = row_misses = 0
-        for row in range(size):
-            kind = kinds[row]
-            if kind & _K_BATCH:
-                tallies = _replay_batch_record(next(batches), view, prefilter)
-                fresh += tallies[0]
-                hits += tallies[1]
-                pre_evaluated += tallies[2]
-                pre_pruned += tallies[3]
-                continue
-            value, cutoff, bound = float_rows[row]
-            if not kind & _K_BOUNDED:
-                cutoff = None
-            key = None
-            if kind & _K_CACHEABLE:
-                first, second = pair_rows[row]
-                key = (first.content_key, second.content_key)
-                entry = get(key)
-                if entry is not None and (entry[1] or (cutoff is not None and entry[0] >= cutoff)):
-                    row_hits += 1
-                    continue
-                row_misses += 1
-            if prefilter and kind & _K_HAS_BOUND:
-                pre_evaluated += 1
-                if bound > cutoff:
-                    pre_pruned += 1
-                    if key is not None:
-                        store(key, _INF, cutoff)
-                    continue
-            fresh += 1
-            if key is not None:
-                store(key, value, cutoff)
-        hits += row_hits
-        view.hits += row_hits
-        view.misses += row_misses
-    if fresh:
-        counter.increment(fresh)
-    if hits:
-        counter.record_cache_hit(hits)
-    if pre_evaluated:
-        counter.record_prefilter(pre_evaluated, pre_pruned)
-
-
 def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int, int, int]:
-    """Replay one batch descriptor; returns (fresh, hits, evaluated, pruned).
+    """Replay one batch record; returns (fresh, hits, evaluated, pruned).
 
     Two phases, mirroring the serial ``CountingDistance.batch``: first
     every item is classified hit/pending against the real cache -- one bulk
@@ -674,15 +438,24 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
 def _replay_verify_columns(
     columns: _VerifyColumns, cache: Optional[DistanceCache], counter
 ) -> None:
-    """Re-run a verification unit's request stream; see :func:`_replay_probe_columns`."""
+    """Re-run a verification unit's request stream against the real cache/counter.
+
+    For every logged request the replay decides hit vs fresh exactly as the
+    serial path would have, using the real cache state, and applies the
+    stores in serial order.  Whole columns are converted to Python scalars
+    up front, and all cache traffic of the log runs under one lock
+    acquisition (:meth:`DistanceCache.replay_view`).
+    """
     size = columns.size
     fresh = hits = 0
     with _replay_view(cache) as view:
         flags = columns.flags[:size].tolist()
         pair_rows = columns.pairs[:size].tolist()
         float_rows = columns.floats[:size].tolist()
-        # Same scheme as :func:`_replay_probe_columns`: raw-table lookups,
-        # stores through ``view.store_key``, tallies folded in at the end.
+        # The row loop runs once per recorded request, so lookups read the
+        # view's raw table (same answers as ``view.lookup``; the tallies are
+        # folded in at the end) and stores go through ``view.store_key`` --
+        # the cache's own store rule and eviction.
         get, store = view.table.get, view.store_key
         for row in range(size):
             first, second = pair_rows[row]

@@ -6,6 +6,14 @@ subsequence as the indexed payload) under hashable keys, and answers range
 queries: given a query payload and a radius ``eps``, return every stored
 item within distance ``eps``.
 
+Every index answers that question in batches, through one entry,
+:meth:`MetricIndex.batch_range_query`, and one subclass hook: the linear
+scan's grouped kernel sweeps, the reference net's whole-batch frontier.
+:meth:`MetricIndex.range_query` is a batch of one.  Under a parallel
+executor, :meth:`MetricIndex.probe_batch` may instead split a batch into
+the index's work units (:func:`run_query_work_units`), each of which
+records its one batched distance request for a serial replay.
+
 Two details matter for faithfully reproducing the paper's evaluation:
 
 * every distance evaluation performed by an index is counted through a
@@ -86,12 +94,11 @@ class QueryWorkUnit:
     """One independently executable slice of a batched range query.
 
     A unit answers (part of) the range query at ``position`` in the batch.
-    ``search`` runs it to completion against a counting context (the
-    index's live :class:`~repro.indexing.stats.CountingDistance` under the
-    serial executor, a per-unit
-    :class:`~repro.distances.recording.RecordingCounting` under a parallel
-    one) and returns ``(order_key, match)`` pairs; the runner merges the
-    units of one query position and sorts by ``order_key``, which is how a
+    ``search`` runs it to completion against a per-unit
+    :class:`~repro.distances.recording.RecordingCounting`, through exactly
+    one ``batch`` request, and returns ``(order_key, match)`` pairs; the
+    runner merges the units of one query position and sorts by
+    ``order_key``, which is how a
     split probe (the linear scan's per-shape-group units) reassembles the
     exact serial result order.
 
@@ -338,33 +345,6 @@ class MetricIndex(abc.ABC):
         """Compute (and count) the exact distance between two payloads."""
         return self._counting(first, second)
 
-    def _d_bounded(self, first: SequenceLike, second: SequenceLike, cutoff: float) -> float:
-        """Compute (and count) a distance that may early-abandon past ``cutoff``.
-
-        Only usable where the caller needs nothing more than "within
-        ``cutoff`` or not" plus the exact value when within -- i.e. the
-        final membership test of a range query, never the triangle-
-        inequality routing of tree indexes (those need exact values).
-        """
-        return self._counting.bounded(first, second, cutoff)
-
-    def _d_batch(
-        self,
-        query: SequenceLike,
-        items: List[SequenceLike],
-        cutoff=None,
-        packed=None,
-    ) -> "np.ndarray":
-        """Compute (and count) distances from ``query`` to many payloads at once.
-
-        Goes through :meth:`CountingDistance.batch`: cache lookups first,
-        then lower-bound prefilters (when enabled), then one batched kernel
-        per same-shape group.  The usual early-abandon contract applies when
-        ``cutoff`` is given (a scalar or per-item vector); ``packed``
-        optionally serves the operand tensors from a packed window layout.
-        """
-        return self._counting.batch(query, items, cutoff, packed=packed)
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -397,22 +377,15 @@ class MetricIndex(abc.ABC):
         """Remove and return the item stored under ``key``."""
         raise NotImplementedError(f"{type(self).__name__} does not support removal")
 
-    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
-        """Range query against an explicit counting context.
+    def range_query(
+        self, query: SequenceLike, radius: float, bounds: Optional[BoundTable] = None
+    ) -> List[RangeMatch]:
+        """Every stored item within ``radius`` of ``query``: a batch of one.
 
-        The hook of an index that answers one query at a time: the default
-        :meth:`range_query` and :meth:`_serial_batch_range_query` are built
-        on it.  An index that answers a whole batch natively (the reference
-        net) overrides those instead and has no per-query traversal.
-
-        ``counting`` supplies every distance evaluation (``counting(a, b)``,
-        ``counting.bounded``, ``counting.batch``).
+        ``bounds`` optionally hands back the one-row table
+        :meth:`bound_table` built for this query.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no per-query traversal")
-
-    def range_query(self, query: SequenceLike, radius: float) -> List[RangeMatch]:
-        """Return every stored item within ``radius`` of ``query``."""
-        return self._range_search(query, radius, self._counting)
+        return self.batch_range_query([query], radius, bounds=bounds)[0]
 
     def bound_table(
         self, query: SequenceLike, spans: List[Tuple[int, int]]
@@ -431,29 +404,30 @@ class MetricIndex(abc.ABC):
         self,
         queries: Iterable[SequenceLike],
         radius: float,
-        executor=None,
         bounds: Optional[BoundTable] = None,
     ) -> List[List[RangeMatch]]:
         """Answer many range queries at once; one result list per query.
 
+        The one search entry of every index: :meth:`range_query` is a batch
+        of one, and :meth:`probe_batch` lands here on the calling thread.
         ``bounds`` optionally hands back the table :meth:`bound_table` built
         for exactly these queries (row ``i`` for query ``i``); an index
-        whose :meth:`bound_table` is ``None`` never sees one.
-
-        Without an ``executor`` (or with the serial one), execution follows
-        the index's serial batch path -- :meth:`range_query` per query by
-        default; implementations with a genuinely batched execution (the
-        linear scan's grouped kernel sweeps, the reference net's whole-batch
-        frontier) override :meth:`_serial_batch_range_query`.  With a parallel
-        executor, the query set is split into the work units of
-        :meth:`query_work_units`, if the index issues any, and fanned out;
-        results *and* work counters are identical to the serial path either
-        way (see :func:`run_query_work_units`).
+        whose :meth:`bound_table` is ``None`` never sees one.  A negative
+        radius raises :class:`~repro.exceptions.IndexError_`.
         """
-        queries = list(queries)
-        if executor is not None and executor.is_parallel:
-            return self.parallel_batch_range_query(queries, radius, executor, bounds)
-        return self._serial_batch_range_query(queries, radius, bounds)
+        if radius < 0:
+            raise IndexError_(f"radius must be non-negative, got {radius}")
+        return self._batch_range_query(list(queries), radius, bounds)
+
+    @abc.abstractmethod
+    def _batch_range_query(
+        self,
+        queries: List[SequenceLike],
+        radius: float,
+        bounds: Optional[BoundTable],
+    ) -> List[List[RangeMatch]]:
+        """The index's search: the linear scan's grouped kernel sweeps, the
+        reference net's whole-batch frontier.  ``radius`` is non-negative."""
 
     def probe_batch(
         self,
@@ -480,25 +454,6 @@ class MetricIndex(abc.ABC):
         if units is None:
             return self.batch_range_query(queries, radius, bounds=bounds), 0.0
         return run_query_work_units(self, units, len(queries), executor)
-
-    def _serial_batch_range_query(
-        self,
-        queries: List[SequenceLike],
-        radius: float,
-        bounds: Optional[BoundTable] = None,
-    ) -> List[List[RangeMatch]]:
-        """Serial batched execution (subclass hook; default per-query, table-less)."""
-        return [self.range_query(query, radius) for query in queries]
-
-    def parallel_batch_range_query(
-        self,
-        queries: List[SequenceLike],
-        radius: float,
-        executor,
-        bounds: Optional[BoundTable] = None,
-    ) -> List[List[RangeMatch]]:
-        """Executor-driven batched execution: :meth:`probe_batch`'s matches."""
-        return self.probe_batch(queries, radius, bounds, executor)[0]
 
     def query_work_units(
         self, queries: List[SequenceLike], radius: float
@@ -585,67 +540,12 @@ class MetricIndex(abc.ABC):
     # ------------------------------------------------------------------ #
     # Conveniences shared by every implementation
     # ------------------------------------------------------------------ #
-    def add_all(self, items: Iterable[Tuple[Hashable, object]]) -> List[Hashable]:
-        """Insert many ``(key, item)`` pairs; returns the keys in order."""
-        return [self.add(item, key) for key, item in items]
-
     def _auto_key(self) -> int:
         """Generate a fresh integer key."""
         key = len(self._items)
         while key in self._items:
             key += 1
         return key
-
-    def nearest_neighbour(
-        self, query: SequenceLike, initial_radius: float = 1.0, growth: float = 2.0
-    ) -> Optional[RangeMatch]:
-        """Best-match search built on repeated range queries.
-
-        The paper's Type III query reduces nearest-neighbour search to a
-        sequence of range queries with growing radius; the same reduction is
-        offered here for any index.  Returns ``None`` for an empty index.
-        """
-        matches = self.knn_query(query, 1, initial_radius=initial_radius, growth=growth)
-        return matches[0] if matches else None
-
-    def knn_query(
-        self,
-        query: SequenceLike,
-        k: int,
-        initial_radius: float = 1.0,
-        growth: float = 2.0,
-    ) -> List[RangeMatch]:
-        """The ``k`` stored items closest to ``query``, nearest first.
-
-        Implemented, like the paper's Type III query, as range queries with a
-        geometrically growing radius until at least ``k`` items are found;
-        ties at the k-th distance are broken arbitrarily.  Every returned
-        match carries its exact distance.
-        """
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
-        if not self._items:
-            return []
-        if initial_radius <= 0 or growth <= 1:
-            raise IndexError_("initial_radius must be > 0 and growth > 1")
-        radius = initial_radius
-        wanted = min(k, len(self._items))
-        while True:
-            matches = self.range_query(query, radius)
-            if len(matches) >= wanted:
-                resolved = [
-                    RangeMatch(
-                        match.key,
-                        match.item,
-                        match.distance
-                        if match.distance is not None
-                        else self._d(query, match.item),
-                    )
-                    for match in matches
-                ]
-                resolved.sort(key=lambda match: match.distance)
-                return resolved[:wanted]
-            radius *= growth
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={len(self)}, distance={self.distance.name!r})"

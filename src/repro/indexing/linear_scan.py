@@ -5,16 +5,17 @@ It is the correctness oracle for the smarter indexes and the denominator of
 the paper's query-cost figures: an index that needs ``c`` distance
 computations for a query over ``n`` items achieves a pruning ratio of
 ``1 - c / n`` (Equation 5's ``alpha``).
+
+Every item is packed on insertion (:class:`~repro.sequences.packed.PackedWindowStore`),
+so a search is one grouped kernel sweep per query over the packed window
+tensors; an item that cannot be packed is refused by :meth:`LinearScanIndex.add`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Hashable, List, Optional
 
-import numpy as np
-
-from repro.distances.base import Distance, SequenceLike, as_array
+from repro.distances.base import Distance, SequenceLike
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import compute_batch_groups
 from repro.exceptions import IndexError_
@@ -28,10 +29,9 @@ class LinearScanIndex(MetricIndex):
 
     Works with *any* distance, metric or not, which makes it the only index
     in this library usable with DTW, EDR, or LCSS.  Range queries use the
-    early-abandoning :meth:`~repro.distances.base.Distance.bounded` path:
-    the scan only needs each item's exact distance when it is within the
-    radius, so the DP kernels may give up as soon as the radius is provably
-    unreachable.
+    early-abandoning batch kernels: the scan only needs each item's exact
+    distance when it is within the radius, so the DP kernels may give up as
+    soon as the radius is provably unreachable.
 
     With ``prefilter=True`` the registered lower bounds of
     :mod:`repro.distances.lower_bounds` run in front of every kernel: pairs
@@ -42,10 +42,11 @@ class LinearScanIndex(MetricIndex):
     figures normalise against, and the matcher turns it on via
     :attr:`~repro.core.config.MatcherConfig.prefilter`.
 
-    :meth:`batch_range_query` is genuinely batched: stored items are grouped
-    by shape and each group's distances are computed by one vectorized
-    kernel sweep (see :meth:`~repro.distances.base.Distance.batch`), which
-    is substantially faster than per-pair calls for the elastic measures.
+    :meth:`batch_range_query` is genuinely batched: stored items are packed
+    by shape on insertion and each group's distances are computed by one
+    vectorized kernel sweep (see
+    :meth:`~repro.distances.base.Distance.compute_batch`), which is
+    substantially faster than per-pair calls for the elastic measures.
     Under a parallel executor every ``(query, shape group)`` pair becomes
     its own work unit -- one grouped kernel sweep -- and the units carry a
     picklable remote phase, so a process pool receives chunked batches of
@@ -70,23 +71,16 @@ class LinearScanIndex(MetricIndex):
             distance, counter, require_metric=False, cache=cache, prefilter=prefilter
         )
         self._packed = PackedWindowStore()
-        #: Packing needs array-coercible items; the first item that is not
-        #: (coercion errors surface at query time, as before) switches the
-        #: whole scan back to the per-call stacking path.
-        self._packed_ok = True
 
     def add(self, item: object, key: Optional[Hashable] = None) -> Hashable:
         if key is None:
             key = self._auto_key()
         if key in self._items:
             raise IndexError_(f"key {key!r} is already present")
+        # Packing coerces the item, so an unusable payload is refused here,
+        # before anything is registered.
+        self._packed.add(key, item)
         self._items[key] = item
-        if self._packed_ok:
-            try:
-                self._packed.add(key, item)
-            except Exception:
-                self._packed_ok = False
-                self._packed.clear()
         return key
 
     def remove(self, key: Hashable) -> object:
@@ -94,58 +88,31 @@ class LinearScanIndex(MetricIndex):
             item = self._items.pop(key)
         except KeyError:
             raise IndexError_(f"no item with key {key!r} in this index") from None
-        if self._packed_ok and key in self._packed:
-            self._packed.remove(key)
+        self._packed.remove(key)
         return item
 
     def _restore_structure(self, state: dict) -> None:
         self._packed = PackedWindowStore()
-        self._packed_ok = True
         for key, item in self._items.items():
-            try:
-                self._packed.add(key, item)
-            except Exception:
-                self._packed_ok = False
-                self._packed.clear()
-                break
+            self._packed.add(key, item)
 
-    def _scan_gather(self, keys: List[Hashable]) -> Optional[StoreGather]:
-        """A packed gather over ``keys``, or ``None`` when packing is off."""
-        if not self._packed_ok:
-            return None
-        return StoreGather(self._packed, keys)
-
-    def _range_search(self, query: SequenceLike, radius: float, counting) -> List[RangeMatch]:
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
-        matches: List[RangeMatch] = []
-        for key, item in self._items.items():
-            value = counting.bounded(query, item, radius)
-            if value <= radius:
-                matches.append(RangeMatch(key, item, value))
-        return matches
-
-    def _serial_batch_range_query(
+    def _batch_range_query(
         self, queries: List[SequenceLike], radius: float, bounds=None
     ) -> List[List[RangeMatch]]:
-        """One grouped kernel sweep per query instead of per-pair calls.
+        """One grouped kernel sweep per query.
 
-        Results are identical to :meth:`range_query` (same keys, same
-        distances, insertion order preserved); only the execution changes:
-        cache lookups, then one vectorized lower-bound pass (when
+        Per query: cache lookups, then one vectorized lower-bound pass (when
         prefiltering is enabled), then one batched kernel per same-shape
-        group of stored items.
+        group of stored items; matches come back in insertion order.
         """
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
         keys = list(self._items.keys())
         items = [self._items[key] for key in keys]
-        packed = self._scan_gather(keys)
+        packed = StoreGather(self._packed, keys)
         results: List[List[RangeMatch]] = []
         for query in queries:
             matches: List[RangeMatch] = []
             if items:
-                values = self._d_batch(query, items, cutoff=radius, packed=packed)
+                values = self._counting.batch(query, items, cutoff=radius, packed=packed)
                 for key, item, value in zip(keys, items, values):
                     if value <= radius:
                         matches.append(RangeMatch(key, item, float(value)))
@@ -167,21 +134,16 @@ class LinearScanIndex(MetricIndex):
         keys = list(self._items.keys())
         items = [self._items[key] for key in keys]
         positions: dict = {}
-        for scan_position, item in enumerate(items):
-            if self._packed_ok:
-                shape = self._packed.shape_of(keys[scan_position])
-            else:
-                shape = as_array(item).shape
-            positions.setdefault(shape, []).append(scan_position)
+        for scan_position, key in enumerate(keys):
+            positions.setdefault(self._packed.shape_of(key), []).append(scan_position)
         # One gather per group, shared by every query's unit: its memoized
         # content-key row is then built once per probe, not once per unit.
         groups = []
         for shape, scan_positions in positions.items():
             group_keys = [keys[i] for i in scan_positions]
             group_items = [items[i] for i in scan_positions]
-            groups.append(
-                (shape, scan_positions, group_keys, group_items, self._scan_gather(group_keys))
-            )
+            gather = StoreGather(self._packed, group_keys)
+            groups.append((shape, scan_positions, group_keys, group_items, gather))
 
         units: List[QueryWorkUnit] = []
         for position, query in enumerate(queries):
@@ -234,61 +196,3 @@ class LinearScanIndex(MetricIndex):
                     )
                 )
         return units
-
-    def knn_scan(
-        self, query: SequenceLike, k: int, chunk_size: int = 64
-    ) -> List[RangeMatch]:
-        """The ``k`` nearest stored items by one streaming batched scan.
-
-        Unlike :meth:`knn_query` (repeated range queries with growing
-        radius), this walks the store once in scan order, chunk by chunk,
-        and hands each chunk's kernel a *per-item abandon threshold vector*
-        set to the current k-th best distance -- so the DP sweeps abandon
-        ever earlier as the heap tightens, and no radius schedule has to be
-        guessed.  Returned matches carry exact distances (a bounded kernel
-        value is exact whenever it is at most its threshold, and only values
-        strictly below the threshold enter the heap), sorted nearest first
-        with ties broken by scan order.  All kernel work is counted on the
-        index counter and flows through the shared cache, like any other
-        query.
-        """
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
-        if chunk_size < 1:
-            raise IndexError_(f"chunk_size must be >= 1, got {chunk_size}")
-        if not self._items:
-            return []
-        keys = list(self._items.keys())
-        items = [self._items[key] for key in keys]
-        wanted = min(k, len(items))
-        # Max-heap of the k best so far: entries are (-distance, -position),
-        # so the root is the current k-th best and, among equal distances,
-        # the latest-seen item is the one evicted first.
-        heap: List[tuple] = []
-        threshold: Optional[float] = None
-        for start in range(0, len(items), chunk_size):
-            stop = min(start + chunk_size, len(items))
-            chunk_keys = keys[start:stop]
-            chunk_items = items[start:stop]
-            cutoff = (
-                None
-                if threshold is None
-                else np.full(len(chunk_items), threshold, dtype=np.float64)
-            )
-            values = self._counting.batch(
-                query, chunk_items, cutoff=cutoff, packed=self._scan_gather(chunk_keys)
-            )
-            for offset, value in enumerate(values):
-                value = float(value)
-                if len(heap) < wanted:
-                    heapq.heappush(heap, (-value, -(start + offset)))
-                    if len(heap) == wanted:
-                        threshold = -heap[0][0]
-                elif threshold is not None and value < threshold:
-                    heapq.heapreplace(heap, (-value, -(start + offset)))
-                    threshold = -heap[0][0]
-        ranked = sorted((-neg_value, -neg_pos) for neg_value, neg_pos in heap)
-        return [
-            RangeMatch(keys[position], items[position], distance)
-            for distance, position in ranked
-        ]

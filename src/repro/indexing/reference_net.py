@@ -614,21 +614,11 @@ class ReferenceNet(MetricIndex):
         for _level, child, link_distance in node.iter_children():
             yield child, (link_distance + child.subtree if child.children else link_distance)
 
-    def range_query(
-        self, query: SequenceLike, radius: float, bounds: Optional[BoundTable] = None
-    ) -> List[RangeMatch]:
-        """Every stored item within ``radius`` of ``query``: a batch of one.
-
-        ``bounds`` optionally hands back the one-row table
-        :meth:`bound_table` built for this query.
-        """
-        return self._frontier([query], radius, bounds)[0]
-
-    def _serial_batch_range_query(
+    def _batch_range_query(
         self,
         queries: List[SequenceLike],
         radius: float,
-        bounds: Optional[BoundTable] = None,
+        bounds: Optional[BoundTable],
     ) -> List[List[RangeMatch]]:
         return self._frontier(queries, radius, bounds)
 
@@ -698,8 +688,6 @@ class ReferenceNet(MetricIndex):
         else is pair vectors no longer than a level's pending set, and child
         rows are expanded :data:`_CHUNK_ROWS` at a time.
         """
-        if radius < 0:
-            raise IndexError_(f"radius must be non-negative, got {radius}")
         if self._root is None:
             return [[] for _query in queries]
         count = len(queries)

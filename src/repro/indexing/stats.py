@@ -48,11 +48,10 @@ from repro.distances.base import (
     Distance,
     SequenceLike,
     as_array,
-    group_batch_operands,
     group_cutoff,
     validate_group_shape,
 )
-from repro.distances.cache import DistanceCache, PairKey, content_keys
+from repro.distances.cache import DistanceCache, PairKey
 from repro.distances.lower_bounds import combined_batch_bound, combined_bound
 from repro.sequences.sequence import Sequence
 
@@ -354,7 +353,8 @@ class CountingDistance:
         query: SequenceLike,
         items: TypingSequence[SequenceLike],
         cutoff=None,
-        packed=None,
+        *,
+        packed,
     ) -> np.ndarray:
         """Counted, cached, prefiltered :meth:`Distance.batch`.
 
@@ -363,16 +363,15 @@ class CountingDistance:
         given) with one vectorized bound evaluation per group, and the
         survivors go through the batched kernels in one call per group.  The
         returned array obeys the same contract as :meth:`Distance.batch`;
-        ``cutoff`` may be one scalar or a per-item vector (the top-k scan's
-        heap thresholds).  All of a call's cache lookups precede all of its
-        stores, and the stores happen in item order.
+        ``cutoff`` may be one scalar or a per-item vector.  All of a call's
+        cache lookups precede all of its stores, and the stores happen in
+        item order.
 
-        ``packed`` optionally supplies the operand arrays from a packed
-        window layout (a :class:`~repro.sequences.packed.StoreGather`):
-        position ``i`` of ``items`` must be backed by position ``i`` of the
-        gather.  The gathered tensors hold the exact bytes the un-packed
-        path would stack, so results, counters, and cache traffic are
-        unchanged -- only the per-call coercion and stacking disappear.
+        ``packed`` supplies the operand arrays from a packed window layout
+        (a :class:`~repro.sequences.packed.StoreGather`): position ``i`` of
+        ``items`` must be backed by position ``i`` of the gather.  Every
+        index packs its items on insertion, so no per-call coercion or
+        stacking happens here.
         """
         values = np.empty(len(items), dtype=np.float64)
         query_array = as_array(query)
@@ -385,7 +384,7 @@ class CountingDistance:
             # over content keys -- the scan's packed layout keeps them beside
             # its rows -- instead of a cache call per item; the hit/miss
             # statistics and the classifications are identical.
-            item_keys = content_keys(items) if packed is None else packed.content_keys(items)
+            item_keys = packed.content_keys(items)
             pending = cache.probe_row(query.content_key, item_keys, cutoff, values)
             if len(pending) != len(items):
                 self.counter.record_cache_hit(len(items) - len(pending))
@@ -394,18 +393,11 @@ class CountingDistance:
         if not pending:
             return values
 
-        if packed is None:
-            arrays, groups = group_batch_operands(self.inner, query_array, items, pending)
-            shape_groups = [(None, indexes) for indexes in groups.values()]
-        else:
-            shape_groups = packed.group_positions(pending)
-            for shape, _indexes in shape_groups:
-                validate_group_shape(self.inner, query_array, shape)
+        shape_groups = packed.group_positions(pending)
+        for shape, _indexes in shape_groups:
+            validate_group_shape(self.inner, query_array, shape)
         for _shape, indexes in shape_groups:
-            if packed is None:
-                tensor = np.stack([arrays[i] for i in indexes])
-            else:
-                tensor = packed.gather(indexes)
+            tensor = packed.gather(indexes)
             survivors = indexes
             thresholds = group_cutoff(cutoff, indexes)
             if self.prefilter and cutoff is not None:

@@ -12,11 +12,11 @@ compiled.
 coerced once, grouped by ``(length, dim)``, and each group is lazily
 stacked into one C-contiguous float64 tensor that is reused (and
 fancy-indexed) by every subsequent query.  :class:`StoreGather` exposes
-the packed layout to the batch entry points, which accept it as the
-optional ``packed`` argument: it aligns a per-call item list (by position)
-with the store, preserving the exact per-item iteration order of the
-un-packed path -- results, counters, and cache interactions stay
-byte-identical.
+the packed layout to the counting batch entry points, which require it as
+their ``packed`` argument: it aligns a per-call item list (by position)
+with the store, preserving the exact per-item iteration order of
+:meth:`~repro.distances.base.Distance.batch` -- results, counters, and
+cache interactions stay byte-identical.
 
 Packing is purely an execution-layout change: the gathered tensors hold
 the same float64 values ``np.stack`` would produce, so every kernel sees

@@ -17,12 +17,16 @@ plus a JSON metadata blob stored inside it.  Two tiers exist:
 Snapshots are versioned independently of the raw-data format
 (``snapshot_version``); loading a snapshot written by an incompatible
 version raises :class:`~repro.exceptions.StorageError` instead of
-misinterpreting it.
+misinterpreting it.  Every archive is written to a temporary file beside
+its destination and moved into place with ``os.replace``, so a write that
+fails part-way leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
@@ -48,6 +52,30 @@ _SNAPSHOT_VERSION = 1
 _SHARDED_SNAPSHOT_VERSION = 2
 
 PathLike = Union[str, Path]
+
+
+def _write_npz(path: Path, arrays: dict, what: str) -> None:
+    """``np.savez_compressed(path, **arrays)``, replacing the target atomically.
+
+    The archive goes to a temporary file in the destination directory and is
+    moved over the target with ``os.replace``: a write that fails part-way --
+    a full disk, a kill during ``repro serve``'s snapshot-on-exit, which
+    writes over the file the server loaded -- leaves the previous file as it
+    was, and the temporary file is removed.  ``np.savez``'s suffix rule is
+    kept: ``.npz`` is appended to a path that does not end with it.
+    """
+    target = path if str(path).endswith(".npz") else Path(f"{path}.npz")
+    temporary = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        try:
+            with open(temporary, "xb") as handle:
+                np.savez_compressed(handle, **arrays)
+            os.replace(temporary, target)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    except OSError as error:
+        raise StorageError(f"could not write {what} to {path}: {error}") from error
 
 
 def _database_arrays(database: SequenceDatabase, prefix: str = "seq") -> Tuple[dict, dict]:
@@ -90,10 +118,7 @@ def save_database(database: SequenceDatabase, path: PathLike) -> None:
     arrays, metadata = _database_arrays(database)
     metadata["format_version"] = _FORMAT_VERSION
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    try:
-        np.savez_compressed(path, **arrays)
-    except OSError as error:
-        raise StorageError(f"could not write database to {path}: {error}") from error
+    _write_npz(path, arrays, "database")
 
 
 def load_database(path: PathLike) -> SequenceDatabase:
@@ -131,10 +156,7 @@ def save_windows(windows: List[Window], path: PathLike) -> None:
         )
     metadata = {"format_version": _FORMAT_VERSION, "entries": entries}
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    try:
-        np.savez_compressed(path, **arrays)
-    except OSError as error:
-        raise StorageError(f"could not write windows to {path}: {error}") from error
+    _write_npz(path, arrays, "windows")
 
 
 def load_windows(path: PathLike) -> List[Window]:
@@ -387,10 +409,7 @@ def save_matcher(matcher, path: PathLike) -> None:
         arrays, metadata = _matcher_payload(matcher)
         metadata["snapshot_version"] = _SNAPSHOT_VERSION
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    try:
-        np.savez_compressed(path, **arrays)
-    except OSError as error:
-        raise StorageError(f"could not write matcher snapshot to {path}: {error}") from error
+    _write_npz(path, arrays, "matcher snapshot")
 
 
 def load_matcher(path: PathLike, distance=None, cache=None):

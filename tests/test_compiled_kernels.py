@@ -11,7 +11,7 @@ byte-identical across backends.
 
 Also covered here: backend selection (env default, scopes, fallbacks,
 configuration errors), the fused-dispatch dimensionality guard, the packed
-window-tensor store behind the linear scan, and the streaming ``knn_scan``.
+window-tensor store behind the linear scan.
 """
 
 import zlib
@@ -507,44 +507,39 @@ class TestLinearScanPacking:
             index.add(rng.normal(size=(length, 2)), key=f"w{i}")
         return index
 
-    def test_packed_and_unpacked_results_identical(self):
+    def test_packed_sweep_equals_the_unpacked_batch(self):
         rng = np.random.default_rng(9)
-        packed = self._index(rng)
-        rng = np.random.default_rng(9)
-        unpacked = self._index(rng)
-        unpacked._packed_ok = False
+        index = self._index(rng)
+        items = [index.get(key) for key in index.keys()]
         query = np.random.default_rng(10).normal(size=(9, 2))
         for kernel in KERNELS:
             with kernel_scope(kernel):
-                a = packed.batch_range_query([query], 3.0)[0]
-                b = unpacked.batch_range_query([query], 3.0)[0]
-            assert [(m.key, m.distance) for m in a] == [(m.key, m.distance) for m in b]
+                found = index.batch_range_query([query], 12.0)[0]
+                values = DTW().batch(query, items, 12.0)
+            expected = [
+                (key, float(value)) for key, value in zip(index.keys(), values) if value <= 12.0
+            ]
+            assert [(m.key, m.distance) for m in found] == expected
+            assert 0 < len(found) < len(index)
 
-    def test_knn_scan_matches_knn_query(self):
-        rng = np.random.default_rng(13)
-        index = self._index(rng)
+    def test_one_kernel_call_per_shape_group(self):
+        index = self._index(np.random.default_rng(13))
         query = np.random.default_rng(14).normal(size=(9, 2))
         for kernel in KERNELS:
             with kernel_scope(kernel):
-                for k in (1, 3, 7):
-                    scan = index.knn_scan(query, k, chunk_size=8)
-                    ranked = index.knn_query(query, k)
-                    assert [m.key for m in scan] == [m.key for m in ranked]
-                    assert [m.distance for m in scan] == [m.distance for m in ranked]
+                index.counter.checkpoint()
+                index.batch_range_query([query, query + 1.0], 3.0)
+            # Two queries, two window shapes (lengths 8 and 10).
+            assert index.counter.kernel_calls_since_checkpoint() == 4
+            assert index.counter.since_checkpoint() == 2 * len(index)
 
-    def test_knn_scan_arguments_validated(self):
-        index = LinearScanIndex(DTW())
-        with pytest.raises(IndexError_):
-            index.knn_scan(np.zeros((2, 1)), 0)
-        with pytest.raises(IndexError_):
-            index.knn_scan(np.zeros((2, 1)), 1, chunk_size=0)
-        assert index.knn_scan(np.zeros((2, 1)), 3) == []
-
-    def test_unpackable_item_falls_back_cleanly(self):
+    def test_unpackable_item_is_refused(self):
         index = LinearScanIndex(DTW())
         index.add(np.zeros((4, 2)), key="good")
-        index.add("not a sequence", key="bad")
-        assert not index._packed_ok
-        index.remove("bad")
+        with pytest.raises(DistanceError):
+            index.add("not a sequence", key="bad")
+        assert index.keys() == ["good"]
+        with pytest.raises(IndexError_):
+            index.remove("bad")
         matches = index.range_query(np.zeros((4, 2)), 0.5)
         assert [m.key for m in matches] == ["good"]

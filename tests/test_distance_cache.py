@@ -268,20 +268,26 @@ class TestRowProbe:
         assert pending == expected_pending
         assert (bulk.hits, bulk.misses) == (single.hits, single.misses)
 
-    def test_batch_with_a_gather_equals_batch_without(self):
+    def test_packed_batch_equals_per_pair_bounded_requests(self):
         rng = np.random.default_rng(5)
         windows = [Sequence.from_values(rng.normal(size=6)) for _ in range(12)]
         store = PackedWindowStore()
         for position, window in enumerate(windows):
             store.add(position, window)
+        gather = StoreGather(store, list(range(12)))
         outcomes = []
-        for packed in (StoreGather(store, list(range(12))), None):
+        for batched in (True, False):
             counting = CountingDistance(DiscreteFrechet(), cache=DistanceCache(), prefilter=True)
-            returned = [
-                counting.batch(_seq(values), windows, cutoff=radius, packed=packed).tolist()
-                for values in (windows[0].values, windows[3].values + 0.1)
-                for radius in (0.5, 1.5, 1.0)  # the last pass is answered by the row probe alone
-            ]
+            returned = []
+            for values in (windows[0].values, windows[3].values + 0.1):
+                # The last pass is answered by the row probe alone.
+                for radius in (0.5, 1.5, 1.0):
+                    query = _seq(values)
+                    if batched:
+                        row = counting.batch(query, windows, cutoff=radius, packed=gather)
+                    else:
+                        row = [counting.bounded(query, window, radius) for window in windows]
+                    returned.append([float(value) for value in row])
             counter, cache = counting.counter, counting.cache
             tallies = (counter.total, counter.cache_hits, counter.prefilter_pruned)
             assert counter.cache_hits > 0

@@ -77,18 +77,3 @@ class TestRangeQuery:
         scan.add([1.0, 2.0, 3.0], key="a")
         matches = scan.range_query([1.0, 2.0, 3.0], 0.1)
         assert [match.key for match in matches] == ["a"]
-
-
-class TestNearestNeighbour:
-    def test_finds_closest(self, index):
-        best = index.nearest_neighbour([4.4, 4.4])
-        assert best.key == 3
-
-    def test_empty_index_returns_none(self):
-        assert LinearScanIndex(Euclidean()).nearest_neighbour([0.0]) is None
-
-    def test_invalid_parameters(self, index):
-        with pytest.raises(IndexError_):
-            index.nearest_neighbour([0.0, 0.0], initial_radius=0.0)
-        with pytest.raises(IndexError_):
-            index.nearest_neighbour([0.0, 0.0], growth=1.0)

@@ -9,6 +9,14 @@ a time: when two whole windows of ``SX`` are matched by query segments that
 do not chain, no single chain reaches both ends.  The second reproducer
 pins that shape as a strict expected failure; the fix must delete the
 marker.
+
+Type III's contract, until ROADMAP item 8 makes it exact, is "within one
+radius increment of the optimum": whenever brute force finds a pair within
+``max_radius``, the nearest query returns one, never better than the
+optimum and at most the sweep's increment above it.  The random-case test
+holds every case to it except the listed seeds where verification misses
+the optimum's anchoring (item 1); the smallest of those is the third
+strict expected failure.
 """
 
 import numpy as np
@@ -17,13 +25,14 @@ import pytest
 from repro import (
     DiscreteFrechet,
     MatcherConfig,
+    NearestSubsequenceQuery,
     RangeQuery,
     Sequence,
     SequenceDatabase,
     SequenceKind,
     SubsequenceMatcher,
 )
-from repro.core.bruteforce import brute_force_matches
+from repro.core.bruteforce import brute_force_matches, brute_force_nearest
 
 INDEXES = ["linear-scan", "reference-net"]
 
@@ -72,3 +81,80 @@ def test_exhaustive_range_query_spans_windows_matched_by_unchained_segments(inde
     ours, brute = _exhaustive_and_brute(x, q, 0.5, config)
     assert len(brute) == 7
     assert ours == brute
+
+
+# --------------------------------------------------------------------- #
+# Type III: within one radius increment of the optimum
+# --------------------------------------------------------------------- #
+MAX_RADIUS = 2.0
+
+#: ``NearestSubsequenceQuery``'s default sweep step at ``MAX_RADIUS``.
+INCREMENT = max(NearestSubsequenceQuery(MAX_RADIUS).tolerance, 0.05 * MAX_RADIUS)
+
+#: Seeds of :func:`_random_case` where the answer is more than one
+#: increment above the optimum (verification misses the optimum's
+#: anchoring, item 1).  Strict: a fix must empty this set.
+BEYOND_ONE_INCREMENT = {5, 26, 36, 54, 65, 102, 103, 111, 113}
+
+
+def _random_case(seed):
+    """A random walk ``x`` and a query that is mostly a noisy slice of it."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=int(rng.integers(16, 29))).cumsum()
+    length = int(rng.integers(8, 13))
+    if rng.random() < 0.7:
+        start = int(rng.integers(0, len(x) - length + 1))
+        q = x[start : start + length] + rng.normal(scale=0.3, size=length)
+    else:
+        q = rng.normal(size=length).cumsum()
+    return x, q, int(rng.integers(0, 2))
+
+
+def _nearest_and_brute(x, q, config):
+    """Type III's answer and brute force's optimum, in that order.
+
+    The query runs only when brute force finds a pair within
+    ``MAX_RADIUS``; otherwise the answer is ``None``.
+    """
+    database = SequenceDatabase(SequenceKind.TIME_SERIES)
+    database.add(Sequence(np.asarray(x, dtype=float), SequenceKind.TIME_SERIES), seq_id="x")
+    query = Sequence(np.asarray(q, dtype=float), SequenceKind.TIME_SERIES)
+    brute = brute_force_nearest(query, database, DiscreteFrechet(), config)
+    if brute.distance > MAX_RADIUS:
+        return None, brute
+    matcher = SubsequenceMatcher(database, DiscreteFrechet(), config)
+    spec = NearestSubsequenceQuery(max_radius=MAX_RADIUS).bind(query)
+    return matcher.execute(spec).best, brute
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_nearest_is_within_one_increment_of_the_optimum(index):
+    checked, beyond = 0, set()
+    for seed in range(120):
+        x, q, max_shift = _random_case(seed)
+        config = MatcherConfig(min_length=8, max_shift=max_shift, index=index)
+        ours, brute = _nearest_and_brute(x, q, config)
+        if brute.distance > MAX_RADIUS:
+            continue
+        checked += 1
+        assert ours is not None, seed
+        assert ours.distance >= brute.distance - 1e-12, seed
+        pair = (q[ours.query_start : ours.query_stop], x[ours.db_start : ours.db_stop])
+        assert ours.distance == DiscreteFrechet()(*pair), seed
+        if ours.distance > brute.distance + INCREMENT + 1e-12:
+            beyond.add(seed)
+    assert checked >= 100
+    assert beyond == BEYOND_ONE_INCREMENT
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verification misses the optimum's anchor")
+@pytest.mark.parametrize("index", INDEXES)
+def test_nearest_reaches_an_optimum_one_element_in(index):
+    x = [0.2, 1.4, -0.1, -0.8, -1.5, -1.4, -1.3, -2.5, -2.3, -1.6]
+    q = [1.2, -0.1, -0.8, -1.2, -0.9, -1.3, -3.0, -2.5]
+    config = MatcherConfig(min_length=8, max_shift=0, index=index)
+    # Brute force's optimum is (q 0:8, x 1:9) at 0.5; the sweep stops at
+    # (q 0:8, x 0:8) at 1.0, five increments above it.
+    ours, brute = _nearest_and_brute(x, q, config)
+    assert brute.distance == pytest.approx(0.5)
+    assert ours.distance <= brute.distance + INCREMENT

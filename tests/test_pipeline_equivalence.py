@@ -515,8 +515,8 @@ class TestExecutorEquivalence:
         )
         assert serial.last_query_stats.prefilter_evaluations > 0
 
-    def test_parallel_batch_range_query_on_bare_indexes(self, planted):
-        """The index-level batched entry point honours the executor too."""
+    def test_parallel_probe_batch_on_bare_indexes(self, planted):
+        """The index-level probe entry point honours the executor too."""
         from repro.core.executor import make_executor
 
         db, _ = planted
@@ -542,9 +542,7 @@ class TestExecutorEquivalence:
                 serial_index.add(item, key=position)
                 parallel_index.add(item, key=position)
             serial_results = serial_index.batch_range_query(queries, 1.5)
-            parallel_results = parallel_index.batch_range_query(
-                queries, 1.5, executor=executor
-            )
+            parallel_results, _cpu = parallel_index.probe_batch(queries, 1.5, executor=executor)
             for serial_matches, parallel_matches in zip(serial_results, parallel_results):
                 assert [(m.key, m.distance) for m in parallel_matches] == [
                     (m.key, m.distance) for m in serial_matches
@@ -571,7 +569,7 @@ class TestExecutorEquivalence:
         with pytest.raises(IndexError_, match="non-negative"):
             index.probe_batch([query], -1.0, None, executor)
         with pytest.raises(IndexError_, match="non-negative"):
-            index.batch_range_query([query], -1.0, executor=executor)
+            index.batch_range_query([query], -1.0)
 
     def test_bounded_cache_insertion_order_matches_serial(self):
         """Eviction makes the cache's insertion order visible: it must not
@@ -594,7 +592,7 @@ class TestExecutorEquivalence:
             index = LinearScanIndex(DiscreteFrechet(), prefilter=True, cache=cache)
             for position, item in enumerate(items):
                 index.add(item, key=position)
-            index.batch_range_query(queries, 1.0, executor=executor)
+            index.probe_batch(queries, 1.0, executor=executor)
             # The interesting case: some pairs pruned by a bound, some not.
             assert 0 < index.counter.prefilter_pruned < index.counter.prefilter_evaluations
             assert cache.evictions > 0

@@ -464,7 +464,7 @@ def test_frontier_equals_the_level_walk_under_every_executor(case, prefilter, ca
     )
     for name, executor in EXECUTORS.items():
         net = build_net(case, make_cache(cache_mode), prefilter)
-        found = net.batch_range_query(queries, radius, executor=executor)
+        found, _cpu = net.probe_batch(queries, radius, executor=executor)
         assert [outcome(matches) for matches in found] == expected, name
         assert work(net.counter) == work(oracle_net.counter), name
         if net.cache is not None:

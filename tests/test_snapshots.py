@@ -210,6 +210,62 @@ class TestSnapshotErrors:
         assert len(external) > 0
 
 
+class TestAtomicSnapshotWrite:
+    """A write that fails part-way must leave the previous snapshot intact."""
+
+    @staticmethod
+    def _fail_on_second_array(monkeypatch):
+        # The archive is open and its first member written when this raises.
+        original = np.lib.format.write_array
+        calls = []
+
+        def write_array(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", write_array)
+        return calls
+
+    @pytest.mark.parametrize("name", ["matcher.npz", "matcher"], ids=["suffix", "no-suffix"])
+    def test_failed_write_keeps_the_previous_snapshot(
+        self, planted_db, pattern_query, tmp_path, monkeypatch, name
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1)
+        matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        path = tmp_path / name
+        save_matcher(matcher, path)
+        expected, _stats = run_all_query_types(load_matcher(path), pattern_query)
+        before = sorted(tmp_path.iterdir())
+
+        calls = self._fail_on_second_array(monkeypatch)
+        with pytest.raises(StorageError, match="disk full"):
+            save_matcher(matcher, path)
+        assert len(calls) == 2
+        monkeypatch.undo()
+
+        assert sorted(tmp_path.iterdir()) == before  # no temporary file left
+        answers, _stats = run_all_query_types(load_matcher(path), pattern_query)
+        assert answers == expected
+
+    def test_failed_database_write_keeps_the_previous_file(
+        self, planted_db, tmp_path, monkeypatch
+    ):
+        from repro import load_database
+
+        path = tmp_path / "db.npz"
+        save_database(planted_db, path)
+        original = path.read_bytes()
+        self._fail_on_second_array(monkeypatch)
+        with pytest.raises(StorageError):
+            save_database(planted_db, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == original
+        assert [entry.name for entry in tmp_path.iterdir()] == ["db.npz"]
+        assert load_database(path).ids() == planted_db.ids()
+
+
 class TestOldCachePoolLayout:
     """Archives written before the cache was keyed by content keys pooled
     the operand *values*; they must keep loading, to the same cache."""
