@@ -263,10 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8000)
     serve.add_argument(
         "--server-backend",
-        choices=["auto", "uvicorn", "stdlib"],
+        choices=["auto", "stdlib"],
         default="auto",
-        help="HTTP runtime: auto picks uvicorn when installed, else the "
-        "dependency-free stdlib server",
+        help="HTTP runtime; both names run the dependency-free stdlib server",
     )
     serve.add_argument(
         "--max-in-flight",

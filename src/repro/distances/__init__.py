@@ -15,11 +15,14 @@ interface and declares two boolean properties the framework cares about:
 
 The measures the paper analyses are all provided: Euclidean, Hamming,
 Levenshtein, DTW, ERP, and the discrete Fréchet distance, plus EDR and LCSS
-as extensions.
+as extensions.  The elastic ones are members of two families
+(:mod:`repro.distances.elastic`): :class:`WarpingDistance` (DTW, Fréchet)
+and :class:`EditDistance` (Levenshtein, weighted Levenshtein, ERP, EDR).
 """
 
 from repro.distances.base import Distance, ElementMetric
 from repro.distances.cache import DistanceCache, shared_cache
+from repro.distances.elastic import EditDistance, WarpingDistance
 from repro.distances.euclidean import Euclidean
 from repro.distances.hamming import Hamming
 from repro.distances.levenshtein import Levenshtein, WeightedLevenshtein
@@ -44,6 +47,8 @@ from repro.distances.lower_bounds import (
 __all__ = [
     "Distance",
     "DistanceCache",
+    "EditDistance",
+    "WarpingDistance",
     "shared_cache",
     "LowerBound",
     "bounds_for",

@@ -2,9 +2,9 @@
 
 Two tiers of kernels exist: the NumPy row sweeps in
 :mod:`repro.distances.alignment` (always available, always tested -- the
-oracle, alongside the scalar :mod:`repro.distances.reference`) and the C
-kernels of :mod:`repro.distances.compiled` (``_kernels.c``, built on first
-use and loaded through ctypes).  The C tier is value-exact against the
+oracle, itself checked against the scalar cell-by-cell references of the
+test suite) and the C kernels of :mod:`repro.distances.compiled`
+(``_kernels.c``, built on first use and loaded through ctypes).  The C tier is value-exact against the
 NumPy tier (see the contract in :mod:`repro.distances.compiled`), so
 switching backends never changes results, work counters, or cache
 interactions -- only speed.

@@ -87,74 +87,44 @@ class ElementMetric:
     def __hash__(self) -> int:
         return hash(self.kind)
 
+    def norm(self, diff: np.ndarray) -> np.ndarray:
+        """Ground distance of element differences ``diff`` (over the last axis)."""
+        if self.kind == "euclidean":
+            return np.sqrt(np.sum(diff * diff, axis=-1))
+        if self.kind == "manhattan":
+            return np.sum(np.abs(diff), axis=-1)
+        return (np.any(diff != 0.0, axis=-1)).astype(np.float64)
+
     def matrix(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Full cost matrix ``C[i, j] = d(first[i], second[j])``.
+        """Cost matrix ``C[..., i, j] = d(first[..., i, :], second[..., j, :])``.
 
-        Both inputs must already be ``(length, dim)`` arrays.  The matrix is
-        computed with broadcasting, which keeps the elastic-distance DP loops
-        free of per-cell Python-level arithmetic.
+        ``(n, dim)`` against ``(m, dim)`` gives the ``(n, m)`` matrix; one
+        ``(n, dim)`` operand -- or a ``(k, n, dim)`` stack with one per item
+        -- against a ``(k, m, dim)`` stack gives a ``(k, n, m)`` tensor.  Every
+        cell is the same element-wise expression in every form, so the forms
+        agree bit for bit; broadcasting keeps the DP loops free of per-cell
+        Python-level arithmetic.
         """
-        check_same_dim(first, second)
-        diff = first[:, None, :] - second[None, :, :]
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=2))
-        if self.kind == "manhattan":
-            return np.sum(np.abs(diff), axis=2)
-        return (np.any(diff != 0.0, axis=2)).astype(np.float64)
-
-    def matrix_batch(self, first: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Cost tensor ``T[k, i, j] = d(first[i], items[k, j])``.
-
-        ``first`` is one ``(n, dim)`` operand shared by the whole batch, or a
-        ``(k, n, dim)`` stack with one first operand per item (the pair call
-        form: ``T[k, i, j] = d(first[k, i], items[k, j])``); ``items`` is a
-        ``(k, m, dim)`` stack of second operands.  Either way every cell is
-        the same element-wise expression, so the two forms agree bit for bit;
-        the result backs the batched elastic-distance kernels.
-        """
-        diff = first[..., :, None, :] - items[:, None, :, :]
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=3))
-        if self.kind == "manhattan":
-            return np.sum(np.abs(diff), axis=3)
-        return (np.any(diff != 0.0, axis=3)).astype(np.float64)
-
-    def to_origin_batch(
-        self, items: np.ndarray, origin: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """:meth:`to_origin` over a ``(k, m, dim)`` stack; returns ``(k, m)``."""
-        if origin is None:
-            origin = np.zeros(items.shape[2], dtype=np.float64)
-        diff = items - origin.reshape(1, 1, -1)
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=2))
-        if self.kind == "manhattan":
-            return np.sum(np.abs(diff), axis=2)
-        return (np.any(diff != 0.0, axis=2)).astype(np.float64)
+        if first.shape[-1] != second.shape[-1]:
+            raise IncompatibleSequencesError(
+                f"element dimensionalities differ: {first.shape[-1]} vs {second.shape[-1]}"
+            )
+        return self.norm(first[..., :, None, :] - second[..., None, :, :])
 
     def single(self, first: np.ndarray, second: np.ndarray) -> float:
         """Ground distance between two single elements (1-D arrays)."""
         diff = np.asarray(first, dtype=np.float64) - np.asarray(second, dtype=np.float64)
-        if self.kind == "euclidean":
-            return float(np.sqrt(np.dot(diff, diff)))
-        if self.kind == "manhattan":
-            return float(np.sum(np.abs(diff)))
-        return 0.0 if not np.any(diff != 0.0) else 1.0
+        return float(self.norm(diff))
 
     def to_origin(self, elements: np.ndarray, origin: Optional[np.ndarray] = None) -> np.ndarray:
-        """Ground distance of every element to a fixed ``origin`` element.
+        """Ground distance of every element (last axis) to a fixed ``origin``.
 
         ERP uses the distance to a *gap element* ``g`` (the origin by
         default) as the cost of an unmatched element.
         """
         if origin is None:
-            origin = np.zeros(elements.shape[1], dtype=np.float64)
-        diff = elements - origin.reshape(1, -1)
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=1))
-        if self.kind == "manhattan":
-            return np.sum(np.abs(diff), axis=1)
-        return (np.any(diff != 0.0, axis=1)).astype(np.float64)
+            origin = np.zeros(elements.shape[-1], dtype=np.float64)
+        return self.norm(elements - origin)
 
 
 def validate_group_shape(distance: "Distance", query: np.ndarray, shape: tuple) -> None:
@@ -197,34 +167,6 @@ def item_cutoff(cutoff, index: int) -> Optional[float]:
     if np.ndim(cutoff) == 0:
         return float(cutoff)
     return float(cutoff[index])
-
-
-#: DP cells (``pairs x n x m x dim``) one stacked NumPy pair call may
-#: materialise: 2 MB per float64 temporary, whatever the level's size.
-PAIR_CHUNK_CELLS = 1 << 18
-
-
-def stacked_pairs(kernel, queries, query_rows, items, item_rows, cutoff) -> np.ndarray:
-    """The pair call form on the NumPy tier: ``kernel`` over stacked operands.
-
-    ``kernel(firsts, seconds, cutoff)`` is a batched NumPy kernel that takes
-    one first operand per second operand (``(k, n, dim)`` against
-    ``(k, m, dim)``).  Pairs are independent rows of such a call, so they
-    are gathered and swept in chunks of bounded size; chunking cannot change
-    a value.
-    """
-    count = len(query_rows)
-    values = np.empty(count, dtype=np.float64)
-    cells = queries.shape[1] * items.shape[1] * queries.shape[2]
-    step = max(1, PAIR_CHUNK_CELLS // cells)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        values[start:stop] = kernel(
-            queries[query_rows[start:stop]],
-            items[item_rows[start:stop]],
-            group_cutoff(cutoff, slice(start, stop)),
-        )
-    return values
 
 
 def group_batch_operands(
@@ -313,9 +255,9 @@ class Distance(abc.ABC):
     def compute_bounded(self, first: np.ndarray, second: np.ndarray, cutoff: float) -> float:
         """:meth:`compute` with permission to abandon beyond ``cutoff``.
 
-        The default simply computes the exact distance; kernels with
-        row-monotone DP tables (DTW, ERP, Levenshtein, EDR, Fréchet)
-        override it to stop once a row's minimum exceeds ``cutoff``.
+        The default simply computes the exact distance; the elastic families
+        of :mod:`repro.distances.elastic` override it to stop once a DP
+        table row's minimum exceeds ``cutoff``.
         """
         return self.compute(first, second)
 
@@ -403,17 +345,6 @@ class Distance(abc.ABC):
             start = stop
         return values
 
-    # ------------------------------------------------------------------ #
-    # Optional capabilities
-    # ------------------------------------------------------------------ #
-    def lower_bound(self, first: SequenceLike, second: SequenceLike) -> float:
-        """A cheap lower bound on the distance (default: 0).
-
-        Index structures may use lower bounds to skip full computations;
-        subclasses override this when a meaningful bound exists.
-        """
-        return 0.0
-
     def empty_distance(self, other: SequenceLike) -> float:
         """Distance between the empty sequence and ``other`` (default: inf).
 
@@ -428,22 +359,6 @@ class Distance(abc.ABC):
         alignment with the empty sequence exists).
         """
         return float("inf")
-
-    def pairwise(self, items: List[SequenceLike]) -> np.ndarray:
-        """Symmetric pairwise distance matrix over ``items``.
-
-        The matrix is filled assuming symmetry even for non-symmetric
-        measures, in which case the upper triangle is authoritative.
-        """
-        arrays = [as_array(item) for item in items]
-        n = len(arrays)
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = float(self.compute(arrays[i], arrays[j]))
-                matrix[i, j] = value
-                matrix[j, i] = value
-        return matrix
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -176,18 +176,21 @@ class CcProvider:
         if status != 0:
             raise MemoryError("compiled kernel scratch allocation failed")
 
+    # The two single-value entry points run once per verification pair, so
+    # they spell out what the helpers above do instead of calling them.
+
     def warp_value(self, query, item, kind, use_max, band, cutoff) -> float:
-        q = _contiguous(query)
-        x = _contiguous(item)
+        q = query if query.flags.c_contiguous else np.ascontiguousarray(query)
+        x = item if item.flags.c_contiguous else np.ascontiguousarray(item)
         out = ctypes.c_double()
-        self._check(
-            self._lib.repro_warp_value(
-                q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
-                int(kind), int(bool(use_max)), _norm_band(band), _norm_cutoff(cutoff),
-                ctypes.byref(out),
-            )
+        status = self._lib.repro_warp_value(
+            q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
+            int(kind), int(bool(use_max)), -1 if band is None else int(band),
+            _INF if cutoff is None else float(cutoff), ctypes.byref(out),
         )
-        return float(out.value)
+        if status != 0:
+            self._check(status)
+        return out.value
 
     def warp_batch(self, query, items, kind, use_max, band, cutoffs) -> np.ndarray:
         q = _contiguous(query)
@@ -220,18 +223,18 @@ class CcProvider:
         return out
 
     def edit_value(self, query, item, mode, kind, gap, eps, cutoff) -> float:
-        q = _contiguous(query)
-        x = _contiguous(item)
+        q = query if query.flags.c_contiguous else np.ascontiguousarray(query)
+        x = item if item.flags.c_contiguous else np.ascontiguousarray(item)
         g = _contiguous(np.asarray(gap, dtype=np.float64))
         out = ctypes.c_double()
-        self._check(
-            self._lib.repro_edit_value(
-                q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
-                int(mode), int(kind), g.ctypes.data, float(eps), _norm_cutoff(cutoff),
-                ctypes.byref(out),
-            )
+        status = self._lib.repro_edit_value(
+            q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
+            int(mode), int(kind), g.ctypes.data, float(eps),
+            _INF if cutoff is None else float(cutoff), ctypes.byref(out),
         )
-        return float(out.value)
+        if status != 0:
+            self._check(status)
+        return out.value
 
     def edit_batch(self, query, items, mode, kind, gap, eps, cutoffs) -> np.ndarray:
         q = _contiguous(query)

@@ -35,11 +35,3 @@ class Euclidean(Distance):
         """Batched L2: one subtraction and reduction for the whole group."""
         diff = items - query[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=(1, 2)))
-
-    def lower_bound(self, first, second) -> float:
-        """|  ||a|| - ||b||  | by the reverse triangle inequality."""
-        from repro.distances.base import as_array
-
-        a = as_array(first)
-        b = as_array(second)
-        return abs(float(np.linalg.norm(a)) - float(np.linalg.norm(b)))

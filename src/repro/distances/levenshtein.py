@@ -18,20 +18,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.distances.alignment import (
-    Alignment,
-    batch_edit_distance_value,
-    edit_distance_value,
-    edit_table,
-    edit_traceback,
-)
-from repro.distances.backend import fused_provider
-from repro.distances.base import Distance, stacked_pairs
-from repro.distances.compiled import MODE_LEVENSHTEIN, NO_GAP
+from repro.distances.compiled import MODE_LEVENSHTEIN
+from repro.distances.elastic import EditDistance
 from repro.exceptions import DistanceError
 
 
-class Levenshtein(Distance):
+class Levenshtein(EditDistance):
     """Classic unit-cost edit distance between symbol sequences.
 
     Operands are compared element-wise for equality, so the class works both
@@ -40,83 +32,16 @@ class Levenshtein(Distance):
 
     name = "levenshtein"
     is_metric = True
-    is_consistent = True
-    supports_unequal_lengths = True
+    mode = MODE_LEVENSHTEIN
 
-    def compute(self, first: np.ndarray, second: np.ndarray) -> float:
-        return self.compute_bounded(first, second, None)
-
-    def compute_bounded(
-        self, first: np.ndarray, second: np.ndarray, cutoff: Optional[float]
-    ) -> float:
-        """Early-abandoning edit distance: unit costs keep rows monotone."""
-        kernels = fused_provider(first.shape[1])
-        if kernels is not None:
-            return kernels.edit_value(
-                first, second, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, cutoff
-            )
-        substitution = (np.any(first[:, None, :] != second[None, :, :], axis=2)).astype(
+    def substitution(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """0 for identical elements, 1 otherwise."""
+        return (np.any(first[..., :, None, :] != second[..., None, :, :], axis=-1)).astype(
             np.float64
         )
-        deletion = np.ones(first.shape[0], dtype=np.float64)
-        insertion = np.ones(second.shape[0], dtype=np.float64)
-        return edit_distance_value(substitution, deletion, insertion, cutoff=cutoff)
-
-    def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
-        """Batched edit distance: one mismatch tensor, one row sweep."""
-        kernels = fused_provider(query.shape[1])
-        if kernels is not None:
-            return kernels.edit_batch(
-                query, items, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, cutoff
-            )
-        return self._stacked(query, items, cutoff)
-
-    @staticmethod
-    def _stacked(queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
-        """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
-        substitution = (
-            np.any(queries[..., :, None, :] != items[:, None, :, :], axis=3)
-        ).astype(np.float64)
-        deletion = np.ones(queries.shape[-2], dtype=np.float64)
-        insertion = np.ones((items.shape[0], items.shape[1]), dtype=np.float64)
-        return batch_edit_distance_value(substitution, deletion, insertion, cutoff=cutoff)
-
-    def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
-        """Pair-form edit distance: the batch kernel per pair, one call for all."""
-        kernels = fused_provider(queries.shape[2])
-        if kernels is not None:
-            return kernels.edit_pairs(
-                queries, query_rows, items, item_rows, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, cutoff
-            )
-        return stacked_pairs(self._stacked, queries, query_rows, items, item_rows, cutoff)
-
-    def alignment(self, first, second) -> Alignment:
-        """Return one optimal alignment (couplings of matched positions)."""
-        from repro.distances.base import as_array, check_same_dim
-
-        a = as_array(first)
-        b = as_array(second)
-        check_same_dim(a, b)
-        substitution = (np.any(a[:, None, :] != b[None, :, :], axis=2)).astype(np.float64)
-        deletion = np.ones(a.shape[0], dtype=np.float64)
-        insertion = np.ones(b.shape[0], dtype=np.float64)
-        table = edit_table(substitution, deletion, insertion)
-        return edit_traceback(table, substitution, deletion, insertion)
-
-    def lower_bound(self, first, second) -> float:
-        """The length difference is a lower bound on the edit distance."""
-        from repro.distances.base import as_array
-
-        return float(abs(as_array(first).shape[0] - as_array(second).shape[0]))
-
-    def empty_distance(self, other) -> float:
-        """Edit distance against the empty sequence: one insertion per element."""
-        from repro.distances.base import as_array
-
-        return float(as_array(other).shape[0])
 
 
-class WeightedLevenshtein(Distance):
+class WeightedLevenshtein(EditDistance):
     """Edit distance with configurable substitution / gap costs.
 
     Parameters
@@ -136,8 +61,6 @@ class WeightedLevenshtein(Distance):
     """
 
     name = "weighted-levenshtein"
-    is_consistent = True
-    supports_unequal_lengths = True
 
     def __init__(
         self,
@@ -158,42 +81,21 @@ class WeightedLevenshtein(Distance):
         self.default_substitution = float(default_substitution)
         self.is_metric = bool(metric)
 
-    def _substitution_matrix(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        n, m = first.shape[0], second.shape[0]
-        matrix = np.empty((n, m), dtype=np.float64)
-        firsts = first[:, 0].astype(np.int64)
-        seconds = second[:, 0].astype(np.int64)
-        for i in range(n):
-            a = int(firsts[i])
-            for j in range(m):
-                b = int(seconds[j])
-                if a == b:
-                    matrix[i, j] = self.substitution_costs.get((a, b), 0.0)
-                else:
-                    matrix[i, j] = self.substitution_costs.get(
-                        (a, b), self.default_substitution
-                    )
+    def substitution(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        if first.shape[-1] != 1:
+            raise DistanceError("weighted Levenshtein expects scalar symbol codes")
+        firsts = first[..., :, None, 0].astype(np.int64)
+        seconds = second[..., None, :, 0].astype(np.int64)
+        matrix = np.where(firsts == seconds, 0.0, self.default_substitution)
+        for (a, b), cost in self.substitution_costs.items():
+            matrix[(firsts == a) & (seconds == b)] = cost
         return matrix
 
-    def compute(self, first: np.ndarray, second: np.ndarray) -> float:
-        return self.compute_bounded(first, second, None)
+    def deletion(self, first: np.ndarray) -> np.ndarray:
+        return np.full(first.shape[:-1], self.deletion_cost, dtype=np.float64)
 
-    def compute_bounded(
-        self, first: np.ndarray, second: np.ndarray, cutoff: Optional[float]
-    ) -> float:
-        """Early-abandoning weighted edit distance (costs are non-negative)."""
-        if first.shape[1] != 1:
-            raise DistanceError("weighted Levenshtein expects scalar symbol codes")
-        substitution = self._substitution_matrix(first, second)
-        deletion = np.full(first.shape[0], self.deletion_cost, dtype=np.float64)
-        insertion = np.full(second.shape[0], self.insertion_cost, dtype=np.float64)
-        return edit_distance_value(substitution, deletion, insertion, cutoff=cutoff)
-
-    def empty_distance(self, other) -> float:
-        """Weighted edit distance against the empty sequence: all insertions."""
-        from repro.distances.base import as_array
-
-        return float(as_array(other).shape[0]) * self.insertion_cost
+    def insertion(self, second: np.ndarray) -> np.ndarray:
+        return np.full(second.shape[:-1], self.insertion_cost, dtype=np.float64)
 
     def __repr__(self) -> str:
         return (

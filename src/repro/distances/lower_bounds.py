@@ -31,11 +31,12 @@ bound          valid for                              idea
                                                       inequality
 ============== ===================================== =========================
 
-Each bound offers a scalar ``pair`` form and a vectorized ``batch`` form
-over a ``(k, m, dim)`` stack of same-shape items, which is what the batched
-linear scan uses; :func:`combined_bound` / :func:`combined_batch_bound` take
-the maximum over every applicable bound (0 when none applies, which prunes
-nothing).
+Each bound implements one vectorized ``batch`` form over a ``(k, m, dim)``
+stack of same-shape items, which is what the batched linear scan uses; its
+``pair`` form is a batch of one.  :func:`combined_bound` /
+:func:`combined_batch_bound` take the maximum over every applicable bound (0
+when none applies, which prunes nothing) -- they are the bound API; a
+distance class carries no bound of its own.
 
 A bound may also offer a ``table`` form: the bounds from *every segment of
 one query* to *every window of one shape group* at once, as an ``S x k``
@@ -58,29 +59,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.distances.base import Distance, ElementMetric, as_array
-from repro.distances.dtw import DTW
+from repro.distances.base import Distance, as_array
 from repro.distances.edr import EDR
+from repro.distances.elastic import WarpingDistance
 from repro.distances.erp import ERP
 from repro.distances.euclidean import Euclidean
-from repro.distances.frechet import DiscreteFrechet
 from repro.distances.levenshtein import Levenshtein, WeightedLevenshtein
 from repro.exceptions import DistanceError
-
-
-def _point_distances(metric: ElementMetric, points: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Ground distance between ``points`` and ``point``, over the last axis.
-
-    The operands broadcast: ``(k, dim)`` against ``(dim,)`` gives the ``k``
-    distances to one point, ``(1, k, dim)`` against ``(n, 1, dim)`` the
-    ``n x k`` matrix between two point sets.
-    """
-    diff = points - point
-    if metric.kind == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if metric.kind == "manhattan":
-        return np.sum(np.abs(diff), axis=-1)
-    return (np.any(diff != 0.0, axis=-1)).astype(np.float64)
 
 
 def _box_deficit(metric_kind: str, query: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -116,6 +101,11 @@ def _sliding_max(matrix: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _bottleneck(distance: Distance) -> bool:
+    """Whether ``distance`` aggregates couplings by maximum (discrete Fréchet)."""
+    return isinstance(distance, WarpingDistance) and distance.aggregate == "max"
+
+
 #: What a ``table`` form reads of one shape group: ``(first element, last
 #: element, box low, box high)`` per window, each ``(k, dim)`` -- see
 #: :meth:`repro.sequences.packed.PackedWindowStore.group_summary`.
@@ -123,7 +113,7 @@ Summary = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class LowerBound(abc.ABC):
-    """One admissible lower bound with scalar and batched evaluation."""
+    """One admissible lower bound, evaluated over a stack of items."""
 
     #: Stable identifier used in reports and the README validity table.
     name: str = "lower-bound"
@@ -133,16 +123,12 @@ class LowerBound(abc.ABC):
         """Whether this bound is valid for ``distance``."""
 
     @abc.abstractmethod
-    def pair(self, distance: Distance, first: np.ndarray, second: np.ndarray) -> float:
-        """Bound for one ``(n, dim)`` / ``(m, dim)`` pair."""
-
     def batch(self, distance: Distance, query: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Bounds from ``query`` to a ``(k, m, dim)`` stack (default: loop)."""
-        return np.fromiter(
-            (self.pair(distance, query, items[i]) for i in range(items.shape[0])),
-            dtype=np.float64,
-            count=items.shape[0],
-        )
+        """Bounds from ``query`` (``(n, dim)``) to a ``(k, m, dim)`` stack."""
+
+    def pair(self, distance: Distance, first: np.ndarray, second: np.ndarray) -> float:
+        """Bound for one ``(n, dim)`` / ``(m, dim)`` pair: a batch of one."""
+        return float(self.batch(distance, first, second[None])[0])
 
     def has_table(self, distance: Distance) -> bool:
         """Whether :meth:`table` is implemented for ``distance``."""
@@ -169,7 +155,7 @@ class LowerBound(abc.ABC):
 
 
 class KimEndpointBound(LowerBound):
-    """LB_Kim-style endpoint bound for DTW (sum) and discrete Fréchet (max).
+    """LB_Kim-style endpoint bound for the warping family (DTW, discrete Fréchet).
 
     The start couplings ``(first[0], second[0])`` and end couplings
     ``(first[-1], second[-1])`` are mandatory in every warping, so DTW pays
@@ -183,37 +169,25 @@ class KimEndpointBound(LowerBound):
     name = "kim"
 
     def applies_to(self, distance: Distance) -> bool:
-        return isinstance(distance, (DTW, DiscreteFrechet))
-
-    def pair(self, distance, first, second) -> float:
-        metric = distance.element_metric
-        start = metric.single(first[0], second[0])
-        end = metric.single(first[-1], second[-1])
-        if isinstance(distance, DiscreteFrechet) or (
-            first.shape[0] == 1 and second.shape[0] == 1
-        ):
-            return float(max(start, end))
-        return float(start + end)
+        return isinstance(distance, WarpingDistance)
 
     def batch(self, distance, query, items) -> np.ndarray:
         metric = distance.element_metric
-        start = _point_distances(metric, items[:, 0, :], query[0])
-        end = _point_distances(metric, items[:, -1, :], query[-1])
-        if isinstance(distance, DiscreteFrechet) or (
-            query.shape[0] == 1 and items.shape[1] == 1
-        ):
+        start = metric.norm(items[:, 0, :] - query[0])
+        end = metric.norm(items[:, -1, :] - query[-1])
+        if _bottleneck(distance) or (query.shape[0] == 1 and items.shape[1] == 1):
             return np.maximum(start, end)
         return start + end
 
     def has_table(self, distance: Distance) -> bool:
-        return isinstance(distance, DiscreteFrechet)
+        return _bottleneck(distance)
 
     def table(self, distance, query, starts, lengths, summary) -> np.ndarray:
         first, last, _low, _high = summary
         metric = distance.element_metric
         elements = query[:, None, :]
-        start = _point_distances(metric, first[None, :, :], elements)
-        end = _point_distances(metric, last[None, :, :], elements)
+        start = metric.norm(first[None, :, :] - elements)
+        end = metric.norm(last[None, :, :] - elements)
         return np.maximum(start[starts], end[starts + lengths - 1])
 
 
@@ -232,21 +206,9 @@ class KeoghEnvelopeBound(LowerBound):
     name = "keogh"
 
     def applies_to(self, distance: Distance) -> bool:
-        return isinstance(distance, (DTW, ERP, DiscreteFrechet)) and (
+        return isinstance(distance, (WarpingDistance, ERP)) and (
             distance.element_metric.kind in ("euclidean", "manhattan")
         )
-
-    def pair(self, distance, first, second) -> float:
-        low = second.min(axis=0)
-        high = second.max(axis=0)
-        deficits = _box_deficit(distance.element_metric.kind, first, low, high)
-        if isinstance(distance, ERP):
-            gap = distance._gap_vector(first.shape[1])
-            gap_costs = distance.element_metric.to_origin(first, gap)
-            deficits = np.minimum(deficits, gap_costs)
-        if isinstance(distance, DiscreteFrechet):
-            return float(np.max(deficits))
-        return float(np.sum(deficits))
 
     def batch(self, distance, query, items) -> np.ndarray:
         low = items.min(axis=1)[:, None, :]
@@ -256,12 +218,12 @@ class KeoghEnvelopeBound(LowerBound):
             gap = distance._gap_vector(query.shape[1])
             gap_costs = distance.element_metric.to_origin(query, gap)
             deficits = np.minimum(deficits, gap_costs[None, :])
-        if isinstance(distance, DiscreteFrechet):
+        if _bottleneck(distance):
             return np.max(deficits, axis=1)
         return np.sum(deficits, axis=1)
 
     def has_table(self, distance: Distance) -> bool:
-        return isinstance(distance, DiscreteFrechet)
+        return _bottleneck(distance)
 
     def table(self, distance, query, starts, lengths, summary) -> np.ndarray:
         _first, _last, low, high = summary
@@ -283,18 +245,11 @@ class ErpGapBound(LowerBound):
     def applies_to(self, distance: Distance) -> bool:
         return isinstance(distance, ERP)
 
-    def pair(self, distance, first, second) -> float:
-        gap = distance._gap_vector(first.shape[1])
-        metric = distance.element_metric
-        total_first = float(np.sum(metric.to_origin(first, gap)))
-        total_second = float(np.sum(metric.to_origin(second, gap)))
-        return abs(total_first - total_second)
-
     def batch(self, distance, query, items) -> np.ndarray:
         gap = distance._gap_vector(query.shape[1])
         metric = distance.element_metric
         total_query = float(np.sum(metric.to_origin(query, gap)))
-        totals = np.sum(metric.to_origin_batch(items, gap), axis=1)
+        totals = np.sum(metric.to_origin(items, gap), axis=1)
         return np.abs(totals - total_query)
 
 
@@ -315,9 +270,6 @@ class LengthBound(LowerBound):
             return min(distance.insertion_cost, distance.deletion_cost)
         return 1.0
 
-    def pair(self, distance, first, second) -> float:
-        return abs(first.shape[0] - second.shape[0]) * self._scale(distance)
-
     def batch(self, distance, query, items) -> np.ndarray:
         value = abs(query.shape[0] - items.shape[1]) * self._scale(distance)
         return np.full(items.shape[0], value, dtype=np.float64)
@@ -330,9 +282,6 @@ class NormBound(LowerBound):
 
     def applies_to(self, distance: Distance) -> bool:
         return isinstance(distance, Euclidean)
-
-    def pair(self, distance, first, second) -> float:
-        return abs(float(np.linalg.norm(first)) - float(np.linalg.norm(second)))
 
     def batch(self, distance, query, items) -> np.ndarray:
         query_norm = float(np.linalg.norm(query))

@@ -9,10 +9,9 @@ backends:
   shared :mod:`repro.core.wire` envelopes;
 * :mod:`repro.server.stdlib_http` -- a dependency-free ``asyncio`` HTTP/1.1
   server that speaks ASGI, so the service runs on a bare Python install;
-* :mod:`repro.server.runner` -- :func:`serve` (blocking; picks uvicorn when
-  installed, the stdlib server otherwise, exactly like the executor
-  auto-detection) and :class:`BackgroundServer` (a context manager running
-  the stdlib server on a daemon thread, for tests and benchmarks);
+* :mod:`repro.server.runner` -- :func:`serve` (blocking; the stdlib server
+  is the one runtime) and :class:`BackgroundServer` (a context manager
+  running it on a daemon thread, for tests and benchmarks);
 * :mod:`repro.server.metrics` -- :class:`ServerMetrics`, the thread-safe
   counters behind ``GET /metrics``.
 
@@ -24,7 +23,7 @@ Endpoints (see the README's "HTTP service" section for the full table):
 
 from repro.server.app import SearchApp
 from repro.server.metrics import ServerMetrics
-from repro.server.runner import BackgroundServer, available_server_backends, serve
+from repro.server.runner import BackgroundServer, serve
 from repro.server.stdlib_http import StdlibAsgiServer
 
 __all__ = [
@@ -32,6 +31,5 @@ __all__ = [
     "ServerMetrics",
     "StdlibAsgiServer",
     "BackgroundServer",
-    "available_server_backends",
     "serve",
 ]

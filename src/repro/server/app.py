@@ -1,8 +1,8 @@
 """The framework-free ASGI application over a :class:`SearchService`.
 
-:class:`SearchApp` is a plain ASGI 3 callable -- no web framework -- so it
-runs identically under the stdlib server (:mod:`repro.server.stdlib_http`),
-uvicorn, or any other ASGI host.  Every response body is built by
+:class:`SearchApp` is a plain ASGI 3 callable -- no web framework -- served
+by the stdlib server (:mod:`repro.server.stdlib_http`); any other ASGI host
+can run it unchanged.  Every response body is built by
 :mod:`repro.core.wire`, the same module behind ``repro search --json``, so
 the HTTP surface and the CLI cannot drift.
 

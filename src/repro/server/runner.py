@@ -1,10 +1,8 @@
-"""Run the search service: runtime detection, signals, background serving.
+"""Run the search service: signals, snapshot-on-exit, background serving.
 
-:func:`serve` is the blocking entry point behind ``repro serve``.  Like the
-execution engine's executor auto-detection, the HTTP runtime is picked at
-startup: uvicorn when importable (the optional extra), the stdlib
-``asyncio`` server otherwise -- the identical
-:class:`~repro.server.app.SearchApp` runs on either.
+:func:`serve` is the blocking entry point behind ``repro serve``: it runs
+:class:`~repro.server.app.SearchApp` on the dependency-free stdlib
+``asyncio`` server (:mod:`repro.server.stdlib_http`), the one HTTP runtime.
 
 Shutdown is snapshot-safe: ``SIGTERM`` is converted into the same clean
 exit as ``Ctrl-C``, and when the service is snapshot-backed (or an explicit
@@ -31,24 +29,8 @@ from repro.exceptions import ConfigurationError
 from repro.server.app import SearchApp
 from repro.server.stdlib_http import StdlibAsgiServer
 
-#: Runtime names accepted by :func:`serve`.
-SERVER_BACKENDS = ("auto", "uvicorn", "stdlib")
-
-
-def _uvicorn_module():
-    try:
-        import uvicorn
-    except ImportError:
-        return None
-    return uvicorn
-
-
-def available_server_backends() -> Tuple[str, ...]:
-    """The concrete runtimes importable right now (always includes stdlib)."""
-    names = ["stdlib"]
-    if _uvicorn_module() is not None:
-        names.insert(0, "uvicorn")
-    return tuple(names)
+#: Runtime names accepted by :func:`serve`; both name the stdlib server.
+SERVER_BACKENDS = ("auto", "stdlib")
 
 
 def _install_sigterm_handler() -> None:
@@ -82,8 +64,7 @@ def serve(
     Parameters
     ----------
     backend:
-        ``"auto"`` (uvicorn when installed, else the stdlib server),
-        ``"uvicorn"`` (hard requirement), or ``"stdlib"``.
+        ``"auto"`` or ``"stdlib"``: both run the stdlib server.
     app:
         A pre-built :class:`SearchApp`; built from ``service`` and
         ``app_options`` (``max_in_flight``, ``default_timeout``,
@@ -98,21 +79,11 @@ def serve(
             f"unknown server backend {backend!r}; expected one of {SERVER_BACKENDS}"
         )
     application = app if app is not None else SearchApp(service, **app_options)
-    uvicorn = _uvicorn_module() if backend in ("auto", "uvicorn") else None
-    if backend == "uvicorn" and uvicorn is None:
-        raise ConfigurationError(
-            "server backend 'uvicorn' requested but uvicorn is not installed; "
-            "install the optional extra or use --server-backend stdlib"
-        )
-    runtime = "uvicorn" if uvicorn is not None else "stdlib"
     if not quiet:
-        print(f"serving on http://{host}:{port} ({runtime} runtime)")
+        print(f"serving on http://{host}:{port} (stdlib runtime)")
     _install_sigterm_handler()
     try:
-        if uvicorn is not None:
-            uvicorn.run(application, host=host, port=port, log_level="warning")
-        else:
-            asyncio.run(StdlibAsgiServer(application, host, port).serve_forever())
+        asyncio.run(StdlibAsgiServer(application, host, port).serve_forever())
     except KeyboardInterrupt:
         pass
     finally:
@@ -219,7 +190,6 @@ class BackgroundServer:
 
 __all__ = [
     "serve",
-    "available_server_backends",
     "BackgroundServer",
     "SERVER_BACKENDS",
 ]

@@ -1,9 +1,7 @@
 """A dependency-free ``asyncio`` HTTP/1.1 server that hosts an ASGI app.
 
-The container this framework targets ships no web server, so -- exactly like
-the executor backends fall back to ``serial`` when no pool is available --
-the service layer falls back to this minimal server when uvicorn is not
-installed.  It implements just enough of HTTP/1.1 for the JSON API:
+The package depends on no web server, so ``repro serve`` runs on this
+minimal one.  It implements just enough of HTTP/1.1 for the JSON API:
 
 * one request per connection (``Connection: close`` on every response);
 * request bodies sized by ``Content-Length`` (no chunked uploads);
@@ -12,8 +10,8 @@ installed.  It implements just enough of HTTP/1.1 for the JSON API:
 That is deliberate: correctness and zero dependencies over throughput.  The
 ASGI contract it offers the app is the standard one (scope ``type: http``,
 ``http.request`` / ``http.response.start`` / ``http.response.body``
-messages), so the identical :class:`~repro.server.app.SearchApp` runs under
-uvicorn unchanged when more is needed.
+messages), so :class:`~repro.server.app.SearchApp` stays a plain ASGI app
+that any ASGI host can run.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 These are the original loop implementations of the table-filling kernels in
 :mod:`repro.distances.alignment`, retained verbatim as correctness oracles:
 the vectorized kernels are required to agree with them to within floating
-point round-off (``tests/test_vectorized_kernels.py`` asserts this across
-random inputs, bands, and unequal lengths).  They are *not* used on any hot
-path.
+point round-off (``test_vectorized_kernels.py`` asserts this across random
+inputs, bands, and unequal lengths; ``test_compiled_kernels.py`` checks the
+C tier against them too).  Nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations

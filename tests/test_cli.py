@@ -462,3 +462,9 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_serve_accepts_only_the_stdlib_runtime_names(self, capsys):
+        # `auto` and `stdlib` both name the stdlib server; uvicorn is gone.
+        with pytest.raises(SystemExit):
+            main(["serve", "db.npz", "--server-backend", "uvicorn"])
+        assert "invalid choice: 'uvicorn'" in capsys.readouterr().err

@@ -2,8 +2,7 @@
 
 The C kernels (``cc``, wherever a C compiler exists) are compared against
 the NumPy tier -- and, through it, against the retained cell-by-cell
-references of
-:mod:`repro.distances.reference` -- for every elastic distance and every
+references of ``kernel_reference.py`` -- for every elastic distance and every
 call form (unbounded value, bounded value, batch with scalar and per-row
 cutoff vectors).  Equality is exact (``==``), not approximate: identical
 values are what keep results, work counters, caches, and replay logs
@@ -40,7 +39,7 @@ from repro.distances.compiled import (
     make_provider,
 )
 from repro.distances.base import ElementMetric
-from repro.distances.reference import reference_edit_table, reference_warping_table
+from kernel_reference import reference_edit_table, reference_warping_table
 from repro.exceptions import (
     ConfigurationError,
     DistanceError,

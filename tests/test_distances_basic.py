@@ -11,6 +11,7 @@ from repro import (
     IncompatibleSequencesError,
     Sequence,
 )
+from repro.distances import combined_bound
 from repro.distances.base import ElementMetric, as_array
 
 
@@ -122,11 +123,11 @@ class TestEuclidean:
         a = [1.0, 5.0, 2.0]
         b = [0.0, 1.0, 0.5]
         distance = Euclidean()
-        assert distance.lower_bound(a, b) <= distance(a, b) + 1e-12
+        assert combined_bound(distance, a, b) <= distance(a, b) + 1e-12
 
     def test_pairwise_matrix(self):
         items = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-        matrix = Euclidean().pairwise(items)
+        matrix = np.stack([Euclidean().batch(item, items) for item in items])
         assert matrix.shape == (3, 3)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 0.0)

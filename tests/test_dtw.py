@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DTW, DistanceError, Sequence
+from repro.distances import combined_bound
 
 
 class TestDTWValues:
@@ -88,7 +89,7 @@ class TestDTWAlignment:
         distance = DTW()
         a = [0.0, 5.0, 1.0]
         b = [1.0, 2.0, 4.0]
-        assert distance.lower_bound(a, b) <= distance(a, b) + 1e-12
+        assert combined_bound(distance, a, b) <= distance(a, b) + 1e-12
 
     def test_repr(self):
         assert "band" in repr(DTW(band=3))

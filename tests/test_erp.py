@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ERP, DistanceError, Sequence
+from repro.distances import combined_bound
 from repro.distances.base import ElementMetric
 
 
@@ -74,7 +75,7 @@ class TestERPProperties:
         for _ in range(20):
             a = rng.normal(size=5)
             b = rng.normal(size=7)
-            assert distance.lower_bound(a, b) <= distance(a, b) + 1e-9
+            assert combined_bound(distance, a, b) <= distance(a, b) + 1e-9
 
     def test_alignment_cost_does_not_exceed_distance(self):
         distance = ERP()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import DiscreteFrechet, Sequence
+from repro.distances import combined_bound
 from repro.distances.base import ElementMetric
 
 
@@ -66,7 +67,7 @@ class TestFrechetProperties:
         for _ in range(20):
             a = rng.normal(size=4)
             b = rng.normal(size=6)
-            assert distance.lower_bound(a, b) <= distance(a, b) + 1e-12
+            assert combined_bound(distance, a, b) <= distance(a, b) + 1e-12
 
     def test_flags(self):
         distance = DiscreteFrechet()

@@ -159,6 +159,34 @@ class TestAdmissibility:
             )
         assert results[True] == results[False]
 
+    @pytest.mark.parametrize(
+        "distance, lengths",
+        [
+            (distance, lengths)
+            for distance in SERIES_DISTANCES + STRING_DISTANCES + [Euclidean()]
+            for lengths in ((1, 1), (1, 6), (6, 1))
+            if distance.supports_unequal_lengths or lengths == (1, 1)
+        ],
+        ids=str,
+    )
+    def test_single_element_and_one_vs_many_operands(self, distance, lengths):
+        # The 1x1 case once let a second copy of the Kim bound (on DTW
+        # itself) count the one coupling twice; every (bound, distance) pair
+        # must stay admissible where start and end couplings coincide.
+        n, m = lengths
+        strings = any(distance is other for other in STRING_DISTANCES)
+        assert bounds_for(distance)
+        for _ in range(20):
+            if strings:
+                a, b = RNG.integers(0, 3, size=n), RNG.integers(0, 3, size=m)
+            else:
+                a, b = RNG.normal(size=n) * 3.0, RNG.normal(size=m) * 3.0
+            exact = distance(a, b)
+            for bound in bounds_for(distance):
+                value = bound.pair(distance, as_array(a), as_array(b))
+                assert value <= exact + 1e-9, (bound.name, lengths, value, exact)
+            assert combined_bound(distance, a, b) <= exact + 1e-9
+
     def test_every_registered_bound_applies_somewhere(self):
         distances = SERIES_DISTANCES + STRING_DISTANCES + [Euclidean()]
         for bound in registered_lower_bounds():

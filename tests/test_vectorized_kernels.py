@@ -2,8 +2,8 @@
 
 The row/diagonal-vectorized kernels in :mod:`repro.distances.alignment` must
 agree with the original cell-by-cell implementations retained in
-:mod:`repro.distances.reference` across random inputs, Sakoe-Chiba bands,
-and unequal lengths -- including sizes on both sides of the small-table
+``kernel_reference.py`` across random inputs, Sakoe-Chiba bands, and unequal
+lengths -- including sizes on both sides of the small-table
 fallback threshold.  The bounded (early-abandoning) API is additionally
 checked against its contract: exact at or below the cutoff, strictly above
 the cutoff otherwise.
@@ -20,7 +20,7 @@ from repro.distances.alignment import (
     warping_distance,
     warping_table,
 )
-from repro.distances.reference import (
+from kernel_reference import (
     reference_edit_table,
     reference_lcss_length,
     reference_warping_table,
