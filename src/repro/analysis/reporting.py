@@ -72,6 +72,7 @@ def format_query_stats(stats: "QueryStats", title: Optional[str] = None) -> str:
         ["naive step-4 computations", stats.naive_distance_computations],
         ["pruning ratio alpha", f"{stats.pruning_ratio:.2%}"],
         ["verification computations", stats.verification_distance_computations],
+        ["verification kernel calls", stats.verification_kernel_calls],
         ["cache hits (index + verify)", stats.total_cache_hits],
         ["prefilter evaluations", stats.prefilter_evaluations],
         [

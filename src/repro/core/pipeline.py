@@ -83,6 +83,7 @@ from repro.core.queries import (
 )
 from repro.core.segmentation import extract_query_segments
 from repro.core.verification import _VerificationCounter, enumerate_matches, verify_chain
+from repro.distances.alignment import PrefixBlock
 from repro.distances.backend import active_kernel_name, kernel_scope
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
@@ -173,18 +174,24 @@ class QueryScratch:
     query *object* (:meth:`QueryPipeline.scratch_for`) and drops it on any
     index write, so nothing here can outlive the windows it was derived
     from.  It holds the extracted segments, the index's bound table for them
-    (built on first use), the subsequences verification has cut so far, and
-    -- only inside :meth:`QueryPipeline.sweep` -- the sweep's
-    :class:`ProbeTable`.
+    (built on first use), the subsequences verification has cut so far, the
+    prefix blocks verification has swept so far (:attr:`blocks`), and -- only
+    inside :meth:`QueryPipeline.sweep` -- the sweep's :class:`ProbeTable`.
     """
 
-    __slots__ = ("query", "segments", "table", "_index", "_bounds", "_spans")
+    __slots__ = ("query", "segments", "table", "blocks", "_index", "_bounds", "_spans")
 
     def __init__(self, query: Sequence, segments: List[Window], index: MetricIndex) -> None:
         self.query = query
         self.segments = segments
         #: The running radius sweep's probe table; ``None`` outside a sweep.
         self.table: Optional[ProbeTable] = None
+        #: Verification's prefix blocks (:class:`~repro.distances.alignment.
+        #: PrefixBlock`) under the pipeline's one distance, keyed by
+        #: ``(source id, query start, database start)``.
+        #: Thread-executor verification units share the memo as they share
+        #: the spans: a lost race builds one block twice, with equal cells.
+        self.blocks: Dict[tuple, PrefixBlock] = {}
         self._index = index
         self._bounds: object = _UNBUILT
         self._spans: Dict[tuple, Sequence] = {}
@@ -473,7 +480,7 @@ class QueryPipeline:
             self.config,
             counter,
             cache=cache,
-            spans=self.scratch_for(query),
+            scratch=self.scratch_for(query),
         )
         if verified is not None or chain.window_count == 1:
             return verified
@@ -507,7 +514,8 @@ class QueryPipeline:
         parallel executor each becomes a work unit with a private
         :class:`~repro.distances.recording.RecordingVerifyCache`; the unit
         logs are replayed in chain order into the shared cache and
-        ``counter`` afterwards, reproducing the serial accounting exactly.
+        ``counter`` afterwards, reproducing the serial accounting exactly
+        (the units' kernel calls, a diagnostic, are summed as they ran).
         Returns the per-chain results plus the summed worker CPU seconds.
         """
         if (
@@ -521,6 +529,7 @@ class QueryPipeline:
             # bookkeeping -- run the plain serial loop.
             return [runner(chain, self.cache, counter) for chain in chains], 0.0
         recordings = [RecordingVerifyCache(self.cache) for _chain in chains]
+        unit_counters = [_VerificationCounter() for _chain in chains]
         # Contiguous chunks of chains per task: candidate chains number in
         # the thousands and most verify in microseconds, so per-chain
         # futures would cost more than the verification itself.  Chunks are
@@ -535,15 +544,13 @@ class QueryPipeline:
         for positions in chunks:
 
             def local(positions=positions):
-                return [
-                    runner(chains[p], recordings[p], _VerificationCounter())
-                    for p in positions
-                ]
+                return [runner(chains[p], recordings[p], unit_counters[p]) for p in positions]
 
             tasks.append(WorkTask(local))
         results = self.executor.run(tasks)
         for recording in recordings:
             recording.replay_into(self.cache, counter)
+        counter.kernel_calls += sum(unit.kernel_calls for unit in unit_counters)
         per_chain: List[object] = []
         for result in results:
             per_chain.extend(result.value)
@@ -564,6 +571,7 @@ class QueryPipeline:
         ) + worker_cpu
         stats.verification_distance_computations = counter.count
         stats.verification_cache_hits = counter.cache_hits
+        stats.verification_kernel_calls = counter.kernel_calls
 
     # ------------------------------------------------------------------ #
     # Query strategies: one full pipeline run per query type
@@ -604,7 +612,7 @@ class QueryPipeline:
                     chain_counter,
                     max_results=spec.max_results,
                     cache=cache,
-                    spans=self.scratch_for(query),
+                    scratch=self.scratch_for(query),
                 )
             verified = self.verify_with_fallback(
                 chain, query, spec.radius, chain_counter, cache=cache

@@ -387,9 +387,20 @@ class QueryStats:
         the counting wrapper and are not tallied here -- so it is a
         diagnostic (``repro search --stats``) and is not on the wire.
     verification_distance_computations:
-        Fresh distance evaluations spent verifying candidates during step 5.
+        Step-5 distance requests the distance cache did not answer: one
+        distance value each, whether a single kernel call or a prefix block
+        (see ``verification_kernel_calls``) produced it.
     verification_cache_hits:
         Step-5 distance requests answered by the distance cache.
+    verification_kernel_calls:
+        DP kernel invocations step 5 issued: prefix blocks built plus single
+        calls.  One block answers every request that shares its
+        ``(sequence, query start, database start)``, so this is where the
+        verification kernel work shows, while
+        ``verification_distance_computations`` keeps counting requests.  It
+        depends on execution -- racing thread-executor units may build one
+        block twice -- so, like ``index_kernel_calls``, it is a diagnostic
+        (``repro search --stats``) and is not on the wire.
     segment_matches:
         Number of (segment, window) pairs produced by step 4.
     candidate_chains:
@@ -461,6 +472,7 @@ class QueryStats:
     prefilter_pruned: int = 0
     table_segments: int = 0
     index_kernel_calls: int = 0
+    verification_kernel_calls: int = 0
     stage_timings: Dict[str, float] = field(default_factory=dict)
     cpu_stage_timings: Dict[str, float] = field(default_factory=dict)
     executor: str = "serial"
@@ -526,6 +538,7 @@ class QueryStats:
             prefilter_pruned=sum(p.prefilter_pruned for p in passes),
             table_segments=sum(p.table_segments for p in passes),
             index_kernel_calls=sum(p.index_kernel_calls for p in passes),
+            verification_kernel_calls=sum(p.verification_kernel_calls for p in passes),
             executor=final.executor,
             workers=final.workers,
             kernel_backend=final.kernel_backend,
@@ -574,6 +587,7 @@ class QueryStats:
             prefilter_pruned=sum(s.prefilter_pruned for s in shard_stats),
             table_segments=sum(s.table_segments for s in shard_stats),
             index_kernel_calls=sum(s.index_kernel_calls for s in shard_stats),
+            verification_kernel_calls=sum(s.verification_kernel_calls for s in shard_stats),
             executor=first.executor,
             workers=first.workers,
             kernel_backend=first.kernel_backend,

@@ -17,12 +17,12 @@ module offers two strategies:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.candidates import CandidateChain
 from repro.core.config import MatcherConfig
 from repro.core.queries import SubsequenceMatch
-from repro.distances.base import Distance
+from repro.distances.base import Distance, as_array
 from repro.distances.cache import DistanceCache
 from repro.sequences.sequence import Sequence
 
@@ -84,13 +84,18 @@ def _admissible(
 class _VerificationCounter:
     """Tiny helper so the matcher can report verification-time distance work.
 
-    ``count`` is fresh kernel executions; ``cache_hits`` is distance
-    requests answered by the matcher's :class:`DistanceCache`.
+    ``count`` is the distance requests the cache did not answer -- one
+    distance value each, whichever kernel call produced it; ``cache_hits``
+    is the requests the matcher's :class:`DistanceCache` answered.
+    ``kernel_calls`` is DP kernel invocations: prefix blocks built plus
+    single calls.  It depends on execution (racing thread units may build
+    one block twice), so it is a diagnostic, not a work counter.
     """
 
     def __init__(self) -> None:
         self.count = 0
         self.cache_hits = 0
+        self.kernel_calls = 0
 
 
 def _measure(
@@ -100,6 +105,7 @@ def _measure(
     radius: float,
     counter: _VerificationCounter,
     cache: Optional[DistanceCache],
+    fresh: Optional[Callable[[], float]] = None,
 ) -> float:
     """One verification-time distance request, early-abandoned past ``radius``.
 
@@ -107,43 +113,129 @@ def _measure(
     all verification decisions need); beyond the radius it may be ``inf``.
     Results -- including abandoned lower bounds -- go through the shared
     cache so Type III's repeated re-verification of the same chain at
-    growing radii never recomputes a pair.
+    growing radii never recomputes a pair.  A cache miss calls ``fresh``
+    when given (a prefix block's answer), the single kernel call otherwise;
+    either way it counts as one computation and is stored once.
     """
     if cache is not None:
         cached = cache.lookup(first, second, cutoff=radius)
         if cached is not None:
             counter.cache_hits += 1
             return cached
-    value = distance.bounded(first, second, radius)
+    if fresh is None:
+        counter.kernel_calls += 1
+        value = distance.bounded(first, second, radius)
+    else:
+        value = fresh()
     counter.count += 1
     if cache is not None:
         cache.store(first, second, value, cutoff=radius)
     return value
 
 
-def _cut_pair(
-    spans,
-    chain: CandidateChain,
-    query: Sequence,
-    db_sequence: Sequence,
-    q_start: int,
-    q_stop: int,
-    x_start: int,
-    x_stop: int,
-) -> Tuple[Sequence, Sequence]:
-    """The two operands of one distance request.
+class _Requests:
+    """The distance requests of one chain's verification.
 
-    ``spans`` is the caller's span memo (the pipeline's per-query
-    :class:`~repro.core.pipeline.QueryScratch`), or ``None`` to cut both
-    subsequences afresh.  Only the ``Sequence`` objects are shared; the
-    request itself -- cache lookup, kernel, store, counters -- is unchanged.
+    Every request makes one cache lookup and, on a miss, one counter
+    increment and one cache store, whatever answers it.  ``scratch`` is the
+    caller's per-query memo (the pipeline's
+    :class:`~repro.core.pipeline.QueryScratch`), or ``None``.  With it, the
+    two subsequences of a request are cut once per span, and a request the
+    cache misses is answered from the scratch's prefix blocks where the
+    distance has them (``prefix_block``): one early-abandoned DP table per
+    ``(sequence, query start, database start)`` holds every admissible pair
+    that shares those starts, bit-identical to the single call
+    (``block_serves``).  Other requests -- lock-step and non-family
+    distances, small edit tables, or no scratch -- make the single call.
     """
-    if spans is None:
-        return query.subsequence(q_start, q_stop), db_sequence.subsequence(x_start, x_stop)
-    return (
-        spans.span(None, query, q_start, q_stop),
-        spans.span(chain.source_id, db_sequence, x_start, x_stop),
-    )
+
+    def __init__(
+        self,
+        chain: CandidateChain,
+        query: Sequence,
+        db_sequence: Sequence,
+        distance: Distance,
+        radius: float,
+        config: MatcherConfig,
+        counter: _VerificationCounter,
+        cache: Optional[DistanceCache],
+        scratch,
+    ) -> None:
+        self.chain = chain
+        self.query = query
+        self.db_sequence = db_sequence
+        self.distance = distance
+        self.radius = radius
+        self.config = config
+        self.counter = counter
+        self.cache = cache
+        self.scratch = scratch
+        self.blocks = (
+            scratch.blocks
+            if scratch is not None and getattr(distance, "prefix_block", None) is not None
+            else None
+        )
+        #: ``(query stop, database stop, query values, database values)`` a
+        #: new block reaches, worked out on the chain's first block.
+        self._reach: Optional[tuple] = None
+
+    def measure(self, q_start: int, q_stop: int, x_start: int, x_stop: int) -> float:
+        """One request through :func:`_measure`, a prefix block answering a miss."""
+        scratch = self.scratch
+        if scratch is None:
+            first = self.query.subsequence(q_start, q_stop)
+            second = self.db_sequence.subsequence(x_start, x_stop)
+        else:
+            first = scratch.span(None, self.query, q_start, q_stop)
+            second = scratch.span(self.chain.source_id, self.db_sequence, x_start, x_stop)
+        q_len = q_stop - q_start
+        x_len = x_stop - x_start
+        fresh = None
+        if self.blocks is not None and self.distance.block_serves(q_len, x_len):
+
+            def fresh() -> float:
+                return self._block(q_start, x_start, q_len, x_len).value(q_len, x_len)
+
+        return _measure(self.distance, first, second, self.radius, self.counter, self.cache, fresh)
+
+    def _block(self, q_start: int, x_start: int, q_len: int, x_len: int):
+        """The memo's block for these starts, (re)built if it cannot answer.
+
+        A new block reaches the chain's admissible stops (Section 7: ``lambda/2
+        + lambda0`` past the chain on the query side, ``lambda/2`` on the
+        database side) and any block it replaces, clipped to lengths the
+        constraints can pair (``|n - m| <= lambda0``).
+        """
+        key = (self.chain.source_id, q_start, x_start)
+        block = self.blocks.get(key)
+        if block is not None and block.covers(q_len, x_len, self.radius):
+            return block
+        config = self.config
+        shift = config.max_shift
+        if self._reach is None:
+            reach = config.window_length
+            self._reach = (
+                min(len(self.query), self.chain.query_stop + reach + shift),
+                min(len(self.db_sequence), self.chain.db_stop + reach),
+                as_array(self.query),
+                as_array(self.db_sequence),
+            )
+        q_reach, x_reach, query, target = self._reach
+        n, m = max(q_reach - q_start, q_len), max(x_reach - x_start, x_len)
+        if block is not None:
+            n, m = max(n, block.n), max(m, block.m)
+        n = min(n, m + shift)
+        m = min(m, n + shift)
+        block = self.distance.prefix_block(
+            query[q_start : q_start + n],
+            target[x_start : x_start + m],
+            config.min_length,
+            shift,
+            self.radius,
+        )
+        self.counter.kernel_calls += 1
+        self.blocks[key] = block
+        return block
 
 
 def verify_chain(
@@ -155,7 +247,7 @@ def verify_chain(
     config: MatcherConfig,
     counter: Optional[_VerificationCounter] = None,
     cache: Optional[DistanceCache] = None,
-    spans=None,
+    scratch=None,
 ) -> Optional[SubsequenceMatch]:
     """Verify ``chain`` and greedily extend it into the longest passing match.
 
@@ -163,11 +255,14 @@ def verify_chain(
     chain's span, checks it, and then repeatedly tries to extend either end
     of either subsequence by one element, keeping any extension that stays
     within ``radius``.  The result is a locally-maximal match; ``None`` means
-    not even the minimal admissible pair is within ``radius``.  ``spans``
-    optionally memoizes the subsequences cut along the way (see
-    :func:`_cut_pair`).
+    not even the minimal admissible pair is within ``radius``.  ``scratch``
+    is the optional per-query memo of cut subsequences and prefix blocks
+    (see :class:`_Requests`).
     """
     counter = counter if counter is not None else _VerificationCounter()
+    requests = _Requests(
+        chain, query, db_sequence, distance, radius, config, counter, cache, scratch
+    )
     query_length = len(query)
     db_length = len(db_sequence)
     equal_only = not distance.supports_unequal_lengths
@@ -197,13 +292,7 @@ def verify_chain(
         seen_spans.add(span)
         if not _admissible(q_start, q_stop, x_start, x_stop, config, equal_only):
             continue
-        value = _measure(
-            distance,
-            *_cut_pair(spans, chain, query, db_sequence, q_start, q_stop, x_start, x_stop),
-            radius,
-            counter,
-            cache,
-        )
+        value = requests.measure(q_start, q_stop, x_start, x_stop)
         if value > radius:
             continue
         best = SubsequenceMatch(
@@ -244,13 +333,7 @@ def verify_chain(
                 continue
             if (q1 - q0) + (x1 - x0) <= best.query_length + best.db_length:
                 continue
-            value = _measure(
-                distance,
-                *_cut_pair(spans, chain, query, db_sequence, q0, q1, x0, x1),
-                radius,
-                counter,
-                cache,
-            )
+            value = requests.measure(q0, q1, x0, x1)
             if value <= radius:
                 best = SubsequenceMatch(
                     distance=value,
@@ -270,31 +353,28 @@ def _grow_to_length(
 ) -> Tuple[int, int]:
     """Extend ``[start, stop)`` to at least ``target`` elements within ``[0, limit)``.
 
-    ``direction`` chooses which end grows first: ``"right"`` prefers
-    extending the stop, ``"left"`` the start, ``"both"`` alternates.  When
-    the preferred end hits the sequence boundary the other end takes over,
-    so the result always reaches ``target`` if the sequence allows it.
+    ``direction`` chooses which end grows first: ``"right"`` extends the stop
+    as far as it can and then the start, ``"left"`` the other way round, and
+    ``"both"`` alternates one element at a time, the stop first, until one
+    end is stuck and the other takes the rest.  The result reaches ``target``
+    whenever the sequence allows it.  (Closed form of that one-element-at-a-
+    time growth: verification calls this twice per anchoring, per chain.)
     """
-    while stop - start < target:
-        extended = False
-        grow_right_first = direction in ("right", "both")
-        if grow_right_first and stop < limit:
-            stop += 1
-            extended = True
-        if stop - start < target and direction in ("left", "both") and start > 0:
-            start -= 1
-            extended = True
-        if stop - start < target and not extended:
-            # Preferred ends exhausted; fall back to whichever end still has room.
-            if stop < limit:
-                stop += 1
-                extended = True
-            elif start > 0:
-                start -= 1
-                extended = True
-        if not extended:
-            break
-    return start, stop
+    need = target - (stop - start)
+    if need <= 0:
+        return start, stop
+    right_room = max(0, limit - stop)
+    left_room = max(0, start)
+    if direction == "right":
+        right = min(need, right_room)
+        left = min(need - right, left_room)
+    elif direction == "left":
+        left = min(need, left_room)
+        right = min(need - left, right_room)
+    else:
+        right = min(right_room, max((need + 1) // 2, need - left_room))
+        left = min(left_room, need - right)
+    return start - left, stop + right
 
 
 def _balance_lengths(
@@ -334,7 +414,7 @@ def enumerate_matches(
     counter: Optional[_VerificationCounter] = None,
     max_results: Optional[int] = None,
     cache: Optional[DistanceCache] = None,
-    spans=None,
+    scratch=None,
 ) -> List[SubsequenceMatch]:
     """Exhaustively verify every admissible endpoint combination for ``chain``.
 
@@ -342,10 +422,13 @@ def enumerate_matches(
     semantics within one candidate region.  The number of combinations grows
     with ``(lambda/2 + lambda0)^2 * (lambda/2)^2``, so the matcher only uses
     it when explicitly asked (``RangeQuery(exhaustive=True)``) or on small
-    inputs; the test-suite uses it as an oracle.  ``spans`` is as for
+    inputs; the test-suite uses it as an oracle.  ``scratch`` is as for
     :func:`verify_chain`.
     """
     counter = counter if counter is not None else _VerificationCounter()
+    requests = _Requests(
+        chain, query, db_sequence, distance, radius, config, counter, cache, scratch
+    )
     equal_only = not distance.supports_unequal_lengths
     q_starts, q_stops, x_starts, x_stops = chain_bounds(
         chain, len(query), len(db_sequence), config
@@ -357,15 +440,7 @@ def enumerate_matches(
                 for x_stop in x_stops:
                     if not _admissible(q_start, q_stop, x_start, x_stop, config, equal_only):
                         continue
-                    value = _measure(
-                        distance,
-                        *_cut_pair(
-                            spans, chain, query, db_sequence, q_start, q_stop, x_start, x_stop
-                        ),
-                        radius,
-                        counter,
-                        cache,
-                    )
+                    value = requests.measure(q_start, q_stop, x_start, x_stop)
                     if value <= radius:
                         results.append(
                             SubsequenceMatch(

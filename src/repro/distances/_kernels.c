@@ -36,6 +36,19 @@
  * distances always the reduced-coordinate sweep, never the small-table
  * path), hence bit-identical values.
  *
+ * Prefix blocks: the table of one pair (Q, X) holds d(Q[:L], X[:J]) in
+ * cell (L, J) -- the prefix property -- so one sweep answers every pair
+ * that shares the two start points.  The row sweeps take an optional
+ * band_out: each row L that completes without abandoning is copied, where
+ * L >= first and |L - J| <= shift, into the (n - first + 1) x
+ * (2 shift + 1) cell band.  The copy reads the values the single call
+ * returns for that prefix pair (the sweeps are prefix-consistent: prefix
+ * sums and running minima only look left), so repro_warp_block and
+ * repro_edit_block cells are bit-identical to repro_warp_value /
+ * repro_edit_value above the edit small-table switch.  A row is abandoned
+ * only when every column exceeds the cutoff, so every pair reaching it
+ * does too; its cells are left as the caller filled them (+inf).
+ *
  * Conventions: band < 0 means "no band"; cutoff = +inf means "no cutoff";
  * all arrays are C-contiguous float64.  Return code 0 = success, 1 = out
  * of memory.
@@ -116,14 +129,40 @@ static void band_limits(int64_t i, int64_t m, int64_t band, int64_t *j_start,
     *j_stop = i + band + 1 < m ? i + band + 1 : m;
 }
 
+/* The admissible band of a prefix block (see the header comment). */
+typedef struct {
+    double *cells;
+    int64_t first; /* the shortest row kept (lambda) */
+    int64_t shift; /* the widest length difference kept (lambda0) */
+    int64_t rows;  /* the last row completed without abandoning */
+} band_out;
+
+/* Copy row `len` of an m-column table into the band: column J's value is
+ * row[J - base], plus offsets[J] when offsets is not NULL. */
+static void band_emit(band_out *out, int64_t len, int64_t m, const double *row,
+                      int64_t base, const double *offsets) {
+    int64_t J, lo, hi;
+    double *cells;
+    out->rows = len;
+    if (len < out->first)
+        return;
+    cells = out->cells + (len - out->first) * (2 * out->shift + 1);
+    lo = len - out->shift > 1 ? len - out->shift : 1;
+    hi = len + out->shift < m ? len + out->shift : m;
+    for (J = lo; J <= hi; J++)
+        cells[J - len + out->shift] =
+            offsets != NULL ? row[J - base] + offsets[J] : row[J - base];
+}
+
 /* ------------------------------------------------------------------ */
 /* warp sum: reduced-coordinate row sweep (DTW aggregate="sum")        */
 /* ------------------------------------------------------------------ */
 
-/* One pair; row/buf/costp are caller-provided length-m scratch. */
+/* One pair; row/buf/costp are caller-provided length-m scratch; out is an
+ * optional band output (NULL for a plain value). */
 static double warp_sum_pair(const double *q, int64_t n, const double *x, int64_t m,
                             int64_t d, int64_t kind, int64_t band, double cutoff,
-                            double *row, double *buf, double *costp) {
+                            double *row, double *buf, double *costp, band_out *out) {
     int64_t i, j, j_start, j_stop;
     double acc, running;
 
@@ -139,6 +178,8 @@ static double warp_sum_pair(const double *q, int64_t n, const double *x, int64_t
         row[j] = INFINITY;
     if (row[0] > cutoff)
         return INFINITY;
+    if (out != NULL)
+        band_emit(out, 1, m, row, 1, NULL);
 
     for (i = 1; i < n; i++) {
         const double *qi = q + i * d;
@@ -177,6 +218,8 @@ static double warp_sum_pair(const double *q, int64_t n, const double *x, int64_t
             if (row_min > cutoff)
                 return INFINITY;
         }
+        if (out != NULL)
+            band_emit(out, i + 1, m, row, 1, NULL);
     }
     return row[m - 1];
 }
@@ -187,7 +230,7 @@ static double warp_sum_pair(const double *q, int64_t n, const double *x, int64_t
 
 static double warp_max_pair(const double *q, int64_t n, const double *x, int64_t m,
                             int64_t d, int64_t kind, int64_t band, double cutoff,
-                            double *prev, double *row) {
+                            double *prev, double *row, band_out *out) {
     int64_t i, j, j_start, j_stop;
 
     for (i = 0; i < n; i++) {
@@ -222,6 +265,8 @@ static double warp_max_pair(const double *q, int64_t n, const double *x, int64_t
         }
         if (cutoff != INFINITY && row_min > cutoff)
             return INFINITY;
+        if (out != NULL)
+            band_emit(out, i + 1, m, row, 1, NULL);
         tmp = prev;
         prev = row;
         row = tmp;
@@ -280,7 +325,7 @@ static double edit_pair_reduced(const double *q, int64_t n, const double *x, int
                                 int64_t d, int64_t mode, int64_t kind, double eps,
                                 const double *del_costs, const double *ins,
                                 const double *insp, double cutoff, double *reduced,
-                                double *buf) {
+                                double *buf, band_out *out) {
     int64_t i, j;
 
     for (j = 0; j <= m; j++)
@@ -312,6 +357,8 @@ static double edit_pair_reduced(const double *q, int64_t n, const double *x, int
             if (row_min > cutoff)
                 return INFINITY;
         }
+        if (out != NULL)
+            band_emit(out, i + 1, m, reduced, 0, insp);
     }
     return reduced[m] + insp[m];
 }
@@ -347,10 +394,10 @@ int repro_warp_value(const double *q, int64_t n, const double *x, int64_t m, int
     if (scratch == NULL)
         return 1;
     if (use_max)
-        *out = warp_max_pair(q, n, x, m, d, kind, band, cutoff, scratch, scratch + m);
+        *out = warp_max_pair(q, n, x, m, d, kind, band, cutoff, scratch, scratch + m, NULL);
     else
         *out = warp_sum_pair(q, n, x, m, d, kind, band, cutoff, scratch, scratch + m,
-                             scratch + 2 * m);
+                             scratch + 2 * m, NULL);
     free(scratch);
     return 0;
 }
@@ -368,10 +415,10 @@ int repro_warp_pairs(const double *qs, int64_t n, const int64_t *q_rows, const d
         double cutoff = cutoffs != NULL ? cutoffs[p] : INFINITY;
         if (use_max)
             out[p] = warp_max_pair(q, n, x, m, d, kind, band, cutoff, scratch,
-                                   scratch + m);
+                                   scratch + m, NULL);
         else
             out[p] = warp_sum_pair(q, n, x, m, d, kind, band, cutoff, scratch,
-                                   scratch + m, scratch + 2 * m);
+                                   scratch + m, scratch + 2 * m, NULL);
     }
     free(scratch);
     return 0;
@@ -397,7 +444,7 @@ int repro_edit_value(const double *q, int64_t n, const double *x, int64_t m, int
                                work0, work1);
     else
         *out = edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp,
-                                 cutoff, work0, work1);
+                                 cutoff, work0, work1, NULL);
     free(mem);
     return 0;
 }
@@ -429,8 +476,54 @@ int repro_edit_pairs(const double *qs, int64_t n, const int64_t *q_rows, const d
         fill_ins(x, m, d, mode, kind, gap, ins, insp);
         /* the batch form's recurrence: always the reduced-coordinate sweep */
         out[p] = edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp,
-                                   cutoff, work0, work1);
+                                   cutoff, work0, work1, NULL);
     }
     free(mem);
+    return 0;
+}
+
+/* The prefix block of (q, x): the sweep of repro_warp_value with a band
+ * output.  cells holds (n - first + 1) x (2 shift + 1) doubles the caller
+ * filled with +inf; *rows receives the last row that was not abandoned. */
+int repro_warp_block(const double *q, int64_t n, const double *x, int64_t m, int64_t d,
+                     int64_t kind, int64_t use_max, int64_t band, double cutoff,
+                     int64_t first, int64_t shift, double *cells, int64_t *rows) {
+    band_out out = {cells, first, shift, 0};
+    double *scratch = (double *)malloc((size_t)(3 * m) * sizeof(double));
+    if (scratch == NULL)
+        return 1;
+    if (use_max)
+        warp_max_pair(q, n, x, m, d, kind, band, cutoff, scratch, scratch + m, &out);
+    else
+        warp_sum_pair(q, n, x, m, d, kind, band, cutoff, scratch, scratch + m,
+                      scratch + 2 * m, &out);
+    free(scratch);
+    *rows = out.rows;
+    return 0;
+}
+
+/* The prefix block of (q, x) under an edit recurrence: always the
+ * reduced-coordinate sweep, so its cells equal repro_edit_value only for
+ * prefix pairs above REPRO_SMALL_TABLE_CELLS cells. */
+int repro_edit_block(const double *q, int64_t n, const double *x, int64_t m, int64_t d,
+                     int64_t mode, int64_t kind, const double *gap, double eps,
+                     double cutoff, int64_t first, int64_t shift, double *cells,
+                     int64_t *rows) {
+    band_out out = {cells, first, shift, 0};
+    double *mem = (double *)malloc((size_t)(m + (m + 1) + n + 2 * (m + 1)) * sizeof(double));
+    double *ins, *insp, *del_costs, *work0, *work1;
+    if (mem == NULL)
+        return 1;
+    ins = mem;
+    insp = ins + m;
+    del_costs = insp + m + 1;
+    work0 = del_costs + n;
+    work1 = work0 + m + 1;
+    fill_ins(x, m, d, mode, kind, gap, ins, insp);
+    fill_del(q, n, d, mode, kind, gap, del_costs);
+    edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp, cutoff, work0,
+                      work1, &out);
+    free(mem);
+    *rows = out.rows;
     return 0;
 }

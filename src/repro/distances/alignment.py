@@ -30,6 +30,12 @@ caller's ``cutoff`` the final distance must exceed it too and the kernel
 returns ``inf`` immediately.  This is what backs the
 :meth:`repro.distances.base.Distance.compute_bounded` API.
 
+Given a :class:`PrefixBlock`, the value sweeps also keep the admissible
+cells of every row they complete: cell ``(L, J)`` of the table over
+``Q[:n] x X[:m]`` *is* the distance of the prefixes ``Q[:L]`` and ``X[:J]``,
+and every operation of a sweep reads only cells up and to the left, so one
+sweep answers every pair of subsequences that shares the two start points.
+
 This module also provides the traceback that turns a filled table into an
 explicit alignment (a list of *couplings*), which is what the paper's
 consistency proof reasons about.
@@ -96,6 +102,68 @@ class Alignment:
         firsts = {i for i, _ in self.couplings}
         seconds = {j for _, j in self.couplings}
         return firsts == set(range(length_first)) and seconds == set(range(length_second))
+
+
+class PrefixBlock:
+    """The admissible cells of one DP table, swept once from a start pair.
+
+    Cell ``(L, J)`` of the table over ``Q[:n] x X[:m]`` is ``d(Q[:L],
+    X[:J])`` -- the prefix property behind subsequence DTW (SPRING, Sakurai
+    et al., ICDE 2007).  A block keeps the rows ``L >= first`` and, in each,
+    the cells ``|L - J| <= shift`` -- the paper's length constraints
+    ``lambda`` and ``lambda0`` -- as ``cells[L - first, J - L + shift]``;
+    cells outside ``1 <= J <= m`` read ``inf``.
+
+    The sweep ran under ``cutoff`` and completed the rows up to ``rows``.
+    It abandons a row only when every cell of it exceeds the cutoff, and
+    table values never decrease along a path, so every pair reaching a
+    later row is beyond the cutoff too: those cells read ``inf``.  Cells of
+    completed rows are exact whatever the cutoff.  A sweep fills the block
+    through :meth:`emit` (or the C tier writes ``cells`` and ``rows``).
+    """
+
+    __slots__ = ("n", "m", "first", "shift", "cutoff", "cells", "rows")
+
+    def __init__(self, n: int, m: int, first: int, shift: int, cutoff: Optional[float]) -> None:
+        self.n = n
+        self.m = m
+        self.first = first
+        self.shift = shift
+        self.cutoff = _INF if cutoff is None else float(cutoff)
+        self.cells = np.full((max(n - first + 1, 0), 2 * shift + 1), _INF)
+        self.rows = 0
+
+    def covers(self, rows: int, columns: int, cutoff: float) -> bool:
+        """Whether :meth:`value` answers ``d(Q[:rows], X[:columns])`` at ``cutoff``.
+
+        The pair must lie inside the swept table; a row past :attr:`rows`
+        is only known to exceed the block's own cutoff, so it answers a
+        request at that cutoff or below.
+        """
+        return rows <= self.n and columns <= self.m and (rows <= self.rows or cutoff <= self.cutoff)
+
+    def value(self, rows: int, columns: int) -> float:
+        """``d(Q[:rows], X[:columns])`` for an admissible pair the block covers.
+
+        Exact whenever it is at most the block's cutoff; beyond it otherwise
+        (``inf`` in an abandoned row), the contract of
+        :meth:`~repro.distances.base.Distance.bounded`.
+        """
+        return float(self.cells[rows - self.first, columns - rows + self.shift])
+
+    def emit(self, length: int, row: np.ndarray, base: int, offsets=None) -> None:
+        """Keep row ``length`` of a sweep: column ``J`` is ``row[J - base]``
+        (plus ``offsets[J]``, when given)."""
+        self.rows = length
+        if length < self.first:
+            return
+        lo = max(1, length - self.shift)
+        hi = min(self.m, length + self.shift)
+        values = row[lo - base : hi + 1 - base]
+        if offsets is not None:
+            values = values + offsets[lo : hi + 1]
+        start = lo - length + self.shift
+        self.cells[length - self.first, start : start + len(values)] = values
 
 
 def _validate_cost_matrix(cost: np.ndarray) -> None:
@@ -216,6 +284,7 @@ def warping_distance(
     aggregate: str = "sum",
     band: Optional[int] = None,
     cutoff: Optional[float] = None,
+    out: Optional[PrefixBlock] = None,
 ) -> float:
     """The bottom-right value of :func:`warping_table`, without the table.
 
@@ -223,20 +292,29 @@ def warping_distance(
     working set, avoids per-iteration allocations, and, when ``cutoff`` is
     given, abandons as soon as the table front's minimum exceeds it
     (returning ``inf``).  ``inf`` is also returned when no warping path fits
-    inside the band.
+    inside the band.  ``out`` receives the table's admissible prefix cells
+    from a row sweep (the bottleneck recurrence's values are exact
+    selections, so its row sweep agrees with every other path).
     """
     _validate_cost_matrix(cost)
     if aggregate not in ("sum", "max"):
         raise DistanceError(f"aggregate must be 'sum' or 'max', got {aggregate!r}")
     cost = np.asarray(cost, dtype=np.float64)
     if aggregate == "sum":
-        return _warp_sum_value(cost, band, cutoff)
+        return _warp_sum_value(cost, band, cutoff, out)
+    if out is not None:
+        return float(_batch_warp_max(cost[None], band, cutoff, out)[0])
     if cost.size <= _SMALL_TABLE_CELLS:
         return _warp_max_value_small(cost, band, cutoff)
     return _warp_max_value(cost, band, cutoff)
 
 
-def _warp_sum_value(cost: np.ndarray, band: Optional[int], cutoff: Optional[float]) -> float:
+def _warp_sum_value(
+    cost: np.ndarray,
+    band: Optional[int],
+    cutoff: Optional[float],
+    out: Optional[PrefixBlock] = None,
+) -> float:
     """Row-sweep DTW value: the in-row scan is one ``np.minimum.accumulate``.
 
     Works in *reduced* coordinates ``row - S`` (``S`` the row-wise prefix sum
@@ -255,6 +333,8 @@ def _warp_sum_value(cost: np.ndarray, band: Optional[int], cutoff: Optional[floa
         row[j_stop:] = _INF
     if cutoff is not None and row[0] > cutoff:
         return _INF
+    if out is not None:
+        out.emit(1, row, 1)
     buf = np.empty(m)
     for i in range(1, n):
         j_start, j_stop = _band_limits(i, m, band)
@@ -272,6 +352,8 @@ def _warp_sum_value(cost: np.ndarray, band: Optional[int], cutoff: Optional[floa
         row, buf = buf, row
         if cutoff is not None and np.min(row) > cutoff:
             return _INF
+        if out is not None:
+            out.emit(i + 1, row, 1)
     return float(row[-1])
 
 
@@ -436,14 +518,18 @@ def _batch_warp_sum(
 
 
 def _batch_warp_max(
-    cost: np.ndarray, band: Optional[int], cutoff: BatchCutoff
+    cost: np.ndarray,
+    band: Optional[int],
+    cutoff: BatchCutoff,
+    out: Optional[PrefixBlock] = None,
 ) -> np.ndarray:
     """Batched bottleneck recurrence via the :func:`_max_row` doubling scan.
 
     The early-abandon test is per row (every monotone path visits every row
     and bottleneck values never decrease along a path), which may abandon a
     pair the anti-diagonal kernel would carry further; either way the
-    returned value is exact whenever it is at most ``cutoff``.
+    returned value is exact whenever it is at most ``cutoff``.  ``out`` keeps
+    the prefix cells of a batch of one.
     """
     k, n, m = cost.shape
     row: Optional[np.ndarray] = None
@@ -477,6 +563,8 @@ def _batch_warp_max(
             abandoned |= np.min(row, axis=1) > cutoff
             if abandoned.all():
                 return np.full(k, _INF)
+        if out is not None:
+            out.emit(i + 1, row[0], 1)
     assert row is not None
     values = row[:, -1].copy()
     values[abandoned] = _INF
@@ -584,6 +672,7 @@ def edit_distance_value(
     deletion: np.ndarray,
     insertion: np.ndarray,
     cutoff: Optional[float] = None,
+    out: Optional[PrefixBlock] = None,
 ) -> float:
     """The bottom-right value of :func:`edit_table`, without the table.
 
@@ -592,12 +681,14 @@ def edit_distance_value(
     ``np.minimum.accumulate`` and leaves just four vector operations per
     row.  When ``cutoff`` is given, the computation is abandoned (returning
     ``inf``) as soon as a row's minimum exceeds it; all edit costs are
-    non-negative, so row minima never decrease.
+    non-negative, so row minima never decrease.  ``out`` receives the
+    table's admissible prefix cells; it always takes the reduced sweep, so
+    only prefix pairs above ``_SMALL_TABLE_CELLS`` cells match the single call.
     """
     _validate_edit_inputs(substitution, deletion, insertion)
     substitution = np.asarray(substitution, dtype=np.float64)
     n, m = substitution.shape
-    if substitution.size <= _SMALL_TABLE_CELLS:
+    if out is None and substitution.size <= _SMALL_TABLE_CELLS:
         return _edit_value_small(substitution, deletion, insertion, cutoff)
     insertion = np.asarray(insertion, dtype=np.float64)
     insertion_prefix = np.concatenate(([0.0], np.cumsum(insertion)))
@@ -620,6 +711,8 @@ def edit_distance_value(
             np.add(reduced, insertion_prefix, out=scratch)
             if np.min(scratch) > cutoff:
                 return _INF
+        if out is not None:
+            out.emit(i + 1, reduced, 0, insertion_prefix)
     return float(reduced[-1] + insertion_prefix[-1])
 
 

@@ -23,7 +23,7 @@ Element costs are accumulated sequentially over the element axis, which
 matches NumPy's reduction order only below NumPy's pairwise-summation
 threshold (8 addends); :func:`fusable_dim` gates dispatch accordingly.
 
-:class:`CcProvider` exposes six entry points::
+:class:`CcProvider` exposes eight entry points::
 
     warp_value(query, item, kind, use_max, band, cutoff) -> float
     warp_batch(query, items, kind, use_max, band, cutoffs) -> ndarray
@@ -31,6 +31,8 @@ threshold (8 addends); :func:`fusable_dim` gates dispatch accordingly.
     edit_value(query, item, mode, kind, gap, eps, cutoff) -> float
     edit_batch(query, items, mode, kind, gap, eps, cutoffs) -> ndarray
     edit_pairs(queries, query_rows, items, item_rows, mode, kind, gap, eps, cutoffs) -> ndarray
+    warp_block(query, item, kind, use_max, band, cutoff, block) -> None
+    edit_block(query, item, mode, kind, gap, eps, cutoff, block) -> None
 
 with ``kind`` an element-metric code (0 euclidean, 1 manhattan,
 2 discrete), ``mode`` an edit-recurrence code (0 Levenshtein, 1 ERP,
@@ -42,7 +44,9 @@ operand stacks -- one call for many queries, each against its own items --
 and run the *batch* form's recurrence per pair, so a pair's value is
 bit-identical to what ``*_batch`` returns for it.  Both forms call the one C
 pair entry point per recurrence; ``*_batch`` passes null row vectors, which
-mean query row 0 and item row ``i``.
+mean query row 0 and item row ``i``.  The ``*_block`` forms sweep one
+pair's table once and fill a :class:`~repro.distances.alignment.PrefixBlock`
+with its admissible prefix cells (the single-value sweep with a band output).
 """
 
 from __future__ import annotations
@@ -168,6 +172,14 @@ class CcProvider:
         lib.repro_edit_pairs.argtypes = [
             ptr, i64, ptr, ptr, i64, ptr, i64, i64, i64, i64, ptr, f64, ptr, ptr,
         ]
+        lib.repro_warp_block.restype = ctypes.c_int
+        lib.repro_warp_block.argtypes = [
+            ptr, i64, ptr, i64, i64, i64, i64, i64, f64, i64, i64, ptr, ptr,
+        ]
+        lib.repro_edit_block.restype = ctypes.c_int
+        lib.repro_edit_block.argtypes = [
+            ptr, i64, ptr, i64, i64, i64, i64, ptr, f64, f64, i64, i64, ptr, ptr,
+        ]
         self._lib = lib
         self.library_path = library_path
 
@@ -267,6 +279,33 @@ class CcProvider:
             )
         )
         return out
+
+    def warp_block(self, query, item, kind, use_max, band, cutoff, block) -> None:
+        q = _contiguous(query)
+        x = _contiguous(item)
+        rows = ctypes.c_int64()
+        self._check(
+            self._lib.repro_warp_block(
+                q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
+                int(kind), int(bool(use_max)), _norm_band(band), _norm_cutoff(cutoff),
+                block.first, block.shift, block.cells.ctypes.data, ctypes.byref(rows),
+            )
+        )
+        block.rows = rows.value
+
+    def edit_block(self, query, item, mode, kind, gap, eps, cutoff, block) -> None:
+        q = _contiguous(query)
+        x = _contiguous(item)
+        g = _contiguous(np.asarray(gap, dtype=np.float64))
+        rows = ctypes.c_int64()
+        self._check(
+            self._lib.repro_edit_block(
+                q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
+                int(mode), int(kind), g.ctypes.data, float(eps), _norm_cutoff(cutoff),
+                block.first, block.shift, block.cells.ctypes.data, ctypes.byref(rows),
+            )
+        )
+        block.rows = rows.value
 
     def __repr__(self) -> str:
         return f"CcProvider(library={self.library_path!r})"

@@ -14,7 +14,8 @@ tables (:mod:`repro.distances.alignment`):
 A family implements every call form once -- :meth:`~Distance.compute` and
 :meth:`~Distance.compute_bounded` (one pair), :meth:`~Distance.compute_batch`
 (one query against a same-shape stack), :meth:`~Distance.compute_pairs` (the
-pair call form) and ``alignment`` -- and picks the kernel tier in one place:
+pair call form), ``prefix_block`` (every admissible prefix pair of one pair,
+one sweep) and ``alignment`` -- and picks the kernel tier in one place:
 the C kernels of :mod:`repro.distances.compiled` when
 :func:`~repro.distances.backend.fused_provider` offers them for the operands'
 point width, the NumPy sweeps otherwise.  Single calls stay single calls on
@@ -44,7 +45,9 @@ from typing import Optional
 import numpy as np
 
 from repro.distances.alignment import (
+    _SMALL_TABLE_CELLS,
     Alignment,
+    PrefixBlock,
     batch_edit_distance_value,
     batch_warping_distance,
     edit_distance_value,
@@ -154,6 +157,33 @@ class WarpingDistance(Distance):
             )
         return values
 
+    def prefix_block(
+        self, first: np.ndarray, second: np.ndarray, min_rows: int, shift: int, cutoff
+    ) -> PrefixBlock:
+        """The admissible prefix distances of ``first x second``, one sweep.
+
+        Cell ``(L, J)`` of the block is ``compute_bounded(first[:L],
+        second[:J], cutoff)`` bit for bit for ``L >= min_rows`` and ``|L - J|
+        <= shift``: both tiers run the single call's sweep with a band output
+        (the Sakoe-Chiba band is absolute, ``|i - j| <= band``, so it is
+        prefix-consistent too).  See :class:`PrefixBlock` for abandoned rows.
+        """
+        block = PrefixBlock(len(first), len(second), min_rows, shift, cutoff)
+        kernels = fused_provider(first.shape[1])
+        if kernels is not None:
+            kind = METRIC_KIND_CODES[self.element_metric.kind]
+            kernels.warp_block(
+                first, second, kind, self.aggregate == "max", self.band, cutoff, block
+            )
+        else:
+            cost = self.element_metric.matrix(first, second)
+            warping_distance(cost, self.aggregate, self.band, cutoff, out=block)
+        return block
+
+    def block_serves(self, rows: int, columns: int) -> bool:
+        """Whether a prefix block's cell equals the single call for this shape."""
+        return True
+
     def alignment(self, first, second) -> Alignment:
         """The optimal warping alignment (the coupling sequence C)."""
         a = as_array(first)
@@ -231,6 +261,32 @@ class EditDistance(Distance):
     def _stacked(self, queries: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
         """The NumPy sweep: one shared ``(n, dim)`` query or one per item."""
         return batch_edit_distance_value(*self._costs(queries, items), cutoff=cutoff)
+
+    def prefix_block(
+        self, first: np.ndarray, second: np.ndarray, min_rows: int, shift: int, cutoff
+    ) -> PrefixBlock:
+        """The admissible prefix distances of ``first x second``, one sweep.
+
+        Both tiers run the reduced-coordinate sweep of the single call with a
+        band output, so cell ``(L, J)`` is ``compute_bounded(first[:L],
+        second[:J], cutoff)`` bit for bit wherever :meth:`block_serves` holds
+        (the single call takes the direct recurrence on small tables).  See
+        :class:`PrefixBlock` for the layout and abandoned rows.
+        """
+        block = PrefixBlock(len(first), len(second), min_rows, shift, cutoff)
+        dim = first.shape[1]
+        kernels = fused_provider(dim) if self.mode is not None else None
+        if kernels is not None:
+            kind, gap, eps = self.kernel_args(dim)
+            kernels.edit_block(first, second, self.mode, kind, gap, eps, cutoff, block)
+        else:
+            edit_distance_value(*self._costs(first, second), cutoff=cutoff, out=block)
+        return block
+
+    def block_serves(self, rows: int, columns: int) -> bool:
+        """Whether a prefix block's cell equals the single call for this shape:
+        only above the single call's small-table switch."""
+        return rows * columns > _SMALL_TABLE_CELLS
 
     def alignment(self, first, second) -> Alignment:
         """One optimal alignment (couplings of matched positions; gaps excluded)."""

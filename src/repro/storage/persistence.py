@@ -19,7 +19,10 @@ Snapshots are versioned independently of the raw-data format
 version raises :class:`~repro.exceptions.StorageError` instead of
 misinterpreting it.  Every archive is written to a temporary file beside
 its destination and moved into place with ``os.replace``, so a write that
-fails part-way leaves the previous file intact.
+fails part-way leaves the previous file intact.  A damaged file -- empty,
+truncated, or with a flipped byte, which the zip container's CRC-32 and
+structure checks catch -- raises :class:`~repro.exceptions.StorageError`
+naming it, never a zip, zlib or NumPy error.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -78,6 +84,32 @@ def _write_npz(path: Path, arrays: dict, what: str) -> None:
         raise StorageError(f"could not write {what} to {path}: {error}") from error
 
 
+#: What reading a damaged archive raises from inside ``np.load`` and its
+#: lazy member reads: a bad zip structure or CRC-32 (``BadZipFile``), a file
+#: that ends early (``EOFError``), a corrupt deflate stream (``zlib.error``),
+#: a member name the central directory no longer lists (``KeyError``), and
+#: garbled bytes where NumPy, JSON or UTF-8 expected structure
+#: (``ValueError``, ``OSError``).
+_DAMAGED = (zipfile.BadZipFile, EOFError, zlib.error, KeyError, ValueError, OSError)
+
+
+@contextmanager
+def _read_npz(path: Path, what: str) -> Iterator[np.lib.npyio.NpzFile]:
+    """``np.load(path)`` for the span of a load, failures as :class:`StorageError`.
+
+    Member reads are lazy, so the whole load runs inside the block; the
+    :class:`StorageError` a load raises on purpose is none of
+    :data:`_DAMAGED` and passes through.
+    """
+    try:
+        with np.load(_with_suffix(path), allow_pickle=False) as archive:
+            yield archive
+    except FileNotFoundError as error:
+        raise StorageError(f"no {what} at {path}") from error
+    except _DAMAGED as error:
+        raise StorageError(f"{what} {path} is damaged or unreadable: {error!r}") from error
+
+
 def _database_arrays(database: SequenceDatabase, prefix: str = "seq") -> Tuple[dict, dict]:
     """Split ``database`` into npz arrays (``{prefix}_{i}``) and JSON metadata."""
     arrays = {}
@@ -124,16 +156,13 @@ def save_database(database: SequenceDatabase, path: PathLike) -> None:
 def load_database(path: PathLike) -> SequenceDatabase:
     """Load a database previously written by :func:`save_database`."""
     path = Path(path)
-    try:
-        with np.load(_with_suffix(path), allow_pickle=False) as archive:
-            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-            if metadata.get("format_version") != _FORMAT_VERSION:
-                raise StorageError(
-                    f"unsupported database format version {metadata.get('format_version')}"
-                )
-            return _database_from(archive, metadata)
-    except FileNotFoundError as error:
-        raise StorageError(f"no database file at {path}") from error
+    with _read_npz(path, "database file") as archive:
+        metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
+        if metadata.get("format_version") != _FORMAT_VERSION:
+            raise StorageError(
+                f"unsupported database format version {metadata.get('format_version')}"
+            )
+        return _database_from(archive, metadata)
 
 
 def save_windows(windows: List[Window], path: PathLike) -> None:
@@ -162,30 +191,27 @@ def save_windows(windows: List[Window], path: PathLike) -> None:
 def load_windows(path: PathLike) -> List[Window]:
     """Load windows previously written by :func:`save_windows`."""
     path = Path(path)
-    try:
-        with np.load(_with_suffix(path), allow_pickle=False) as archive:
-            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-            if metadata.get("format_version") != _FORMAT_VERSION:
-                raise StorageError(
-                    f"unsupported window format version {metadata.get('format_version')}"
+    with _read_npz(path, "window file") as archive:
+        metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
+        if metadata.get("format_version") != _FORMAT_VERSION:
+            raise StorageError(
+                f"unsupported window format version {metadata.get('format_version')}"
+            )
+        windows: List[Window] = []
+        for position, entry in enumerate(metadata["entries"]):
+            values = archive[f"win_{position}"]
+            kind = SequenceKind(entry["kind"])
+            alphabet = Alphabet(entry["alphabet"]) if entry["alphabet"] else None
+            sequence = Sequence(values, kind, entry["source_id"], alphabet)
+            windows.append(
+                Window(
+                    sequence=sequence,
+                    source_id=entry["source_id"],
+                    start=entry["start"],
+                    ordinal=entry["ordinal"],
                 )
-            windows: List[Window] = []
-            for position, entry in enumerate(metadata["entries"]):
-                values = archive[f"win_{position}"]
-                kind = SequenceKind(entry["kind"])
-                alphabet = Alphabet(entry["alphabet"]) if entry["alphabet"] else None
-                sequence = Sequence(values, kind, entry["source_id"], alphabet)
-                windows.append(
-                    Window(
-                        sequence=sequence,
-                        source_id=entry["source_id"],
-                        start=entry["start"],
-                        ordinal=entry["ordinal"],
-                    )
-                )
-            return windows
-    except FileNotFoundError as error:
-        raise StorageError(f"no window file at {path}") from error
+            )
+        return windows
 
 
 def _with_suffix(path: Path) -> Path:
@@ -451,55 +477,52 @@ def load_matcher(path: PathLike, distance=None, cache=None):
     from repro.distances.registry import get_distance
 
     path = Path(path)
-    try:
-        with np.load(_with_suffix(path), allow_pickle=False) as archive:
-            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-            version = metadata.get("snapshot_version")
-            if version == _SNAPSHOT_VERSION:
-                return _matcher_from_payload(archive, metadata, "", distance, cache)
-            if version == _SHARDED_SNAPSHOT_VERSION and metadata.get("sharded"):
-                if cache is not None:
-                    raise StorageError(
-                        "sharded matcher snapshots cannot load into an external "
-                        "cache; each shard owns a private one"
-                    )
-                config = _config_from(metadata["config"])
-                saved_name = metadata["distance"]
-                if distance is None:
-                    distance = get_distance(saved_name)
-                elif distance.name != saved_name:
-                    raise StorageError(
-                        f"snapshot was built with distance {saved_name!r} but "
-                        f"{distance.name!r} was supplied"
-                    )
-                shards = [
-                    _matcher_from_payload(
-                        archive, shard_meta, f"s{position}_", distance, None
-                    )
-                    for position, shard_meta in enumerate(metadata["shards"])
-                ]
-                database = SequenceDatabase(
-                    shards[0].database.kind if shards else None,
-                    name=metadata["database_name"],
+    with _read_npz(path, "matcher snapshot") as archive:
+        metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
+        version = metadata.get("snapshot_version")
+        if version == _SNAPSHOT_VERSION:
+            return _matcher_from_payload(archive, metadata, "", distance, cache)
+        if version == _SHARDED_SNAPSHOT_VERSION and metadata.get("sharded"):
+            if cache is not None:
+                raise StorageError(
+                    "sharded matcher snapshots cannot load into an external "
+                    "cache; each shard owns a private one"
                 )
-                assignment = {
-                    seq_id: int(shard) for seq_id, shard in metadata["assignment"].items()
-                }
-                for seq_id in metadata["database_ids"]:
-                    database.add(shards[assignment[seq_id]].database[seq_id])
-                return ShardedMatcher._restore(
-                    database,
-                    distance,
-                    config,
-                    shards,
-                    assignment,
-                    int(metadata["assigned"]),
+            config = _config_from(metadata["config"])
+            saved_name = metadata["distance"]
+            if distance is None:
+                distance = get_distance(saved_name)
+            elif distance.name != saved_name:
+                raise StorageError(
+                    f"snapshot was built with distance {saved_name!r} but "
+                    f"{distance.name!r} was supplied"
                 )
-            hint = " (not a snapshot file?)" if version is None else ""
-            raise StorageError(
-                f"unsupported matcher snapshot version {version!r}; this "
-                f"build reads versions {_SNAPSHOT_VERSION} and "
-                f"{_SHARDED_SNAPSHOT_VERSION}{hint}"
+            shards = [
+                _matcher_from_payload(
+                    archive, shard_meta, f"s{position}_", distance, None
+                )
+                for position, shard_meta in enumerate(metadata["shards"])
+            ]
+            database = SequenceDatabase(
+                shards[0].database.kind if shards else None,
+                name=metadata["database_name"],
             )
-    except FileNotFoundError as error:
-        raise StorageError(f"no matcher snapshot at {path}") from error
+            assignment = {
+                seq_id: int(shard) for seq_id, shard in metadata["assignment"].items()
+            }
+            for seq_id in metadata["database_ids"]:
+                database.add(shards[assignment[seq_id]].database[seq_id])
+            return ShardedMatcher._restore(
+                database,
+                distance,
+                config,
+                shards,
+                assignment,
+                int(metadata["assigned"]),
+            )
+        hint = " (not a snapshot file?)" if version is None else ""
+        raise StorageError(
+            f"unsupported matcher snapshot version {version!r}; this "
+            f"build reads versions {_SNAPSHOT_VERSION} and "
+            f"{_SHARDED_SNAPSHOT_VERSION}{hint}"
+        )

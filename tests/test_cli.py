@@ -142,6 +142,10 @@ class TestSearch:
         assert "pruning ratio alpha" in captured.out
         assert "prefilter evaluations" in captured.out
         assert re.search(r"index kernel calls\s+\|?\s*[1-9]", captured.out)
+        # One prefix block answers every request sharing its start pair.
+        computations = int(re.search(r"verification computations\s+(\d+)", captured.out)[1])
+        calls = int(re.search(r"verification kernel calls\s+(\d+)", captured.out)[1])
+        assert 0 < calls < computations
         assert "stage time: probe" in captured.out
         assert re.search(r"distance cache: \d+ entries, 0 evictions", captured.out)
 
@@ -223,8 +227,10 @@ class TestSearchTypesAndJson:
         # A sweep: every pass after the first is answered, at least in part,
         # from its probe table.
         assert 0 < stats["table_segments"] <= stats["segments_extracted"] * (stats["passes"] - 1)
-        # Executor-dependent for replayed work units, so a --stats row only.
+        # Execution-dependent (replayed work units, racing verification
+        # units), so --stats rows only.
         assert "index_kernel_calls" not in stats
+        assert "verification_kernel_calls" not in stats
         for counter in (
             "segments_extracted",
             "index_distance_computations",

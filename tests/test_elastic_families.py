@@ -9,6 +9,10 @@ real costs (DTW, ERP: the batch sweeps associate their sums differently
 from the small-table single call).  With a cutoff, a value is exact
 whenever it is at most the pair's cutoff and beyond it otherwise.
 
+``prefix_block`` sweeps one pair's table once; each admissible cell it keeps
+must be that prefix pair's single call, bit for bit, wherever
+``block_serves`` says so.
+
 A structural test keeps the dispatch in the families: no member class
 defines a call form, and no member module reaches for the kernel provider.
 """
@@ -139,6 +143,63 @@ def test_the_tiers_agree_bit_for_bit_per_call_form(distance, form):
         assert repr(fast.tolist()) == repr(slow.tolist()), (distance, form)
 
 
+def _block_shapes(rng):
+    """``(n, m, first, shift)``: every admissible pair of the first block below
+    the 1 024-cell switch, of the second above it, the third straddling it."""
+    return (
+        (int(rng.integers(8, 20)), int(rng.integers(8, 20)), int(rng.integers(2, 8)), 1),
+        (int(rng.integers(36, 44)), int(rng.integers(36, 44)), 34, 2),
+        (int(rng.integers(38, 44)), int(rng.integers(38, 44)), 26, 1),
+    )
+
+
+@pytest.mark.parametrize("tier", _tiers())
+@pytest.mark.parametrize("distance", MEMBERS, ids=repr)
+def test_prefix_block_cells_are_the_single_calls(distance, tier):
+    """Every kept cell is ``compute_bounded`` on its prefix pair, bit for bit
+    where ``block_serves`` (beyond the cutoff where either is); cells past
+    the table and in abandoned rows are ``inf``, and every abandoned row is
+    beyond the cutoff in every column."""
+    rng = np.random.default_rng(sum(map(ord, repr(distance) + tier)))
+    abandoned = 0
+    with kernel_scope(tier):
+        for n, m, first, shift in _block_shapes(rng):
+            query = _stack(distance, rng, 1, n)[0]
+            item = _stack(distance, rng, 1, m)[0]
+            exact = distance.compute_bounded(query[:first], item[:first], None)
+            for cutoff in (None, 0.8 * exact, 1.5 * exact):
+                block = distance.prefix_block(query, item, first, shift, cutoff)
+                bound = np.inf if cutoff is None else cutoff
+                assert block.cells.shape == (n - first + 1, 2 * shift + 1)
+                assert 0 <= block.rows <= n
+                for rows in range(first, n + 1):
+                    for columns in range(rows - shift, rows + shift + 1):
+                        value = float(block.cells[rows - first, columns - rows + shift])
+                        if not 1 <= columns <= m or rows > block.rows:
+                            assert value == np.inf
+                            continue
+                        assert block.covers(rows, columns, bound)
+                        if not distance.block_serves(rows, columns):
+                            continue
+                        single = distance.compute_bounded(query[:rows], item[:columns], cutoff)
+                        assert value == block.value(rows, columns)
+                        if single <= bound or value <= bound:
+                            assert repr(value) == repr(single), (rows, columns, cutoff)
+                for rows in range(block.rows + 1, n + 1):
+                    abandoned += 1
+                    row = [
+                        distance.compute_bounded(query[:rows], item[:j], None)
+                        for j in range(1, m + 1)
+                    ]
+                    assert min(row) > bound, (rows, cutoff)
+    assert abandoned
+
+
+def test_block_serves_only_above_the_edit_small_table_switch():
+    assert DTW().block_serves(2, 3) and DiscreteFrechet().block_serves(32, 32)
+    assert not ERP().block_serves(32, 32) and Levenshtein().block_serves(32, 33)
+
+
 MEMBER_MODULES = sorted({type(distance).__module__ for distance in MEMBERS})
 
 
@@ -147,7 +208,7 @@ MEMBER_MODULES = sorted({type(distance).__module__ for distance in MEMBERS})
 )
 def test_members_define_no_call_form(member):
     assert issubclass(member, (WarpingDistance, EditDistance))
-    assert not set(FORMS) & set(vars(member)), member
+    assert not {*FORMS, "prefix_block", "block_serves"} & set(vars(member)), member
 
 
 @pytest.mark.parametrize("module", MEMBER_MODULES)

@@ -26,12 +26,13 @@ from repro import (
     SequenceDatabase,
     SequenceKind,
     SubsequenceMatcher,
+    TopKQuery,
 )
 from repro.core.candidates import CandidateChain, chain_segment_matches
 from repro.core.queries import SegmentMatch
 from repro.core.segmentation import extract_query_segments
 from repro.core.verification import _VerificationCounter, verify_chain
-from repro.distances import shared_cache
+from repro.distances import EditDistance, WarpingDistance, shared_cache
 from repro.exceptions import IndexError_
 from repro.indexing import LinearScanIndex, ReferenceNet
 
@@ -732,3 +733,81 @@ class TestKernelBackendEquivalence:
         matcher.set_kernel(kernel)
         matcher.execute(RangeQuery(radius=0.5).bind(query))
         assert matcher.last_query_stats.kernel_backend == kernel
+
+
+# --------------------------------------------------------------------- #
+# Prefix blocks: verification answered from one DP table per start pair
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def planted_long():
+    """Planted ERP data long enough (lambda = 34) that every verification
+    request exceeds the edit family's 1 024-cell small-table switch."""
+    generator = np.random.default_rng(11)
+    pattern = np.cumsum(generator.normal(size=60))
+    db = SequenceDatabase(SequenceKind.TIME_SERIES, name="planted-long")
+    host = np.concatenate([generator.uniform(30, 40, 12), pattern, generator.uniform(30, 40, 9)])
+    db.add(Sequence.from_values(host, seq_id="p1"))
+    db.add(Sequence.from_values(pattern[::-1] + 0.3, seq_id="p2"))
+    db.add(Sequence.from_values(generator.uniform(60, 70, size=70), seq_id="bg"))
+    query = Sequence(np.asarray(host[10:66]) + 0.01, SequenceKind.TIME_SERIES, "query")
+    return db, query
+
+
+def _every_query_type(matcher, query, radius):
+    """Matches (with distances) and work counters of Type I (default and
+    exhaustive), II, III and top-k, in that order.  Each starts from an empty
+    distance cache, so its requests reach verification's prefix blocks --
+    those the earlier queries left on the query's scratch included."""
+    specs = (
+        RangeQuery(radius=radius),
+        RangeQuery(radius=radius, exhaustive=True),
+        LongestSubsequenceQuery(radius=radius),
+        NearestSubsequenceQuery(max_radius=4 * radius),
+        TopKQuery(k=3, max_radius=4 * radius),
+    )
+    runs = []
+    for spec in specs:
+        matcher.distance_cache.clear()
+        result = matcher.execute(spec.bind(query))
+        stats = matcher.last_query_stats
+        runs.append(
+            (
+                [_full_match_key(match) for match in result.matches],
+                _stats_fingerprint(stats),
+                (stats.verification_kernel_calls, stats.verification_distance_computations),
+            )
+        )
+    return runs
+
+
+class TestPrefixBlocks:
+    """Answering verification from prefix blocks changes no match, no distance
+    and no work counter -- only the kernel calls behind the computations."""
+
+    @pytest.mark.parametrize("case", ["frechet", "erp"])
+    def test_blocks_are_undetectable(self, planted, planted_long, index_options, case, monkeypatch):
+        if case == "frechet":
+            (db, query), distance, config, radius = planted, DiscreteFrechet(), 12, 0.5
+        else:
+            (db, query), distance, config, radius = planted_long, ERP(), 34, 2.0
+
+        def run():
+            matcher = SubsequenceMatcher(
+                db, distance, MatcherConfig(min_length=config, max_shift=1, **index_options)
+            )
+            return _every_query_type(matcher, query, radius)
+
+        with_blocks = run()
+        monkeypatch.delattr(WarpingDistance, "prefix_block")
+        monkeypatch.delattr(EditDistance, "prefix_block")
+        single_calls = run()
+        for blocked, single in zip(with_blocks, single_calls):
+            assert blocked[:2] == single[:2]
+            # One single call per computation; more under the thread executor,
+            # whose units compute pairs that the serial replay counts as hits.
+            calls, computations = single[2]
+            assert calls >= computations
+        assert any(matches for matches, _counters, _calls in with_blocks)
+        assert sum(run[2][0] for run in with_blocks) < sum(run[2][0] for run in single_calls)

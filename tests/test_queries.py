@@ -113,16 +113,23 @@ class TestQueryStats:
             QueryStats(
                 segments_extracted=5, segment_matches=9, index_cache_hits=40, index_kernel_calls=12
             ),
-            QueryStats(segments_extracted=5, segment_matches=2, table_segments=5),
+            QueryStats(
+                segments_extracted=5,
+                segment_matches=2,
+                table_segments=5,
+                verification_kernel_calls=4,
+            ),
             QueryStats(
                 segments_extracted=5,
                 segment_matches=4,
                 table_segments=3,
                 index_cache_hits=7,
                 index_kernel_calls=3,
+                verification_kernel_calls=9,
             ),
         ]
         merged = QueryStats.merged(passes)
         assert merged.table_segments == 8 and merged.index_cache_hits == 47
         assert merged.index_kernel_calls == 15
+        assert merged.verification_kernel_calls == 13
         assert merged.segment_matches == 4 and merged.passes == passes

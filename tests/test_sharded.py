@@ -398,6 +398,7 @@ class TestShardedStats:
             segment_matches=3,
             table_segments=4,
             index_kernel_calls=6,
+            verification_kernel_calls=2,
         )
         second = QueryStats(
             segments_extracted=5,
@@ -406,12 +407,14 @@ class TestShardedStats:
             segment_matches=2,
             table_segments=5,
             index_kernel_calls=8,
+            verification_kernel_calls=5,
         )
         merged = QueryStats.across_shards([first, second])
         assert merged.segments_extracted == 5
         assert merged.index_distance_computations == 17
         assert merged.table_segments == 9
         assert merged.index_kernel_calls == 14
+        assert merged.verification_kernel_calls == 7
         assert merged.naive_distance_computations == 75
         assert merged.segment_matches == 5
         assert merged.shards == 2

@@ -1,16 +1,31 @@
-"""Tests for persistence of databases and windows."""
+"""Tests for persistence of databases, windows and matcher snapshots."""
+
+import re
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
 
 from repro import (
     DNA_ALPHABET,
+    DiscreteFrechet,
+    MatcherConfig,
     Sequence,
     SequenceDatabase,
     SequenceKind,
     StorageError,
+    SubsequenceMatcher,
 )
-from repro.storage import load_database, load_windows, save_database, save_windows
+from repro.storage import (
+    load_database,
+    load_matcher,
+    load_windows,
+    save_database,
+    save_matcher,
+    save_windows,
+)
 
 
 @pytest.fixture
@@ -97,3 +112,87 @@ class TestWindowRoundtrip:
         path = tmp_path / "empty.npz"
         save_windows([], path)
         assert load_windows(path) == []
+
+
+def _flip(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _flip_member_data(path):
+    """Flip a byte in the middle of the largest member's compressed data."""
+    with zipfile.ZipFile(path) as archive:
+        info = max(archive.infolist(), key=lambda entry: entry.compress_size)
+    raw = path.read_bytes()
+    # Local file header: 30 fixed bytes, then the name and the extra field.
+    name_length, extra_length = struct.unpack(
+        "<HH", raw[info.header_offset + 26 : info.header_offset + 30]
+    )
+    data_start = info.header_offset + 30 + name_length + extra_length
+    _flip(path, data_start + info.compress_size // 2)
+
+
+def _flip_central_directory(path):
+    """Flip a byte of the metadata member's name in the central directory."""
+    with zipfile.ZipFile(path) as archive:
+        start = archive.start_dir
+    raw = path.read_bytes()
+    _flip(path, raw.index(b"metadata.npy", start))
+
+
+DAMAGE = {
+    "truncated": _truncate,
+    "empty": _empty,
+    "member-data": _flip_member_data,
+    "central-directory": _flip_central_directory,
+}
+
+
+def _save_database(tmp_path, database):
+    path = tmp_path / "db.npz"
+    save_database(database, path)
+    return path, load_database
+
+
+def _save_windows(tmp_path, database):
+    path = tmp_path / "windows.npz"
+    save_windows(database.windows(5), path)
+    return path, load_windows
+
+
+def _save_matcher(tmp_path, database):
+    path = tmp_path / "matcher.npz"
+    matcher = SubsequenceMatcher(database, DiscreteFrechet(), MatcherConfig(min_length=10))
+    save_matcher(matcher, path)
+    return path, load_matcher
+
+
+class TestDamagedArchives:
+    """A damaged file raises ``StorageError`` naming it -- never the zip, zlib or
+    NumPy error underneath (that stays attached as the cause)."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("save", [_save_database, _save_windows, _save_matcher])
+    def test_damaged_archive_raises_storage_error(self, trajectory_db, tmp_path, save, damage):
+        path, load = save(tmp_path, trajectory_db)
+        load(path)  # intact, it loads
+        DAMAGE[damage](path)
+        with pytest.raises(StorageError, match=re.escape(str(path))) as raised:
+            load(path)
+        assert isinstance(
+            raised.value.__cause__,
+            (zipfile.BadZipFile, EOFError, zlib.error, KeyError, ValueError, OSError),
+        )
+
+    def test_a_missing_file_keeps_its_message(self, tmp_path):
+        with pytest.raises(StorageError, match="no matcher snapshot at"):
+            load_matcher(tmp_path / "absent.npz")

@@ -22,6 +22,7 @@ from repro.core.candidates import CandidateChain
 from repro.core.pipeline import QueryScratch
 from repro.core.queries import match_identity
 from repro.core.verification import (
+    _grow_to_length,
     _VerificationCounter,
     chain_bounds,
     enumerate_matches,
@@ -203,7 +204,8 @@ class TestEnumerateMatches:
 
 
 class TestSpanMemo:
-    """``spans=`` shares the subsequences cut for verification requests; the
+    """``scratch=`` shares the subsequences cut for verification requests and,
+    for an elastic family, answers cache misses from prefix blocks; the
     requests themselves -- lookups, stores, both counters -- stay per request."""
 
     @settings(max_examples=60, deadline=None)
@@ -243,14 +245,14 @@ class TestSpanMemo:
         distance = Euclidean() if lockstep else DiscreteFrechet()
         run = enumerate_matches if exhaustive else verify_chain
 
-        def trace(spans):
+        def trace(scratch):
             cache = DistanceCache() if cached else None
             counter = _VerificationCounter()
             found = []
             for _pass in range(2):  # the second pass repeats every request
                 result = run(
                     chain, query, target, distance, radius, config, counter, cache=cache,
-                    spans=spans,
+                    scratch=scratch,
                 )  # fmt: skip
                 for match in result if exhaustive else [result]:
                     found.append(match and (match_identity(match), match.distance))
@@ -313,3 +315,36 @@ class TestSpanMemo:
                 (match_identity(m), m.distance) for m in want
             ]
             assert got and [m.distance for m in got] != [m.distance for m in old]
+
+
+def _grow_one_at_a_time(start, stop, target, limit, direction):
+    """The reference growth: one element per step, as the closed form claims."""
+    while stop - start < target:
+        extended = False
+        if direction in ("right", "both") and stop < limit:
+            stop += 1
+            extended = True
+        if stop - start < target and direction in ("left", "both") and start > 0:
+            start -= 1
+            extended = True
+        if stop - start < target and not extended:
+            if stop < limit:
+                stop += 1
+                extended = True
+            elif start > 0:
+                start -= 1
+                extended = True
+        if not extended:
+            break
+    return start, stop
+
+
+@pytest.mark.parametrize("direction", ["right", "left", "both"])
+def test_grow_to_length_equals_one_element_at_a_time(direction):
+    for limit in range(12):
+        for start in range(limit + 1):
+            for stop in range(start, limit + 1):
+                for target in range(15):
+                    assert _grow_to_length(start, stop, target, limit, direction) == (
+                        _grow_one_at_a_time(start, stop, target, limit, direction)
+                    ), (start, stop, target, limit)
