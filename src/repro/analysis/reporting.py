@@ -62,7 +62,6 @@ def format_query_stats(stats: "QueryStats", title: Optional[str] = None) -> str:
     """
     rows: List[List[object]] = [
         ["executor", f"{stats.executor} ({stats.workers} workers)"],
-        ["kernel backend", stats.kernel_backend],
         ["shards", stats.shards],
         ["segments extracted (step 3)", stats.segments_extracted],
         ["segment matches (step 4)", stats.segment_matches],

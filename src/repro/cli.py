@@ -52,7 +52,6 @@ from repro.analysis.reporting import (
 )
 from repro.core.config import MatcherConfig, _default_executor
 from repro.core.executor import EXECUTOR_NAMES, make_executor
-from repro.distances.backend import KNOWN_KERNELS
 from repro.core.matcher import SubsequenceMatcher
 from repro.core.queries import (
     LongestSubsequenceQuery,
@@ -94,14 +93,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser, shards: bool = True) -
         type=int,
         default=None,
         help="worker count for the thread/process executors (default: one per CPU)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KNOWN_KERNELS),
-        default=None,
-        help="distance-kernel tier for the DP sweeps (default: the "
-        "REPRO_KERNEL environment variable, else 'auto'); every tier is "
-        "value-exact, so results and work counters are identical",
     )
     if shards:
         parser.add_argument(
@@ -200,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat the positional path as a matcher snapshot: the matcher "
         "(config, index structure, distance cache) loads ready-built, so "
         "--min-length/--max-shift/--shards are taken from the snapshot "
-        "(--executor/--workers/--kernel still override the engine)",
+        "(--executor/--workers still override the engine)",
     )
     _add_execution_flags(search)
 
@@ -319,8 +310,6 @@ def _matcher_config(args: argparse.Namespace, **overrides) -> MatcherConfig:
         settings["executor"] = args.executor
     if args.workers is not None:
         settings["workers"] = args.workers
-    if getattr(args, "kernel", None) is not None:
-        settings["kernel"] = args.kernel
     settings.update(overrides)
     return MatcherConfig(**settings)
 
@@ -400,8 +389,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 args.executor if args.executor is not None else matcher.config.executor,
                 args.workers,
             )
-        if args.kernel is not None:
-            matcher.set_kernel(args.kernel)
         database = matcher.database
     else:
         database = load_database(args.database)

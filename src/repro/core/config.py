@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.distances.backend import KNOWN_KERNELS as _KNOWN_KERNELS
 from repro.exceptions import ConfigurationError
 
 
@@ -20,16 +19,6 @@ def _default_executor() -> str:
     run on top of them.
     """
     return os.environ.get("REPRO_EXECUTOR", "serial")
-
-
-def _default_kernel() -> str:
-    """The configured default kernel backend (the ``REPRO_KERNEL`` env var).
-
-    Same pattern (and same rationale) as :func:`_default_executor`: the CI
-    NumPy-kernel leg exports ``REPRO_KERNEL=numpy`` and reruns the whole
-    suite, relying on every backend returning identical values.
-    """
-    return os.environ.get("REPRO_KERNEL", "auto")
 
 
 @dataclass(frozen=True)
@@ -96,14 +85,6 @@ class MatcherConfig:
     workers:
         Worker count for the parallel executors; ``None`` (default) means
         one per CPU.  Ignored by the serial executor.
-    kernel:
-        Which distance-kernel tier serves the pipeline's DP sweeps:
-        ``"auto"`` (the default; the C kernels when a compiler is found,
-        else the NumPy sweeps), ``"numpy"``, or ``"cc"`` (the C kernels or
-        a configuration error) -- see :mod:`repro.distances.backend`.  Both
-        tiers are value-exact against each other, so results and work
-        counters never depend on this knob.  The default honours the
-        ``REPRO_KERNEL`` environment variable.
     shards:
         Number of :class:`~repro.core.sharded.ShardedMatcher` partitions.
         A plain :class:`~repro.core.matcher.SubsequenceMatcher` ignores
@@ -120,7 +101,6 @@ class MatcherConfig:
     cache_max_entries: Optional[int] = 262_144
     executor: str = field(default_factory=_default_executor)
     workers: Optional[int] = None
-    kernel: str = field(default_factory=_default_kernel)
     shards: int = 1
 
     _KNOWN_INDEXES = ("reference-net", "linear-scan")
@@ -161,11 +141,6 @@ class MatcherConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1 or None, got {self.workers}"
-            )
-        if self.kernel not in _KNOWN_KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel backend {self.kernel!r}; "
-                f"expected one of {', '.join(_KNOWN_KERNELS)}"
             )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")

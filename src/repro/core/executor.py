@@ -10,8 +10,8 @@ how those units run:
     executor must reproduce exactly (results *and* work counters).
 :class:`ThreadPoolExecutor`
     A shared :mod:`concurrent.futures` thread pool.  Python-level index
-    traversal still serializes on the GIL, but the batched numpy DP kernels
-    release it for their array sweeps, so kernel-heavy work units (the
+    traversal still serializes on the GIL, but the C DP kernels release it
+    (ctypes drops it around every call), so kernel-heavy work units (the
     linear scan's shape-group batches, verification's bounded kernels)
     overlap on multiple cores with zero pickling cost.
 :class:`ProcessPoolExecutor`

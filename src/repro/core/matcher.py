@@ -335,18 +335,6 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         self.pipeline.config = self.config
         self.pipeline.executor = make_executor(name, workers)
 
-    def set_kernel(self, name: str) -> None:
-        """Switch the distance-kernel tier of the live pipeline.
-
-        Like :meth:`set_executor`: every tier returns identical values, so
-        swapping is always safe, including on a snapshot-loaded matcher.
-        The pipeline resolves the tier per query, so updating the shared
-        configuration is the whole job.  Raises
-        :class:`~repro.exceptions.ConfigurationError` on unknown names.
-        """
-        self.config = dataclasses.replace(self.config, kernel=name)
-        self.pipeline.config = self.config
-
     @property
     def index(self) -> MetricIndex:
         """The metric index holding the database windows."""

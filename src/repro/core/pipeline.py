@@ -84,7 +84,6 @@ from repro.core.queries import (
 from repro.core.segmentation import extract_query_segments
 from repro.core.verification import _VerificationCounter, enumerate_matches, verify_chain
 from repro.distances.alignment import PrefixBlock
-from repro.distances.backend import active_kernel_name, kernel_scope
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import RecordingVerifyCache
@@ -109,7 +108,7 @@ class ProbeTable:
 
     Row ``i`` says "``windows[i]`` is within ``distance[i]`` of the segment
     at position ``segment[i]``", rows in the canonical (segment, window
-    insertion) order :meth:`QueryPipeline._probe` produces.  A hit the index
+    insertion) order :meth:`QueryPipeline.probe` produces.  A hit the index
     proved by the triangle inequality without measuring it
     (``RangeMatch.distance is None``) says nothing about a smaller radius, so
     its whole segment is *incomplete* -- it keeps going to the index, exactly
@@ -293,11 +292,7 @@ class QueryPipeline:
         return len(self._windows_by_key)
 
     def _new_stats(self) -> QueryStats:
-        return QueryStats(
-            executor=self.executor.name,
-            workers=self.executor.workers,
-            kernel_backend=active_kernel_name(),
-        )
+        return QueryStats(executor=self.executor.name, workers=self.executor.workers)
 
     # ------------------------------------------------------------------ #
     # Stage: segment (step 3) -- and the rest of the per-query scratch
@@ -337,18 +332,7 @@ class QueryPipeline:
     # Stages: segment -> prefilter -> probe (steps 3-4)
     # ------------------------------------------------------------------ #
     def probe(self, query: Sequence, radius: float) -> ProbeResult:
-        """Run the pipeline's front half and return matches plus accounting.
-
-        The whole stage runs under the configured kernel scope (see
-        :attr:`~repro.core.config.MatcherConfig.kernel`), so every DP sweep
-        it triggers -- directly or from worker threads -- is served by the
-        selected backend; the resolved backend name is recorded on the
-        returned stats.
-        """
-        with kernel_scope(self.config.kernel):
-            return self._probe(query, radius)
-
-    def _probe(self, query: Sequence, radius: float) -> ProbeResult:
+        """Run the pipeline's front half and return matches plus accounting."""
         stats = self._new_stats()
         started = time.perf_counter()
         cpu_started = time.thread_time()
@@ -586,12 +570,6 @@ class QueryPipeline:
         early-exit loop is kept (stopping after the n-th verified pair is a
         sequential dependency by definition).
         """
-        with kernel_scope(self.config.kernel):
-            return self._run_range(query, spec)
-
-    def _run_range(
-        self, query: Sequence, spec: RangeQuery
-    ) -> Tuple[List[SubsequenceMatch], QueryStats]:
         probe = self.probe(query, spec.radius)
         stats = probe.stats
         chains = self.chain(probe.matches, stats)
@@ -664,12 +642,6 @@ class QueryPipeline:
         parallelizes); speculative parallel verification would change the
         work counters, which the executor contract forbids.
         """
-        with kernel_scope(self.config.kernel):
-            return self._run_longest(query, spec)
-
-    def _run_longest(
-        self, query: Sequence, spec: LongestSubsequenceQuery
-    ) -> Tuple[Optional[SubsequenceMatch], QueryStats]:
         probe = self.probe(query, spec.radius)
         stats = probe.stats
         chains = self.chain(probe.matches, stats)
@@ -708,12 +680,6 @@ class QueryPipeline:
         (``k=1`` is the classic nearest query), so the distance work of a
         pass is identical whichever ``k`` consumes it.
         """
-        with kernel_scope(self.config.kernel):
-            return self._run_scored_pass(query, radius)
-
-    def _run_scored_pass(
-        self, query: Sequence, radius: float
-    ) -> Tuple[List[SubsequenceMatch], QueryStats]:
         probe = self.probe(query, radius)
         stats = probe.stats
         chains = self.chain(probe.matches, stats)

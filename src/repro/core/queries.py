@@ -20,6 +20,7 @@ heap (:class:`TopKCandidates`) maintained across the radius sweep.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Dict, Iterator, List, Optional, Sequence as TypingSequence, Tuple
 
@@ -64,7 +65,18 @@ class BaseQuery:
             payload[spec_field.name] = getattr(self, spec_field.name)
         return payload
 
+    def _require_finite(self, *names: str) -> None:
+        """Reject a NaN or infinite value in any of the named fields.
+
+        Python integers are always finite (and may be too large for
+        :func:`math.isfinite`), so only the other numbers are tested."""
+        for name in names:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, int) and not math.isfinite(value):
+                raise QueryError(f"{name} must be a finite number, got {value}")
+
     def _validate_envelope(self) -> None:
+        self._require_finite("limit", "offset")
         if self.limit is not None and self.limit < 1:
             raise QueryError(f"limit must be >= 1 or None, got {self.limit}")
         if self.offset < 0:
@@ -98,6 +110,7 @@ class RangeQuery(BaseQuery):
     query: Optional[Sequence] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._require_finite("radius", "max_results")
         if self.radius < 0:
             raise QueryError(f"radius must be non-negative, got {self.radius}")
         if self.max_results is not None and self.max_results < 1:
@@ -119,6 +132,7 @@ class LongestSubsequenceQuery(BaseQuery):
     query: Optional[Sequence] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._require_finite("radius")
         if self.radius < 0:
             raise QueryError(f"radius must be non-negative, got {self.radius}")
         self._validate_envelope()
@@ -150,6 +164,7 @@ class NearestSubsequenceQuery(BaseQuery):
     query: Optional[Sequence] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._require_finite("max_radius", "tolerance", "radius_increment")
         if self.max_radius <= 0:
             raise QueryError(f"max_radius must be positive, got {self.max_radius}")
         if self.tolerance <= 0:
@@ -190,6 +205,7 @@ class TopKQuery(BaseQuery):
     query: Optional[Sequence] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._require_finite("k", "max_radius", "tolerance", "radius_increment")
         if self.k < 1:
             raise QueryError(f"k must be >= 1, got {self.k}")
         if self.max_radius <= 0:
@@ -443,11 +459,9 @@ class QueryStats:
         The execution engine that answered the query and its worker count
         (see :mod:`repro.core.executor`).
     kernel_backend:
-        The distance-kernel tier that served the query's DP sweeps --
-        ``"numpy"`` for the vectorized row sweeps or ``"cc"`` for the C
-        kernels; see :mod:`repro.distances.backend`.  Both tiers return
-        identical values, so this label never explains a result difference
-        -- only a speed difference.
+        The engine of the query's DP sweeps: always ``"cc"``, the C kernels
+        of :mod:`repro.distances.compiled` (kept for readers of the wire
+        envelope and of older stats records).
     shards:
         Number of matcher shards that contributed to these statistics (1
         for a plain matcher; see
@@ -477,7 +491,7 @@ class QueryStats:
     cpu_stage_timings: Dict[str, float] = field(default_factory=dict)
     executor: str = "serial"
     workers: int = 1
-    kernel_backend: str = "numpy"
+    kernel_backend: ClassVar[str] = "cc"
     shards: int = 1
     passes: List["QueryStats"] = field(default_factory=list)
 
@@ -541,7 +555,6 @@ class QueryStats:
             verification_kernel_calls=sum(p.verification_kernel_calls for p in passes),
             executor=final.executor,
             workers=final.workers,
-            kernel_backend=final.kernel_backend,
             shards=final.shards,
         )
         for stats in passes:
@@ -590,7 +603,6 @@ class QueryStats:
             verification_kernel_calls=sum(s.verification_kernel_calls for s in shard_stats),
             executor=first.executor,
             workers=first.workers,
-            kernel_backend=first.kernel_backend,
             shards=len(shard_stats),
         )
         for stats in shard_stats:

@@ -10,10 +10,10 @@ ruled out entirely.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.core.config import MatcherConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import QueryError
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 from repro.sequences.windows import Window, sliding_windows
@@ -35,10 +35,12 @@ def extract_query_segments(query: Sequence, config: MatcherConfig) -> List[Windo
     Lengths range over ``lambda/2 - lambda0 .. lambda/2 + lambda0``
     (:attr:`MatcherConfig.segment_lengths`); start positions advance by
     :attr:`MatcherConfig.query_segment_step`.  The paper's bound of at most
-    ``(2 * lambda0 + 1) * |Q|`` segments corresponds to a step of 1.
+    ``(2 * lambda0 + 1) * |Q|`` segments corresponds to a step of 1.  A
+    query shorter than the shortest segment raises
+    :class:`~repro.exceptions.QueryError`: it cannot contain a match.
     """
     if len(query) < config.segment_lengths.start:
-        raise ConfigurationError(
+        raise QueryError(
             f"query of length {len(query)} is shorter than the smallest segment "
             f"length {config.segment_lengths.start}"
         )
@@ -55,24 +57,6 @@ def extract_query_segments(query: Sequence, config: MatcherConfig) -> List[Windo
             )
         )
     return segments
-
-
-def iter_query_segments(query: Sequence, config: MatcherConfig) -> Iterator[Window]:
-    """Lazy variant of :func:`extract_query_segments` (same order)."""
-    if len(query) < config.segment_lengths.start:
-        raise ConfigurationError(
-            f"query of length {len(query)} is shorter than the smallest segment "
-            f"length {config.segment_lengths.start}"
-        )
-    for length in config.segment_lengths:
-        if length > len(query):
-            continue
-        yield from sliding_windows(
-            query,
-            window_length=length,
-            step=config.query_segment_step,
-            source_id=query.seq_id or "query",
-        )
 
 
 def count_segment_pairs(query: Sequence, database: SequenceDatabase, config: MatcherConfig) -> dict:

@@ -178,13 +178,6 @@ class ShardedMatcher(QueryInterfaceMixin):
         self.config = replace(self.config, executor=name, workers=workers)
         self.executor = self._make_fan_out_executor(self.config)
 
-    def set_kernel(self, name: str) -> None:
-        """Switch the distance-kernel tier on every shard."""
-        self.config = replace(self.config, kernel=name)
-        self._shard_config = replace(self._shard_config, kernel=name)
-        for shard in self.shards:
-            shard.set_kernel(name)
-
     @property
     def windows(self) -> List[Window]:
         """All database windows, shard by shard."""

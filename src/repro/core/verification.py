@@ -144,9 +144,9 @@ class _Requests:
     cache misses is answered from the scratch's prefix blocks where the
     distance has them (``prefix_block``): one early-abandoned DP table per
     ``(sequence, query start, database start)`` holds every admissible pair
-    that shares those starts, bit-identical to the single call
-    (``block_serves``).  Other requests -- lock-step and non-family
-    distances, small edit tables, or no scratch -- make the single call.
+    that shares those starts, bit-identical to the single call.  Other
+    requests -- lock-step and non-family distances, or no scratch -- make
+    the single call.
     """
 
     def __init__(
@@ -191,7 +191,7 @@ class _Requests:
         q_len = q_stop - q_start
         x_len = x_stop - x_start
         fresh = None
-        if self.blocks is not None and self.distance.block_serves(q_len, x_len):
+        if self.blocks is not None:
 
             def fresh() -> float:
                 return self._block(q_start, x_start, q_len, x_len).value(q_len, x_len)

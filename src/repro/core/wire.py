@@ -33,6 +33,7 @@ silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional
 
@@ -153,9 +154,18 @@ def _coerce_spec_field(kind: str, name: str, value):
         raise QueryError(
             f"field {name!r} of a {kind!r} query must be a number, got {value!r}"
         )
-    if coerce is int and value != int(value):
-        raise QueryError(f"field {name!r} of a {kind!r} query must be an integer")
-    return coerce(value)
+    # A NaN or infinite float is not integral either; for the float fields
+    # the spec itself rejects it, naming the field.
+    if coerce is int and isinstance(value, float) and not value.is_integer():
+        raise QueryError(
+            f"field {name!r} of a {kind!r} query must be an integer, got {value!r}"
+        )
+    try:
+        return coerce(value)
+    except OverflowError:
+        raise QueryError(
+            f"field {name!r} of a {kind!r} query is too large for a float"
+        ) from None
 
 
 # --------------------------------------------------------------------- #
@@ -229,6 +239,8 @@ def sequence_from_wire(payload) -> Sequence:
         values = np.asarray(payload["values"])
         if values.dtype == object:
             raise QueryError("sequence 'values' must be a homogeneous numeric array")
+        if values.dtype.kind in "fc" and not np.isfinite(values).all():
+            raise QueryError("sequence 'values' must be finite numbers (no NaN or Infinity)")
         return Sequence(values, kind, seq_id=seq_id, alphabet=alphabet)
     except QueryError:
         raise
@@ -388,6 +400,15 @@ _REQUEST_FIELDS = frozenset(
 )
 
 
+def parse_timeout(timeout) -> float:
+    """A request's ``timeout`` field: a positive, finite number of seconds."""
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
+        0 < timeout < math.inf
+    ):
+        raise QueryError(f"'timeout' must be a positive number, got {timeout!r}")
+    return float(timeout)
+
+
 def parse_search_request(payload) -> SearchRequest:
     """Validate and parse one search-request body into a :class:`SearchRequest`.
 
@@ -440,9 +461,7 @@ def parse_search_request(payload) -> SearchRequest:
             raise QueryError(f"'workers' must be a positive integer, got {workers!r}")
     timeout = payload.get("timeout")
     if timeout is not None:
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise QueryError(f"'timeout' must be a positive number, got {timeout!r}")
-        timeout = float(timeout)
+        timeout = parse_timeout(timeout)
     include_timings = payload.get("include_timings", True)
     if not isinstance(include_timings, bool):
         raise QueryError("'include_timings' must be a boolean")

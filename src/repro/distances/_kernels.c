@@ -1,27 +1,26 @@
-/* Fused elastic-distance kernels (compiled tier).
+/* The elastic-distance kernels: the one engine of every DP recurrence.
  *
- * Compiled on demand by repro.distances.compiled and loaded through ctypes.
- * Every function replicates the floating-point *operation order* of the
- * NumPy kernels in repro/distances/alignment.py exactly, per call form:
+ * Compiled on first use by repro.distances.compiled and loaded through
+ * ctypes.  Each recurrence has one sweep, and every call form -- a single
+ * value, a bounded value, a batch, pairs, a prefix block -- runs it, so the
+ * forms agree bit for bit:
  *
- *  - warp "sum" (DTW/ERP-style additive): the reduced-coordinate row sweep
- *    of _warp_sum_value / _batch_warp_sum (sequential per-row prefix sums,
- *    element-wise min of adjacent cells, subtract shifted prefix, running
- *    minimum, add prefix) -- bit-identical values;
- *  - warp "max" (discrete Frechet): the direct bottleneck recurrence of
- *    _warp_max_value_small.  min/max are exact selections, so the value is
- *    bit-identical to both the scalar small-table path and the
- *    anti-diagonal / doubling-scan paths;
- *  - edit (Levenshtein/ERP/EDR): the direct scalar recurrence below
- *    REPRO_SMALL_TABLE_CELLS table cells for single values (matching
- *    _edit_value_small) and the reduced-coordinate sweep above it and for
- *    batches (matching edit_distance_value / batch_edit_distance_value).
+ *  - warp "sum" (DTW): a reduced-coordinate row sweep (per-row prefix sums
+ *    of the costs, element-wise min of adjacent cells, subtract the shifted
+ *    prefix, running minimum, add the prefix back);
+ *  - warp "max" (discrete Frechet): the direct bottleneck recurrence;
+ *    min/max are exact selections;
+ *  - edit (Levenshtein, weighted Levenshtein, ERP, EDR): a reduced-
+ *    coordinate row sweep (the row minus the cumulative insertion costs),
+ *    whose in-row scan is one running minimum.
  *
- * Element costs are fused into the DP loops (no cost-matrix
- * materialisation).  The sequential per-element accumulation matches
- * NumPy's reduction order for small element dimensionalities (NumPy's
- * pairwise summation only kicks in at >= 8 addends); the Python wrapper
- * only dispatches here when dim stays below that threshold.
+ * Element costs are fused into the DP loops (no cost matrix is built) and
+ * accumulate sequentially over the element axis, the order of
+ * ElementMetric.norm.  The weighted Levenshtein distance reads its costs
+ * from the parameter array ERP uses for its gap element: the default
+ * substitution cost, the insertion cost, the deletion cost, the number of
+ * table entries, then one (a, b, cost) triple per entry; symbol codes
+ * compare as int64.
  *
  * Early abandoning follows the Distance.bounded contract: a returned value
  * is exact whenever it is <= cutoff; any value > cutoff (typically inf)
@@ -32,9 +31,7 @@
  * operand stacks: pair p is (qs[q_rows[p]], xs[x_rows[p]]), so one call
  * serves many queries, each against its own items.  NULL row vectors mean
  * query row 0 and item row p -- the batch call form, one query against a
- * stack of items.  Both forms run the same recurrence per pair (for edit
- * distances always the reduced-coordinate sweep, never the small-table
- * path), hence bit-identical values.
+ * stack of items.
  *
  * Prefix blocks: the table of one pair (Q, X) holds d(Q[:L], X[:J]) in
  * cell (L, J) -- the prefix property -- so one sweep answers every pair
@@ -44,10 +41,10 @@
  * (2 shift + 1) cell band.  The copy reads the values the single call
  * returns for that prefix pair (the sweeps are prefix-consistent: prefix
  * sums and running minima only look left), so repro_warp_block and
- * repro_edit_block cells are bit-identical to repro_warp_value /
- * repro_edit_value above the edit small-table switch.  A row is abandoned
- * only when every column exceeds the cutoff, so every pair reaching it
- * does too; its cells are left as the caller filled them (+inf).
+ * repro_edit_block cells are bit-identical to repro_warp_value and
+ * repro_edit_value.  A row is abandoned only when every column exceeds the
+ * cutoff, so every pair reaching it does too; its cells are left as the
+ * caller filled them (+inf).
  *
  * Conventions: band < 0 means "no band"; cutoff = +inf means "no cutoff";
  * all arrays are C-contiguous float64.  Return code 0 = success, 1 = out
@@ -59,8 +56,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_SMALL_TABLE_CELLS 1024
-
 /* element metric kinds */
 #define KIND_EUCLIDEAN 0
 #define KIND_MANHATTAN 1
@@ -70,11 +65,12 @@
 #define MODE_LEVENSHTEIN 0
 #define MODE_ERP 1
 #define MODE_EDR 2
+#define MODE_WEIGHTED 3
 
 static double dmin(double a, double b) { return a < b ? a : b; }
 
-/* Ground distance between two elements; matches ElementMetric.matrix cell
- * by cell (sequential accumulation over the dim axis). */
+/* Ground distance between two elements; matches ElementMetric.norm (which
+ * accumulates sequentially over the element axis too) bit for bit. */
 static double elem_cost(const double *a, const double *b, int64_t d, int64_t kind) {
     int64_t t;
     double s = 0.0;
@@ -96,11 +92,23 @@ static double elem_cost(const double *a, const double *b, int64_t d, int64_t kin
     return 0.0;
 }
 
+/* Substitution cost of the weighted Levenshtein distance: the table entry
+ * of (a, b) when there is one, else 0 for equal codes and the default cost
+ * otherwise. */
+static double weighted_sub(double a, double b, const double *params) {
+    int64_t ca = (int64_t)a, cb = (int64_t)b, t, count = (int64_t)params[3];
+    const double *entry = params + 4;
+    for (t = 0; t < count; t++, entry += 3)
+        if ((int64_t)entry[0] == ca && (int64_t)entry[1] == cb)
+            return entry[2];
+    return ca == cb ? 0.0 : params[0];
+}
+
 /* Substitution cost of the edit recurrences.  Levenshtein compares raw
- * element equality (matching `first != second` in NumPy), ERP pays the
- * ground distance, EDR thresholds it. */
+ * element equality, ERP pays the ground distance, EDR thresholds it, the
+ * weighted distance looks its cost up in params. */
 static double edit_sub(const double *a, const double *b, int64_t d, int64_t mode,
-                       int64_t kind, double eps) {
+                       int64_t kind, const double *params, double eps) {
     if (mode == MODE_LEVENSHTEIN) {
         int64_t t;
         for (t = 0; t < d; t++)
@@ -108,6 +116,8 @@ static double edit_sub(const double *a, const double *b, int64_t d, int64_t mode
                 return 1.0;
         return 0.0;
     }
+    if (mode == MODE_WEIGHTED)
+        return weighted_sub(a[0], b[0], params);
     {
         double g = elem_cost(a, b, d, kind);
         if (mode == MODE_ERP)
@@ -125,7 +135,7 @@ static void band_limits(int64_t i, int64_t m, int64_t band, int64_t *j_start,
     }
     *j_start = i - band > 0 ? i - band : 0;
     if (*j_start > m)
-        *j_start = m; /* fill loops index the row directly; NumPy's slice fills clamp */
+        *j_start = m; /* the fill loops index the row directly */
     *j_stop = i + band + 1 < m ? i + band + 1 : m;
 }
 
@@ -275,54 +285,13 @@ static double warp_max_pair(const double *q, int64_t n, const double *x, int64_t
 }
 
 /* ------------------------------------------------------------------ */
-/* edit distance: direct small-table path and reduced-coordinate path  */
+/* edit distance: reduced-coordinate row sweep                         */
 /* ------------------------------------------------------------------ */
-
-/* ins has length m (per-column insertion costs), del_costs length n. */
-static double edit_pair_small(const double *q, int64_t n, const double *x, int64_t m,
-                              int64_t d, int64_t mode, int64_t kind, double eps,
-                              const double *del_costs, const double *ins, double cutoff,
-                              double *prev, double *row) {
-    int64_t i, j;
-    double acc = 0.0;
-
-    prev[0] = 0.0;
-    for (j = 1; j <= m; j++) {
-        acc += ins[j - 1];
-        prev[j] = acc;
-    }
-    for (i = 1; i <= n; i++) {
-        const double *qi = q + (i - 1) * d;
-        double delc = del_costs[i - 1];
-        double first = prev[0] + delc;
-        double row_min = first;
-        double *tmp;
-        row[0] = first;
-        for (j = 1; j <= m; j++) {
-            double best = prev[j - 1] + edit_sub(qi, x + (j - 1) * d, d, mode, kind, eps);
-            double up = prev[j] + delc;
-            double left;
-            if (up < best)
-                best = up;
-            left = row[j - 1] + ins[j - 1];
-            if (left < best)
-                best = left;
-            row[j] = best;
-            if (best < row_min)
-                row_min = best;
-        }
-        if (cutoff != INFINITY && row_min > cutoff)
-            return INFINITY;
-        tmp = prev;
-        prev = row;
-        row = tmp;
-    }
-    return prev[m];
-}
 
 /* insp has length m + 1 (cumulative insertion costs, insp[0] == 0). */
 static double edit_pair_reduced(const double *q, int64_t n, const double *x, int64_t m,
-                                int64_t d, int64_t mode, int64_t kind, double eps,
+                                int64_t d, int64_t mode, int64_t kind,
+                                const double *params, double eps,
                                 const double *del_costs, const double *ins,
                                 const double *insp, double cutoff, double *reduced,
                                 double *buf, band_out *out) {
@@ -336,7 +305,7 @@ static double edit_pair_reduced(const double *q, int64_t n, const double *x, int
         double running;
         double *tmp;
         for (j = 0; j < m; j++) {
-            double rs = edit_sub(qi, x + j * d, d, mode, kind, eps) - ins[j];
+            double rs = edit_sub(qi, x + j * d, d, mode, kind, params, eps) - ins[j];
             double a = reduced[j] + rs;
             double b = reduced[j + 1] + delc;
             buf[j + 1] = a < b ? a : b;
@@ -363,24 +332,54 @@ static double edit_pair_reduced(const double *q, int64_t n, const double *x, int
     return reduced[m] + insp[m];
 }
 
+/* The cost of leaving one element unmatched: its ground distance to the gap
+ * element for ERP, the table's insertion (or deletion) cost for the
+ * weighted distance, 1 otherwise. */
+static double gap_cost(const double *e, int64_t d, int64_t mode, int64_t kind,
+                       const double *params, int64_t which) {
+    if (mode == MODE_ERP)
+        return elem_cost(e, params, d, kind);
+    if (mode == MODE_WEIGHTED)
+        return params[which];
+    return 1.0;
+}
+
 /* Fill the per-column insertion costs and their prefix for one item. */
 static void fill_ins(const double *x, int64_t m, int64_t d, int64_t mode, int64_t kind,
-                     const double *gap, double *ins, double *insp) {
+                     const double *params, double *ins, double *insp) {
     int64_t j;
     double acc = 0.0;
     insp[0] = 0.0;
     for (j = 0; j < m; j++) {
-        ins[j] = (mode == MODE_ERP) ? elem_cost(x + j * d, gap, d, kind) : 1.0;
+        ins[j] = gap_cost(x + j * d, d, mode, kind, params, 1);
         acc += ins[j];
         insp[j + 1] = acc;
     }
 }
 
 static void fill_del(const double *q, int64_t n, int64_t d, int64_t mode, int64_t kind,
-                     const double *gap, double *del_costs) {
+                     const double *params, double *del_costs) {
     int64_t i;
     for (i = 0; i < n; i++)
-        del_costs[i] = (mode == MODE_ERP) ? elem_cost(q + i * d, gap, d, kind) : 1.0;
+        del_costs[i] = gap_cost(q + i * d, d, mode, kind, params, 2);
+}
+
+/* Scratch of the edit sweeps: ins (m), insp (m + 1), del (n), two work rows
+ * (m + 1 each), carved out of one allocation. */
+typedef struct {
+    double *mem, *ins, *insp, *del_costs, *work0, *work1;
+} edit_scratch;
+
+static int edit_scratch_alloc(edit_scratch *s, int64_t n, int64_t m) {
+    s->mem = (double *)malloc((size_t)(m + (m + 1) + n + 2 * (m + 1)) * sizeof(double));
+    if (s->mem == NULL)
+        return 1;
+    s->ins = s->mem;
+    s->insp = s->ins + m;
+    s->del_costs = s->insp + m + 1;
+    s->work0 = s->del_costs + n;
+    s->work1 = s->work0 + m + 1;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -425,44 +424,27 @@ int repro_warp_pairs(const double *qs, int64_t n, const int64_t *q_rows, const d
 }
 
 int repro_edit_value(const double *q, int64_t n, const double *x, int64_t m, int64_t d,
-                     int64_t mode, int64_t kind, const double *gap, double eps,
+                     int64_t mode, int64_t kind, const double *params, double eps,
                      double cutoff, double *out) {
-    /* buffers: ins (m), insp (m+1), del (n), two work rows (m+1 each) */
-    double *mem = (double *)malloc((size_t)(m + (m + 1) + n + 2 * (m + 1)) * sizeof(double));
-    double *ins, *insp, *del_costs, *work0, *work1;
-    if (mem == NULL)
+    edit_scratch s;
+    if (edit_scratch_alloc(&s, n, m))
         return 1;
-    ins = mem;
-    insp = ins + m;
-    del_costs = insp + m + 1;
-    work0 = del_costs + n;
-    work1 = work0 + m + 1;
-    fill_ins(x, m, d, mode, kind, gap, ins, insp);
-    fill_del(q, n, d, mode, kind, gap, del_costs);
-    if (n * m <= REPRO_SMALL_TABLE_CELLS)
-        *out = edit_pair_small(q, n, x, m, d, mode, kind, eps, del_costs, ins, cutoff,
-                               work0, work1);
-    else
-        *out = edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp,
-                                 cutoff, work0, work1, NULL);
-    free(mem);
+    fill_ins(x, m, d, mode, kind, params, s.ins, s.insp);
+    fill_del(q, n, d, mode, kind, params, s.del_costs);
+    *out = edit_pair_reduced(q, n, x, m, d, mode, kind, params, eps, s.del_costs, s.ins,
+                             s.insp, cutoff, s.work0, s.work1, NULL);
+    free(s.mem);
     return 0;
 }
 
 int repro_edit_pairs(const double *qs, int64_t n, const int64_t *q_rows, const double *xs,
                      int64_t m, const int64_t *x_rows, int64_t k, int64_t d, int64_t mode,
-                     int64_t kind, const double *gap, double eps, const double *cutoffs,
+                     int64_t kind, const double *params, double eps, const double *cutoffs,
                      double *out) {
     int64_t p, filled = -1;
-    double *mem = (double *)malloc((size_t)(m + (m + 1) + n + 2 * (m + 1)) * sizeof(double));
-    double *ins, *insp, *del_costs, *work0, *work1;
-    if (mem == NULL)
+    edit_scratch s;
+    if (edit_scratch_alloc(&s, n, m))
         return 1;
-    ins = mem;
-    insp = ins + m;
-    del_costs = insp + m + 1;
-    work0 = del_costs + n;
-    work1 = work0 + m + 1;
     for (p = 0; p < k; p++) {
         int64_t q_row = q_rows != NULL ? q_rows[p] : 0;
         const double *q = qs + q_row * n * d;
@@ -470,15 +452,14 @@ int repro_edit_pairs(const double *qs, int64_t n, const int64_t *q_rows, const d
         double cutoff = cutoffs != NULL ? cutoffs[p] : INFINITY;
         if (q_row != filled) {
             /* deletion costs belong to the query: once per run of one query row */
-            fill_del(q, n, d, mode, kind, gap, del_costs);
+            fill_del(q, n, d, mode, kind, params, s.del_costs);
             filled = q_row;
         }
-        fill_ins(x, m, d, mode, kind, gap, ins, insp);
-        /* the batch form's recurrence: always the reduced-coordinate sweep */
-        out[p] = edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp,
-                                   cutoff, work0, work1, NULL);
+        fill_ins(x, m, d, mode, kind, params, s.ins, s.insp);
+        out[p] = edit_pair_reduced(q, n, x, m, d, mode, kind, params, eps, s.del_costs, s.ins,
+                                   s.insp, cutoff, s.work0, s.work1, NULL);
     }
-    free(mem);
+    free(s.mem);
     return 0;
 }
 
@@ -502,28 +483,21 @@ int repro_warp_block(const double *q, int64_t n, const double *x, int64_t m, int
     return 0;
 }
 
-/* The prefix block of (q, x) under an edit recurrence: always the
- * reduced-coordinate sweep, so its cells equal repro_edit_value only for
- * prefix pairs above REPRO_SMALL_TABLE_CELLS cells. */
+/* The prefix block of (q, x) under an edit recurrence: the sweep of
+ * repro_edit_value with a band output. */
 int repro_edit_block(const double *q, int64_t n, const double *x, int64_t m, int64_t d,
-                     int64_t mode, int64_t kind, const double *gap, double eps,
+                     int64_t mode, int64_t kind, const double *params, double eps,
                      double cutoff, int64_t first, int64_t shift, double *cells,
                      int64_t *rows) {
     band_out out = {cells, first, shift, 0};
-    double *mem = (double *)malloc((size_t)(m + (m + 1) + n + 2 * (m + 1)) * sizeof(double));
-    double *ins, *insp, *del_costs, *work0, *work1;
-    if (mem == NULL)
+    edit_scratch s;
+    if (edit_scratch_alloc(&s, n, m))
         return 1;
-    ins = mem;
-    insp = ins + m;
-    del_costs = insp + m + 1;
-    work0 = del_costs + n;
-    work1 = work0 + m + 1;
-    fill_ins(x, m, d, mode, kind, gap, ins, insp);
-    fill_del(q, n, d, mode, kind, gap, del_costs);
-    edit_pair_reduced(q, n, x, m, d, mode, kind, eps, del_costs, ins, insp, cutoff, work0,
-                      work1, &out);
-    free(mem);
+    fill_ins(x, m, d, mode, kind, params, s.ins, s.insp);
+    fill_del(q, n, d, mode, kind, params, s.del_costs);
+    edit_pair_reduced(q, n, x, m, d, mode, kind, params, eps, s.del_costs, s.ins, s.insp,
+                      cutoff, s.work0, s.work1, &out);
+    free(s.mem);
     *rows = out.rows;
     return 0;
 }

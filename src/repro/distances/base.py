@@ -88,12 +88,20 @@ class ElementMetric:
         return hash(self.kind)
 
     def norm(self, diff: np.ndarray) -> np.ndarray:
-        """Ground distance of element differences ``diff`` (over the last axis)."""
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=-1))
-        if self.kind == "manhattan":
-            return np.sum(np.abs(diff), axis=-1)
-        return (np.any(diff != 0.0, axis=-1)).astype(np.float64)
+        """Ground distance of element differences ``diff`` (over the last axis).
+
+        The sums accumulate coordinate by coordinate, the order of the C
+        kernels' fused element costs, so a cost computed here (by the
+        tracebacks and the lower bounds) is bit-identical to the one the
+        DP kernels use, at every point width.
+        """
+        if self.kind == "discrete":
+            return (np.any(diff != 0.0, axis=-1)).astype(np.float64)
+        terms = diff * diff if self.kind == "euclidean" else np.abs(diff)
+        total = np.zeros(terms.shape[:-1])
+        for column in range(terms.shape[-1]):
+            total = total + terms[..., column]
+        return np.sqrt(total) if self.kind == "euclidean" else total
 
     def matrix(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Cost matrix ``C[..., i, j] = d(first[..., i, :], second[..., j, :])``.
@@ -102,8 +110,7 @@ class ElementMetric:
         ``(n, dim)`` operand -- or a ``(k, n, dim)`` stack with one per item
         -- against a ``(k, m, dim)`` stack gives a ``(k, n, m)`` tensor.  Every
         cell is the same element-wise expression in every form, so the forms
-        agree bit for bit; broadcasting keeps the DP loops free of per-cell
-        Python-level arithmetic.
+        agree bit for bit.
         """
         if first.shape[-1] != second.shape[-1]:
             raise IncompatibleSequencesError(
@@ -273,9 +280,9 @@ class Distance(abc.ABC):
         """Distances from ``query`` to every item, as one kernel per shape group.
 
         Items are grouped by ``(length, dim)`` and each group is stacked into
-        one ``(k, m, dim)`` tensor handed to :meth:`compute_batch`, so the
-        vectorized kernels sweep the whole group's DP tables at once instead
-        of paying one kernel launch per pair.  With a ``cutoff`` -- one
+        one ``(k, m, dim)`` tensor handed to :meth:`compute_batch`, so one
+        kernel call sweeps the whole group's DP tables instead of paying one
+        call per pair.  With a ``cutoff`` -- one
         scalar, or a per-item vector of length ``len(items)`` -- the same
         early-abandon contract as :meth:`bounded` applies per item: a
         returned value is exact whenever it is at most that item's cutoff,
@@ -330,7 +337,7 @@ class Distance(abc.ABC):
         The default cuts the pairs into runs of one query row -- traversals
         emit them grouped by query -- and hands each run to
         :meth:`compute_batch`; the elastic measures override it with one
-        compiled or stacked sweep over all the pairs.
+        C call over all the pairs.
         """
         values = np.empty(len(query_rows), dtype=np.float64)
         cuts = (np.flatnonzero(np.diff(query_rows)) + 1).tolist()

@@ -1,52 +1,43 @@
-"""The compiled elastic-distance kernels (the "cc" tier).
+"""The C kernels: the one engine of the elastic-distance DP recurrences.
 
-The NumPy row sweeps in :mod:`repro.distances.alignment` are the always-on
-oracle; this module supplies drop-in compiled implementations of the same
-recurrences with the element-cost computation fused into the DP loop, so a
-single call covers what the NumPy path does in two stages (cost matrix
-broadcast + row sweep).  The recurrences live in ``_kernels.c``, compiled on
-first use with the system C compiler (``cc``/``gcc``/``clang``) into a
-content-hash-keyed shared library and loaded through :mod:`ctypes`.
+The recurrences live in ``_kernels.c``, compiled on first use with the
+system C compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a
+content-hash-keyed shared library under ``$REPRO_KERNEL_CACHE`` (default
+``~/.cache/repro-kernels``) and loaded through :mod:`ctypes`.  Element
+costs are fused into the DP loops, so no cost matrix is materialised.
+:func:`kernels` returns the process-wide :class:`CcProvider`; without a
+compiler (or when the build fails) it raises
+:class:`~repro.exceptions.ConfigurationError`.
 
-Exactness contract: for every call form the C kernels replicate the
-floating-point operation order of the corresponding NumPy kernel --
-sequential prefix sums, element-wise minima and running minima for the
-additive recurrences; the direct bottleneck recurrence (min/max are exact
-selections) for Fréchet; the same :data:`~repro.distances.alignment`
-small-table switch for single edit-distance values and the always-reduced
-sweep for batches.  Values are therefore bit-identical to the NumPy tier
-wherever the early-abandon contract requires exactness (``<= cutoff`` or
-unbounded), which is what keeps results, work counters, caches, and replay
-logs byte-identical across kernel backends.
-
-Element costs are accumulated sequentially over the element axis, which
-matches NumPy's reduction order only below NumPy's pairwise-summation
-threshold (8 addends); :func:`fusable_dim` gates dispatch accordingly.
+Every call form of a recurrence runs the same sweep (see ``_kernels.c``),
+so a pair's value does not depend on whether a single call, a batch, a
+pair call or a prefix block computed it -- which is what keeps results,
+work counters, caches and replay logs independent of how an index or the
+verifier groups its requests.
 
 :class:`CcProvider` exposes eight entry points::
 
     warp_value(query, item, kind, use_max, band, cutoff) -> float
     warp_batch(query, items, kind, use_max, band, cutoffs) -> ndarray
     warp_pairs(queries, query_rows, items, item_rows, kind, use_max, band, cutoffs) -> ndarray
-    edit_value(query, item, mode, kind, gap, eps, cutoff) -> float
-    edit_batch(query, items, mode, kind, gap, eps, cutoffs) -> ndarray
-    edit_pairs(queries, query_rows, items, item_rows, mode, kind, gap, eps, cutoffs) -> ndarray
+    edit_value(query, item, mode, kind, params, eps, cutoff) -> float
+    edit_batch(query, items, mode, kind, params, eps, cutoffs) -> ndarray
+    edit_pairs(queries, query_rows, items, item_rows, mode, kind, params, eps, cutoffs) -> ndarray
     warp_block(query, item, kind, use_max, band, cutoff, block) -> None
-    edit_block(query, item, mode, kind, gap, eps, cutoff, block) -> None
+    edit_block(query, item, mode, kind, params, eps, cutoff, block) -> None
 
 with ``kind`` an element-metric code (0 euclidean, 1 manhattan,
-2 discrete), ``mode`` an edit-recurrence code (0 Levenshtein, 1 ERP,
-2 EDR), ``band`` ``None`` or a Sakoe-Chiba half-width, ``cutoff`` ``None``
-or a float, and ``cutoffs`` ``None``, a float, or a per-row ``(k,)``
-threshold vector.  The ``*_pairs`` forms compute
-``d(queries[query_rows[i]], items[item_rows[i]])`` for every ``i`` over two
-operand stacks -- one call for many queries, each against its own items --
-and run the *batch* form's recurrence per pair, so a pair's value is
-bit-identical to what ``*_batch`` returns for it.  Both forms call the one C
-pair entry point per recurrence; ``*_batch`` passes null row vectors, which
-mean query row 0 and item row ``i``.  The ``*_block`` forms sweep one
-pair's table once and fill a :class:`~repro.distances.alignment.PrefixBlock`
-with its admissible prefix cells (the single-value sweep with a band output).
+2 discrete), ``mode`` an edit-recurrence code (``MODE_*``), ``params`` the
+recurrence's parameter array (ERP's gap element, the weighted Levenshtein
+cost table of :func:`weighted_params`), ``band`` ``None`` or a Sakoe-Chiba
+half-width, ``cutoff`` ``None`` or a float, and ``cutoffs`` ``None``, a
+float, or a per-row ``(k,)`` threshold vector.  The ``*_pairs`` forms
+compute ``d(queries[query_rows[i]], items[item_rows[i]])`` for every ``i``
+over two operand stacks -- one call for many queries, each against its own
+items; ``*_batch`` is the same C entry point with null row vectors (query
+row 0, item row ``i``).  The ``*_block`` forms sweep one pair's table once
+and fill a :class:`~repro.distances.alignment.PrefixBlock` with its
+admissible prefix cells.
 """
 
 from __future__ import annotations
@@ -57,10 +48,13 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+
+from repro.exceptions import ConfigurationError
 
 _INF = float("inf")
 
@@ -71,24 +65,22 @@ METRIC_KIND_CODES = {"euclidean": 0, "manhattan": 1, "discrete": 2}
 MODE_LEVENSHTEIN = 0
 MODE_ERP = 1
 MODE_EDR = 2
+MODE_WEIGHTED = 3
 
-#: Placeholder gap element for the modes that never read one
-#: (``MODE_LEVENSHTEIN`` / ``MODE_EDR`` use unit gap costs internally).
-NO_GAP = np.zeros(1)
-
-#: Mirrors ``alignment._SMALL_TABLE_CELLS`` and ``REPRO_SMALL_TABLE_CELLS`` in
-#: ``_kernels.c`` (the single-value edit kernels switch between the direct and
-#: the reduced-coordinate recurrence there).
-_SMALL_TABLE_CELLS = 1024
-
-#: NumPy switches to pairwise summation at 8 addends; below that its
-#: reductions are sequential and the fused element costs are bit-identical.
-MAX_FUSED_DIM = 7
+#: Placeholder parameter array for the modes that read none
+#: (``MODE_LEVENSHTEIN`` / ``MODE_EDR`` use unit gap costs).
+NO_PARAMS = np.zeros(1)
 
 
-def fusable_dim(dim: int) -> bool:
-    """Whether fused element costs reproduce NumPy's summation order."""
-    return dim <= MAX_FUSED_DIM
+def weighted_params(default, insertion, deletion, table) -> np.ndarray:
+    """The ``MODE_WEIGHTED`` parameter array of a weighted Levenshtein distance.
+
+    ``[default, insertion, deletion, len(table)]`` followed by one
+    ``(a, b, cost)`` triple per entry of ``table`` (a mapping from symbol-code
+    pairs to substitution costs).
+    """
+    triples = [value for (a, b), cost in table.items() for value in (a, b, cost)]
+    return np.asarray([default, insertion, deletion, len(table), *triples], dtype=np.float64)
 
 
 # --------------------------------------------------------------------- #
@@ -234,10 +226,10 @@ class CcProvider:
         )
         return out
 
-    def edit_value(self, query, item, mode, kind, gap, eps, cutoff) -> float:
+    def edit_value(self, query, item, mode, kind, params, eps, cutoff) -> float:
         q = query if query.flags.c_contiguous else np.ascontiguousarray(query)
         x = item if item.flags.c_contiguous else np.ascontiguousarray(item)
-        g = _contiguous(np.asarray(gap, dtype=np.float64))
+        g = _contiguous(np.asarray(params, dtype=np.float64))
         out = ctypes.c_double()
         status = self._lib.repro_edit_value(
             q.ctypes.data, q.shape[0], x.ctypes.data, x.shape[0], q.shape[1],
@@ -248,10 +240,10 @@ class CcProvider:
             self._check(status)
         return out.value
 
-    def edit_batch(self, query, items, mode, kind, gap, eps, cutoffs) -> np.ndarray:
+    def edit_batch(self, query, items, mode, kind, params, eps, cutoffs) -> np.ndarray:
         q = _contiguous(query)
         xs = _contiguous(items)
-        g = _contiguous(np.asarray(gap, dtype=np.float64))
+        g = _contiguous(np.asarray(params, dtype=np.float64))
         out = np.empty(xs.shape[0], dtype=np.float64)
         thresholds = _norm_cutoffs(cutoffs, xs.shape[0])
         self._check(
@@ -264,10 +256,10 @@ class CcProvider:
         return out
 
     def edit_pairs(
-        self, queries, query_rows, items, item_rows, mode, kind, gap, eps, cutoffs
+        self, queries, query_rows, items, item_rows, mode, kind, params, eps, cutoffs
     ) -> np.ndarray:
         qs, q_rows, xs, x_rows = _pair_operands(queries, query_rows, items, item_rows)
-        g = _contiguous(np.asarray(gap, dtype=np.float64))
+        g = _contiguous(np.asarray(params, dtype=np.float64))
         out = np.empty(q_rows.shape[0], dtype=np.float64)
         thresholds = _norm_cutoffs(cutoffs, q_rows.shape[0])
         self._check(
@@ -293,10 +285,10 @@ class CcProvider:
         )
         block.rows = rows.value
 
-    def edit_block(self, query, item, mode, kind, gap, eps, cutoff, block) -> None:
+    def edit_block(self, query, item, mode, kind, params, eps, cutoff, block) -> None:
         q = _contiguous(query)
         x = _contiguous(item)
-        g = _contiguous(np.asarray(gap, dtype=np.float64))
+        g = _contiguous(np.asarray(params, dtype=np.float64))
         rows = ctypes.c_int64()
         self._check(
             self._lib.repro_edit_block(
@@ -329,10 +321,14 @@ def _kernel_cache_dir() -> Path:
 
 
 def find_c_compiler() -> Optional[str]:
-    """The first usable C compiler (``$CC``, then cc/gcc/clang on PATH)."""
+    """The C compiler to build with: ``$CC`` when set, else cc/gcc/clang on PATH.
+
+    A set ``$CC`` that does not resolve is not second-guessed: the build
+    fails and :func:`kernels` says so.
+    """
     configured = os.environ.get("CC")
-    if configured and shutil.which(configured):
-        return configured
+    if configured:
+        return shutil.which(configured)
     for candidate in ("cc", "gcc", "clang"):
         path = shutil.which(candidate)
         if path:
@@ -340,17 +336,15 @@ def find_c_compiler() -> Optional[str]:
     return None
 
 
-def build_c_library() -> Optional[str]:
+def build_c_library() -> str:
     """Compile ``_kernels.c`` into the cache directory; return the .so path.
 
     The library file name embeds a content hash of the source, so stale
     caches are never loaded and concurrent builders race benignly (compile
-    to a temporary name, ``os.replace`` into place).  Returns ``None`` when
-    no compiler is available or the build fails -- callers treat that as
-    "provider unavailable", never as an error.
+    to a temporary name, ``os.replace`` into place).  Raises
+    :class:`~repro.exceptions.ConfigurationError` when no compiler is found
+    or the build fails.
     """
-    if not _C_SOURCE.is_file():
-        return None
     source = _C_SOURCE.read_bytes()
     digest = hashlib.sha256(source).hexdigest()[:16]
     cache_dir = _kernel_cache_dir()
@@ -359,7 +353,12 @@ def build_c_library() -> Optional[str]:
         return str(library)
     compiler = find_c_compiler()
     if compiler is None:
-        return None
+        configured = os.environ.get("CC")
+        found = f"$CC={configured!r} is not on PATH" if configured else "no cc/gcc/clang on PATH"
+        raise ConfigurationError(
+            f"the C kernels need a C compiler ({found}): set $CC or install cc "
+            f"(or put a prebuilt {library.name} in $REPRO_KERNEL_CACHE)"
+        )
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache_dir))
@@ -371,18 +370,33 @@ def build_c_library() -> Optional[str]:
         )
         if result.returncode != 0:
             os.unlink(tmp)
-            return None
+            detail = result.stderr.decode(errors="replace").strip()
+            raise ConfigurationError(f"building the C kernels with cc={compiler} failed: {detail}")
         os.replace(tmp, library)
-        return str(library)
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (OSError, subprocess.SubprocessError) as error:
+        raise ConfigurationError(
+            f"building the C kernels with cc={compiler} in {cache_dir} failed: {error}"
+        ) from error
+    return str(library)
 
 
-def make_provider(name: str) -> CcProvider:
-    """Instantiate one provider by name; raises on unavailability."""
-    if name == "cc":
-        library = build_c_library()
-        if library is None:
-            raise RuntimeError("no C compiler available (or the build failed)")
-        return CcProvider(library)
-    raise ValueError(f"unknown kernel provider {name!r}")
+_provider: Optional[CcProvider] = None
+_provider_lock = threading.Lock()
+
+
+def kernels() -> CcProvider:
+    """The process-wide provider, built on first use.
+
+    Published once under a lock (free-threaded builds run kernel calls on
+    several threads at once); a failed build is not remembered, so the next
+    call tries again.
+    """
+    global _provider
+    provider = _provider
+    if provider is not None:
+        return provider
+    with _provider_lock:
+        if _provider is None:
+            _provider = CcProvider(build_c_library())
+        return _provider
+

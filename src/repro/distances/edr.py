@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.distances.base import ElementMetric
-from repro.distances.compiled import METRIC_KIND_CODES, MODE_EDR, NO_GAP
+from repro.distances.compiled import METRIC_KIND_CODES, MODE_EDR, NO_PARAMS
 from repro.distances.elastic import EditDistance
 from repro.exceptions import DistanceError
 
@@ -48,7 +48,7 @@ class EDR(EditDistance):
         return (ground > self.epsilon).astype(np.float64)
 
     def kernel_args(self, dim: int) -> tuple:
-        return METRIC_KIND_CODES[self.element_metric.kind], NO_GAP, self.epsilon
+        return METRIC_KIND_CODES[self.element_metric.kind], NO_PARAMS, self.epsilon
 
     def __repr__(self) -> str:
         return f"EDR(epsilon={self.epsilon}, element_metric={self.element_metric!r})"

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.distances.compiled import MODE_LEVENSHTEIN
+from repro.distances.compiled import MODE_LEVENSHTEIN, MODE_WEIGHTED, weighted_params
 from repro.distances.elastic import EditDistance
 from repro.exceptions import DistanceError
 
@@ -41,6 +41,20 @@ class Levenshtein(EditDistance):
         )
 
 
+def _symbol_code(value) -> int:
+    """A substitution-table key as the integer symbol code it must be.
+
+    Elements compare with table keys as int64 codes, so a key such as 1.5
+    could never match one; it is refused rather than silently ignored."""
+    try:
+        code = int(value)
+    except (TypeError, ValueError, OverflowError):
+        code = None
+    if code is None or code != value:
+        raise DistanceError(f"substitution table keys must be integer symbol codes, got {value!r}")
+    return code
+
+
 class WeightedLevenshtein(EditDistance):
     """Edit distance with configurable substitution / gap costs.
 
@@ -61,6 +75,7 @@ class WeightedLevenshtein(EditDistance):
     """
 
     name = "weighted-levenshtein"
+    mode = MODE_WEIGHTED
 
     def __init__(
         self,
@@ -72,18 +87,23 @@ class WeightedLevenshtein(EditDistance):
     ) -> None:
         if insertion_cost < 0 or deletion_cost < 0 or default_substitution < 0:
             raise DistanceError("edit costs must be non-negative")
-        self.substitution_costs = dict(substitution_costs or {})
-        for cost in self.substitution_costs.values():
+        self.substitution_costs = {}
+        for (a, b), cost in dict(substitution_costs or {}).items():
             if cost < 0:
                 raise DistanceError("edit costs must be non-negative")
+            self.substitution_costs[_symbol_code(a), _symbol_code(b)] = float(cost)
         self.insertion_cost = float(insertion_cost)
         self.deletion_cost = float(deletion_cost)
         self.default_substitution = float(default_substitution)
         self.is_metric = bool(metric)
 
-    def substitution(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        if first.shape[-1] != 1:
+    @staticmethod
+    def _check_scalar(dim: int) -> None:
+        if dim != 1:
             raise DistanceError("weighted Levenshtein expects scalar symbol codes")
+
+    def substitution(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        self._check_scalar(first.shape[-1])
         firsts = first[..., :, None, 0].astype(np.int64)
         seconds = second[..., None, :, 0].astype(np.int64)
         matrix = np.where(firsts == seconds, 0.0, self.default_substitution)
@@ -96,6 +116,14 @@ class WeightedLevenshtein(EditDistance):
 
     def insertion(self, second: np.ndarray) -> np.ndarray:
         return np.full(second.shape[:-1], self.insertion_cost, dtype=np.float64)
+
+    def kernel_args(self, dim: int) -> tuple:
+        self._check_scalar(dim)
+        params = weighted_params(
+            self.default_substitution, self.insertion_cost, self.deletion_cost,
+            self.substitution_costs,
+        )
+        return 0, params, 0.0
 
     def __repr__(self) -> str:
         return (

@@ -59,7 +59,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.distances.base import Distance, as_array
+from repro.distances.base import Distance, ElementMetric, as_array
 from repro.distances.edr import EDR
 from repro.distances.elastic import WarpingDistance
 from repro.distances.erp import ERP
@@ -68,7 +68,9 @@ from repro.distances.levenshtein import Levenshtein, WeightedLevenshtein
 from repro.exceptions import DistanceError
 
 
-def _box_deficit(metric_kind: str, query: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+def _box_deficit(
+    metric: ElementMetric, query: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> np.ndarray:
     """Ground distance from each query element to the box ``[low, high]``.
 
     ``query`` is ``(n, dim)``; ``low``/``high`` broadcast against it (either
@@ -76,10 +78,7 @@ def _box_deficit(metric_kind: str, query: np.ndarray, low: np.ndarray, high: np.
     distance from a point to an axis-aligned box never exceeds the distance
     to any point inside the box, for both the L2 and L1 ground metrics.
     """
-    deficit = np.maximum(np.maximum(low - query, query - high), 0.0)
-    if metric_kind == "euclidean":
-        return np.sqrt(np.sum(deficit * deficit, axis=-1))
-    return np.sum(deficit, axis=-1)
+    return metric.norm(np.maximum(np.maximum(low - query, query - high), 0.0))
 
 
 def _sliding_max(matrix: np.ndarray, length: int) -> np.ndarray:
@@ -213,7 +212,7 @@ class KeoghEnvelopeBound(LowerBound):
     def batch(self, distance, query, items) -> np.ndarray:
         low = items.min(axis=1)[:, None, :]
         high = items.max(axis=1)[:, None, :]
-        deficits = _box_deficit(distance.element_metric.kind, query[None, :, :], low, high)
+        deficits = _box_deficit(distance.element_metric, query[None, :, :], low, high)
         if isinstance(distance, ERP):
             gap = distance._gap_vector(query.shape[1])
             gap_costs = distance.element_metric.to_origin(query, gap)
@@ -228,7 +227,7 @@ class KeoghEnvelopeBound(LowerBound):
     def table(self, distance, query, starts, lengths, summary) -> np.ndarray:
         _first, _last, low, high = summary
         deficits = _box_deficit(
-            distance.element_metric.kind, query[:, None, :], low[None, :, :], high[None, :, :]
+            distance.element_metric, query[:, None, :], low[None, :, :], high[None, :, :]
         )
         values = np.empty((len(starts), low.shape[0]), dtype=np.float64)
         for length in np.unique(lengths).tolist():

@@ -44,7 +44,7 @@ class LinearScanIndex(MetricIndex):
 
     :meth:`batch_range_query` is genuinely batched: stored items are packed
     by shape on insertion and each group's distances are computed by one
-    vectorized kernel sweep (see
+    batched kernel call (see
     :meth:`~repro.distances.base.Distance.compute_batch`), which is
     substantially faster than per-pair calls for the elastic measures.
     Under a parallel executor every ``(query, shape group)`` pair becomes

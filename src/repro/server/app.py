@@ -56,6 +56,7 @@ from repro.core.wire import (
     SearchRequest,
     error_envelope,
     parse_search_request,
+    parse_timeout,
     result_envelope,
     sequence_from_wire,
 )
@@ -377,11 +378,7 @@ class SearchApp:
             except QueryError as error:
                 raise QueryError(f"batch entry {position}: {error}") from None
         timeout = body.get("timeout")
-        if timeout is None:
-            timeout = self.default_timeout
-        elif isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise QueryError(f"'timeout' must be a positive number, got {timeout!r}")
-        return requests, float(timeout)
+        return requests, self.default_timeout if timeout is None else parse_timeout(timeout)
 
     # ------------------------------------------------------------------ #
     # Mutation endpoints
@@ -516,7 +513,7 @@ async def _read_json(receive, allow_empty: bool = False):
 
 
 async def _send_json(send, status: int, payload) -> None:
-    body = json.dumps(payload).encode("utf-8")
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     await send(
         {
             "type": "http.response.start",

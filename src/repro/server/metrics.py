@@ -42,7 +42,6 @@ class ServerMetrics:
         self.timeouts = 0
         self.rejected = 0
         self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
-        self._kernel_backends: Dict[str, int] = {}
         self._index_cache_hits = 0
         self._index_distance_computations = 0
         self._verification_cache_hits = 0
@@ -57,9 +56,6 @@ class ServerMetrics:
             self.queries_served += 1
             self._latencies.append(float(seconds))
             if stats is not None:
-                self._kernel_backends[stats.kernel_backend] = (
-                    self._kernel_backends.get(stats.kernel_backend, 0) + 1
-                )
                 self._index_cache_hits += stats.index_cache_hits
                 self._index_distance_computations += stats.index_distance_computations
                 self._verification_cache_hits += stats.verification_cache_hits
@@ -120,7 +116,6 @@ class ServerMetrics:
                     "mean_seconds": (sum(ordered) / len(ordered)) if ordered else 0.0,
                     "max_seconds": ordered[-1] if ordered else 0.0,
                 },
-                "kernel_backends": dict(sorted(self._kernel_backends.items())),
                 "cache": {
                     "index_hit_rate": self._hit_rate(
                         self._index_cache_hits, self._index_distance_computations

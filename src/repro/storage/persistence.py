@@ -318,15 +318,13 @@ def _config_from(saved: dict):
 
     Snapshots of older builds may carry options that no longer exist (how
     the process pool shipped its payloads, the replay-log encoding, the
-    reference count of a retired index) or a kernel name that is no longer
-    offered.  None of them changes answers, so the former are dropped and
-    the latter reads as ``auto``: every snapshot loads into the matcher it
-    described, minus the retired knobs.  A snapshot of an index this build
+    reference count of a retired index, the kernel tier).  None of them
+    changes answers, so they are dropped: every snapshot loads into the
+    matcher it described, minus the retired knobs.  A snapshot of an index this build
     no longer offers cannot: its saved structure is that index's, so it
     raises :class:`~repro.exceptions.StorageError` and must be rebuilt.
     """
     from repro.core.config import MatcherConfig
-    from repro.distances.backend import KNOWN_KERNELS
 
     index = saved.get("index", "reference-net")
     if index not in MatcherConfig._KNOWN_INDEXES:
@@ -336,8 +334,6 @@ def _config_from(saved: dict):
         )
     known = {field.name for field in fields(MatcherConfig)}
     saved = {key: value for key, value in saved.items() if key in known}
-    if saved.get("kernel", "auto") not in KNOWN_KERNELS:
-        saved["kernel"] = "auto"
     return MatcherConfig(**saved)
 
 

@@ -1,11 +1,11 @@
-"""Reference (pure-Python, cell-by-cell) DP kernels.
+"""Reference (pure-Python, cell-by-cell) DP kernels: the test oracle.
 
-These are the original loop implementations of the table-filling kernels in
-:mod:`repro.distances.alignment`, retained verbatim as correctness oracles:
-the vectorized kernels are required to agree with them to within floating
-point round-off (``test_vectorized_kernels.py`` asserts this across random
-inputs, bands, and unequal lengths; ``test_compiled_kernels.py`` checks the
-C tier against them too).  Nothing under ``src/`` imports them.
+These are the original loop implementations of the DP tables, retained
+verbatim as correctness oracles.  ``test_compiled_kernels.py`` holds the C
+kernels to them (exactly for the bottleneck and integer-cost recurrences,
+to 1e-9 relative for the summed ones) and ``test_vectorized_kernels.py``
+holds the traceback tables of :mod:`repro.distances.alignment` to them.
+Nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations

@@ -86,8 +86,7 @@ class TestBatchAgainstSingle:
         _assert_batch_matches_single(distance, query, items, None)
         _assert_batch_matches_single(distance, query, items, 4.0)
 
-    def test_large_tables_hit_vectorized_single_path(self):
-        # > 1024 cells, so the per-pair reference uses the vectorized kernel.
+    def test_large_tables(self):
         query = _series(60)
         items = [_series(60) for _ in range(4)]
         for distance in (DTW(), ERP(), DiscreteFrechet(), Levenshtein()):
@@ -118,75 +117,40 @@ class TestBatchAgainstSingle:
         assert values.shape == (0,)
 
 
-def _providers():
-    """``numpy`` plus the C kernels where a compiler is available."""
-    from repro.distances.compiled import make_provider
-
-    try:
-        make_provider("cc")
-    except Exception:
-        return ["numpy"]
-    return ["numpy", "cc"]
-
-
 class TestCallForm:
-    """Which distances give the batch row and the single call the same bits.
+    """The batch row and the single call give the same bits, for every distance.
 
     The reference net measures a whole level with one ``batch`` call where
     it used to make single calls, so whether the two forms agree *exactly*
     decides whether its probe distances moved.
     """
 
-    @pytest.mark.parametrize("provider", _providers())
-    def test_max_and_integer_recurrences_are_bit_identical(self, provider):
-        from repro.distances.backend import kernel_scope
-
+    def test_batch_rows_are_the_single_calls(self):
         def symbols():
             return RNG.integers(0, 4, size=20)
 
-        with kernel_scope(provider):
-            for distance, draw in (
-                (DiscreteFrechet(), lambda: _series(20)),
-                (DiscreteFrechet(), lambda: RNG.normal(size=(20, 2))),
-                (Levenshtein(), symbols),
-                (Hamming(), symbols),
-            ):
-                query = draw()
-                items = [draw() for _ in range(60)]
-                row = distance.batch(query, items)
-                singles = [distance(query, item) for item in items]
-                assert row.tolist() == singles, distance
+        for distance, draw in (
+            (DiscreteFrechet(), lambda: _series(20)),
+            (DiscreteFrechet(), lambda: RNG.normal(size=(20, 2))),
+            (Levenshtein(), symbols),
+            (Hamming(), symbols),
+            (DTW(), lambda: _series(20)),
+            (ERP(), lambda: _series(20)),
+            (ERP(gap=1.0), lambda: RNG.normal(size=(20, 3))),
+            (WeightedLevenshtein(insertion_cost=0.7, deletion_cost=1.3), symbols),
+        ):
+            query = draw()
+            items = [draw() for _ in range(60)]
+            row = distance.batch(query, items)
+            singles = [distance(query, item) for item in items]
+            assert row.tolist() == singles, distance
 
-    @pytest.mark.parametrize("provider", _providers())
-    def test_erp_forms_agree_to_rounding_only(self, provider):
-        # ERP sums costs.  The batch kernel always runs the reduced-coordinate
-        # sweep; the single call runs the plain small-table DP below 1024
-        # cells.  Same recurrence, another association order: most random
-        # 20x20 pairs differ in the last bits (so ``==`` cannot be asserted
-        # here), none by more than 1e-9.  So a
-        # net probe's ERP distance may move by ulps against a single call;
-        # match sets and verified distances (always single calls) do not.
-        from repro.distances.backend import kernel_scope
-
-        with kernel_scope(provider):
-            query = _series(20)
-            items = [_series(20) for _ in range(60)]
-            row = ERP().batch(query, items)
-            singles = np.array([ERP()(query, item) for item in items])
-        assert np.abs(row - singles).max() <= 1e-9
-
-
-    @pytest.mark.parametrize("provider", _providers())
     @pytest.mark.parametrize("dim", [1, 2, 8])
-    def test_pair_form_is_the_batch_form_row_by_row(self, provider, dim):
+    def test_pair_form_is_the_batch_form_row_by_row(self, dim):
         # The reference net measures a whole level of *many* queries with one
         # ``compute_pairs`` call where it used to make one ``compute_batch``
         # call per query: bit-identical rows are what keep its probe
-        # distances, and through them every counter, where they were.  dim 8
-        # is past the compiled tier's fused-cost limit: there the pair form,
-        # too, must take the NumPy sweep.
-        from repro.distances.backend import kernel_scope
-
+        # distances, and through them every counter, where they were.
         def stacks(distance, count, length):
             if isinstance(distance, Levenshtein):
                 return RNG.integers(0, 3, size=(count, length, dim)).astype(np.float64)
@@ -196,21 +160,18 @@ class TestCallForm:
                      EDR(epsilon=0.4), Euclidean()]  # fmt: skip
         query_rows = np.array([0, 0, 0, 2, 2, 3, 3, 3, 1, 0])
         item_rows = np.array([4, 1, 6, 6, 0, 5, 5, 2, 3, 4])
-        with kernel_scope(provider):
-            for distance in distances:
-                for n, m in ((9, 9), (7, 10)):
-                    if not distance.supports_unequal_lengths and n != m:
-                        continue
-                    queries, items = stacks(distance, 4, n), stacks(distance, 7, m)
-                    vector = RNG.uniform(0.5, 6.0, size=len(query_rows))
-                    for cutoff in (None, 2.5, vector):
-                        pairs = distance.compute_pairs(
-                            queries, query_rows, items, item_rows, cutoff
-                        )
-                        for at, (q, x) in enumerate(zip(query_rows, item_rows)):
-                            row_cutoff = cutoff if np.ndim(cutoff) == 0 else cutoff[at : at + 1]
-                            row = distance.compute_batch(queries[q], items[x : x + 1], row_cutoff)
-                            assert repr(pairs[at]) == repr(row[0]), (distance, n, m, cutoff)
+        for distance in distances:
+            for n, m in ((9, 9), (7, 10)):
+                if not distance.supports_unequal_lengths and n != m:
+                    continue
+                queries, items = stacks(distance, 4, n), stacks(distance, 7, m)
+                vector = RNG.uniform(0.5, 6.0, size=len(query_rows))
+                for cutoff in (None, 2.5, vector):
+                    pairs = distance.compute_pairs(queries, query_rows, items, item_rows, cutoff)
+                    for at, (q, x) in enumerate(zip(query_rows, item_rows)):
+                        row_cutoff = cutoff if np.ndim(cutoff) == 0 else cutoff[at : at + 1]
+                        row = distance.compute_batch(queries[q], items[x : x + 1], row_cutoff)
+                        assert repr(pairs[at]) == repr(row[0]), (distance, n, m, cutoff)
 
 
 class TestBatchCutoffSemantics:

@@ -474,3 +474,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["serve", "db.npz", "--server-backend", "uvicorn"])
         assert "invalid choice: 'uvicorn'" in capsys.readouterr().err
+
+    def test_the_kernel_flag_is_gone(self, capsys):
+        # The C kernels are the only engine: no flag picks a tier.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "db.npz", "--dataset", "songs", "--radius", "1", "--kernel", "cc"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kernel cc" in capsys.readouterr().err

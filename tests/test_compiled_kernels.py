@@ -1,44 +1,42 @@
-"""The compiled kernel tier must be value-exact against the NumPy oracle.
+"""The C kernels: one exactness matrix over every elastic family member.
 
-The C kernels (``cc``, wherever a C compiler exists) are compared against
-the NumPy tier -- and, through it, against the retained cell-by-cell
-references of ``kernel_reference.py`` -- for every elastic distance and every
-call form (unbounded value, bounded value, batch with scalar and per-row
-cutoff vectors).  Equality is exact (``==``), not approximate: identical
-values are what keep results, work counters, caches, and replay logs
-byte-identical across backends.
+``_kernels.c`` is the only engine of the DTW, discrete Fréchet, ERP, EDR,
+Levenshtein and weighted Levenshtein recurrences, in every call form.  The
+matrix covers each member at every point width it accepts (1, 2, 7, 8 and
+10 coordinates -- 8 and up is where NumPy's pairwise summation would start)
+on tables on both sides of 1 024 cells, with and without cutoffs:
 
-Also covered here: backend selection (env default, scopes, fallbacks,
-configuration errors), the fused-dispatch dimensionality guard, the packed
-window-tensor store behind the linear scan.
+* values match the cell-by-cell references of ``kernel_reference.py``:
+  exactly for the bottleneck and the integer-cost recurrences (Fréchet,
+  Levenshtein, EDR), within 1e-9 relative for the summed real costs;
+* the five call forms -- ``compute``, ``compute_bounded``,
+  ``compute_batch``, ``compute_pairs`` and ``prefix_block`` -- agree bit for
+  bit (``repr`` equality) wherever the bounded contract asks for a value.
+
+Also covered here: the provider's argument checks, the weighted Levenshtein
+parameter array, the error without a compiler, and the packed window
+tensors behind the linear scan.
 """
 
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.core.config import MatcherConfig
-from repro.distances import DTW, EDR, ERP, DiscreteFrechet, Levenshtein
-from repro.distances import backend as backend_module
-from repro.distances.backend import (
-    KNOWN_KERNELS,
-    active_kernel_name,
-    fused_provider,
-    kernel_scope,
-    resolve_kernel,
+from repro.distances import (
+    DTW,
+    EDR,
+    ERP,
+    DiscreteFrechet,
+    Euclidean,
+    Levenshtein,
+    WeightedLevenshtein,
 )
-from repro.distances.compiled import (
-    MAX_FUSED_DIM,
-    METRIC_KIND_CODES,
-    MODE_EDR,
-    MODE_ERP,
-    MODE_LEVENSHTEIN,
-    NO_GAP,
-    fusable_dim,
-    make_provider,
-)
+from repro.distances import compiled
 from repro.distances.base import ElementMetric
+from repro.distances.compiled import MODE_LEVENSHTEIN, NO_PARAMS, kernels, weighted_params
+from repro.distances.elastic import WarpingDistance
 from kernel_reference import reference_edit_table, reference_warping_table
 from repro.exceptions import (
     ConfigurationError,
@@ -49,32 +47,7 @@ from repro.exceptions import (
 from repro.indexing.linear_scan import LinearScanIndex
 from repro.sequences.packed import PackedWindowStore, StoreGather
 
-
-def _provider_or_skip(name):
-    try:
-        return make_provider(name)
-    except Exception as error:
-        pytest.skip(f"provider {name!r} unavailable: {error!r}")
-
-
-def _cc_available():
-    try:
-        make_provider("cc")
-    except Exception:
-        return False
-    return True
-
-
-PROVIDER_NAMES = ["cc"]
-
-#: The tiers this machine runs: NumPy always, the C kernels given a compiler.
-KERNELS = ["numpy", "cc"] if _cc_available() else ["numpy"]
-
-requires_cc = pytest.mark.skipif(not _cc_available(), reason="no C compiler available")
-
-# One representative configuration per distance family: additive warping,
-# banded warping, bottleneck warping, and each edit-recurrence mode.
-DISTANCES = [
+MEMBERS = [
     DTW(),
     DTW(band=3),
     DTW(element_metric=ElementMetric("manhattan")),
@@ -82,159 +55,159 @@ DISTANCES = [
     ERP(gap=0.25),
     EDR(epsilon=0.4),
     Levenshtein(),
+    # Costs that are not dyadic, and an entry for an equal pair: the table
+    # must override the zero cost of a match.
+    WeightedLevenshtein(
+        {(0, 1): 0.3, (1, 0): 0.7, (2, 3): 0.45, (3, 3): 0.1},
+        insertion_cost=1.3,
+        deletion_cost=0.6,
+        default_substitution=0.9,
+    ),
 ]
 
-# Point widths the fused element costs cover: a single coordinate, the
-# planar case, an odd width, and the widest point the C kernels still take
-# (``MAX_FUSED_DIM``: one more and NumPy's pairwise summation starts).
-POINT_DIMS = [1, 2, 3, MAX_FUSED_DIM]
+#: Members whose values are exact selections or integer sums.
+EXACT = (DiscreteFrechet, EDR, Levenshtein)
+
+DIMS = [1, 2, 7, 8, 10]
+
+#: ``(n, m)`` tables: degenerate ones, tables at and below 1 024 cells
+#: (where an older single call took another recurrence) and above it.
+SHAPES = [(1, 1), (1, 9), (9, 11), (31, 33), (33, 32), (40, 37)]
+
+#: The shapes every member can take in every call form: the band of
+#: ``DTW(band=3)`` fits each of them.
+FORM_SHAPES = SHAPES[2:]
 
 
-def _case_seed(*parts):
-    """A per-case RNG seed that is the same in every process (``hash`` of a
-    ``str`` is not: it is salted per interpreter, which made these tests draw
-    different data -- and occasionally fail -- from run to run)."""
+def _accepts(distance, dim):
+    return dim == 1 or not isinstance(distance, WeightedLevenshtein)
+
+
+MATRIX = [
+    pytest.param(distance, dim, id=f"{distance!r}-dim{dim}")
+    for distance in MEMBERS
+    for dim in DIMS
+    if _accepts(distance, dim)
+]
+
+
+def _seed(*parts):
+    """A per-case seed that is the same in every process (``hash`` of a
+    ``str`` is salted per interpreter)."""
     return zlib.crc32(repr(parts).encode("utf-8"))
 
 
-def _operands_for(distance, rng, shape):
-    """Random operands of ``shape``: alphabet-style integers for the edit
-    measure that compares elements for identity, real points otherwise."""
-    if isinstance(distance, Levenshtein):
-        return rng.integers(0, 4, size=shape).astype(np.float64)
-    return rng.normal(size=shape)
+def _stack(distance, rng, count, length, dim):
+    """Operands: small integer codes for the members that compare symbols
+    (ties and matches are likely), real points otherwise."""
+    if isinstance(distance, (Levenshtein, WeightedLevenshtein)):
+        return rng.integers(0, 4, size=(count, length, dim)).astype(np.float64)
+    return rng.normal(size=(count, length, dim))
 
 
-def _pair_for(distance, rng, dim=2, max_len=30):
-    n = int(rng.integers(1, max_len))
-    m = int(rng.integers(1, max_len))
-    return _operands_for(distance, rng, (n, dim)), _operands_for(distance, rng, (m, dim))
+def _reference(distance, first, second):
+    """The cell-by-cell table's bottom-right value."""
+    if isinstance(distance, WarpingDistance):
+        cost = distance.element_metric.matrix(first, second)
+        return reference_warping_table(cost, distance.aggregate, distance.band)[-1, -1]
+    table = reference_edit_table(
+        distance.substitution(first, second), distance.deletion(first), distance.insertion(second)
+    )
+    return table[-1, -1]
 
 
-def _random_pair(rng, dim=2, max_len=30):
-    """Two real-valued point sequences of random lengths."""
-    return _pair_for(None, rng, dim, max_len)
-
-
-# --------------------------------------------------------------------- #
-# Distance-level equivalence: every provider == the NumPy tier, exactly
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("dim", POINT_DIMS)
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-@pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
-def test_value_and_bounded_match_numpy_exactly(provider_name, distance, dim):
-    _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), dim))
-    for trial in range(20):
-        a, b = _pair_for(distance, rng, dim)
-        with kernel_scope("numpy"):
-            try:
-                expected = distance(a, b)
-            except DistanceError:
-                expected = None  # band infeasible
-        with kernel_scope(provider_name):
-            if expected is None:
-                with pytest.raises(DistanceError):
-                    distance(a, b)
-                continue
-            assert distance(a, b) == expected
-            # Cutoff above, exactly at, and below the true value: the
-            # bounded contract demands exactness at or below the cutoff
-            # and any value strictly above it otherwise.
-            for cutoff in (expected + 1.0, expected):
-                with kernel_scope("numpy"):
-                    reference = distance.bounded(a, b, cutoff)
-                assert distance.bounded(a, b, cutoff) == reference
-                assert reference == expected
-            if expected > 0:
-                below = distance.bounded(a, b, expected * 0.5)
-                assert below > expected * 0.5
-
-
-@pytest.mark.parametrize("dim", POINT_DIMS)
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-@pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
-def test_batch_matches_numpy_exactly(provider_name, distance, dim):
-    _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 1, dim))
-    for trial in range(10):
-        query, _ = _pair_for(distance, rng, dim)
-        k = int(rng.integers(1, 8))
-        length = int(rng.integers(1, 25))
-        if distance.supports_unequal_lengths:
-            pass
+@pytest.mark.parametrize("n, m", SHAPES, ids=lambda length: str(length))
+@pytest.mark.parametrize("distance, dim", MATRIX)
+def test_values_match_the_cell_by_cell_reference(distance, dim, n, m):
+    rng = np.random.default_rng(_seed(repr(distance), dim, n, m))
+    for _ in range(3):
+        first, second = (_stack(distance, rng, 1, length, dim)[0] for length in (n, m))
+        expected = _reference(distance, first, second)
+        value = distance.compute_bounded(first, second, None)
+        if isinstance(distance, EXACT) or np.isinf(expected):
+            assert repr(value) == repr(float(expected))
         else:
-            length = query.shape[0]
-        items = _operands_for(distance, rng, (k, length, dim))
-        for cutoff in (None, 1.0, rng.uniform(0.5, 4.0, size=k)):
-            with kernel_scope("numpy"):
-                try:
-                    expected = distance.batch(query, list(items), cutoff)
-                except DistanceError:
-                    expected = None
-            with kernel_scope(provider_name):
-                if expected is None:
-                    with pytest.raises(DistanceError):
-                        distance.batch(query, list(items), cutoff)
-                    continue
-                got = distance.batch(query, list(items), cutoff)
-            assert np.array_equal(got, expected), (trial, cutoff)
+            assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("dim", POINT_DIMS)
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-@pytest.mark.parametrize("distance", DISTANCES, ids=lambda d: repr(d))
-def test_pairs_match_numpy_batch_rows_exactly(provider_name, distance, dim):
-    """The pair call form is the batch form per pair, on every provider.
-
-    Small tables on purpose: below 1024 cells a *single* edit-distance value
-    takes the direct recurrence, but a pair must run the reduced-coordinate
-    sweep like a batch row -- and refill the deletion costs whenever the
-    query row changes.
-    """
-    _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, repr(distance), 2, dim))
-    for trial in range(8):
-        n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
-        queries = _operands_for(distance, rng, (5, n, dim))
-        items = _operands_for(distance, rng, (6, m, dim))
-        count = int(rng.integers(1, 20))
-        query_rows = np.sort(rng.integers(0, 5, size=count))
-        item_rows = rng.integers(0, 6, size=count)
-        for cutoff in (None, 1.0, rng.uniform(0.5, 4.0, size=count)):
-            expected = np.empty(count)
-            failed = False
-            with kernel_scope("numpy"):
-                for position, (q, x) in enumerate(zip(query_rows, item_rows)):
-                    row_cutoff = cutoff if np.ndim(cutoff) == 0 else cutoff[position : position + 1]
-                    try:
-                        expected[position] = distance.compute_batch(
-                            queries[q], items[x : x + 1], row_cutoff
-                        )[0]
-                    except DistanceError:
-                        failed = True  # band infeasible
-            for name in (provider_name, "numpy"):
-                with kernel_scope(name):
-                    if failed:
-                        with pytest.raises(DistanceError):
-                            distance.compute_pairs(queries, query_rows, items, item_rows, cutoff)
-                        continue
-                    got = distance.compute_pairs(queries, query_rows, items, item_rows, cutoff)
-                assert np.array_equal(got, expected), (name, trial, cutoff)
+def _pair_values(distance, form, queries, items, query_rows, item_rows, cutoffs):
+    """Every pair's value under one call form, in pair order."""
+    if form == "compute_pairs":
+        return distance.compute_pairs(queries, query_rows, items, item_rows, cutoffs)
+    values = []
+    for at, (q, x) in enumerate(zip(query_rows.tolist(), item_rows.tolist())):
+        cutoff = None if cutoffs is None else float(cutoffs[at])
+        if form == "compute":
+            values.append(distance.compute(queries[q], items[x]))
+        elif form == "compute_bounded":
+            values.append(distance.compute_bounded(queries[q], items[x], cutoff))
+        elif form == "compute_batch":
+            row = distance.compute_batch(queries[q], items[x : x + 1], cutoff)
+            values.append(float(row[0]))
+        else:
+            n, m = queries.shape[1], items.shape[1]
+            block = distance.prefix_block(queries[q], items[x], n, abs(n - m), cutoff)
+            values.append(block.value(n, m))
+    return np.array(values)
 
 
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-def test_pair_rows_are_validated_before_the_kernel_sees_them(provider_name):
-    provider = _provider_or_skip(provider_name)
+FORMS = ("compute", "compute_bounded", "compute_batch", "compute_pairs", "prefix_block")
+
+
+@pytest.mark.parametrize("n, m", FORM_SHAPES, ids=lambda length: str(length))
+@pytest.mark.parametrize("distance, dim", MATRIX)
+def test_the_five_call_forms_agree_bit_for_bit(distance, dim, n, m):
+    """Unbounded, every form returns the single call's bits; under a cutoff
+    a value is those bits whenever either is within the cutoff, and beyond
+    the cutoff otherwise."""
+    rng = np.random.default_rng(_seed(repr(distance), dim, n, m, "forms"))
+    queries = _stack(distance, rng, 3, n, dim)
+    items = _stack(distance, rng, 4, m, dim)
+    query_rows = np.repeat(np.arange(3), 4)
+    item_rows = np.tile(np.arange(4), 3)
+    singles = _pair_values(distance, "compute", queries, items, query_rows, item_rows, None)
+    spread = rng.uniform(0.5, 1.5, size=singles.shape)
+    for cutoffs in (None, singles * spread):
+        for form in FORMS:
+            values = _pair_values(distance, form, queries, items, query_rows, item_rows, cutoffs)
+            for at, (value, single) in enumerate(zip(values.tolist(), singles.tolist())):
+                bound = np.inf if cutoffs is None else cutoffs[at]
+                if single <= bound or value <= bound:
+                    assert repr(value) == repr(single), (form, at, cutoffs is None)
+                else:
+                    assert value > bound, (form, at)
+
+
+@pytest.mark.parametrize("distance, dim", MATRIX)
+def test_block_cells_are_the_single_calls_at_every_shape(distance, dim):
+    """Every admissible cell of one sweep is its prefix pair's single call,
+    small tables included (no shape is left to another recurrence)."""
+    rng = np.random.default_rng(_seed(repr(distance), dim, "block"))
+    n, m, first, shift = 36, 35, 2, 2
+    query = _stack(distance, rng, 1, n, dim)[0]
+    item = _stack(distance, rng, 1, m, dim)[0]
+    block = distance.prefix_block(query, item, first, shift, None)
+    assert block.rows == n
+    for rows in range(first, n + 1):
+        for columns in range(max(1, rows - shift), min(m, rows + shift) + 1):
+            single = distance.compute_bounded(query[:rows], item[:columns], None)
+            assert repr(block.value(rows, columns)) == repr(single), (rows, columns)
+
+
+# --------------------------------------------------------------------- #
+# The provider
+# --------------------------------------------------------------------- #
+
+
+def test_pair_rows_are_validated_before_the_kernel_sees_them():
+    provider = kernels()
     stack = np.zeros((3, 4, 1))
     rows = np.array([0, 1, 2])
     for bad in (np.array([0, 1, 3]), np.array([-1, 0, 1])):
         with pytest.raises(IndexError):
             provider.warp_pairs(stack, bad, stack, rows, 0, True, None, None)
         with pytest.raises(IndexError):
-            provider.edit_pairs(stack, rows, stack, bad, MODE_LEVENSHTEIN, 0, NO_GAP, 0.0, None)
+            provider.edit_pairs(stack, rows, stack, bad, MODE_LEVENSHTEIN, 0, NO_PARAMS, 0.0, None)
     with pytest.raises(ValueError):
         provider.warp_pairs(stack, rows, stack, rows[:2], 0, True, None, None)
     with pytest.raises(ValueError):
@@ -242,190 +215,114 @@ def test_pair_rows_are_validated_before_the_kernel_sees_them(provider_name):
     assert provider.warp_pairs(stack, rows[:0], stack, rows[:0], 0, True, None, None).shape == (0,)
 
 
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-def test_vector_cutoffs_match_per_row_bounded(provider_name):
+def test_vector_cutoffs_match_per_row_bounded():
     """A per-row cutoff vector must behave as k independent bounded calls."""
-    _provider_or_skip(provider_name)
     rng = np.random.default_rng(7)
     distance = DTW()
     query = rng.normal(size=(12, 2))
     items = [rng.normal(size=(int(rng.integers(4, 16)), 2)) for _ in range(9)]
-    with kernel_scope(provider_name):
-        exact = [distance(query, item) for item in items]
-        cutoffs = np.asarray(
-            [value * factor for value, factor in zip(exact, [0.5, 1.0, 2.0] * 3)]
-        )
-        # Batch computes per shape group internally; compare row by row
-        # against the scalar bounded path with that row's threshold.
-        values = distance.batch(query, items, cutoffs)
-        for value, item, cutoff, true in zip(values, items, cutoffs, exact):
-            if true <= cutoff:
-                assert value == true
-            else:
-                assert value > cutoff
-
-
-# --------------------------------------------------------------------- #
-# Provider-level equivalence against the retained scalar references
-# --------------------------------------------------------------------- #
-
-
-#: The element metrics whose costs the C kernels compute themselves.
-POINT_METRICS = ["euclidean", "manhattan"]
-
-
-@pytest.mark.parametrize("kind", POINT_METRICS)
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-@pytest.mark.parametrize("use_max", [False, True])
-@pytest.mark.parametrize("band", [None, 0, 2, 50])
-def test_warp_value_matches_reference_table(provider_name, use_max, band, kind):
-    provider = _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, use_max, band, kind))
-    metric = ElementMetric(kind)
-    for trial in range(10):
-        q, x = _random_pair(rng, dim=2, max_len=20)
-        cost = metric.matrix(q, x)
-        aggregate = "max" if use_max else "sum"
-        expected = reference_warping_table(cost, aggregate, band)[-1, -1]
-        got = provider.warp_value(q, x, METRIC_KIND_CODES[kind], use_max, band, None)
-        if np.isinf(expected):
-            assert np.isinf(got)
+    exact = [distance(query, item) for item in items]
+    cutoffs = np.asarray([value * factor for value, factor in zip(exact, [0.5, 1.0, 2.0] * 3)])
+    values = distance.batch(query, items, cutoffs)
+    for value, cutoff, true in zip(values, cutoffs, exact):
+        if true <= cutoff:
+            assert value == true
         else:
-            assert got == pytest.approx(expected, abs=1e-9)
+            assert value > cutoff
 
 
-@pytest.mark.parametrize("kind", POINT_METRICS)
-@pytest.mark.parametrize("provider_name", PROVIDER_NAMES)
-@pytest.mark.parametrize("mode", [MODE_LEVENSHTEIN, MODE_ERP, MODE_EDR])
-def test_edit_value_matches_reference_table(provider_name, mode, kind):
-    provider = _provider_or_skip(provider_name)
-    rng = np.random.default_rng(_case_seed(provider_name, mode, kind))
-    metric = ElementMetric(kind)
-    eps = 0.4
-    for trial in range(10):
-        q, x = _random_pair(rng, dim=2, max_len=20)
-        if mode == MODE_LEVENSHTEIN:
-            sub = (metric.matrix(q, x) > 0).astype(np.float64)
-            deletion = np.ones(len(q))
-            insertion = np.ones(len(x))
-            gap = NO_GAP
-        elif mode == MODE_ERP:
-            gap = np.asarray([0.25, 0.25])
-            sub = metric.matrix(q, x)
-            deletion = metric.to_origin(q, gap)
-            insertion = metric.to_origin(x, gap)
-        else:
-            sub = (metric.matrix(q, x) > eps).astype(np.float64)
-            deletion = np.ones(len(q))
-            insertion = np.ones(len(x))
-            gap = NO_GAP
-        expected = reference_edit_table(sub, deletion, insertion)[-1, -1]
-        got = provider.edit_value(q, x, mode, METRIC_KIND_CODES[kind], gap, eps, None)
-        assert got == pytest.approx(expected, abs=1e-9)
+def test_weighted_params_lay_out_the_cost_table():
+    params = weighted_params(0.9, 1.3, 0.6, {(0, 1): 0.3, (2, 2): 0.1})
+    assert params.tolist() == [0.9, 1.3, 0.6, 2.0, 0.0, 1.0, 0.3, 2.0, 2.0, 0.1]
 
 
-# --------------------------------------------------------------------- #
-# Backend selection
-# --------------------------------------------------------------------- #
+def test_weighted_levenshtein_takes_scalar_codes_only():
+    with pytest.raises(DistanceError):
+        WeightedLevenshtein()(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
-class TestBackendSelection:
-    def test_numpy_scope_disables_fused_dispatch(self):
-        with kernel_scope("numpy"):
-            assert fused_provider(2) is None
-            assert active_kernel_name() == "numpy"
+def test_weighted_codes_compare_as_integers():
+    # 1.7 and 1.2 are both code 1, as ``substitution`` reads them.
+    distance = WeightedLevenshtein({(1, 1): 0.25})
+    assert distance([1.7, 2.0], [1.2, 2.0]) == 0.25
+    assert distance.alignment([1.7, 2.0], [1.2, 2.0]).cost == 0.25
 
-    @requires_cc
-    def test_cc_scope_reports_its_name(self):
-        with kernel_scope("cc"):
-            assert active_kernel_name() == "cc"
-            assert fused_provider(2) is not None
 
-    @requires_cc
-    def test_scopes_nest_innermost_wins(self):
-        with kernel_scope("cc"):
-            with kernel_scope("numpy"):
-                assert active_kernel_name() == "numpy"
-            assert active_kernel_name() == "cc"
+@pytest.mark.parametrize("key", [(1.5, 2), (1, float("nan")), (float("inf"), 2), ("a", 2)])
+def test_weighted_table_keys_must_be_integer_codes(key):
+    with pytest.raises(DistanceError, match="integer symbol codes"):
+        WeightedLevenshtein({key: 0.25})
 
-    @requires_cc
-    def test_dimension_guard(self):
-        assert fusable_dim(MAX_FUSED_DIM)
-        assert not fusable_dim(MAX_FUSED_DIM + 1)
-        with kernel_scope("cc"):
-            assert fused_provider(MAX_FUSED_DIM + 1) is None
 
-    @requires_cc
-    def test_wide_points_fall_back_but_stay_exact(self):
-        rng = np.random.default_rng(11)
-        dim = MAX_FUSED_DIM + 3
-        a, b = rng.normal(size=(9, dim)), rng.normal(size=(14, dim))
-        distance = DTW()
-        with kernel_scope("numpy"):
-            expected = distance(a, b)
-        with kernel_scope("cc"):
-            assert distance(a, b) == expected
+def test_integral_float_keys_are_stored_as_codes():
+    distance = WeightedLevenshtein({(1.0, np.int64(2)): 0.25})
+    assert list(distance.substitution_costs) == [(1, 2)]
+    assert distance([1.0, 5.0], [2.0, 5.0]) == 0.25
+    assert distance.alignment([1.0, 5.0], [2.0, 5.0]).cost == 0.25
 
-    def test_unknown_name_rejected(self):
+
+class TestUnavailableCompiler:
+    """:func:`kernels` builds (or loads) the library once per process; the
+    tests forget the published provider through ``monkeypatch``, which puts
+    it back afterwards."""
+
+    def test_first_kernel_use_raises_configuration_error(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-compiler"))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "empty-cache"))
+        monkeypatch.setattr(compiled, "_provider", None)
+        with pytest.raises(ConfigurationError, match=r"\$CC.*\bcc\b"):
+            DTW()(np.zeros((3, 1)), np.ones((4, 1)))
         with pytest.raises(ConfigurationError):
-            resolve_kernel("fortran")
+            kernels()  # a failure is not remembered: every use says so
 
-    def test_auto_never_raises(self):
-        resolve_kernel("auto")  # any outcome but an exception is fine
+    def test_a_cached_library_needs_no_compiler(self, monkeypatch, tmp_path):
+        kernels()  # the library is built (or already cached)
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-compiler"))
+        monkeypatch.setattr(compiled, "_provider", None)
+        assert DTW()(np.zeros((3, 1)), np.ones((4, 1))) == 4.0
 
-    def test_unavailable_cc_raises(self, monkeypatch):
-        monkeypatch.setitem(backend_module._provider_cache, "cc", None)
-        with pytest.raises(ConfigurationError):
-            resolve_kernel("cc")
+    def test_concurrent_first_uses_share_one_provider(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_provider", None)
+        seen = []
+        barrier = threading.Barrier(4)
 
-    def test_auto_falls_back_silently(self, monkeypatch):
-        monkeypatch.setitem(backend_module._provider_cache, "cc", None)
-        assert resolve_kernel("auto") is None
+        def first_use():
+            barrier.wait()
+            seen.append(kernels())
 
-    def test_config_validates_kernel_names(self):
-        for name in KNOWN_KERNELS:
-            assert MatcherConfig(min_length=4, kernel=name).kernel == name
-        with pytest.raises(ConfigurationError):
-            MatcherConfig(min_length=4, kernel="fortran")
-
-    def test_config_reads_environment_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert MatcherConfig(min_length=4).kernel == "numpy"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert MatcherConfig(min_length=4).kernel == "auto"
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(seen) == 4 and all(provider is seen[0] for provider in seen)
 
 
 # --------------------------------------------------------------------- #
-# Error behaviour must not depend on the backend
+# Errors
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-class TestErrorsAcrossBackends:
-    def test_empty_sequences_rejected(self, kernel):
-        with kernel_scope(kernel):
-            with pytest.raises(DistanceError):
-                DTW()(np.zeros((0, 2)), np.ones((3, 2)))
+class TestErrors:
+    def test_empty_sequences_rejected(self):
+        with pytest.raises(DistanceError):
+            DTW()(np.zeros((0, 2)), np.ones((3, 2)))
 
-    def test_dimension_mismatch_rejected(self, kernel):
-        with kernel_scope(kernel):
-            with pytest.raises(IncompatibleSequencesError):
-                DTW()(np.zeros((3, 2)), np.ones((3, 3)))
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(IncompatibleSequencesError):
+            DTW()(np.zeros((3, 2)), np.ones((3, 3)))
 
-    def test_equal_length_requirement_enforced_in_batch(self, kernel):
-        from repro.distances import Euclidean
-
+    def test_equal_length_requirement_enforced_in_batch(self):
         query = np.zeros((4, 1))
         items = [np.ones((4, 1)), np.ones((5, 1))]
-        with kernel_scope(kernel):
-            with pytest.raises(IncompatibleSequencesError):
-                Euclidean().batch(query, items)
+        with pytest.raises(IncompatibleSequencesError):
+            Euclidean().batch(query, items)
 
-    def test_infeasible_band_raises(self, kernel):
+    def test_infeasible_band_raises(self):
         a, b = np.zeros((3, 1)), np.ones((30, 1))
-        with kernel_scope(kernel):
-            with pytest.raises(DistanceError):
-                DTW(band=1)(a, b)
+        with pytest.raises(DistanceError):
+            DTW(band=1)(a, b)
+        assert DTW(band=1).bounded(a, b, 1e9) == np.inf
 
 
 # --------------------------------------------------------------------- #
@@ -499,7 +396,7 @@ class TestPackedWindowStore:
 
 
 class TestLinearScanPacking:
-    def _index(self, rng, kernel="numpy"):
+    def _index(self, rng):
         index = LinearScanIndex(DTW())
         for i in range(40):
             length = 8 if i % 2 else 10
@@ -511,26 +408,22 @@ class TestLinearScanPacking:
         index = self._index(rng)
         items = [index.get(key) for key in index.keys()]
         query = np.random.default_rng(10).normal(size=(9, 2))
-        for kernel in KERNELS:
-            with kernel_scope(kernel):
-                found = index.batch_range_query([query], 12.0)[0]
-                values = DTW().batch(query, items, 12.0)
-            expected = [
-                (key, float(value)) for key, value in zip(index.keys(), values) if value <= 12.0
-            ]
-            assert [(m.key, m.distance) for m in found] == expected
-            assert 0 < len(found) < len(index)
+        found = index.batch_range_query([query], 12.0)[0]
+        values = DTW().batch(query, items, 12.0)
+        expected = [
+            (key, float(value)) for key, value in zip(index.keys(), values) if value <= 12.0
+        ]
+        assert [(m.key, m.distance) for m in found] == expected
+        assert 0 < len(found) < len(index)
 
     def test_one_kernel_call_per_shape_group(self):
         index = self._index(np.random.default_rng(13))
         query = np.random.default_rng(14).normal(size=(9, 2))
-        for kernel in KERNELS:
-            with kernel_scope(kernel):
-                index.counter.checkpoint()
-                index.batch_range_query([query, query + 1.0], 3.0)
-            # Two queries, two window shapes (lengths 8 and 10).
-            assert index.counter.kernel_calls_since_checkpoint() == 4
-            assert index.counter.since_checkpoint() == 2 * len(index)
+        index.counter.checkpoint()
+        index.batch_range_query([query, query + 1.0], 3.0)
+        # Two queries, two window shapes (lengths 8 and 10).
+        assert index.counter.kernel_calls_since_checkpoint() == 4
+        assert index.counter.since_checkpoint() == 2 * len(index)
 
     def test_unpackable_item_is_refused(self):
         index = LinearScanIndex(DTW())

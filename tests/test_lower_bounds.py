@@ -381,3 +381,58 @@ class TestBoundTable:
         off = ReferenceNet(DiscreteFrechet())
         off.add(RNG.normal(size=5), key=0)
         assert off.bound_table(RNG.normal(size=5), [(0, 5)]) is None
+
+
+WIDE_POINT_DISTANCES = [
+    DTW(),
+    DTW(element_metric=ElementMetric("manhattan")),
+    DTW(band=2),
+    DiscreteFrechet(),
+    DiscreteFrechet(element_metric=ElementMetric("manhattan")),
+    ERP(),
+    ERP(gap=0.5, element_metric=ElementMetric("manhattan")),
+]
+
+coordinate = st.floats(min_value=-50.0, max_value=50.0, allow_subnormal=False)
+
+
+@st.composite
+def wide_point_pairs(draw):
+    """Two point sequences of 8-10 coordinates (past NumPy's pairwise
+    summation threshold), of 1-9 points each; near-duplicates are likely."""
+    dim = draw(st.integers(min_value=8, max_value=10))
+
+    def points(rows):
+        point = st.lists(coordinate, min_size=dim, max_size=dim)
+        return np.asarray(draw(st.lists(point, min_size=rows, max_size=rows)))
+
+    first = points(draw(st.integers(min_value=1, max_value=9)))
+    if draw(st.booleans()):
+        second = first[: draw(st.integers(min_value=1, max_value=len(first)))] + draw(coordinate)
+    else:
+        second = points(draw(st.integers(min_value=1, max_value=9)))
+    return first, second
+
+
+class TestWidePointsStayAdmissible:
+    """Every bound is at most the C distance at 8-10 coordinates per point.
+
+    The bounds, the traceback tables and the kernels accumulate element
+    costs in one order (:meth:`ElementMetric.norm`), so the bottleneck
+    distance -- an exact selection of element costs -- is never exceeded by
+    even an ulp.  The summed distances run a reduced-coordinate sweep, which
+    rounds at the scale of a row's prefix sums rather than of the result (a
+    tiny cost beside a large one in the same row is absorbed), so they get
+    the absolute 1e-9 slack of the other admissibility tests.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=wide_point_pairs(), which=st.integers(0, len(WIDE_POINT_DISTANCES) - 1))
+    def test_every_bound_is_at_most_the_distance(self, pair, which):
+        distance = WIDE_POINT_DISTANCES[which]
+        first, second = pair
+        exact = distance.bounded(first, second, np.inf)
+        slack = 0.0 if isinstance(distance, DiscreteFrechet) else 1e-9
+        for bound in bounds_for(distance):
+            value = bound.pair(distance, first, second)
+            assert value <= exact + slack, (bound.name, value, exact)

@@ -625,117 +625,6 @@ class TestExecutorEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Kernel-backend equivalence: compiled tiers x executors vs the oracle
-# --------------------------------------------------------------------- #
-
-
-def _available_compiled_kernels():
-    """The C kernels, where a compiler is available."""
-    from repro.distances.compiled import make_provider
-
-    try:
-        make_provider("cc")
-    except Exception:
-        return []
-    return ["cc"]
-
-
-class TestKernelBackendEquivalence:
-    """Compiled kernels must be *undetectable* from results and counters.
-
-    The same contract the executors honour, along the other axis: for every
-    available compiled provider and for every executor (the process pool's
-    workers must run the kernel the matcher was configured with), matches
-    AND work counters must be identical to the NumPy matcher -- the kernel
-    knob may only change speed (and the ``kernel_backend`` label on the
-    stats).
-    """
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("kernel", _available_compiled_kernels())
-    def test_all_query_types_match_numpy(self, planted, kernel, executor):
-        db, query = planted
-        def make(kern, execu):
-            return SubsequenceMatcher(
-                db,
-                DiscreteFrechet(),
-                MatcherConfig(
-                    min_length=12,
-                    max_shift=1,
-                    index="linear-scan",
-                    kernel=kern,
-                    executor=execu,
-                    workers=4 if execu != "serial" else None,
-                ),
-            )
-        oracle = make("numpy", "serial")
-        subject = make(kernel, executor)
-
-        serial_range = oracle.execute(RangeQuery(radius=0.5).bind(query)).matches
-        subject_range = subject.execute(RangeQuery(radius=0.5).bind(query)).matches
-        assert list(map(_full_match_key, subject_range)) == list(
-            map(_full_match_key, serial_range)
-        )
-        assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
-            oracle.last_query_stats
-        )
-        assert subject.last_query_stats.kernel_backend == kernel
-        assert oracle.last_query_stats.kernel_backend == "numpy"
-
-        serial_longest = oracle.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
-        subject_longest = subject.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
-        assert _full_match_key(subject_longest) == _full_match_key(serial_longest)
-        assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
-            oracle.last_query_stats
-        )
-
-        spec = NearestSubsequenceQuery(max_radius=10.0)
-        serial_nearest = oracle.execute(spec.bind(query)).best
-        subject_nearest = subject.execute(spec.bind(query)).best
-        assert _full_match_key(subject_nearest) == _full_match_key(serial_nearest)
-        assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
-            oracle.last_query_stats
-        )
-        for oracle_pass, subject_pass in zip(
-            oracle.last_query_stats.passes, subject.last_query_stats.passes
-        ):
-            assert _stats_fingerprint(subject_pass) == _stats_fingerprint(oracle_pass)
-
-    @pytest.mark.parametrize("kernel", _available_compiled_kernels())
-    def test_string_matcher_with_prefilter(self, string_database, kernel):
-        """Levenshtein + prefilter: the edit kernels and the bounds interact."""
-        config = dict(min_length=8, max_shift=1, index="linear-scan")
-        oracle = SubsequenceMatcher(
-            string_database, Levenshtein(), MatcherConfig(kernel="numpy", **config)
-        )
-        subject = SubsequenceMatcher(
-            string_database, Levenshtein(), MatcherConfig(kernel=kernel, **config)
-        )
-        query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
-        oracle_result = oracle.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
-        subject_result = subject.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
-        assert _full_match_key(subject_result) == _full_match_key(oracle_result)
-        assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
-            oracle.last_query_stats
-        )
-        assert subject.last_query_stats.prefilter_evaluations > 0
-
-    @pytest.mark.parametrize("kernel", _available_compiled_kernels())
-    def test_set_kernel_switches_live_matcher(self, planted, kernel):
-        db, query = planted
-        matcher = SubsequenceMatcher(
-            db,
-            DiscreteFrechet(),
-            MatcherConfig(min_length=12, max_shift=1, index="linear-scan", kernel="numpy"),
-        )
-        matcher.execute(RangeQuery(radius=0.5).bind(query))
-        assert matcher.last_query_stats.kernel_backend == "numpy"
-        matcher.set_kernel(kernel)
-        matcher.execute(RangeQuery(radius=0.5).bind(query))
-        assert matcher.last_query_stats.kernel_backend == kernel
-
-
-# --------------------------------------------------------------------- #
 # Prefix blocks: verification answered from one DP table per start pair
 # --------------------------------------------------------------------- #
 
@@ -743,7 +632,7 @@ class TestKernelBackendEquivalence:
 @pytest.fixture(scope="module")
 def planted_long():
     """Planted ERP data long enough (lambda = 34) that every verification
-    request exceeds the edit family's 1 024-cell small-table switch."""
+    table is above 1 024 cells (``planted`` at lambda = 12 is below it)."""
     generator = np.random.default_rng(11)
     pattern = np.cumsum(generator.normal(size=60))
     db = SequenceDatabase(SequenceKind.TIME_SERIES, name="planted-long")
@@ -786,12 +675,14 @@ class TestPrefixBlocks:
     """Answering verification from prefix blocks changes no match, no distance
     and no work counter -- only the kernel calls behind the computations."""
 
-    @pytest.mark.parametrize("case", ["frechet", "erp"])
+    @pytest.mark.parametrize("case", ["frechet", "erp", "erp-small-tables"])
     def test_blocks_are_undetectable(self, planted, planted_long, index_options, case, monkeypatch):
         if case == "frechet":
             (db, query), distance, config, radius = planted, DiscreteFrechet(), 12, 0.5
-        else:
+        elif case == "erp":
             (db, query), distance, config, radius = planted_long, ERP(), 34, 2.0
+        else:
+            (db, query), distance, config, radius = planted, ERP(), 12, 0.5
 
         def run():
             matcher = SubsequenceMatcher(

@@ -144,6 +144,28 @@ class TestQueryResultEnvelope:
         with pytest.raises(QueryError):
             RangeQuery(radius=1.0, offset=-1)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda bad: RangeQuery(radius=bad), "radius"),
+            (lambda bad: RangeQuery(radius=1.0, max_results=bad), "max_results"),
+            (lambda bad: RangeQuery(radius=1.0, limit=bad), "limit"),
+            (lambda bad: LongestSubsequenceQuery(radius=1.0, offset=bad), "offset"),
+            (lambda bad: NearestSubsequenceQuery(max_radius=bad), "max_radius"),
+            (lambda bad: NearestSubsequenceQuery(max_radius=1.0, tolerance=bad), "tolerance"),
+            (lambda bad: TopKQuery(k=bad, max_radius=1.0), "k"),
+            (lambda bad: TopKQuery(k=2, max_radius=1.0, radius_increment=bad), "radius_increment"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float32("nan")])
+    def test_non_finite_fields_are_rejected_by_name(self, make, field, bad):
+        with pytest.raises(QueryError, match=f"^{field} must be a finite number"):
+            make(bad)
+
+    def test_integers_too_large_for_a_float_are_finite(self):
+        assert TopKQuery(k=10**400, max_radius=1.0).k == 10**400
+        assert RangeQuery(radius=1.0, limit=10**400, offset=10**400).limit == 10**400
+
     def test_sharded_pages_after_the_merge(self, planted_db, pattern_query, config):
         sharded = ShardedMatcher(planted_db, DiscreteFrechet(), config, shards=2)
         full = sharded.execute(RangeQuery(radius=0.5).bind(pattern_query))

@@ -2,8 +2,8 @@
 
 ``MetricIndex.batch_range_query`` is the search of every index, and
 ``range_query`` is a batch of one: both return the same keys, in the same
-order, with the same distances -- per index, distance family and kernel
-tier.  ``LinearScanIndex.add`` packs an item before registering it and
+order, with the same distances -- per index and distance family.
+``LinearScanIndex.add`` packs an item before registering it and
 refuses one it cannot pack, as ``ReferenceNet.add`` does.
 """
 
@@ -21,21 +21,6 @@ from repro import (
     ReproError,
     Sequence,
 )
-from repro.distances.backend import kernel_scope
-from repro.distances.compiled import make_provider
-
-
-def _cc_available():
-    try:
-        make_provider("cc")
-    except Exception:
-        return False
-    return True
-
-
-#: The tiers this machine runs: NumPy always, the C kernels given a compiler.
-KERNELS = ["numpy", "cc"] if _cc_available() else ["numpy"]
-
 INDEXES = {
     "scan": lambda distance: LinearScanIndex(distance),
     "scan+prefilter": lambda distance: LinearScanIndex(
@@ -79,24 +64,22 @@ def _outcome(matches):
     return [(match.key, match.distance) for match in matches]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("family", list(FAMILIES))
 @pytest.mark.parametrize("index_name", list(INDEXES))
-def test_range_query_is_a_batch_of_one(index_name, family, kernel):
+def test_range_query_is_a_batch_of_one(index_name, family):
     make_distance, operands, radius = FAMILIES[family]
     generator = np.random.default_rng(17)
     items = operands(generator, 40, "w")
     queries = operands(generator, 4, "q") + [items[5]]
-    with kernel_scope(kernel):
-        single, alone, batched = (INDEXES[index_name](make_distance()) for _ in range(3))
-        for index in (single, alone, batched):
-            for position, item in enumerate(items):
-                index.add(item, key=position)
-        rows = batched.batch_range_query(queries, radius)
-        for query, row in zip(queries, rows):
-            expected = _outcome(single.range_query(query, radius))
-            assert _outcome(alone.batch_range_query([query], radius)[0]) == expected
-            assert _outcome(row) == expected
+    single, alone, batched = (INDEXES[index_name](make_distance()) for _ in range(3))
+    for index in (single, alone, batched):
+        for position, item in enumerate(items):
+            index.add(item, key=position)
+    rows = batched.batch_range_query(queries, radius)
+    for query, row in zip(queries, rows):
+        expected = _outcome(single.range_query(query, radius))
+        assert _outcome(alone.batch_range_query([query], radius)[0]) == expected
+        assert _outcome(row) == expected
     assert any(rows), "the radius should catch some windows"
 
 

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro import ConfigurationError, MatcherConfig, Sequence, SequenceDatabase, SequenceKind
+from repro import MatcherConfig, QueryError, Sequence, SequenceDatabase, SequenceKind
 from repro.core.segmentation import (
     count_segment_pairs,
     extract_query_segments,
-    iter_query_segments,
     partition_database,
 )
 
@@ -72,19 +71,8 @@ class TestExtractQuerySegments:
 
     def test_query_too_short_rejected(self, config):
         query = Sequence.from_values(range(3), seq_id="q")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(QueryError, match="shorter than the smallest segment length 4"):
             extract_query_segments(query, config)
-
-    def test_lazy_variant_matches_eager(self, config):
-        query = Sequence.from_values(range(25), seq_id="q")
-        eager = extract_query_segments(query, config)
-        lazy = list(iter_query_segments(query, config))
-        assert [w.key for w in eager] == [w.key for w in lazy]
-
-    def test_lazy_variant_validates_length(self, config):
-        query = Sequence.from_values(range(3), seq_id="q")
-        with pytest.raises(ConfigurationError):
-            list(iter_query_segments(query, config))
 
     def test_segments_longer_than_query_skipped(self):
         config = MatcherConfig(min_length=10, max_shift=3)

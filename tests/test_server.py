@@ -103,8 +103,16 @@ def search_body(spec, query, **extra):
 # --------------------------------------------------------------------- #
 # In-process ASGI harness
 # --------------------------------------------------------------------- #
+def _reject_constant(name):
+    raise AssertionError(f"response body holds {name}, which strict JSON forbids")
+
+
 def asgi_request(app, method, path, payload=None, raw_body=None):
-    """Drive the ASGI app directly; returns ``(status, decoded_json)``."""
+    """Drive the ASGI app directly; returns ``(status, decoded_json)``.
+
+    The body is decoded as strict JSON: a ``NaN`` or ``Infinity`` in any
+    response fails the test that sent the request.
+    """
 
     async def run():
         if raw_body is not None:
@@ -142,7 +150,9 @@ def asgi_request(app, method, path, payload=None, raw_body=None):
         raw = b"".join(
             m.get("body", b"") for m in outbox if m["type"] == "http.response.body"
         )
-        return status, json.loads(raw.decode("utf-8")) if raw else None
+        if not raw:
+            return status, None
+        return status, json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
 
     return asyncio.run(run())
 
@@ -529,6 +539,110 @@ class TestErrorPaths:
         )
         assert status == 400
         assert "unknown sequence kind" in payload["error"]
+
+
+class TestNonFiniteAndShortInputs:
+    """Inputs no query can answer are a 4xx with a strict-JSON body, never a
+    500 or a silent 200.  ``NaN`` / ``Infinity`` arrive as the bare tokens
+    Python's ``json`` (and JavaScript) emit for them."""
+
+    @pytest.fixture
+    def app(self, planted_db, config):
+        return SearchApp(make_service(planted_db, config, "plain"))
+
+    @staticmethod
+    def raw_search(app, query_fields, values="[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]"):
+        body = (
+            '{"query": {%s}, "sequence": {"kind": "time_series", "values": %s}}'
+            % (query_fields, values)
+        )
+        return asgi_request(app, "POST", "/search", raw_body=body.encode("utf-8"))
+
+    @pytest.mark.parametrize(
+        "query_fields, message",
+        [
+            ('"type": "range", "radius": NaN', "radius must be a finite number"),
+            ('"type": "range", "radius": Infinity', "radius must be a finite number"),
+            ('"type": "longest", "radius": -Infinity', "radius must be a finite number"),
+            ('"type": "nearest", "max_radius": NaN', "max_radius must be a finite number"),
+            (
+                '"type": "topk", "k": 2, "max_radius": Infinity',
+                "max_radius must be a finite number",
+            ),
+            (
+                '"type": "nearest", "max_radius": 5, "tolerance": NaN',
+                "tolerance must be a finite number",
+            ),
+            (
+                '"type": "topk", "k": 2, "max_radius": 5, "radius_increment": Infinity',
+                "radius_increment must be a finite number",
+            ),
+            ('"type": "topk", "k": NaN, "max_radius": 5', "field 'k' of a 'topk' query must be an integer"),
+            (
+                '"type": "range", "radius": 1, "limit": Infinity',
+                "field 'limit' of a 'range' query must be an integer",
+            ),
+            (
+                '"type": "range", "radius": 1%s' % ("0" * 400),
+                "field 'radius' of a 'range' query is too large",
+            ),
+        ],
+    )
+    def test_non_finite_spec_fields_are_400_naming_the_field(self, app, query_fields, message):
+        status, envelope = self.raw_search(app, query_fields)
+        assert status == 400, envelope
+        assert message in envelope["error"]
+        assert app.metrics.snapshot()["parse_errors"] == 1
+
+    def test_a_huge_integer_k_is_accepted(self, app):
+        status, envelope = self.raw_search(
+            app, '"type": "topk", "k": 1%s, "max_radius": 5' % ("0" * 400)
+        )
+        assert status == 200, envelope
+        assert envelope["query"]["k"] == 10**400
+
+    @pytest.mark.parametrize("values", ["[NaN, NaN, NaN, NaN, NaN, NaN, NaN]", "[1, Infinity, 3]"])
+    def test_non_finite_sequence_values_are_400(self, app, values):
+        status, envelope = self.raw_search(app, '"type": "range", "radius": 1', values)
+        assert status == 400
+        assert "finite" in envelope["error"]
+        body = '{"sequence": {"kind": "time_series", "values": %s}}' % values
+        status, payload = asgi_request(app, "POST", "/sequences", raw_body=body.encode())
+        assert status == 400
+        assert "finite" in payload["error"]
+        assert app.metrics.snapshot()["mutations"] == 0
+
+    def test_non_finite_batch_timeout_is_400(self, app, pattern_query):
+        entry = json.dumps(search_body(TOPK, pattern_query))
+        for timeout in ("NaN", "Infinity"):
+            body = '{"requests": [%s], "timeout": %s}' % (entry, timeout)
+            status, payload = asgi_request(app, "POST", "/search/batch", raw_body=body.encode())
+            assert status == 400
+            assert "timeout" in payload["error"]
+
+    def test_a_query_shorter_than_a_segment_is_422(self, app):
+        short = Sequence.from_values([1.0, 2.0, 3.0], seq_id="short")
+        status, envelope = asgi_request(
+            app, "POST", "/search", search_body(RangeQuery(radius=1.0), short)
+        )
+        assert status == 422
+        assert "shorter than the smallest segment length 5" in envelope["error"]
+        assert envelope["matches"] == []
+        assert app.metrics.snapshot()["query_errors"] == 1
+
+    def test_a_short_batch_entry_carries_its_own_error(self, app, pattern_query):
+        short = Sequence.from_values([1.0, 2.0, 3.0], seq_id="short")
+        status, payload = asgi_request(
+            app,
+            "POST",
+            "/search/batch",
+            {"requests": [search_body(TOPK, pattern_query), search_body(TOPK, short)]},
+        )
+        assert status == 200
+        good, bad = payload["results"]
+        assert good["error"] is None and good["matches"]
+        assert "shorter than the smallest segment length" in bad["error"]
+        assert bad["matches"] == []
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    ConfigurationError,
     DiscreteFrechet,
     Levenshtein,
     LongestSubsequenceQuery,
@@ -318,7 +317,7 @@ class TestOldCachePoolLayout:
 
 class TestRetiredExecutionOptions:
     """Snapshots written when ``MatcherConfig`` still carried a payload
-    transport, a replay-log format and more kernel names keep loading."""
+    transport, a replay-log format and a kernel tier keep loading."""
 
     @staticmethod
     def rewrite_config(path, **options):
@@ -332,7 +331,7 @@ class TestRetiredExecutionOptions:
         np.savez_compressed(path, **arrays)
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("kernel", ["compiled", "numba", "pyloop"])
+    @pytest.mark.parametrize("kernel", ["numpy", "auto", "cc", "pyloop"])
     def test_old_config_loads_and_answers_like_a_fresh_matcher(
         self, planted_db, pattern_query, tmp_path, kernel, shards
     ):
@@ -344,8 +343,8 @@ class TestRetiredExecutionOptions:
 
         loaded = load_matcher(path)
         fresh = build(planted_db, DiscreteFrechet(), config)
-        assert loaded.config.kernel == "auto"
-        assert not hasattr(loaded.config, "transport")
+        assert loaded.config == config
+        assert not hasattr(loaded.config, "transport") and not hasattr(loaded.config, "kernel")
         for spec in (
             RangeQuery(radius=0.5),
             LongestSubsequenceQuery(radius=0.5),
@@ -358,26 +357,13 @@ class TestRetiredExecutionOptions:
             assert got.matches and repr(got.matches) == repr(want.matches)
             assert_same_stats(got.stats, want.stats, context=spec.kind)
 
-    def test_retired_options_are_rejected_by_the_constructor(self, monkeypatch):
-        with pytest.raises(TypeError):
-            MatcherConfig(min_length=12, transport="pickle")
-        monkeypatch.setenv("REPRO_KERNEL", "pyloop")
-        with pytest.raises(ConfigurationError, match="auto, numpy, cc"):
-            MatcherConfig(min_length=12)
-
-    @pytest.mark.parametrize("option", [{"transport": "pickle"}, {"log_format": "columnar"}])
+    @pytest.mark.parametrize(
+        "option", [{"transport": "pickle"}, {"log_format": "columnar"}, {"kernel": "numpy"}]
+    )
     def test_each_retired_option_is_a_type_error(self, option):
         # Only a snapshot's saved config is forgiven; a caller is told.
         with pytest.raises(TypeError):
             MatcherConfig(min_length=12, **option)
-
-    @pytest.mark.parametrize("kernel", ["compiled", "numba", "pyloop"])
-    def test_retired_kernel_names_are_configuration_errors(self, monkeypatch, kernel):
-        with pytest.raises(ConfigurationError, match="auto, numpy, cc"):
-            MatcherConfig(min_length=12, kernel=kernel)
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        with pytest.raises(ConfigurationError, match="auto, numpy, cc"):
-            MatcherConfig(min_length=12)
 
     @pytest.mark.parametrize("variable", ["REPRO_TRANSPORT", "REPRO_LOG_FORMAT"])
     def test_retired_environment_variables_are_ignored(
@@ -394,18 +380,6 @@ class TestRetiredExecutionOptions:
         )
         assert got.matches and repr(got.matches) == repr(want.matches)
         assert_same_stats(got.stats, want.stats, context=variable)
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
-    def test_offered_kernel_names_survive_loading(
-        self, planted_db, pattern_query, tmp_path, kernel, shards
-    ):
-        config = MatcherConfig(min_length=12, max_shift=1, shards=shards, kernel=kernel)
-        build = SubsequenceMatcher if shards == 1 else ShardedMatcher
-        path = tmp_path / "current.npz"
-        save_matcher(build(planted_db, DiscreteFrechet(), config), path)
-        loaded = load_matcher(path)
-        assert loaded.config == config
 
 
 class TestRetiredIndexes:

@@ -1,25 +1,16 @@
-"""Equivalence of the vectorized DP kernels with the retained references.
+"""The row-vectorized table fills against the retained references.
 
-The row/diagonal-vectorized kernels in :mod:`repro.distances.alignment` must
-agree with the original cell-by-cell implementations retained in
-``kernel_reference.py`` across random inputs, Sakoe-Chiba bands, and unequal
-lengths -- including sizes on both sides of the small-table
-fallback threshold.  The bounded (early-abandoning) API is additionally
-checked against its contract: exact at or below the cutoff, strictly above
-the cutoff otherwise.
+The traceback tables of :mod:`repro.distances.alignment` must agree with
+the cell-by-cell implementations retained in ``kernel_reference.py`` across
+random inputs, Sakoe-Chiba bands, and unequal lengths.  The bounded
+(early-abandoning) API of every distance is checked against its contract:
+exact at or below the cutoff, strictly above the cutoff otherwise.
 """
 
 import numpy as np
 import pytest
 
-from repro.distances.alignment import (
-    _SMALL_TABLE_CELLS,
-    edit_distance_value,
-    edit_table,
-    lcss_length,
-    warping_distance,
-    warping_table,
-)
+from repro.distances.alignment import edit_table, lcss_length, warping_table
 from kernel_reference import (
     reference_edit_table,
     reference_lcss_length,
@@ -37,9 +28,7 @@ from repro.distances import (
     WeightedLevenshtein,
 )
 
-# Sizes straddling the small-table fallback (the threshold is in cells, so
-# 40x40 > _SMALL_TABLE_CELLS > 20x20 exercises both code paths), plus
-# degenerate and strongly unequal shapes.
+# Degenerate, square and strongly unequal shapes.
 SHAPES = [(1, 1), (1, 9), (9, 1), (7, 23), (20, 20), (21, 80), (40, 40), (13, 57)]
 BANDS = [None, 0, 1, 3, 100]
 
@@ -62,36 +51,6 @@ def test_warping_table_matches_reference(shape, band, aggregate):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("band", BANDS)
-@pytest.mark.parametrize("aggregate", ["sum", "max"])
-def test_warping_distance_matches_reference(shape, band, aggregate):
-    rng = np.random.default_rng(hash((shape, band, aggregate, 1)) % (2**32))
-    cost = _random_cost(rng, shape)
-    reference = reference_warping_table(cost, aggregate, band)[-1, -1]
-    value = warping_distance(cost, aggregate, band)
-    if np.isinf(reference):
-        assert np.isinf(value)
-    else:
-        assert value == pytest.approx(reference, abs=1e-9)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("aggregate", ["sum", "max"])
-def test_warping_distance_bounded_contract(shape, aggregate):
-    rng = np.random.default_rng(hash((shape, aggregate, 2)) % (2**32))
-    cost = _random_cost(rng, shape)
-    exact = warping_distance(cost, aggregate)
-    # A cutoff at (or above) the distance must return the exact value.
-    assert warping_distance(cost, aggregate, cutoff=exact) == pytest.approx(exact, abs=1e-9)
-    assert warping_distance(cost, aggregate, cutoff=exact * 2 + 1) == pytest.approx(
-        exact, abs=1e-9
-    )
-    # A cutoff below the distance must return something above the cutoff.
-    cutoff = exact * 0.5 - 1e-9
-    assert warping_distance(cost, aggregate, cutoff=cutoff) > cutoff
-
-
-@pytest.mark.parametrize("shape", SHAPES)
 def test_edit_table_matches_reference(shape):
     rng = np.random.default_rng(hash((shape, 3)) % (2**32))
     substitution = _random_cost(rng, shape)
@@ -103,35 +62,10 @@ def test_edit_table_matches_reference(shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_edit_distance_value_matches_reference(shape):
-    rng = np.random.default_rng(hash((shape, 4)) % (2**32))
-    substitution = _random_cost(rng, shape)
-    deletion = rng.uniform(0.0, 3.0, size=shape[0])
-    insertion = rng.uniform(0.0, 3.0, size=shape[1])
-    reference = reference_edit_table(substitution, deletion, insertion)[-1, -1]
-    assert edit_distance_value(substitution, deletion, insertion) == pytest.approx(
-        reference, abs=1e-9
-    )
-    # Bounded contract.
-    assert edit_distance_value(
-        substitution, deletion, insertion, cutoff=reference + 1e-9
-    ) == pytest.approx(reference, abs=1e-9)
-    cutoff = reference * 0.5 - 1e-9
-    assert edit_distance_value(substitution, deletion, insertion, cutoff=cutoff) > cutoff
-
-
-@pytest.mark.parametrize("shape", SHAPES)
 def test_lcss_length_matches_reference(shape):
     rng = np.random.default_rng(hash((shape, 5)) % (2**32))
     matches = rng.uniform(size=shape) < 0.3
     assert lcss_length(matches) == reference_lcss_length(matches)
-
-
-def test_small_table_threshold_brackets_shapes():
-    # The shape list must genuinely exercise both the scalar fallback and
-    # the vectorized path; guard against the threshold drifting.
-    cells = [a * b for a, b in SHAPES]
-    assert min(cells) <= _SMALL_TABLE_CELLS < max(cells)
 
 
 # --------------------------------------------------------------------- #
