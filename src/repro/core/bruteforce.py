@@ -2,37 +2,27 @@
 
 The paper's complexity argument (Section 5) starts from the observation that
 checking every pair of subsequences costs ``O(|Q|^2 |X|^2)`` distance
-computations.  These functions implement exactly that, so tests can compare
-the framework's answers against ground truth on small inputs, and the
-complexity benchmark can quantify the gap the segmentation filter closes.
+computations.  These functions examine every admissible pair, so tests can
+compare the framework's answers against ground truth.  They sweep one DP
+table per ``(q_start, x_start)`` start pair
+(:class:`~repro.core.verification.StartPairBlocks`), bit-equal to one
+distance call per pair: ``O(|Q| |X|)`` kernel calls, a few seconds for one
+80-point query against a 300-window ledger corpus.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import itertools
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.config import MatcherConfig
 from repro.core.queries import SubsequenceMatch
+from repro.core.verification import StartPairBlocks, enumerate_matches
 from repro.distances.base import Distance
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
-
-
-def _admissible_pairs(
-    query: Sequence, target: Sequence, config: MatcherConfig
-) -> Iterator[Tuple[int, int, int, int]]:
-    """Yield every admissible (q_start, q_stop, x_start, x_stop) combination."""
-    for q_start in range(len(query)):
-        for q_stop in range(q_start + config.min_length, len(query) + 1):
-            q_len = q_stop - q_start
-            for x_start in range(len(target)):
-                shortest = max(config.min_length, q_len - config.max_shift)
-                longest = q_len + config.max_shift
-                for x_len in range(shortest, longest + 1):
-                    x_stop = x_start + x_len
-                    if x_stop > len(target):
-                        break
-                    yield q_start, q_stop, x_start, x_stop
 
 
 def brute_force_matches(
@@ -42,30 +32,13 @@ def brute_force_matches(
     radius: float,
     config: MatcherConfig,
 ) -> List[SubsequenceMatch]:
-    """Every pair of similar subsequences, found by exhaustive enumeration.
-
-    Only suitable for small inputs; the framework exists precisely because
-    this costs ``O(|Q|^2 |X|^2)`` distance computations.
-    """
-    results: List[SubsequenceMatch] = []
-    for sequence in database:
-        source_id = sequence.seq_id or "seq"
-        for q_start, q_stop, x_start, x_stop in _admissible_pairs(query, sequence, config):
-            value = distance(
-                query.subsequence(q_start, q_stop), sequence.subsequence(x_start, x_stop)
-            )
-            if value <= radius:
-                results.append(
-                    SubsequenceMatch(
-                        distance=value,
-                        source_id=source_id,
-                        query_start=q_start,
-                        query_stop=q_stop,
-                        db_start=x_start,
-                        db_stop=x_stop,
-                    )
-                )
-    return results
+    """Every pair of similar subsequences: sequences in database order, then ascending offsets."""
+    config.require_shift_support(distance)
+    starts = {
+        source_id: itertools.product(range(len(query)), range(len(database[source_id])))
+        for source_id in database.ids()
+    }
+    return enumerate_matches(query, database, starts, distance, radius, config)
 
 
 def brute_force_longest(
@@ -93,31 +66,26 @@ def brute_force_nearest(
     distance: Distance,
     config: MatcherConfig,
 ) -> Optional[SubsequenceMatch]:
-    """The closest admissible pair of subsequences regardless of radius."""
-    best: Optional[SubsequenceMatch] = None
-    for sequence in database:
-        source_id = sequence.seq_id or "seq"
-        for q_start, q_stop, x_start, x_stop in _admissible_pairs(query, sequence, config):
-            value = distance(
-                query.subsequence(q_start, q_stop), sequence.subsequence(x_start, x_stop)
-            )
-            if best is None or value < best.distance:
-                best = SubsequenceMatch(
-                    distance=value,
-                    source_id=source_id,
-                    query_start=q_start,
-                    query_stop=q_stop,
-                    db_start=x_start,
-                    db_stop=x_stop,
-                )
-    return best
+    """The closest admissible pair of subsequences regardless of radius.
 
-
-def count_brute_force_pairs(
-    query: Sequence, database: SequenceDatabase, config: MatcherConfig
-) -> int:
-    """Number of admissible subsequence pairs brute force would evaluate."""
-    total = 0
-    for sequence in database:
-        total += sum(1 for _ in _admissible_pairs(query, sequence, config))
-    return total
+    Ties go to the first pair in brute force's order.  Each block is cut
+    off at the best distance so far (the UCR suite's best-so-far
+    abandoning), which keeps every cell that could tie or win exact.
+    """
+    config.require_shift_support(distance)
+    best: Optional[tuple] = None  # (distance, position, q_start, q_stop, x_start, x_stop)
+    for position, source_id in enumerate(database.ids()):
+        sequence = database[source_id]
+        blocks = StartPairBlocks(query, sequence, distance, config)
+        for q_start, x_start in itertools.product(range(len(query)), range(len(sequence))):
+            cells = blocks.cells(q_start, x_start, np.inf if best is None else best[0])
+            if cells is not None:
+                q_lengths, x_lengths, values = cells
+                k = int(np.argmin(values))
+                q_stop, x_stop = q_start + int(q_lengths[k]), x_start + int(x_lengths[k])
+                candidate = (float(values[k]), position, q_start, q_stop, x_start, x_stop)
+                best = candidate if best is None else min(best, candidate)
+    if best is None:
+        return None
+    value, position, *span = best
+    return SubsequenceMatch(value, database.ids()[position], *span)

@@ -149,6 +149,11 @@ class MatcherConfig:
                 f"min_length={self.min_length} yields an empty window; use a larger lambda"
             )
 
+    def require_shift_support(self, distance) -> None:
+        """Refuse ``max_shift > 0`` for a lock-step distance (equal lengths only)."""
+        if self.max_shift and not distance.supports_unequal_lengths:
+            raise ConfigurationError(f"{distance.name!r} compares equal lengths: set max_shift=0")
+
     @property
     def window_length(self) -> int:
         """The database window length ``lambda / 2`` (integer division)."""

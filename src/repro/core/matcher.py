@@ -165,6 +165,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
                 f"distance {distance.name!r} is not a metric; configure "
                 "index='linear-scan' to use it with the framework"
             )
+        config.require_shift_support(distance)
         self.database = database
         self.distance = distance
         self.config = config

@@ -80,9 +80,15 @@ from repro.core.queries import (
     RangeQuery,
     SegmentMatch,
     SubsequenceMatch,
+    match_identity,
 )
 from repro.core.segmentation import extract_query_segments
-from repro.core.verification import _VerificationCounter, enumerate_matches, verify_chain
+from repro.core.verification import (
+    _VerificationCounter,
+    chain_start_pairs,
+    enumerate_matches,
+    verify_chain,
+)
 from repro.distances.alignment import PrefixBlock
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
@@ -568,7 +574,8 @@ class QueryPipeline:
         Without a result cap every chain is verified, so the chains fan out
         as parallel verification units; with ``max_results`` the serial
         early-exit loop is kept (stopping after the n-th verified pair is a
-        sequential dependency by definition).
+        sequential dependency by definition).  Exhaustive Type I is one serial,
+        cache-free :func:`enumerate_matches` over the chains' start pairs.
         """
         probe = self.probe(query, spec.radius)
         stats = probe.stats
@@ -577,55 +584,44 @@ class QueryPipeline:
         counter = _VerificationCounter()
         started = time.perf_counter()
         cpu_started = time.thread_time()
+        if spec.exhaustive:
+            results = enumerate_matches(
+                query,
+                self.database,
+                chain_start_pairs(chains, self.config),
+                self.distance,
+                spec.radius,
+                self.config,
+                counter,
+                spec.max_results,
+            )
+            self._finish_verify(stats, counter, started, cpu_started)
+            return results, stats
 
         def runner(chain, cache, chain_counter):
-            if spec.exhaustive:
-                return enumerate_matches(
-                    chain,
-                    query,
-                    self.database[chain.source_id],
-                    self.distance,
-                    spec.radius,
-                    self.config,
-                    chain_counter,
-                    max_results=spec.max_results,
-                    cache=cache,
-                    scratch=self.scratch_for(query),
-                )
-            verified = self.verify_with_fallback(
+            return self.verify_with_fallback(
                 chain, query, spec.radius, chain_counter, cache=cache
             )
-            return [verified] if verified is not None else []
 
         results: List[SubsequenceMatch] = []
         seen = set()
 
-        def keep(match: SubsequenceMatch) -> None:
-            identity = (
-                match.source_id,
-                match.query_start,
-                match.query_stop,
-                match.db_start,
-                match.db_stop,
-            )
-            if identity not in seen:
-                seen.add(identity)
+        def keep(match: Optional[SubsequenceMatch]) -> None:
+            if match is not None and match_identity(match) not in seen:
+                seen.add(match_identity(match))
                 results.append(match)
 
         if spec.max_results is None:
             per_chain, worker_cpu = self._verify_all_chains(chains, counter, runner)
-            for found in per_chain:
-                for match in found:
-                    keep(match)
+            for verified in per_chain:
+                keep(verified)
             self._finish_verify(stats, counter, started, cpu_started, worker_cpu)
             return results, stats
 
         for chain in chains:
-            for match in runner(chain, self.cache, counter):
-                keep(match)
-                if len(results) >= spec.max_results:
-                    self._finish_verify(stats, counter, started, cpu_started)
-                    return results, stats
+            keep(runner(chain, self.cache, counter))
+            if len(results) >= spec.max_results:
+                break
         self._finish_verify(stats, counter, started, cpu_started)
         return results, stats
 

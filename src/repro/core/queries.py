@@ -90,9 +90,13 @@ class RangeQuery(BaseQuery):
     With ``exhaustive=False`` (the default) the matcher reports one
     locally-maximal match per candidate chain -- a practical summary of the
     "large number of quite related results" the paper warns Type I queries
-    produce.  With ``exhaustive=True`` every admissible endpoint combination
-    inside every candidate region is verified, which is faithful but only
-    affordable on small inputs.
+    produce.  With ``exhaustive=True`` it reports every admissible pair
+    within ``radius`` from the start pairs the chains allow, with every
+    stop: a subset of brute force's answer, bit-equal, in its order
+    (sources in database order, then ascending offsets).  One prefix block
+    per start pair, serially, without the distance cache: verification
+    computations count start pairs, kernel calls count DP calls, and cache
+    hits are 0.
     """
 
     kind: ClassVar[str] = "range"
@@ -101,7 +105,7 @@ class RangeQuery(BaseQuery):
     #: Safety valve: stop after this many verified pairs (None = unlimited).
     #: Unlike ``limit`` this caps the *work* -- verification stops early.
     max_results: Optional[int] = None
-    #: Enumerate every admissible pair inside each candidate region.
+    #: Report every admissible pair from the chains' start pairs.
     exhaustive: bool = False
     #: Result paging: page size (None = everything) and starting position.
     limit: Optional[int] = None

@@ -2,90 +2,68 @@
 
 A candidate chain says "the windows ``[db_start, db_stop)`` of sequence ``s``
 matched the query region ``[query_start, query_stop)`` segment by segment".
-Verification turns that hint into a concrete pair of subsequences whose
+Verification turns that hint into concrete pairs of subsequences whose
 distance is actually within the query radius.  Section 7 of the paper bounds
 where the endpoints of such subsequences can lie; within those bounds this
 module offers two strategies:
 
 * :func:`verify_chain` -- check the chain's own span and then greedily grow
   it while the distance stays within the radius (the practical strategy the
-  matcher uses for Type II/III);
-* :func:`enumerate_matches` -- exhaustively check every admissible endpoint
-  combination (used for Type I on small inputs and by the test-suite as an
-  oracle).
+  matcher uses for Type I, II and III);
+* :func:`enumerate_matches` -- exhaustive Type I: every admissible pair
+  within the radius from the start pairs the chains allow, one DP table per
+  start pair (:class:`StartPairBlocks`); brute force sweeps all of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.candidates import CandidateChain
 from repro.core.config import MatcherConfig
 from repro.core.queries import SubsequenceMatch
 from repro.distances.base import Distance, as_array
 from repro.distances.cache import DistanceCache
+from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 
 
-def _clip(value: int, low: int, high: int) -> int:
-    return max(low, min(high, value))
+def chain_start_pairs(chains: List[CandidateChain], config: MatcherConfig) -> Dict[str, list]:
+    """The distinct ``(query start, database start)`` pairs the chains allow, per source.
 
-
-def chain_bounds(
-    chain: CandidateChain,
-    query_length: int,
-    db_length: int,
-    config: MatcherConfig,
-) -> Tuple[range, range, range, range]:
-    """Admissible endpoint ranges for subsequences expanded from ``chain``.
-
-    Following Section 7: starting from a matched pair, the query-side
-    subsequence may start up to ``lambda/2 + lambda0`` before the matched
-    region and end up to ``lambda/2 + lambda0`` after it, while the
-    database-side subsequence may extend by up to ``lambda/2`` before its
-    first window and after its last one.  Inward, a subsequence may start
-    as late as the chain's last window (segment) starts and stop as early
-    as its first one stops: any admissible subsequence that contains one
-    whole window of the chain is offered, not only those containing all of
-    them.  Ranges are clipped to the actual sequence lengths.
+    Following Section 7, the query side may start up to ``lambda/2 +
+    lambda0`` before a chain and the database side up to ``lambda/2``
+    before it; inward, up to the chain's last window (segment) start.
+    Pairs are ascending.
     """
     reach_q = config.window_length + config.max_shift
     reach_x = config.window_length
-    first, last = chain.matches[0], chain.matches[-1]
-    q_starts = range(_clip(chain.query_start - reach_q, 0, query_length), last.query_start + 1)
-    q_stops = range(first.query_stop, _clip(chain.query_stop + reach_q, 0, query_length) + 1)
-    x_starts = range(_clip(chain.db_start - reach_x, 0, db_length), last.window.start + 1)
-    x_stops = range(first.window.stop, _clip(chain.db_stop + reach_x, 0, db_length) + 1)
-    return q_starts, q_stops, x_starts, x_stops
+    starts: Dict[str, set] = {}
+    for chain in chains:
+        last = chain.matches[-1]
+        q_starts = range(max(0, chain.query_start - reach_q), last.query_start + 1)
+        x_starts = range(max(0, chain.db_start - reach_x), last.window.start + 1)
+        starts.setdefault(chain.source_id, set()).update(itertools.product(q_starts, x_starts))
+    return {source_id: sorted(pairs) for source_id, pairs in starts.items()}
 
 
 def _admissible(
-    q_start: int,
-    q_stop: int,
-    x_start: int,
-    x_stop: int,
-    config: MatcherConfig,
-    equal_only: bool = False,
+    q_start: int, q_stop: int, x_start: int, x_stop: int, config: MatcherConfig
 ) -> bool:
-    """Length constraints of the paper: both >= lambda, difference <= lambda0.
-
-    ``equal_only`` additionally forces equal lengths, which is required when
-    the distance is a lockstep measure (Euclidean, Hamming).
-    """
+    """Length constraints of the paper: both >= lambda, difference <= lambda0."""
     q_len = q_stop - q_start
     x_len = x_stop - x_start
-    if q_len < config.min_length or x_len < config.min_length:
-        return False
-    if equal_only:
-        return q_len == x_len
-    return abs(q_len - x_len) <= config.max_shift
+    return min(q_len, x_len) >= config.min_length and abs(q_len - x_len) <= config.max_shift
 
 
 class _VerificationCounter:
     """Tiny helper so the matcher can report verification-time distance work.
 
-    ``count`` is the distance requests the cache did not answer -- one
-    distance value each, whichever kernel call produced it; ``cache_hits``
+    ``count`` is the distance requests the cache did not answer, one value
+    each, or the start pairs :class:`StartPairBlocks` swept; ``cache_hits``
     is the requests the matcher's :class:`DistanceCache` answered.
     ``kernel_calls`` is DP kernel invocations: prefix blocks built plus
     single calls.  It depends on execution (racing thread units may build
@@ -265,8 +243,6 @@ def verify_chain(
     )
     query_length = len(query)
     db_length = len(db_sequence)
-    equal_only = not distance.supports_unequal_lengths
-    shift = 0 if equal_only else config.max_shift
 
     # A single matched window is shorter than lambda, so the chain span has
     # to grow before the first check.  Which direction to grow is not known
@@ -284,13 +260,13 @@ def verify_chain(
         if q_stop - q_start < config.min_length or x_stop - x_start < config.min_length:
             continue
         q_start, q_stop, x_start, x_stop = _balance_lengths(
-            q_start, q_stop, query_length, x_start, x_stop, db_length, shift
+            q_start, q_stop, query_length, x_start, x_stop, db_length, config.max_shift
         )
         span = (q_start, q_stop, x_start, x_stop)
         if span in seen_spans:
             continue
         seen_spans.add(span)
-        if not _admissible(q_start, q_stop, x_start, x_stop, config, equal_only):
+        if not _admissible(q_start, q_stop, x_start, x_stop, config):
             continue
         value = requests.measure(q_start, q_stop, x_start, x_stop)
         if value > radius:
@@ -329,7 +305,7 @@ def verify_chain(
         for q0, q1, x0, x1 in moves:
             if q0 < min_q_start or q1 > max_q_stop or x0 < min_x_start or x1 > max_x_stop:
                 continue
-            if not _admissible(q0, q1, x0, x1, config, equal_only):
+            if not _admissible(q0, q1, x0, x1, config):
                 continue
             if (q1 - q0) + (x1 - x0) <= best.query_length + best.db_length:
                 continue
@@ -404,54 +380,103 @@ def _balance_lengths(
     return q_start, q_stop, x_start, x_stop
 
 
+class StartPairBlocks:
+    """The admissible pairs of one (query, database sequence), by start pair.
+
+    Start pair ``(q, x)`` holds the pairs ``(Q[q:q + L], X[x:x + J])`` with
+    ``L, J >= lambda`` and ``|L - J| <= lambda0``.  By the prefix property
+    (SPRING, Sakurai et al., ICDE 2007) one ``prefix_block`` sweep yields
+    them all; a distance without it (lock-step, LCSS) makes one ``bounded``
+    call per pair.  Values are exact wherever they are at most the cutoff.
+    """
+
+    def __init__(
+        self,
+        query: Sequence,
+        target: Sequence,
+        distance: Distance,
+        config: MatcherConfig,
+        counter: Optional[_VerificationCounter] = None,
+    ) -> None:
+        self.query, self.target = as_array(query), as_array(target)
+        self.distance = distance
+        self.min_length, self.shift = config.min_length, config.max_shift
+        self.counter = counter if counter is not None else _VerificationCounter()
+        self._block = getattr(distance, "prefix_block", None)
+        # (L, J) of every cell of the largest block, laid out as PrefixBlock.cells.
+        lengths = np.arange(self.min_length, len(self.query) + 1)[:, None]
+        self._rows, self._columns = np.broadcast_arrays(
+            lengths, lengths + np.arange(-self.shift, self.shift + 1)
+        )
+
+    def cells(
+        self, q_start: int, x_start: int, cutoff: float
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(L, J, distance)`` arrays of the start pair's admissible pairs, ascending.
+
+        ``None`` if there are none, or the block abandoned before row lambda.
+        """
+        n = len(self.query) - q_start
+        m = min(len(self.target) - x_start, n + self.shift)
+        n = min(n, m + self.shift)
+        if min(n, m) < self.min_length:
+            return None
+        self.counter.count += 1
+        first, second = self.query[q_start : q_start + n], self.target[x_start : x_start + m]
+        if self._block is not None:
+            self.counter.kernel_calls += 1
+            block = self._block(first, second, self.min_length, self.shift, cutoff)
+            if block.rows < self.min_length:
+                return None
+        columns = self._columns[: n - self.min_length + 1]
+        # The first rows also hold J < lambda, and the last ones J > m.
+        admissible = (columns >= self.min_length) & (columns <= m)
+        q_lengths, x_lengths = self._rows[: len(columns)][admissible], columns[admissible]
+        if self._block is not None:
+            return q_lengths, x_lengths, block.cells[admissible]
+        self.counter.kernel_calls += len(q_lengths)
+        pairs = zip(q_lengths.tolist(), x_lengths.tolist())
+        values = [self.distance.bounded(first[:a], second[:b], cutoff) for a, b in pairs]
+        return q_lengths, x_lengths, np.asarray(values, dtype=np.float64)
+
+
 def enumerate_matches(
-    chain: CandidateChain,
     query: Sequence,
-    db_sequence: Sequence,
+    database: SequenceDatabase,
+    starts: Dict[str, Iterable[Tuple[int, int]]],
     distance: Distance,
     radius: float,
     config: MatcherConfig,
     counter: Optional[_VerificationCounter] = None,
     max_results: Optional[int] = None,
-    cache: Optional[DistanceCache] = None,
-    scratch=None,
 ) -> List[SubsequenceMatch]:
-    """Exhaustively verify every admissible endpoint combination for ``chain``.
+    """Every admissible pair within ``radius`` from the given start pairs.
 
-    This is the faithful (but expensive) realisation of the paper's Type I
-    semantics within one candidate region.  The number of combinations grows
-    with ``(lambda/2 + lambda0)^2 * (lambda/2)^2``, so the matcher only uses
-    it when explicitly asked (``RangeQuery(exhaustive=True)``) or on small
-    inputs; the test-suite uses it as an oracle.  ``scratch`` is as for
-    :func:`verify_chain`.
+    ``starts`` maps source ids to distinct, ascending ``(q_start, x_start)``
+    pairs: :func:`chain_start_pairs` for exhaustive Type I, every start pair
+    for brute force.  Results are in brute force's order: sources in
+    database order, then ascending offsets.  ``max_results`` stops the sweep
+    after the start pair that reaches it and keeps the first that many.
     """
-    counter = counter if counter is not None else _VerificationCounter()
-    requests = _Requests(
-        chain, query, db_sequence, distance, radius, config, counter, cache, scratch
-    )
-    equal_only = not distance.supports_unequal_lengths
-    q_starts, q_stops, x_starts, x_stops = chain_bounds(
-        chain, len(query), len(db_sequence), config
-    )
-    results: List[SubsequenceMatch] = []
-    for q_start in q_starts:
-        for q_stop in q_stops:
-            for x_start in x_starts:
-                for x_stop in x_stops:
-                    if not _admissible(q_start, q_stop, x_start, x_stop, config, equal_only):
-                        continue
-                    value = requests.measure(q_start, q_stop, x_start, x_stop)
-                    if value <= radius:
-                        results.append(
-                            SubsequenceMatch(
-                                distance=value,
-                                source_id=chain.source_id,
-                                query_start=q_start,
-                                query_stop=q_stop,
-                                db_start=x_start,
-                                db_stop=x_stop,
-                            )
-                        )
-                        if max_results is not None and len(results) >= max_results:
-                            return results
-    return results
+    sources = [source_id for source_id in database.ids() if source_id in starts]
+    found: List[Tuple[int, int, int, int, int, float]] = []
+    for position, source_id in enumerate(sources):
+        blocks = StartPairBlocks(query, database[source_id], distance, config, counter)
+        for q_start, x_start in starts[source_id]:
+            if max_results is not None and len(found) >= max_results:
+                break
+            cells = blocks.cells(q_start, x_start, radius)
+            if cells is None:
+                continue
+            q_lengths, x_lengths, values = cells
+            hits = values <= radius
+            if hits.any():
+                q_stops = (q_start + q_lengths[hits]).tolist()
+                x_stops = (x_start + x_lengths[hits]).tolist()
+                found.extend(
+                    (position, q_start, q_stop, x_start, x_stop, value)
+                    for q_stop, x_stop, value in zip(q_stops, x_stops, values[hits].tolist())
+                )
+    found.sort()
+    kept = found[:max_results]
+    return [SubsequenceMatch(value, sources[at], *span) for at, *span, value in kept]

@@ -9,6 +9,8 @@ from repro import (
     DiscreteFrechet,
     ERP,
     LCSS,
+    Euclidean,
+    Hamming,
     Levenshtein,
     LongestSubsequenceQuery,
     MatcherConfig,
@@ -18,6 +20,7 @@ from repro import (
     Sequence,
     SequenceDatabase,
     SequenceKind,
+    ShardedMatcher,
     SubsequenceMatcher,
     brute_force_longest,
 )
@@ -58,6 +61,19 @@ class TestConstruction:
     def test_requires_metric_distance_for_metric_indexes(self, planted_db, config):
         with pytest.raises(ConfigurationError):
             SubsequenceMatcher(planted_db, DTW(), config)
+
+    @pytest.mark.parametrize("index", ["reference-net", "linear-scan"])
+    def test_lockstep_distance_refuses_a_shift(self, planted_db, pattern_query, index):
+        """Refused at construction, not with IncompatibleSequencesError out of
+        a query; without a shift the same matcher answers."""
+        for distance in (Euclidean(), Hamming()):
+            for build in (SubsequenceMatcher, ShardedMatcher):
+                with pytest.raises(ConfigurationError, match="max_shift"):
+                    build(planted_db, distance, MatcherConfig(min_length=8, max_shift=1, index=index))
+        config = MatcherConfig(min_length=8, max_shift=0, index=index)
+        matcher = SubsequenceMatcher(planted_db, Euclidean(), config)
+        for spec in (RangeQuery(radius=0.5), RangeQuery(radius=0.5, exhaustive=True)):
+            assert matcher.execute(spec.bind(pattern_query)).matches
 
     def test_dtw_allowed_with_linear_scan(self, planted_db):
         config = MatcherConfig(min_length=12, max_shift=1, index="linear-scan")

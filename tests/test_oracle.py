@@ -2,21 +2,22 @@
 
 ROADMAP item 1 (open): every Type I / II / III answer must equal
 ``core/bruteforce.py`` for any consistent metric distance.  Exhaustive
-Type I now offers every start up to the chain's last window and every stop
-down to its first, so a subsequence that starts or stops *inside* a chain
-is found (the first reproducer below).  It is still built from one chain at
-a time: when two whole windows of ``SX`` are matched by query segments that
-do not chain, no single chain reaches both ends.  The second reproducer
-pins that shape as a strict expected failure; the fix must delete the
-marker.
+Type I evaluates every start pair that some candidate chain allows (from
+before the chain up to its last window) with every admissible stop, on the
+same start-pair block engine as brute force.  So its answer is always a
+subset of brute force's with bit-equal distances, and a subsequence that
+starts inside a chain, or runs past windows whose segments do not chain, is
+found (the two reproducers below).  What it still misses are answers whose
+start pair no chain allows: the random-case test pins those seeds as a
+strict set, ROADMAP item 1's remaining gap.
 
 Type III's contract, until ROADMAP item 8 makes it exact, is "within one
 radius increment of the optimum": whenever brute force finds a pair within
 ``max_radius``, the nearest query returns one, never better than the
 optimum and at most the sweep's increment above it.  The random-case test
 holds every case to it except the listed seeds where verification misses
-the optimum's anchoring (item 1); the smallest of those is the third
-strict expected failure.
+the optimum's anchoring (item 1); the smallest of those is a strict
+expected failure.
 """
 
 import numpy as np
@@ -37,21 +38,30 @@ from repro.core.bruteforce import brute_force_matches, brute_force_nearest
 INDEXES = ["linear-scan", "reference-net"]
 
 
-def _identities(matches):
-    return {
+def _keys(matches):
+    return [
         (match.source_id, match.query_start, match.query_stop, match.db_start, match.db_stop)
         for match in matches
-    }
+    ]
 
 
-def _exhaustive_and_brute(x, q, radius, config):
-    """Identity sets of exhaustive Type I and brute force, in that order."""
+def _identities(matches):
+    return set(_keys(matches))
+
+
+def _exhaustive_and_brute_matches(x, q, radius, config):
+    """The matches of exhaustive Type I and brute force, in that order."""
     database = SequenceDatabase(SequenceKind.TIME_SERIES)
     database.add(Sequence(np.asarray(x, dtype=float), SequenceKind.TIME_SERIES), seq_id="x")
     query = Sequence(np.asarray(q, dtype=float), SequenceKind.TIME_SERIES)
     matcher = SubsequenceMatcher(database, DiscreteFrechet(), config)
     ours = matcher.execute(RangeQuery(radius=radius, exhaustive=True).bind(query)).matches
-    brute = brute_force_matches(query, database, DiscreteFrechet(), radius, config)
+    return ours, brute_force_matches(query, database, DiscreteFrechet(), radius, config)
+
+
+def _exhaustive_and_brute(x, q, radius, config):
+    """Identity sets of exhaustive Type I and brute force, in that order."""
+    ours, brute = _exhaustive_and_brute_matches(x, q, radius, config)
     return _identities(ours), _identities(brute)
 
 
@@ -68,16 +78,15 @@ def test_exhaustive_range_query_reaches_inner_offsets(index, executor):
     assert ours == brute
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no single chain spans both windows")
 @pytest.mark.parametrize("index", INDEXES)
 def test_exhaustive_range_query_spans_windows_matched_by_unchained_segments(index):
     x = [-4.2, 0.6, 3.8, 2.0, 2.2, 1.8, -1.9, -1.6, -1.7, -0.8, 0.8, 3.5, 3.2, 3.9]
     q = [3.7, 1.9, 1.7, 1.6, -1.8, -1.2, -1.9, -0.7, 0.9, 3.1]
     config = MatcherConfig(min_length=8, max_shift=0, index=index)
     # Segments q[1:5] ~ x[4:8] and q[6:10] ~ x[8:12] do not chain (their
-    # starts are 5 apart, not 4), and neither chain reaches the other's end:
-    # brute force finds 7, missing (q 0:10, x 2:12), (q 1:10, x 3:12) and
-    # (q 1:10, x 4:13).
+    # starts are 5 apart, not 4), and neither chain's span reaches the
+    # other's end; every stop of the first chain's start pairs is read, so
+    # (q 0:10, x 2:12), (q 1:10, x 3:12) and (q 1:10, x 4:13) are found.
     ours, brute = _exhaustive_and_brute(x, q, 0.5, config)
     assert len(brute) == 7
     assert ours == brute
@@ -125,6 +134,34 @@ def _nearest_and_brute(x, q, config):
     matcher = SubsequenceMatcher(database, DiscreteFrechet(), config)
     spec = NearestSubsequenceQuery(max_radius=MAX_RADIUS).bind(query)
     return matcher.execute(spec).best, brute
+
+
+#: Seeds of :func:`_random_case` where exhaustive Type I at
+#: ``EXHAUSTIVE_RADIUS`` misses brute-force matches: their start pair lies
+#: in no chain's start ranges (ROADMAP item 1's remaining gap).  Strict: a
+#: wider candidate set must empty it.
+EXHAUSTIVE_MISSES = {15, 37, 46, 72, 73, 89, 91, 94, 98, 124, 137}
+
+EXHAUSTIVE_RADIUS = 1.0
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_exhaustive_range_query_is_a_subset_of_brute_force(index):
+    answered, missed = 0, set()
+    for seed in range(150):
+        x, q, max_shift = _random_case(seed)
+        config = MatcherConfig(min_length=8, max_shift=max_shift, index=index)
+        ours, brute = _exhaustive_and_brute_matches(x, q, EXHAUSTIVE_RADIUS, config)
+        truth = {key: match.distance for key, match in zip(_keys(brute), brute)}
+        found = {key: match.distance for key, match in zip(_keys(ours), ours)}
+        # A subset with bit-equal distances, in brute force's order.
+        assert all(truth.get(key) == value for key, value in found.items()), seed
+        assert _keys(ours) == [key for key in _keys(brute) if key in found], seed
+        answered += bool(brute)
+        if len(ours) < len(brute):
+            missed.add(seed)
+    assert answered >= 100
+    assert missed == EXHAUSTIVE_MISSES
 
 
 @pytest.mark.parametrize("index", INDEXES)

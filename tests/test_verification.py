@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    ERP,
     DiscreteFrechet,
     Euclidean,
     MatcherConfig,
@@ -18,13 +19,14 @@ from repro import (
     TopKQuery,
     Window,
 )
+from repro.core.bruteforce import brute_force_matches
 from repro.core.candidates import CandidateChain
 from repro.core.pipeline import QueryScratch
 from repro.core.queries import match_identity
 from repro.core.verification import (
     _grow_to_length,
     _VerificationCounter,
-    chain_bounds,
+    chain_start_pairs,
     enumerate_matches,
     verify_chain,
 )
@@ -34,6 +36,12 @@ from repro.distances.cache import DistanceCache
 @pytest.fixture
 def config():
     return MatcherConfig(min_length=10, max_shift=1)
+
+
+@pytest.fixture
+def lockstep_config():
+    """A lock-step distance compares equal lengths only: no shift."""
+    return MatcherConfig(min_length=10, max_shift=0)
 
 
 def make_chain(db_sequence, query_start, db_start, length, query_length=None):
@@ -64,28 +72,26 @@ def aligned_pair():
     return query, target
 
 
-class TestChainBounds:
-    def test_bounds_are_clipped_to_sequences(self, aligned_pair, config):
-        query, target = aligned_pair
-        chain = make_chain(target, query_start=5, db_start=10, length=5)
-        q_starts, q_stops, x_starts, x_stops = chain_bounds(chain, len(query), len(target), config)
-        assert q_starts.start >= 0 and x_starts.start >= 0
-        assert q_stops.stop <= len(query) + 1 and x_stops.stop <= len(target) + 1
+class TestChainStartPairs:
+    def test_pairs_are_clipped_to_sequences(self, aligned_pair, config):
+        _query, target = aligned_pair
+        chain = make_chain(target, query_start=1, db_start=2, length=5)
+        pairs = chain_start_pairs([chain], config)["db"]
+        assert min(pairs) == (0, 0) and pairs == sorted(set(pairs))
 
-    def test_bounds_contain_the_anchor(self, aligned_pair, config):
-        query, target = aligned_pair
+    def test_pairs_contain_the_anchor(self, aligned_pair, config):
+        _query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
-        q_starts, q_stops, x_starts, x_stops = chain_bounds(chain, len(query), len(target), config)
-        assert 5 in q_starts and 10 in q_stops
-        assert 10 in x_starts and 15 in x_stops
+        assert (5, 10) in chain_start_pairs([chain], config)["db"]
 
     @pytest.mark.parametrize("max_shift", [0, 1, 2])
     @pytest.mark.parametrize("windows", [1, 2, 3])
-    def test_bounds_reach_inside_the_chain(self, aligned_pair, windows, max_shift):
-        """Starts run up to the last window's (segment's) start and stops down
-        to the first one's stop, so a subsequence holding any one whole
-        window of the chain is offered; outward reach is unchanged."""
-        query, target = aligned_pair
+    def test_pairs_reach_inside_the_chain(self, aligned_pair, windows, max_shift):
+        """Starts run up to the last window's (segment's) start, so a
+        subsequence starting at any window of the chain is offered; outward
+        reach is ``lambda/2 + lambda0`` on the query side, ``lambda/2`` on
+        the database side."""
+        _query, target = aligned_pair
         config = MatcherConfig(min_length=10, max_shift=max_shift)
         length = config.window_length
         matches = []
@@ -98,25 +104,35 @@ class TestChainBounds:
             )
             matches.append(SegmentMatch(5 + position * length, length, window, None))
         chain = CandidateChain(target.seq_id, tuple(matches))
-        q_starts, q_stops, x_starts, x_stops = chain_bounds(chain, len(query), len(target), config)
-        reach_q = length + max_shift
-        first, last = matches[0], matches[-1]
-        assert q_starts == range(max(0, 5 - reach_q), last.query_start + 1)
-        assert q_stops == range(first.query_stop, min(len(query), chain.query_stop + reach_q) + 1)
-        assert x_starts == range(10 - length, last.window.start + 1)
-        assert x_stops == range(first.window.stop, chain.db_stop + length + 1)
+        last = matches[-1]
+        q_starts = range(max(0, 5 - length - max_shift), last.query_start + 1)
+        x_starts = range(10 - length, last.window.start + 1)
+        expected = [(q, x) for q in q_starts for x in x_starts]
+        assert chain_start_pairs([chain], config) == {"db": expected}
+
+    def test_pairs_of_overlapping_chains_are_distinct(self, aligned_pair, config):
+        _query, target = aligned_pair
+        chains = [
+            make_chain(target, query_start=5, db_start=10, length=5),
+            make_chain(target, query_start=6, db_start=10, length=5),
+        ]
+        pairs = chain_start_pairs(chains, config)["db"]
+        assert pairs == sorted(set(pairs))
+        assert set(pairs) == set(chain_start_pairs(chains[:1], config)["db"]) | set(
+            chain_start_pairs(chains[1:], config)["db"]
+        )
 
 
 class TestVerifyChain:
-    def test_finds_planted_match(self, aligned_pair, config):
+    def test_finds_planted_match(self, aligned_pair, lockstep_config):
         query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
-        result = verify_chain(chain, query, target, Euclidean(), 0.5, config)
+        result = verify_chain(chain, query, target, Euclidean(), 0.5, lockstep_config)
         assert result is not None
         assert result.distance <= 0.5
-        assert result.query_length >= config.min_length
-        assert result.db_length >= config.min_length
-        assert abs(result.query_length - result.db_length) <= config.max_shift
+        assert result.query_length >= lockstep_config.min_length
+        assert result.db_length >= lockstep_config.min_length
+        assert abs(result.query_length - result.db_length) <= lockstep_config.max_shift
 
     def test_anchored_growth_avoids_noise(self, aligned_pair, config):
         query, target = aligned_pair
@@ -138,38 +154,51 @@ class TestVerifyChain:
         assert result is not None
         assert result.length > config.min_length
 
-    def test_returns_none_when_no_match_possible(self, config):
+    def test_returns_none_when_no_match_possible(self, lockstep_config):
         query = Sequence.from_values(np.zeros(20), seq_id="q")
         target = Sequence.from_values(np.full(30, 50.0), seq_id="db")
         chain = make_chain(target, query_start=0, db_start=5, length=5)
-        assert verify_chain(chain, query, target, Euclidean(), 1.0, config) is None
+        assert verify_chain(chain, query, target, Euclidean(), 1.0, lockstep_config) is None
 
-    def test_counts_verification_distances(self, aligned_pair, config):
+    def test_counts_verification_distances(self, aligned_pair, lockstep_config):
         query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
         counter = _VerificationCounter()
-        verify_chain(chain, query, target, Euclidean(), 0.5, config, counter)
+        verify_chain(chain, query, target, Euclidean(), 0.5, lockstep_config, counter)
         assert counter.count >= 1
 
-    def test_respects_radius(self, aligned_pair, config):
+    def test_respects_radius(self, aligned_pair, lockstep_config):
         query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
-        result = verify_chain(chain, query, target, Euclidean(), 1e-9, config)
+        result = verify_chain(chain, query, target, Euclidean(), 1e-9, lockstep_config)
         if result is not None:
             assert result.distance <= 1e-9
 
-    def test_sequences_shorter_than_lambda_yield_none(self, config):
+    def test_sequences_shorter_than_lambda_yield_none(self, lockstep_config):
         query = Sequence.from_values(np.zeros(6), seq_id="q")
         target = Sequence.from_values(np.zeros(6), seq_id="db")
         chain = make_chain(target, query_start=0, db_start=0, length=5)
-        assert verify_chain(chain, query, target, Euclidean(), 10.0, config) is None
+        assert verify_chain(chain, query, target, Euclidean(), 10.0, lockstep_config) is None
+
+
+def _database(*sequences):
+    database = SequenceDatabase(SequenceKind.TIME_SERIES)
+    for sequence in sequences:
+        database.add(sequence)
+    return database
+
+
+def _exhaustive(chains, query, database, distance, radius, config, counter=None, **kwargs):
+    """Exhaustive Type I over ``chains``, as the pipeline runs it."""
+    starts = chain_start_pairs(chains, config)
+    return enumerate_matches(query, database, starts, distance, radius, config, counter, **kwargs)
 
 
 class TestEnumerateMatches:
     def test_all_results_are_admissible(self, aligned_pair, config):
         query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
-        results = enumerate_matches(chain, query, target, DiscreteFrechet(), 0.2, config)
+        results = _exhaustive([chain], query, _database(target), DiscreteFrechet(), 0.2, config)
         assert results
         for match in results:
             assert match.distance <= 0.2
@@ -177,51 +206,98 @@ class TestEnumerateMatches:
             assert match.db_length >= config.min_length
             assert abs(match.query_length - match.db_length) <= config.max_shift
 
-    def test_exhaustive_contains_greedy_result_region(self, aligned_pair, config):
+    def test_exhaustive_contains_greedy_result(self, aligned_pair, config):
         query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
-        greedy = verify_chain(chain, query, target, Euclidean(), 0.5, config)
-        exhaustive = enumerate_matches(chain, query, target, Euclidean(), 0.5, config)
+        greedy = verify_chain(chain, query, target, DiscreteFrechet(), 0.5, config)
+        exhaustive = _exhaustive([chain], query, _database(target), DiscreteFrechet(), 0.5, config)
         assert greedy is not None
-        keys = {(m.query_start, m.query_stop, m.db_start, m.db_stop) for m in exhaustive}
-        assert (greedy.query_start, greedy.query_stop, greedy.db_start, greedy.db_stop) in keys
+        assert (match_identity(greedy), greedy.distance) in {
+            (match_identity(m), m.distance) for m in exhaustive
+        }
+
+    @pytest.mark.parametrize("max_shift", [0, 1])
+    def test_brute_force_restricted_to_the_chain_start_pairs(self, aligned_pair, max_shift):
+        """Every stop of every start pair the chains allow, in brute force's
+        order with bit-equal distances; one computation per start pair
+        swept, no cache."""
+        query, target = aligned_pair
+        config = MatcherConfig(min_length=10, max_shift=max_shift)
+        chains = [
+            make_chain(target, query_start=5, db_start=10, length=5),
+            make_chain(target, query_start=15, db_start=20, length=5),
+        ]
+        starts = set(chain_start_pairs(chains, config)["db"])
+        counter = _VerificationCounter()
+        database = _database(target)
+        found = _exhaustive(chains, query, database, ERP(), 1.0, config, counter)
+        brute = brute_force_matches(query, database, ERP(), 1.0, config)
+        assert found and [(match_identity(m), m.distance) for m in found] == [
+            (match_identity(m), m.distance)
+            for m in brute
+            if (m.query_start, m.db_start) in starts
+        ]
+        swept = sum(1 for q, x in starts if len(query) - q >= 10 and len(target) - x >= 10)
+        assert counter.count == counter.kernel_calls == swept
+        assert counter.cache_hits == 0
+
+    def test_sources_in_database_order(self, aligned_pair, config):
+        query, target = aligned_pair
+        twin = Sequence.from_values(target.values, seq_id="twin")
+        chains = [
+            make_chain(twin, query_start=5, db_start=10, length=5),
+            make_chain(target, query_start=5, db_start=10, length=5),
+        ]
+        found = _exhaustive(
+            chains, query, _database(target, twin), DiscreteFrechet(), 0.2, config
+        )
+        sources = [match.source_id for match in found]
+        assert sources == sorted(sources) and set(sources) == {"db", "twin"}
 
     def test_max_results_cap(self, aligned_pair, config):
+        """The sweep stops after the start pair reaching the cap."""
         query, target = aligned_pair
-        chain = make_chain(target, query_start=5, db_start=10, length=5)
-        uncapped = enumerate_matches(chain, query, target, DiscreteFrechet(), 0.5, config)
-        assert len(uncapped) >= 2
-        capped = enumerate_matches(
-            chain, query, target, DiscreteFrechet(), 0.5, config, max_results=1
+        first = make_chain(target, query_start=5, db_start=10, length=5).matches[0]
+        second = make_chain(target, query_start=10, db_start=15, length=5).matches[0]
+        chain = CandidateChain(target.seq_id, (first, second))
+        database = _database(target)
+        capped_counter, uncapped_counter = _VerificationCounter(), _VerificationCounter()
+        uncapped = _exhaustive(
+            [chain], query, database, DiscreteFrechet(), 0.5, config, uncapped_counter
         )
-        assert len(capped) == 1
+        capped = _exhaustive(
+            [chain], query, database, DiscreteFrechet(), 0.5, config, capped_counter,
+            max_results=1,
+        )  # fmt: skip
+        assert len(uncapped) >= 2 and len(capped) == 1
+        assert match_identity(capped[0]) in {match_identity(m) for m in uncapped}
+        assert capped_counter.count < uncapped_counter.count
 
     def test_empty_when_radius_too_small(self, config):
         query = Sequence.from_values(np.zeros(20), seq_id="q")
         target = Sequence.from_values(np.full(30, 50.0), seq_id="db")
         chain = make_chain(target, query_start=0, db_start=5, length=5)
-        assert enumerate_matches(chain, query, target, Euclidean(), 1.0, config) == []
+        database = _database(target)
+        assert _exhaustive([chain], query, database, DiscreteFrechet(), 1.0, config) == []
 
 
 class TestSpanMemo:
-    """``scratch=`` shares the subsequences cut for verification requests and,
-    for an elastic family, answers cache misses from prefix blocks; the
-    requests themselves -- lookups, stores, both counters -- stay per request."""
+    """``scratch=`` shares the subsequences cut for :func:`verify_chain`'s
+    requests and, for an elastic family, answers cache misses from prefix
+    blocks; the requests themselves -- lookups, stores, both counters --
+    stay per request."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         windows=st.integers(1, 3),
         lockstep=st.booleans(),
-        exhaustive=st.booleans(),
         cached=st.booleans(),
         radius=st.floats(0.05, 3.0),
     )
-    def test_same_matches_counters_and_cache_order(
-        self, seed, windows, lockstep, exhaustive, cached, radius
-    ):
+    def test_same_matches_counters_and_cache_order(self, seed, windows, lockstep, cached, radius):
         generator = np.random.default_rng(seed)
-        config = MatcherConfig(min_length=10, max_shift=1)
+        config = MatcherConfig(min_length=10, max_shift=0 if lockstep else 1)
         target = Sequence.from_values(np.cumsum(generator.normal(size=40)), seq_id="db")
         db_start = 5 * int(generator.integers(0, 8 - windows))
         query_start = int(generator.integers(0, 6))
@@ -243,19 +319,17 @@ class TestSpanMemo:
             ),
         )
         distance = Euclidean() if lockstep else DiscreteFrechet()
-        run = enumerate_matches if exhaustive else verify_chain
 
         def trace(scratch):
             cache = DistanceCache() if cached else None
             counter = _VerificationCounter()
             found = []
             for _pass in range(2):  # the second pass repeats every request
-                result = run(
+                match = verify_chain(
                     chain, query, target, distance, radius, config, counter, cache=cache,
                     scratch=scratch,
                 )  # fmt: skip
-                for match in result if exhaustive else [result]:
-                    found.append(match and (match_identity(match), match.distance))
+                found.append(match and (match_identity(match), match.distance))
                 found.append((counter.count, counter.cache_hits))
             return found, list(cache.iter_entries()) if cached else None
 
