@@ -47,10 +47,6 @@ class MatcherConfig:
         (the paper's index; needs a metric distance) or ``"linear-scan"``
         (any consistent distance).  The paper's comparison baselines are
         count-only classes beside the figure benchmarks, not choices here.
-    query_segment_step:
-        Step between consecutive query segment start positions (1 = every
-        position, exactly as in the paper; larger values trade recall for
-        speed and are used by some ablation benchmarks).
     prefilter:
         Whether the matcher's step-4 distance evaluations may run the
         registered lower bounds of :mod:`repro.distances.lower_bounds` in
@@ -96,7 +92,6 @@ class MatcherConfig:
     eps_prime: float = 1.0
     nummax: Optional[int] = None
     index: str = "reference-net"
-    query_segment_step: int = 1
     prefilter: bool = True
     cache_max_entries: Optional[int] = 262_144
     executor: str = field(default_factory=_default_executor)
@@ -125,10 +120,6 @@ class MatcherConfig:
         if self.index not in self._KNOWN_INDEXES:
             raise ConfigurationError(
                 f"unknown index {self.index!r}; expected one of {self._KNOWN_INDEXES}"
-            )
-        if self.query_segment_step < 1:
-            raise ConfigurationError(
-                f"query_segment_step must be >= 1, got {self.query_segment_step}"
             )
         if self.cache_max_entries is not None and self.cache_max_entries < 1:
             raise ConfigurationError(

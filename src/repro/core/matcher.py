@@ -386,13 +386,13 @@ class SubsequenceMatcher(QueryInterfaceMixin):
 
     @execute.register
     def _execute_range(self, spec: RangeQuery) -> QueryResult:
-        results, stats = self.pipeline.run_range(spec.bound_query(), spec)
+        results, stats = self.pipeline.run_range(self._query_of(spec), spec)
         self.last_query_stats = stats
         return QueryResult.build(spec, results, stats)
 
     @execute.register
     def _execute_longest(self, spec: LongestSubsequenceQuery) -> QueryResult:
-        best, stats = self.pipeline.run_longest(spec.bound_query(), spec)
+        best, stats = self.pipeline.run_longest(self._query_of(spec), spec)
         self.last_query_stats = stats
         return QueryResult.build(spec, [best] if best is not None else [], stats)
 

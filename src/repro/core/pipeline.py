@@ -84,12 +84,12 @@ from repro.core.queries import (
 )
 from repro.core.segmentation import extract_query_segments
 from repro.core.verification import (
+    StartPairBlocks,
     _VerificationCounter,
     chain_start_pairs,
     enumerate_matches,
     verify_chain,
 )
-from repro.distances.alignment import PrefixBlock
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import RecordingVerifyCache
@@ -180,8 +180,9 @@ class QueryScratch:
     index write, so nothing here can outlive the windows it was derived
     from.  It holds the extracted segments, the index's bound table for them
     (built on first use), the subsequences verification has cut so far, the
-    prefix blocks verification has swept so far (:attr:`blocks`), and -- only
-    inside :meth:`QueryPipeline.sweep` -- the sweep's :class:`ProbeTable`.
+    block engine of every database sequence verification has reached
+    (:attr:`blocks`), and -- only inside :meth:`QueryPipeline.sweep` -- the
+    sweep's :class:`ProbeTable`.
     """
 
     __slots__ = ("query", "segments", "table", "blocks", "_index", "_bounds", "_spans")
@@ -191,12 +192,12 @@ class QueryScratch:
         self.segments = segments
         #: The running radius sweep's probe table; ``None`` outside a sweep.
         self.table: Optional[ProbeTable] = None
-        #: Verification's prefix blocks (:class:`~repro.distances.alignment.
-        #: PrefixBlock`) under the pipeline's one distance, keyed by
-        #: ``(source id, query start, database start)``.
-        #: Thread-executor verification units share the memo as they share
-        #: the spans: a lost race builds one block twice, with equal cells.
-        self.blocks: Dict[tuple, PrefixBlock] = {}
+        #: Verification's block engines (:class:`~repro.core.verification.
+        #: StartPairBlocks`) under the pipeline's one distance, by source id;
+        #: each keeps the prefix blocks of its start pairs.  Thread-executor
+        #: verification units share the engines as they share the spans: a
+        #: lost race sweeps one block twice, with equal cells.
+        self.blocks: Dict[str, StartPairBlocks] = {}
         self._index = index
         self._bounds: object = _UNBUILT
         self._spans: Dict[tuple, Sequence] = {}

@@ -409,16 +409,19 @@ class QueryStats:
     verification_distance_computations:
         Step-5 distance requests the distance cache did not answer: one
         distance value each, whether a single kernel call or a prefix block
-        (see ``verification_kernel_calls``) produced it.
+        (see ``verification_kernel_calls``) produced it; exhaustive Type I
+        and brute force count start pairs instead.
     verification_cache_hits:
         Step-5 distance requests answered by the distance cache.
     verification_kernel_calls:
-        DP kernel invocations step 5 issued: prefix blocks built plus single
-        calls.  One block answers every request that shares its
-        ``(sequence, query start, database start)``, so this is where the
+        DP kernel invocations step 5 issued: prefix blocks swept plus single
+        calls.  One block of a start pair's one shape
+        (:class:`~repro.core.verification.StartPairBlocks`) answers every
+        request that shares its ``(sequence, query start, database start)``
+        and is swept again only for a larger cutoff, so this is where the
         verification kernel work shows, while
         ``verification_distance_computations`` keeps counting requests.  It
-        depends on execution -- racing thread-executor units may build one
+        depends on execution -- racing thread-executor units may sweep one
         block twice -- so, like ``index_kernel_calls``, it is a diagnostic
         (``repro search --stats``) and is not on the wire.
     segment_matches:

@@ -13,9 +13,10 @@ lives here for the same reason: one loop, parameterised by how a backend
 fans a pass out, is what makes sharded and unsharded sweeps visit the same
 radii by construction.
 
-The host class provides ``execute(spec) -> QueryResult``, the
+The host class provides ``execute(spec) -> QueryResult``, ``database``, the
 ``last_query_stats`` / ``last_batch_stats`` attributes, and the four sweep
-hooks documented on :meth:`QueryInterfaceMixin._radius_sweep`.
+hooks documented on :meth:`QueryInterfaceMixin._radius_sweep`.  Every
+``execute`` takes its query from :meth:`QueryInterfaceMixin._query_of`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.core.queries import (
     TopKQuery,
 )
 from repro.exceptions import QueryError
+from repro.sequences.sequence import Sequence
 
 #: A query specification (a bare float is a Type I radius; see
 #: :func:`~repro.core.queries.as_query_spec`).
@@ -45,6 +47,19 @@ QuerySpec = Union[
 
 class QueryInterfaceMixin:
     """``execute_many``, the radius sweep and ``close``, shared by every backend."""
+
+    def _query_of(self, spec: BaseQuery) -> Sequence:
+        """The spec's bound query, refused before any work -- with a
+        :class:`~repro.exceptions.QueryError` naming both -- if its kind or
+        element width differs from the stored sequences'."""
+        query = spec.bound_query()
+        kind, widths = self.database.kind, {stored.dim for stored in self.database}
+        if query.kind is not kind or widths - {query.dim}:
+            raise QueryError(
+                f"a {query.kind.value} query of element width {query.dim} cannot be paired "
+                f"with {kind.value} sequences of width {', '.join(map(str, sorted(widths)))}"
+            )
+        return query
 
     def execute_many(self, specs: List) -> List[QueryResult]:
         """Answer many bound specs -- of any mix of query types -- in order.
@@ -123,7 +138,7 @@ class QueryInterfaceMixin:
         counters from the final pass) and keep the per-pass history in
         :attr:`~repro.core.queries.QueryStats.passes`.
         """
-        query = spec.bound_query()
+        query = self._query_of(spec)
         pipelines = self._sweep_pipelines()
         if not any(pipeline.window_count for pipeline in pipelines):
             self.last_query_stats = QueryStats()

@@ -33,9 +33,8 @@ def extract_query_segments(query: Sequence, config: MatcherConfig) -> List[Windo
     """Step 3: extract query segments of every admissible length.
 
     Lengths range over ``lambda/2 - lambda0 .. lambda/2 + lambda0``
-    (:attr:`MatcherConfig.segment_lengths`); start positions advance by
-    :attr:`MatcherConfig.query_segment_step`.  The paper's bound of at most
-    ``(2 * lambda0 + 1) * |Q|`` segments corresponds to a step of 1.  A
+    (:attr:`MatcherConfig.segment_lengths`), at every start position: at
+    most ``(2 * lambda0 + 1) * |Q|`` segments, the paper's bound.  A
     query shorter than the shortest segment raises
     :class:`~repro.exceptions.QueryError`: it cannot contain a match.
     """
@@ -52,7 +51,6 @@ def extract_query_segments(query: Sequence, config: MatcherConfig) -> List[Windo
             sliding_windows(
                 query,
                 window_length=length,
-                step=config.query_segment_step,
                 source_id=query.seq_id or "query",
             )
         )
@@ -71,7 +69,7 @@ def count_segment_pairs(query: Sequence, database: SequenceDatabase, config: Mat
     segments = 0
     for length in config.segment_lengths:
         if length <= len(query):
-            segments += (len(query) - length) // config.query_segment_step + 1
+            segments += len(query) - length + 1
     total_db = database.total_length
     brute_force = (len(query) * (len(query) + 1) // 2) * (total_db * (total_db + 1) // 2)
     return {

@@ -270,7 +270,7 @@ class ShardedMatcher(QueryInterfaceMixin):
         sharded query may verify more than a capped single matcher (each
         shard caps independently) but never returns more matches.
         """
-        query = spec.bound_query()
+        query = self._query_of(spec)
         inner = replace(spec, limit=None, offset=0)
         per_shard = self._fan_out(lambda shard: shard.execute(inner.bind(query)).matches)
         merged: List[SubsequenceMatch] = []
@@ -290,7 +290,7 @@ class ShardedMatcher(QueryInterfaceMixin):
         so a tie may name a different -- equally long, equally distant --
         subsequence pair).
         """
-        query = spec.bound_query()
+        query = self._query_of(spec)
         inner = replace(spec, limit=None, offset=0)
         per_shard = self._fan_out(lambda shard: shard.execute(inner.bind(query)).best)
         best: Optional[SubsequenceMatch] = None

@@ -9,10 +9,16 @@ module offers two strategies:
 
 * :func:`verify_chain` -- check the chain's own span and then greedily grow
   it while the distance stays within the radius (the practical strategy the
-  matcher uses for Type I, II and III);
+  matcher uses for Type I, II, III and top-k);
 * :func:`enumerate_matches` -- exhaustive Type I: every admissible pair
-  within the radius from the start pairs the chains allow, one DP table per
-  start pair (:class:`StartPairBlocks`); brute force sweeps all of them.
+  within the radius from the start pairs the chains allow; brute force
+  sweeps all of them.
+
+Both run on one engine, :class:`StartPairBlocks`: one DP table per start
+pair, of one shape, holds every admissible pair of that start pair.  The
+greedy strategy asks it one pair at a time, through one request protocol
+(:class:`_Requests`: span cut, cache lookup, engine value on a miss, cache
+store), and the engine keeps each start pair's block for the next request.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from repro.core.candidates import CandidateChain
 from repro.core.config import MatcherConfig
 from repro.core.queries import SubsequenceMatch
+from repro.distances.alignment import PrefixBlock
 from repro.distances.base import Distance, as_array
 from repro.distances.cache import DistanceCache
 from repro.sequences.database import SequenceDatabase
@@ -63,11 +70,11 @@ class _VerificationCounter:
     """Tiny helper so the matcher can report verification-time distance work.
 
     ``count`` is the distance requests the cache did not answer, one value
-    each, or the start pairs :class:`StartPairBlocks` swept; ``cache_hits``
-    is the requests the matcher's :class:`DistanceCache` answered.
-    ``kernel_calls`` is DP kernel invocations: prefix blocks built plus
-    single calls.  It depends on execution (racing thread units may build
-    one block twice), so it is a diagnostic, not a work counter.
+    each, or the start pairs :meth:`StartPairBlocks.cells` swept;
+    ``cache_hits`` is the requests the matcher's :class:`DistanceCache`
+    answered.  ``kernel_calls`` is DP kernel invocations: prefix blocks
+    swept plus single calls.  It depends on execution (racing thread units
+    may sweep one block twice), so it is a diagnostic, not a work counter.
     """
 
     def __init__(self) -> None:
@@ -76,144 +83,63 @@ class _VerificationCounter:
         self.kernel_calls = 0
 
 
-def _measure(
-    distance: Distance,
-    first: Sequence,
-    second: Sequence,
-    radius: float,
-    counter: _VerificationCounter,
-    cache: Optional[DistanceCache],
-    fresh: Optional[Callable[[], float]] = None,
-) -> float:
-    """One verification-time distance request, early-abandoned past ``radius``.
-
-    The returned value is exact whenever it is at most ``radius`` (which is
-    all verification decisions need); beyond the radius it may be ``inf``.
-    Results -- including abandoned lower bounds -- go through the shared
-    cache so Type III's repeated re-verification of the same chain at
-    growing radii never recomputes a pair.  A cache miss calls ``fresh``
-    when given (a prefix block's answer), the single kernel call otherwise;
-    either way it counts as one computation and is stored once.
-    """
-    if cache is not None:
-        cached = cache.lookup(first, second, cutoff=radius)
-        if cached is not None:
-            counter.cache_hits += 1
-            return cached
-    if fresh is None:
-        counter.kernel_calls += 1
-        value = distance.bounded(first, second, radius)
-    else:
-        value = fresh()
-    counter.count += 1
-    if cache is not None:
-        cache.store(first, second, value, cutoff=radius)
-    return value
+def _cut(owner: Optional[str], sequence: Sequence, start: int, stop: int) -> Sequence:
+    """``sequence[start:stop]``, cut afresh (the memo-less form of ``QueryScratch.span``)."""
+    return sequence.subsequence(start, stop)
 
 
 class _Requests:
-    """The distance requests of one chain's verification.
+    """The one protocol of a verification-time distance request.
 
-    Every request makes one cache lookup and, on a miss, one counter
-    increment and one cache store, whatever answers it.  ``scratch`` is the
-    caller's per-query memo (the pipeline's
-    :class:`~repro.core.pipeline.QueryScratch`), or ``None``.  With it, the
-    two subsequences of a request are cut once per span, and a request the
-    cache misses is answered from the scratch's prefix blocks where the
-    distance has them (``prefix_block``): one early-abandoned DP table per
-    ``(sequence, query start, database start)`` holds every admissible pair
-    that shares those starts, bit-identical to the single call.  Other
-    requests -- lock-step and non-family distances, or no scratch -- make
-    the single call.
+    A request cuts its two spans -- only under a cache, whose keys they
+    are -- and looks the pair up; a hit counts in ``cache_hits``.  A miss
+    takes the value of ``engine`` (:meth:`StartPairBlocks.value`), counts
+    one computation and is stored once.  Values are exact whenever they are
+    at most the cutoff (all verification decisions need); beyond it they may
+    be ``inf``.  Results -- abandoned lower bounds included -- go through
+    the shared cache, so Type III's re-verification of the same chain at
+    growing radii never recomputes a pair.  ``span`` cuts the spans:
+    :meth:`~repro.core.pipeline.QueryScratch.span` shares them per query.
     """
+
+    __slots__ = ("query", "target", "source_id", "engine", "counter", "cache", "span")
 
     def __init__(
         self,
-        chain: CandidateChain,
         query: Sequence,
-        db_sequence: Sequence,
-        distance: Distance,
-        radius: float,
-        config: MatcherConfig,
+        target: Sequence,
+        source_id: str,
+        engine: StartPairBlocks,
         counter: _VerificationCounter,
         cache: Optional[DistanceCache],
-        scratch,
+        span: Callable[[Optional[str], Sequence, int, int], Sequence] = _cut,
     ) -> None:
-        self.chain = chain
         self.query = query
-        self.db_sequence = db_sequence
-        self.distance = distance
-        self.radius = radius
-        self.config = config
+        self.target = target
+        self.source_id = source_id
+        self.engine = engine
         self.counter = counter
         self.cache = cache
-        self.scratch = scratch
-        self.blocks = (
-            scratch.blocks
-            if scratch is not None and getattr(distance, "prefix_block", None) is not None
-            else None
+        self.span = span
+
+    def measure(self, q_start: int, q_stop: int, x_start: int, x_stop: int, cutoff: float) -> float:
+        """``d(Q[q_start:q_stop], X[x_start:x_stop])``, early-abandoned past ``cutoff``."""
+        counter = self.counter
+        cache = self.cache
+        if cache is not None:
+            first = self.span(None, self.query, q_start, q_stop)
+            second = self.span(self.source_id, self.target, x_start, x_stop)
+            cached = cache.lookup(first, second, cutoff=cutoff)
+            if cached is not None:
+                counter.cache_hits += 1
+                return cached
+        value = self.engine.value(
+            q_start, x_start, q_stop - q_start, x_stop - x_start, cutoff, counter
         )
-        #: ``(query stop, database stop, query values, database values)`` a
-        #: new block reaches, worked out on the chain's first block.
-        self._reach: Optional[tuple] = None
-
-    def measure(self, q_start: int, q_stop: int, x_start: int, x_stop: int) -> float:
-        """One request through :func:`_measure`, a prefix block answering a miss."""
-        scratch = self.scratch
-        if scratch is None:
-            first = self.query.subsequence(q_start, q_stop)
-            second = self.db_sequence.subsequence(x_start, x_stop)
-        else:
-            first = scratch.span(None, self.query, q_start, q_stop)
-            second = scratch.span(self.chain.source_id, self.db_sequence, x_start, x_stop)
-        q_len = q_stop - q_start
-        x_len = x_stop - x_start
-        fresh = None
-        if self.blocks is not None:
-
-            def fresh() -> float:
-                return self._block(q_start, x_start, q_len, x_len).value(q_len, x_len)
-
-        return _measure(self.distance, first, second, self.radius, self.counter, self.cache, fresh)
-
-    def _block(self, q_start: int, x_start: int, q_len: int, x_len: int):
-        """The memo's block for these starts, (re)built if it cannot answer.
-
-        A new block reaches the chain's admissible stops (Section 7: ``lambda/2
-        + lambda0`` past the chain on the query side, ``lambda/2`` on the
-        database side) and any block it replaces, clipped to lengths the
-        constraints can pair (``|n - m| <= lambda0``).
-        """
-        key = (self.chain.source_id, q_start, x_start)
-        block = self.blocks.get(key)
-        if block is not None and block.covers(q_len, x_len, self.radius):
-            return block
-        config = self.config
-        shift = config.max_shift
-        if self._reach is None:
-            reach = config.window_length
-            self._reach = (
-                min(len(self.query), self.chain.query_stop + reach + shift),
-                min(len(self.db_sequence), self.chain.db_stop + reach),
-                as_array(self.query),
-                as_array(self.db_sequence),
-            )
-        q_reach, x_reach, query, target = self._reach
-        n, m = max(q_reach - q_start, q_len), max(x_reach - x_start, x_len)
-        if block is not None:
-            n, m = max(n, block.n), max(m, block.m)
-        n = min(n, m + shift)
-        m = min(m, n + shift)
-        block = self.distance.prefix_block(
-            query[q_start : q_start + n],
-            target[x_start : x_start + m],
-            config.min_length,
-            shift,
-            self.radius,
-        )
-        self.counter.kernel_calls += 1
-        self.blocks[key] = block
-        return block
+        counter.count += 1
+        if cache is not None:
+            cache.store(first, second, value, cutoff=cutoff)
+        return value
 
 
 def verify_chain(
@@ -234,13 +160,17 @@ def verify_chain(
     of either subsequence by one element, keeping any extension that stays
     within ``radius``.  The result is a locally-maximal match; ``None`` means
     not even the minimal admissible pair is within ``radius``.  ``scratch``
-    is the optional per-query memo of cut subsequences and prefix blocks
-    (see :class:`_Requests`).
+    is the optional per-query memo of cut spans and block engines (the
+    pipeline's :class:`~repro.core.pipeline.QueryScratch`); without it the
+    chain gets a private engine.  Every request goes through
+    :class:`_Requests`.
     """
     counter = counter if counter is not None else _VerificationCounter()
-    requests = _Requests(
-        chain, query, db_sequence, distance, radius, config, counter, cache, scratch
-    )
+    engines, span = ({}, _cut) if scratch is None else (scratch.blocks, scratch.span)
+    engine = engines.get(chain.source_id)
+    if engine is None:
+        engine = engines[chain.source_id] = StartPairBlocks(query, db_sequence, distance, config)
+    requests = _Requests(query, db_sequence, chain.source_id, engine, counter, cache, span)
     query_length = len(query)
     db_length = len(db_sequence)
 
@@ -268,7 +198,7 @@ def verify_chain(
         seen_spans.add(span)
         if not _admissible(q_start, q_stop, x_start, x_stop, config):
             continue
-        value = requests.measure(q_start, q_stop, x_start, x_stop)
+        value = requests.measure(q_start, q_stop, x_start, x_stop, radius)
         if value > radius:
             continue
         best = SubsequenceMatch(
@@ -309,7 +239,7 @@ def verify_chain(
                 continue
             if (q1 - q0) + (x1 - x0) <= best.query_length + best.db_length:
                 continue
-            value = requests.measure(q0, q1, x0, x1)
+            value = requests.measure(q0, q1, x0, x1, radius)
             if value <= radius:
                 best = SubsequenceMatch(
                     distance=value,
@@ -385,9 +315,19 @@ class StartPairBlocks:
 
     Start pair ``(q, x)`` holds the pairs ``(Q[q:q + L], X[x:x + J])`` with
     ``L, J >= lambda`` and ``|L - J| <= lambda0``.  By the prefix property
-    (SPRING, Sakurai et al., ICDE 2007) one ``prefix_block`` sweep yields
-    them all; a distance without it (lock-step, LCSS) makes one ``bounded``
-    call per pair.  Values are exact wherever they are at most the cutoff.
+    (SPRING, Sakurai et al., ICDE 2007) one ``prefix_block`` sweep of the
+    start pair's table yields them all; a distance without it (lock-step,
+    LCSS) makes one ``bounded`` call per pair.  Values are exact wherever
+    they are at most the cutoff.
+
+    The table has one shape per start pair: ``n = |Q| - q`` rows and ``m =
+    min(|X| - x, n + lambda0)`` columns, then ``n = min(n, m + lambda0)``;
+    every admissible ``(L, J)`` has ``L <= n`` and ``J <= m``.  Two entries
+    read it: :meth:`cells` yields every admissible pair of a start pair and
+    keeps nothing (exhaustive Type I, brute force); :meth:`value` answers
+    one request and keeps the start pair's block for the next (the greedy
+    verification of every other query type).  ``counter`` serves
+    :meth:`cells`; :meth:`value` counts on the counter it is handed.
     """
 
     def __init__(
@@ -403,11 +343,42 @@ class StartPairBlocks:
         self.min_length, self.shift = config.min_length, config.max_shift
         self.counter = counter if counter is not None else _VerificationCounter()
         self._block = getattr(distance, "prefix_block", None)
+        #: :meth:`value`'s blocks, by start pair.
+        self._kept: Dict[Tuple[int, int], PrefixBlock] = {}
         # (L, J) of every cell of the largest block, laid out as PrefixBlock.cells.
         lengths = np.arange(self.min_length, len(self.query) + 1)[:, None]
         self._rows, self._columns = np.broadcast_arrays(
             lengths, lengths + np.arange(-self.shift, self.shift + 1)
         )
+
+    def _shape(self, q_start: int, x_start: int) -> Tuple[int, int]:
+        """``(n, m)``: rows and columns of the start pair's table."""
+        n = len(self.query) - q_start
+        m = min(len(self.target) - x_start, n + self.shift)
+        return min(n, m + self.shift), m
+
+    def value(
+        self, q_start: int, x_start: int, rows: int, columns: int, cutoff: float, counter
+    ) -> float:
+        """``bounded(Q[q:q + rows], X[x:x + columns], cutoff)`` of one admissible pair.
+
+        The start pair's block is kept and answers every later request it
+        covers; it is swept again, and replaced, only for a row past its
+        completed ones at a cutoff above its own (a wider pass of a radius
+        sweep).  Kernel calls land on ``counter``, the asking unit's.
+        """
+        if self._block is None:
+            counter.kernel_calls += 1
+            first = self.query[q_start : q_start + rows]
+            return self.distance.bounded(first, self.target[x_start : x_start + columns], cutoff)
+        block = self._kept.get((q_start, x_start))
+        if block is None or not block.covers(rows, cutoff):
+            counter.kernel_calls += 1
+            n, m = self._shape(q_start, x_start)
+            first, second = self.query[q_start : q_start + n], self.target[x_start : x_start + m]
+            block = self._block(first, second, self.min_length, self.shift, cutoff)
+            self._kept[q_start, x_start] = block
+        return block.value(rows, columns)
 
     def cells(
         self, q_start: int, x_start: int, cutoff: float
@@ -416,9 +387,7 @@ class StartPairBlocks:
 
         ``None`` if there are none, or the block abandoned before row lambda.
         """
-        n = len(self.query) - q_start
-        m = min(len(self.target) - x_start, n + self.shift)
-        n = min(n, m + self.shift)
+        n, m = self._shape(q_start, x_start)
         if min(n, m) < self.min_length:
             return None
         self.counter.count += 1

@@ -84,25 +84,22 @@ class PrefixBlock:
     ``cells`` and ``rows``.
     """
 
-    __slots__ = ("n", "m", "first", "shift", "cutoff", "cells", "rows")
+    __slots__ = ("first", "shift", "cutoff", "cells", "rows")
 
-    def __init__(self, n: int, m: int, first: int, shift: int, cutoff: Optional[float]) -> None:
-        self.n = n
-        self.m = m
+    def __init__(self, n: int, first: int, shift: int, cutoff: Optional[float]) -> None:
         self.first = first
         self.shift = shift
         self.cutoff = _INF if cutoff is None else float(cutoff)
         self.cells = np.full((max(n - first + 1, 0), 2 * shift + 1), _INF)
         self.rows = 0
 
-    def covers(self, rows: int, columns: int, cutoff: float) -> bool:
-        """Whether :meth:`value` answers ``d(Q[:rows], X[:columns])`` at ``cutoff``.
+    def covers(self, rows: int, cutoff: float) -> bool:
+        """Whether :meth:`value` answers the pairs of row ``rows`` at ``cutoff``.
 
-        The pair must lie inside the swept table; a row past :attr:`rows`
-        is only known to exceed the block's own cutoff, so it answers a
-        request at that cutoff or below.
+        A row past :attr:`rows` is only known to exceed the block's own
+        cutoff, so it answers a request at that cutoff or below.
         """
-        return rows <= self.n and columns <= self.m and (rows <= self.rows or cutoff <= self.cutoff)
+        return rows <= self.rows or cutoff <= self.cutoff
 
     def value(self, rows: int, columns: int) -> float:
         """``d(Q[:rows], X[:columns])`` for an admissible pair the block covers.

@@ -108,7 +108,7 @@ class WarpingDistance(Distance):
         is prefix-consistent too).  See :class:`PrefixBlock` for abandoned
         rows.
         """
-        block = PrefixBlock(len(first), len(second), min_rows, shift, cutoff)
+        block = PrefixBlock(len(first), min_rows, shift, cutoff)
         kind = METRIC_KIND_CODES[self.element_metric.kind]
         kernels().warp_block(first, second, kind, self.aggregate == "max", self.band, cutoff, block)
         return block
@@ -182,7 +182,7 @@ class EditDistance(Distance):
         ``(L, J)`` is ``compute_bounded(first[:L], second[:J], cutoff)`` bit
         for bit.  See :class:`PrefixBlock` for the layout and abandoned rows.
         """
-        block = PrefixBlock(len(first), len(second), min_rows, shift, cutoff)
+        block = PrefixBlock(len(first), min_rows, shift, cutoff)
         kind, params, eps = self.kernel_args(first.shape[1])
         kernels().edit_block(first, second, self.mode, kind, params, eps, cutoff, block)
         return block

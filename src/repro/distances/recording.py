@@ -32,7 +32,8 @@ Two recording front-ends exist, matching the two kinds of work unit:
   ``batch`` request.  Its log is that one batch record: O(1) descriptors
   plus the value row, replayed with one bulk cache probe.
 * :class:`RecordingVerifyCache` duck-types :class:`DistanceCache` for the
-  verification step's ``_measure`` helper; its log is columnar --
+  verification step's request protocol
+  (:class:`~repro.core.verification._Requests`); its log is columnar --
   preallocated NumPy columns appended with array writes, converted to
   Python scalars once and replayed under a single cache lock
   (:meth:`DistanceCache.replay_view`).
@@ -352,11 +353,12 @@ def compute_batch_groups(
 class RecordingVerifyCache:
     """A per-unit stand-in for the cache handed to chain verification.
 
-    Verification's ``_measure`` helper drives the cache through exactly two
-    operations -- ``lookup(first, second, cutoff)`` then, on a miss,
-    ``store(first, second, value, cutoff)`` -- and counts hits and fresh
-    kernels itself.  This duck-type routes both through the unit overlay
-    and logs the requests for :meth:`replay_into`.
+    Verification's request protocol (:class:`~repro.core.verification.
+    _Requests`) drives the cache through exactly two operations --
+    ``lookup(first, second, cutoff)`` then, on a miss, ``store(first,
+    second, value, cutoff)`` with the block engine's value -- and counts
+    hits and computations itself.  This duck-type routes both through the
+    unit overlay and logs the requests for :meth:`replay_into`.
     """
 
     def __init__(self, base: Optional[DistanceCache]) -> None:

@@ -318,11 +318,14 @@ def _config_from(saved: dict):
 
     Snapshots of older builds may carry options that no longer exist (how
     the process pool shipped its payloads, the replay-log encoding, the
-    reference count of a retired index, the kernel tier).  None of them
-    changes answers, so they are dropped: every snapshot loads into the
-    matcher it described, minus the retired knobs.  A snapshot of an index this build
-    no longer offers cannot: its saved structure is that index's, so it
-    raises :class:`~repro.exceptions.StorageError` and must be rebuilt.
+    reference count of a retired index, the kernel tier, a query segment
+    step of 1).  None of them changes answers, so they are dropped: every
+    snapshot loads into the matcher it described, minus the retired knobs.
+    A snapshot of an index this build no longer offers cannot: its saved
+    structure is that index's.  Nor can one that skipped query segments
+    (a step above 1): this build probes every segment and would answer it
+    differently.  Both raise :class:`~repro.exceptions.StorageError` and
+    must be rebuilt.
     """
     from repro.core.config import MatcherConfig
 
@@ -331,6 +334,12 @@ def _config_from(saved: dict):
         raise StorageError(
             f"snapshot was built with the {index!r} index, which this build no "
             "longer offers; rebuild it with index 'reference-net' or 'linear-scan'"
+        )
+    step = saved.get("query_segment_step", 1)
+    if step != 1:
+        raise StorageError(
+            f"snapshot was built with query_segment_step={step}, which this build "
+            "no longer offers (it probes every query segment); rebuild it"
         )
     known = {field.name for field in fields(MatcherConfig)}
     saved = {key: value for key, value in saved.items() if key in known}

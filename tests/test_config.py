@@ -35,10 +35,6 @@ class TestValidation:
         with pytest.raises(TypeError):
             MatcherConfig(min_length=10, num_references=5)
 
-    def test_invalid_segment_step(self):
-        with pytest.raises(ConfigurationError):
-            MatcherConfig(min_length=10, query_segment_step=0)
-
     def test_all_known_indexes_accepted(self):
         for name in ("reference-net", "linear-scan"):
             assert MatcherConfig(min_length=10, index=name).index == name

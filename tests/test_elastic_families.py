@@ -75,7 +75,7 @@ def test_prefix_block_cells_are_the_single_calls(distance):
                     if not 1 <= columns <= m or rows > block.rows:
                         assert value == np.inf
                         continue
-                    assert block.covers(rows, columns, bound)
+                    assert block.covers(rows, bound)
                     single = distance.compute_bounded(query[:rows], item[:columns], cutoff)
                     assert value == block.value(rows, columns)
                     if single <= bound or value <= bound:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro import (
+    PROTEIN_ALPHABET,
     DiscreteFrechet,
+    Levenshtein,
     LongestSubsequenceQuery,
     MatcherConfig,
     NearestSubsequenceQuery,
@@ -227,6 +229,80 @@ class TestExecuteMany:
         assert results[0].error is not None and "max_radius" in results[0].error
         assert results[0].matches == []
         assert results[1].error is None and results[1].best is not None
+
+
+ALL_KINDS_OF_SPEC = [
+    RangeQuery(radius=0.5),
+    LongestSubsequenceQuery(radius=0.5),
+    NearestSubsequenceQuery(max_radius=10.0),
+    TopKQuery(k=2, max_radius=10.0),
+]
+
+
+def _trajectory_db():
+    generator = np.random.default_rng(3)
+    db = SequenceDatabase(SequenceKind.TRAJECTORY, name="traj")
+    for number in range(3):
+        points = np.cumsum(generator.normal(size=(40, 2)), axis=0)
+        db.add(Sequence.from_points(points, f"t{number}"))
+    return db
+
+
+def _protein_db():
+    generator = np.random.default_rng(4)
+    db = SequenceDatabase(SequenceKind.STRING, name="proteins")
+    for number in range(3):
+        text = "".join(generator.choice(list(PROTEIN_ALPHABET.symbols), size=40))
+        db.add(Sequence.from_string(text, PROTEIN_ALPHABET, f"p{number}"))
+    return db
+
+
+class TestIncompatibleQueries:
+    """A query the database cannot pair -- another kind, or another element
+    width -- is refused before any work with a ``QueryError`` naming both."""
+
+    @pytest.mark.parametrize("index", ["reference-net", "linear-scan"])
+    @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
+    @pytest.mark.parametrize(
+        "make_db, distance, query, named",
+        [
+            (
+                _trajectory_db,
+                DiscreteFrechet(),
+                Sequence.from_values(np.arange(30.0)),
+                ("time_series", "trajectory"),
+            ),
+            (
+                _trajectory_db,
+                DiscreteFrechet(),
+                Sequence.from_points(np.zeros((30, 3))),
+                ("width 3", "width 2"),
+            ),
+            (
+                _protein_db,
+                Levenshtein(),
+                Sequence.from_values(np.arange(30.0)),
+                ("time_series", "string"),
+            ),
+        ],
+        ids=["kind", "width", "series-on-strings"],
+    )
+    def test_every_query_type_is_refused_naming_both(
+        self, index, sharded, make_db, distance, query, named
+    ):
+        config = MatcherConfig(min_length=10, max_shift=1, index=index)
+        backend = (
+            ShardedMatcher(make_db(), distance, config, shards=2)
+            if sharded
+            else SubsequenceMatcher(make_db(), distance, config)
+        )
+        for spec in ALL_KINDS_OF_SPEC:
+            with pytest.raises(QueryError) as error:
+                backend.execute(spec.bind(query))
+            assert all(name in str(error.value) for name in named), error.value
+        (result,) = backend.execute_many([RangeQuery(radius=0.5).bind(query)])
+        assert all(name in result.error for name in named)
+        assert result.stats.index_distance_computations == 0
 
 
 class TestRankingKey:

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DiscreteFrechet, Sequence
-from repro.core.verification import _measure, _VerificationCounter
+from repro import DiscreteFrechet, MatcherConfig, Sequence
+from repro.core.verification import StartPairBlocks, _Requests, _VerificationCounter
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import (
     RecordingCounting,
@@ -66,10 +66,19 @@ _batch = st.tuples(
     st.one_of(st.none(), st.floats(0.1, 5.0)),
 )
 
-#: One verification request: (i, j, radius).
-_verify_request = st.tuples(
-    st.integers(0, _POOL_SIZE - 1), st.integers(0, _POOL_SIZE - 1), st.floats(0.1, 5.0)
+#: Verification requests share one (query, target) pair: spans of the
+#: verification request protocol, over few start pairs so that they repeat.
+_VERIFY_CONFIG = MatcherConfig(min_length=2, max_shift=1)
+_VERIFY_QUERY, _VERIFY_TARGET = (
+    Sequence.from_values(values, seq_id=name)
+    for name, values in zip("qx", np.random.default_rng(11).normal(size=(2, 7)))
 )
+
+#: One verification request: (query start, query length, database start,
+#: length shift, radius); the database length is the query's plus the shift.
+_verify_request = st.tuples(
+    st.integers(0, 2), st.integers(2, 3), st.integers(0, 2), st.integers(-1, 1), st.floats(0.1, 5.0)
+).filter(lambda request: request[1] + request[3] >= 2)
 
 
 def _operand(index):
@@ -78,6 +87,12 @@ def _operand(index):
 
 #: The cache holds content keys, not operands; this names them again.
 _ID_OF_KEY = {sequence.content_key: sequence.seq_id for sequence in _SEQUENCES}
+_ID_OF_KEY.update(
+    (sequence.subsequence(start, stop).content_key, (sequence.seq_id, start, stop))
+    for sequence in (_VERIFY_QUERY, _VERIFY_TARGET)
+    for start in range(len(sequence))
+    for stop in range(start + 1, len(sequence) + 1)
+)
 
 
 def _cache_fingerprint(cache):
@@ -127,22 +142,21 @@ def _drive_probe(requests, prefilter, max_entries, warm, recorded):
 
 
 def _drive_verify(units, max_entries, recorded):
+    """Run verification units through the production request protocol,
+    serially or recorded + replayed unit by unit; the units share one block
+    engine, as the units of one query do."""
     cache = DistanceCache(max_entries=max_entries)
     counter = _VerificationCounter()
+    engine = StartPairBlocks(_VERIFY_QUERY, _VERIFY_TARGET, DiscreteFrechet(), _VERIFY_CONFIG)
     returned = []
     for unit in units:
         target = RecordingVerifyCache(cache) if recorded else cache
         unit_counter = _VerificationCounter() if recorded else counter
-        for first, second, radius in unit:
+        requests = _Requests(_VERIFY_QUERY, _VERIFY_TARGET, "x", engine, unit_counter, target)
+        for q_start, q_length, x_start, shift, radius in unit:
+            x_stop = x_start + q_length + shift
             returned.append(
-                _measure(
-                    DiscreteFrechet(),
-                    _SEQUENCES[first],
-                    _SEQUENCES[second],
-                    radius,
-                    unit_counter,
-                    target,
-                )
+                requests.measure(q_start, q_start + q_length, x_start, x_stop, radius)
             )
         if recorded:
             target.replay_into(cache, counter)

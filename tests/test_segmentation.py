@@ -61,14 +61,6 @@ class TestExtractQuerySegments:
         segments = extract_query_segments(query, config)
         assert len(segments) <= (2 * config.max_shift + 1) * len(query)
 
-    def test_step_reduces_segments(self):
-        query = Sequence.from_values(range(30), seq_id="q")
-        dense = extract_query_segments(query, MatcherConfig(min_length=10, max_shift=1))
-        sparse = extract_query_segments(
-            query, MatcherConfig(min_length=10, max_shift=1, query_segment_step=3)
-        )
-        assert len(sparse) < len(dense)
-
     def test_query_too_short_rejected(self, config):
         query = Sequence.from_values(range(3), seq_id="q")
         with pytest.raises(QueryError, match="shorter than the smallest segment length 4"):

@@ -630,6 +630,28 @@ class TestNonFiniteAndShortInputs:
         assert envelope["matches"] == []
         assert app.metrics.snapshot()["query_errors"] == 1
 
+    @pytest.mark.parametrize(
+        "sequence, named",
+        [
+            ({"kind": "trajectory", "values": [[1.0, 2.0]] * 20}, ("trajectory", "time_series")),
+            ({"kind": "string", "values": [1.5, 2.5] * 10}, ("string", "time_series")),
+        ],
+        ids=["trajectory", "string"],
+    )
+    def test_a_query_of_another_kind_is_422_naming_both(self, app, pattern_query, sequence, named):
+        body = {"query": RangeQuery(radius=1.0).describe(), "sequence": sequence}
+        status, envelope = asgi_request(app, "POST", "/search", body)
+        assert status == 422
+        assert all(name in envelope["error"] for name in named), envelope["error"]
+        assert envelope["matches"] == []
+        status, payload = asgi_request(
+            app, "POST", "/search/batch", {"requests": [search_body(TOPK, pattern_query), body]}
+        )
+        assert status == 200
+        good, bad = payload["results"]
+        assert good["error"] is None and good["matches"]
+        assert all(name in bad["error"] for name in named) and bad["matches"] == []
+
     def test_a_short_batch_entry_carries_its_own_error(self, app, pattern_query):
         short = Sequence.from_values([1.0, 2.0, 3.0], seq_id="short")
         status, payload = asgi_request(

@@ -357,8 +357,28 @@ class TestRetiredExecutionOptions:
             assert got.matches and repr(got.matches) == repr(want.matches)
             assert_same_stats(got.stats, want.stats, context=spec.kind)
 
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_a_segment_step_of_one_loads_and_any_other_is_refused(
+        self, planted_db, tmp_path, shards
+    ):
+        config = MatcherConfig(min_length=12, max_shift=1, shards=shards)
+        build = SubsequenceMatcher if shards == 1 else ShardedMatcher
+        path = tmp_path / "old.npz"
+        save_matcher(build(planted_db, DiscreteFrechet(), config), path)
+        self.rewrite_config(path, query_segment_step=1)
+        assert load_matcher(path).config == config
+        self.rewrite_config(path, query_segment_step=3)
+        with pytest.raises(StorageError, match="query_segment_step=3.*rebuild"):
+            load_matcher(path)
+
     @pytest.mark.parametrize(
-        "option", [{"transport": "pickle"}, {"log_format": "columnar"}, {"kernel": "numpy"}]
+        "option",
+        [
+            {"transport": "pickle"},
+            {"log_format": "columnar"},
+            {"kernel": "numpy"},
+            {"query_segment_step": 1},
+        ],
     )
     def test_each_retired_option_is_a_type_error(self, option):
         # Only a snapshot's saved config is forgiven; a caller is told.

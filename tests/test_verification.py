@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    DTW,
+    EDR,
     ERP,
+    LCSS,
     DiscreteFrechet,
     Euclidean,
+    Hamming,
+    Levenshtein,
     MatcherConfig,
     RangeQuery,
     SegmentMatch,
@@ -17,6 +22,7 @@ from repro import (
     SequenceKind,
     SubsequenceMatcher,
     TopKQuery,
+    WeightedLevenshtein,
     Window,
 )
 from repro.core.bruteforce import brute_force_matches
@@ -24,6 +30,7 @@ from repro.core.candidates import CandidateChain
 from repro.core.pipeline import QueryScratch
 from repro.core.queries import match_identity
 from repro.core.verification import (
+    StartPairBlocks,
     _grow_to_length,
     _VerificationCounter,
     chain_start_pairs,
@@ -389,6 +396,90 @@ class TestSpanMemo:
                 (match_identity(m), m.distance) for m in want
             ]
             assert got and [m.distance for m in got] != [m.distance for m in old]
+
+
+ENGINE_DISTANCES = {
+    "dtw": DTW,
+    "frechet": DiscreteFrechet,
+    "erp": ERP,
+    "edr": EDR,
+    "levenshtein": Levenshtein,
+    "weighted-levenshtein": lambda: WeightedLevenshtein({(0, 1): 0.5, (1, 2): 0.25}),
+    "euclidean": Euclidean,
+    "hamming": Hamming,
+    "lcss": LCSS,
+}
+
+
+class TestEngineRequestEntry:
+    """:meth:`StartPairBlocks.value` -- the engine's one-request entry --
+    meets ``bounded``'s contract on the cut pair: bit-equal to
+    ``distance.bounded`` wherever either is within the cutoff, beyond it
+    otherwise.  Requests crowd onto few start pairs under a rising cutoff,
+    so kept blocks answer later requests, abandoned rows are asked for
+    again at a larger cutoff, and blocks are swept again.  Every kernel
+    call lands on the counter handed in."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_DISTANCES))
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integers=st.booleans())
+    def test_value_is_the_bounded_single_call(self, name, seed, integers):
+        distance = ENGINE_DISTANCES[name]()
+        generator = np.random.default_rng(seed)
+        min_length = int(generator.integers(2, 6))
+        shift = int(generator.integers(0, 3)) if distance.supports_unequal_lengths else 0
+
+        def values(size):
+            if integers:
+                return generator.integers(0, 3, size=size).astype(float)
+            return generator.normal(size=size).cumsum()
+
+        query = Sequence.from_values(values(int(generator.integers(min_length, 13))))
+        target = Sequence.from_values(values(int(generator.integers(min_length, 15))))
+        engine = StartPairBlocks(
+            query, target, distance, MatcherConfig(min_length=min_length, max_shift=shift)
+        )
+        starts = [
+            (
+                int(generator.integers(0, len(query) - min_length + 1)),
+                int(generator.integers(0, len(target) - min_length + 1)),
+            )
+            for _start in range(3)
+        ]
+        requests = [
+            (q, x, length, other)
+            for q, x in starts
+            for length in range(min_length, len(query) - q + 1)
+            for other in range(max(min_length, length - shift), length + shift + 1)
+            if other <= len(target) - x
+        ]
+        if not requests:
+            return
+        picked = generator.choice(len(requests), size=min(30, 3 * len(requests)))
+        exact = [
+            distance.bounded(query.values[q : q + a], target.values[x : x + b], np.inf)
+            for q, x, a, b in requests
+        ]
+        top = max((value for value in exact if np.isfinite(value)), default=1.0)
+        cutoffs = np.sort(generator.uniform(0.0, 1.2 * top + 1e-9, size=len(picked)))
+        counters = (_VerificationCounter(), _VerificationCounter())
+        seen = set()
+        for turn, (position, cutoff) in enumerate(zip(picked.tolist(), cutoffs.tolist())):
+            q, x, a, b = requests[position]
+            asking, other = counters[turn % 2], counters[1 - turn % 2]
+            before = (asking.kernel_calls, other.kernel_calls)
+            value = engine.value(q, x, a, b, cutoff, asking)
+            swept = asking.kernel_calls - before[0]
+            assert other.kernel_calls == before[1] and swept in (0, 1)
+            if engine._block is None or (q, x) not in seen:
+                assert swept == 1
+            seen.add((q, x))
+            single = distance.bounded(query.values[q : q + a], target.values[x : x + b], cutoff)
+            if value <= cutoff or single <= cutoff:
+                assert repr(value) == repr(single), (q, x, a, b, cutoff)
+            else:
+                assert value > cutoff and single > cutoff
+        assert engine.counter.kernel_calls == 0 and engine.counter.count == 0
 
 
 def _grow_one_at_a_time(start, stop, target, limit, direction):
