@@ -190,6 +190,13 @@ _SEQUENCE_FIELDS = frozenset(
 )
 
 
+def _holds_boolean(values) -> bool:
+    """Whether a JSON value -- a number or a (nested) array -- holds a boolean."""
+    if isinstance(values, list):
+        return any(map(_holds_boolean, values))
+    return isinstance(values, bool)
+
+
 def sequence_from_wire(payload) -> Sequence:
     """Build a :class:`~repro.sequences.sequence.Sequence` from its wire form.
 
@@ -236,6 +243,8 @@ def sequence_from_wire(payload) -> Sequence:
             return Sequence.from_string(payload["text"], alphabet, seq_id=seq_id)
         if "values" not in payload:
             raise QueryError("sequence is missing its 'values' (or 'text')")
+        if _holds_boolean(payload["values"]):  # np.asarray would read them as 1 / 0
+            raise QueryError("sequence 'values' must be numbers, not true / false")
         values = np.asarray(payload["values"])
         if values.dtype == object:
             raise QueryError("sequence 'values' must be a homogeneous numeric array")

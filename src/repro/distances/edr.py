@@ -34,6 +34,7 @@ class EDR(EditDistance):
 
     name = "edr"
     is_metric = False
+    integer_valued = True
     mode = MODE_EDR
 
     def __init__(self, epsilon: float = 0.5, element_metric: Optional[ElementMetric] = None) -> None:

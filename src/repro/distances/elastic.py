@@ -15,17 +15,18 @@ A family implements every call form once -- :meth:`~Distance.compute` and
 :meth:`~Distance.compute_bounded` (one pair), :meth:`~Distance.compute_batch`
 (one query against a same-shape stack), :meth:`~Distance.compute_pairs` (the
 pair call form), ``prefix_block`` (every admissible prefix pair of one pair,
-one sweep) and ``alignment`` -- on the C kernels of
+one sweep) and ``alignment`` (a traceback over the table of one full-band
+``prefix_block`` sweep) -- on the C kernels of
 :mod:`repro.distances.compiled`.  Each recurrence has one sweep there, so
-the call forms agree bit for bit.
+the call forms agree bit for bit, and an alignment's cost is the distance.
 
 A member supplies only its cost model:
 
 * a warping member sets ``element_metric``, ``aggregate`` and ``band``;
 * an edit member names its C recurrence (``mode`` and
   :meth:`EditDistance.kernel_args`) and builds the ``substitution`` /
-  ``deletion`` / ``insertion`` cost arrays that :meth:`~EditDistance.alignment`
-  fills its traceback table from.
+  ``deletion`` / ``insertion`` cost arrays that the traceback of
+  :meth:`~EditDistance.alignment` matches its steps against.
 """
 
 from __future__ import annotations
@@ -35,16 +36,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.distances.alignment import (
-    Alignment,
-    PrefixBlock,
-    edit_table,
-    edit_traceback,
-    warping_table,
-    warping_traceback,
-)
+from repro.distances.alignment import Alignment, PrefixBlock, edit_traceback, warping_traceback
 from repro.distances.base import Distance, ElementMetric, as_array, check_same_dim
 from repro.distances.compiled import METRIC_KIND_CODES, NO_PARAMS, kernels
+from repro.distances.rounding import sweep_cutoff
 from repro.exceptions import DistanceError
 
 
@@ -65,27 +60,37 @@ class WarpingDistance(Distance):
     #: Sakoe-Chiba band half-width; ``None`` means unconstrained warping.
     band: Optional[int] = None
 
+    def _warp_args(self) -> tuple:
+        return METRIC_KIND_CODES[self.element_metric.kind], self.aggregate == "max", self.band
+
+    def rounding_scale(self, operands: np.ndarray):
+        """DTW's summed element norms (every cost is ``c(i, j) <= |q_i| +
+        |x_j|``); the bottleneck selects one cost, relative to itself."""
+        if self.aggregate == "max":
+            return super().rounding_scale(operands)
+        return self.element_metric.total_bound(operands)
+
+    def _sweep_cutoff(self, cutoff, first, second):
+        # A bottleneck sweep selects costs: no later cell rounds below a row.
+        return cutoff if self.aggregate == "max" else sweep_cutoff(self, cutoff, first, second)
+
     def compute(self, first: np.ndarray, second: np.ndarray) -> float:
         return self._feasible(self.compute_bounded(first, second, None), None)
 
     def compute_bounded(self, first: np.ndarray, second: np.ndarray, cutoff) -> float:
         """Early-abandoning warping: every row's minimum lower-bounds the result."""
-        kind = METRIC_KIND_CODES[self.element_metric.kind]
-        return kernels().warp_value(first, second, kind, self.aggregate == "max", self.band, cutoff)
+        cutoff = self._sweep_cutoff(cutoff, first, second)
+        return kernels().warp_value(first, second, *self._warp_args(), cutoff)
 
     def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
-        kind = METRIC_KIND_CODES[self.element_metric.kind]
-        values = kernels().warp_batch(
-            query, items, kind, self.aggregate == "max", self.band, cutoff
-        )
+        sweep = self._sweep_cutoff(cutoff, query, items)
+        values = kernels().warp_batch(query, items, *self._warp_args(), sweep)
         return self._feasible(values, cutoff)
 
     def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
-        kind = METRIC_KIND_CODES[self.element_metric.kind]
-        values = kernels().warp_pairs(
-            queries, query_rows, items, item_rows, kind, self.aggregate == "max",
-            self.band, cutoff,
-        )
+        sweep = self._sweep_cutoff(cutoff, queries[query_rows], items[item_rows])
+        args = (*self._warp_args(), sweep)
+        values = kernels().warp_pairs(queries, query_rows, items, item_rows, *args)
         return self._feasible(values, cutoff)
 
     def _feasible(self, values, cutoff):
@@ -102,24 +107,24 @@ class WarpingDistance(Distance):
         """The admissible prefix distances of ``first x second``, one sweep.
 
         Cell ``(L, J)`` of the block is ``compute_bounded(first[:L],
-        second[:J], cutoff)`` bit for bit for ``L >= min_rows`` and ``|L - J|
-        <= shift``: the kernel runs the single call's sweep with a band
-        output (the Sakoe-Chiba band is absolute, ``|i - j| <= band``, so it
-        is prefix-consistent too).  See :class:`PrefixBlock` for abandoned
-        rows.
+        second[:J], cutoff)`` for ``L >= min_rows`` and ``|L - J| <=
+        shift``, bit for bit wherever it is at most ``cutoff``: the kernel
+        runs the single call's sweep with a band output (the Sakoe-Chiba
+        band is absolute, ``|i - j| <= band``, so it is prefix-consistent
+        too).  See :class:`PrefixBlock` for abandoned rows.
         """
         block = PrefixBlock(len(first), min_rows, shift, cutoff)
-        kind = METRIC_KIND_CODES[self.element_metric.kind]
-        kernels().warp_block(first, second, kind, self.aggregate == "max", self.band, cutoff, block)
+        sweep = self._sweep_cutoff(cutoff, first, second)
+        kernels().warp_block(first, second, *self._warp_args(), sweep, block)
         return block
 
     def alignment(self, first, second) -> Alignment:
-        """The optimal warping alignment (the coupling sequence C)."""
-        a = as_array(first)
-        b = as_array(second)
-        cost = self.element_metric.matrix(a, b)
-        table = warping_table(cost, self.aggregate, self.band)
-        return warping_traceback(table, cost, self.aggregate)
+        """The optimal warping alignment (the coupling sequence C), traced back
+        over one full-band :meth:`prefix_block` table; :class:`DistanceError`
+        when no warping path fits inside the band."""
+        a, b = as_array(first), as_array(second)
+        check_same_dim(a, b)
+        return warping_traceback(_full_table(self, a, b))
 
 
 class EditDistance(Distance):
@@ -155,20 +160,27 @@ class EditDistance(Distance):
         """``(kind, params, eps)`` of the C recurrence for ``dim``-wide points."""
         return 0, NO_PARAMS, 0.0
 
+    def _sweep_cutoff(self, cutoff, first, second):
+        # Integer counts are exact: no later cell rounds below a row.
+        return cutoff if self.integer_valued else sweep_cutoff(self, cutoff, first, second)
+
     def compute(self, first: np.ndarray, second: np.ndarray) -> float:
         return self.compute_bounded(first, second, None)
 
     def compute_bounded(self, first: np.ndarray, second: np.ndarray, cutoff) -> float:
         """Early-abandoning edit distance: costs are non-negative."""
         kind, params, eps = self.kernel_args(first.shape[1])
+        cutoff = self._sweep_cutoff(cutoff, first, second)
         return kernels().edit_value(first, second, self.mode, kind, params, eps, cutoff)
 
     def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
         kind, params, eps = self.kernel_args(query.shape[1])
+        cutoff = self._sweep_cutoff(cutoff, query, items)
         return kernels().edit_batch(query, items, self.mode, kind, params, eps, cutoff)
 
     def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
         kind, params, eps = self.kernel_args(queries.shape[2])
+        cutoff = self._sweep_cutoff(cutoff, queries[query_rows], items[item_rows])
         return kernels().edit_pairs(
             queries, query_rows, items, item_rows, self.mode, kind, params, eps, cutoff
         )
@@ -179,25 +191,31 @@ class EditDistance(Distance):
         """The admissible prefix distances of ``first x second``, one sweep.
 
         The kernel runs the single call's sweep with a band output, so cell
-        ``(L, J)`` is ``compute_bounded(first[:L], second[:J], cutoff)`` bit
-        for bit.  See :class:`PrefixBlock` for the layout and abandoned rows.
+        ``(L, J)`` is ``compute_bounded(first[:L], second[:J], cutoff)``, bit
+        for bit wherever it is at most ``cutoff``.  See :class:`PrefixBlock`
+        for the layout and abandoned rows.
         """
         block = PrefixBlock(len(first), min_rows, shift, cutoff)
         kind, params, eps = self.kernel_args(first.shape[1])
+        cutoff = self._sweep_cutoff(cutoff, first, second)
         kernels().edit_block(first, second, self.mode, kind, params, eps, cutoff, block)
         return block
 
     def alignment(self, first, second) -> Alignment:
-        """One optimal alignment (couplings of matched positions; gaps excluded)."""
-        a = as_array(first)
-        b = as_array(second)
+        """One optimal alignment (couplings of matched positions; gaps excluded),
+        traced back over one full-band :meth:`prefix_block` table."""
+        a, b = as_array(first), as_array(second)
         check_same_dim(a, b)
-        substitution, deletion, insertion = (
-            self.substitution(a, b), self.deletion(a), self.insertion(b)
+        return edit_traceback(
+            _full_table(self, a, b), self.substitution(a, b), self.deletion(a), self.insertion(b)
         )
-        table = edit_table(substitution, deletion, insertion)
-        return edit_traceback(table, substitution, deletion, insertion)
 
     def empty_distance(self, other) -> float:
         """Distance to the empty sequence: every element of ``other`` inserted."""
         return float(np.sum(self.insertion(as_array(other))))
+
+
+def _full_table(distance: Distance, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The whole DP table of ``first x second``: one uncut sweep over the full band."""
+    shift = max(len(first), len(second)) - 1
+    return distance.prefix_block(first, second, 1, shift, None).table(len(second))

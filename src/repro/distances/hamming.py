@@ -29,6 +29,7 @@ class Hamming(Distance):
     def __init__(self, normalised: bool = False) -> None:
         """``normalised=True`` divides by the length, yielding a value in [0, 1]."""
         self.normalised = normalised
+        self.integer_valued = not normalised
 
     def compute(self, first: np.ndarray, second: np.ndarray) -> float:
         mismatches = np.any(first != second, axis=1)

@@ -7,10 +7,12 @@ kernel entirely -- the classic LB_Kim / LB_Keogh discipline of the time
 series literature, and the same skip-before-expensive-work idea the paper's
 triangle-inequality indexes apply at the index level.
 
-Every bound registered here is *admissible*: it never exceeds the exact
-distance, so pruning on ``bound > cutoff`` can never drop a true match (the
-test-suite checks this property on random pairs for every registered bound).
-The registered bounds and the distances they are valid for:
+Every bound registered here is *admissible* in exact arithmetic: it never
+exceeds the exact distance.  In floating point it may exceed the C value by
+a few ulps, so pruning goes through :func:`repro.distances.rounding.prunes`,
+which never drops a pair whose C value equals the radius (the test-suite
+checks exactly that on random pairs for every registered bound).  The
+registered bounds and the distances they are valid for:
 
 ============== ===================================== =========================
 bound          valid for                              idea

@@ -62,6 +62,7 @@ import numpy as np
 from repro.distances.base import Distance, as_array, validate_group_shape
 from repro.distances.cache import DistanceCache, probe_row
 from repro.distances.lower_bounds import combined_batch_bound
+from repro.distances.rounding import bound_prunes
 from repro.sequences.sequence import Sequence
 
 _INF = float("inf")
@@ -241,7 +242,7 @@ class RecordingCounting:
     def batch_finish(
         self, context: "_BatchContext", computed: List[Tuple[np.ndarray, Optional[np.ndarray]]]
     ) -> np.ndarray:
-        """Fold the computed group values/bounds back in; keep the record.
+        """Fold the computed group values and prune masks back in; keep the record.
 
         Vectorized scatters and one O(1) record, which keeps the result
         array *by reference* (callers treat batch results as read-only,
@@ -249,21 +250,20 @@ class RecordingCounting:
         """
         values = context.values
         item_keys = context.item_keys
-        bounds_array: Optional[np.ndarray] = None
-        bound_known: Optional[np.ndarray] = None
-        for (indexes, _tensor), (group_values, group_bounds) in zip(context.grouped, computed):
+        # One prefilter code per item -- 0: no bound evaluated, 1: evaluated
+        # but not pruned, 2: evaluated and pruned.
+        codes: Optional[np.ndarray] = None
+        for (indexes, _tensor), (group_values, group_pruned) in zip(context.grouped, computed):
             index_array = np.asarray(indexes, dtype=np.intp)
             values[index_array] = group_values
-            if group_bounds is not None:
-                if bounds_array is None:
-                    bounds_array = np.zeros(len(values), dtype=np.float64)
-                    bound_known = np.zeros(len(values), dtype=bool)
-                bounds_array[index_array] = group_bounds
-                bound_known[index_array] = True
+            if group_pruned is not None:
+                if codes is None:
+                    codes = np.zeros(len(values), dtype=np.int8)
+                codes[index_array] = 1 + group_pruned
         query_key = None if item_keys is None else context.query.content_key
         if query_key is None:
             item_keys = [None] * len(values)
-        self._record = (query_key, item_keys, context.cutoff, values, bounds_array, bound_known)
+        self._record = (query_key, item_keys, context.cutoff, values, codes)
         return values
 
     def replay_into(self, counting) -> None:
@@ -323,20 +323,21 @@ def compute_batch_groups(
     ``payload`` is ``(distance, query_array, tensors, cutoff, prefilter)``
     -- everything picklable, no cache, no counters -- so this function can
     run in a process-pool child exactly as it runs inline.  Each tensor is a
-    ``(rows, length, dim)`` array.  Returns one ``(values, bounds)`` pair
-    per tensor; ``bounds`` is ``None`` when the prefilter did not run.
-    Pairs pruned by a bound get ``inf`` values, the same early-abandon
-    contract as :meth:`Distance.batch`.
+    ``(rows, length, dim)`` array.  Returns one ``(values, pruned)`` pair
+    per tensor; ``pruned`` is the prefilter's mask (the rule of
+    :func:`~repro.distances.rounding.bound_prunes`, as in the serial
+    path), ``None`` when the prefilter did not run.  Pruned pairs get
+    ``inf`` values, the same early-abandon contract as :meth:`Distance.batch`.
     """
     distance, query_array, tensors, cutoff, prefilter = payload
     results: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
     for tensor in tensors:
-        bounds: Optional[np.ndarray] = None
+        pruned_mask: Optional[np.ndarray] = None
         values = np.empty(tensor.shape[0], dtype=np.float64)
         survivors = np.arange(tensor.shape[0])
         if prefilter and cutoff is not None:
             bounds = combined_batch_bound(distance, query_array, tensor)
-            pruned_mask = bounds > cutoff
+            pruned_mask = bound_prunes(distance, bounds, cutoff, query_array, tensor)
             values[pruned_mask] = _INF
             survivors = np.nonzero(~pruned_mask)[0]
         if len(survivors):
@@ -346,7 +347,7 @@ def compute_batch_groups(
                 None if cutoff is None else float(cutoff),
             )
             values[survivors] = fresh
-        results.append((values, bounds))
+        results.append((values, pruned_mask))
     return results
 
 
@@ -399,7 +400,7 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
     None``) classifies everything as pending without any lookups, exactly as
     per-item ``lookup`` calls would.
     """
-    query_key, item_keys, cutoff, values, bounds_array, bound_known = record
+    query_key, item_keys, cutoff, values, codes = record
     fresh = hits = pre_evaluated = pre_pruned = 0
     if query_key is None:
         pending = list(range(len(item_keys)))
@@ -414,14 +415,8 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
         value_list = values.tolist()
         store = view.store_key
         code_list = None
-        if prefilter and cutoff is not None and bounds_array is not None:
-            # One classification code per item -- 0: no bound evaluated,
-            # 1: evaluated but not pruned, 2: evaluated and pruned --
-            # built with two vectorized ops instead of two list reads and
-            # a float compare per item.
-            code_list = (
-                bound_known.astype(np.int8) + (bound_known & (bounds_array > cutoff))
-            ).tolist()
+        if prefilter and cutoff is not None and codes is not None:
+            code_list = codes.tolist()
         for index in pending:
             code = 0 if code_list is None else code_list[index]
             if code:

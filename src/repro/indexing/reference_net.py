@@ -66,6 +66,7 @@ import numpy as np
 from repro.distances.base import Distance, SequenceLike, as_array, validate_group_shape
 from repro.distances.cache import DistanceCache, content_keys
 from repro.distances.lower_bounds import combined_bound_table, has_bound_table
+from repro.distances.rounding import prunes
 from repro.exceptions import IndexError_, InvariantViolationError
 from repro.indexing.base import BoundTable, MetricIndex, RangeMatch
 from repro.indexing.stats import CountingDistance, DistanceCounter, first_occurrences
@@ -675,6 +676,9 @@ class ReferenceNet(MetricIndex):
           threshold -- **measures** ``n``: it joins the level's pair batch,
           and its exact distance routes as without a table.
 
+        Each ``... > radius`` here, and Lemma 4's ``d(q, n) - subtree(n) >
+        radius``, is the one prune rule (:func:`~repro.distances.rounding.
+        prunes`): no distance equal to the radius is rejected on an ulp.
         Nothing is accepted on a bound, so the answers are those of the
         plain traversal; only ``distance=None``-ness may differ (a skipped
         parent triangle-accepts nobody, its matching children get measured
@@ -706,6 +710,16 @@ class ReferenceNet(MetricIndex):
             if len(bounds) != count:
                 raise IndexError_(f"bound table has {len(bounds)} rows for {count} queries")
         flat = self._layout()
+        # Every reject below -- a bound, or a triangle difference -- goes
+        # through the one prune rule, at the magnitudes it spans.  (Only the
+        # bottleneck distance has a bound table; its rounding scale is 0.)
+        width = max(len(a) + a.shape[1] for a in arrays) + max(s[0] for s in flat.shapes)
+        query_scale = np.array([self.distance.rounding_scale(array) for array in arrays])
+
+        def beyond(lower, query, margin=0.0):
+            magnitude = query_scale[query] + margin
+            return prunes(self.distance, lower - margin, radius, magnitude, width)
+
         # Cross-query reuse of (content, reference) distances flows through
         # the attached cache; a cache-less net gets one for the batch.
         counting = self._counting
@@ -732,16 +746,17 @@ class ReferenceNet(MetricIndex):
             state[query, node] = _DONE
             if bounds is not None:
                 lower = bounds.matrix[query, node]
-                skipped = lower > radius
+                skipped = beyond(lower, query)
                 counting.record_prefilter(len(lower), int(np.count_nonzero(skipped)))
                 if skipped.any():
                     skip_query, skip_node, lower = query[skipped], node[skipped], lower[skipped]
-                    beyond = lower - flat.subtree[skip_node] > radius
-                    self._settle(flat, state, skip_query[beyond], skip_node[beyond], _REJECTED)
-                    near = ~beyond
+                    out = beyond(lower, skip_query, flat.subtree[skip_node])
+                    self._settle(flat, state, skip_query[out], skip_node[out], _REJECTED)
+                    near = ~out
                     self._route(
-                        flat, state, radius, skip_query[near], skip_node[near], lower[near], False
-                    )
+                        flat, state, radius, beyond,
+                        skip_query[near], skip_node[near], lower[near], False,
+                    )  # fmt: skip
                     query, node = query[~skipped], node[~skipped]
                     if not len(query):
                         continue
@@ -752,11 +767,13 @@ class ReferenceNet(MetricIndex):
             # Lemma 4 on the node itself: its whole subtree is in, or out.
             subtree = flat.subtree[node]
             inside = values + subtree <= radius
-            beyond = values - subtree > radius
+            out = beyond(values, query, subtree)
             self._settle(flat, state, query[inside], node[inside], _ACCEPTED)
-            self._settle(flat, state, query[beyond], node[beyond], _REJECTED)
-            routed = ~(inside | beyond)
-            self._route(flat, state, radius, query[routed], node[routed], values[routed], True)
+            self._settle(flat, state, query[out], node[out], _REJECTED)
+            routed = ~(inside | out)
+            self._route(
+                flat, state, radius, beyond, query[routed], node[routed], values[routed], True
+            )
         return self._collect(flat, state, found)
 
     def _measure_pairs(
@@ -867,6 +884,7 @@ class ReferenceNet(MetricIndex):
         flat: _FlatLayout,
         state: np.ndarray,
         radius: float,
+        beyond,
         query: np.ndarray,
         node: np.ndarray,
         value: np.ndarray,
@@ -878,15 +896,16 @@ class ReferenceNet(MetricIndex):
         itself (``exact``) for a measured node, a lower bound -- its table
         entry -- for one skipped on that bound.  A child row with margin
         ``m`` (see :class:`_FlatLayout`) is rejected when ``value - m >
-        radius``, accepted when ``value + m <= radius`` -- on an exact value
-        only -- and deferred to its own level otherwise.  Children some
-        other parent already decided are left alone; where two rows of one
-        call disagree about a child, a verdict beats a deferral.
+        radius`` (``beyond``, the one prune rule), accepted when ``value + m
+        <= radius`` -- on an exact value only -- and deferred to its own level
+        otherwise.  Children some other parent already decided are left
+        alone; where two rows of one call disagree about a child, a verdict
+        beats a deferral.
         """
         for pair, child_query, child, row in cls._open_children(flat, state, query, node):
             known, margin = value[pair], flat.margin[row]
             state[child_query, child] = _PENDING
-            rejected = known - margin > radius
+            rejected = beyond(known, query[pair], margin)
             state[child_query[rejected], child[rejected]] = _REJECTED
             if exact:
                 accepted = known + margin <= radius

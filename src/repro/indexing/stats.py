@@ -21,10 +21,11 @@ counts comparable with the paper's definition.
 Who consults bounds, and when, differs by index.  The **linear scan**
 consults them per call, *after* the cache (cache -> bound -> DP): a pair is
 ``evaluated`` when it missed the cache, ``pruned`` when its bound exceeded
-the cutoff, and a pruned pair is remembered in the cache as
-``distance > cutoff``.  The **reference net** consults its per-query bound
-table *first* (table -> cache -> DP; a table entry is free to recompute, so
-settled pairs are neither probed nor stored): a frontier pair is
+the cutoff (:func:`~repro.distances.rounding.prunes`), and a pruned pair is
+remembered in the cache as ``distance > cutoff``.  The **reference net**
+consults its per-query bound table *first* (table -> cache -> DP; a table
+entry is free to recompute, so settled pairs are neither probed nor
+stored): a frontier pair is
 ``evaluated`` when the traversal classifies it from its table entry, and
 ``pruned`` when that settles it without a distance -- rejected with its
 subtree, or skipped and routed by the bound (see
@@ -53,6 +54,7 @@ from repro.distances.base import (
 )
 from repro.distances.cache import DistanceCache, PairKey
 from repro.distances.lower_bounds import combined_batch_bound, combined_bound
+from repro.distances.rounding import bound_prunes
 from repro.sequences.sequence import Sequence
 
 _INF = float("inf")
@@ -331,8 +333,9 @@ class CountingDistance:
                 self.counter.record_cache_hit()
                 return cached
         if self.prefilter:
-            bound = combined_bound(self.inner, first, second)
-            pruned = bound > cutoff
+            a, b = as_array(first), as_array(second)
+            bound = combined_bound(self.inner, a, b)
+            pruned = bool(bound_prunes(self.inner, bound, cutoff, a, b[None]))
             self.counter.record_prefilter(1, 1 if pruned else 0)
             if pruned:
                 if cacheable:
@@ -402,7 +405,7 @@ class CountingDistance:
             thresholds = group_cutoff(cutoff, indexes)
             if self.prefilter and cutoff is not None:
                 bounds = combined_batch_bound(self.inner, query_array, tensor)
-                pruned_mask = bounds > thresholds
+                pruned_mask = bound_prunes(self.inner, bounds, thresholds, query_array, tensor)
                 pruned_count = int(np.count_nonzero(pruned_mask))
                 self.counter.record_prefilter(len(indexes), pruned_count)
                 if pruned_count:

@@ -4,7 +4,7 @@ These are the original loop implementations of the DP tables, retained
 verbatim as correctness oracles.  ``test_compiled_kernels.py`` holds the C
 kernels to them (exactly for the bottleneck and integer-cost recurrences,
 to 1e-9 relative for the summed ones) and ``test_vectorized_kernels.py``
-holds the traceback tables of :mod:`repro.distances.alignment` to them.
+holds the C-filled tables that ``alignment()`` traces back over to them.
 Nothing under ``src/`` imports them.
 """
 

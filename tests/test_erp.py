@@ -5,7 +5,8 @@ import pytest
 
 from repro import ERP, DistanceError, Sequence
 from repro.distances import combined_bound
-from repro.distances.base import ElementMetric
+from repro.distances.base import ElementMetric, as_array
+from repro.distances.rounding import bound_prunes, prunes
 
 
 class TestERPValues:
@@ -64,7 +65,12 @@ class TestERPProperties:
             a = rng.normal(size=rng.integers(2, 6))
             b = rng.normal(size=rng.integers(2, 6))
             c = rng.normal(size=rng.integers(2, 6))
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+            # As the reference net's reject: query a, pivot c, child b at
+            # radius d(a, b) -- the one prune rule must not reject b.
+            link = distance(c, b)
+            width = len(a) + max(len(b), len(c)) + 1
+            magnitude = distance.rounding_scale(as_array(a)) + link
+            assert not prunes(distance, distance(a, c) - link, distance(a, b), magnitude, width)
 
     def test_flags(self):
         distance = ERP()
@@ -75,7 +81,9 @@ class TestERPProperties:
         for _ in range(20):
             a = rng.normal(size=5)
             b = rng.normal(size=7)
-            assert combined_bound(distance, a, b) <= distance(a, b) + 1e-9
+            first, second = as_array(a), as_array(b)
+            bound = np.array([combined_bound(distance, a, b)])
+            assert not bound_prunes(distance, bound, distance(a, b), first, second[None])[0]
 
     def test_alignment_cost_does_not_exceed_distance(self):
         distance = ERP()

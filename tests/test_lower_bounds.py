@@ -36,8 +36,20 @@ from repro.distances import (
 )
 from repro.distances.base import ElementMetric, as_array
 from repro.distances.lower_bounds import _sliding_max
+from repro.distances.rounding import bound_prunes
 
 RNG = np.random.default_rng(99)
+
+
+def prunes_at_exact(distance, value, first, second):
+    """The prune rule for bound ``value`` at radius = the exact single-call value.
+
+    Admissibility as the indexes need it: a bound never prunes a pair whose
+    C value equals the radius (:func:`~repro.distances.rounding.prunes`).
+    """
+    a, b = as_array(first), as_array(second)
+    exact = distance.bounded(a, b, np.inf)  # inf where a band admits no path
+    return bool(bound_prunes(distance, np.array([value]), exact, a, b[None])[0])
 
 SERIES_DISTANCES = [
     DTW(),
@@ -88,10 +100,9 @@ class TestAdmissibility:
         for a, b in _random_series_pairs():
             if band is not None and abs(len(a) - len(b)) > band:
                 continue  # infeasible band: compute() raises by design
-            exact = distance(a, b)
             for bound in bounds_for(distance):
                 value = bound.pair(distance, as_array(a), as_array(b))
-                assert value <= exact + 1e-9, (bound.name, value, exact)
+                assert not prunes_at_exact(distance, value, a, b), (bound.name, value)
 
     @pytest.mark.parametrize(
         "distance",
@@ -100,21 +111,19 @@ class TestAdmissibility:
     )
     def test_trajectory_bounds_never_exceed_exact(self, distance):
         for a, b in _random_trajectory_pairs():
-            exact = distance(a, b)
-            assert combined_bound(distance, a, b) <= exact + 1e-9
+            assert not prunes_at_exact(distance, combined_bound(distance, a, b), a, b)
 
     @pytest.mark.parametrize("distance", STRING_DISTANCES, ids=lambda d: d.name)
     def test_string_bounds_never_exceed_exact(self, distance):
         for a, b in _random_string_pairs():
-            exact = distance(a, b)
-            assert combined_bound(distance, a, b) <= exact + 1e-9
+            assert not prunes_at_exact(distance, combined_bound(distance, a, b), a, b)
 
     def test_euclidean_norm_bound(self):
         distance = Euclidean()
         for _ in range(30):
             a = RNG.normal(size=15)
             b = RNG.normal(size=15)
-            assert combined_bound(distance, a, b) <= distance(a, b) + 1e-9
+            assert not prunes_at_exact(distance, combined_bound(distance, a, b), a, b)
 
     def test_kim_bound_admissible_for_single_element_pairs(self):
         # Both endpoints of a 1x1 pair are the same coupling: summing them
@@ -123,8 +132,7 @@ class TestAdmissibility:
         for _ in range(20):
             a = RNG.normal(size=1)
             b = RNG.normal(size=1)
-            exact = distance(a, b)
-            assert combined_bound(distance, a, b) <= exact + 1e-9
+            assert not prunes_at_exact(distance, combined_bound(distance, a, b), a, b)
         batched = combined_batch_bound(
             distance, as_array(RNG.normal(size=1)), np.stack([as_array(RNG.normal(size=1))])
         )
@@ -181,11 +189,10 @@ class TestAdmissibility:
                 a, b = RNG.integers(0, 3, size=n), RNG.integers(0, 3, size=m)
             else:
                 a, b = RNG.normal(size=n) * 3.0, RNG.normal(size=m) * 3.0
-            exact = distance(a, b)
             for bound in bounds_for(distance):
                 value = bound.pair(distance, as_array(a), as_array(b))
-                assert value <= exact + 1e-9, (bound.name, lengths, value, exact)
-            assert combined_bound(distance, a, b) <= exact + 1e-9
+                assert not prunes_at_exact(distance, value, a, b), (bound.name, lengths, value)
+            assert not prunes_at_exact(distance, combined_bound(distance, a, b), a, b)
 
     def test_every_registered_bound_applies_somewhere(self):
         distances = SERIES_DISTANCES + STRING_DISTANCES + [Euclidean()]
@@ -303,7 +310,7 @@ def check_table(net, query, spans):
             entry = row[column[key]]
             window = as_array(item)
             assert entry == combined_batch_bound(net.distance, segment, window[None])[0]
-            assert entry <= net.distance(segment, window) + 1e-9
+            assert not prunes_at_exact(net.distance, entry, segment, window)
     return [
         {key: row[position] for key, position in column.items()}
         for row in table.matrix.tolist()
@@ -415,15 +422,15 @@ def wide_point_pairs(draw):
 
 
 class TestWidePointsStayAdmissible:
-    """Every bound is at most the C distance at 8-10 coordinates per point.
+    """No bound prunes at radius = the C distance, at 8-10 coordinates per point.
 
-    The bounds, the traceback tables and the kernels accumulate element
-    costs in one order (:meth:`ElementMetric.norm`), so the bottleneck
-    distance -- an exact selection of element costs -- is never exceeded by
-    even an ulp.  The summed distances run a reduced-coordinate sweep, which
-    rounds at the scale of a row's prefix sums rather than of the result (a
-    tiny cost beside a large one in the same row is absorbed), so they get
-    the absolute 1e-9 slack of the other admissibility tests.
+    The bounds and the kernels accumulate element costs in one order
+    (:meth:`ElementMetric.norm`), so the bottleneck distance -- an exact
+    selection of element costs -- is never exceeded by even an ulp.  The
+    summed distances run a reduced-coordinate sweep, which rounds at the
+    scale of a row's prefix sums rather than of the result (a tiny cost
+    beside a large one in the same row is absorbed); the prune rule's slack
+    scales with those sums.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -432,7 +439,8 @@ class TestWidePointsStayAdmissible:
         distance = WIDE_POINT_DISTANCES[which]
         first, second = pair
         exact = distance.bounded(first, second, np.inf)
-        slack = 0.0 if isinstance(distance, DiscreteFrechet) else 1e-9
         for bound in bounds_for(distance):
             value = bound.pair(distance, first, second)
-            assert value <= exact + slack, (bound.name, value, exact)
+            assert not prunes_at_exact(distance, value, first, second), (bound.name, value)
+            if isinstance(distance, DiscreteFrechet):
+                assert value <= exact, (bound.name, value, exact)

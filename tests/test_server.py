@@ -612,6 +612,25 @@ class TestNonFiniteAndShortInputs:
         assert "finite" in payload["error"]
         assert app.metrics.snapshot()["mutations"] == 0
 
+    @pytest.mark.parametrize("values", ["[true, false, true]", "[true, 1, 2]", "[1.5, false]"])
+    def test_boolean_sequence_values_are_400(self, app, pattern_query, values):
+        status, envelope = self.raw_search(app, '"type": "range", "radius": 1', values)
+        assert status == 400, envelope
+        assert "true / false" in envelope["error"]
+        sequence = '{"kind": "time_series", "values": %s}' % values
+        entry = json.dumps(search_body(TOPK, pattern_query))
+        body = '{"requests": [%s, {"query": {"type": "range", "radius": 1}, "sequence": %s}]}' % (
+            entry, sequence,
+        )  # fmt: skip
+        status, payload = asgi_request(app, "POST", "/search/batch", raw_body=body.encode())
+        assert status == 400, payload
+        assert "batch entry 1" in payload["error"] and "true / false" in payload["error"]
+        body = '{"sequence": %s}' % sequence
+        status, payload = asgi_request(app, "POST", "/sequences", raw_body=body.encode())
+        assert status == 400, payload
+        assert "true / false" in payload["error"]
+        assert app.metrics.snapshot()["mutations"] == 0
+
     def test_non_finite_batch_timeout_is_400(self, app, pattern_query):
         entry = json.dumps(search_body(TOPK, pattern_query))
         for timeout in ("NaN", "Infinity"):

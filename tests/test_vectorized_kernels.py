@@ -1,8 +1,10 @@
-"""The row-vectorized table fills against the retained references.
+"""The C-filled DP tables against the retained references.
 
-The traceback tables of :mod:`repro.distances.alignment` must agree with
-the cell-by-cell implementations retained in ``kernel_reference.py`` across
-random inputs, Sakoe-Chiba bands, and unequal lengths.  The bounded
+The tables ``alignment()`` traces back over -- one full-band
+``prefix_block`` sweep of the C kernels -- must agree with the cell-by-cell
+implementations retained in ``kernel_reference.py`` across random inputs,
+Sakoe-Chiba bands, and unequal lengths; so must LCSS's row-vectorized
+length in :mod:`repro.distances.alignment`.  The bounded
 (early-abandoning) API of every distance is checked against its contract:
 exact at or below the cutoff, strictly above the cutoff otherwise.
 """
@@ -10,7 +12,9 @@ exact at or below the cutoff, strictly above the cutoff otherwise.
 import numpy as np
 import pytest
 
-from repro.distances.alignment import edit_table, lcss_length, warping_table
+from repro.distances.alignment import lcss_length
+from repro.distances.base import ElementMetric
+from repro.distances.elastic import WarpingDistance
 from kernel_reference import (
     reference_edit_table,
     reference_lcss_length,
@@ -33,8 +37,22 @@ SHAPES = [(1, 1), (1, 9), (9, 1), (7, 23), (20, 20), (21, 80), (40, 40), (13, 57
 BANDS = [None, 0, 1, 3, 100]
 
 
-def _random_cost(rng, shape):
-    return rng.uniform(0.0, 5.0, size=shape)
+class _Warping(WarpingDistance):
+    """A warping member with any aggregate and band (DiscreteFrechet has no band)."""
+
+    name = "warping"
+    is_metric = False
+
+    def __init__(self, aggregate, band):
+        self.element_metric = ElementMetric("euclidean")
+        self.aggregate = aggregate
+        self.band = band
+
+
+def _c_table(distance, first, second):
+    """The table ``alignment()`` traces back over: one full-band C sweep."""
+    shift = max(len(first), len(second)) - 1
+    return distance.prefix_block(first, second, 1, shift, None).table(len(second))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -42,23 +60,41 @@ def _random_cost(rng, shape):
 @pytest.mark.parametrize("aggregate", ["sum", "max"])
 def test_warping_table_matches_reference(shape, band, aggregate):
     rng = np.random.default_rng(hash((shape, band, aggregate)) % (2**32))
-    cost = _random_cost(rng, shape)
-    reference = reference_warping_table(cost, aggregate, band)
-    vectorized = warping_table(cost, aggregate, band)
-    assert np.array_equal(np.isinf(reference), np.isinf(vectorized))
+    first = rng.uniform(0.0, 5.0, size=(shape[0], 1))
+    second = rng.uniform(0.0, 5.0, size=(shape[1], 1))
+    distance = _Warping(aggregate, band)
+    reference = reference_warping_table(
+        distance.element_metric.matrix(first, second), aggregate, band
+    )
+    table = _c_table(distance, first, second)
+    assert np.array_equal(np.isinf(reference), np.isinf(table))
     finite = ~np.isinf(reference)
-    assert np.allclose(reference[finite], vectorized[finite], atol=1e-9, rtol=1e-12)
+    assert np.allclose(reference[finite], table[finite], atol=1e-9, rtol=1e-12)
+
+
+EDIT_MEMBERS = [
+    ERP(),
+    EDR(epsilon=0.4),
+    Levenshtein(),
+    WeightedLevenshtein({(0, 1): 0.3}, insertion_cost=0.7, deletion_cost=1.3),
+]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_edit_table_matches_reference(shape):
+@pytest.mark.parametrize("distance", EDIT_MEMBERS, ids=lambda d: d.name)
+def test_edit_table_matches_reference(shape, distance):
     rng = np.random.default_rng(hash((shape, 3)) % (2**32))
-    substitution = _random_cost(rng, shape)
-    deletion = rng.uniform(0.0, 3.0, size=shape[0])
-    insertion = rng.uniform(0.0, 3.0, size=shape[1])
-    reference = reference_edit_table(substitution, deletion, insertion)
-    vectorized = edit_table(substitution, deletion, insertion)
-    assert np.allclose(reference, vectorized, atol=1e-9, rtol=1e-12)
+    if isinstance(distance, (Levenshtein, WeightedLevenshtein)):
+        first = rng.integers(0, 4, size=(shape[0], 1)).astype(float)
+        second = rng.integers(0, 4, size=(shape[1], 1)).astype(float)
+    else:
+        first = rng.uniform(0.0, 5.0, size=(shape[0], 1))
+        second = rng.uniform(0.0, 5.0, size=(shape[1], 1))
+    reference = reference_edit_table(
+        distance.substitution(first, second), distance.deletion(first), distance.insertion(second)
+    )
+    table = _c_table(distance, first, second)
+    assert np.allclose(reference[1:, 1:], table, atol=1e-9, rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

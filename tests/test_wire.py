@@ -207,6 +207,19 @@ class TestSequenceCodec:
         with pytest.raises(QueryError, match="malformed sequence"):
             sequence_from_wire({"kind": "time_series", "values": []})
 
+    @pytest.mark.parametrize(
+        "kind, values",
+        [
+            ("time_series", [True, False, True]),
+            ("string", [True, 1, 2]),
+            ("time_series", [0.5, False]),
+            ("trajectory", [[1.0, 2.0], [3.0, True]]),
+        ],
+    )
+    def test_boolean_values(self, kind, values):
+        with pytest.raises(QueryError, match="not true / false"):
+            sequence_from_wire({"kind": kind, "values": values})
+
 
 class TestSearchRequests:
     def body(self, **overrides):
