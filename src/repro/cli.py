@@ -256,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--server-backend",
         choices=["auto", "stdlib"],
         default="auto",
-        help="HTTP runtime; both names run the dependency-free stdlib server",
+        help="ignored: the standard-library server is the one HTTP runtime "
+        "(the names stay accepted for existing scripts)",
     )
     serve.add_argument(
         "--max-in-flight",
@@ -498,7 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service,
         host=args.host,
         port=args.port,
-        backend=args.server_backend,
         snapshot_on_exit=not args.no_snapshot_on_exit,
         max_in_flight=args.max_in_flight,
         default_timeout=args.timeout,

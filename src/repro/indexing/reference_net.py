@@ -73,6 +73,12 @@ from repro.indexing.stats import CountingDistance, DistanceCounter, first_occurr
 from repro.sequences.packed import PackedWindowStore, StoreGather
 from repro.sequences.sequence import Sequence
 
+#: CPython-flavoured per-node and per-parent-link sizes behind the footprint
+#: estimate of :meth:`ReferenceNet.stats` (the space-overhead figures only).
+NODE_OVERHEAD_BYTES = 112
+LINK_OVERHEAD_BYTES = 24
+
+
 class _Node:
     """One stored item and its position in the hierarchy."""
 
@@ -243,10 +249,6 @@ class ReferenceNet(MetricIndex):
         same with the flag on or off.  Off by default, like a bare
         :class:`~repro.indexing.linear_scan.LinearScanIndex`; the matcher
         passes :attr:`~repro.core.config.MatcherConfig.prefilter`.
-    node_overhead_bytes / link_overhead_bytes:
-        Constants used by :meth:`stats` to estimate the index footprint.
-        They only matter for the space-overhead figures and have sane
-        CPython-flavoured defaults.
     """
 
     index_name = "reference-net"
@@ -267,8 +269,6 @@ class ReferenceNet(MetricIndex):
         eps_prime: float = 1.0,
         nummax: Optional[int] = None,
         counter: Optional[DistanceCounter] = None,
-        node_overhead_bytes: int = 112,
-        link_overhead_bytes: int = 24,
         cache: Optional[DistanceCache] = None,
         prefilter: bool = False,
     ) -> None:
@@ -282,8 +282,6 @@ class ReferenceNet(MetricIndex):
             raise IndexError_(f"nummax must be >= 1, got {nummax}")
         self.eps_prime = float(eps_prime)
         self.nummax = nummax
-        self._node_overhead = int(node_overhead_bytes)
-        self._link_overhead = int(link_overhead_bytes)
         self._nodes: Dict[Hashable, _Node] = {}
         self._root: Optional[_Node] = None
         self._max_level = 1
@@ -1007,7 +1005,7 @@ class ReferenceNet(MetricIndex):
         histogram: Dict[int, int] = {}
         for node in self._nodes.values():
             histogram[node.home_level] = histogram.get(node.home_level, 0) + 1
-        size = node_count * self._node_overhead + link_count * self._link_overhead
+        size = node_count * NODE_OVERHEAD_BYTES + link_count * LINK_OVERHEAD_BYTES
         return ReferenceNetStats(
             node_count=node_count,
             parent_link_count=link_count,

@@ -1,17 +1,16 @@
 """The network service layer: the declarative query API over HTTP.
 
 ``repro.server`` puts the :class:`~repro.core.service.SearchService` facade
-on the wire.  The layering mirrors the execution engine's pluggable
-backends:
+on the wire with nothing but the standard library:
 
-* :mod:`repro.server.app` -- :class:`SearchApp`, a framework-free ASGI 3
-  application: routing, admission control, per-request timeouts, and the
-  shared :mod:`repro.core.wire` envelopes;
-* :mod:`repro.server.stdlib_http` -- a dependency-free ``asyncio`` HTTP/1.1
-  server that speaks ASGI, so the service runs on a bare Python install;
-* :mod:`repro.server.runner` -- :func:`serve` (blocking; the stdlib server
-  is the one runtime) and :class:`BackgroundServer` (a context manager
-  running it on a daemon thread, for tests and benchmarks);
+* :mod:`repro.server.app` -- :class:`SearchApp`: one synchronous entry
+  point, ``handle(method, target, body) -> (status, json_bytes)``, with
+  routing, admission control, per-request deadlines and the shared
+  :mod:`repro.core.wire` envelopes;
+* :mod:`repro.server.runner` -- the ``http.server`` transport that feeds
+  it, :func:`serve` (blocking, behind ``repro serve``) and
+  :class:`BackgroundServer` (the same server on a daemon thread, for tests
+  and benchmarks);
 * :mod:`repro.server.metrics` -- :class:`ServerMetrics`, the thread-safe
   counters behind ``GET /metrics``.
 
@@ -24,12 +23,10 @@ Endpoints (see the README's "HTTP service" section for the full table):
 from repro.server.app import SearchApp
 from repro.server.metrics import ServerMetrics
 from repro.server.runner import BackgroundServer, serve
-from repro.server.stdlib_http import StdlibAsgiServer
 
 __all__ = [
     "SearchApp",
     "ServerMetrics",
-    "StdlibAsgiServer",
     "BackgroundServer",
     "serve",
 ]

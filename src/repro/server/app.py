@@ -1,10 +1,11 @@
-"""The framework-free ASGI application over a :class:`SearchService`.
+"""The HTTP application over a :class:`SearchService`.
 
-:class:`SearchApp` is a plain ASGI 3 callable -- no web framework -- served
-by the stdlib server (:mod:`repro.server.stdlib_http`); any other ASGI host
-can run it unchanged.  Every response body is built by
-:mod:`repro.core.wire`, the same module behind ``repro search --json``, so
-the HTTP surface and the CLI cannot drift.
+:class:`SearchApp` answers one request at a time through one synchronous
+entry point, :meth:`SearchApp.handle`: method, raw request target and body
+bytes in, status and a strict-JSON body out.  The socket handler of
+:mod:`repro.server.runner` and the in-process tests both call it.  Every
+response body is built by :mod:`repro.core.wire`, the same module behind
+``repro search --json``, so the HTTP surface and the CLI cannot drift.
 
 Routes
 ------
@@ -22,32 +23,34 @@ GET     ``/metrics``            Operational counters, p50/p99, cache rates.
 
 Status codes: ``200`` success, ``400`` malformed request, ``404`` unknown
 route / unknown sequence, ``405`` wrong method, ``409`` duplicate sequence
-id, ``422`` a well-formed query that failed (e.g. a Type III sweep with no
-segment match -- the body is the standard envelope with ``error`` set and
-the sweep's own work counters), ``503`` admission control rejected the
-request (too many queries in flight), ``504`` the per-request timeout
-elapsed.
+id, ``413`` request body over the cap (answered by the runner before the
+body is read), ``422`` a well-formed query that failed (e.g. a Type III
+sweep with no segment match -- the body is the standard envelope with
+``error`` set and the sweep's own work counters), ``500`` an unexpected
+failure, ``503`` admission control rejected the request (too many queries
+in flight), ``504`` the per-request timeout elapsed.
 
 Concurrency model
 -----------------
-Query execution is synchronous CPU work, so each request runs on a worker
-thread (``loop.run_in_executor``) while the event loop keeps accepting
-connections.  The shared :class:`~repro.core.service.SearchService`
-serialises actual matcher work behind its internal lock (the pipeline keeps
-per-query scratch state); *admission* is what is concurrent -- up to
-``max_in_flight`` requests may be queued on the service at once, and the
-admission counter is only released when a worker actually finishes, so a
+The runner serves every connection on its own thread.  The shared
+:class:`~repro.core.service.SearchService` serialises actual matcher work
+behind its internal lock (the pipeline keeps per-query scratch state);
+*admission* is what is concurrent -- up to ``max_in_flight`` queries may be
+queued on the service at once.  Admitted work runs on a thread of its own
+that the handler waits for up to the deadline (:meth:`SearchApp._deadline`);
+the work releases its admission slot itself when it really ends, so a
 timed-out request keeps holding its slot until the matcher lets go of it.
+Mutations run on the handler thread, with no deadline.
 """
 
 from __future__ import annotations
 
-import asyncio
+import concurrent.futures
 import json
 import threading
 import time
 import urllib.parse
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.service import SearchService
 from repro.core.wire import (
@@ -79,9 +82,18 @@ DEFAULT_TIMEOUT = 30.0
 #: Default cap on ``POST /search/batch`` size.
 DEFAULT_MAX_BATCH = 64
 
+T = TypeVar("T")
+
+#: A response before encoding: ``(status, JSON-safe payload)``.
+Response = Tuple[int, object]
+
+
+def _capacity_error(max_in_flight: int) -> str:
+    return f"server at capacity ({max_in_flight} queries in flight); retry shortly"
+
 
 class SearchApp:
-    """ASGI 3 application exposing one :class:`SearchService` over HTTP."""
+    """One :class:`SearchService` over HTTP, one request per :meth:`handle`."""
 
     def __init__(
         self,
@@ -107,157 +119,100 @@ class SearchApp:
         self._admission_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # ASGI entry point
+    # The entry point
     # ------------------------------------------------------------------ #
-    async def __call__(self, scope, receive, send) -> None:
-        if scope["type"] == "lifespan":
-            await self._lifespan(receive, send)
-            return
-        if scope["type"] != "http":  # pragma: no cover - ws etc.
-            raise RuntimeError(f"unsupported ASGI scope type {scope['type']!r}")
-        method = scope["method"].upper()
-        path = scope.get("path", "/")
+    def handle(self, method: str, target: str, body: bytes) -> Tuple[int, bytes]:
+        """Answer one request: ``(status, strict-JSON response body)``.
+
+        ``target`` is the raw request target: the query string is dropped
+        and the path percent-decoded exactly once, so ``DELETE
+        /sequences/x%2541y`` removes the sequence ``x%41y``.
+        """
+        path = urllib.parse.unquote(target.partition("?")[0])
         try:
-            await self._dispatch(method, path, receive, send)
+            status, payload = self._dispatch(method.upper(), path, body)
         except ReproError as error:
-            await _send_json(send, 500, {"error": str(error)})
+            status, payload = 500, {"error": str(error)}
+        return status, _send_json(payload)
 
-    async def _lifespan(self, receive, send) -> None:
-        while True:
-            message = await receive()
-            if message["type"] == "lifespan.startup":
-                await send({"type": "lifespan.startup.complete"})
-            elif message["type"] == "lifespan.shutdown":
-                await send({"type": "lifespan.shutdown.complete"})
-                return
-
-    async def _dispatch(self, method: str, path: str, receive, send) -> None:
-        if path == "/health":
-            if await self._require(method, "GET", send):
-                await self._health(send)
-            return
-        if path == "/metrics":
-            if await self._require(method, "GET", send):
-                await self._metrics(send)
-            return
-        if path == "/search":
-            if await self._require(method, "POST", send):
-                await self._search(receive, send)
-            return
-        if path == "/search/batch":
-            if await self._require(method, "POST", send):
-                await self._search_batch(receive, send)
-            return
-        if path == "/sequences":
-            if await self._require(method, "POST", send):
-                await self._add_sequence(receive, send)
-            return
+    def _dispatch(self, method: str, path: str, body: bytes) -> Response:
         if path.startswith("/sequences/"):
-            if await self._require(method, "DELETE", send):
-                seq_id = urllib.parse.unquote(path[len("/sequences/"):])
-                await self._remove_sequence(seq_id, send)
-            return
-        if path == "/snapshots":
-            if await self._require(method, "POST", send):
-                await self._save_snapshot(receive, send)
-            return
-        await _send_json(send, 404, {"error": f"unknown route {path!r}"})
-
-    async def _require(self, method: str, expected: str, send) -> bool:
-        if method == expected:
-            return True
-        await _send_json(
-            send, 405, {"error": f"method {method} not allowed; use {expected}"}
-        )
-        return False
+            seq_id = path[len("/sequences/"):]
+            expected, endpoint = "DELETE", lambda _: self._remove_sequence(seq_id)
+        else:
+            route = {
+                "/health": ("GET", self._health),
+                "/metrics": ("GET", self._metrics),
+                "/search": ("POST", self._search),
+                "/search/batch": ("POST", self._search_batch),
+                "/sequences": ("POST", self._add_sequence),
+                "/snapshots": ("POST", self._save_snapshot),
+            }.get(path)
+            if route is None:
+                return 404, {"error": f"unknown route {path!r}"}
+            expected, endpoint = route
+        if method != expected:
+            return 405, {"error": f"method {method} not allowed; use {expected}"}
+        return endpoint(body)
 
     # ------------------------------------------------------------------ #
     # Operational endpoints
     # ------------------------------------------------------------------ #
-    async def _health(self, send) -> None:
+    def _health(self, body: bytes) -> Response:
         service = self.service
-        await _send_json(
-            send,
-            200,
-            {
-                "status": "ok",
-                "schema_version": WIRE_SCHEMA_VERSION,
-                "accepted_schema_versions": list(ACCEPTED_SCHEMA_VERSIONS),
-                "loaded": service.loaded,
-                "snapshot": (
-                    str(service.snapshot_path)
-                    if service.snapshot_path is not None
-                    else None
-                ),
-                "in_flight": self._in_flight,
-                "max_in_flight": self.max_in_flight,
-            },
-        )
+        return 200, {
+            "status": "ok",
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "accepted_schema_versions": list(ACCEPTED_SCHEMA_VERSIONS),
+            "loaded": service.loaded,
+            "snapshot": (
+                str(service.snapshot_path) if service.snapshot_path is not None else None
+            ),
+            "in_flight": self._in_flight,
+            "max_in_flight": self.max_in_flight,
+        }
 
-    async def _metrics(self, send) -> None:
+    def _metrics(self, body: bytes) -> Response:
         payload = self.metrics.snapshot()
         payload["in_flight"] = self._in_flight
         payload["cache"].update(self.service.cache_stats() or {"entries": None, "evictions": None})
-        await _send_json(send, 200, payload)
+        return 200, payload
 
     # ------------------------------------------------------------------ #
     # Search endpoints
     # ------------------------------------------------------------------ #
-    async def _search(self, receive, send) -> None:
-        body, parse_failure = await _read_json(receive)
+    def _search(self, body: bytes) -> Response:
+        payload, parse_failure = _read_json(body)
         if parse_failure is not None:
             self.metrics.record_parse_error()
-            await _send_json(send, 400, error_envelope(parse_failure))
-            return
+            return 400, error_envelope(parse_failure)
         try:
-            request = parse_search_request(body)
+            request = parse_search_request(payload)
         except QueryError as error:
             self.metrics.record_parse_error()
-            await _send_json(
-                send,
-                400,
-                error_envelope(
-                    str(error),
-                    request_id=_safe_request_id(body),
-                ),
-            )
-            return
+            return 400, error_envelope(str(error), request_id=_safe_request_id(payload))
         if not self._admit():
             self.metrics.record_rejected()
-            await _send_json(
-                send,
-                503,
-                error_envelope(
-                    f"server at capacity ({self.max_in_flight} queries in flight); "
-                    "retry shortly",
-                    request_id=request.request_id,
-                    query=request.spec.describe(),
-                    query_origin=request.query_origin,
-                ),
+            return 503, error_envelope(
+                _capacity_error(self.max_in_flight),
+                request_id=request.request_id,
+                query=request.spec.describe(),
+                query_origin=request.query_origin,
             )
-            return
-        status, envelope = await self._run_admitted(request)
-        await _send_json(send, status, envelope)
+        return self._run_admitted(request)
 
-    async def _run_admitted(self, request: SearchRequest) -> Tuple[int, Dict]:
-        """Execute one admitted request on a worker thread, with deadline."""
-        loop = asyncio.get_event_loop()
+    def _run_admitted(self, request: SearchRequest) -> Tuple[int, Dict]:
+        """Execute one admitted request within its deadline."""
         timeout = request.timeout if request.timeout is not None else self.default_timeout
         started = time.perf_counter()
-
-        def work():
-            # The admission slot is held until the matcher actually finishes,
-            # even if the awaiting side already timed out.
-            try:
-                return self.service.execute_many(
-                    [request.spec], executor=request.executor, workers=request.workers
-                )[0]
-            finally:
-                self._release()
-
         try:
-            result = await asyncio.wait_for(loop.run_in_executor(None, work), timeout)
-        except asyncio.TimeoutError:
+            result = self._deadline(
+                lambda: self.service.execute_many(
+                    [request.spec], executor=request.executor, workers=request.workers
+                )[0],
+                timeout,
+            )
+        except concurrent.futures.TimeoutError:
             self.metrics.record_timeout()
             return 504, error_envelope(
                 f"query exceeded its {timeout:g}s deadline",
@@ -280,75 +235,72 @@ class SearchApp:
             return 422, envelope
         return 200, envelope
 
-    async def _search_batch(self, receive, send) -> None:
-        body, parse_failure = await _read_json(receive)
+    def _search_batch(self, body: bytes) -> Response:
+        payload, parse_failure = _read_json(body)
         if parse_failure is not None:
             self.metrics.record_parse_error()
-            await _send_json(send, 400, {"error": parse_failure})
-            return
+            return 400, {"error": parse_failure}
         try:
-            requests, timeout = self._parse_batch(body)
+            requests, timeout = self._parse_batch(payload)
         except QueryError as error:
             self.metrics.record_parse_error()
-            await _send_json(send, 400, {"error": str(error)})
-            return
+            return 400, {"error": str(error)}
         if not self._admit():
             self.metrics.record_rejected()
-            await _send_json(
-                send,
-                503,
-                {
-                    "error": f"server at capacity ({self.max_in_flight} queries "
-                    "in flight); retry shortly"
-                },
-            )
-            return
-        loop = asyncio.get_event_loop()
+            return 503, {"error": _capacity_error(self.max_in_flight)}
 
-        def work():
-            try:
-                envelopes = []
-                for request in requests:
-                    started = time.perf_counter()
-                    result = self.service.execute_many(
-                        [request.spec],
-                        executor=request.executor,
-                        workers=request.workers,
-                    )[0]
-                    self.metrics.record_query(
-                        time.perf_counter() - started, result.stats
+        def work() -> List[Dict]:
+            envelopes = []
+            for request in requests:
+                started = time.perf_counter()
+                result = self.service.execute_many(
+                    [request.spec], executor=request.executor, workers=request.workers
+                )[0]
+                self.metrics.record_query(time.perf_counter() - started, result.stats)
+                if result.error is not None:
+                    self.metrics.record_query_error()
+                envelopes.append(
+                    result_envelope(
+                        result,
+                        self.service,
+                        request_id=request.request_id,
+                        query_origin=request.query_origin,
+                        include_timings=request.include_timings,
                     )
-                    if result.error is not None:
-                        self.metrics.record_query_error()
-                    envelopes.append(
-                        result_envelope(
-                            result,
-                            self.service,
-                            request_id=request.request_id,
-                            query_origin=request.query_origin,
-                            include_timings=request.include_timings,
-                        )
-                    )
-                return envelopes
-            finally:
-                self._release()
+                )
+            return envelopes
 
         try:
-            envelopes = await asyncio.wait_for(
-                loop.run_in_executor(None, work), timeout
-            )
-        except asyncio.TimeoutError:
+            envelopes = self._deadline(work, timeout)
+        except concurrent.futures.TimeoutError:
             self.metrics.record_timeout()
-            await _send_json(
-                send, 504, {"error": f"batch exceeded its {timeout:g}s deadline"}
-            )
-            return
+            return 504, {"error": f"batch exceeded its {timeout:g}s deadline"}
         self.metrics.record_batch()
-        await _send_json(
-            send,
-            200,
-            {"schema_version": WIRE_SCHEMA_VERSION, "results": envelopes},
-        )
+        return 200, {"schema_version": WIRE_SCHEMA_VERSION, "results": envelopes}
+
+    def _deadline(self, work: Callable[[], T], timeout: float) -> T:
+        """Run admitted ``work`` on a thread of its own; wait up to ``timeout``.
+
+        Returns what ``work`` returns and re-raises what it raises; raises
+        :class:`concurrent.futures.TimeoutError` at the deadline.  The
+        admission slot is released in the work's own ``finally``, so it is
+        held until the work really ends, deadline or not.
+        """
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def run() -> None:
+            try:
+                try:
+                    value = work()
+                finally:
+                    self._release()
+            except Exception as error:  # re-raised by the waiting handler
+                future.set_exception(error)
+            else:
+                future.set_result(value)
+
+        threading.Thread(target=run, daemon=True).start()
+        return future.result(timeout)
 
     def _parse_batch(self, body) -> Tuple[List[SearchRequest], float]:
         if not isinstance(body, dict):
@@ -383,84 +335,52 @@ class SearchApp:
     # ------------------------------------------------------------------ #
     # Mutation endpoints
     # ------------------------------------------------------------------ #
-    async def _add_sequence(self, receive, send) -> None:
-        body, parse_failure = await _read_json(receive)
+    def _add_sequence(self, body: bytes) -> Response:
+        payload, parse_failure = _read_json(body)
         if parse_failure is not None:
-            await _send_json(send, 400, {"error": parse_failure})
-            return
-        if not isinstance(body, dict) or set(body) - {"sequence"}:
-            await _send_json(
-                send, 400, {"error": "body must be {'sequence': {...}}"}
-            )
-            return
+            return 400, {"error": parse_failure}
+        if not isinstance(payload, dict) or set(payload) - {"sequence"}:
+            return 400, {"error": "body must be {'sequence': {...}}"}
         try:
-            sequence = sequence_from_wire(body.get("sequence"))
+            sequence = sequence_from_wire(payload.get("sequence"))
         except QueryError as error:
-            await _send_json(send, 400, {"error": str(error)})
-            return
-        loop = asyncio.get_event_loop()
+            return 400, {"error": str(error)}
         try:
-            seq_id = await loop.run_in_executor(
-                None, lambda: self.service.add_sequence(sequence)
-            )
+            seq_id = self.service.add_sequence(sequence)
         except SequenceError as error:
-            await _send_json(send, 409, {"error": str(error)})
-            return
+            return 409, {"error": str(error)}
         self.metrics.record_mutation()
-        await _send_json(
-            send,
-            200,
-            {
-                "seq_id": seq_id,
-                "sequences": len(self.service.backend.database),
-                "fingerprint": self.service.fingerprint(),
-            },
-        )
+        return 200, {
+            "seq_id": seq_id,
+            "sequences": len(self.service.backend.database),
+            "fingerprint": self.service.fingerprint(),
+        }
 
-    async def _remove_sequence(self, seq_id: str, send) -> None:
-        loop = asyncio.get_event_loop()
+    def _remove_sequence(self, seq_id: str) -> Response:
         try:
-            removed = await loop.run_in_executor(
-                None, lambda: self.service.remove_sequence(seq_id)
-            )
+            removed = self.service.remove_sequence(seq_id)
         except (ItemNotFoundError, SequenceError, KeyError) as error:
-            await _send_json(send, 404, {"error": str(error)})
-            return
+            return 404, {"error": str(error)}
         self.metrics.record_mutation()
-        await _send_json(
-            send,
-            200,
-            {
-                "seq_id": seq_id,
-                "removed_length": len(removed),
-                "sequences": len(self.service.backend.database),
-                "fingerprint": self.service.fingerprint(),
-            },
-        )
+        return 200, {
+            "seq_id": seq_id,
+            "removed_length": len(removed),
+            "sequences": len(self.service.backend.database),
+            "fingerprint": self.service.fingerprint(),
+        }
 
-    async def _save_snapshot(self, receive, send) -> None:
-        body, parse_failure = await _read_json(receive, allow_empty=True)
+    def _save_snapshot(self, body: bytes) -> Response:
+        payload, parse_failure = _read_json(body, allow_empty=True)
         if parse_failure is not None:
-            await _send_json(send, 400, {"error": parse_failure})
-            return
-        body = body or {}
-        if not isinstance(body, dict) or set(body) - {"path"}:
-            await _send_json(send, 400, {"error": "body must be {} or {'path': ...}"})
-            return
-        path = body.get("path")
-        loop = asyncio.get_event_loop()
+            return 400, {"error": parse_failure}
+        payload = payload or {}
+        if not isinstance(payload, dict) or set(payload) - {"path"}:
+            return 400, {"error": "body must be {} or {'path': ...}"}
         try:
-            target = await loop.run_in_executor(
-                None, lambda: self.service.save_snapshot(path)
-            )
+            target = self.service.save_snapshot(payload.get("path"))
         except StorageError as error:
-            await _send_json(send, 400, {"error": str(error)})
-            return
-        await _send_json(
-            send,
-            200,
-            {"path": str(target), "fingerprint": self.service.fingerprint()},
-        )
+            return 400, {"error": str(error)}
+        return 200, {"path": str(target), "fingerprint": self.service.fingerprint()}
 
     # ------------------------------------------------------------------ #
     # Admission control
@@ -490,18 +410,8 @@ def _safe_request_id(body) -> Optional[str]:
     return None
 
 
-async def _read_json(receive, allow_empty: bool = False):
-    """Drain the request body; returns ``(payload, error_message)``."""
-    chunks = []
-    while True:
-        message = await receive()
-        if message["type"] == "http.request":
-            chunks.append(message.get("body", b""))
-            if not message.get("more_body"):
-                break
-        elif message["type"] == "http.disconnect":
-            break
-    raw = b"".join(chunks)
+def _read_json(raw: bytes, allow_empty: bool = False):
+    """Decode a request body; returns ``(payload, error_message)``."""
     if not raw:
         if allow_empty:
             return None, None
@@ -512,19 +422,9 @@ async def _read_json(receive, allow_empty: bool = False):
         return None, f"request body is not valid JSON: {error}"
 
 
-async def _send_json(send, status: int, payload) -> None:
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    await send(
-        {
-            "type": "http.response.start",
-            "status": status,
-            "headers": [
-                (b"content-type", b"application/json"),
-                (b"content-length", str(len(body)).encode("ascii")),
-            ],
-        }
-    )
-    await send({"type": "http.response.body", "body": body})
+def _send_json(payload) -> bytes:
+    """A response body: ``payload`` as strict JSON (no ``NaN`` / ``Infinity``)."""
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
 
 
 __all__ = [

@@ -1,8 +1,13 @@
-"""Run the search service: signals, snapshot-on-exit, background serving.
+"""Run the search service: the socket server, signals, snapshot-on-exit.
 
-:func:`serve` is the blocking entry point behind ``repro serve``: it runs
-:class:`~repro.server.app.SearchApp` on the dependency-free stdlib
-``asyncio`` server (:mod:`repro.server.stdlib_http`), the one HTTP runtime.
+:func:`serve` is the blocking entry point behind ``repro serve``: the
+standard library's :class:`http.server.ThreadingHTTPServer` hands every
+request to :meth:`SearchApp.handle <repro.server.app.SearchApp.handle>`,
+one daemon thread per connection and one request per connection
+(``Connection: close``).  The handler reads ``Content-Length`` and answers
+a body over :data:`MAX_BODY_BYTES` with a JSON ``413`` before reading it;
+every method, every error and any exception the app raises gets a JSON
+body too.
 
 Shutdown is snapshot-safe: ``SIGTERM`` is converted into the same clean
 exit as ``Ctrl-C``, and when the service is snapshot-backed (or an explicit
@@ -10,27 +15,92 @@ snapshot path is given) the built matcher state is written back on the way
 out, so a restarted server resumes from everything that was added over
 ``POST /sequences``.
 
-:class:`BackgroundServer` runs the stdlib server on a daemon thread with
-its own event loop -- the harness the tests and the HTTP benchmark use to
-exercise a real socket without shelling out.
+:class:`BackgroundServer` runs the same server on a daemon thread -- the
+harness the tests and the HTTP benchmark use to exercise a real socket
+without shelling out.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
+import http.server
 import json
 import signal
 import threading
+import traceback
 from typing import Optional, Tuple
 
 from repro.core.service import SearchService
-from repro.exceptions import ConfigurationError
 from repro.server.app import SearchApp
-from repro.server.stdlib_http import StdlibAsgiServer
 
-#: Runtime names accepted by :func:`serve`; both name the stdlib server.
-SERVER_BACKENDS = ("auto", "stdlib")
+#: Refuse request bodies larger than this with a ``413`` before reading
+#: them; the largest body the service expects (a sequence insert or a
+#: query) is a few KB.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+def _error_body(message: str) -> bytes:
+    return json.dumps({"error": message}).encode("utf-8")
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One request per connection, every method routed to the app."""
+
+    protocol_version = "HTTP/1.1"
+    #: Even a garbled request line gets a status line and headers, not the
+    #: bare HTTP/0.9 body ``http.server`` would send.
+    default_request_version = "HTTP/1.1"
+
+    def __getattr__(self, name: str):
+        # ``http.server`` looks up ``do_<METHOD>``; any method reaches the
+        # app, which answers an unknown one with a JSON 405 / 404.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
+
+    def _serve(self) -> None:
+        try:
+            status, body = self._answer()
+        except Exception as error:  # noqa: BLE001 - the last-resort 500
+            traceback.print_exc()
+            status, body = 500, _error_body(f"internal server error: {error}")
+        self._reply(status, body)
+
+    def _answer(self) -> Tuple[int, bytes]:
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            return 400, _error_body(f"invalid Content-Length {length!r}")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            return 413, _error_body(
+                f"request body of {size} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+            )
+        return self.server.app.handle(self.command, self.path, self.rfile.read(size))
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # Malformed request lines and headers: JSON like every other answer.
+        self._reply(code, _error_body(message or self.responses.get(code, ("error",))[0]))
+
+    def _reply(self, status: int, body: bytes) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+class _Server(http.server.ThreadingHTTPServer):
+    daemon_threads = True
+    #: The listen backlog: a burst of concurrent clients must not be refused.
+    request_queue_size = 100
+
+    def __init__(self, app: SearchApp, host: str, port: int) -> None:
+        self.app = app
+        super().__init__((host, port), _Handler)
 
 
 def _install_sigterm_handler() -> None:
@@ -53,7 +123,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8000,
     *,
-    backend: str = "auto",
     app: Optional[SearchApp] = None,
     snapshot_on_exit: bool = True,
     quiet: bool = False,
@@ -63,8 +132,6 @@ def serve(
 
     Parameters
     ----------
-    backend:
-        ``"auto"`` or ``"stdlib"``: both run the stdlib server.
     app:
         A pre-built :class:`SearchApp`; built from ``service`` and
         ``app_options`` (``max_in_flight``, ``default_timeout``,
@@ -74,19 +141,17 @@ def serve(
         back on shutdown (Ctrl-C or SIGTERM) -- mutations made over HTTP
         survive a restart.
     """
-    if backend not in SERVER_BACKENDS:
-        raise ConfigurationError(
-            f"unknown server backend {backend!r}; expected one of {SERVER_BACKENDS}"
-        )
     application = app if app is not None else SearchApp(service, **app_options)
+    server = _Server(application, host, port)
     if not quiet:
-        print(f"serving on http://{host}:{port} (stdlib runtime)")
+        print(f"serving on http://{host}:{server.server_address[1]}", flush=True)
     _install_sigterm_handler()
     try:
-        asyncio.run(StdlibAsgiServer(application, host, port).serve_forever())
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        server.server_close()
         if (
             snapshot_on_exit
             and service.snapshot_path is not None
@@ -99,7 +164,7 @@ def serve(
 
 
 class BackgroundServer:
-    """The stdlib server on a daemon thread, for tests and benchmarks.
+    """The socket server on a daemon thread, for tests and benchmarks.
 
     ::
 
@@ -114,56 +179,22 @@ class BackgroundServer:
         self.app = app
         self.host = host
         self.port = port
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._server: Optional[_Server] = None
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def __enter__(self) -> "BackgroundServer":
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("background server did not start within 10s")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"background server failed to start: {self._startup_error}"
-            )
+        self._server = _Server(self.app, self.host, self.port)
+        self.port = self._server.server_address[1]
+        # A short poll interval: ``shutdown()`` in ``__exit__`` waits for one.
+        threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True).start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            loop.close()
-
-    async def _main(self) -> None:
-        self._stop = asyncio.Event()
-        server = StdlibAsgiServer(self.app, self.host, self.port)
-        try:
-            _, self.port = await server.start()
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.close()
+        self._server.shutdown()
+        self._server.server_close()
 
     # ------------------------------------------------------------------ #
     # Tiny synchronous client
@@ -188,8 +219,4 @@ class BackgroundServer:
             connection.close()
 
 
-__all__ = [
-    "serve",
-    "BackgroundServer",
-    "SERVER_BACKENDS",
-]
+__all__ = ["serve", "BackgroundServer", "MAX_BODY_BYTES"]

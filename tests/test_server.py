@@ -2,10 +2,10 @@
 
 Two harnesses drive the same :class:`SearchApp`:
 
-* an in-process ASGI call (no socket) for endpoint semantics and error
-  paths, and
-* :class:`BackgroundServer` -- the real stdlib HTTP server on a real
-  socket -- for the wire-parity and concurrency guarantees.
+* :meth:`SearchApp.handle` called in-process (no socket) for endpoint
+  semantics and error paths, and
+* :class:`BackgroundServer` -- the real ``http.server`` transport on a real
+  socket -- for the wire-parity, transport and concurrency guarantees.
 
 The load-bearing claims: ``POST /search`` is byte-identical to the
 in-process ``result_envelope(service.execute(spec), ...)`` for every query
@@ -14,10 +14,14 @@ emits exactly that envelope -- see ``test_cli.py``), and the server admits
 >= 8 concurrent queries whose answers match a serial run byte for byte.
 """
 
-import asyncio
+import http.client
 import json
 import os
+import socket
+import sys
 import threading
+import time
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from repro import (
     sequence_to_wire,
 )
 from repro.server import BackgroundServer, SearchApp, ServerMetrics
+from repro.server.runner import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -101,60 +106,26 @@ def search_body(spec, query, **extra):
 
 
 # --------------------------------------------------------------------- #
-# In-process ASGI harness
+# In-process harness: SearchApp.handle, no socket
 # --------------------------------------------------------------------- #
 def _reject_constant(name):
     raise AssertionError(f"response body holds {name}, which strict JSON forbids")
 
 
-def asgi_request(app, method, path, payload=None, raw_body=None):
-    """Drive the ASGI app directly; returns ``(status, decoded_json)``.
+def app_request(app, method, path, payload=None, raw_body=None):
+    """Call :meth:`SearchApp.handle` directly; returns ``(status, decoded_json)``.
 
     The body is decoded as strict JSON: a ``NaN`` or ``Infinity`` in any
     response fails the test that sent the request.
     """
-
-    async def run():
-        if raw_body is not None:
-            body = raw_body
-        elif payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-        else:
-            body = b""
-        inbox = [
-            {"type": "http.request", "body": body, "more_body": False},
-            {"type": "http.disconnect"},
-        ]
-        outbox = []
-
-        async def receive():
-            return inbox.pop(0)
-
-        async def send(message):
-            outbox.append(message)
-
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method,
-            "path": path,
-            "raw_path": path.encode("utf-8"),
-            "query_string": b"",
-            "headers": [(b"content-type", b"application/json")],
-            "server": ("testserver", 80),
-            "client": ("testclient", 1),
-        }
-        await app(scope, receive, send)
-        status = outbox[0]["status"]
-        raw = b"".join(
-            m.get("body", b"") for m in outbox if m["type"] == "http.response.body"
-        )
-        if not raw:
-            return status, None
-        return status, json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
-
-    return asyncio.run(run())
+    if raw_body is not None:
+        body = raw_body
+    elif payload is not None:
+        body = json.dumps(payload).encode("utf-8")
+    else:
+        body = b""
+    status, raw = app.handle(method, path, body)
+    return status, json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
 
 
 # --------------------------------------------------------------------- #
@@ -172,7 +143,7 @@ class TestSearchParity:
         reference = make_service(planted_db, config, backend, tmp_path)
 
         app = SearchApp(served)
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app,
             "POST",
             "/search",
@@ -189,7 +160,7 @@ class TestSearchParity:
 
     def test_request_id_and_origin_are_echoed(self, planted_db, pattern_query, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app,
             "POST",
             "/search",
@@ -206,7 +177,7 @@ class TestSearchParity:
 
     def test_executor_override_over_the_wire(self, planted_db, pattern_query, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app,
             "POST",
             "/search",
@@ -223,7 +194,7 @@ class TestSearchParity:
         reference = make_service(planted_db, config, "plain")
 
         specs = [TOPK, RangeQuery(radius=0.5)]
-        status, payload = asgi_request(
+        status, payload = app_request(
             served,
             "POST",
             "/search/batch",
@@ -251,7 +222,7 @@ class TestSearchParity:
 class TestHealthAndMetrics:
     def test_health_on_live_backend(self, planted_db, config):
         app = SearchApp(make_service(planted_db, config, "plain"), max_in_flight=9)
-        status, payload = asgi_request(app, "GET", "/health")
+        status, payload = app_request(app, "GET", "/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["schema_version"] == 2
@@ -266,26 +237,26 @@ class TestHealthAndMetrics:
     ):
         service = make_service(planted_db, config, "snapshot", tmp_path)
         app = SearchApp(service)
-        status, payload = asgi_request(app, "GET", "/health")
+        status, payload = app_request(app, "GET", "/health")
         assert status == 200
         assert payload["loaded"] is False
         assert payload["snapshot"].endswith("matcher.npz")
         # /metrics reports the cache state without forcing the load either.
-        assert asgi_request(app, "GET", "/metrics")[1]["cache"]["entries"] is None
+        assert app_request(app, "GET", "/metrics")[1]["cache"]["entries"] is None
         assert service._backend is None  # still nothing read from disk
-        asgi_request(app, "POST", "/search", search_body(TOPK, pattern_query))
-        assert asgi_request(app, "GET", "/health")[1]["loaded"] is True
+        app_request(app, "POST", "/search", search_body(TOPK, pattern_query))
+        assert app_request(app, "GET", "/health")[1]["loaded"] is True
 
     def test_metrics_counters_and_latency(self, planted_db, pattern_query, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
         for _ in range(2):
-            status, _ = asgi_request(
+            status, _ = app_request(
                 app, "POST", "/search", search_body(TOPK, pattern_query)
             )
             assert status == 200
-        asgi_request(app, "POST", "/search", raw_body=b"not json")
+        app_request(app, "POST", "/search", raw_body=b"not json")
 
-        status, payload = asgi_request(app, "GET", "/metrics")
+        status, payload = app_request(app, "GET", "/metrics")
         assert status == 200
         assert payload["queries_served"] == 2
         assert payload["parse_errors"] == 1
@@ -324,7 +295,7 @@ class TestMutationEndpoints:
         app = SearchApp(make_service(planted_db, config, "plain"))
         before = app.service.fingerprint()
 
-        status, payload = asgi_request(
+        status, payload = app_request(
             app,
             "POST",
             "/sequences",
@@ -336,12 +307,12 @@ class TestMutationEndpoints:
         assert payload["fingerprint"] != before
 
         # The grown corpus still answers queries over HTTP.
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app, "POST", "/search", search_body(TOPK, pattern_query)
         )
         assert status == 200 and len(envelope["matches"]) == 3
 
-        status, payload = asgi_request(app, "DELETE", "/sequences/grown")
+        status, payload = app_request(app, "DELETE", "/sequences/grown")
         assert status == 200
         assert payload["removed_length"] == 30
         assert payload["sequences"] == 3
@@ -350,28 +321,28 @@ class TestMutationEndpoints:
     def test_duplicate_add_is_409(self, planted_db, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
         body = {"sequence": sequence_to_wire(self.grown_sequence())}
-        assert asgi_request(app, "POST", "/sequences", body)[0] == 200
-        status, payload = asgi_request(app, "POST", "/sequences", body)
+        assert app_request(app, "POST", "/sequences", body)[0] == 200
+        status, payload = app_request(app, "POST", "/sequences", body)
         assert status == 409
         assert "grown" in payload["error"]
 
     def test_unnamed_add_after_delete_gets_a_free_id(self, planted_db, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
         body = {"sequence": {"kind": "time_series", "values": [0.5] * 30}}
-        first = asgi_request(app, "POST", "/sequences", body)
-        second = asgi_request(app, "POST", "/sequences", body)
+        first = app_request(app, "POST", "/sequences", body)
+        second = app_request(app, "POST", "/sequences", body)
         assert first[0] == second[0] == 200
-        assert asgi_request(app, "DELETE", f"/sequences/{first[1]['seq_id']}")[0] == 200
+        assert app_request(app, "DELETE", f"/sequences/{first[1]['seq_id']}")[0] == 200
         # The count-based id now names the live second insert; the server
         # used to answer 409 here.
-        status, payload = asgi_request(app, "POST", "/sequences", body)
+        status, payload = app_request(app, "POST", "/sequences", body)
         assert status == 200
         assert payload["seq_id"] not in (first[1]["seq_id"], second[1]["seq_id"])
         assert payload["sequences"] == 5
 
     def test_remove_unknown_is_404(self, planted_db, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
-        status, payload = asgi_request(app, "DELETE", "/sequences/absent")
+        status, payload = app_request(app, "DELETE", "/sequences/absent")
         assert status == 404
         assert "error" in payload
 
@@ -380,13 +351,13 @@ class TestMutationEndpoints:
     ):
         service = make_service(planted_db, config, "snapshot", tmp_path)
         app = SearchApp(service)
-        asgi_request(
+        app_request(
             app,
             "POST",
             "/sequences",
             {"sequence": sequence_to_wire(self.grown_sequence())},
         )
-        status, payload = asgi_request(app, "POST", "/snapshots", {})
+        status, payload = app_request(app, "POST", "/snapshots", {})
         assert status == 200
         assert payload["path"].endswith("matcher.npz")
 
@@ -397,7 +368,7 @@ class TestMutationEndpoints:
     def test_snapshot_endpoint_explicit_path(self, planted_db, config, tmp_path):
         app = SearchApp(make_service(planted_db, config, "plain"))
         target = tmp_path / "explicit.npz"
-        status, payload = asgi_request(
+        status, payload = app_request(
             app, "POST", "/snapshots", {"path": str(target)}
         )
         assert status == 200
@@ -406,7 +377,7 @@ class TestMutationEndpoints:
 
     def test_snapshot_endpoint_without_path_is_400(self, planted_db, config):
         app = SearchApp(make_service(planted_db, config, "plain"))
-        status, payload = asgi_request(app, "POST", "/snapshots", {})
+        status, payload = app_request(app, "POST", "/snapshots", {})
         assert status == 400
         assert "error" in payload
 
@@ -420,19 +391,19 @@ class TestErrorPaths:
         return SearchApp(make_service(planted_db, config, "plain"))
 
     def test_malformed_json_is_400_envelope(self, app):
-        status, envelope = asgi_request(app, "POST", "/search", raw_body=b"{nope")
+        status, envelope = app_request(app, "POST", "/search", raw_body=b"{nope")
         assert status == 400
         assert "not valid JSON" in envelope["error"]
         assert envelope["schema_version"] == 2
         assert envelope["matches"] == []
 
     def test_empty_body_is_400(self, app):
-        status, envelope = asgi_request(app, "POST", "/search")
+        status, envelope = app_request(app, "POST", "/search")
         assert status == 400
         assert "empty" in envelope["error"]
 
     def test_unknown_request_field_is_400_with_request_id(self, app, pattern_query):
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app,
             "POST",
             "/search",
@@ -445,13 +416,13 @@ class TestErrorPaths:
     def test_invalid_spec_is_400(self, app, pattern_query):
         body = search_body(TopKQuery(k=1, max_radius=1.0), pattern_query)
         body["query"] = {"type": "topk", "k": 0, "max_radius": 1.0}
-        status, envelope = asgi_request(app, "POST", "/search", body)
+        status, envelope = app_request(app, "POST", "/search", body)
         assert status == 400
         assert "k must be >= 1" in envelope["error"]
 
     def test_failed_query_is_422_with_its_own_stats(self, app):
         alien = Sequence.from_values(np.full(20, 500.0), seq_id="alien")
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app,
             "POST",
             "/search",
@@ -464,20 +435,20 @@ class TestErrorPaths:
         assert app.metrics.snapshot()["query_errors"] == 1
 
     def test_unknown_route_is_404(self, app):
-        status, payload = asgi_request(app, "GET", "/nope")
+        status, payload = app_request(app, "GET", "/nope")
         assert status == 404
         assert "unknown route" in payload["error"]
 
     def test_wrong_method_is_405(self, app):
-        status, payload = asgi_request(app, "GET", "/search")
+        status, payload = app_request(app, "GET", "/search")
         assert status == 405
         assert "use POST" in payload["error"]
-        assert asgi_request(app, "POST", "/health")[0] == 405
+        assert app_request(app, "POST", "/health")[0] == 405
 
     def test_capacity_rejection_is_503(self, app, pattern_query):
         app._in_flight = app.max_in_flight  # saturate admission
         try:
-            status, envelope = asgi_request(
+            status, envelope = app_request(
                 app, "POST", "/search", search_body(TOPK, pattern_query)
             )
         finally:
@@ -496,7 +467,7 @@ class TestErrorPaths:
             return real_execute_many(*args, **kwargs)
 
         monkeypatch.setattr(app.service, "execute_many", slow_execute_many)
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app,
             "POST",
             "/search",
@@ -507,8 +478,35 @@ class TestErrorPaths:
         assert envelope["request_id"] == "late"
         assert app.metrics.snapshot()["timeouts"] == 1
 
+    @pytest.mark.parametrize("route", ["/search", "/search/batch"])
+    def test_a_504_holds_the_slot_until_the_work_ends(
+        self, app, pattern_query, monkeypatch, route
+    ):
+        real_execute_many = app.service.execute_many
+        gate = threading.Event()
+
+        def slow_execute_many(*args, **kwargs):
+            gate.wait(timeout=30)
+            return real_execute_many(*args, **kwargs)
+
+        monkeypatch.setattr(app.service, "execute_many", slow_execute_many)
+        if route == "/search":
+            body = search_body(TOPK, pattern_query, timeout=0.05)
+        else:
+            body = {"requests": [search_body(TOPK, pattern_query)], "timeout": 0.05}
+        status, payload = app_request(app, "POST", route, body)
+        assert status == 504
+        assert "deadline" in payload["error"]
+        # The matcher still runs the request: its admission slot stays taken.
+        assert app.in_flight == 1
+        gate.set()
+        deadline = time.monotonic() + 10.0
+        while app.in_flight and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert app.in_flight == 0
+
     def test_batch_entry_errors_name_the_position(self, app, pattern_query):
-        status, payload = asgi_request(
+        status, payload = app_request(
             app,
             "POST",
             "/search/batch",
@@ -523,18 +521,18 @@ class TestErrorPaths:
         assert "batch entry 1" in payload["error"]
 
     def test_batch_empty_and_oversized_are_400(self, app, pattern_query):
-        assert asgi_request(app, "POST", "/search/batch", {"requests": []})[0] == 400
+        assert app_request(app, "POST", "/search/batch", {"requests": []})[0] == 400
         small = SearchApp(app.service, max_batch=1)
         entry = search_body(TOPK, pattern_query)
-        status, payload = asgi_request(
+        status, payload = app_request(
             small, "POST", "/search/batch", {"requests": [entry, entry]}
         )
         assert status == 400
         assert "cap" in payload["error"]
 
     def test_add_sequence_malformed_body_is_400(self, app):
-        assert asgi_request(app, "POST", "/sequences", {"nope": 1})[0] == 400
-        status, payload = asgi_request(
+        assert app_request(app, "POST", "/sequences", {"nope": 1})[0] == 400
+        status, payload = app_request(
             app, "POST", "/sequences", {"sequence": {"kind": "video", "values": [1]}}
         )
         assert status == 400
@@ -556,7 +554,7 @@ class TestNonFiniteAndShortInputs:
             '{"query": {%s}, "sequence": {"kind": "time_series", "values": %s}}'
             % (query_fields, values)
         )
-        return asgi_request(app, "POST", "/search", raw_body=body.encode("utf-8"))
+        return app_request(app, "POST", "/search", raw_body=body.encode("utf-8"))
 
     @pytest.mark.parametrize(
         "query_fields, message",
@@ -607,7 +605,7 @@ class TestNonFiniteAndShortInputs:
         assert status == 400
         assert "finite" in envelope["error"]
         body = '{"sequence": {"kind": "time_series", "values": %s}}' % values
-        status, payload = asgi_request(app, "POST", "/sequences", raw_body=body.encode())
+        status, payload = app_request(app, "POST", "/sequences", raw_body=body.encode())
         assert status == 400
         assert "finite" in payload["error"]
         assert app.metrics.snapshot()["mutations"] == 0
@@ -622,11 +620,11 @@ class TestNonFiniteAndShortInputs:
         body = '{"requests": [%s, {"query": {"type": "range", "radius": 1}, "sequence": %s}]}' % (
             entry, sequence,
         )  # fmt: skip
-        status, payload = asgi_request(app, "POST", "/search/batch", raw_body=body.encode())
+        status, payload = app_request(app, "POST", "/search/batch", raw_body=body.encode())
         assert status == 400, payload
         assert "batch entry 1" in payload["error"] and "true / false" in payload["error"]
         body = '{"sequence": %s}' % sequence
-        status, payload = asgi_request(app, "POST", "/sequences", raw_body=body.encode())
+        status, payload = app_request(app, "POST", "/sequences", raw_body=body.encode())
         assert status == 400, payload
         assert "true / false" in payload["error"]
         assert app.metrics.snapshot()["mutations"] == 0
@@ -635,13 +633,13 @@ class TestNonFiniteAndShortInputs:
         entry = json.dumps(search_body(TOPK, pattern_query))
         for timeout in ("NaN", "Infinity"):
             body = '{"requests": [%s], "timeout": %s}' % (entry, timeout)
-            status, payload = asgi_request(app, "POST", "/search/batch", raw_body=body.encode())
+            status, payload = app_request(app, "POST", "/search/batch", raw_body=body.encode())
             assert status == 400
             assert "timeout" in payload["error"]
 
     def test_a_query_shorter_than_a_segment_is_422(self, app):
         short = Sequence.from_values([1.0, 2.0, 3.0], seq_id="short")
-        status, envelope = asgi_request(
+        status, envelope = app_request(
             app, "POST", "/search", search_body(RangeQuery(radius=1.0), short)
         )
         assert status == 422
@@ -659,11 +657,11 @@ class TestNonFiniteAndShortInputs:
     )
     def test_a_query_of_another_kind_is_422_naming_both(self, app, pattern_query, sequence, named):
         body = {"query": RangeQuery(radius=1.0).describe(), "sequence": sequence}
-        status, envelope = asgi_request(app, "POST", "/search", body)
+        status, envelope = app_request(app, "POST", "/search", body)
         assert status == 422
         assert all(name in envelope["error"] for name in named), envelope["error"]
         assert envelope["matches"] == []
-        status, payload = asgi_request(
+        status, payload = app_request(
             app, "POST", "/search/batch", {"requests": [search_body(TOPK, pattern_query), body]}
         )
         assert status == 200
@@ -673,7 +671,7 @@ class TestNonFiniteAndShortInputs:
 
     def test_a_short_batch_entry_carries_its_own_error(self, app, pattern_query):
         short = Sequence.from_values([1.0, 2.0, 3.0], seq_id="short")
-        status, payload = asgi_request(
+        status, payload = app_request(
             app,
             "POST",
             "/search/batch",
@@ -761,6 +759,128 @@ class TestLiveServer:
             canonical_json(envelope) for _, envelope in responses
         )
         assert concurrent_bytes == serial_bytes
+
+
+def raw_exchange(server, request: bytes):
+    """Send ``request`` bytes verbatim; returns ``(status, content type, JSON body)``."""
+    with socket.create_connection((server.host, server.port), timeout=10) as connection:
+        connection.sendall(request)
+        response = http.client.HTTPResponse(connection)
+        response.begin()
+        body = response.read()
+        return response.status, response.getheader("Content-Type"), json.loads(body)
+
+
+class TestTransport:
+    """What the socket handler adds to :meth:`SearchApp.handle`."""
+
+    @pytest.fixture
+    def server(self, planted_db, config):
+        with BackgroundServer(SearchApp(make_service(planted_db, config, "plain"))) as live:
+            yield live
+
+    @pytest.mark.parametrize("seq_id", ["x%41y", "x/y", "x y"])
+    def test_a_percent_encoded_id_is_decoded_once(self, server, seq_id):
+        sequence = Sequence.from_values(np.linspace(0.0, 1.0, 30), seq_id=seq_id)
+        status, payload = server.request_json(
+            "POST", "/sequences", {"sequence": sequence_to_wire(sequence)}
+        )
+        assert status == 200 and payload["seq_id"] == seq_id
+        status, payload = server.request_json(
+            "DELETE", "/sequences/" + urllib.parse.quote(seq_id, safe="")
+        )
+        assert status == 200, payload
+        assert payload["seq_id"] == seq_id
+        assert payload["sequences"] == 3
+
+    def test_an_over_cap_body_is_a_json_413_before_it_is_read(self, server):
+        assert MAX_BODY_BYTES == 8 * 1024 * 1024
+        # The forged length is never sent: the answer comes before the body.
+        status, content_type, payload = raw_exchange(
+            server,
+            b"POST /search HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n{}" % (MAX_BODY_BYTES + 1),
+        )
+        assert status == 413
+        assert content_type == "application/json"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert server.app.metrics.snapshot()["parse_errors"] == 0  # the app never saw it
+
+    @pytest.mark.parametrize("length", [b"-1", b"ten", b"1_0", b"\xd9\xa1"])
+    def test_a_bad_content_length_is_a_json_400(self, server, length):
+        status, content_type, payload = raw_exchange(
+            server,
+            b"POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: " + length + b"\r\n\r\n{}",
+        )
+        assert status == 400
+        assert content_type == "application/json"
+        assert "Content-Length" in payload["error"]
+
+    def test_a_malformed_request_line_is_a_json_400(self, server):
+        status, content_type, payload = raw_exchange(server, b"NOT A VALID REQUEST\r\n\r\n")
+        assert status == 400
+        assert content_type == "application/json"
+        assert payload["error"]
+
+    def test_every_method_reaches_the_app(self, server):
+        assert server.request_json("GET", "/health?verbose=1")[0] == 200
+        status, payload = server.request_json("PUT", "/search")
+        assert status == 405 and "use POST" in payload["error"]
+        status, payload = server.request_json("PURGE", "/health")
+        assert status == 405 and "use GET" in payload["error"]
+        assert server.request_json("PATCH", "/nope")[0] == 404
+
+    def test_admission_accounting_holds_under_contention(self, server, pattern_query):
+        # More clients than slots and cores, with a short switch interval:
+        # a lost update to the admission counter or the metrics shows as a
+        # leaked slot or a count that does not add up.
+        server.app.max_in_flight = 3
+        body = search_body(TOPK, pattern_query, include_timings=False)
+        statuses = []
+        answers = set()
+        lock = threading.Lock()
+
+        def client():
+            for _ in range(4):
+                status, payload = server.request_json("POST", "/search", body)
+                with lock:
+                    statuses.append(status)
+                    if status == 200:
+                        answers.add(canonical_json(payload["matches"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(statuses) == 48 and set(statuses) <= {200, 503}
+        metrics = server.app.metrics.snapshot()
+        assert metrics["queries_served"] == statuses.count(200) > 0
+        assert metrics["rejected"] == statuses.count(503)
+        assert server.app.in_flight == 0
+        assert len(answers) == 1
+
+    def test_an_exception_in_admitted_work_is_a_json_500(
+        self, server, pattern_query, monkeypatch
+    ):
+        def broken_execute_many(*args, **kwargs):
+            raise RuntimeError("matcher exploded")
+
+        monkeypatch.setattr(server.app.service, "execute_many", broken_execute_many)
+        for path, body in (
+            ("/search", search_body(TOPK, pattern_query)),
+            ("/search/batch", {"requests": [search_body(TOPK, pattern_query)]}),
+        ):
+            status, payload = server.request_json("POST", path, body)
+            assert status == 500
+            assert "matcher exploded" in payload["error"]
+            assert server.app.in_flight == 0
 
 
 # --------------------------------------------------------------------- #
