@@ -123,14 +123,6 @@ class ElementMetric:
         diff = np.asarray(first, dtype=np.float64) - np.asarray(second, dtype=np.float64)
         return float(self.norm(diff))
 
-    def total_bound(self, elements: np.ndarray, origin_norm: float = 0.0):
-        """At least the summed ground distances of ``elements`` (axis -2) to an
-        origin of L1 norm ``origin_norm``, in one array pass: ``|x - g|_1 <=
-        |x|_1 + |g|_1`` bounds the L1 and L2 costs; a discrete one is <= 1."""
-        if self.kind == "discrete":
-            return np.full(elements.shape[:-2], float(elements.shape[-2]))
-        return np.abs(elements).sum(axis=(-2, -1)) + elements.shape[-2] * origin_norm
-
     def to_origin(self, elements: np.ndarray, origin: Optional[np.ndarray] = None) -> np.ndarray:
         """Ground distance of every element (last axis) to a fixed ``origin``.
 
@@ -233,14 +225,6 @@ class Distance(abc.ABC):
     supports_unequal_lengths: bool = True
     #: Whether every value is an integer count, exact in floating point.
     integer_valued: bool = False
-
-    def rounding_scale(self, operands: np.ndarray):
-        """Per ``(n, dim)`` operand (or ``(k, n, dim)`` stack), at least the
-        magnitude this distance's rounding scales with
-        (:func:`~repro.distances.rounding.prunes`).  0: the value rounds
-        relative to itself; a sweep in reduced coordinates (a row minus its
-        prefix sums) rounds at the scale of those sums and overrides this."""
-        return np.zeros(operands.shape[:-2])
 
     def __call__(self, first: SequenceLike, second: SequenceLike) -> float:
         """Distance between two sequences (after shape normalisation)."""

@@ -39,7 +39,6 @@ import numpy as np
 from repro.distances.alignment import Alignment, PrefixBlock, edit_traceback, warping_traceback
 from repro.distances.base import Distance, ElementMetric, as_array, check_same_dim
 from repro.distances.compiled import METRIC_KIND_CODES, NO_PARAMS, kernels
-from repro.distances.rounding import sweep_cutoff
 from repro.exceptions import DistanceError
 
 
@@ -63,33 +62,19 @@ class WarpingDistance(Distance):
     def _warp_args(self) -> tuple:
         return METRIC_KIND_CODES[self.element_metric.kind], self.aggregate == "max", self.band
 
-    def rounding_scale(self, operands: np.ndarray):
-        """DTW's summed element norms (every cost is ``c(i, j) <= |q_i| +
-        |x_j|``); the bottleneck selects one cost, relative to itself."""
-        if self.aggregate == "max":
-            return super().rounding_scale(operands)
-        return self.element_metric.total_bound(operands)
-
-    def _sweep_cutoff(self, cutoff, first, second):
-        # A bottleneck sweep selects costs: no later cell rounds below a row.
-        return cutoff if self.aggregate == "max" else sweep_cutoff(self, cutoff, first, second)
-
     def compute(self, first: np.ndarray, second: np.ndarray) -> float:
         return self._feasible(self.compute_bounded(first, second, None), None)
 
     def compute_bounded(self, first: np.ndarray, second: np.ndarray, cutoff) -> float:
         """Early-abandoning warping: every row's minimum lower-bounds the result."""
-        cutoff = self._sweep_cutoff(cutoff, first, second)
         return kernels().warp_value(first, second, *self._warp_args(), cutoff)
 
     def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
-        sweep = self._sweep_cutoff(cutoff, query, items)
-        values = kernels().warp_batch(query, items, *self._warp_args(), sweep)
+        values = kernels().warp_batch(query, items, *self._warp_args(), cutoff)
         return self._feasible(values, cutoff)
 
     def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
-        sweep = self._sweep_cutoff(cutoff, queries[query_rows], items[item_rows])
-        args = (*self._warp_args(), sweep)
+        args = (*self._warp_args(), cutoff)
         values = kernels().warp_pairs(queries, query_rows, items, item_rows, *args)
         return self._feasible(values, cutoff)
 
@@ -114,8 +99,7 @@ class WarpingDistance(Distance):
         too).  See :class:`PrefixBlock` for abandoned rows.
         """
         block = PrefixBlock(len(first), min_rows, shift, cutoff)
-        sweep = self._sweep_cutoff(cutoff, first, second)
-        kernels().warp_block(first, second, *self._warp_args(), sweep, block)
+        kernels().warp_block(first, second, *self._warp_args(), cutoff, block)
         return block
 
     def alignment(self, first, second) -> Alignment:
@@ -160,27 +144,20 @@ class EditDistance(Distance):
         """``(kind, params, eps)`` of the C recurrence for ``dim``-wide points."""
         return 0, NO_PARAMS, 0.0
 
-    def _sweep_cutoff(self, cutoff, first, second):
-        # Integer counts are exact: no later cell rounds below a row.
-        return cutoff if self.integer_valued else sweep_cutoff(self, cutoff, first, second)
-
     def compute(self, first: np.ndarray, second: np.ndarray) -> float:
         return self.compute_bounded(first, second, None)
 
     def compute_bounded(self, first: np.ndarray, second: np.ndarray, cutoff) -> float:
         """Early-abandoning edit distance: costs are non-negative."""
         kind, params, eps = self.kernel_args(first.shape[1])
-        cutoff = self._sweep_cutoff(cutoff, first, second)
         return kernels().edit_value(first, second, self.mode, kind, params, eps, cutoff)
 
     def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
         kind, params, eps = self.kernel_args(query.shape[1])
-        cutoff = self._sweep_cutoff(cutoff, query, items)
         return kernels().edit_batch(query, items, self.mode, kind, params, eps, cutoff)
 
     def compute_pairs(self, queries, query_rows, items, item_rows, cutoff=None) -> np.ndarray:
         kind, params, eps = self.kernel_args(queries.shape[2])
-        cutoff = self._sweep_cutoff(cutoff, queries[query_rows], items[item_rows])
         return kernels().edit_pairs(
             queries, query_rows, items, item_rows, self.mode, kind, params, eps, cutoff
         )
@@ -197,7 +174,6 @@ class EditDistance(Distance):
         """
         block = PrefixBlock(len(first), min_rows, shift, cutoff)
         kind, params, eps = self.kernel_args(first.shape[1])
-        cutoff = self._sweep_cutoff(cutoff, first, second)
         kernels().edit_block(first, second, self.mode, kind, params, eps, cutoff, block)
         return block
 

@@ -68,11 +68,5 @@ class ERP(EditDistance):
     def kernel_args(self, dim: int) -> tuple:
         return METRIC_KIND_CODES[self.element_metric.kind], self._gap_vector(dim), 0.0
 
-    def rounding_scale(self, operands: np.ndarray):
-        """At least ``d(X, [])``: every cell is at most ``d(Q, []) + d(X, [])``."""
-        gap_norm = sum(abs(value) for value in self.gap.tolist())
-        broadcast = operands.shape[-1] if self.gap.shape[0] == 1 else 1
-        return self.element_metric.total_bound(operands, gap_norm * broadcast)
-
     def __repr__(self) -> str:
         return f"ERP(gap={self.gap.tolist()}, element_metric={self.element_metric!r})"

@@ -31,10 +31,6 @@ class Euclidean(Distance):
         diff = first - second
         return float(np.sqrt(np.sum(diff * diff)))
 
-    def rounding_scale(self, operands: np.ndarray):
-        """At least the norm, which the ``norm`` bound's terms round at."""
-        return np.abs(operands).sum(axis=(-2, -1))
-
     def compute_batch(self, query: np.ndarray, items: np.ndarray, cutoff) -> np.ndarray:
         """Batched L2: one subtraction and reduction for the whole group."""
         diff = items - query[None, :, :]

@@ -118,11 +118,6 @@ class WeightedLevenshtein(EditDistance):
     def insertion(self, second: np.ndarray) -> np.ndarray:
         return np.full(second.shape[:-1], self.insertion_cost, dtype=np.float64)
 
-    def rounding_scale(self, operands: np.ndarray):
-        """The length times the dearer gap cost: at least ``d(X, [])``."""
-        cost = max(self.insertion_cost, self.deletion_cost)
-        return np.full(operands.shape[:-2], operands.shape[-2] * cost)
-
     def kernel_args(self, dim: int) -> tuple:
         self._check_scalar(dim)
         params = weighted_params(

@@ -8,8 +8,10 @@ series literature, and the same skip-before-expensive-work idea the paper's
 triangle-inequality indexes apply at the index level.
 
 Every bound registered here is *admissible* in exact arithmetic: it never
-exceeds the exact distance.  In floating point it may exceed the C value by
-a few ulps, so pruning goes through :func:`repro.distances.rounding.prunes`,
+exceeds the exact distance.  In floating point it stays within rounding of
+its own value -- the two that subtract sums (``erp-gap``, ``norm``) take
+the sums' rounding off first -- but may still exceed the C value by a few
+ulps, so pruning goes through :func:`repro.distances.rounding.prunes`,
 which never drops a pair whose C value equals the radius (the test-suite
 checks exactly that on random pairs for every registered bound).  The
 registered bounds and the distances they are valid for:
@@ -67,6 +69,7 @@ from repro.distances.elastic import WarpingDistance
 from repro.distances.erp import ERP
 from repro.distances.euclidean import Euclidean
 from repro.distances.levenshtein import Levenshtein, WeightedLevenshtein
+from repro.distances.rounding import rounding_slack
 from repro.exceptions import DistanceError
 
 
@@ -111,6 +114,19 @@ def _bottleneck(distance: Distance) -> bool:
 #: element, box low, box high)`` per window, each ``(k, dim)`` -- see
 #: :meth:`repro.sequences.packed.PackedWindowStore.group_summary`.
 Summary = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _difference_bound(total_query: float, totals: np.ndarray, query_shape, items_shape):
+    """``|totals - total_query|`` less the rounding of the two sums, at least 0.
+
+    A difference of two computed sums errs relative to the sums, not to
+    itself; taking :func:`~repro.distances.rounding.rounding_slack` of the
+    sums off leaves a bound within rounding of its own exact value, which
+    is what :func:`~repro.distances.rounding.prunes` assumes.
+    """
+    width = query_shape[0] + items_shape[1] + query_shape[1]
+    slack = rounding_slack(0.0, totals + total_query, width)
+    return np.maximum(np.abs(totals - total_query) - slack, 0.0)
 
 
 class LowerBound(abc.ABC):
@@ -251,7 +267,7 @@ class ErpGapBound(LowerBound):
         metric = distance.element_metric
         total_query = float(np.sum(metric.to_origin(query, gap)))
         totals = np.sum(metric.to_origin(items, gap), axis=1)
-        return np.abs(totals - total_query)
+        return _difference_bound(total_query, totals, query.shape, items.shape)
 
 
 class LengthBound(LowerBound):
@@ -287,7 +303,7 @@ class NormBound(LowerBound):
     def batch(self, distance, query, items) -> np.ndarray:
         query_norm = float(np.linalg.norm(query))
         norms = np.sqrt(np.sum(items * items, axis=(1, 2)))
-        return np.abs(norms - query_norm)
+        return _difference_bound(query_norm, norms, query.shape, items.shape)
 
 
 _REGISTRY: List[LowerBound] = []

@@ -1,13 +1,20 @@
-"""The one prune rule: every prune clears a rounding slack proven for floating point.
+"""The one prune rule and its mirror: what a computed comparison may conclude.
 
-A lower bound, a bound-table entry and a triangle difference are computed
-in another order than the C value they bound, and a C sweep abandons on a
-row minimum computed in another order than its value.  So ``bound > radius``
-can drop a pair whose value *equals* the radius.  :func:`prunes` decides
-every prune of the package, and :func:`sweep_cutoff` hands the C sweeps
-their cutoff, past one slack.  A distance states what its rounding scales
-with (:meth:`~repro.distances.base.Distance.rounding_scale`) and whether its
-values are exact integer counts (``integer_valued``).
+Every distance is computed in floating point, and so is every lower bound,
+bound-table entry and triangle difference that an index compares with a
+radius.  ``bound > radius`` could therefore drop a pair whose computed value
+*equals* the radius, and ``d(q, p) + margin <= radius`` could accept one
+whose computed value exceeds it.  :func:`prunes` decides every prune of the
+package and :func:`accepts` every accept made without measuring.  Each
+clears a slack that is proven in :func:`prunes` and costs O(1): it reads
+only numbers the comparison already holds (the radius, a margin) and a
+width taken from the operands' shapes.
+
+Neither needs a magnitude of the operands.  The C sweeps are the direct
+recurrences, so a computed distance rounds relative to itself.  Their
+row-minimum abandon is exact at the caller's cutoff (see ``_kernels.c``),
+and a *measured* value is compared with the radius as it is.  Members whose
+values are integer counts (``integer_valued``) compare exactly.
 """
 
 from __future__ import annotations
@@ -16,76 +23,76 @@ from repro.distances.base import Distance
 
 
 def rounding_slack(radius, magnitude, width: int):
-    """``32 * width**2 * u * (magnitude + |radius|)``, ``u = 2**-53`` the unit
+    """``32 * width * u * (|radius| + magnitude)``, ``u = 2**-53`` the unit
     roundoff of float64; see :func:`prunes`."""
-    return 32.0 * width * width * 2.0**-53 * (magnitude + abs(radius))
+    return 32.0 * width * 2.0**-53 * (abs(radius) + magnitude)
 
 
-def prunes(distance: Distance, lower, radius, magnitude=0.0, width: int = 1):
+def prunes(distance: Distance, lower, radius, magnitude, width: int):
     """Whether ``lower``, a computed lower bound on a distance, proves it beyond ``radius``.
 
-    ``lower`` is a registered bound, a bound-table entry or a triangle
-    difference ``d(q, p) - margin``.  An integer-valued member compares
-    exactly; any other prunes only when ``lower > radius +``
-    :func:`rounding_slack`.  The caller states the magnitudes that entered
-    the comparison (scalars or arrays):
+    ``lower`` is a registered bound or a bound-table entry (``magnitude``
+    0), or a triangle difference ``v - margin`` from a pivot (``magnitude``
+    the margin).  ``width`` is at least ``n + m + dim`` of every pair the
+    comparison spans.  Scalars or arrays.  An integer-valued member
+    compares exactly; any other prunes only when ``lower > radius +``
+    :func:`rounding_slack`.
 
-    * a bound on ``d(Q, X)``: ``rounding_scale(Q) + rounding_scale(X)``,
-      ``width = n + m + dim``;
-    * a triangle reject on a metric: ``rounding_scale(q) + margin``,
-      ``width`` the longest query plus the longest item plus ``dim``.  If
-      the child ``c`` is a true match, ``scale(c) <= scale(q) + radius`` and
-      ``scale(p) <= scale(c) + margin``, so every distance the reject spans
-      is computed at scale at most ``2 * (magnitude + |radius|)``.
+    *Why the slack suffices* (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §2.2 and §4.2).  Write ``u = 2**-53``, ``w`` for the width,
+    ``eps = 4 w u``, ``D`` for a distance in exact arithmetic and ``d`` for
+    its computed value.  Three facts hold, each with room to spare (``w >=
+    3``):
 
-    *Why the slack suffices.*  A rounding errs by at most ``u`` times its
-    magnitude, a sum of ``k`` non-negative terms by ``k * u`` times the sum
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, §2.2, §4.2).
-    With ``M = magnitude + |radius|`` and ``w = width``:
+    1. ``(1 - eps) D <= d <= (1 + eps) D``.  A C cell is ``fl(cost +
+       min(...))``, or a ``max``.  Min and max select exactly and rounding
+       is monotone, so ``d`` is the left-to-right float sum of the float
+       costs along one path, and no path's float sum is smaller.  A path
+       has at most ``n + m`` terms and a float cost is within
+       ``gamma_(dim+2)`` of the exact one, so every path's float sum is
+       within ``gamma_(w+2)`` of its exact sum (``gamma_k = k u / (1 - k
+       u)``), and so is the minimum over the paths.  A bottleneck value is
+       one float cost; a Euclidean value is the root of one NumPy sum of
+       ``n dim`` squares, added pairwise in blocks of eight.
+    2. A registered bound ``b`` on an exact bound ``B <= D`` has ``b <= (1 +
+       eps) B``: it sums or maxes at most ``n`` float costs.  The two that
+       subtract (``erp-gap``, ``norm``) first take their operand sums'
+       rounding off (:mod:`repro.distances.lower_bounds`).
+    3. A margin ``mu`` of the reference net has ``D(p, x) <= (1 + eps) mu``.
+       A link is a computed distance.  A subtree radius ``eps' 2**(l + 1)``
+       exceeds the sum of the covering radii below it, each of which
+       bounds one computed hop.  A reach is the float sum of the two.
 
-    * a bound sums at most ``w`` terms of at most ``M``; ``erp-gap``'s
-      element-wise triangle ``|g(q) - g(x)| <= c(q, x)`` holds to ``(dim +
-      3) * u`` of its terms: at most ``2 * w * u * M`` in all;
-    * the DTW sweep's prefix sums err by ``w * u`` times the row sums, at
-      most ``w * M`` together, and each of ``w`` rows adds three roundings
-      at that scale: at most ``4 * w**2 * u * M``;
-    * the edit sweep adds three roundings per row at scale ``2 * M`` and its
-      gap prefix sums ``w * u * M``: at most ``7 * w * u * M``;
-    * a bottleneck or Euclidean value errs by ``w * u`` times itself.
-
-    A triangle reject meets three distances at scale ``2 * M`` and one
-    subtraction, a bound one distance, an abandon one row minimum and one
-    value: at most ``24 * w**2 * u * M + 2 * w * u * M + u * M``.  At the
-    ledger's widths (``w`` ~ 160) the slack is ~1e-10 of ``M``; on
-    integer-valued data (the songs' pitch classes) it moves no prune.
+    Now let ``d(q, x) <= r``.  A bound on it has ``b <= (1 + eps) D <= r (1
+    + eps) / (1 - eps) <= r + 3 eps r``.  A pivot's distance, or a bound on
+    it, has ``v <= (1 + eps) (D(q, x) + D(p, x))``, so ``fl(v - mu) <= r +
+    (3 eps + 2 u) (r + mu)``.  Both are below ``r + (12 w + 2) u (r +
+    mu)``, and ``fl(r + rounding_slack(r, mu, w))`` exceeds that.
     """
     if distance.integer_valued:
         return lower > radius
     return lower > radius + rounding_slack(radius, magnitude, width)
 
 
+def accepts(distance: Distance, value, margin, radius, width: int):
+    """Whether a pivot at computed distance ``value`` puts a node within ``radius``.
+
+    The mirror of :func:`prunes`: ``margin`` covers the distance from the
+    pivot to the node (a link, a reach, a subtree radius).  An
+    integer-valued member compares exactly.  Any other accepts only when
+    ``value + margin +`` :func:`rounding_slack` ``<= radius`` (which an
+    infinite radius always meets).  With the facts of :func:`prunes`,
+    ``d(q, x) <= (1 + eps) (v / (1 - eps) + (1 + eps) mu) <= (1 + 3 eps)
+    (1 + u) fl(v + mu)``.  An accept gives ``fl(v + mu) <= r (1 + u) -
+    slack``, so ``d(q, x) <= r + (3 eps + 4 u) r - slack <= r``, because
+    the slack is at least ``(12 w + 4) u r``.
+    """
+    if distance.integer_valued:
+        return value + margin <= radius
+    return value + margin + rounding_slack(radius, margin, width) <= radius
+
+
 def bound_prunes(distance: Distance, bounds, cutoff, query, items):
     """:func:`prunes` for bounds from ``query`` ``(n, dim)`` to ``items`` ``(k, m, dim)``."""
-    if distance.integer_valued:
-        return bounds > cutoff
-    magnitude = distance.rounding_scale(query) + distance.rounding_scale(items)
     width = query.shape[0] + items.shape[1] + query.shape[1]
-    return prunes(distance, bounds, cutoff, magnitude, width)
-
-
-def sweep_cutoff(distance: Distance, cutoff, first, second):
-    """The cutoff a summing C sweep of ``first x second`` gets when asked for ``cutoff``.
-
-    A sweep abandons once every cell of a row exceeds its cutoff.  The DTW
-    and edit sweeps run in reduced coordinates, so the value can round below
-    an earlier row's minimum; abandoning at ``cutoff`` dropped pairs whose
-    value equals it.  Past :func:`prunes`' slack, a value at most ``cutoff``
-    stays exact, and one just above it comes back exact too, which the
-    ``bounded`` contract allows.  ``first`` / ``second``: two operands or
-    two row-aligned stacks.
-    """
-    if cutoff is None:
-        return None
-    magnitude = distance.rounding_scale(first) + distance.rounding_scale(second)
-    width = first.shape[-2] + second.shape[-2] + first.shape[-1]
-    return cutoff + rounding_slack(cutoff, magnitude, width)
+    return prunes(distance, bounds, cutoff, 0.0, width)

@@ -66,7 +66,7 @@ import numpy as np
 from repro.distances.base import Distance, SequenceLike, as_array, validate_group_shape
 from repro.distances.cache import DistanceCache, content_keys
 from repro.distances.lower_bounds import combined_bound_table, has_bound_table
-from repro.distances.rounding import prunes
+from repro.distances.rounding import accepts, prunes
 from repro.exceptions import IndexError_, InvariantViolationError
 from repro.indexing.base import BoundTable, MetricIndex, RangeMatch
 from repro.indexing.stats import CountingDistance, DistanceCounter, first_occurrences
@@ -677,20 +677,23 @@ class ReferenceNet(MetricIndex):
         Each ``... > radius`` here, and Lemma 4's ``d(q, n) - subtree(n) >
         radius``, is the one prune rule (:func:`~repro.distances.rounding.
         prunes`): no distance equal to the radius is rejected on an ulp.
-        Nothing is accepted on a bound, so the answers are those of the
-        plain traversal; only ``distance=None``-ness may differ (a skipped
-        parent triangle-accepts nobody, its matching children get measured
-        instead).  Rejected and skipped pairs never reach the cache -- their
-        entry is free to recompute -- and every distance is spent on a pair
-        with ``lb <= radius``, which the linear scan's prefilter would have
-        had to compute as well.  Classified and settled-without-a-distance
+        Each triangle accept, ``d(q, n) + margin <= radius``, is its mirror
+        (:func:`~repro.distances.rounding.accepts`): no distance beyond the
+        radius is accepted on an ulp.  Nothing is accepted on a bound, so
+        the answers are those of the plain traversal; only
+        ``distance=None``-ness may differ (a skipped parent triangle-accepts
+        nobody, its matching children get measured instead).  Rejected and
+        skipped pairs never reach the cache -- their entry is free to
+        recompute -- and every distance is spent on a pair with ``lb <=
+        radius``, which the linear scan's prefilter would have had to
+        compute as well.  Classified and settled-without-a-distance
         pairs are tallied on the counter's prefilter tallies.
 
         Memory: the state plane is one byte per ``(query, node)``; everything
         else is pair vectors no longer than a level's pending set, and child
         rows are expanded :data:`_CHUNK_ROWS` at a time.
         """
-        if self._root is None:
+        if self._root is None or not queries:
             return [[] for _query in queries]
         count = len(queries)
         arrays = [as_array(query) for query in queries]
@@ -709,14 +712,16 @@ class ReferenceNet(MetricIndex):
                 raise IndexError_(f"bound table has {len(bounds)} rows for {count} queries")
         flat = self._layout()
         # Every reject below -- a bound, or a triangle difference -- goes
-        # through the one prune rule, at the magnitudes it spans.  (Only the
-        # bottleneck distance has a bound table; its rounding scale is 0.)
-        width = max(len(a) + a.shape[1] for a in arrays) + max(s[0] for s in flat.shapes)
-        query_scale = np.array([self.distance.rounding_scale(array) for array in arrays])
+        # through the one prune rule, and every accept through its mirror;
+        # a triangle spans query-item and item-item pairs.
+        longest = max(max(len(a) for a in arrays), max(s[0] for s in flat.shapes))
+        width = 2 * longest + arrays[0].shape[1]
 
-        def beyond(lower, query, margin=0.0):
-            magnitude = query_scale[query] + margin
-            return prunes(self.distance, lower - margin, radius, magnitude, width)
+        def beyond(lower, margin=0.0):
+            return prunes(self.distance, lower - margin, radius, margin, width)
+
+        def within(value, margin):
+            return accepts(self.distance, value, margin, radius, width)
 
         # Cross-query reuse of (content, reference) distances flows through
         # the attached cache; a cache-less net gets one for the batch.
@@ -744,33 +749,33 @@ class ReferenceNet(MetricIndex):
             state[query, node] = _DONE
             if bounds is not None:
                 lower = bounds.matrix[query, node]
-                skipped = beyond(lower, query)
+                skipped = beyond(lower)
                 counting.record_prefilter(len(lower), int(np.count_nonzero(skipped)))
                 if skipped.any():
                     skip_query, skip_node, lower = query[skipped], node[skipped], lower[skipped]
-                    out = beyond(lower, skip_query, flat.subtree[skip_node])
+                    out = beyond(lower, flat.subtree[skip_node])
                     self._settle(flat, state, skip_query[out], skip_node[out], _REJECTED)
                     near = ~out
                     self._route(
-                        flat, state, radius, beyond,
-                        skip_query[near], skip_node[near], lower[near], False,
+                        flat, state, beyond, None,
+                        skip_query[near], skip_node[near], lower[near],
                     )  # fmt: skip
                     query, node = query[~skipped], node[~skipped]
                     if not len(query):
                         continue
             values = self._measure_pairs(flat, operands, query, node, counting)
-            within = values <= radius
-            if within.any():
-                found.append((query[within], node[within], values[within]))
+            hit = values <= radius
+            if hit.any():
+                found.append((query[hit], node[hit], values[hit]))
             # Lemma 4 on the node itself: its whole subtree is in, or out.
             subtree = flat.subtree[node]
-            inside = values + subtree <= radius
-            out = beyond(values, query, subtree)
+            inside = within(values, subtree)
+            out = beyond(values, subtree)
             self._settle(flat, state, query[inside], node[inside], _ACCEPTED)
             self._settle(flat, state, query[out], node[out], _REJECTED)
             routed = ~(inside | out)
             self._route(
-                flat, state, radius, beyond, query[routed], node[routed], values[routed], True
+                flat, state, beyond, within, query[routed], node[routed], values[routed]
             )
         return self._collect(flat, state, found)
 
@@ -881,32 +886,31 @@ class ReferenceNet(MetricIndex):
         cls,
         flat: _FlatLayout,
         state: np.ndarray,
-        radius: float,
         beyond,
+        within,
         query: np.ndarray,
         node: np.ndarray,
         value: np.ndarray,
-        exact: bool,
     ) -> None:
         """Decide or defer the open children of the pairs ``(query[i], node[i])``.
 
         ``value[i]`` is what is known of ``d(query, node)``: the distance
-        itself (``exact``) for a measured node, a lower bound -- its table
-        entry -- for one skipped on that bound.  A child row with margin
-        ``m`` (see :class:`_FlatLayout`) is rejected when ``value - m >
-        radius`` (``beyond``, the one prune rule), accepted when ``value + m
-        <= radius`` -- on an exact value only -- and deferred to its own level
-        otherwise.  Children some other parent already decided are left
-        alone; where two rows of one call disagree about a child, a verdict
-        beats a deferral.
+        itself for a measured node, a lower bound -- its table entry -- for
+        one skipped on that bound (``within`` is ``None`` then).  A child
+        row with margin ``m`` (see :class:`_FlatLayout`) is rejected when
+        ``value - m > radius`` (``beyond``, the one prune rule), accepted
+        when ``value + m <= radius`` (``within``, its mirror) and deferred
+        to its own level otherwise.  Children some other parent already
+        decided are left alone; where two rows of one call disagree about a
+        child, a verdict beats a deferral.
         """
         for pair, child_query, child, row in cls._open_children(flat, state, query, node):
             known, margin = value[pair], flat.margin[row]
             state[child_query, child] = _PENDING
-            rejected = beyond(known, query[pair], margin)
+            rejected = beyond(known, margin)
             state[child_query[rejected], child[rejected]] = _REJECTED
-            if exact:
-                accepted = known + margin <= radius
+            if within is not None:
+                accepted = within(known, margin)
                 state[child_query[accepted], child[accepted]] = _ACCEPTED
 
     @staticmethod

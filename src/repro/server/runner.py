@@ -7,7 +7,8 @@ one daemon thread per connection and one request per connection
 (``Connection: close``).  The handler reads ``Content-Length`` and answers
 a body over :data:`MAX_BODY_BYTES` with a JSON ``413`` before reading it;
 every method, every error and any exception the app raises gets a JSON
-body too.
+body too.  Every socket read waits at most ``_Handler.timeout`` seconds, so
+an idle or stalled client cannot hold its thread for longer.
 
 Shutdown is snapshot-safe: ``SIGTERM`` is converted into the same clean
 exit as ``Ctrl-C``, and when the service is snapshot-backed (or an explicit
@@ -26,6 +27,7 @@ import http.client
 import http.server
 import json
 import signal
+import socket
 import threading
 import traceback
 from typing import Optional, Tuple
@@ -47,6 +49,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     """One request per connection, every method routed to the app."""
 
     protocol_version = "HTTP/1.1"
+    #: Seconds a socket read may wait.  A client that sends nothing is
+    #: closed when it expires and its thread ends; one that stalls mid-body
+    #: gets a JSON 408 first.
+    timeout = 10.0
     #: Even a garbled request line gets a status line and headers, not the
     #: bare HTTP/0.9 body ``http.server`` would send.
     default_request_version = "HTTP/1.1"
@@ -75,7 +81,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             return 413, _error_body(
                 f"request body of {size} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
             )
-        return self.server.app.handle(self.command, self.path, self.rfile.read(size))
+        try:
+            body = self.rfile.read(size)
+        except socket.timeout:  # ``TimeoutError`` from Python 3.10 on, not before
+            return 408, _error_body(f"request body not received within {self.timeout:g} seconds")
+        return self.server.app.handle(self.command, self.path, body)
 
     def send_error(self, code, message=None, explain=None) -> None:
         # Malformed request lines and headers: JSON like every other answer.

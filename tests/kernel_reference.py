@@ -1,11 +1,12 @@
 """Reference (pure-Python, cell-by-cell) DP kernels: the test oracle.
 
 These are the original loop implementations of the DP tables, retained
-verbatim as correctness oracles.  ``test_compiled_kernels.py`` holds the C
-kernels to them (exactly for the bottleneck and integer-cost recurrences,
-to 1e-9 relative for the summed ones) and ``test_vectorized_kernels.py``
-holds the C-filled tables that ``alignment()`` traces back over to them.
-Nothing under ``src/`` imports them.
+verbatim as correctness oracles.  The C kernels run the same direct
+recurrences in the same order, so ``test_compiled_kernels.py`` and
+``test_exact_kernels.py`` hold every C call form to them bit for bit, and
+``test_vectorized_kernels.py`` holds the C-filled tables that
+``alignment()`` traces back over to them the same way.  Nothing under
+``src/`` imports them.
 """
 
 from __future__ import annotations

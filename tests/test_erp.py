@@ -6,7 +6,7 @@ import pytest
 from repro import ERP, DistanceError, Sequence
 from repro.distances import combined_bound
 from repro.distances.base import ElementMetric, as_array
-from repro.distances.rounding import bound_prunes, prunes
+from repro.distances.rounding import accepts, bound_prunes, prunes
 
 
 class TestERPValues:
@@ -66,11 +66,12 @@ class TestERPProperties:
             b = rng.normal(size=rng.integers(2, 6))
             c = rng.normal(size=rng.integers(2, 6))
             # As the reference net's reject: query a, pivot c, child b at
-            # radius d(a, b) -- the one prune rule must not reject b.
-            link = distance(c, b)
-            width = len(a) + max(len(b), len(c)) + 1
-            magnitude = distance.rounding_scale(as_array(a)) + link
-            assert not prunes(distance, distance(a, c) - link, distance(a, b), magnitude, width)
+            # radius d(a, b) -- the one prune rule must not reject b; nor
+            # may its mirror accept b one ulp below that radius.
+            link, pivot, exact = distance(c, b), distance(a, c), distance(a, b)
+            width = 2 * max(len(a), len(b), len(c)) + 1
+            assert not prunes(distance, pivot - link, exact, link, width)
+            assert not accepts(distance, pivot, link, np.nextafter(exact, -np.inf), width)
 
     def test_flags(self):
         distance = ERP()

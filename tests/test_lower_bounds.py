@@ -427,10 +427,9 @@ class TestWidePointsStayAdmissible:
     The bounds and the kernels accumulate element costs in one order
     (:meth:`ElementMetric.norm`), so the bottleneck distance -- an exact
     selection of element costs -- is never exceeded by even an ulp.  The
-    summed distances run a reduced-coordinate sweep, which rounds at the
-    scale of a row's prefix sums rather than of the result (a tiny cost
-    beside a large one in the same row is absorbed); the prune rule's slack
-    scales with those sums.
+    summed distances round relative to their own value (the direct
+    recurrence); a bound that sums in another order can exceed them by an
+    ulp, which the prune rule's slack, relative to the radius, absorbs.
     """
 
     @settings(max_examples=300, deadline=None)

@@ -11,9 +11,9 @@ found (the two reproducers below).  What it still misses are answers whose
 start pair no chain allows: the random-case test pins those seeds as a
 strict set, ROADMAP item 1's remaining gap.
 
-Type III's contract, until ROADMAP item 8 makes it exact, is "within one
-radius increment of the optimum": whenever brute force finds a pair within
-``max_radius``, the nearest query returns one, never better than the
+Type III's contract, until ROADMAP items 1(b) and 4(b) make it exact, is
+"within one radius increment of the optimum": whenever brute force finds a
+pair within ``max_radius``, the nearest query returns one, never better than the
 optimum and at most the sweep's increment above it.  The random-case test
 holds every case to it except the listed seeds where verification misses
 the optimum's anchoring (item 1); the smallest of those is a strict

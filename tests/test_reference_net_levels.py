@@ -41,12 +41,27 @@ from repro import DiscreteFrechet, Levenshtein, ReferenceNet, Sequence, Sequence
 from repro.core.executor import make_executor
 from repro.distances.cache import DistanceCache
 from repro.distances.lower_bounds import combined_bound
+from repro.distances.rounding import accepts, prunes
 from repro.exceptions import IndexError_, InvariantViolationError
 from repro.indexing import reference_net
 from repro.indexing.base import BoundTable, RangeMatch
 from repro.indexing.stats import CountingDistance, DistanceCounter
 
 DISTANCE = DiscreteFrechet()
+
+#: A width at least the frontier's on these nets (1-D points, lengths <= 4).
+#: Their contents are integers, so any slack refuses exactly the ties.
+WIDTH = 16
+
+
+def within(value, margin, radius):
+    """The frontier's triangle accept (:func:`~repro.distances.rounding.accepts`)."""
+    return accepts(DISTANCE, value, margin, radius, WIDTH)
+
+
+def beyond(lower, margin, radius):
+    """The frontier's reject (:func:`~repro.distances.rounding.prunes`)."""
+    return prunes(DISTANCE, lower - margin, radius, margin, WIDTH)
 
 
 def reference_range_search(net, query, radius, counting):
@@ -78,23 +93,23 @@ def reference_range_search(net, query, radius, counting):
             if value <= radius:
                 matches.append(RangeMatch(node.key, node.item, value))
             subtree = net.radius(node.home_level + 1)
-            if value + subtree <= radius or value - subtree > radius:
-                settle(node, accept=value + subtree <= radius)
+            if within(value, subtree, radius) or beyond(value, subtree, radius):
+                settle(node, accept=within(value, subtree, radius))
                 continue
             for _level, child, link in node.iter_children():
                 if child.key in decided:
                     continue
                 reach = link + net.radius(child.home_level + 1)
                 leaf = not child.children
-                if value + reach <= radius or value - reach > radius:
+                if within(value, reach, radius) or beyond(value, reach, radius):
                     decided.add(child.key)
-                    if value + reach <= radius:
+                    if within(value, reach, radius):
                         matches.append(RangeMatch(child.key, child.item, None))
-                    settle(child, accept=value + reach <= radius)
-                elif leaf and value + link <= radius:
+                    settle(child, accept=within(value, reach, radius))
+                elif leaf and within(value, link, radius):
                     decided.add(child.key)
                     matches.append(RangeMatch(child.key, child.item, None))
-                elif leaf and value - link > radius:
+                elif leaf and beyond(value, link, radius):
                     decided.add(child.key)
                 else:
                     pending.setdefault(child.home_level, []).append(child)
@@ -146,18 +161,18 @@ def per_segment_range_search(net, query, radius, counting, lower=None):
         survivors = []
         for node in frontier:
             bound = lower[ids[node.key]]
-            if not bound > radius:
+            if not beyond(bound, 0.0, radius):
                 survivors.append(node)
-            elif bound - node.subtree > radius:
+            elif beyond(bound, node.subtree, radius):
                 settle_subtree(node, accept=False)
             else:
                 for child, link_distance, reach, leaf in routing_rows(node):
                     if child in decided:
                         continue
-                    if bound - reach > radius:
+                    if beyond(bound, reach, radius):
                         decided.add(child)
                         settle_subtree(child, accept=False)
-                    elif leaf and bound - link_distance > radius:
+                    elif leaf and beyond(bound, link_distance, radius):
                         decided.add(child)
                     else:
                         pending[child.home_level].append(child)
@@ -177,26 +192,26 @@ def per_segment_range_search(net, query, radius, counting, lower=None):
         for node, value in zip(frontier, net._measure(query, frontier, counting)):
             if value <= radius:
                 matches.append(RangeMatch(node.key, node.item, value))
-            if value + node.subtree <= radius:
+            if within(value, node.subtree, radius):
                 settle_subtree(node, accept=True)
                 continue
-            if value - node.subtree > radius:
+            if beyond(value, node.subtree, radius):
                 settle_subtree(node, accept=False)
                 continue
             for child, link_distance, reach, leaf in routing_rows(node):
                 if child in decided:
                     continue
-                if value + reach <= radius:
+                if within(value, reach, radius):
                     decided.add(child)
                     matches.append(RangeMatch(child.key, child.item, None))
                     settle_subtree(child, accept=True)
-                elif value - reach > radius:
+                elif beyond(value, reach, radius):
                     decided.add(child)
                     settle_subtree(child, accept=False)
-                elif leaf and value + link_distance <= radius:
+                elif leaf and within(value, link_distance, radius):
                     decided.add(child)
                     matches.append(RangeMatch(child.key, child.item, None))
-                elif leaf and value - link_distance > radius:
+                elif leaf and beyond(value, link_distance, radius):
                     decided.add(child)
                 else:
                     pending[child.home_level].append(child)
@@ -236,17 +251,17 @@ def level_walk(net, queries, radius, cache, counter, table=None):
                 continue
             reach = link + net.radius(child.home_level + 1)
             leaf = not child.children
-            if high is not None and high + reach <= radius:
+            if high is not None and within(high, reach, radius):
                 decided[position].add(child.key)
                 matches[position].append((child.key, None))
                 settle(position, child, accept=True)
-            elif low - reach > radius:
+            elif beyond(low, reach, radius):
                 decided[position].add(child.key)
                 settle(position, child, accept=False)
-            elif leaf and high is not None and high + link <= radius:
+            elif leaf and high is not None and within(high, link, radius):
                 decided[position].add(child.key)
                 matches[position].append((child.key, None))
-            elif leaf and low - link > radius:
+            elif leaf and beyond(low, link, radius):
                 decided[position].add(child.key)
             else:
                 pending[position].setdefault(child.home_level, []).append(child)
@@ -265,9 +280,9 @@ def level_walk(net, queries, radius, cache, counter, table=None):
                 kept = []
                 for node in frontier:
                     bound = table.matrix[position, ids[node.key]]
-                    if not bound > radius:
+                    if not beyond(bound, 0.0, radius):
                         kept.append(node)
-                    elif bound - net.radius(node.home_level + 1) > radius:
+                    elif beyond(bound, net.radius(node.home_level + 1), radius):
                         settle(position, node, accept=False)
                     else:
                         route(position, node, bound, None)
@@ -302,8 +317,8 @@ def level_walk(net, queries, radius, cache, counter, table=None):
             if value <= radius:
                 matches[position].append((node.key, value))
             subtree = net.radius(node.home_level + 1)
-            if value + subtree <= radius or value - subtree > radius:
-                settle(position, node, accept=value + subtree <= radius)
+            if within(value, subtree, radius) or beyond(value, subtree, radius):
+                settle(position, node, accept=within(value, subtree, radius))
             else:
                 route(position, node, value, value)
     return [sorted(found, key=lambda match: ids[match[0]]) for found in matches], repeated
@@ -577,8 +592,10 @@ def test_bound_first_answers_equal_per_pair_answers(case, cached):
         # By construction: a distance is requested only for a window whose
         # bound is within the radius -- the pairs the scan's prefilter keeps.
         requested = counter.total + counter.cache_hits - requested
-        within = sum(combined_bound(DISTANCE, query, item) <= radius for _key, item in net.items())
-        assert requested <= within
+        admitted = sum(
+            combined_bound(DISTANCE, query, item) <= radius for _key, item in net.items()
+        )
+        assert requested <= admitted
         evaluated, pruned = np.subtract(prefilter_tallies(counter), classified)
         assert evaluated - pruned == requested and evaluated <= len(net)
 

@@ -81,6 +81,7 @@ def test_range_query_is_a_batch_of_one(index_name, family):
         assert _outcome(alone.batch_range_query([query], radius)[0]) == expected
         assert _outcome(row) == expected
     assert any(rows), "the radius should catch some windows"
+    assert batched.batch_range_query([], radius) == []
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ from repro import (
     sequence_to_wire,
 )
 from repro.server import BackgroundServer, SearchApp, ServerMetrics
-from repro.server.runner import MAX_BODY_BYTES
+from repro.server.runner import MAX_BODY_BYTES, _Handler
 
 
 @pytest.fixture
@@ -821,6 +821,35 @@ class TestTransport:
         assert status == 400
         assert content_type == "application/json"
         assert payload["error"]
+
+    def test_idle_connections_are_closed_and_their_threads_end(self, server, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        baseline = threading.active_count()
+        idle = [socket.create_connection((server.host, server.port), timeout=10) for _ in range(20)]
+        try:
+            deadline = time.monotonic() + 10
+            while threading.active_count() < baseline + 20 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() >= baseline + 20  # one thread per idle socket
+            while threading.active_count() > baseline and time.monotonic() < deadline:
+                assert server.request_json("GET", "/health")[0] == 200
+                time.sleep(0.05)
+            assert threading.active_count() <= baseline
+            assert server.request_json("GET", "/health")[0] == 200
+            assert all(connection.recv(1) == b"" for connection in idle)  # closed by the server
+        finally:
+            for connection in idle:
+                connection.close()
+
+    def test_a_body_that_stalls_is_a_json_408(self, server, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        status, content_type, payload = raw_exchange(
+            server, b'POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\n{"que'
+        )
+        assert status == 408
+        assert content_type == "application/json"
+        assert "0.5 seconds" in payload["error"]
+        assert server.app.in_flight == 0
 
     def test_every_method_reaches_the_app(self, server):
         assert server.request_json("GET", "/health?verbose=1")[0] == 200
