@@ -56,7 +56,7 @@ class CoverTree(MetricIndex):
     Unlike the net, every node has exactly **one** parent, which is the
     situation the paper's Figure 2 shows can hurt range-query pruning.
     Insertion distances are counted like query distances; the figures
-    checkpoint the counter before querying.
+    mark the counter before querying.
     """
 
     index_name = "cover-tree"

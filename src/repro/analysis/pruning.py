@@ -66,24 +66,19 @@ def measure_pruning(
     """
     if not queries:
         raise ConfigurationError("need at least one query to measure pruning")
-    counter = index.counter
-    counter.checkpoint()
+    mark = index.counter.mark()
     per_query, _worker_cpu = index.probe_batch(list(queries), radius, executor=executor)
-    total_computations = counter.since_checkpoint()
-    total_cache_hits = counter.cache_hits_since_checkpoint()
-    total_prefilter = counter.prefilter_since_checkpoint()
-    total_pruned = counter.prefilter_pruned_since_checkpoint()
-    total_matches = sum(len(matches) for matches in per_query)
+    work = index.counter.since(mark)
     count = len(queries)
     return PruningResult(
         index_name=index.index_name,
         radius=radius,
-        distance_computations=total_computations / count,
-        matches=total_matches / count,
+        distance_computations=work.total / count,
+        matches=sum(len(matches) for matches in per_query) / count,
         naive_computations=len(index),
-        cache_hits=total_cache_hits / count,
-        prefilter_evaluations=total_prefilter / count,
-        prefilter_pruned=total_pruned / count,
+        cache_hits=work.cache_hits / count,
+        prefilter_evaluations=work.prefilter_evaluations / count,
+        prefilter_pruned=work.prefilter_pruned / count,
     )
 
 

@@ -67,6 +67,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -85,7 +86,6 @@ from repro.core.queries import (
 from repro.core.segmentation import extract_query_segments
 from repro.core.verification import (
     StartPairBlocks,
-    _VerificationCounter,
     chain_start_pairs,
     enumerate_matches,
     verify_chain,
@@ -94,6 +94,7 @@ from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import RecordingVerifyCache
 from repro.indexing.base import BoundTable, MetricIndex, chunk_positions
+from repro.indexing.stats import DistanceCounter
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 from repro.sequences.windows import Window
@@ -170,6 +171,17 @@ class ProbeTable:
 
 
 _UNBUILT = object()
+
+
+@contextmanager
+def _timed(stats: QueryStats, stage: str) -> Iterator[SimpleNamespace]:
+    """Time one pipeline stage into ``stats``: wall seconds, and the CPU
+    seconds of this thread plus the ``worker_cpu`` its work units report."""
+    clock = SimpleNamespace(worker_cpu=0.0)
+    started, cpu_started = time.perf_counter(), time.thread_time()
+    yield clock
+    stats.stage_timings[stage] = time.perf_counter() - started
+    stats.cpu_stage_timings[stage] = time.thread_time() - cpu_started + clock.worker_cpu
 
 
 class QueryScratch:
@@ -341,71 +353,57 @@ class QueryPipeline:
     def probe(self, query: Sequence, radius: float) -> ProbeResult:
         """Run the pipeline's front half and return matches plus accounting."""
         stats = self._new_stats()
-        started = time.perf_counter()
-        cpu_started = time.thread_time()
-        scratch = self.scratch_for(query)
+        with _timed(stats, "segment"):
+            scratch = self.scratch_for(query)
         segments = scratch.segments
-        stats.stage_timings["segment"] = time.perf_counter() - started
-        stats.cpu_stage_timings["segment"] = time.thread_time() - cpu_started
         stats.segments_extracted = len(segments)
         stats.naive_distance_computations = len(segments) * self.window_count
 
-        counter = self.index.counter
-        counter.checkpoint()
-        started = time.perf_counter()
-        cpu_started = time.thread_time()
-        # Inside a sweep, a probe the table covers asks the index about the
-        # table's incomplete segments only; any other probe asks about all.
-        table = scratch.table
-        answered = table is not None and table.covers(radius)
-        positions = table.incomplete.tolist() if answered else range(len(segments))
-        per_segment: List[list] = []
-        worker_cpu = 0.0
-        if positions:
-            sequences = [segments[position].sequence for position in positions]
-            bounds = scratch.bounds()
-            if answered and bounds is not None:
-                bounds = bounds.take(positions)
-            per_segment, worker_cpu = self.index.probe_batch(
-                sequences, radius, bounds, self.executor
-            )
-        # Canonical match order: hits within a segment are sorted by window
-        # insertion order, so the (segment, window) pairs -- and everything
-        # chaining and verification derive from them -- are identical no
-        # matter which index class produced them, how its internal topology
-        # evolved through incremental updates, which executor ran the probe,
-        # or whether a sweep's table answered for the index.  This is the
-        # invariant the incremental-vs-rebuild, snapshot, and
-        # parallel-equivalence guarantees rest on; for the linear scan and
-        # the reference index the sort is a no-op (they already enumerate
-        # items in insertion order).
-        matches: List[SegmentMatch] = []
-        if not answered:
-            for segment, hits in zip(segments, per_segment):
-                matches.extend(self._in_window_order(segment, hits))
-            if table is not None and radius > table.radius:
-                table.record(radius, [len(hits) for hits in per_segment], matches)
-        else:
-            # Table rows and index-answered segments are both in segment
-            # order; the cuts say where each of the latter slots in.
-            rows = table.rows_within(radius)
-            cuts = np.searchsorted(table.segment[rows], positions).tolist()
-            stats.table_segments = len(segments) - len(positions)
-            done = 0
-            for position, hits, cut in zip(positions, per_segment, cuts):
-                matches.extend(table.matches(segments, rows[done:cut]))
-                matches.extend(self._in_window_order(segments[position], hits))
-                done = cut
-            matches.extend(table.matches(segments, rows[done:]))
-        stats.stage_timings["probe"] = time.perf_counter() - started
-        stats.cpu_stage_timings["probe"] = (
-            time.thread_time() - cpu_started
-        ) + worker_cpu
-        stats.index_distance_computations = counter.since_checkpoint()
-        stats.index_cache_hits = counter.cache_hits_since_checkpoint()
-        stats.prefilter_evaluations = counter.prefilter_since_checkpoint()
-        stats.prefilter_pruned = counter.prefilter_pruned_since_checkpoint()
-        stats.index_kernel_calls = counter.kernel_calls_since_checkpoint()
+        mark = self.index.counter.mark()
+        with _timed(stats, "probe") as clock:
+            # Inside a sweep, a probe the table covers asks the index about the
+            # table's incomplete segments only; any other probe asks about all.
+            table = scratch.table
+            answered = table is not None and table.covers(radius)
+            positions = table.incomplete.tolist() if answered else range(len(segments))
+            per_segment: List[list] = []
+            if positions:
+                sequences = [segments[position].sequence for position in positions]
+                bounds = scratch.bounds()
+                if answered and bounds is not None:
+                    bounds = bounds.take(positions)
+                per_segment, clock.worker_cpu = self.index.probe_batch(
+                    sequences, radius, bounds, self.executor
+                )
+            # Canonical match order: hits within a segment are sorted by window
+            # insertion order, so the (segment, window) pairs -- and everything
+            # chaining and verification derive from them -- are identical no
+            # matter which index class produced them, how its internal topology
+            # evolved through incremental updates, which executor ran the probe,
+            # or whether a sweep's table answered for the index.  This is the
+            # invariant the incremental-vs-rebuild, snapshot, and
+            # parallel-equivalence guarantees rest on; for the linear scan and
+            # the reference index the sort is a no-op (they already enumerate
+            # items in insertion order).
+            matches: List[SegmentMatch] = []
+            if not answered:
+                for segment, hits in zip(segments, per_segment):
+                    matches.extend(self._in_window_order(segment, hits))
+                if table is not None and radius > table.radius:
+                    table.record(radius, [len(hits) for hits in per_segment], matches)
+            else:
+                # Table rows and index-answered segments are both in segment
+                # order; the cuts say where each of the latter slots in.
+                rows = table.rows_within(radius)
+                cuts = np.searchsorted(table.segment[rows], positions).tolist()
+                stats.table_segments = len(segments) - len(positions)
+                done = 0
+                for position, hits, cut in zip(positions, per_segment, cuts):
+                    matches.extend(table.matches(segments, rows[done:cut]))
+                    matches.extend(self._in_window_order(segments[position], hits))
+                    done = cut
+                matches.extend(table.matches(segments, rows[done:]))
+        stats.fill(QueryStats.INDEX_COUNTER, self.index.counter.since(mark))
         stats.segment_matches = len(matches)
         return ProbeResult(matches, stats)
 
@@ -428,11 +426,8 @@ class QueryPipeline:
     # ------------------------------------------------------------------ #
     def chain(self, matches: List[SegmentMatch], stats: QueryStats) -> List[CandidateChain]:
         """Concatenate consecutive window matches into candidate chains."""
-        started = time.perf_counter()
-        cpu_started = time.thread_time()
-        chains = chain_segment_matches(matches, self.config)
-        stats.stage_timings["chain"] = time.perf_counter() - started
-        stats.cpu_stage_timings["chain"] = time.thread_time() - cpu_started
+        with _timed(stats, "chain"):
+            chains = chain_segment_matches(matches, self.config)
         stats.candidate_chains = len(chains)
         return chains
 
@@ -444,7 +439,7 @@ class QueryPipeline:
         chain: CandidateChain,
         query: Sequence,
         radius: float,
-        counter: _VerificationCounter,
+        counter: DistanceCounter,
         cache=None,
     ) -> Optional[SubsequenceMatch]:
         """Verify ``chain``; on failure, retry its halves recursively.
@@ -496,8 +491,8 @@ class QueryPipeline:
     def _verify_all_chains(
         self,
         chains: List[CandidateChain],
-        counter: _VerificationCounter,
-        runner: Callable[[CandidateChain, object, _VerificationCounter], object],
+        counter: DistanceCounter,
+        runner: Callable[[CandidateChain, object, DistanceCounter], object],
     ) -> Tuple[List[object], float]:
         """Run ``runner`` over every chain; results come back in chain order.
 
@@ -520,7 +515,7 @@ class QueryPipeline:
             # bookkeeping -- run the plain serial loop.
             return [runner(chain, self.cache, counter) for chain in chains], 0.0
         recordings = [RecordingVerifyCache(self.cache) for _chain in chains]
-        unit_counters = [_VerificationCounter() for _chain in chains]
+        unit_counters = [DistanceCounter() for _chain in chains]
         # Contiguous chunks of chains per task: candidate chains number in
         # the thousands and most verify in microseconds, so per-chain
         # futures would cost more than the verification itself.  Chunks are
@@ -547,23 +542,6 @@ class QueryPipeline:
             per_chain.extend(result.value)
         return per_chain, sum(result.worker_cpu_seconds for result in results)
 
-    @staticmethod
-    def _finish_verify(
-        stats: QueryStats,
-        counter: _VerificationCounter,
-        started: float,
-        cpu_started: float,
-        worker_cpu: float = 0.0,
-    ) -> None:
-        """Fold the verification counter and timings into ``stats``."""
-        stats.stage_timings["verify"] = time.perf_counter() - started
-        stats.cpu_stage_timings["verify"] = (
-            time.thread_time() - cpu_started
-        ) + worker_cpu
-        stats.verification_distance_computations = counter.count
-        stats.verification_cache_hits = counter.cache_hits
-        stats.verification_kernel_calls = counter.kernel_calls
-
     # ------------------------------------------------------------------ #
     # Query strategies: one full pipeline run per query type
     # ------------------------------------------------------------------ #
@@ -582,27 +560,8 @@ class QueryPipeline:
         stats = probe.stats
         chains = self.chain(probe.matches, stats)
 
-        counter = _VerificationCounter()
-        started = time.perf_counter()
-        cpu_started = time.thread_time()
-        if spec.exhaustive:
-            results = enumerate_matches(
-                query,
-                self.database,
-                chain_start_pairs(chains, self.config),
-                self.distance,
-                spec.radius,
-                self.config,
-                counter,
-                spec.max_results,
-            )
-            self._finish_verify(stats, counter, started, cpu_started)
-            return results, stats
-
         def runner(chain, cache, chain_counter):
-            return self.verify_with_fallback(
-                chain, query, spec.radius, chain_counter, cache=cache
-            )
+            return self.verify_with_fallback(chain, query, spec.radius, chain_counter, cache=cache)
 
         results: List[SubsequenceMatch] = []
         seen = set()
@@ -612,18 +571,29 @@ class QueryPipeline:
                 seen.add(match_identity(match))
                 results.append(match)
 
-        if spec.max_results is None:
-            per_chain, worker_cpu = self._verify_all_chains(chains, counter, runner)
-            for verified in per_chain:
-                keep(verified)
-            self._finish_verify(stats, counter, started, cpu_started, worker_cpu)
-            return results, stats
-
-        for chain in chains:
-            keep(runner(chain, self.cache, counter))
-            if len(results) >= spec.max_results:
-                break
-        self._finish_verify(stats, counter, started, cpu_started)
+        counter = DistanceCounter()
+        with _timed(stats, "verify") as clock:
+            if spec.exhaustive:
+                results = enumerate_matches(
+                    query,
+                    self.database,
+                    chain_start_pairs(chains, self.config),
+                    self.distance,
+                    spec.radius,
+                    self.config,
+                    counter,
+                    spec.max_results,
+                )
+            elif spec.max_results is None:
+                per_chain, clock.worker_cpu = self._verify_all_chains(chains, counter, runner)
+                for verified in per_chain:
+                    keep(verified)
+            else:
+                for chain in chains:
+                    keep(runner(chain, self.cache, counter))
+                    if len(results) >= spec.max_results:
+                        break
+        stats.fill(QueryStats.VERIFICATION_COUNTER, counter)
         return results, stats
 
     def run_longest(
@@ -643,24 +613,23 @@ class QueryPipeline:
         stats = probe.stats
         chains = self.chain(probe.matches, stats)
 
-        counter = _VerificationCounter()
-        started = time.perf_counter()
-        cpu_started = time.thread_time()
+        counter = DistanceCounter()
         best: Optional[SubsequenceMatch] = None
-        for chain in chains:
-            potential = (chain.window_count + 2) * self.config.window_length
-            if best is not None and potential <= best.length:
-                break
-            verified = self.verify_with_fallback(chain, query, spec.radius, counter)
-            if verified is None:
-                continue
-            if (
-                best is None
-                or verified.length > best.length
-                or (verified.length == best.length and verified.distance < best.distance)
-            ):
-                best = verified
-        self._finish_verify(stats, counter, started, cpu_started)
+        with _timed(stats, "verify"):
+            for chain in chains:
+                potential = (chain.window_count + 2) * self.config.window_length
+                if best is not None and potential <= best.length:
+                    break
+                verified = self.verify_with_fallback(chain, query, spec.radius, counter)
+                if verified is None:
+                    continue
+                if (
+                    best is None
+                    or verified.length > best.length
+                    or (verified.length == best.length and verified.distance < best.distance)
+                ):
+                    best = verified
+        stats.fill(QueryStats.VERIFICATION_COUNTER, counter)
         return best, stats
 
     def run_scored_pass(
@@ -681,14 +650,11 @@ class QueryPipeline:
         stats = probe.stats
         chains = self.chain(probe.matches, stats)
 
-        counter = _VerificationCounter()
-        started = time.perf_counter()
-        cpu_started = time.thread_time()
-
         def runner(chain, cache, chain_counter):
             return self.verify_with_fallback(chain, query, radius, chain_counter, cache=cache)
 
-        per_chain, worker_cpu = self._verify_all_chains(chains, counter, runner)
-        matches = [verified for verified in per_chain if verified is not None]
-        self._finish_verify(stats, counter, started, cpu_started, worker_cpu)
-        return matches, stats
+        counter = DistanceCounter()
+        with _timed(stats, "verify") as clock:
+            per_chain, clock.worker_cpu = self._verify_all_chains(chains, counter, runner)
+        stats.fill(QueryStats.VERIFICATION_COUNTER, counter)
+        return [verified for verified in per_chain if verified is not None], stats

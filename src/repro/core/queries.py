@@ -502,6 +502,35 @@ class QueryStats:
     shards: int = 1
     passes: List["QueryStats"] = field(default_factory=list)
 
+    #: Which field each stage's :class:`~repro.indexing.stats.DistanceCounter`
+    #: tally fills (see :meth:`fill`).
+    INDEX_COUNTER: ClassVar[Dict[str, str]] = {
+        "total": "index_distance_computations",
+        "cache_hits": "index_cache_hits",
+        "prefilter_evaluations": "prefilter_evaluations",
+        "prefilter_pruned": "prefilter_pruned",
+        "kernel_calls": "index_kernel_calls",
+    }
+    VERIFICATION_COUNTER: ClassVar[Dict[str, str]] = {
+        "total": "verification_distance_computations",
+        "cache_hits": "verification_cache_hits",
+        "kernel_calls": "verification_kernel_calls",
+    }
+    #: Work counters: what a query cost, summed over passes and shards.
+    WORK: ClassVar[Tuple[str, ...]] = (
+        *INDEX_COUNTER.values(), *VERIFICATION_COUNTER.values(), "table_segments"
+    )
+    #: Shape counters: what a pass looked like; ``merged`` keeps the final
+    #: pass's, ``across_shards`` sums all but ``segments_extracted``.
+    SHAPE: ClassVar[Tuple[str, ...]] = (
+        "segments_extracted", "segment_matches", "candidate_chains", "naive_distance_computations"
+    )
+
+    def fill(self, stage: Dict[str, str], counter) -> None:
+        """Set the fields of ``stage`` (:attr:`INDEX_COUNTER`, ...) from ``counter``."""
+        for tally, name in stage.items():
+            setattr(self, name, getattr(counter, tally))
+
     @property
     def total_distance_computations(self) -> int:
         """All fresh distance evaluations performed while answering the query."""
@@ -531,95 +560,57 @@ class QueryStats:
     def merged(cls, passes: TypingSequence["QueryStats"]) -> "QueryStats":
         """Aggregate the stats of repeated step-3/4/5 passes (Type III).
 
-        Work counters (distance computations, cache hits, prefilter
-        evaluations, table-answered segments, wall-clock and CPU stage
-        timings) are summed across
+        The :attr:`WORK` counters and both stage timings are summed across
         the passes -- that is what answering the query actually cost --
-        while the shape counters (``segments_extracted``,
-        ``segment_matches``, ``candidate_chains``,
-        ``naive_distance_computations``) report the *final* pass, the one
-        that produced the answer.  The full per-pass history is kept in
-        :attr:`passes`.
+        while the :attr:`SHAPE` counters, the executor and the shard count
+        report the *final* pass, the one that produced the answer.  The
+        full per-pass history is kept in :attr:`passes`.
         """
         if not passes:
             return cls()
-        final = passes[-1]
-        total = cls(
-            segments_extracted=final.segments_extracted,
-            segment_matches=final.segment_matches,
-            candidate_chains=final.candidate_chains,
-            naive_distance_computations=final.naive_distance_computations,
-            index_distance_computations=sum(p.index_distance_computations for p in passes),
-            verification_distance_computations=sum(
-                p.verification_distance_computations for p in passes
-            ),
-            index_cache_hits=sum(p.index_cache_hits for p in passes),
-            verification_cache_hits=sum(p.verification_cache_hits for p in passes),
-            prefilter_evaluations=sum(p.prefilter_evaluations for p in passes),
-            prefilter_pruned=sum(p.prefilter_pruned for p in passes),
-            table_segments=sum(p.table_segments for p in passes),
-            index_kernel_calls=sum(p.index_kernel_calls for p in passes),
-            verification_kernel_calls=sum(p.verification_kernel_calls for p in passes),
-            executor=final.executor,
-            workers=final.workers,
-            shards=final.shards,
-        )
-        for stats in passes:
-            for stage, seconds in stats.stage_timings.items():
-                total.stage_timings[stage] = total.stage_timings.get(stage, 0.0) + seconds
-            for stage, seconds in stats.cpu_stage_timings.items():
-                total.cpu_stage_timings[stage] = (
-                    total.cpu_stage_timings.get(stage, 0.0) + seconds
-                )
-        total.passes = list(passes)
-        return total
+        return cls._combine(passes, cls.SHAPE, passes[-1], passes[-1].shards)
 
     @classmethod
     def across_shards(cls, shard_stats: TypingSequence["QueryStats"]) -> "QueryStats":
         """Combine per-shard statistics into one record (sharded matchers).
 
         Every shard answered the *same* query over *its* partition of the
-        windows, so ``segments_extracted`` is taken from the first shard
-        (each extracted the identical segment set) while everything else --
-        work counters, matches, chains, the naive denominator, and both
-        timing dictionaries -- sums across shards.  ``shards`` records the
+        windows, so ``segments_extracted`` and the executor are taken from
+        the first shard (each extracted the identical segment set) while
+        every other counter -- work, matches, chains, the naive denominator
+        -- and both stage timings sum across shards.  ``shards`` records the
         fan-out width; the per-shard records are kept in :attr:`passes`.
         """
         if not shard_stats:
             return cls()
-        first = shard_stats[0]
-        total = cls(
-            segments_extracted=first.segments_extracted,
-            segment_matches=sum(s.segment_matches for s in shard_stats),
-            candidate_chains=sum(s.candidate_chains for s in shard_stats),
-            naive_distance_computations=sum(
-                s.naive_distance_computations for s in shard_stats
-            ),
-            index_distance_computations=sum(
-                s.index_distance_computations for s in shard_stats
-            ),
-            verification_distance_computations=sum(
-                s.verification_distance_computations for s in shard_stats
-            ),
-            index_cache_hits=sum(s.index_cache_hits for s in shard_stats),
-            verification_cache_hits=sum(s.verification_cache_hits for s in shard_stats),
-            prefilter_evaluations=sum(s.prefilter_evaluations for s in shard_stats),
-            prefilter_pruned=sum(s.prefilter_pruned for s in shard_stats),
-            table_segments=sum(s.table_segments for s in shard_stats),
-            index_kernel_calls=sum(s.index_kernel_calls for s in shard_stats),
-            verification_kernel_calls=sum(s.verification_kernel_calls for s in shard_stats),
-            executor=first.executor,
-            workers=first.workers,
-            shards=len(shard_stats),
+        return cls._combine(
+            shard_stats, ("segments_extracted",), shard_stats[0], len(shard_stats)
         )
-        for stats in shard_stats:
-            for stage, seconds in stats.stage_timings.items():
-                total.stage_timings[stage] = total.stage_timings.get(stage, 0.0) + seconds
-            for stage, seconds in stats.cpu_stage_timings.items():
-                total.cpu_stage_timings[stage] = (
-                    total.cpu_stage_timings.get(stage, 0.0) + seconds
-                )
-        total.passes = list(shard_stats)
+
+    @classmethod
+    def _combine(
+        cls,
+        records: TypingSequence["QueryStats"],
+        kept: Tuple[str, ...],
+        model: "QueryStats",
+        shards: int,
+    ) -> "QueryStats":
+        """One record of ``records``: the ``kept`` counters and the executor
+        from ``model``; every other counter and both stage timings summed."""
+        total = cls(executor=model.executor, workers=model.workers, shards=shards)
+        for name in cls.WORK + cls.SHAPE:
+            if name in kept:
+                setattr(total, name, getattr(model, name))
+            else:
+                setattr(total, name, sum(getattr(stats, name) for stats in records))
+        for stats in records:
+            for source, target in (
+                (stats.stage_timings, total.stage_timings),
+                (stats.cpu_stage_timings, total.cpu_stage_timings),
+            ):
+                for stage, seconds in source.items():
+                    target[stage] = target.get(stage, 0.0) + seconds
+        total.passes = list(records)
         return total
 
 

@@ -106,7 +106,7 @@ class SearchService:
         self._load_distance = distance
         self._load_cache = cache
         # Serialises every execute/mutation: the matcher pipeline keeps
-        # per-query scratch state (segment memo, index-counter checkpoints)
+        # per-query scratch state (segment memo, index-counter marks)
         # and _with_executor temporarily rewrites the backend config, so one
         # shared service instance must never run two queries concurrently.
         # Callers (e.g. the HTTP server) may hold many requests in flight;

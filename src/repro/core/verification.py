@@ -34,6 +34,7 @@ from repro.core.queries import SubsequenceMatch
 from repro.distances.alignment import PrefixBlock
 from repro.distances.base import Distance, as_array
 from repro.distances.cache import DistanceCache
+from repro.indexing.stats import DistanceCounter
 from repro.sequences.database import SequenceDatabase
 from repro.sequences.sequence import Sequence
 
@@ -66,23 +67,6 @@ def _admissible(
     return min(q_len, x_len) >= config.min_length and abs(q_len - x_len) <= config.max_shift
 
 
-class _VerificationCounter:
-    """Tiny helper so the matcher can report verification-time distance work.
-
-    ``count`` is the distance requests the cache did not answer, one value
-    each, or the start pairs :meth:`StartPairBlocks.cells` swept;
-    ``cache_hits`` is the requests the matcher's :class:`DistanceCache`
-    answered.  ``kernel_calls`` is DP kernel invocations: prefix blocks
-    swept plus single calls.  It depends on execution (racing thread units
-    may sweep one block twice), so it is a diagnostic, not a work counter.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.cache_hits = 0
-        self.kernel_calls = 0
-
-
 def _cut(owner: Optional[str], sequence: Sequence, start: int, stop: int) -> Sequence:
     """``sequence[start:stop]``, cut afresh (the memo-less form of ``QueryScratch.span``)."""
     return sequence.subsequence(start, stop)
@@ -94,7 +78,7 @@ class _Requests:
     A request cuts its two spans -- only under a cache, whose keys they
     are -- and looks the pair up; a hit counts in ``cache_hits``.  A miss
     takes the value of ``engine`` (:meth:`StartPairBlocks.value`), counts
-    one computation and is stored once.  Values are exact whenever they are
+    one computation (``total``) and is stored once.  Values are exact whenever they are
     at most the cutoff (all verification decisions need); beyond it they may
     be ``inf``.  Results -- abandoned lower bounds included -- go through
     the shared cache, so Type III's re-verification of the same chain at
@@ -110,7 +94,7 @@ class _Requests:
         target: Sequence,
         source_id: str,
         engine: StartPairBlocks,
-        counter: _VerificationCounter,
+        counter: DistanceCounter,
         cache: Optional[DistanceCache],
         span: Callable[[Optional[str], Sequence, int, int], Sequence] = _cut,
     ) -> None:
@@ -136,7 +120,7 @@ class _Requests:
         value = self.engine.value(
             q_start, x_start, q_stop - q_start, x_stop - x_start, cutoff, counter
         )
-        counter.count += 1
+        counter.total += 1
         if cache is not None:
             cache.store(first, second, value, cutoff=cutoff)
         return value
@@ -149,7 +133,7 @@ def verify_chain(
     distance: Distance,
     radius: float,
     config: MatcherConfig,
-    counter: Optional[_VerificationCounter] = None,
+    counter: Optional[DistanceCounter] = None,
     cache: Optional[DistanceCache] = None,
     scratch=None,
 ) -> Optional[SubsequenceMatch]:
@@ -165,7 +149,7 @@ def verify_chain(
     chain gets a private engine.  Every request goes through
     :class:`_Requests`.
     """
-    counter = counter if counter is not None else _VerificationCounter()
+    counter = counter if counter is not None else DistanceCounter()
     engines, span = ({}, _cut) if scratch is None else (scratch.blocks, scratch.span)
     engine = engines.get(chain.source_id)
     if engine is None:
@@ -336,12 +320,12 @@ class StartPairBlocks:
         target: Sequence,
         distance: Distance,
         config: MatcherConfig,
-        counter: Optional[_VerificationCounter] = None,
+        counter: Optional[DistanceCounter] = None,
     ) -> None:
         self.query, self.target = as_array(query), as_array(target)
         self.distance = distance
         self.min_length, self.shift = config.min_length, config.max_shift
-        self.counter = counter if counter is not None else _VerificationCounter()
+        self.counter = counter if counter is not None else DistanceCounter()
         self._block = getattr(distance, "prefix_block", None)
         #: :meth:`value`'s blocks, by start pair.
         self._kept: Dict[Tuple[int, int], PrefixBlock] = {}
@@ -390,7 +374,7 @@ class StartPairBlocks:
         n, m = self._shape(q_start, x_start)
         if min(n, m) < self.min_length:
             return None
-        self.counter.count += 1
+        self.counter.total += 1
         first, second = self.query[q_start : q_start + n], self.target[x_start : x_start + m]
         if self._block is not None:
             self.counter.kernel_calls += 1
@@ -416,7 +400,7 @@ def enumerate_matches(
     distance: Distance,
     radius: float,
     config: MatcherConfig,
-    counter: Optional[_VerificationCounter] = None,
+    counter: Optional[DistanceCounter] = None,
     max_results: Optional[int] = None,
 ) -> List[SubsequenceMatch]:
     """Every admissible pair within ``radius`` from the given start pairs.

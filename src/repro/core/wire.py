@@ -189,6 +189,16 @@ _SEQUENCE_FIELDS = frozenset(
     {"kind", "values", "text", "seq_id", "alphabet", "alphabet_name"}
 )
 
+#: The most values one wire sequence may carry: a character of ``text``, a
+#: number of a series, a coordinate of a trajectory point.  The longest
+#: sequence any example, test, CI step or benchmark workload sends holds a
+#: few hundred; a body under the byte cap could hold ~450 k.
+MAX_SEQUENCE_VALUES = 100_000
+
+
+class PayloadTooLarge(QueryError):
+    """A request that is well-formed but larger than the service runs (HTTP 413)."""
+
 
 def _holds_boolean(values) -> bool:
     """Whether a JSON value -- a number or a (nested) array -- holds a boolean."""
@@ -234,6 +244,11 @@ def sequence_from_wire(payload) -> Sequence:
             raise QueryError(f"invalid sequence alphabet: {error}") from None
     if "text" in payload and "values" in payload:
         raise QueryError("sequence carries both 'text' and 'values'; send exactly one")
+    elements = payload.get("text", payload.get("values"))
+    if isinstance(elements, (str, list)):
+        width = len(elements[0]) if elements and isinstance(elements[0], list) else 1
+        if len(elements) * width > MAX_SEQUENCE_VALUES:
+            raise PayloadTooLarge(f"sequence exceeds the {MAX_SEQUENCE_VALUES}-value cap")
     try:
         if "text" in payload:
             if kind is not SequenceKind.STRING:
@@ -502,6 +517,8 @@ __all__ = [
     "parse_spec",
     "sequence_to_wire",
     "sequence_from_wire",
+    "MAX_SEQUENCE_VALUES",
+    "PayloadTooLarge",
     "match_to_wire",
     "stats_to_wire",
     "config_block",

@@ -40,7 +40,7 @@ Two recording front-ends exist, matching the two kinds of work unit:
 
 The reference semantics of a replay is the serial path itself: the same
 request through a live :class:`~repro.indexing.stats.CountingDistance` (or,
-for verification, a plain cache plus the verification counter) must leave
+for verification, a plain cache plus the stage's counter) must leave
 identical values, counters, cache content and eviction order.
 
 One documented inexactness remains: if the shared cache evicts entries
@@ -281,12 +281,10 @@ class RecordingCounting:
                 self._record, view, counting.prefilter
             )
         counter = counting.counter
-        if fresh:
-            counter.increment(fresh)
-        if hits:
-            counter.record_cache_hit(hits)
-        if evaluated:
-            counter.record_prefilter(evaluated, pruned)
+        counter.total += fresh
+        counter.cache_hits += hits
+        counter.prefilter_evaluations += evaluated
+        counter.prefilter_pruned += pruned
 
 
 class _BatchContext:
@@ -381,11 +379,7 @@ class RecordingVerifyCache:
         self._columns.append(first, second, cutoff, value)
 
     def replay_into(self, cache: Optional[DistanceCache], counter) -> None:
-        """Replay this unit's log into the real cache + verification counter.
-
-        ``counter`` follows the verification counter protocol (``count`` /
-        ``cache_hits`` attributes).
-        """
+        """Replay this unit's log into the real cache and ``counter``'s tallies."""
         _replay_verify_columns(self._columns, cache, counter)
 
 
@@ -468,5 +462,5 @@ def _replay_verify_columns(
             store(key, value, cutoff)
         view.hits += hits
         view.misses += fresh
-    counter.count += fresh
+    counter.total += fresh
     counter.cache_hits += hits

@@ -27,7 +27,7 @@ Two details matter for faithfully reproducing the paper's evaluation:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -481,13 +481,13 @@ class MetricIndex(abc.ABC):
         Algorithm 1 in place), so this is :meth:`add` plus the accounting.
         """
         key = self.add(item, key)
-        self.update_stats.record_insert()
+        self.update_stats.inserts += 1
         return key
 
     def delete(self, key: Hashable) -> object:
         """Remove the item under ``key`` from the live index; see :meth:`insert`."""
         item = self.remove(key)
-        self.update_stats.record_delete()
+        self.update_stats.deletes += 1
         return item
 
     # ------------------------------------------------------------------ #
@@ -508,7 +508,7 @@ class MetricIndex(abc.ABC):
         """
         state = {
             "keys": list(self._items.keys()),
-            "update_stats": self.update_stats.as_dict(),
+            "update_stats": asdict(self.update_stats),
         }
         state.update(self._export_structure())
         return state

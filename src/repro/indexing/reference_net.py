@@ -506,7 +506,8 @@ class ReferenceNet(MetricIndex):
         self._max_level = 1
         for key, item in items:
             self.add(item, key)
-        self.update_stats.record_rebuild("root deletion")
+        self.update_stats.rebuilds += 1
+        self.update_stats.last_rebuild_reason = "root deletion"
 
     # ------------------------------------------------------------------ #
     # Range query (Algorithm 3)
@@ -750,7 +751,8 @@ class ReferenceNet(MetricIndex):
             if bounds is not None:
                 lower = bounds.matrix[query, node]
                 skipped = beyond(lower)
-                counting.record_prefilter(len(lower), int(np.count_nonzero(skipped)))
+                self.counter.prefilter_evaluations += len(lower)
+                self.counter.prefilter_pruned += int(np.count_nonzero(skipped))
                 if skipped.any():
                     skip_query, skip_node, lower = query[skipped], node[skipped], lower[skipped]
                     out = beyond(lower, flat.subtree[skip_node])

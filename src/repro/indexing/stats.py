@@ -5,18 +5,28 @@ distance computations* an index needs relative to a naive linear scan.
 Wall-clock time would mix algorithmic behaviour with implementation details,
 whereas distance counts are hardware-independent -- exactly what a
 reproduction should compare.  Every index in :mod:`repro.indexing` therefore
-routes its distance calls through a :class:`DistanceCounter`.
+routes its distance calls through a :class:`CountingDistance`, which tallies
+them on a :class:`DistanceCounter`.
 
-Since the introduction of the :class:`~repro.distances.cache.DistanceCache`,
-a "distance call" can be answered without computing anything; those hits are
-tracked separately (:attr:`DistanceCounter.cache_hits`) so the reported
-computation counts keep meaning *fresh* kernel executions, the quantity the
-paper's pruning-ratio figures are defined over.  Lower-bound prefilter
-evaluations (see :mod:`repro.distances.lower_bounds`) are a third category:
-they are O(n) rather than O(nm) and are counted on their own tallies
-(:attr:`DistanceCounter.prefilter_evaluations` /
-:attr:`DistanceCounter.prefilter_pruned`), again keeping the computation
-counts comparable with the paper's definition.
+A :class:`DistanceCounter` is the one tally record of both query stages --
+the index's long-lived counter for the probe (step 4), a fresh one per pass
+for verification (step 5) -- and of the parallel executors' replay
+(:mod:`repro.distances.recording`).  Its plain integer fields, named once by
+:attr:`DistanceCounter.FIELDS`, are written as ``counter.<field> += n``.
+``total`` counts fresh kernel executions, the quantity the paper's
+pruning-ratio figures are defined over.  Requests the
+:class:`~repro.distances.cache.DistanceCache` answered without computing
+anything are ``cache_hits``, and lower bounds consulted in front of the
+kernels (see :mod:`repro.distances.lower_bounds`; O(n) rather than O(nm))
+are ``prefilter_evaluations``, of which ``prefilter_pruned`` settled their
+pair without one -- both kept apart so ``total`` keeps meaning fresh work.
+``kernel_calls`` counts kernel invocations, one per single, batched or
+pair-batched request however many pairs it carries: the number that tells
+a traversal that computes few distances from one that computes them in few
+calls.  A span's work is read without touching the counter --
+``mark = counter.mark()`` before, ``counter.since(mark)`` after -- and
+:class:`~repro.core.queries.QueryStats` declares which of its fields each
+stage's tallies fill.
 
 Who consults bounds, and when, differs by index.  The **linear scan**
 consults them per call, *after* the cache (cache -> bound -> DP): a pair is
@@ -30,11 +40,6 @@ stored): a frontier pair is
 ``pruned`` when that settles it without a distance -- rejected with its
 subtree, or skipped and routed by the bound (see
 :meth:`repro.indexing.reference_net.ReferenceNet._frontier`).
-
-Kernel *invocations* are a fourth tally (:attr:`DistanceCounter.kernel_calls`):
-one per single, batched or pair-batched kernel request the counting wrapper
-issues, however many pairs it carries -- the number that tells a traversal
-that computes few distances from one that computes them in few calls.
 """
 
 from __future__ import annotations
@@ -67,7 +72,9 @@ class IndexStats:
     Every :class:`~repro.indexing.base.MetricIndex` carries one of these as
     ``update_stats``; the incremental entry points
     (:meth:`~repro.indexing.base.MetricIndex.insert` /
-    :meth:`~repro.indexing.base.MetricIndex.delete`) record here.
+    :meth:`~repro.indexing.base.MetricIndex.delete`) count here, as
+    ``stats.<field> += 1`` like every other tally; a snapshot stores
+    :func:`dataclasses.asdict` of it.
 
     Attributes
     ----------
@@ -85,31 +92,9 @@ class IndexStats:
     rebuilds: int = 0
     last_rebuild_reason: Optional[str] = None
 
-    def record_insert(self, amount: int = 1) -> None:
-        """Record ``amount`` incremental insertions."""
-        self.inserts += amount
-
-    def record_delete(self, amount: int = 1) -> None:
-        """Record ``amount`` incremental deletions."""
-        self.deletes += amount
-
-    def record_rebuild(self, reason: str = "build") -> None:
-        """Record a bulk rebuild."""
-        self.rebuilds += 1
-        self.last_rebuild_reason = reason
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the counters."""
-        return {
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "rebuilds": self.rebuilds,
-            "last_rebuild_reason": self.last_rebuild_reason,
-        }
-
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "IndexStats":
-        """Inverse of :meth:`as_dict` (used by snapshot restore).
+        """Inverse of :func:`dataclasses.asdict` (used by snapshot restore).
 
         Older snapshots also carry a ``pending_updates`` count; it is ignored.
         """
@@ -123,107 +108,38 @@ class IndexStats:
 
 
 class DistanceCounter:
-    """A counter of distance evaluations with checkpoint support.
+    """The work tallies of one query stage: plain integer fields named by :attr:`FIELDS`.
 
-    Fresh kernel executions (:attr:`total`), cache hits
-    (:attr:`cache_hits`), and lower-bound prefilter evaluations
-    (:attr:`prefilter_evaluations`, of which :attr:`prefilter_pruned`
-    skipped the kernel) are counted separately, and so are kernel
-    invocations (:attr:`kernel_calls`); checkpoints snapshot all of them.
+    A tally is written as ``counter.<field> += n`` and the work of a span
+    read as ``counter.since(mark)``; the module docstring says what each
+    field counts.
     """
+
+    FIELDS = ("total", "cache_hits", "prefilter_evaluations", "prefilter_pruned", "kernel_calls")
+    __slots__ = FIELDS
 
     def __init__(self) -> None:
         self.reset()
 
-    @property
-    def total(self) -> int:
-        """Fresh distance evaluations since construction (or the last reset)."""
-        return self._total
-
-    @property
-    def cache_hits(self) -> int:
-        """Distance requests answered by the cache instead of a computation."""
-        return self._cache_hits
-
-    @property
-    def prefilter_evaluations(self) -> int:
-        """Lower-bound evaluations performed in front of the kernels."""
-        return self._prefilter
-
-    @property
-    def prefilter_pruned(self) -> int:
-        """Prefilter evaluations that proved the pair outside the radius."""
-        return self._prefilter_pruned
-
-    @property
-    def kernel_calls(self) -> int:
-        """Kernel invocations issued: one per single, batch or pair-batch call."""
-        return self._kernel_calls
-
-    def increment(self, amount: int = 1) -> None:
-        """Record ``amount`` additional distance evaluations."""
-        self._total += amount
-
-    def record_kernel_calls(self, amount: int = 1) -> None:
-        """Record ``amount`` kernel invocations (each may carry many pairs)."""
-        self._kernel_calls += amount
-
-    def record_cache_hit(self, amount: int = 1) -> None:
-        """Record ``amount`` distance requests served from the cache."""
-        self._cache_hits += amount
-
-    def record_prefilter(self, evaluated: int = 1, pruned: int = 0) -> None:
-        """Record lower-bound evaluations, ``pruned`` of which skipped a kernel."""
-        self._prefilter += evaluated
-        self._prefilter_pruned += pruned
-
     def reset(self) -> None:
-        """Zero the counter."""
-        self._total = 0
-        self._checkpoint = 0
-        self._cache_hits = 0
-        self._cache_hits_checkpoint = 0
-        self._prefilter = 0
-        self._prefilter_checkpoint = 0
-        self._prefilter_pruned = 0
-        self._prefilter_pruned_checkpoint = 0
-        self._kernel_calls = 0
-        self._kernel_calls_checkpoint = 0
+        """Zero every tally."""
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
-    def checkpoint(self) -> None:
-        """Remember the current totals; see :meth:`since_checkpoint`."""
-        self._checkpoint = self._total
-        self._cache_hits_checkpoint = self._cache_hits
-        self._prefilter_checkpoint = self._prefilter
-        self._prefilter_pruned_checkpoint = self._prefilter_pruned
-        self._kernel_calls_checkpoint = self._kernel_calls
+    def mark(self) -> Tuple[int, ...]:
+        """The tallies as they stand, for a later :meth:`since`."""
+        return tuple(getattr(self, name) for name in self.FIELDS)
 
-    def since_checkpoint(self) -> int:
-        """Fresh evaluations since the last :meth:`checkpoint` call."""
-        return self._total - self._checkpoint
-
-    def cache_hits_since_checkpoint(self) -> int:
-        """Cache hits since the last :meth:`checkpoint` call."""
-        return self._cache_hits - self._cache_hits_checkpoint
-
-    def prefilter_since_checkpoint(self) -> int:
-        """Prefilter evaluations since the last :meth:`checkpoint` call."""
-        return self._prefilter - self._prefilter_checkpoint
-
-    def prefilter_pruned_since_checkpoint(self) -> int:
-        """Prefilter prunes since the last :meth:`checkpoint` call."""
-        return self._prefilter_pruned - self._prefilter_pruned_checkpoint
-
-    def kernel_calls_since_checkpoint(self) -> int:
-        """Kernel invocations since the last :meth:`checkpoint` call."""
-        return self._kernel_calls - self._kernel_calls_checkpoint
+    def since(self, mark: Tuple[int, ...]) -> "DistanceCounter":
+        """The work tallied since ``mark``, as a counter of its own."""
+        work = DistanceCounter()
+        for name, before in zip(self.FIELDS, mark):
+            setattr(work, name, getattr(self, name) - before)
+        return work
 
     def __repr__(self) -> str:
-        return (
-            f"DistanceCounter(total={self._total}, cache_hits={self._cache_hits}, "
-            f"prefilter={self._prefilter}/{self._prefilter_pruned} pruned, "
-            f"kernel_calls={self._kernel_calls})"
-        )
+        tallies = ", ".join(f"{name}={getattr(self, name)}" for name in self.FIELDS)
+        return f"DistanceCounter({tallies})"
 
 
 def first_occurrences(
@@ -305,7 +221,7 @@ class CountingDistance:
         if self.cache is not None and DistanceCache.cacheable(first, second):
             cached = self.cache.lookup(first, second)
             if cached is not None:
-                self.counter.record_cache_hit()
+                self.counter.cache_hits += 1
                 return cached
             value = self.inner(first, second)
             self._count_single()
@@ -316,8 +232,8 @@ class CountingDistance:
 
     def _count_single(self) -> None:
         """One pair computed by one kernel call."""
-        self.counter.increment()
-        self.counter.record_kernel_calls()
+        self.counter.total += 1
+        self.counter.kernel_calls += 1
 
     def bounded(self, first: SequenceLike, second: SequenceLike, cutoff: float) -> float:
         """Early-abandoning variant; see :meth:`Distance.bounded`.
@@ -330,13 +246,14 @@ class CountingDistance:
         if cacheable:
             cached = self.cache.lookup(first, second, cutoff=cutoff)
             if cached is not None:
-                self.counter.record_cache_hit()
+                self.counter.cache_hits += 1
                 return cached
         if self.prefilter:
             a, b = as_array(first), as_array(second)
             bound = combined_bound(self.inner, a, b)
             pruned = bool(bound_prunes(self.inner, bound, cutoff, a, b[None]))
-            self.counter.record_prefilter(1, 1 if pruned else 0)
+            self.counter.prefilter_evaluations += 1
+            self.counter.prefilter_pruned += pruned
             if pruned:
                 if cacheable:
                     self.cache.store(first, second, _INF, cutoff=cutoff)
@@ -346,10 +263,6 @@ class CountingDistance:
         if cacheable:
             self.cache.store(first, second, value, cutoff=cutoff)
         return value
-
-    def record_prefilter(self, evaluated: int, pruned: int) -> None:
-        """Tally bounds an index consulted itself (a bound-table traversal)."""
-        self.counter.record_prefilter(evaluated, pruned)
 
     def batch(
         self,
@@ -390,7 +303,7 @@ class CountingDistance:
             item_keys = packed.content_keys(items)
             pending = cache.probe_row(query.content_key, item_keys, cutoff, values)
             if len(pending) != len(items):
-                self.counter.record_cache_hit(len(items) - len(pending))
+                self.counter.cache_hits += len(items) - len(pending)
         else:
             pending = list(range(len(items)))
         if not pending:
@@ -407,7 +320,8 @@ class CountingDistance:
                 bounds = combined_batch_bound(self.inner, query_array, tensor)
                 pruned_mask = bound_prunes(self.inner, bounds, thresholds, query_array, tensor)
                 pruned_count = int(np.count_nonzero(pruned_mask))
-                self.counter.record_prefilter(len(indexes), pruned_count)
+                self.counter.prefilter_evaluations += len(indexes)
+                self.counter.prefilter_pruned += pruned_count
                 if pruned_count:
                     index_array = np.asarray(indexes, dtype=np.intp)
                     values[index_array[pruned_mask]] = _INF
@@ -419,8 +333,8 @@ class CountingDistance:
             if not len(survivors):
                 continue
             values[survivors] = self.inner.compute_batch(query_array, tensor, thresholds)
-            self.counter.increment(len(survivors))
-            self.counter.record_kernel_calls()
+            self.counter.total += len(survivors)
+            self.counter.kernel_calls += 1
         if cacheable_query and cutoff is None:
             # Exact values only: one bulk write, in item order.
             stored = [index for index in pending if item_keys[index] is not None]
@@ -489,13 +403,13 @@ class CountingDistance:
                         stored.append(position)
                     else:
                         values[position] = value
-            self.counter.record_cache_hit(len(probed) - len(stored) + len(repeats))
+            self.counter.cache_hits += len(probed) - len(stored) + len(repeats)
             computed = sorted(stored + unkeyed) if unkeyed else stored
         if computed:
             positions = np.asarray(computed, dtype=np.intp)
             values[positions], kernel_calls = compute(positions)
-            self.counter.increment(len(computed))
-            self.counter.record_kernel_calls(kernel_calls)
+            self.counter.total += len(computed)
+            self.counter.kernel_calls += kernel_calls
         if stored:
             cache.store_many([keys[position] for position in stored], values[stored].tolist())
         if repeats:

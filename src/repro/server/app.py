@@ -24,11 +24,13 @@ GET     ``/metrics``            Operational counters, p50/p99, cache rates.
 Status codes: ``200`` success, ``400`` malformed request, ``404`` unknown
 route / unknown sequence, ``405`` wrong method, ``409`` duplicate sequence
 id, ``413`` request body over the cap (answered by the runner before the
-body is read), ``422`` a well-formed query that failed (e.g. a Type III
-sweep with no segment match -- the body is the standard envelope with
-``error`` set and the sweep's own work counters), ``500`` an unexpected
-failure, ``503`` admission control rejected the request (too many queries
-in flight), ``504`` the per-request timeout elapsed.
+body is read) or a sequence of more than
+:data:`~repro.core.wire.MAX_SEQUENCE_VALUES` values, ``422`` a well-formed
+query that failed (e.g. a Type III sweep with no segment match -- the body
+is the standard envelope with ``error`` set and the sweep's own work
+counters), ``500`` an unexpected failure, ``503`` admission control
+rejected the request (too many queries in flight), ``504`` the per-request
+timeout elapsed.
 
 Concurrency model
 -----------------
@@ -56,6 +58,7 @@ from repro.core.service import SearchService
 from repro.core.wire import (
     ACCEPTED_SCHEMA_VERSIONS,
     WIRE_SCHEMA_VERSION,
+    PayloadTooLarge,
     SearchRequest,
     error_envelope,
     parse_search_request,
@@ -190,7 +193,9 @@ class SearchApp:
             request = parse_search_request(payload)
         except QueryError as error:
             self.metrics.record_parse_error()
-            return 400, error_envelope(str(error), request_id=_safe_request_id(payload))
+            return _refusal(error), error_envelope(
+                str(error), request_id=_safe_request_id(payload)
+            )
         if not self._admit():
             self.metrics.record_rejected()
             return 503, error_envelope(
@@ -244,7 +249,7 @@ class SearchApp:
             requests, timeout = self._parse_batch(payload)
         except QueryError as error:
             self.metrics.record_parse_error()
-            return 400, {"error": str(error)}
+            return _refusal(error), {"error": str(error)}
         if not self._admit():
             self.metrics.record_rejected()
             return 503, {"error": _capacity_error(self.max_in_flight)}
@@ -328,7 +333,7 @@ class SearchApp:
             try:
                 requests.append(parse_search_request(entry))
             except QueryError as error:
-                raise QueryError(f"batch entry {position}: {error}") from None
+                raise type(error)(f"batch entry {position}: {error}") from None
         timeout = body.get("timeout")
         return requests, self.default_timeout if timeout is None else parse_timeout(timeout)
 
@@ -344,7 +349,7 @@ class SearchApp:
         try:
             sequence = sequence_from_wire(payload.get("sequence"))
         except QueryError as error:
-            return 400, {"error": str(error)}
+            return _refusal(error), {"error": str(error)}
         try:
             seq_id = self.service.add_sequence(sequence)
         except SequenceError as error:
@@ -400,6 +405,11 @@ class SearchApp:
     def in_flight(self) -> int:
         """Queries currently admitted (queued or executing)."""
         return self._in_flight
+
+
+def _refusal(error: QueryError) -> int:
+    """The status of a request refused at parsing: 413 if it is too large, else 400."""
+    return 413 if isinstance(error, PayloadTooLarge) else 400
 
 
 def _safe_request_id(body) -> Optional[str]:

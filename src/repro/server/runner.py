@@ -11,10 +11,11 @@ body too.  Every socket read waits at most ``_Handler.timeout`` seconds, so
 an idle or stalled client cannot hold its thread for longer.
 
 Shutdown is snapshot-safe: ``SIGTERM`` is converted into the same clean
-exit as ``Ctrl-C``, and when the service is snapshot-backed (or an explicit
-snapshot path is given) the built matcher state is written back on the way
-out, so a restarted server resumes from everything that was added over
-``POST /sequences``.
+exit as ``Ctrl-C``.  The server stops accepting, answers every connection
+it accepted (waiting up to the app's default timeout), and, when the
+service is snapshot-backed (or an explicit snapshot path is given), then
+writes the built matcher state back, so a restarted server resumes from
+everything that was added over ``POST /sequences``.
 
 :class:`BackgroundServer` runs the same server on a daemon thread -- the
 harness the tests and the HTTP benchmark use to exercise a real socket
@@ -110,7 +111,28 @@ class _Server(http.server.ThreadingHTTPServer):
 
     def __init__(self, app: SearchApp, host: str, port: int) -> None:
         self.app = app
+        #: Accepted connections not yet answered and closed (see :meth:`drain`).
+        self._open = 0
+        self._closed = threading.Condition()
         super().__init__((host, port), _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._closed:
+            self._open += 1
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._closed:
+                self._open -= 1
+                self._closed.notify_all()
+
+    def drain(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds until every accepted connection is closed."""
+        with self._closed:
+            return self._closed.wait_for(lambda: self._open == 0, timeout)
 
 
 def _install_sigterm_handler() -> None:
@@ -149,7 +171,7 @@ def serve(
     snapshot_on_exit:
         When the service has a snapshot path, write the built matcher state
         back on shutdown (Ctrl-C or SIGTERM) -- mutations made over HTTP
-        survive a restart.
+        survive a restart.  The requests in flight are answered first.
     """
     application = app if app is not None else SearchApp(service, **app_options)
     server = _Server(application, host, port)
@@ -162,6 +184,7 @@ def serve(
         pass
     finally:
         server.server_close()
+        server.drain(application.default_timeout)
         if (
             snapshot_on_exit
             and service.snapshot_path is not None

@@ -86,9 +86,9 @@ def test_query_cost_stays_within_the_scan():
     costs = {}
     for name, index in (("CT", tree), ("MV-3", mv)):
         index.range_query(query, 30.0)  # MV-k selects its references on the first query
-        index.counter.checkpoint()
+        mark = index.counter.mark()
         index.range_query(query, 30.0)
-        costs[name] = index.counter.since_checkpoint()
+        costs[name] = index.counter.since(mark).total
     assert costs["CT"] <= len(windows)
     # MV-k may additionally measure its references.
     assert costs["MV-3"] <= len(windows) + 3
@@ -101,12 +101,12 @@ def test_reference_net_not_worse_than_cover_tree_on_clustered_data():
     tree = _filled(baselines.CoverTree(distance), windows)
     net_cost = tree_cost = 0
     for query in [windows[i].sequence for i in (0, 50, 120)]:
-        net.counter.checkpoint()
+        mark = net.counter.mark()
         net.range_query(query, 5.0)
-        net_cost += net.counter.since_checkpoint()
-        tree.counter.checkpoint()
+        net_cost += net.counter.since(mark).total
+        mark = tree.counter.mark()
         tree.range_query(query, 5.0)
-        tree_cost += tree.counter.since_checkpoint()
+        tree_cost += tree.counter.since(mark).total
     # The paper's headline claim (Figures 8-11): for comparable space the
     # reference net prunes at least as well as the cover tree.  A small
     # tolerance keeps the test robust to dataset randomness.

@@ -412,11 +412,11 @@ class TestLinearScanPacking:
     def test_one_kernel_call_per_shape_group(self):
         index = self._index(np.random.default_rng(13))
         query = np.random.default_rng(14).normal(size=(9, 2))
-        index.counter.checkpoint()
+        mark = index.counter.mark()
         index.batch_range_query([query, query + 1.0], 3.0)
         # Two queries, two window shapes (lengths 8 and 10).
-        assert index.counter.kernel_calls_since_checkpoint() == 4
-        assert index.counter.since_checkpoint() == 2 * len(index)
+        assert index.counter.since(mark).kernel_calls == 4
+        assert index.counter.since(mark).total == 2 * len(index)
 
     def test_unpackable_item_is_refused(self):
         index = LinearScanIndex(DTW())

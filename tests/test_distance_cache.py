@@ -450,15 +450,15 @@ class TestCountingDistanceIntegration:
         assert counting.counter.total == 2
         assert counting.counter.cache_hits == 0
 
-    def test_checkpoint_tracks_cache_hits(self):
+    def test_since_a_mark_tracks_cache_hits(self):
         counting = CountingDistance(Euclidean(), cache=DistanceCache())
         a, b = _seq([0.0]), _seq([1.0])
         counting(a, b)
-        counting.counter.checkpoint()
+        mark = counting.counter.mark()
         counting(a, b)
         counting(a, b)
-        assert counting.counter.since_checkpoint() == 0
-        assert counting.counter.cache_hits_since_checkpoint() == 2
+        assert counting.counter.since(mark).total == 0
+        assert counting.counter.since(mark).cache_hits == 2
 
 
 class TestThreadSafety:

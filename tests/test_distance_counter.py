@@ -9,28 +9,29 @@ class TestDistanceCounter:
 
     def test_increment(self):
         counter = DistanceCounter()
-        counter.increment()
-        counter.increment(4)
+        counter.total += 1
+        counter.total += 4
         assert counter.total == 5
 
     def test_reset(self):
         counter = DistanceCounter()
-        counter.increment(3)
+        for name in DistanceCounter.FIELDS:
+            setattr(counter, name, 3)
         counter.reset()
-        assert counter.total == 0
+        assert counter.mark() == (0,) * len(DistanceCounter.FIELDS)
 
-    def test_checkpoint(self):
+    def test_mark_and_since(self):
         counter = DistanceCounter()
-        counter.increment(2)
-        counter.checkpoint()
-        counter.increment(3)
-        assert counter.since_checkpoint() == 3
+        counter.total += 2
+        mark = counter.mark()
+        counter.total += 3
+        assert counter.since(mark).total == 3
         assert counter.total == 5
 
     def test_repr(self):
         counter = DistanceCounter()
-        counter.increment(7)
-        assert "7" in repr(counter)
+        counter.total += 7
+        assert "total=7" in repr(counter)
 
 
 class TestCountingDistance:

@@ -64,9 +64,9 @@ class TestRangeQuery:
             index.range_query([0.0, 0.0], -1.0)
 
     def test_counts_one_distance_per_item(self, index):
-        index.counter.checkpoint()
+        mark = index.counter.mark()
         index.range_query([0.0, 0.0], 1.0)
-        assert index.counter.since_checkpoint() == len(index)
+        assert index.counter.since(mark).total == len(index)
 
     def test_empty_index(self):
         scan = LinearScanIndex(Euclidean())

@@ -31,10 +31,11 @@ from repro import (
 from repro.core.candidates import CandidateChain, chain_segment_matches
 from repro.core.queries import SegmentMatch
 from repro.core.segmentation import extract_query_segments
-from repro.core.verification import _VerificationCounter, verify_chain
+from repro.core.verification import verify_chain
 from repro.distances import EditDistance, WarpingDistance, shared_cache
 from repro.exceptions import IndexError_
 from repro.indexing import LinearScanIndex, ReferenceNet
+from repro.indexing.stats import DistanceCounter
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def _legacy_query(matcher, query, radius, mode):
                 )
             )
     chains = chain_segment_matches(seg_matches, matcher.config)
-    counter = _VerificationCounter()
+    counter = DistanceCounter()
 
     def verify_fallback(chain):
         verified = verify_chain(

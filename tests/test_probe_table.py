@@ -39,7 +39,7 @@ from repro import (
     TopKQuery,
 )
 from repro.core.pipeline import QueryPipeline
-from repro.core.verification import _VerificationCounter
+from repro.indexing.stats import DistanceCounter
 
 from test_query_api import match_identities, work_counters
 from test_topk import config, pattern_query, planted_db  # noqa: F401  (fixtures)
@@ -198,11 +198,11 @@ class TestTableAnsweredProbes:
         )
         assert [chain.window_count for chain in chains] == [c.window_count for c in blind_chains]
         verified = [
-            pipeline.verify_with_fallback(chain, pattern_query, 1.0, _VerificationCounter())
+            pipeline.verify_with_fallback(chain, pattern_query, 1.0, DistanceCounter())
             for chain in chains
         ]
         blind_verified = [
-            pipeline.verify_with_fallback(chain, pattern_query, 1.0, _VerificationCounter())
+            pipeline.verify_with_fallback(chain, pattern_query, 1.0, DistanceCounter())
             for chain in blind_chains
         ]
         assert verified == blind_verified and any(match is not None for match in verified)

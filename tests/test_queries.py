@@ -1,5 +1,7 @@
 """Tests for query descriptions, results, and statistics dataclasses."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -12,6 +14,7 @@ from repro import (
     TopKQuery,
 )
 from repro.core.queries import as_query_spec
+from repro.indexing.stats import DistanceCounter
 
 
 class TestQuerySpecs:
@@ -108,28 +111,52 @@ class TestQueryStats:
         stats = QueryStats(index_distance_computations=150, naive_distance_computations=100)
         assert stats.pruning_ratio == 0.0
 
-    def test_merged_sums_work_and_keeps_the_final_shape(self):
-        passes = [
-            QueryStats(
-                segments_extracted=5, segment_matches=9, index_cache_hits=40, index_kernel_calls=12
-            ),
-            QueryStats(
-                segments_extracted=5,
-                segment_matches=2,
-                table_segments=5,
-                verification_kernel_calls=4,
-            ),
-            QueryStats(
-                segments_extracted=5,
-                segment_matches=4,
-                table_segments=3,
-                index_cache_hits=7,
-                index_kernel_calls=3,
-                verification_kernel_calls=9,
-            ),
-        ]
-        merged = QueryStats.merged(passes)
-        assert merged.table_segments == 8 and merged.index_cache_hits == 47
-        assert merged.index_kernel_calls == 15
-        assert merged.verification_kernel_calls == 13
-        assert merged.segment_matches == 4 and merged.passes == passes
+    @pytest.mark.parametrize("name", [spec.name for spec in dataclasses.fields(QueryStats)])
+    def test_merged_sums_work_and_keeps_the_final_shape(self, name):
+        # Three records in which every integer field holds a distinct value.
+        records = []
+        for position in range(3):
+            stats = QueryStats(executor=f"engine-{position}")
+            for offset, spec in enumerate(dataclasses.fields(QueryStats)):
+                if isinstance(getattr(stats, spec.name), int):
+                    setattr(stats, spec.name, offset + 1 + 100 * position)
+            stats.stage_timings = {"segment": 0.5, "probe": 0.25 * (position + 1)}
+            stats.cpu_stage_timings = {"probe": 0.125 * (position + 1), "verify": 1.0}
+            records.append(stats)
+        merged, across = QueryStats.merged(records), QueryStats.across_shards(records)
+        values = [getattr(stats, name) for stats in records]
+        if name in QueryStats.WORK:
+            assert getattr(merged, name) == getattr(across, name) == sum(values)
+        elif name in QueryStats.SHAPE:
+            assert getattr(merged, name) == values[-1]
+            assert getattr(across, name) == (
+                values[0] if name == "segments_extracted" else sum(values)
+            )
+        elif name in ("stage_timings", "cpu_stage_timings"):
+            summed = {}
+            for timings in values:
+                for stage, seconds in timings.items():
+                    summed[stage] = summed.get(stage, 0.0) + seconds
+            assert getattr(merged, name) == getattr(across, name) == summed
+        elif name in ("executor", "workers"):
+            assert (getattr(merged, name), getattr(across, name)) == (values[-1], values[0])
+        elif name == "shards":
+            assert (merged.shards, across.shards) == (values[-1], len(records))
+        else:
+            # A new field must be declared: work, shape, or one of the above.
+            assert name == "passes"
+            assert merged.passes == across.passes == records
+        # A stage's counter fills its declared field with the work since a mark.
+        for stage in (QueryStats.INDEX_COUNTER, QueryStats.VERIFICATION_COUNTER):
+            for tally in [tally for tally, target in stage.items() if target == name]:
+                counter = DistanceCounter()
+                for offset, field_name in enumerate(DistanceCounter.FIELDS):
+                    setattr(counter, field_name, 50 + offset)
+                mark = counter.mark()
+                for offset, field_name in enumerate(DistanceCounter.FIELDS):
+                    setattr(counter, field_name, getattr(counter, field_name) + offset + 1)
+                work = counter.since(mark)
+                assert work.mark() == tuple(range(1, len(DistanceCounter.FIELDS) + 1))
+                filled = QueryStats()
+                filled.fill(stage, work)
+                assert getattr(filled, name) == DistanceCounter.FIELDS.index(tally) + 1

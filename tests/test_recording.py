@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DiscreteFrechet, MatcherConfig, Sequence
-from repro.core.verification import StartPairBlocks, _Requests, _VerificationCounter
+from repro.core.verification import StartPairBlocks, _Requests
 from repro.distances.cache import DistanceCache
 from repro.distances.recording import (
     RecordingCounting,
@@ -146,12 +146,12 @@ def _drive_verify(units, max_entries, recorded):
     serially or recorded + replayed unit by unit; the units share one block
     engine, as the units of one query do."""
     cache = DistanceCache(max_entries=max_entries)
-    counter = _VerificationCounter()
+    counter = DistanceCounter()
     engine = StartPairBlocks(_VERIFY_QUERY, _VERIFY_TARGET, DiscreteFrechet(), _VERIFY_CONFIG)
     returned = []
     for unit in units:
         target = RecordingVerifyCache(cache) if recorded else cache
-        unit_counter = _VerificationCounter() if recorded else counter
+        unit_counter = DistanceCounter() if recorded else counter
         requests = _Requests(_VERIFY_QUERY, _VERIFY_TARGET, "x", engine, unit_counter, target)
         for q_start, q_length, x_start, shift, radius in unit:
             x_stop = x_start + q_length + shift
@@ -160,7 +160,7 @@ def _drive_verify(units, max_entries, recorded):
             )
         if recorded:
             target.replay_into(cache, counter)
-    return returned, (counter.count, counter.cache_hits), _cache_fingerprint(cache)
+    return returned, (counter.total, counter.cache_hits), _cache_fingerprint(cache)
 
 
 class TestProbeReplayEqualsSerial:

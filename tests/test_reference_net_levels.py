@@ -176,7 +176,8 @@ def per_segment_range_search(net, query, radius, counting, lower=None):
                         decided.add(child)
                     else:
                         pending[child.home_level].append(child)
-        counting.record_prefilter(len(frontier), len(frontier) - len(survivors))
+        counting.counter.prefilter_evaluations += len(frontier)
+        counting.counter.prefilter_pruned += len(frontier) - len(survivors)
         return survivors
 
     for level in range(net.max_level, -1, -1):
@@ -286,7 +287,8 @@ def level_walk(net, queries, radius, cache, counter, table=None):
                         settle(position, node, accept=False)
                     else:
                         route(position, node, bound, None)
-                counter.record_prefilter(len(frontier), len(frontier) - len(kept))
+                counter.prefilter_evaluations += len(frontier)
+                counter.prefilter_pruned += len(frontier) - len(kept)
                 frontier = kept
             survivors.extend((position, node) for node in frontier)
         # The level's pairs: every lookup, then every store.
@@ -294,21 +296,21 @@ def level_walk(net, queries, radius, cache, counter, table=None):
         for position, node in survivors:
             query, item = queries[position], node.item
             if not DistanceCache.cacheable(query, item):
-                counter.increment()
+                counter.total += 1
                 measured.append((position, node, DISTANCE(query, item)))
                 continue
             content = (query.content_key, item.content_key)
             if content in by_content:
                 repeated += 1
-                counter.record_cache_hit()
+                counter.cache_hits += 1
             else:
                 value = cache.lookup(query, item)
                 if value is None:
                     value = DISTANCE(query, item)
-                    counter.increment()
+                    counter.total += 1
                     stores.append((query, item, value))
                 else:
-                    counter.record_cache_hit()
+                    counter.cache_hits += 1
                 by_content[content] = value
             measured.append((position, node, by_content[content]))
         for query, item, value in stores:
@@ -753,13 +755,13 @@ def test_kernel_calls_are_bounded_by_levels_times_shape_groups():
         length = (6, 7, 8)[key % 3]
         net.add(window(generator.integers(0, 4, size=length)), key=key)
     queries = [window(generator.integers(0, 4, size=6 + position % 2)) for position in range(25)]
-    net.counter.checkpoint()
+    mark = net.counter.mark()
     found = net.batch_range_query(queries, 2.0)
     assert any(found)
     window_shapes, query_shapes = 3, 2
     assert (
         0
-        < net.counter.kernel_calls_since_checkpoint()
+        < net.counter.since(mark).kernel_calls
         <= (net.max_level + 1) * window_shapes * query_shapes
     )
     for query, matches in zip(queries, found):

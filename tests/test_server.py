@@ -17,15 +17,19 @@ emits exactly that envelope -- see ``test_cli.py``), and the server admits
 import http.client
 import json
 import os
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.parse
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     DiscreteFrechet,
     LongestSubsequenceQuery,
@@ -44,8 +48,12 @@ from repro import (
     save_matcher,
     sequence_to_wire,
 )
+from repro.cli import main as cli_main
+from repro.core.wire import MAX_SEQUENCE_VALUES
+from repro.datasets import generate_song_query
 from repro.server import BackgroundServer, SearchApp, ServerMetrics
 from repro.server.runner import MAX_BODY_BYTES, _Handler
+from repro.storage.persistence import load_database
 
 
 @pytest.fixture
@@ -530,6 +538,24 @@ class TestErrorPaths:
         assert status == 400
         assert "cap" in payload["error"]
 
+    @pytest.mark.parametrize("path", ["/search", "/search/batch", "/sequences"])
+    def test_a_sequence_over_the_value_cap_is_a_json_413(self, app, pattern_query, path):
+        sequence = {"kind": "time_series", "values": [0.5] * (MAX_SEQUENCE_VALUES + 1)}
+        body = {"query": TOPK.describe(), "sequence": sequence}
+        payload = {
+            "/search": body,
+            "/search/batch": {"requests": [search_body(TOPK, pattern_query), body]},
+            "/sequences": {"sequence": sequence},
+        }[path]
+        status, answer = app_request(app, "POST", path, payload)
+        assert status == 413
+        assert f"{MAX_SEQUENCE_VALUES}-value cap" in answer["error"]
+        if path == "/search/batch":
+            assert "batch entry 1" in answer["error"]
+        assert app.in_flight == 0
+        database = app.service.backend.database
+        assert database.ids() == ["with-pattern-1", "with-pattern-2", "background"]
+
     def test_add_sequence_malformed_body_is_400(self, app):
         assert app_request(app, "POST", "/sequences", {"nope": 1})[0] == 400
         status, payload = app_request(
@@ -893,6 +919,7 @@ class TestTransport:
         assert metrics["queries_served"] == statuses.count(200) > 0
         assert metrics["rejected"] == statuses.count(503)
         assert server.app.in_flight == 0
+        assert server._server.drain(timeout=10)  # no accepted connection left open
         assert len(answers) == 1
 
     def test_an_exception_in_admitted_work_is_a_json_500(
@@ -910,6 +937,54 @@ class TestTransport:
             assert status == 500
             assert "matcher exploded" in payload["error"]
             assert server.app.in_flight == 0
+
+
+class TestShutdown:
+    def test_sigterm_answers_the_batch_in_flight_then_writes_the_snapshot(self, tmp_path):
+        corpus, snapshot = tmp_path / "songs.npz", tmp_path / "songs-matcher.npz"
+        assert cli_main(["generate", "songs", str(corpus), "--windows", "80", "--seed", "1"]) == 0
+        build = ["snapshot", str(corpus), str(snapshot), "--dataset", "songs"]
+        assert cli_main(build + ["--min-length", "20", "--max-shift", "1"]) == 0
+        database = load_database(corpus)
+        queries = [generate_song_query(database, length=60, seed=seed)[0] for seed in range(6)]
+        # Six distinct top-k queries: a batch of a few seconds on this corpus.
+        batch = {"requests": [search_body(TOPK, query) for query in queries], "timeout": 60}
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        command = [sys.executable, "-m", "repro.cli", "serve", str(snapshot), "--snapshot"]
+        process = subprocess.Popen(
+            command + ["--port", "0"], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            port = int(process.stdout.readline().rsplit(":", 1)[1])
+            client = BackgroundServer(None, port=port)  # only its client is used
+            answer = {}
+
+            def send_batch():
+                try:
+                    answer["status"] = client.request_json("POST", "/search/batch", batch)[0]
+                except (OSError, http.client.HTTPException) as error:
+                    answer["dropped"] = error
+
+            sender = threading.Thread(target=send_batch)
+            sender.start()
+            deadline = time.monotonic() + 60
+            while client.request_json("GET", "/health")[1]["in_flight"] != 1:
+                assert sender.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            sender.join(timeout=90)
+            assert not sender.is_alive()
+            assert answer.get("status") in (200, 504), answer
+            output, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0
+        assert f"wrote snapshot back to {snapshot}" in output
+        restored = SearchService(snapshot)
+        assert len(restored.backend.database) == len(database)
+        restored.execute(TOPK.bind(queries[0]))
 
 
 # --------------------------------------------------------------------- #

@@ -32,12 +32,12 @@ from repro.core.queries import match_identity
 from repro.core.verification import (
     StartPairBlocks,
     _grow_to_length,
-    _VerificationCounter,
     chain_start_pairs,
     enumerate_matches,
     verify_chain,
 )
 from repro.distances.cache import DistanceCache
+from repro.indexing.stats import DistanceCounter
 
 
 @pytest.fixture
@@ -170,9 +170,9 @@ class TestVerifyChain:
     def test_counts_verification_distances(self, aligned_pair, lockstep_config):
         query, target = aligned_pair
         chain = make_chain(target, query_start=5, db_start=10, length=5)
-        counter = _VerificationCounter()
+        counter = DistanceCounter()
         verify_chain(chain, query, target, Euclidean(), 0.5, lockstep_config, counter)
-        assert counter.count >= 1
+        assert counter.total >= 1
 
     def test_respects_radius(self, aligned_pair, lockstep_config):
         query, target = aligned_pair
@@ -235,7 +235,7 @@ class TestEnumerateMatches:
             make_chain(target, query_start=15, db_start=20, length=5),
         ]
         starts = set(chain_start_pairs(chains, config)["db"])
-        counter = _VerificationCounter()
+        counter = DistanceCounter()
         database = _database(target)
         found = _exhaustive(chains, query, database, ERP(), 1.0, config, counter)
         brute = brute_force_matches(query, database, ERP(), 1.0, config)
@@ -245,7 +245,7 @@ class TestEnumerateMatches:
             if (m.query_start, m.db_start) in starts
         ]
         swept = sum(1 for q, x in starts if len(query) - q >= 10 and len(target) - x >= 10)
-        assert counter.count == counter.kernel_calls == swept
+        assert counter.total == counter.kernel_calls == swept
         assert counter.cache_hits == 0
 
     def test_sources_in_database_order(self, aligned_pair, config):
@@ -268,7 +268,7 @@ class TestEnumerateMatches:
         second = make_chain(target, query_start=10, db_start=15, length=5).matches[0]
         chain = CandidateChain(target.seq_id, (first, second))
         database = _database(target)
-        capped_counter, uncapped_counter = _VerificationCounter(), _VerificationCounter()
+        capped_counter, uncapped_counter = DistanceCounter(), DistanceCounter()
         uncapped = _exhaustive(
             [chain], query, database, DiscreteFrechet(), 0.5, config, uncapped_counter
         )
@@ -278,7 +278,7 @@ class TestEnumerateMatches:
         )  # fmt: skip
         assert len(uncapped) >= 2 and len(capped) == 1
         assert match_identity(capped[0]) in {match_identity(m) for m in uncapped}
-        assert capped_counter.count < uncapped_counter.count
+        assert capped_counter.total < uncapped_counter.total
 
     def test_empty_when_radius_too_small(self, config):
         query = Sequence.from_values(np.zeros(20), seq_id="q")
@@ -329,7 +329,7 @@ class TestSpanMemo:
 
         def trace(scratch):
             cache = DistanceCache() if cached else None
-            counter = _VerificationCounter()
+            counter = DistanceCounter()
             found = []
             for _pass in range(2):  # the second pass repeats every request
                 match = verify_chain(
@@ -337,7 +337,7 @@ class TestSpanMemo:
                     scratch=scratch,
                 )  # fmt: skip
                 found.append(match and (match_identity(match), match.distance))
-                found.append((counter.count, counter.cache_hits))
+                found.append((counter.total, counter.cache_hits))
             return found, list(cache.iter_entries()) if cached else None
 
         assert trace(QueryScratch(query, [], None)) == trace(None)
@@ -462,7 +462,7 @@ class TestEngineRequestEntry:
         ]
         top = max((value for value in exact if np.isfinite(value)), default=1.0)
         cutoffs = np.sort(generator.uniform(0.0, 1.2 * top + 1e-9, size=len(picked)))
-        counters = (_VerificationCounter(), _VerificationCounter())
+        counters = (DistanceCounter(), DistanceCounter())
         seen = set()
         for turn, (position, cutoff) in enumerate(zip(picked.tolist(), cutoffs.tolist())):
             q, x, a, b = requests[position]
@@ -479,7 +479,7 @@ class TestEngineRequestEntry:
                 assert repr(value) == repr(single), (q, x, a, b, cutoff)
             else:
                 assert value > cutoff and single > cutoff
-        assert engine.counter.kernel_calls == 0 and engine.counter.count == 0
+        assert engine.counter.kernel_calls == 0 and engine.counter.total == 0
 
 
 def _grow_one_at_a_time(start, stop, target, limit, direction):

@@ -36,6 +36,9 @@ from repro import (
     sequence_to_wire,
 )
 
+from repro.core import wire
+from repro.core.wire import MAX_SEQUENCE_VALUES, PayloadTooLarge
+
 from test_query_api import match_identities, work_counters
 
 
@@ -180,6 +183,25 @@ class TestSequenceCodec:
     def test_unknown_kind(self):
         with pytest.raises(QueryError, match="unknown sequence kind"):
             sequence_from_wire({"kind": "video", "values": [1]})
+
+    @pytest.mark.parametrize(
+        "kind, element, per_element",
+        [("time_series", 0.5, 1), ("trajectory", [0.5, 1.5], 2), ("string", 2, 1)],
+    )
+    def test_the_value_cap_holds_before_an_array_is_built(
+        self, monkeypatch, kind, element, per_element
+    ):
+        elements = MAX_SEQUENCE_VALUES // per_element
+        alphabet = {"alphabet": "ACGT"} if kind == "string" else {}
+        at_cap = {"kind": kind, "values": [element] * elements, **alphabet}
+        assert len(sequence_from_wire(at_cap)) == elements
+        over_cap = dict(at_cap, values=[element] * (elements + 1))
+        monkeypatch.setattr(wire, "np", None)  # any array built now would raise
+        with pytest.raises(PayloadTooLarge, match=f"{MAX_SEQUENCE_VALUES}-value cap"):
+            sequence_from_wire(over_cap)
+        text = "A" * (MAX_SEQUENCE_VALUES + 1)
+        with pytest.raises(PayloadTooLarge):
+            sequence_from_wire({"kind": "string", "text": text, "alphabet": "ACGT"})
 
     def test_unknown_field(self):
         with pytest.raises(QueryError, match="unknown sequence field"):
