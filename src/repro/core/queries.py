@@ -583,9 +583,7 @@ class QueryStats:
         """
         if not shard_stats:
             return cls()
-        return cls._combine(
-            shard_stats, ("segments_extracted",), shard_stats[0], len(shard_stats)
-        )
+        return cls._combine(shard_stats, ("segments_extracted",), shard_stats[0], len(shard_stats))
 
     @classmethod
     def _combine(
